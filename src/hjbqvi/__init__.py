@@ -19,12 +19,10 @@ from .grid import (
 from .problem import ProblemSpec, ValidationReport, builtin, validate
 from .operators import (
     DiscreteControls,
-    apply_generator,
     apply_intervention,
     discretize_controls,
+    generator_band,
     interp,
-    second_difference,
-    upwind_first_difference,
 )
 from .penalty import (
     SparseSystem,
@@ -34,10 +32,8 @@ from .penalty import (
     residual,
     solve_finite_horizon,
     solve_infinite_horizon,
-    value_iteration_timestep,
 )
 from .semilag import (
-    TridiagonalMatrix,
     assemble_A,
     overstep_threshold,
     sl_rhs,
@@ -64,12 +60,11 @@ __all__ = [
     "SpaceTimeGrid", "as_growing_q", "build_boundary_refined_grid",
     "build_uniform_grid", "grid_for_level",
     "ProblemSpec", "ValidationReport", "builtin", "validate",
-    "DiscreteControls", "apply_generator", "apply_intervention",
-    "discretize_controls", "interp", "second_difference", "upwind_first_difference",
+    "DiscreteControls", "apply_intervention", "discretize_controls", "generator_band",
+    "interp",
     "SparseSystem", "assemble_policy_system", "penalty_timestep", "policy_improve",
     "residual", "solve_finite_horizon", "solve_infinite_horizon",
-    "value_iteration_timestep",
-    "TridiagonalMatrix", "assemble_A", "overstep_threshold", "sl_rhs",
+    "assemble_A", "overstep_threshold", "sl_rhs",
     "solve_semi_lagrangian", "thomas_solve",
     "brute_force_residual", "solve_iterated_optimal_stopping",
     "ConvergenceReport", "Window", "check_matrix_properties", "check_monotonicity",

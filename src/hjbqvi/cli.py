@@ -90,7 +90,7 @@ class RunSpec:
             "solver": {
                 "tol": self.solver.tol, "residual_tol": self.solver.residual_tol,
                 "max_iters": self.solver.max_iters, "c_eps": self.solver.c_eps,
-                "method": self.solver.method, "epsilon": self.epsilon,
+                "epsilon": self.epsilon,
             },
             "study": {
                 "levels": self.levels,
@@ -170,14 +170,13 @@ def parse_config(path) -> RunSpec:
 
     solver_raw = raw.get("solver") or {}
     _require_keys(solver_raw, ("tol", "residual_tol", "max_iters", "c_eps",
-                               "method", "epsilon"), "solver")
+                               "epsilon"), "solver")
     try:
         solver = SolverConfig(
             tol=float(solver_raw.get("tol", 1e-10)),
             residual_tol=float(solver_raw.get("residual_tol", 1e-8)),
             max_iters=int(solver_raw.get("max_iters", 100)),
             c_eps=float(solver_raw.get("c_eps", 1.0)),
-            method=solver_raw.get("method", "policy"),
         )
     except ValueError as exc:
         raise ConfigError(f"bad solver section: {exc}") from exc

@@ -8,10 +8,13 @@ because the truncation at +-Q pollutes a boundary layer and the convergence
 statements are locally uniform.
 
 The property checks mirror what the schemes guarantee: sup-norm stability
-bounds, monotone matrix structure, and monotonicity of the scheme in its
-off-node arguments (randomized ordered pairs).  When no closed form is
-available, studies fall back to self-convergence against the finest level
-and say so; the two are never conflated.
+bounds, monotone matrix structure (on the sparse matrices the solvers
+assemble), and monotonicity of the scheme in its off-node arguments
+(randomized ordered pairs).  The scheme rows read their generator
+coefficients from the stencil core the assembled systems are built from,
+so the monotonicity check tests the solvers' own stencil.  When no closed
+form is available, studies fall back to self-convergence against the
+finest level and say so; the two are never conflated.
 """
 
 from __future__ import annotations
@@ -233,13 +236,10 @@ def check_stability_bound(sol: Solution, problem: ProblemSpec,
 def check_matrix_properties(system) -> MatrixReport:
     """Sign pattern, dominance and WCDD for any assembled system.
 
-    Accepts a penalty SparseSystem, a TridiagonalMatrix, a scipy sparse
-    matrix or a dense array.
+    Accepts a penalty SparseSystem, a scipy sparse matrix (such as the
+    semi-Lagrangian ``assemble_A``) or a dense array.
     """
-    matrix = getattr(system, "matrix", system)
-    if hasattr(matrix, "to_dense"):
-        matrix = matrix.to_dense()
-    return analyze_matrix(matrix)
+    return analyze_matrix(getattr(system, "matrix", system))
 
 
 def check_solution_matrices(sol: Solution) -> PropertyCheck:

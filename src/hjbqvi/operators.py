@@ -1,14 +1,16 @@
 """Discrete spatial operators on grid functions.
 
 A grid function is a plain float array of length 2M+1; entry ``i`` holds the
-value at node ``x_{i-M}``.  Public operations take the signed node index
-``j`` in [-M, M].
+value at node ``x_{i-M}``.
 
 The stencils follow the monotone implicit discretization:
 
-* three-point (divided-difference) second difference, zero at j = +-M,
-* first difference upwinded on the sign of the local drift, zero at j = +-M
-  (zero boundary stencils impose a Neumann condition at +-Q),
+* the generator drift u_x + 1/2 diffusion^2 u_xx as one banded stencil
+  (:func:`generator_band`): the first difference upwinded on the sign of the
+  local drift plus the three-point (divided-difference) second difference,
+  zero at j = +-M (zero boundary stencils impose a Neumann condition at
+  +-Q).  The penalty systems and control argmax, the semi-Lagrangian
+  matrix and both schemes' monotonicity rows all read from this function,
 * linear interpolation with convex weights, clamped to the boundary values
   outside [-Q, Q],
 * intervention maximum over the discretized impulse set,
@@ -24,37 +26,79 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grid import SpaceTimeGrid
-from .problem import ProblemSpec, eval_on
+from .problem import ProblemSpec, eval_on, uniform_sample
 
 
-def second_difference(u: np.ndarray, grid: SpaceTimeGrid, j: int) -> float:
-    """Three-point second difference at node j; 0 at j = +-M.
+def generator_band(nodes: np.ndarray, drift,
+                   variance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Banded coefficients (lower, diag, upper) of L = drift D_upwind + 1/2 variance D2.
 
-    On uniform grids this is (u_{j-1} - 2 u_j + u_{j+1}) / dx^2; on
-    non-uniform grids the standard divided-difference generalization.
+    ``drift`` and ``variance`` (the squared diffusion, diffusion^2) are
+    per-node coefficients with any leading shape (one row per control, say);
+    they broadcast against each other and the nodes.  Taking the variance
+    rather than the diffusion lets a caller scale it (variance * dt) before
+    the band divides by the cell widths.
+    Row j of L reads lower_j u_{j-1} + diag_j u_j + upper_j u_{j+1}.  The
+    first difference is forward for drift >= 0 and backward for drift < 0;
+    the second difference is the divided-difference generalization of
+    (u_{j-1} - 2 u_j + u_{j+1}) / dx^2.  Off-diagonals are nonnegative, each
+    row sums to zero, and the boundary rows are zero.
     """
-    i = grid.offset(j)
-    if abs(j) == grid.M:
-        return 0.0
-    h_minus = grid.nodes[i] - grid.nodes[i - 1]
-    h_plus = grid.nodes[i + 1] - grid.nodes[i]
-    return 2.0 * (
-        u[i - 1] / (h_minus * (h_minus + h_plus))
-        - u[i] / (h_minus * h_plus)
-        + u[i + 1] / (h_plus * (h_minus + h_plus))
+    drift, variance, _ = np.broadcast_arrays(np.asarray(drift, dtype=float),
+                                             np.asarray(variance, dtype=float), nodes)
+    lower = np.zeros(drift.shape)
+    diag = np.zeros(drift.shape)
+    upper = np.zeros(drift.shape)
+    if nodes.size >= 3:
+        h = np.diff(nodes)
+        h_minus, h_plus = h[:-1], h[1:]
+        mu = drift[..., 1:-1]
+        s2 = variance[..., 1:-1]
+        forward = np.where(mu >= 0.0, mu, 0.0) / h_plus
+        backward = np.where(mu < 0.0, -mu, 0.0) / h_minus
+        lower[..., 1:-1] = backward + s2 / (h_minus * (h_minus + h_plus))
+        upper[..., 1:-1] = forward + s2 / (h_plus * (h_minus + h_plus))
+        diag[..., 1:-1] = -(forward + backward + s2 / (h_minus * h_plus))
+    return lower, diag, upper
+
+
+def apply_band(band, u: np.ndarray) -> np.ndarray:
+    """(L u)_j for a band from :func:`generator_band`, any leading shape.
+
+    Rows sum to zero, so each row is evaluated as
+    lower_j (u_{j-1} - u_j) + upper_j (u_{j+1} - u_j): exactly zero on
+    constants, and controls whose stencils see equal differences tie exactly.
+    """
+    lower, _, upper = band
+    out = np.zeros(lower.shape)
+    centre = u[1:-1]
+    out[..., 1:-1] = lower[..., 1:-1] * (u[:-2] - centre) + upper[..., 1:-1] * (u[2:] - centre)
+    return out
+
+
+def implicit_matrix(weight, band, rows=(), cols=(), data=()) -> sp.csr_matrix:
+    """CSR form of weight * I - L for L given by its band.
+
+    Boundary rows hold only their diagonal; interior rows always hold both
+    off-diagonals, so the sparsity pattern does not depend on the
+    coefficients.  Extra (rows, cols, data) entries are added in, duplicates
+    summed.
+    """
+    lower, diag, upper = band
+    n = diag.size
+    interior = np.arange(1, n - 1)
+    every = np.arange(n)
+    matrix = sp.coo_matrix(
+        (np.concatenate([-upper[1:-1], -lower[1:-1], np.asarray(data, dtype=float),
+                         weight - diag]),
+         (np.concatenate([interior, interior, np.asarray(rows, dtype=int), every]),
+          np.concatenate([interior + 1, interior - 1, np.asarray(cols, dtype=int), every]))),
+        shape=(n, n),
     )
-
-
-def upwind_first_difference(u: np.ndarray, grid: SpaceTimeGrid, j: int, drift: float) -> float:
-    """Forward difference for drift >= 0, backward for drift < 0; 0 at j = +-M."""
-    i = grid.offset(j)
-    if abs(j) == grid.M:
-        return 0.0
-    if drift >= 0.0:
-        return (u[i + 1] - u[i]) / (grid.nodes[i + 1] - grid.nodes[i])
-    return (u[i] - u[i - 1]) / (grid.nodes[i] - grid.nodes[i - 1])
+    return matrix.tocsr()
 
 
 def interp_weights(nodes: np.ndarray, x: float) -> tuple[int, float]:
@@ -93,49 +137,6 @@ def interp(u: np.ndarray, grid: SpaceTimeGrid, x: float) -> float:
     if alpha == 0.0:
         return float(u[k])
     return float((1.0 - alpha) * u[k] + alpha * u[k + 1])
-
-
-def apply_generator(u: np.ndarray, grid: SpaceTimeGrid, j: int, b: float,
-                    problem: ProblemSpec) -> float:
-    """Discrete generator drift u_x + 1/2 diffusion^2 u_xx at node j, control b."""
-    x = grid.node(j)
-    drift = float(problem.drift(x, b))
-    diffusion = float(problem.diffusion(x, b))
-    return drift * upwind_first_difference(u, grid, j, drift) \
-        + 0.5 * diffusion * diffusion * second_difference(u, grid, j)
-
-
-def generator_rows(u: np.ndarray, grid: SpaceTimeGrid, drift: np.ndarray,
-                   diffusion: np.ndarray) -> np.ndarray:
-    """Vector of generator values at every node for given coefficient vectors.
-
-    ``drift`` and ``diffusion`` are per-node coefficient arrays (for one
-    fixed control).  Boundary entries are zero.
-    """
-    out = np.zeros_like(u)
-    if u.size < 3:
-        return out
-    h = np.diff(grid.nodes)
-    h_minus, h_plus = h[:-1], h[1:]
-    forward = (u[2:] - u[1:-1]) / h_plus
-    backward = (u[1:-1] - u[:-2]) / h_minus
-    mu = drift[1:-1]
-    first = np.where(mu >= 0.0, forward, backward)
-    second = 2.0 * (
-        u[:-2] / (h_minus * (h_minus + h_plus))
-        - u[1:-1] / (h_minus * h_plus)
-        + u[2:] / (h_plus * (h_minus + h_plus))
-    )
-    out[1:-1] = mu * first + 0.5 * diffusion[1:-1] ** 2 * second
-    return out
-
-
-def uniform_sample(lo: float, hi: float, resolution: float) -> np.ndarray:
-    """Endpoints-included uniform sample with ceil(width / resolution) + 1 points."""
-    if hi <= lo:
-        return np.array([float(lo)])
-    count = int(np.ceil((hi - lo) / resolution)) + 1
-    return np.linspace(lo, hi, count)
 
 
 @dataclass

@@ -9,9 +9,10 @@ where L_b is the upwinded discrete generator and (Mu)_j the discretized
 intervention maximum.  For fixed per-node controls (b_j, penalty indicator
 d_j, impulse z_j) the equations are linear with a weakly chained diagonally
 dominant M-matrix, so each timestep is solved exactly by policy iteration
-(greedy improvement alternating with a direct sparse solve); value
-iteration, which lags the intervention values, is available as an
-alternative.
+(greedy improvement alternating with a direct sparse solve), which
+terminates in finitely many steps on such systems.  The generator
+coefficients of the assembled systems, of the control argmax and of the
+monotonicity row all come from :func:`operators.generator_band`.
 
 The stationary (discounted) analogue replaces the time difference by
 -beta u_j and solves a single such system.
@@ -38,16 +39,16 @@ from .matrices import MatrixReport, analyze_matrix
 from .operators import (
     DiscreteControls,
     InterventionTable,
-    apply_generator,
+    apply_band,
     discretize_controls,
-    generator_rows,
+    generator_band,
+    implicit_matrix,
     interp_weights,
 )
 from .problem import ProblemSpec, eval_on
 from .solution import (
     FINITE,
     INFINITE,
-    POLICY_ITERATION,
     PenaltyPolicy,
     SolveDiagnostics,
     Solution,
@@ -79,28 +80,29 @@ def _obstacle_values(u, t, grid, problem, controls, obstacle, table):
     return res.values, res.impulses
 
 
+def _band(grid, problem, b):
+    """Band of L_b for per-node controls, or one band row per control when
+    ``b`` is a column of controls."""
+    nodes = grid.nodes
+    return generator_band(nodes, eval_on(problem.drift, nodes, b),
+                          eval_on(problem.diffusion, nodes, b) ** 2)
+
+
+def _control_values(u, t, grid, problem, b):
+    """(L_b u)_j + f(t, x_j, b), shaped like the controls ``b`` (see _band)."""
+    return apply_band(_band(grid, problem, b), u) \
+        + eval_on(problem.running_reward, t, grid.nodes, b)
+
+
 def _best_control(u, t, grid, problem, controls):
     """Argmax over the discrete control set of (L_b u)_j + f(t, x_j, b).
 
-    Returns (values, indices); ties go to the smallest control because the
-    comparison is strict.
+    Returns (values, indices); ties go to the smallest control, the first
+    index argmax meets.
     """
-    nodes = grid.nodes
-    best_vals = None
-    best_idx = None
-    for bi, b in enumerate(controls.controls):
-        drift = eval_on(problem.drift, nodes, b)
-        diffusion = eval_on(problem.diffusion, nodes, b)
-        vals = generator_rows(u, grid, drift, diffusion) \
-            + eval_on(problem.running_reward, t, nodes, b)
-        if best_vals is None:
-            best_vals = vals
-            best_idx = np.zeros(nodes.size, dtype=int)
-        else:
-            better = vals > best_vals
-            best_vals = np.where(better, vals, best_vals)
-            best_idx[better] = bi
-    return best_vals, best_idx
+    vals = _control_values(u, t, grid, problem, controls.controls[:, np.newaxis])
+    best_idx = vals.argmax(axis=0)
+    return vals[best_idx, np.arange(grid.n_nodes)], best_idx
 
 
 def policy_improve(u, u_next, t, grid, problem, controls,
@@ -122,26 +124,21 @@ def policy_improve(u, u_next, t, grid, problem, controls,
     )
 
 
-def residual(u_n, u_next, t, grid, problem, controls, epsilon,
+def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
              obstacle=None, table=None) -> np.ndarray:
-    """Pointwise residual of the discrete penalty equations at one timestep."""
+    """Pointwise residual of the discrete penalty equations
+
+        -max_b { rhs_base_j - time_weight u_j + (L_b u)_j + f_j(b) }
+        - max( (Mu)_j - u_j, 0 ) / epsilon,
+
+    with the (rhs_base, time_weight) pair of :func:`_assemble`:
+    (u^{n+1}/dt, 1/dt) for a timestep, (0, beta) for the stationary equations.
+    """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    time_term = (u_next - u_n) / grid.dt
-    best_vals, _ = _best_control(u_n, t, grid, problem, controls)
-    m_vals, _ = _obstacle_values(u_n, t, grid, problem, controls, obstacle, table)
-    return -(best_vals + time_term) - np.maximum(m_vals - u_n, 0.0) / epsilon
-
-
-def residual_stationary(u, grid, problem, controls, epsilon,
-                        obstacle=None, table=None) -> np.ndarray:
-    """Residual of the stationary discounted equations."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    beta = problem.discount
-    best_vals, _ = _best_control(u, 0.0, grid, problem, controls)
-    m_vals, _ = _obstacle_values(u, 0.0, grid, problem, controls, obstacle, table)
-    return -(best_vals - beta * u) - np.maximum(m_vals - u, 0.0) / epsilon
+    best_vals, _ = _best_control(u, t, grid, problem, controls)
+    m_vals, _ = _obstacle_values(u, t, grid, problem, controls, obstacle, table)
+    return -(best_vals + (rhs_base - time_weight * u)) - np.maximum(m_vals - u, 0.0) / epsilon
 
 
 def _assemble(policy, rhs_base, time_weight, t, grid, problem, controls,
@@ -155,59 +152,38 @@ def _assemble(policy, rhs_base, time_weight, t, grid, problem, controls,
     rejects any configuration that loses the M-matrix sign pattern or WCDD.
     """
     nodes = grid.nodes
-    n = nodes.size
-    rows, cols, data = [], [], []
-
-    diag = np.full(n, float(time_weight))
+    band = _band(grid, problem, policy.controls)
     rhs = np.asarray(rhs_base, dtype=float) \
         + eval_on(problem.running_reward, t, nodes, policy.controls)
 
-    if n >= 3:
-        h = np.diff(nodes)
-        h_minus, h_plus = h[:-1], h[1:]
-        interior = np.arange(1, n - 1)
-        mu = eval_on(problem.drift, nodes, policy.controls)[1:-1]
-        s2 = eval_on(problem.diffusion, nodes, policy.controls)[1:-1] ** 2
-
-        upwind_fwd = np.where(mu >= 0.0, mu, 0.0) / h_plus
-        upwind_bwd = np.where(mu < 0.0, -mu, 0.0) / h_minus
-        diff_sub = s2 / (h_minus * (h_minus + h_plus))
-        diff_sup = s2 / (h_plus * (h_minus + h_plus))
-
-        diag[interior] += upwind_fwd + upwind_bwd + s2 / (h_minus * h_plus)
-        rows.extend(interior)
-        cols.extend(interior + 1)
-        data.extend(-(upwind_fwd + diff_sup))
-        rows.extend(interior)
-        cols.extend(interior - 1)
-        data.extend(-(upwind_bwd + diff_sub))
-
+    # Penalty rows: one diagonal entry of 1/eps (less any coupling that lands
+    # on the row itself), summed into the band's diagonal by implicit_matrix.
+    rows, cols, data = [], [], []
     inv_eps = 1.0 / epsilon
     for i in np.flatnonzero(policy.intervene):
-        diag[i] += inv_eps
+        on_diag = inv_eps
         if obstacle is not None:
             rhs[i] += inv_eps * float(obstacle[i])
-            continue
-        x = nodes[i]
-        z = float(policy.impulses[i])
-        target = x + float(problem.impulse_shift(t, x, z))
-        k, alpha = interp_weights(nodes, target)
-        couplings = [(k, inv_eps * (1.0 - alpha))]
-        if alpha > 0.0:
-            couplings.append((k + 1, inv_eps * alpha))
-        for col, weight in couplings:
-            if col == i:
-                diag[i] -= weight
-            else:
-                rows.append(i)
-                cols.append(col)
-                data.append(-weight)
-        rhs[i] += inv_eps * float(problem.impulse_cost(t, x, z))
-
-    rows.extend(range(n))
-    cols.extend(range(n))
-    data.extend(diag)
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        else:
+            x = nodes[i]
+            z = float(policy.impulses[i])
+            target = x + float(problem.impulse_shift(t, x, z))
+            k, alpha = interp_weights(nodes, target)
+            couplings = [(k, inv_eps * (1.0 - alpha))]
+            if alpha > 0.0:
+                couplings.append((k + 1, inv_eps * alpha))
+            for col, weight in couplings:
+                if col == i:
+                    on_diag -= weight
+                else:
+                    rows.append(i)
+                    cols.append(col)
+                    data.append(-weight)
+            rhs[i] += inv_eps * float(problem.impulse_cost(t, x, z))
+        rows.append(i)
+        cols.append(i)
+        data.append(on_diag)
+    matrix = implicit_matrix(float(time_weight), band, rows, cols, data)
 
     report = analyze_matrix(matrix)
     if not report.passed:
@@ -278,81 +254,14 @@ def penalty_timestep(u_next, t, grid, problem, controls, epsilon,
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     u_next = np.asarray(u_next, dtype=float)
+    rhs_base, time_weight = u_next / grid.dt, 1.0 / grid.dt
     u, diag = _policy_iteration(
-        u_next, u_next / grid.dt, 1.0 / grid.dt, t, grid, problem, controls,
+        u_next, rhs_base, time_weight, t, grid, problem, controls,
         epsilon, cfg, obstacle, time_index=int(round(t / grid.dt)),
     )
-    res = residual(u, u_next, t, grid, problem, controls, epsilon, obstacle=obstacle)
+    res = residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
+                   obstacle=obstacle)
     _check_residual(res, diag, cfg, "penalty timestep")
-    return u, diag
-
-
-def value_iteration_timestep(u_next, t, grid, problem, controls, epsilon,
-                             cfg: SolverConfig | None = None) -> tuple[np.ndarray, TimestepDiagnostics]:
-    """One timestep by fixed-point iteration.
-
-    Each sweep freezes the control b, the penalty indicator and the
-    intervention values at the previous iterate and solves the resulting
-    local linear system; only the node value inside the penalty term stays
-    implicit, which is what keeps the sweep a contraction at all.  The
-    contraction factor behaves like dt / (dt + eps), so iteration counts
-    grow as eps shrinks and there is no finite-termination guarantee;
-    non-convergence is reported with a pointer to policy iteration.
-    """
-    cfg = cfg or SolverConfig()
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    u_next = np.asarray(u_next, dtype=float)
-    table = InterventionTable(problem, grid, controls, t)
-    nan_impulses = np.full(grid.n_nodes, np.nan)
-    diag = TimestepDiagnostics(time_index=int(round(t / grid.dt)), iterations=0)
-
-    u = u_next.copy()
-    m_vals, _ = table.apply(u)
-    _, best_idx = _best_control(u, t, grid, problem, controls)
-    converged = False
-    for _ in range(cfg.max_iters):
-        active = m_vals - u > 0.0
-        policy = PenaltyPolicy(controls=controls.controls[best_idx],
-                               intervene=active, impulses=nan_impulses)
-        system = _assemble(policy, u_next / grid.dt, 1.0 / grid.dt, t, grid,
-                           problem, controls, epsilon, obstacle=m_vals)
-        diag.iterations += 1
-        diag.matrix_systems += 1
-        diag.min_dominance_margin = min(diag.min_dominance_margin, system.report.min_margin)
-        u_new = spsolve(system.matrix, system.rhs)
-        update = float(np.abs(u_new - u).max())
-        diag.updates.append(update)
-        m_new, _ = table.apply(u_new)
-        _, idx_new = _best_control(u_new, t, grid, problem, controls)
-        # Terminate only at a self-consistent fixed point: the frozen data
-        # must match what the new iterate induces (otherwise a stale penalty
-        # indicator can fake convergence when eps is small), and the true
-        # residual must meet tolerance.
-        consistent = (np.array_equal(m_new - u_new > 0.0, active)
-                      and np.array_equal(idx_new, best_idx))
-        u, m_vals, best_idx = u_new, m_new, idx_new
-        if update < cfg.tol and consistent:
-            res = residual(u, u_next, t, grid, problem, controls, epsilon, table=table)
-            diag.final_residual = float(np.abs(res).max())
-            if diag.final_residual <= cfg.residual_tol:
-                converged = True
-                break
-    if not converged:
-        raise NonConvergenceError(
-            "value iteration did not converge within "
-            f"max_iters={cfg.max_iters} (the lagged-intervention sweep "
-            "contracts like dt / (dt + eps)); policy iteration is the "
-            "robust alternative",
-            history=diag.updates,
-        )
-    if len(diag.updates) >= 2 and diag.updates[-2] > 0:
-        diag.contraction_ratio = diag.updates[-1] / diag.updates[-2]
-    diag.slow_contraction = (
-        diag.iterations > cfg.max_iters // 2
-        or (diag.contraction_ratio or 0.0) > 0.9
-    )
-    diag.policy = policy_improve(u, None, t, grid, problem, controls, table=table)
     return u, diag
 
 
@@ -366,7 +275,6 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
     epsilon = default_epsilon(grid, cfg) if epsilon is None else float(epsilon)
-    step = penalty_timestep if cfg.method == POLICY_ITERATION else value_iteration_timestep
 
     n_nodes = grid.n_nodes
     surface = np.empty((grid.N + 1, n_nodes))
@@ -376,7 +284,7 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     u = surface[grid.N]
     for n in range(grid.N - 1, -1, -1):
         t = n * grid.dt
-        u, step_diag = step(u, t, grid, problem, controls, epsilon, cfg)
+        u, step_diag = penalty_timestep(u, t, grid, problem, controls, epsilon, cfg)
         surface[n] = u
         policies[n] = step_diag.policy
         diagnostics.record_step(step_diag)
@@ -400,7 +308,7 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
         zeros, zeros, problem.discount, 0.0, grid, problem, controls,
         epsilon, cfg, obstacle=None, time_index=0,
     )
-    res = residual_stationary(u, grid, problem, controls, epsilon)
+    res = residual(u, zeros, problem.discount, 0.0, grid, problem, controls, epsilon)
     _check_residual(res, step_diag, cfg, "stationary solve")
     diagnostics = SolveDiagnostics()
     diagnostics.record_step(step_diag)
@@ -419,11 +327,6 @@ def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
     i = grid.offset(j)
     u_loc = np.array(u_n, dtype=float)
     u_loc[i] = center
-    x = grid.node(j)
-    best = -np.inf
-    for b in controls.controls:
-        val = (float(u_next[i]) - center) / grid.dt \
-            + apply_generator(u_loc, grid, j, float(b), problem) \
-            + float(problem.running_reward(t, x, float(b)))
-        best = max(best, val)
+    vals = _control_values(u_loc, t, grid, problem, controls.controls[:, np.newaxis])[:, i]
+    best = (float(u_next[i]) - center) / grid.dt + float(vals.max())
     return -best - max(obstacle_value - center, 0.0) / epsilon

@@ -35,7 +35,8 @@ def eval_on(fn: Callable, *args) -> np.ndarray:
     """Evaluate a scalar coefficient callable on broadcast array arguments.
 
     Tries a direct vectorized call first; falls back to a scalar loop when
-    the callable is not array-aware.  A scalar return against array input is
+    the callable is not array-aware, which shows as a TypeError or ValueError
+    (any other exception propagates).  A scalar return against array input is
     taken as a constant function.
     """
     arrs = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in args])
@@ -44,7 +45,7 @@ def eval_on(fn: Callable, *args) -> np.ndarray:
         return np.asarray(float(fn(*[float(a) for a in arrs])))
     try:
         out = np.asarray(fn(*arrs), dtype=float)
-    except Exception:
+    except (TypeError, ValueError):
         out = None
     if out is not None:
         if out.shape == shape:
@@ -127,11 +128,9 @@ def _subsample(values: np.ndarray, count: int) -> np.ndarray:
     return values[idx]
 
 
-def _impulse_grid(problem: ProblemSpec, t: float, x: float, resolution: float) -> np.ndarray:
-    lo, hi = problem.impulse_bounds(t, x)
-    if hi < lo:
-        return np.empty(0)
-    if hi == lo:
+def uniform_sample(lo: float, hi: float, resolution: float) -> np.ndarray:
+    """Endpoints-included uniform sample with ceil(width / resolution) + 1 points."""
+    if hi <= lo:
         return np.array([float(lo)])
     count = int(np.ceil((hi - lo) / resolution)) + 1
     return np.linspace(lo, hi, count)
@@ -140,9 +139,10 @@ def _impulse_grid(problem: ProblemSpec, t: float, x: float, resolution: float) -
 def intervention_of_terminal(problem: ProblemSpec, x: float, resolution: float) -> float:
     """Brute-force sup_z { g(x + shift) + cost } at the terminal time."""
     t = problem.horizon if problem.finite_horizon else 0.0
-    zs = _impulse_grid(problem, t, x, resolution)
-    if zs.size == 0:
+    lo, hi = problem.impulse_bounds(t, x)
+    if hi < lo:
         return -np.inf
+    zs = uniform_sample(float(lo), float(hi), resolution)
     targets = x + eval_on(problem.impulse_shift, t, x, zs)
     gains = eval_on(problem.terminal_reward, targets) + eval_on(problem.impulse_cost, t, x, zs)
     return float(gains.max())
@@ -179,9 +179,9 @@ def validate(problem: ProblemSpec, grid: SpaceTimeGrid, samples: int = 64) -> Va
             width = hi - lo
             if width < min_width:
                 min_width, width_witness = width, (float(t), float(x))
-            zs = _impulse_grid(problem, t, x, z_resolution)
-            if zs.size == 0:
+            if hi < lo:
                 continue
+            zs = uniform_sample(float(lo), float(hi), z_resolution)
             costs = eval_on(problem.impulse_cost, t, x, zs)
             k = int(costs.argmax())
             if costs[k] > worst_cost:

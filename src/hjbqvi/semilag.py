@@ -7,14 +7,16 @@ the generator is replaced by the difference quotient
 
 and the intervention maximum is taken from the already-known time level
 n+1.  What remains implicit is only the diffusion, so each timestep reduces
-to one tridiagonal solve A u^n = rhs with
+to one sparse (tridiagonal) solve A u^n = rhs with
 
     (A u^n)_j = u^n_j - 1/2 diffusion(x_j)^2 (D2 u^n)_j dt,
     rhs_j     = max( max_b { interp(u^{n+1}, x_j + drift dt) + f dt },
                      (M u^{n+1})_j ).
 
-A has identity boundary rows (zero boundary stencils) and is strictly
-diagonally dominant, hence nonsingular.
+A = I - dt L_0 is built from the same stencil core as the penalty systems
+(:func:`operators.generator_band` with zero drift).  It has identity
+boundary rows (zero boundary stencils) and is strictly diagonally dominant,
+hence nonsingular; the solver checks this once per solve.
 
 Foot points x_j + drift dt can leave [-Q, Q] on fixed-Q uniform grids; the
 interpolant then clamps and the step is counted as an overstep.  Grids with
@@ -28,67 +30,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from .exceptions import SolverError
 from .grid import BOUNDARY_REFINED, UNIFORM, SpaceTimeGrid
 from .matrices import analyze_matrix
-from .operators import DiscreteControls, InterventionTable, discretize_controls, interp_weights
+from .operators import (
+    DiscreteControls,
+    InterventionTable,
+    apply_band,
+    discretize_controls,
+    generator_band,
+    implicit_matrix,
+    interp,
+)
 from .problem import ProblemSpec, eval_on
 from .solution import FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig
 
 
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    lower: np.ndarray   # entry i couples row i to column i-1 (lower[0] unused)
-    diag: np.ndarray
-    upper: np.ndarray   # entry i couples row i to column i+1 (upper[-1] unused)
-
-    @property
-    def size(self) -> int:
-        return self.diag.size
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        out = self.diag * u
-        out[1:] += self.lower[1:] * u[:-1]
-        out[:-1] += self.upper[:-1] * u[1:]
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        dense = np.diag(self.diag)
-        dense[np.arange(1, n), np.arange(n - 1)] = self.lower[1:]
-        dense[np.arange(n - 1), np.arange(1, n)] = self.upper[:-1]
-        return dense
-
-
-def _diffusion_values(problem: ProblemSpec, grid: SpaceTimeGrid) -> np.ndarray:
+def _variance(problem: ProblemSpec, grid: SpaceTimeGrid) -> np.ndarray:
+    """diffusion^2 per node, read at the smallest control (it does not
+    depend on the control)."""
     b_ref = problem.control_bounds[0]
-    return eval_on(problem.diffusion, grid.nodes, b_ref)
+    return eval_on(problem.diffusion, grid.nodes, b_ref) ** 2
 
 
-def assemble_A(grid: SpaceTimeGrid, problem: ProblemSpec) -> TridiagonalMatrix:
-    """Implicit diffusion matrix; identity rows at j = +-M."""
+def assemble_A(grid: SpaceTimeGrid, problem: ProblemSpec) -> sp.csr_matrix:
+    """Implicit diffusion matrix I - dt L_0 in CSR form; identity rows at j = +-M."""
     if not problem.diffusion_control_independent:
         raise ValueError(
             "the semi-Lagrangian scheme requires a control-independent "
             "diffusion coefficient (diffusion(x, b) = diffusion(x))"
         )
-    n = grid.n_nodes
-    lower = np.zeros(n)
-    diag = np.ones(n)
-    upper = np.zeros(n)
-    if n >= 3:
-        h = np.diff(grid.nodes)
-        h_minus, h_plus = h[:-1], h[1:]
-        s2dt = _diffusion_values(problem, grid)[1:-1] ** 2 * grid.dt
-        diag[1:-1] += s2dt / (h_minus * h_plus)
-        lower[1:-1] = -s2dt / (h_minus * (h_minus + h_plus))
-        upper[1:-1] = -s2dt / (h_plus * (h_minus + h_plus))
-    A = TridiagonalMatrix(lower=lower, diag=diag, upper=upper)
-    report = analyze_matrix(A.to_dense())
-    if not (report.passed and report.strictly_dominant_ok):
-        raise SolverError(f"semi-Lagrangian matrix lost strict dominance: {report.witness}")
-    return A
+    # dt scales the variance before the band divides by the cell widths.
+    dt_band = generator_band(grid.nodes, 0.0, _variance(problem, grid) * grid.dt)
+    return implicit_matrix(1.0, dt_band)
 
 
 @dataclass
@@ -142,32 +119,23 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
                   interior_oversteps=interior_oversteps)
 
 
-def thomas_solve(A: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Tridiagonal elimination with a residual guard.
+def thomas_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Sparse direct solve of A u = rhs (scipy's spsolve) with a residual guard.
 
-    Pivots cannot vanish for strictly dominant input; a zero pivot or a
-    residual above 1e-10 * (1 + |rhs|) is escalated as an internal error.
+    A singular matrix makes spsolve return NaN, which no residual comparison
+    catches, so a non-finite solution is escalated as an internal error, as
+    is a residual above 1e-10 * (1 + |rhs|).
     """
-    n = A.size
+    n = A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size != n:
         raise ValueError(f"rhs length {rhs.size} does not match matrix size {n}")
-    diag = A.diag.copy()
-    out = rhs.copy()
-    for i in range(1, n):
-        if diag[i - 1] == 0.0:
-            raise SolverError(f"zero pivot in tridiagonal elimination at row {i - 1}")
-        w = A.lower[i] / diag[i - 1]
-        diag[i] -= w * A.upper[i - 1]
-        out[i] -= w * out[i - 1]
-    if diag[-1] == 0.0:
-        raise SolverError(f"zero pivot in tridiagonal elimination at row {n - 1}")
-    out[-1] /= diag[-1]
-    for i in range(n - 2, -1, -1):
-        out[i] = (out[i] - A.upper[i] * out[i + 1]) / diag[i]
-    residual = float(np.abs(A.matvec(out) - rhs).max())
+    out = spsolve(A, rhs)
+    if not np.all(np.isfinite(out)):
+        raise SolverError("semi-Lagrangian solve returned non-finite values (singular matrix)")
+    residual = float(np.abs(A @ out - rhs).max())
     if residual > 1e-10 * (1.0 + float(np.abs(rhs).max())):
-        raise SolverError(f"tridiagonal solve residual {residual:.3g} too large")
+        raise SolverError(f"semi-Lagrangian solve residual {residual:.3g} too large")
     return out
 
 
@@ -211,16 +179,18 @@ def overstep_threshold(problem: ProblemSpec, grid: SpaceTimeGrid,
 def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
                           controls: DiscreteControls | None = None,
                           cfg: SolverConfig | None = None) -> Solution:
-    """Backward induction: one tridiagonal solve per timestep from u^N = g."""
+    """Backward induction: one sparse solve per timestep from u^N = g."""
     if not problem.finite_horizon:
         raise ValueError("the semi-Lagrangian scheme is finite-horizon only")
     controls = controls or discretize_controls(problem, grid.rho)
     A = assemble_A(grid, problem)
+    report = analyze_matrix(A)
+    if not (report.passed and report.strictly_dominant_ok):
+        raise SolverError(f"semi-Lagrangian matrix lost strict dominance: {report.witness}")
 
     diagnostics = SolveDiagnostics()
     diagnostics.matrix_systems_checked = 1
     diagnostics.matrix_systems_passed = 1
-    report = analyze_matrix(A.to_dense())
     diagnostics.min_dominance_margin = report.min_margin
     diagnostics.inward_drift = detect_inward_drift(problem, grid, controls)
 
@@ -253,23 +223,12 @@ def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
     u_loc[i] = center
     x = grid.node(j)
     dt = grid.dt
-    if abs(j) == grid.M:
-        d2 = 0.0
-    else:
-        h_minus = grid.nodes[i] - grid.nodes[i - 1]
-        h_plus = grid.nodes[i + 1] - grid.nodes[i]
-        d2 = 2.0 * (
-            u_loc[i - 1] / (h_minus * (h_minus + h_plus))
-            - center / (h_minus * h_plus)
-            + u_loc[i + 1] / (h_plus * (h_minus + h_plus))
-        )
-    s2 = float(problem.diffusion(x, problem.control_bounds[0])) ** 2
+    diffusion_band = generator_band(grid.nodes, 0.0, _variance(problem, grid))
+    diffusion_term = float(apply_band(diffusion_band, u_loc)[i])
     best = -np.inf
     for b in controls.controls:
-        foot = x + float(problem.drift(x, float(b))) * dt
-        k, alpha = interp_weights(grid.nodes, foot)
-        moved = (1.0 - alpha) * u_next[k] + alpha * u_next[min(k + 1, u_next.size - 1)]
-        val = (float(moved) - center) / dt + 0.5 * s2 * d2 \
+        moved = interp(u_next, grid, x + float(problem.drift(x, float(b))) * dt)
+        val = (moved - center) / dt + diffusion_term \
             + float(problem.running_reward(t, x, float(b)))
         best = max(best, val)
-    return min(-best, center - obstacle_value - 0.5 * s2 * d2 * dt)
+    return min(-best, center - obstacle_value - diffusion_term * dt)

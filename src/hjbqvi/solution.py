@@ -11,13 +11,10 @@ from .grid import SpaceTimeGrid
 FINITE = "finite"
 INFINITE = "infinite"
 
-POLICY_ITERATION = "policy"
-VALUE_ITERATION = "value"
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the per-timestep iterations.
+    """Knobs for the per-timestep policy iteration.
 
     ``c_eps`` scales the default penalty parameter epsilon = c_eps * rho,
     which vanishes with the mesh as the scheme requires.
@@ -27,11 +24,8 @@ class SolverConfig:
     residual_tol: float = 1e-8
     max_iters: int = 100
     c_eps: float = 1.0
-    method: str = POLICY_ITERATION
 
     def __post_init__(self):
-        if self.method not in (POLICY_ITERATION, VALUE_ITERATION):
-            raise ValueError(f"method must be 'policy' or 'value', got {self.method!r}")
         if self.tol <= 0 or self.residual_tol <= 0 or self.c_eps <= 0 or self.max_iters < 1:
             raise ValueError("tol, residual_tol, c_eps must be positive and max_iters >= 1")
 
@@ -66,8 +60,6 @@ class TimestepDiagnostics:
     final_residual: float = 0.0
     matrix_systems: int = 0
     min_dominance_margin: float = np.inf
-    contraction_ratio: float | None = None
-    slow_contraction: bool = False
     policy: "PenaltyPolicy | None" = None
 
 

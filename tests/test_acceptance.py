@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hjbqvi import cli
+from hjbqvi import penalty as penalty_mod
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import (
     Window,
@@ -22,7 +23,7 @@ from hjbqvi.harness import (
     make_semilagrangian_row,
     run_refinement_study,
 )
-from hjbqvi.operators import discretize_controls
+from hjbqvi.operators import discretize_controls, generator_band
 from hjbqvi.oracle import (
     brute_force_residual,
     brute_force_residual_stationary,
@@ -283,7 +284,7 @@ def test_criterion_6_matrix_properties(corpus):
              f"({fixture_report.witness})")
 
 
-def test_criterion_7_monotonicity(corpus):
+def test_criterion_7_monotonicity(corpus, monkeypatch):
     problem = builtin("cash")
     grid = build_uniform_grid(Q=4, M=12, N=9, T=3.0)
     controls = discretize_controls(problem, grid.rho)
@@ -294,8 +295,9 @@ def test_criterion_7_monotonicity(corpus):
         make_semilagrangian_row(problem, grid, controls, t=0.0),
         grid, trials=100, seed=SEED)
 
-    # Mutation fixture: flipped upwind direction on a pure-advection problem
-    # (diffusion would otherwise mask the broken stencil).
+    # Mutation fixture: the stencil core with its upwind direction flipped,
+    # on a pure-advection problem (diffusion would otherwise mask the broken
+    # stencil).  The rows are the solver's own, read from the patched core.
     advection = ProblemSpec(
         drift=lambda x, b: b + 0.0 * x,
         diffusion=lambda x, b: 0.0,
@@ -310,27 +312,20 @@ def test_criterion_7_monotonicity(corpus):
     adv_grid = build_uniform_grid(Q=2, M=8, N=4, T=1.0)
     adv_controls = discretize_controls(advection, rho=1.0)
 
-    def flipped(j, center, u_n, u_next, ell):
-        i = adv_grid.offset(j)
-        u_loc = np.array(u_n, dtype=float)
-        u_loc[i] = center
-        x = adv_grid.node(j)
-        best = -np.inf
-        for b in adv_controls.controls:
-            mu = float(advection.drift(x, float(b)))
-            if abs(j) == adv_grid.M:
-                first = 0.0
-            elif mu >= 0:   # deliberately the wrong direction
-                first = (center - u_loc[i - 1]) / (adv_grid.nodes[i] - adv_grid.nodes[i - 1])
-            else:
-                first = (u_loc[i + 1] - center) / (adv_grid.nodes[i + 1] - adv_grid.nodes[i])
-            best = max(best, (u_next[i] - center) / adv_grid.dt + mu * first)
-        return -best - max(ell - center, 0.0) / 0.25
+    def flipped_upwind_band(nodes, drift, variance):
+        # Backward differences for drift >= 0, forward for drift < 0.
+        diffusion = generator_band(nodes, 0.0, variance)
+        reversed_flow = generator_band(nodes, -np.asarray(drift, dtype=float), 0.0)
+        return tuple(d - r for d, r in zip(diffusion, reversed_flow))
 
     clean_adv = check_monotonicity(
         make_penalty_row(advection, adv_grid, adv_controls, epsilon=0.25, t=0.0),
         adv_grid, trials=100, seed=SEED)
-    mutant = check_monotonicity(flipped, adv_grid, trials=100, seed=SEED)
+    with monkeypatch.context() as patch:
+        patch.setattr(penalty_mod, "generator_band", flipped_upwind_band)
+        mutant = check_monotonicity(
+            make_penalty_row(advection, adv_grid, adv_controls, epsilon=0.25, t=0.0),
+            adv_grid, trials=100, seed=SEED)
 
     ok = (pen_report.violations == 0 and sl_report.violations == 0
           and clean_adv.violations == 0 and mutant.violations >= 1)

@@ -43,13 +43,19 @@ class TestParseConfig:
         assert spec.scheme == "penalty"
         assert spec.grid_mode == "uniform"
         assert spec.solver.tol == 1e-10
-        assert spec.solver.method == "policy"
+        assert spec.solver.max_iters == 100
         assert spec.seed == 0
         assert "stability" in spec.checks
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
         text = MINIMAL + "solver:\n  epsilonn: 0.1\n"
         with pytest.raises(ConfigError, match="epsilonn"):
+            cli.parse_config(write_config(tmp_path, text))
+
+    def test_solver_method_key_rejected(self, tmp_path):
+        # Policy iteration is the only timestep solver; the key is gone.
+        text = MINIMAL + "solver:\n  method: policy\n"
+        with pytest.raises(ConfigError, match="method"):
             cli.parse_config(write_config(tmp_path, text))
 
     def test_unknown_top_level_key(self, tmp_path):

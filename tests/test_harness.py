@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hjbqvi import penalty as penalty_mod
+from hjbqvi.exceptions import MatrixStructureError
 from hjbqvi.grid import build_uniform_grid, grid_for_level
 from hjbqvi.harness import (
     Window,
@@ -16,11 +18,19 @@ from hjbqvi.harness import (
     run_refinement_study,
     sup_error,
 )
-from hjbqvi.operators import discretize_controls
-from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
+from hjbqvi.operators import discretize_controls, generator_band
+from hjbqvi.penalty import assemble_policy_system, solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import ProblemSpec, builtin
 from hjbqvi.semilag import assemble_A
-from hjbqvi.solution import SolverConfig
+from hjbqvi.solution import PenaltyPolicy, SolverConfig
+
+def flipped_upwind_band(nodes, drift, variance):
+    """The stencil core with the upwind direction flipped on purpose:
+    backward differences for drift >= 0, forward for drift < 0."""
+    diffusion = generator_band(nodes, 0.0, variance)
+    advection = generator_band(nodes, -np.asarray(drift, dtype=float), 0.0)
+    return tuple(d - a for d, a in zip(diffusion, advection))
+
 
 # Weakly dominant rows chained in a loop with no strictly dominant row:
 # singular, and the checker must say why.
@@ -204,9 +214,11 @@ class TestMonotonicity:
         b = check_monotonicity(row, self.grid, trials=50, seed=3)
         assert (a.trials, a.violations) == (b.trials, b.violations)
 
-    def test_flipped_upwind_detected_on_advection(self):
+    def test_flipped_upwind_detected_on_advection(self, monkeypatch):
         # Pure advection keeps the diffusion term from masking the broken
-        # drift stencil, so the checker must flag the mutant.
+        # drift stencil, so the checker must flag the mutant.  The mutant is
+        # the stencil core itself with its upwind direction flipped, so the
+        # row checked is the one the solver assembles.
         problem = ProblemSpec(
             drift=lambda x, b: b + 0.0 * x,
             diffusion=lambda x, b: 0.0,
@@ -224,26 +236,17 @@ class TestMonotonicity:
         clean = make_penalty_row(problem, grid, controls, 0.25, t=0.0)
         assert check_monotonicity(clean, grid, trials=100, seed=11).violations == 0
 
-        def flipped(j, center, u_n, u_next, ell):
-            i = grid.offset(j)
-            u_loc = np.array(u_n, dtype=float)
-            u_loc[i] = center
-            x = grid.node(j)
-            best = -np.inf
-            for b in controls.controls:
-                mu = float(problem.drift(x, float(b)))
-                if abs(j) == grid.M:
-                    first = 0.0
-                elif mu >= 0:   # wrong direction on purpose
-                    first = (center - u_loc[i - 1]) / (grid.nodes[i] - grid.nodes[i - 1])
-                else:
-                    first = (u_loc[i + 1] - center) / (grid.nodes[i + 1] - grid.nodes[i])
-                best = max(best, (u_next[i] - center) / grid.dt + mu * first)
-            return -best - max(ell - center, 0.0) / 0.25
-
-        report = check_monotonicity(flipped, grid, trials=100, seed=11)
+        monkeypatch.setattr(penalty_mod, "generator_band", flipped_upwind_band)
+        mutant = make_penalty_row(problem, grid, controls, 0.25, t=0.0)
+        report = check_monotonicity(mutant, grid, trials=100, seed=11)
         assert report.violations >= 1
         assert report.witness is not None
+        # The system assembled from the same mutant loses the M-matrix structure.
+        n = grid.n_nodes
+        policy = PenaltyPolicy(controls=np.ones(n), intervene=np.zeros(n, dtype=bool),
+                               impulses=np.full(n, np.nan))
+        with pytest.raises(MatrixStructureError):
+            assemble_policy_system(policy, np.zeros(n), 0.0, grid, problem, controls, 0.25)
 
 
 class TestRefinementStudy:
@@ -281,17 +284,18 @@ class TestRefinementStudy:
             run_refinement_study(p, base, "penalty", levels=1)
 
     def test_solver_failure_recorded_and_study_continues(self):
-        # A two-sweep budget starves value iteration on the cash problem;
-        # each level must be recorded as failed without aborting the study.
+        # A one-iteration budget starves policy iteration on the cash
+        # problem; each level must be recorded as failed without aborting
+        # the study.
         p = builtin("cash")
         base = build_uniform_grid(Q=4, M=10, N=8, T=3)
         report = run_refinement_study(
-            p, base, "penalty", levels=2,
-            cfg=SolverConfig(method="value", max_iters=2))
+            p, base, "penalty", levels=2, cfg=SolverConfig(max_iters=1))
         assert len(report.levels) == 2
         assert all(lv.solve_failed for lv in report.levels)
         assert all(any(c.name == "solve" and not c.passed for c in lv.checks)
                    for lv in report.levels)
+        assert all("policy iteration hit max_iters=1" in lv.message for lv in report.levels)
         assert not report.passed
 
     def test_level_grids_follow_halving(self):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.operators import (
-    apply_generator,
+    apply_band,
     apply_intervention,
     discretize_controls,
+    generator_band,
     interp,
-    second_difference,
-    upwind_first_difference,
 )
+from hjbqvi.oracle import _row_residual
 from hjbqvi.problem import ProblemSpec
 
 
@@ -35,56 +35,135 @@ GRID3 = build_uniform_grid(Q=1, M=1, N=1, T=1)          # nodes -1, 0, 1
 GRID5 = build_uniform_grid(Q=2, M=2, N=2, T=1)          # spacing 1
 
 
+def second_difference(u, grid):
+    """D2 u read off the core: variance 2 makes L = 1/2 * 2 * D2."""
+    return apply_band(generator_band(grid.nodes, 0.0, 2.0), u)
+
+
+def upwind_term(u, grid, drift):
+    """drift * D_upwind u read off the core with zero variance."""
+    return apply_band(generator_band(grid.nodes, drift, 0.0), u)
+
+
 class TestSecondDifference:
     def test_interior_three_point(self):
         u = np.array([1.0, 2.0, 4.0])
-        assert second_difference(u, GRID3, 0) == pytest.approx(1.0)
+        assert second_difference(u, GRID3)[GRID3.offset(0)] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("j", [-2, 2])
     def test_zero_at_boundary(self, j):
         u = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        assert second_difference(u, GRID5, j) == 0.0
+        i = GRID5.offset(j)
+        assert second_difference(u, GRID5)[i] == 0.0
+        band = generator_band(GRID5.nodes, 2.0 + 0.0 * GRID5.nodes, 3.0)
+        assert all(coeffs[i] == 0.0 for coeffs in band)
 
     def test_annihilates_affine(self):
         g = build_uniform_grid(Q=2, M=4, N=2, T=1)
         u = 3.0 + 2.0 * g.nodes
-        for j in range(-3, 4):
-            assert second_difference(u, g, j) == pytest.approx(0.0, abs=1e-13)
+        assert np.abs(second_difference(u, g)).max() == pytest.approx(0.0, abs=1e-13)
 
     def test_exact_on_quadratics_uniform(self):
         g = build_uniform_grid(Q=2, M=8, N=2, T=1)
         u = 1.7 * g.nodes ** 2
-        for j in range(-7, 8):
-            assert second_difference(u, g, j) == pytest.approx(2 * 1.7, abs=1e-10)
+        assert np.allclose(second_difference(u, g)[1:-1], 2 * 1.7, rtol=0.0, atol=1e-10)
+
+    def test_exact_on_quadratics_nonuniform(self):
+        g = build_boundary_refined_grid(Q=2, rho=0.1, c_b=1.0, N=4, T=1)
+        assert np.ptp(np.diff(g.nodes)) > 0.01
+        u = 1.7 * g.nodes ** 2 - 0.3 * g.nodes
+        assert np.allclose(second_difference(u, g)[1:-1], 2 * 1.7, rtol=0.0, atol=1e-9)
 
     def test_annihilates_affine_nonuniform(self):
         g = build_boundary_refined_grid(Q=2, rho=0.1, c_b=1.0, N=4, T=1)
         u = -1.0 + 0.5 * g.nodes
-        for j in range(-g.M + 1, g.M):
-            assert second_difference(u, g, j) == pytest.approx(0.0, abs=1e-11)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            second_difference(np.zeros(3), GRID3, 2)
+        assert np.abs(second_difference(u, g)).max() == pytest.approx(0.0, abs=1e-11)
 
 
 class TestUpwindFirstDifference:
     def test_forward_for_positive_drift(self):
         u = np.array([0.0, 1.0, 3.0])
-        assert upwind_first_difference(u, GRID3, 0, drift=1.0) == pytest.approx(2.0)
+        lower, _, upper = generator_band(GRID3.nodes, 1.0, 0.0)
+        assert (lower[1], upper[1]) == (0.0, 1.0)
+        assert upwind_term(u, GRID3, 1.0)[1] == pytest.approx(2.0)
 
     def test_backward_for_negative_drift(self):
         u = np.array([0.0, 1.0, 3.0])
-        assert upwind_first_difference(u, GRID3, 0, drift=-1.0) == pytest.approx(1.0)
+        lower, _, upper = generator_band(GRID3.nodes, -1.0, 0.0)
+        assert (lower[1], upper[1]) == (1.0, 0.0)
+        assert upwind_term(u, GRID3, -1.0)[1] == pytest.approx(-1.0)
 
     def test_zero_at_boundary(self):
         u = np.array([0.0, 1.0, 3.0])
-        assert upwind_first_difference(u, GRID3, 1, drift=1.0) == 0.0
-        assert upwind_first_difference(u, GRID3, -1, drift=-1.0) == 0.0
+        assert upwind_term(u, GRID3, 1.0)[2] == 0.0
+        assert upwind_term(u, GRID3, -1.0)[0] == 0.0
 
     def test_zero_drift_uses_forward(self):
-        u = np.array([0.0, 1.0, 3.0])
-        assert upwind_first_difference(u, GRID3, 0, drift=0.0) == pytest.approx(2.0)
+        # Zero drift takes the forward branch, whose coefficient vanishes:
+        # the band is exactly the pure-diffusion band.
+        zero = generator_band(GRID5.nodes, 0.0, 1.5)
+        diffusion_only = generator_band(GRID5.nodes, np.zeros(GRID5.n_nodes), 1.5)
+        for a, b in zip(zero, diffusion_only):
+            assert np.array_equal(a, b)
+        assert np.all(upwind_term(np.array([0.0, 1.0, 3.0]), GRID3, 0.0) == 0.0)
+
+    def test_rows_per_control(self):
+        # A (controls, nodes) drift gives one band row per control, each the
+        # band of that control alone.
+        g = build_boundary_refined_grid(Q=2, rho=0.2, c_b=1.0, N=2, T=1)
+        drift = np.array([-0.5, 0.0, 0.5])[:, np.newaxis] + 0.1 * g.nodes
+        stacked = generator_band(g.nodes, drift, 0.7)
+        for row in range(3):
+            single = generator_band(g.nodes, drift[row], 0.7)
+            for a, b in zip(stacked, single):
+                assert np.array_equal(a[row], b)
+
+
+class TestApplyGenerator:
+    def test_constant_function(self):
+        u = np.full(5, 3.0)
+        band = generator_band(GRID5.nodes, np.array([-2.0, 1.0, -0.5, 0.0, 3.0]), 1.0)
+        assert np.all(apply_band(band, u) == 0.0)
+
+    def test_pure_diffusion_value(self):
+        u = np.array([1.0, 2.0, 4.0])
+        assert apply_band(generator_band(GRID3.nodes, 0.0, 1.0), u)[1] == pytest.approx(0.5)
+
+    def test_zero_at_boundaries(self):
+        u = np.array([5.0, -1.0, 2.0])
+        out = apply_band(generator_band(GRID3.nodes, 2.0, 1.0), u)
+        assert out[0] == 0.0 and out[-1] == 0.0
+
+    def test_matches_oracle_row_formula(self):
+        # The audit's scalar row formula is written independently of the
+        # core; with one control, no reward, no time term and a jump that can
+        # never pay, its row residual is -(L u)_j.
+        p = ProblemSpec(
+            drift=lambda x, b: x + b,                  # both signs on [-2, 2]
+            diffusion=lambda x, b: 0.5 + 0.2 * np.cos(x),
+            running_reward=lambda t, x, b: 0.0,
+            terminal_reward=lambda x: 0.0 * x,
+            impulse_shift=lambda t, x, z: 0.0 * z,
+            impulse_cost=lambda t, x, z: -1e6 + 0.0 * z,
+            impulse_bounds=lambda t, x: (0.0, 0.0),
+            control_bounds=(0.1, 0.1),
+            horizon=1.0,
+        )
+        g = build_boundary_refined_grid(Q=2, rho=0.1, c_b=1.0, N=2, T=1)
+        assert np.ptp(np.diff(g.nodes)) > 0.01
+        nodes = [float(x) for x in g.nodes]
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            u = rng.normal(size=g.n_nodes)
+            band = generator_band(g.nodes, p.drift(g.nodes, 0.1), p.diffusion(g.nodes, 0.1) ** 2)
+            core = apply_band(band, u)
+            u_list = [float(v) for v in u]
+            oracle_rows = [
+                -_row_residual(p, nodes, len(nodes), [0.0], 0.0, 1.0, i, x,
+                               u_list, u_list, [0.1], 1.0)
+                for i, x in enumerate(nodes)
+            ]
+            assert np.allclose(core, oracle_rows, rtol=1e-12, atol=1e-9)
 
 
 class TestInterp:
@@ -162,26 +241,6 @@ class TestDiscretizeControls:
         p = jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z)
         with pytest.raises(ValueError):
             discretize_controls(p, rho=0.0)
-
-
-class TestApplyGenerator:
-    def test_constant_function(self):
-        p = jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z)
-        u = np.full(5, 3.0)
-        for j in range(-2, 3):
-            assert apply_generator(u, GRID5, j, 0.0, p) == 0.0
-
-    def test_pure_diffusion_value(self):
-        p = jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z)
-        u = np.array([1.0, 2.0, 4.0])
-        assert apply_generator(u, GRID3, 0, 0.0, p) == pytest.approx(0.5)
-
-    def test_zero_at_boundaries(self):
-        p = replace(jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z),
-                    drift=lambda x, b: 2.0)
-        u = np.array([5.0, -1.0, 2.0])
-        assert apply_generator(u, GRID3, 1, 0.0, p) == 0.0
-        assert apply_generator(u, GRID3, -1, 0.0, p) == 0.0
 
 
 def brute_force_intervention(u, grid, t, problem, controls):

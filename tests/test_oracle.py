@@ -1,6 +1,11 @@
+import ast
+import inspect
+import types
+
 import numpy as np
 import pytest
 
+from hjbqvi import oracle
 from hjbqvi.exceptions import NonConvergenceError
 from hjbqvi.grid import build_uniform_grid
 from hjbqvi.operators import discretize_controls
@@ -102,3 +107,42 @@ class TestBruteForceResidual:
         surface = np.full((g.N + 1, g.n_nodes), 5.0)
         surface[g.N][0] = 4.0
         assert brute_force_residual(surface, p, g, c, 0.25) >= 1.0
+
+
+SOLVER_MODULES = ("operators", "penalty", "semilag")
+
+
+def names_imported_from_solvers(module) -> set[str]:
+    """Names a module binds with ``from .operators/.penalty/.semilag import``
+    (or ``from . import operators`` and the like)."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module in SOLVER_MODULES or (
+                        node.module is None and alias.name in SOLVER_MODULES):
+                    names.add(alias.asname or alias.name)
+    return names
+
+
+def global_names(code) -> set[str]:
+    """Every name a code object (and any nested code) looks up."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= global_names(const)
+    return names
+
+
+class TestAuditIndependence:
+    def test_audit_uses_nothing_imported_from_the_solvers(self):
+        # The audit must re-derive the scheme from the problem data alone;
+        # wiring the solvers' stencil core (or anything else they export)
+        # into it would let a shared bug pass the audit.
+        imported = names_imported_from_solvers(oracle)
+        assert {"InterventionTable", "penalty_timestep"} <= imported
+        audit = (oracle.brute_force_residual, oracle.brute_force_residual_stationary,
+                 oracle._row_residual, oracle._interp_scalar)
+        for fn in audit:
+            shared = global_names(fn.__code__) & imported
+            assert not shared, f"{fn.__name__} uses {sorted(shared)} from the solvers"

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hjbqvi.exceptions import NonConvergenceError
 from hjbqvi.grid import build_uniform_grid
 from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import discretize_controls
@@ -12,13 +11,11 @@ from hjbqvi.penalty import (
     penalty_timestep,
     policy_improve,
     residual,
-    residual_stationary,
     solve_finite_horizon,
     solve_infinite_horizon,
-    value_iteration_timestep,
 )
 from hjbqvi.problem import ProblemSpec, builtin, eval_on
-from hjbqvi.solution import PenaltyPolicy, SolverConfig
+from hjbqvi.solution import PenaltyPolicy
 
 
 def terminal_values(problem, grid):
@@ -62,7 +59,7 @@ class TestResidual:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 5.0)
-        r = residual(u, u, 0.5, g, p, c, epsilon=0.25)
+        r = residual(u, u / g.dt, 1 / g.dt, 0.5, g, p, c, epsilon=0.25)
         assert np.abs(r).max() == 0.0
 
     def test_pure_time_term(self):
@@ -70,7 +67,7 @@ class TestResidual:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 5.0)
-        r = residual(u, u + g.dt, 0.5, g, p, c, epsilon=0.25)
+        r = residual(u, (u + g.dt) / g.dt, 1 / g.dt, 0.5, g, p, c, epsilon=0.25)
         assert np.allclose(r, -1.0)
 
     def test_matches_brute_force_on_random_data(self):
@@ -83,7 +80,7 @@ class TestResidual:
             u_next = rng.normal(size=g.n_nodes)
             t = float(rng.uniform(0, 3))
             eps = float(rng.uniform(0.05, 0.5))
-            r = residual(u, u_next, t, g, p, c, eps)
+            r = residual(u, u_next / g.dt, 1 / g.dt, t, g, p, c, eps)
             ref = [brute_residual_row(p, g, c, eps, t, i, u, u_next)
                    for i in range(g.n_nodes)]
             assert np.allclose(r, ref, atol=1e-10)
@@ -94,7 +91,7 @@ class TestResidual:
         c = discretize_controls(p, g.rho)
         u = np.zeros(g.n_nodes)
         with pytest.raises(ValueError):
-            residual(u, u, 0.0, g, p, c, epsilon=0.0)
+            residual(u, u / g.dt, 1 / g.dt, 0.0, g, p, c, epsilon=0.0)
 
 
 class TestAssemblePolicySystem:
@@ -227,55 +224,8 @@ class TestPenaltyTimestep:
         eps = 0.25
         u, diag = penalty_timestep(u_next, (g.N - 1) * g.dt, g, p, c, eps)
         assert diag.final_residual <= 1e-8
-        r = residual(u, u_next, (g.N - 1) * g.dt, g, p, c, eps)
+        r = residual(u, u_next / g.dt, 1 / g.dt, (g.N - 1) * g.dt, g, p, c, eps)
         assert np.abs(r).max() <= 1e-8
-
-
-class TestValueIteration:
-    def test_constant_converges_immediately(self):
-        p = builtin("constant", {"c": 5})
-        g = build_uniform_grid(Q=2, M=8, N=8, T=1)
-        c = discretize_controls(p, g.rho)
-        u_next = np.full(g.n_nodes, 5.0)
-        u, diag = value_iteration_timestep(u_next, 0.5, g, p, c, epsilon=0.125)
-        assert np.allclose(u, 5.0)
-        assert diag.iterations <= 2
-
-    def test_agrees_with_policy_iteration_on_cash(self):
-        p = builtin("cash")
-        g = build_uniform_grid(Q=4, M=16, N=12, T=3)   # rho = 0.25
-        c = discretize_controls(p, g.rho)
-        cfg = SolverConfig()
-        sol_policy = solve_finite_horizon(p, g, c, cfg=cfg)
-        sol_value = solve_finite_horizon(p, g, c, cfg=SolverConfig(method="value"))
-        assert np.abs(sol_policy.surface - sol_value.surface).max() <= 1e-8
-        assert any(pol.intervene.any() for pol in sol_policy.policies[:-1])
-
-    def test_iteration_count_grows_as_epsilon_shrinks(self):
-        # Intervention is active in the wings of this state, so the lagged
-        # sweep really has to iterate; its contraction degrades with eps.
-        p = builtin("cash")
-        g = build_uniform_grid(Q=4, M=16, N=12, T=3)
-        c = discretize_controls(p, g.rho)
-        u_next = 4.0 * terminal_values(p, g)
-        t = (g.N - 1) * g.dt
-        counts = []
-        for eps in (0.5, 0.1, 0.02):
-            _, diag = value_iteration_timestep(u_next, t, g, p, c, eps)
-            counts.append(diag.iterations)
-        assert counts[0] < counts[-1]
-        # The same sweep against a tight budget is flagged as slow.
-        _, diag = value_iteration_timestep(u_next, t, g, p, c, 0.02,
-                                           cfg=SolverConfig(max_iters=20))
-        assert diag.slow_contraction
-
-    def test_tiny_epsilon_reports_nonconvergence(self):
-        p = builtin("cash")
-        g = build_uniform_grid(Q=4, M=16, N=12, T=3)
-        c = discretize_controls(p, g.rho)
-        u_next = 4.0 * terminal_values(p, g)
-        with pytest.raises(NonConvergenceError, match="policy iteration"):
-            value_iteration_timestep(u_next, (g.N - 1) * g.dt, g, p, c, 1e-12)
 
 
 class TestSolveFiniteHorizon:
@@ -380,5 +330,6 @@ class TestSolveInfiniteHorizon:
             c = discretize_controls(p, g.rho)
             sol = solve_infinite_horizon(p, g, c)
             assert sol.sup_norm() <= amp / beta + 1e-8
-            r = residual_stationary(sol.surface[0], g, p, c, sol.epsilon)
+            u = sol.surface[0]
+            r = residual(u, np.zeros_like(u), beta, 0.0, g, p, c, sol.epsilon)
             assert np.abs(r).max() <= 1e-8

@@ -38,6 +38,18 @@ class TestEvalOn:
         out = eval_on(picky, np.array([-2.0, 3.0]), 0.0)
         assert np.array_equal(out, [-1.0, 1.0])
 
+    def test_other_errors_are_not_swallowed(self):
+        # Only TypeError and ValueError mean "not array-aware"; any other
+        # error from the vectorised call is a bug and must surface, even
+        # when the scalar fallback would have produced values.
+        def broken_on_arrays(x, b):
+            if np.ndim(x) > 0:
+                raise RuntimeError("array path is broken")
+            return 1.0
+        with pytest.raises(RuntimeError, match="array path"):
+            eval_on(broken_on_arrays, np.array([1.0, 2.0]), 0.0)
+        assert float(eval_on(broken_on_arrays, 1.0, 0.0)) == 1.0
+
 
 class TestValidate:
     def test_constant_problem_passes(self):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hjbqvi.exceptions import SolverError
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
@@ -11,7 +12,6 @@ from hjbqvi.operators import discretize_controls
 from hjbqvi.penalty import solve_finite_horizon
 from hjbqvi.problem import ProblemSpec, builtin
 from hjbqvi.semilag import (
-    TridiagonalMatrix,
     assemble_A,
     detect_inward_drift,
     overstep_threshold,
@@ -41,7 +41,8 @@ class TestAssembleA:
         p = drift_problem(lambda x, b: 0.0, diffusion=0.0)
         g = build_uniform_grid(Q=2, M=4, N=4, T=1)
         A = assemble_A(g, p)
-        assert np.array_equal(A.to_dense(), np.eye(g.n_nodes))
+        assert A.format == "csr"
+        assert np.array_equal(A.toarray(), np.eye(g.n_nodes))
 
     def test_unit_coefficients_three_node(self):
         p = drift_problem(lambda x, b: 0.0, diffusion=1.0)
@@ -52,13 +53,13 @@ class TestAssembleA:
             [-0.5, 2.0, -0.5],
             [0.0, 0.0, 1.0],
         ])
-        assert np.allclose(A.to_dense(), expected)
+        assert np.allclose(A.toarray(), expected)
 
     def test_always_strictly_dominant(self):
         p = builtin("cash")
         for M, N in [(8, 6), (16, 12), (32, 24)]:
             g = build_uniform_grid(Q=4, M=M, N=N, T=3)
-            report = analyze_matrix(assemble_A(g, p).to_dense())
+            report = analyze_matrix(assemble_A(g, p))
             assert report.strictly_dominant_ok and report.passed
 
     def test_rejects_control_dependent_diffusion(self):
@@ -136,10 +137,15 @@ class TestSlRhs:
                           <= sl_rhs(hi, 0.0, g, p, c).rhs + 1e-12)
 
 
+def tridiagonal(lower, diag, upper):
+    """CSR matrix with lower[i] at (i, i-1) and upper[i] at (i, i+1)."""
+    return sp.diags([lower[1:], diag, upper[:-1]], [-1, 0, 1], format="csr")
+
+
 class TestThomasSolve:
     def test_identity(self):
         n = 7
-        A = TridiagonalMatrix(lower=np.zeros(n), diag=np.ones(n), upper=np.zeros(n))
+        A = sp.identity(n, format="csr")
         rhs = np.arange(n, dtype=float)
         assert np.array_equal(thomas_solve(A, rhs), rhs)
 
@@ -156,21 +162,23 @@ class TestThomasSolve:
             lower = np.concatenate(([0.0], rng.uniform(-1, 0, n - 1)))
             upper = np.concatenate((rng.uniform(-1, 0, n - 1), [0.0]))
             diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 2.0, n)
-            A = TridiagonalMatrix(lower=lower, diag=diag, upper=upper)
+            A = tridiagonal(lower, diag, upper)
             rhs = rng.normal(size=n)
             x = thomas_solve(A, rhs)
-            ref = np.linalg.solve(A.to_dense(), rhs)
+            ref = np.linalg.solve(A.toarray(), rhs)
             assert np.abs(x - ref).max() <= 1e-12
 
-    def test_zero_pivot_is_internal_error(self):
-        A = TridiagonalMatrix(lower=np.array([0.0, 1.0]),
-                              diag=np.array([0.0, 1.0]),
-                              upper=np.array([1.0, 0.0]))
-        with pytest.raises(SolverError, match="pivot"):
-            thomas_solve(A, np.ones(2))
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_singular_matrix_is_internal_error(self):
+        # Weakly dominant rows with no strictly dominant one: exactly
+        # singular, so spsolve returns NaN, which must not pass as a solution.
+        A = tridiagonal(np.array([0.0, -1.0, -1.0]), np.array([1.0, 2.0, 1.0]),
+                        np.array([-1.0, -1.0, 0.0]))
+        with pytest.raises(SolverError, match="non-finite"):
+            thomas_solve(A, np.ones(3))
 
     def test_size_mismatch(self):
-        A = TridiagonalMatrix(lower=np.zeros(3), diag=np.ones(3), upper=np.zeros(3))
+        A = sp.identity(3, format="csr")
         with pytest.raises(ValueError):
             thomas_solve(A, np.ones(4))
 
