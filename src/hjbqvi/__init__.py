@@ -22,7 +22,6 @@ from .operators import (
     apply_intervention,
     discretize_controls,
     generator_band,
-    interp,
 )
 from .penalty import (
     SparseSystem,
@@ -61,7 +60,6 @@ __all__ = [
     "build_uniform_grid", "grid_for_level",
     "ProblemSpec", "ValidationReport", "builtin", "validate",
     "DiscreteControls", "apply_intervention", "discretize_controls", "generator_band",
-    "interp",
     "SparseSystem", "assemble_policy_system", "penalty_timestep", "policy_improve",
     "residual", "solve_finite_horizon", "solve_infinite_horizon",
     "assemble_A", "overstep_threshold", "sl_rhs",

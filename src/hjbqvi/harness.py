@@ -213,11 +213,9 @@ def check_stability_bound(sol: Solution, problem: ProblemSpec,
     controls = controls or discretize_controls(problem, grid.rho)
     g_norm = float(np.abs(eval_on(problem.terminal_reward, grid.nodes)).max())
     times = grid.times() if sol.horizon != INFINITE else np.array([0.0])
-    f_norm = 0.0
-    for b in controls.controls:
-        for t in times:
-            f_norm = max(f_norm, float(
-                np.abs(eval_on(problem.running_reward, t, grid.nodes, b)).max()))
+    controls_col = controls.controls[:, np.newaxis]
+    f_norm = max(float(np.abs(eval_on(problem.running_reward, t, grid.nodes, controls_col)).max())
+                 for t in times)
     if sol.horizon == INFINITE:
         bound = f_norm / problem.discount
         name = "stability_bound_discounted"

@@ -12,12 +12,17 @@ The stencils follow the monotone implicit discretization:
   +-Q).  The penalty systems and control argmax, the semi-Lagrangian
   matrix and both schemes' monotonicity rows all read from this function,
 * linear interpolation with convex weights, clamped to the boundary values
-  outside [-Q, Q],
+  outside [-Q, Q] (:func:`interp_weights`, over arrays of points),
 * intervention maximum over the discretized impulse set,
   (max_z { interp(u, x_j + shift) + cost }), ties to the smallest z.
+  :class:`InterventionTable` holds one time level's candidates as a single
+  nodes x K block; a node with fewer than K impulse candidates repeats its
+  last one.
 
-Everything here is pure given immutable inputs; per-node work can run in
-parallel with no shared mutable state.
+The functions here are pure.  The one mutable piece is
+``DiscreteControls._impulse_cache``, which memoizes ``impulse_values`` and
+grows by one entry per distinct (t, x) it is asked for; share a
+``DiscreteControls`` between threads only with that in mind.
 """
 
 from __future__ import annotations
@@ -101,23 +106,12 @@ def implicit_matrix(weight, band, rows=(), cols=(), data=()) -> sp.csr_matrix:
     return matrix.tocsr()
 
 
-def interp_weights(nodes: np.ndarray, x: float) -> tuple[int, float]:
-    """Index k and weight a with interp = (1-a) u_k + a u_{k+1}, a in [0, 1).
+def interp_weights(nodes: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Indices k and weights a per point with interp = (1-a) u_k + a u_{k+1}, a in [0, 1).
 
-    Outside the grid the value clamps: the returned weight is 0 and k is the
-    nearest boundary offset, so the single coupling carries full weight.
+    Outside the grid the value clamps: the weight is 0 and k is the nearest
+    boundary index, so the single coupling carries full weight.
     """
-    if x <= nodes[0]:
-        return 0, 0.0
-    if x >= nodes[-1]:
-        return nodes.size - 1, 0.0
-    k = int(np.searchsorted(nodes, x, side="right")) - 1
-    alpha = (x - nodes[k]) / (nodes[k + 1] - nodes[k])
-    return k, float(alpha)
-
-
-def interp_weights_many(nodes: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`interp_weights` with identical clamp semantics."""
     xs = np.asarray(xs, dtype=float)
     k = np.searchsorted(nodes, xs, side="right") - 1
     k = np.clip(k, 0, nodes.size - 2)
@@ -129,14 +123,6 @@ def interp_weights_many(nodes: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, 
     k[right] = nodes.size - 1
     alpha[right] = 0.0
     return k, alpha
-
-
-def interp(u: np.ndarray, grid: SpaceTimeGrid, x: float) -> float:
-    """Monotone linear interpolation of a grid function, clamped outside [-Q, Q]."""
-    k, alpha = interp_weights(grid.nodes, x)
-    if alpha == 0.0:
-        return float(u[k])
-    return float((1.0 - alpha) * u[k] + alpha * u[k + 1])
 
 
 @dataclass
@@ -185,70 +171,42 @@ class InterventionTable:
 
     The impulse candidates, their interpolation weights and their costs
     depend only on (t, x_j); building them once lets repeated applications
-    to changing iterates run as pure array arithmetic.  When every node has
-    the same number of impulse candidates (the usual case), construction and
-    application are fully vectorized over nodes; ragged impulse sets fall
-    back to a per-node loop.
+    to changing iterates run as pure array arithmetic.  The candidates form
+    one nodes x K block (``_impulse_grid``), K the largest impulse count at
+    any node.  A node with fewer candidates repeats its last z: the copy has
+    the same value as the candidate it repeats, and argmax keeps the first
+    of equal values, so padding never changes a result.  ``costs``, ``k``
+    and ``alpha`` are the block flattened row by row; node i owns entries
+    ``offsets[i]:offsets[i + 1]``.
     """
 
     def __init__(self, problem: ProblemSpec, grid: SpaceTimeGrid,
                  controls: DiscreteControls, t: float):
-        self.grid = grid
         self.t = float(t)
         nodes = grid.nodes
         zs_all = [controls.impulse_values(t, float(x)) for x in nodes]
-        sizes = {zs.size for zs in zs_all}
-        if len(sizes) == 1:
-            per_node = sizes.pop()
-            impulse_grid = np.vstack(zs_all)                      # (n, K)
-            x_col = nodes[:, np.newaxis]
-            targets = x_col + eval_on(problem.impulse_shift, t, x_col, impulse_grid)
-            costs = eval_on(problem.impulse_cost, t, x_col, impulse_grid)
-            self._stride = per_node
-            self._impulse_grid = impulse_grid
-            self.offsets = np.arange(nodes.size + 1) * per_node
-            self.costs = costs.ravel()
-            self.k, self.alpha = interp_weights_many(nodes, targets.ravel())
-        else:
-            offsets = [0]
-            cost_all, k_all, a_all = [], [], []
-            for x, zs in zip(nodes, zs_all):
-                targets = x + eval_on(problem.impulse_shift, t, x, zs)
-                costs = eval_on(problem.impulse_cost, t, x, zs)
-                k, alpha = interp_weights_many(nodes, np.atleast_1d(targets))
-                k_all.append(k)
-                a_all.append(alpha)
-                cost_all.append(np.atleast_1d(costs))
-                offsets.append(offsets[-1] + zs.size)
-            self._stride = None
-            self._impulse_grid = None
-            self.offsets = np.array(offsets)
-            self.costs = np.concatenate(cost_all)
-            self.k = np.concatenate(k_all)
-            self.alpha = np.concatenate(a_all)
-        self.impulses = zs_all
+        sizes = np.array([zs.size for zs in zs_all])
+        per_node = int(sizes.max())
+        starts = np.cumsum(sizes) - sizes
+        padded = np.minimum(np.arange(per_node), sizes[:, np.newaxis] - 1)
+        impulse_grid = np.concatenate(zs_all)[starts[:, np.newaxis] + padded]   # (n, K)
+        x_col = nodes[:, np.newaxis]
+        targets = x_col + eval_on(problem.impulse_shift, t, x_col, impulse_grid)
+        self._impulse_grid = impulse_grid
+        self.offsets = np.arange(nodes.size + 1) * per_node
+        self.costs = eval_on(problem.impulse_cost, t, x_col, impulse_grid).ravel()
+        self.k, self.alpha = interp_weights(nodes, targets.ravel())
         self.k_next = np.minimum(self.k + 1, nodes.size - 1)
 
     def candidate_values(self, u: np.ndarray) -> np.ndarray:
         return (1.0 - self.alpha) * u[self.k] + self.alpha * u[self.k_next] + self.costs
 
     def apply(self, u: np.ndarray) -> InterventionResult:
-        cand = self.candidate_values(u)
-        n = self.grid.n_nodes
-        if self._stride is not None:
-            block = cand.reshape(n, self._stride)
-            best = block.argmax(axis=1)
-            rows = np.arange(n)
-            return InterventionResult(values=block[rows, best],
-                                      impulses=self._impulse_grid[rows, best])
-        values = np.empty(n)
-        impulses = np.empty(n)
-        for i in range(n):
-            seg = cand[self.offsets[i]:self.offsets[i + 1]]
-            k = int(seg.argmax())
-            values[i] = seg[k]
-            impulses[i] = self.impulses[i][k]
-        return InterventionResult(values=values, impulses=impulses)
+        block = self.candidate_values(u).reshape(self._impulse_grid.shape)
+        best = block.argmax(axis=1)
+        rows = np.arange(block.shape[0])
+        return InterventionResult(values=block[rows, best],
+                                  impulses=self._impulse_grid[rows, best])
 
 
 def apply_intervention(u: np.ndarray, grid: SpaceTimeGrid, t: float,

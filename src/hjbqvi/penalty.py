@@ -147,7 +147,8 @@ def _assemble(policy, rhs_base, time_weight, t, grid, problem, controls,
 
     Row j:  time_weight*u_j - (L_{b_j} u)_j + (d_j/eps)(u_j - interp(u; jump_j))
             = rhs_base_j + f_j(b_j) + (d_j/eps) * cost_j,
-    with zero stencils in the boundary rows.  Interpolation couplings that
+    with zero stencils in the boundary rows.  The penalty rows are built
+    together from arrays over the active rows.  Interpolation couplings that
     land on the row itself merge into the diagonal; the structural check
     rejects any configuration that loses the M-matrix sign pattern or WCDD.
     """
@@ -158,32 +159,27 @@ def _assemble(policy, rhs_base, time_weight, t, grid, problem, controls,
 
     # Penalty rows: one diagonal entry of 1/eps (less any coupling that lands
     # on the row itself), summed into the band's diagonal by implicit_matrix.
-    rows, cols, data = [], [], []
+    # A zero k+1 weight (alpha == 0) is dropped: an explicit zero would add a
+    # false edge to the WCDD reachability search.
     inv_eps = 1.0 / epsilon
-    for i in np.flatnonzero(policy.intervene):
-        on_diag = inv_eps
-        if obstacle is not None:
-            rhs[i] += inv_eps * float(obstacle[i])
-        else:
-            x = nodes[i]
-            z = float(policy.impulses[i])
-            target = x + float(problem.impulse_shift(t, x, z))
-            k, alpha = interp_weights(nodes, target)
-            couplings = [(k, inv_eps * (1.0 - alpha))]
-            if alpha > 0.0:
-                couplings.append((k + 1, inv_eps * alpha))
-            for col, weight in couplings:
-                if col == i:
-                    on_diag -= weight
-                else:
-                    rows.append(i)
-                    cols.append(col)
-                    data.append(-weight)
-            rhs[i] += inv_eps * float(problem.impulse_cost(t, x, z))
-        rows.append(i)
-        cols.append(i)
-        data.append(on_diag)
-    matrix = implicit_matrix(float(time_weight), band, rows, cols, data)
+    active = np.flatnonzero(policy.intervene)
+    on_diag = np.full(active.size, inv_eps)
+    rows, cols, data = [active], [active], [on_diag]
+    if obstacle is not None:
+        rhs[active] += inv_eps * np.asarray(obstacle, dtype=float)[active]
+    else:
+        x, z = nodes[active], policy.impulses[active]
+        k, alpha = interp_weights(nodes, x + eval_on(problem.impulse_shift, t, x, z))
+        for col, weight, used in ((k, inv_eps * (1.0 - alpha), True),
+                                  (k + 1, inv_eps * alpha, alpha > 0.0)):
+            on_diag -= np.where(used & (col == active), weight, 0.0)
+            off = used & (col != active)
+            rows.append(active[off])
+            cols.append(col[off])
+            data.append(-weight[off])
+        rhs[active] += inv_eps * eval_on(problem.impulse_cost, t, x, z)
+    matrix = implicit_matrix(float(time_weight), band, np.concatenate(rows),
+                             np.concatenate(cols), np.concatenate(data))
 
     report = analyze_matrix(matrix)
     if not report.passed:

@@ -37,23 +37,31 @@ def eval_on(fn: Callable, *args) -> np.ndarray:
     Tries a direct vectorized call first; falls back to a scalar loop when
     the callable is not array-aware, which shows as a TypeError or ValueError
     (any other exception propagates).  A scalar return against array input is
-    taken as a constant function.
+    taken as a constant function.  A non-finite value (NaN or infinite)
+    raises ValueError naming the first argument tuple that produced one: the
+    schemes would otherwise read a NaN drift as zero drift, since it is
+    neither >= 0 nor < 0 in the upwind choice.
     """
     arrs = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in args])
     shape = arrs[0].shape
     if shape == ():
-        return np.asarray(float(fn(*[float(a) for a in arrs])))
-    try:
-        out = np.asarray(fn(*arrs), dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is not None:
-        if out.shape == shape:
-            return out
-        if out.ndim == 0:
-            return np.full(shape, float(out))
-    flat = zip(*(a.ravel() for a in arrs))
-    return np.array([float(fn(*vals)) for vals in flat]).reshape(shape)
+        out = np.asarray(float(fn(*[float(a) for a in arrs])))
+    else:
+        try:
+            out = np.asarray(fn(*arrs), dtype=float)
+        except (TypeError, ValueError):
+            out = None
+        if out is not None and out.ndim == 0:
+            out = np.full(shape, float(out))
+        if out is None or out.shape != shape:
+            flat = zip(*(a.ravel() for a in arrs))
+            out = np.array([float(fn(*vals)) for vals in flat]).reshape(shape)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        where = tuple(float(a.ravel()[bad[0]]) for a in arrs)
+        raise ValueError(f"coefficient {getattr(fn, '__name__', fn)!s} returned "
+                         f"{float(out.ravel()[bad[0]])} at arguments {where}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,8 +159,9 @@ def intervention_of_terminal(problem: ProblemSpec, x: float, resolution: float) 
 def validate(problem: ProblemSpec, grid: SpaceTimeGrid, samples: int = 64) -> ValidationReport:
     """Check the standing hypotheses on a deterministic sample of grid points.
 
-    The report carries every check with its worst witness; it never raises,
-    callers decide what a failure means.
+    The report carries every check with its worst witness; callers decide
+    what a failure means.  It raises ValueError for ``samples < 1`` and,
+    through :func:`eval_on`, when a coefficient returns a non-finite value.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -197,27 +206,21 @@ def validate(problem: ProblemSpec, grid: SpaceTimeGrid, samples: int = 64) -> Va
         if gap > worst_gain:
             worst_gain, gain_witness = gap, (float(t_terminal), float(x))
 
+    # One row per sampled control.
+    mu = eval_on(problem.drift, xs, bs[:, np.newaxis])
+    sg = eval_on(problem.diffusion, xs, bs[:, np.newaxis])
+
     # Sampled Lipschitz quotient of drift and diffusion in x, uniform over b.
     lipschitz = 0.0
     if xs.size >= 2:
         dx = np.diff(xs)
-        for b in bs:
-            mu = eval_on(problem.drift, xs, b)
-            sg = eval_on(problem.diffusion, xs, b)
-            lipschitz = max(
-                lipschitz,
-                float((np.abs(np.diff(mu)) / dx).max()),
-                float((np.abs(np.diff(sg)) / dx).max()),
-            )
+        lipschitz = max(float((np.abs(np.diff(mu)) / dx).max()),
+                        float((np.abs(np.diff(sg)) / dx).max()))
 
-    # Diffusion sign (part of the data contract, cheap to confirm).
-    worst_diffusion = np.inf
-    diffusion_witness = ()
-    for b in bs:
-        sg = eval_on(problem.diffusion, xs, b)
-        k = int(sg.argmin())
-        if sg[k] < worst_diffusion:
-            worst_diffusion, diffusion_witness = float(sg[k]), (float(xs[k]), float(b))
+    # Diffusion sign (part of the data contract, cheap to confirm); the
+    # witness is the smallest control, then the leftmost node, at the minimum.
+    kb, kx = np.unravel_index(int(sg.argmin()), sg.shape)
+    worst_diffusion, diffusion_witness = float(sg[kb, kx]), (float(xs[kx]), float(bs[kb]))
 
     checks = [
         CheckResult("impulse_cost_negative", worst_cost < 0.0, worst_cost, cost_witness),

@@ -13,6 +13,11 @@ to one sparse (tridiagonal) solve A u^n = rhs with
     rhs_j     = max( max_b { interp(u^{n+1}, x_j + drift dt) + f dt },
                      (M u^{n+1})_j ).
 
+The continuation candidates are one controls x nodes block from
+:func:`_continuation` (numpy's clamped linear interpolation at the foot
+points); the timestep takes their maximum with one argmax, and the
+monotonicity row :func:`scheme_row` reads the same block.
+
 A = I - dt L_0 is built from the same stencil core as the penalty systems
 (:func:`operators.generator_band` with zero drift).  It has identity
 boundary rows (zero boundary stencils) and is strictly diagonally dominant,
@@ -43,7 +48,6 @@ from .operators import (
     discretize_controls,
     generator_band,
     implicit_matrix,
-    interp,
 )
 from .problem import ProblemSpec, eval_on
 from .solution import FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig
@@ -79,6 +83,17 @@ class SLStep:
     interior_oversteps: int
 
 
+def _continuation(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec, b):
+    """Foot points x_j + drift(x_j, b) dt and continuation values
+    interp(u^{n+1}, foot) + f(t, x_j, b) dt, shaped like the controls ``b``
+    broadcast against the nodes (one row per control when ``b`` is a column)."""
+    nodes = grid.nodes
+    feet = nodes + eval_on(problem.drift, nodes, b) * grid.dt
+    values = np.interp(feet, nodes, u_next) \
+        + eval_on(problem.running_reward, t, nodes, b) * grid.dt
+    return feet, values
+
+
 def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
            controls: DiscreteControls) -> SLStep:
     """max( best continuation along characteristics, best jump ) per node.
@@ -89,34 +104,18 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
     of the penalty scheme.
     """
     u_next = np.asarray(u_next, dtype=float)
-    nodes = grid.nodes
-    n = nodes.size
-    dt = grid.dt
-    Q = grid.Q
+    feet, values = _continuation(u_next, t, grid, problem, controls.controls[:, np.newaxis])
+    best = values.argmax(axis=0)
+    best_cont = values[best, np.arange(grid.n_nodes)]
+    outside = np.abs(feet) > grid.Q
 
-    best_cont = np.full(n, -np.inf)
-    best_b = np.zeros(n)
-    oversteps = 0
-    interior_oversteps = 0
-    interior = np.zeros(n, dtype=bool)
-    interior[1:-1] = True
-    for b in controls.controls:
-        feet = nodes + eval_on(problem.drift, nodes, b) * dt
-        outside = np.abs(feet) > Q
-        oversteps += int(outside.sum())
-        interior_oversteps += int((outside & interior).sum())
-        values = np.interp(feet, nodes, u_next) \
-            + eval_on(problem.running_reward, t, nodes, b) * dt
-        better = values > best_cont
-        best_cont = np.where(better, values, best_cont)
-        best_b[better] = b
-
-    jump = InterventionTable(problem, grid, controls, t + dt).apply(u_next)
+    jump = InterventionTable(problem, grid, controls, t + grid.dt).apply(u_next)
     intervene = jump.values > best_cont
     rhs = np.where(intervene, jump.values, best_cont)
-    policy = PenaltyPolicy(controls=best_b, intervene=intervene, impulses=jump.impulses)
-    return SLStep(rhs=rhs, policy=policy, oversteps=oversteps,
-                  interior_oversteps=interior_oversteps)
+    policy = PenaltyPolicy(controls=controls.controls[best], intervene=intervene,
+                           impulses=jump.impulses)
+    return SLStep(rhs=rhs, policy=policy, oversteps=int(outside.sum()),
+                  interior_oversteps=int(outside[:, 1:-1].sum()))
 
 
 def thomas_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
@@ -142,10 +141,8 @@ def thomas_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
 def norm_drift(problem: ProblemSpec, grid: SpaceTimeGrid,
                controls: DiscreteControls) -> float:
     """max |drift| over the grid nodes and the discrete control set."""
-    worst = 0.0
-    for b in controls.controls:
-        worst = max(worst, float(np.abs(eval_on(problem.drift, grid.nodes, b)).max()))
-    return worst
+    drift = eval_on(problem.drift, grid.nodes, controls.controls[:, np.newaxis])
+    return float(np.abs(drift).max())
 
 
 def detect_inward_drift(problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -217,18 +214,15 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
 def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
                controls) -> float:
     """Semi-Lagrangian scheme value at one node with node value and obstacle
-    pinned; used by the monotonicity checker (min of the two branches)."""
+    pinned; used by the monotonicity checker (min of the two branches).  The
+    continuation is the solver's own (:func:`_continuation`)."""
     i = grid.offset(j)
     u_loc = np.array(u_n, dtype=float)
     u_loc[i] = center
-    x = grid.node(j)
     dt = grid.dt
     diffusion_band = generator_band(grid.nodes, 0.0, _variance(problem, grid))
     diffusion_term = float(apply_band(diffusion_band, u_loc)[i])
-    best = -np.inf
-    for b in controls.controls:
-        moved = interp(u_next, grid, x + float(problem.drift(x, float(b))) * dt)
-        val = (moved - center) / dt + diffusion_term \
-            + float(problem.running_reward(t, x, float(b)))
-        best = max(best, val)
+    _, values = _continuation(np.asarray(u_next, dtype=float), t, grid, problem,
+                              controls.controls[:, np.newaxis])
+    best = (float(values[:, i].max()) - center) / dt + diffusion_term
     return min(-best, center - obstacle_value - diffusion_term * dt)

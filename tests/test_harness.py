@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hjbqvi import penalty as penalty_mod
+from hjbqvi import semilag as semilag_mod
 from hjbqvi.exceptions import MatrixStructureError
-from hjbqvi.grid import build_uniform_grid, grid_for_level
+from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid, grid_for_level
 from hjbqvi.harness import (
+    RESIDUAL_ORACLE_TOL,
     Window,
     check_matrix_properties,
     check_monotonicity,
@@ -18,10 +22,11 @@ from hjbqvi.harness import (
     run_refinement_study,
     sup_error,
 )
-from hjbqvi.operators import discretize_controls, generator_band
+from hjbqvi.operators import InterventionTable, discretize_controls, generator_band
+from hjbqvi.oracle import brute_force_residual
 from hjbqvi.penalty import assemble_policy_system, solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import ProblemSpec, builtin
-from hjbqvi.semilag import assemble_A
+from hjbqvi.semilag import assemble_A, solve_semi_lagrangian
 from hjbqvi.solution import PenaltyPolicy, SolverConfig
 
 def flipped_upwind_band(nodes, drift, variance):
@@ -247,6 +252,70 @@ class TestMonotonicity:
                                impulses=np.full(n, np.nan))
         with pytest.raises(MatrixStructureError):
             assemble_policy_system(policy, np.zeros(n), 0.0, grid, problem, controls, 0.25)
+
+
+class TestSchemeRowsAtSolutions:
+    """The monotonicity rows are the solvers' own: at a solved pair
+    (u^n, u^{n+1}) they vanish at every node."""
+
+    def setup_method(self):
+        self.problem = builtin("cash")
+        self.grid = build_uniform_grid(Q=4, M=12, N=9, T=3.0)
+        self.controls = discretize_controls(self.problem, self.grid.rho)
+
+    def worst_row(self, sol, row, ahead):
+        """Largest |row| over all nodes and steps, with the obstacle M(u^{n+ahead})
+        taken from the table at t + ahead * dt."""
+        g, worst = self.grid, 0.0
+        for n in range(g.N):
+            t = n * g.dt
+            u_n, u_next = sol.surface[n], sol.surface[n + 1]
+            table = InterventionTable(self.problem, g, self.controls, t + ahead * g.dt)
+            obstacle = table.apply(sol.surface[n + ahead]).values
+            for j in range(-g.M, g.M + 1):
+                i = g.offset(j)
+                worst = max(worst, abs(row(j, u_n[i], u_n, u_next, obstacle[i], t)))
+        return worst
+
+    def test_penalty_row(self):
+        p, g, c = self.problem, self.grid, self.controls
+        sol = solve_finite_horizon(p, g, c)
+
+        def row(j, center, u_n, u_next, obstacle_value, t):
+            return penalty_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
+                                          t, g, p, c, sol.epsilon)
+        assert self.worst_row(sol, row, ahead=0) <= 1e-9
+
+    def test_semilagrangian_row(self):
+        p, g, c = self.problem, self.grid, self.controls
+        sol = solve_semi_lagrangian(p, g, c)
+
+        def row(j, center, u_n, u_next, obstacle_value, t):
+            return semilag_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
+                                          t, g, p, c)
+        assert self.worst_row(sol, row, ahead=1) <= 1e-9
+
+
+class TestRaggedImpulseSets:
+    """Impulse bounds that widen with |x| give nodes different candidate
+    counts; both solvers run end to end on the padded candidate block."""
+
+    PROBLEM = replace(builtin("cash"),
+                      impulse_bounds=lambda t, x: (-1.0 - 0.1 * abs(x), 1.0 + 0.1 * abs(x)))
+
+    def test_penalty_passes_brute_force_audit(self):
+        g = build_uniform_grid(Q=4, M=20, N=15, T=3.0)
+        c = discretize_controls(self.PROBLEM, g.rho)
+        assert len({c.impulse_values(0.0, float(x)).size for x in g.nodes}) > 1
+        sol = solve_finite_horizon(self.PROBLEM, g, c)
+        assert any(p.intervene.any() for p in sol.policies if p is not None)
+        assert brute_force_residual(sol, self.PROBLEM, g, c, sol.epsilon) <= RESIDUAL_ORACLE_TOL
+
+    def test_semilagrangian_stability(self):
+        g = build_boundary_refined_grid(Q=4, rho=0.1, c_b=1.0, N=30, T=3.0)
+        sol = solve_semi_lagrangian(self.PROBLEM, g)
+        assert any(p.intervene.any() for p in sol.policies if p is not None)
+        assert check_stability_bound(sol, self.PROBLEM).passed
 
 
 class TestRefinementStudy:

@@ -11,7 +11,7 @@ from hjbqvi.operators import (
     apply_intervention,
     discretize_controls,
     generator_band,
-    interp,
+    interp_weights,
 )
 from hjbqvi.oracle import _row_residual
 from hjbqvi.problem import ProblemSpec
@@ -166,47 +166,66 @@ class TestApplyGenerator:
             assert np.allclose(core, oracle_rows, rtol=1e-12, atol=1e-9)
 
 
+def interp(u, grid, xs):
+    """Interpolant read off interp_weights the way InterventionTable reads it."""
+    k, alpha = interp_weights(grid.nodes, xs)
+    k_next = np.minimum(k + 1, grid.n_nodes - 1)
+    return (1.0 - alpha) * u[k] + alpha * u[k_next]
+
+
 class TestInterp:
-    G = build_uniform_grid(Q=1, M=1, N=1, T=1)  # nodes 0-centered; remap below
+    """Clamped linear interpolation read through the vectorised interp_weights."""
+
+    U5 = np.array([0.0, 0.0, 0.0, 10.0, 20.0])  # on GRID5 (nodes -2..2); linear on [0, 2]
 
     def test_midpoint(self):
-        g = GRID5
-        u = np.array([0.0, 0.0, 0.0, 10.0, 20.0])  # nodes -2..2; linear on [0, 2]
-        assert interp(u, g, 0.5) == pytest.approx(5.0)
+        k, alpha = interp_weights(GRID5.nodes, np.array([0.5]))
+        assert k[0] == GRID5.offset(0) and alpha[0] == pytest.approx(0.5)
+        assert interp(self.U5, GRID5, np.array([0.5]))[0] == pytest.approx(5.0)
 
     def test_clamps_beyond_grid(self):
-        g = GRID5
-        u = np.array([0.0, 0.0, 0.0, 10.0, 20.0])
-        assert interp(u, g, 5.0) == 20.0
-        assert interp(u, g, -5.0) == 0.0
+        k, alpha = interp_weights(GRID5.nodes, np.array([5.0, -5.0, 2.0, -2.0]))
+        assert np.array_equal(k, [4, 0, 4, 0])
+        assert np.array_equal(alpha, [0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(interp(self.U5, GRID5, np.array([5.0, -5.0])), [20.0, 0.0])
 
     def test_nodal_exactness(self):
-        g = GRID5
-        u = np.array([0.0, 0.0, 0.0, 10.0, 20.0])
-        assert interp(u, g, 1.0) == 10.0
+        k, alpha = interp_weights(GRID5.nodes, GRID5.nodes)
+        assert np.array_equal(k, np.arange(GRID5.n_nodes))
+        assert np.all(alpha == 0.0)
+        assert np.array_equal(interp(self.U5, GRID5, GRID5.nodes), self.U5)
 
     def test_reproduces_affine_inside(self):
         g = build_uniform_grid(Q=3, M=6, N=2, T=1)
         u = -2.0 + 0.7 * g.nodes
-        for x in np.linspace(-3, 3, 41):
-            assert interp(u, g, x) == pytest.approx(-2.0 + 0.7 * x, abs=1e-12)
+        xs = np.linspace(-3, 3, 41)
+        assert np.allclose(interp(u, g, xs), -2.0 + 0.7 * xs, rtol=0, atol=1e-12)
 
     def test_matches_numpy_reference(self):
         g = build_boundary_refined_grid(Q=2, rho=0.2, c_b=1.0, N=2, T=1)
         rng = np.random.default_rng(3)
         u = rng.normal(size=g.n_nodes)
-        for x in rng.uniform(-2.5, 2.5, 50):
-            assert interp(u, g, x) == pytest.approx(float(np.interp(x, g.nodes, u)), abs=1e-12)
+        xs = rng.uniform(-2.5, 2.5, 50)
+        assert np.allclose(interp(u, g, xs), np.interp(xs, g.nodes, u), rtol=0, atol=1e-12)
+
+    def test_any_shape(self):
+        g = build_boundary_refined_grid(Q=2, rho=0.2, c_b=1.0, N=2, T=1)
+        xs = np.random.default_rng(4).uniform(-2.5, 2.5, (3, 7))
+        k, alpha = interp_weights(g.nodes, xs)
+        k_flat, alpha_flat = interp_weights(g.nodes, xs.ravel())
+        assert k.shape == alpha.shape == (3, 7)
+        assert np.array_equal(k.ravel(), k_flat) and np.array_equal(alpha.ravel(), alpha_flat)
+        assert np.all((alpha >= 0.0) & (alpha < 1.0))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=5, max_size=5),
            st.lists(st.floats(0, 5), min_size=5, max_size=5),
            st.floats(-3, 3))
     def test_monotone_in_values(self, base, bumps, x):
-        g = GRID5
         lo = np.array(base)
         hi = lo + np.array(bumps)
-        assert interp(lo, g, x) <= interp(hi, g, x) + 1e-12
+        xs = np.array([x])
+        assert interp(lo, GRID5, xs)[0] <= interp(hi, GRID5, xs)[0] + 1e-12
 
 
 class TestDiscretizeControls:
@@ -337,8 +356,8 @@ class TestApplyIntervention:
             apply_intervention(np.zeros(GRID5.n_nodes), GRID5, 0.0, p, c)
 
     def test_state_dependent_impulse_sets(self):
-        # Interval width varies with x, so candidate counts differ per node
-        # and the ragged evaluation path must still match the brute force.
+        # Interval width varies with x, so candidate counts differ per node;
+        # the padded candidate block must still match the brute force.
         p = replace(
             jump_problem(lambda t, x, z: z - x, lambda t, x, z: -1.0 + 0.0 * z),
             impulse_bounds=lambda t, x: (-1.0 - abs(x), 1.0 + abs(x)),

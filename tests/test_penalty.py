@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hjbqvi.grid import build_uniform_grid
+from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.matrices import analyze_matrix
-from hjbqvi.operators import discretize_controls
+from hjbqvi.operators import InterventionTable, discretize_controls, interp_weights
 from hjbqvi.penalty import (
     assemble_policy_system,
     penalty_timestep,
@@ -147,6 +147,47 @@ class TestAssemblePolicySystem:
         report = analyze_matrix(system.matrix)
         assert report.passed
         assert report.sign_pattern_ok and report.wcdd_ok
+
+
+class TestAssembledSystemMatchesResidual:
+    """At the greedy policy the assembled system reproduces the residual:
+    A u - rhs == residual(u), which ties _assemble's jump rows to the table
+    that chose them."""
+
+    # Short relative jumps whose candidates fall between nodes, so couplings
+    # land on their own row, and reach past +-Q from the outer nodes.
+    PROBLEM = replace(builtin("cash"),
+                      impulse_shift=lambda t, x, z: z + 0.0 * x,
+                      impulse_cost=lambda t, x, z: -0.1 - 0.1 * np.abs(z),
+                      impulse_bounds=lambda t, x: (-0.5, 0.5))
+
+    @pytest.mark.parametrize("grid", [
+        build_uniform_grid(Q=2, M=8, N=4, T=1.0),
+        build_boundary_refined_grid(Q=2, rho=0.25, c_b=1.0, N=4, T=1.0),
+    ], ids=["uniform", "refined"])
+    def test_random_iterates(self, grid):
+        p = self.PROBLEM
+        c = discretize_controls(p, rho=0.2)
+        t, eps = 0.0, 0.05
+        table = InterventionTable(p, grid, c, t)
+        rng = np.random.default_rng(0)
+        own = clamped = 0
+        for _ in range(5):
+            u = rng.normal(size=grid.n_nodes)
+            u[[0, -1]] = 3.0            # draws the outer nodes' jumps past +-Q
+            u_next = rng.normal(size=grid.n_nodes)
+            policy = policy_improve(u, u_next, t, grid, p, c, table=table)
+            system = assemble_policy_system(policy, u_next, t, grid, p, c, eps)
+            res = residual(u, u_next / grid.dt, 1 / grid.dt, t, grid, p, c, eps, table=table)
+            gap = np.abs(system.matrix @ u - system.rhs - res).max()
+            assert gap <= 1e-12 * np.abs(res).max()
+
+            rows = np.flatnonzero(policy.intervene)
+            targets = grid.nodes[rows] + policy.impulses[rows]
+            k, alpha = interp_weights(grid.nodes, targets)
+            own += int(np.sum((k == rows) | ((k + 1 == rows) & (alpha > 0.0))))
+            clamped += int(np.sum(np.abs(targets) >= grid.Q))
+        assert own >= 1 and clamped >= 1
 
 
 class TestPolicyImprove:

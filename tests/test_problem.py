@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hjbqvi.grid import build_uniform_grid
+from hjbqvi.penalty import solve_finite_horizon
 from hjbqvi.problem import ProblemSpec, builtin, eval_on, validate
+from hjbqvi.semilag import solve_semi_lagrangian
 
 
 def flat_problem(impulse_cost=-1.0, **overrides):
@@ -38,6 +42,23 @@ class TestEvalOn:
         out = eval_on(picky, np.array([-2.0, 3.0]), 0.0)
         assert np.array_equal(out, [-1.0, 1.0])
 
+    def test_non_finite_vectorized_value_named(self):
+        drift = lambda x, b: np.where(x == 1.0, np.nan, b + 0.0 * x)
+        with pytest.raises(ValueError, match=r"nan at arguments \(1\.0, 0\.5\)"):
+            eval_on(drift, np.array([0.0, 1.0, 2.0]), 0.5)
+
+    def test_non_finite_scalar_fallback_value_named(self):
+        def picky(x, b):
+            if x > 0:
+                return float("inf")
+            return 1.0
+        with pytest.raises(ValueError, match=r"inf at arguments \(3\.0, 0\.0\)"):
+            eval_on(picky, np.array([-2.0, 3.0, 4.0]), 0.0)
+
+    def test_non_finite_scalar_argument_named(self):
+        with pytest.raises(ValueError, match=r"nan at arguments \(2\.0,\)"):
+            eval_on(lambda x: np.nan, 2.0)
+
     def test_other_errors_are_not_swallowed(self):
         # Only TypeError and ValueError mean "not array-aware"; any other
         # error from the vectorised call is a bug and must surface, even
@@ -51,7 +72,34 @@ class TestEvalOn:
         assert float(eval_on(broken_on_arrays, 1.0, 0.0)) == 1.0
 
 
+def cash_with_nan(field):
+    """builtin("cash") with one coefficient NaN at the node x = 1."""
+    cash = builtin("cash")
+    if field == "drift":
+        return replace(cash, drift=lambda x, b: np.where(x == 1.0, np.nan, b + 0.0 * x))
+    return replace(cash, running_reward=lambda t, x, b: np.where(
+        x == 1.0, np.nan, -np.minimum(x * x, 2.0)))
+
+
+class TestNonFiniteCoefficients:
+    """A NaN coefficient at one node stops both solvers with the named error
+    (a NaN drift would otherwise be read as zero drift)."""
+
+    @pytest.mark.parametrize("solve", [solve_finite_horizon, solve_semi_lagrangian])
+    @pytest.mark.parametrize("field", ["drift", "running_reward"])
+    def test_solver_raises(self, solve, field):
+        grid = build_uniform_grid(Q=4, M=20, N=15, T=3.0)
+        assert 1.0 in grid.nodes
+        with pytest.raises(ValueError, match=r"returned nan at arguments \(.*1\.0, "):
+            solve(cash_with_nan(field), grid)
+
+
 class TestValidate:
+    def test_non_finite_terminal_reward_raises(self):
+        problem = flat_problem(terminal_reward=lambda x: np.where(x > 0, np.nan, 0.0 * x))
+        with pytest.raises(ValueError, match="returned nan"):
+            validate(problem, build_uniform_grid(Q=2, M=4, N=4, T=1))
+
     def test_constant_problem_passes(self):
         grid = build_uniform_grid(Q=2, M=8, N=8, T=1)
         report = validate(flat_problem(), grid, samples=16)
