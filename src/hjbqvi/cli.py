@@ -41,6 +41,7 @@ from .harness import (
     RESIDUAL_ORACLE_TOL,
     PropertyCheck,
     Window,
+    _solve_for_study,
     check_monotonicity,
     check_solution_matrices,
     check_stability_bound,
@@ -49,10 +50,8 @@ from .harness import (
     run_refinement_study,
 )
 from .operators import discretize_controls
-from .oracle import brute_force_residual, solve_iterated_optimal_stopping
-from .penalty import solve_finite_horizon, solve_infinite_horizon
+from .oracle import brute_force_residual
 from .problem import ProblemSpec, builtin, validate
-from .semilag import solve_semi_lagrangian
 from .solution import INFINITE, Solution, SolverConfig
 
 KNOWN_CHECKS = ("stability", "matrices", "residual_oracle", "monotonicity")
@@ -364,18 +363,6 @@ def _diagnostics_dict(sol: Solution) -> dict:
 # ---------------------------------------------------------------------------
 # Command implementations.
 
-def _solve_one(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid) -> Solution:
-    controls = discretize_controls(problem, grid.rho)
-    if spec.scheme == SEMILAGRANGIAN:
-        return solve_semi_lagrangian(problem, grid, controls, spec.solver)
-    if spec.scheme == IOS:
-        return solve_iterated_optimal_stopping(problem, grid, controls,
-                                               spec.epsilon, cfg=spec.solver)
-    if problem.finite_horizon:
-        return solve_finite_horizon(problem, grid, controls, spec.epsilon, spec.solver)
-    return solve_infinite_horizon(problem, grid, controls, spec.epsilon, spec.solver)
-
-
 def _run_requested_checks(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid,
                           sol: Solution) -> list[PropertyCheck]:
     controls = discretize_controls(problem, grid.rho)
@@ -419,7 +406,9 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
 
     if mode == "solve":
         try:
-            sol = _solve_one(spec, problem, grid)
+            sol = _solve_for_study(problem, grid, spec.scheme,
+                                   discretize_controls(problem, grid.rho),
+                                   spec.epsilon, spec.solver)
         except SolverError as exc:
             report["failures"].append({"name": "solve", "message": str(exc)})
             write_json(out / "report.json", report)

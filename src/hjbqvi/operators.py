@@ -198,6 +198,20 @@ class InterventionTable:
         self.k, self.alpha = interp_weights(nodes, targets.ravel())
         self.k_next = np.minimum(self.k + 1, nodes.size - 1)
 
+    def jump_rows(self, rows, impulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k, alpha, cost) of the candidate ``impulses[r]`` at node ``rows[r]``;
+        ValueError names the first node whose impulse is not a candidate there."""
+        rows = np.asarray(rows, dtype=int)
+        impulses = np.asarray(impulses, dtype=float)
+        match = self._impulse_grid[rows] == impulses[:, np.newaxis]
+        found = match.any(axis=1)
+        if not found.all():
+            bad = int(np.argmin(found))
+            raise ValueError(f"impulse {float(impulses[bad])!r} at node index {int(rows[bad])} "
+                             f"(t={self.t!r}) is not one of that node's candidates")
+        flat = self.offsets[rows] + match.argmax(axis=1)
+        return self.k[flat], self.alpha[flat], self.costs[flat]
+
     def candidate_values(self, u: np.ndarray) -> np.ndarray:
         return (1.0 - self.alpha) * u[self.k] + self.alpha * u[self.k_next] + self.costs
 

@@ -43,7 +43,6 @@ from .operators import (
     discretize_controls,
     generator_band,
     implicit_matrix,
-    interp_weights,
 )
 from .problem import ProblemSpec, eval_on
 from .solution import (
@@ -105,7 +104,7 @@ def _best_control(u, t, grid, problem, controls):
     return vals[best_idx, np.arange(grid.n_nodes)], best_idx
 
 
-def policy_improve(u, u_next, t, grid, problem, controls,
+def policy_improve(u, t, grid, problem, controls,
                    obstacle=None, table=None) -> PenaltyPolicy:
     """Greedy policy at the current iterate.
 
@@ -141,21 +140,22 @@ def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
     return -(best_vals + (rhs_base - time_weight * u)) - np.maximum(m_vals - u, 0.0) / epsilon
 
 
-def _assemble(policy, rhs_base, time_weight, t, grid, problem, controls,
-              epsilon, obstacle) -> SparseSystem:
+def _assemble(policy, rhs_base, time_weight, t, grid, problem, epsilon,
+              obstacle, table) -> SparseSystem:
     """Linear system of the penalty equations at a frozen policy.
 
     Row j:  time_weight*u_j - (L_{b_j} u)_j + (d_j/eps)(u_j - interp(u; jump_j))
             = rhs_base_j + f_j(b_j) + (d_j/eps) * cost_j,
-    with zero stencils in the boundary rows.  The penalty rows are built
-    together from arrays over the active rows.  Interpolation couplings that
-    land on the row itself merge into the diagonal; the structural check
-    rejects any configuration that loses the M-matrix sign pattern or WCDD.
+    with zero stencils in the boundary rows.  The jump weights and costs of
+    the active rows are read from ``table`` (the InterventionTable that
+    chose the impulses), or the rows couple to the frozen ``obstacle`` when
+    one is given.  Interpolation couplings that land on the row itself merge
+    into the diagonal; the structural check rejects any configuration that
+    loses the M-matrix sign pattern or WCDD.
     """
-    nodes = grid.nodes
     band = _band(grid, problem, policy.controls)
     rhs = np.asarray(rhs_base, dtype=float) \
-        + eval_on(problem.running_reward, t, nodes, policy.controls)
+        + eval_on(problem.running_reward, t, grid.nodes, policy.controls)
 
     # Penalty rows: one diagonal entry of 1/eps (less any coupling that lands
     # on the row itself), summed into the band's diagonal by implicit_matrix.
@@ -168,8 +168,7 @@ def _assemble(policy, rhs_base, time_weight, t, grid, problem, controls,
     if obstacle is not None:
         rhs[active] += inv_eps * np.asarray(obstacle, dtype=float)[active]
     else:
-        x, z = nodes[active], policy.impulses[active]
-        k, alpha = interp_weights(nodes, x + eval_on(problem.impulse_shift, t, x, z))
+        k, alpha, cost = table.jump_rows(active, policy.impulses[active])
         for col, weight, used in ((k, inv_eps * (1.0 - alpha), True),
                                   (k + 1, inv_eps * alpha, alpha > 0.0)):
             on_diag -= np.where(used & (col == active), weight, 0.0)
@@ -177,7 +176,7 @@ def _assemble(policy, rhs_base, time_weight, t, grid, problem, controls,
             rows.append(active[off])
             cols.append(col[off])
             data.append(-weight[off])
-        rhs[active] += inv_eps * eval_on(problem.impulse_cost, t, x, z)
+        rhs[active] += inv_eps * cost
     matrix = implicit_matrix(float(time_weight), band, np.concatenate(rows),
                              np.concatenate(cols), np.concatenate(data))
 
@@ -192,30 +191,32 @@ def _assemble(policy, rhs_base, time_weight, t, grid, problem, controls,
 
 def assemble_policy_system(policy, u_next, t, grid, problem, controls,
                            epsilon, obstacle=None) -> SparseSystem:
-    """Finite-horizon policy system: time weight 1/dt, source u^{n+1}/dt."""
+    """Finite-horizon policy system: time weight 1/dt, source u^{n+1}/dt.
+    Without an obstacle, each active impulse must be a candidate at its node."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    table = InterventionTable(problem, grid, controls, t) if obstacle is None else None
     return _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt,
-                     t, grid, problem, controls, epsilon, obstacle)
+                     t, grid, problem, epsilon, obstacle, table)
 
 
 def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem,
                       controls, epsilon, cfg, obstacle, time_index) -> tuple[np.ndarray, TimestepDiagnostics]:
     table = InterventionTable(problem, grid, controls, t) if obstacle is None else None
     diag = TimestepDiagnostics(time_index=time_index, iterations=0)
-    policy = policy_improve(u_start, None, t, grid, problem, controls,
+    policy = policy_improve(u_start, t, grid, problem, controls,
                             obstacle=obstacle, table=table)
     u = np.asarray(u_start, dtype=float)
     for _ in range(cfg.max_iters):
         system = _assemble(policy, rhs_base, time_weight, t, grid, problem,
-                           controls, epsilon, obstacle)
+                           epsilon, obstacle, table)
         diag.iterations += 1
         diag.matrix_systems += 1
         diag.min_dominance_margin = min(diag.min_dominance_margin, system.report.min_margin)
         u_new = spsolve(system.matrix, system.rhs)
         if not np.all(np.isfinite(u_new)):
             raise SolverError("policy system solve returned non-finite values")
-        new_policy = policy_improve(u_new, None, t, grid, problem, controls,
+        new_policy = policy_improve(u_new, t, grid, problem, controls,
                                     obstacle=obstacle, table=table)
         update = float(np.abs(u_new - u).max())
         diag.updates.append(update)
@@ -318,11 +319,13 @@ def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
     """Penalty residual at one node with the node value and obstacle pinned.
 
     This is the scheme read as a function of the off-node values, which is
-    what the monotonicity property quantifies over.
+    what the monotonicity property quantifies over; it is the timestep's own
+    :func:`residual`, so the check probes the equations every step is gated on.
     """
     i = grid.offset(j)
     u_loc = np.array(u_n, dtype=float)
     u_loc[i] = center
-    vals = _control_values(u_loc, t, grid, problem, controls.controls[:, np.newaxis])[:, i]
-    best = (float(u_next[i]) - center) / grid.dt + float(vals.max())
-    return -best - max(obstacle_value - center, 0.0) / epsilon
+    res = residual(u_loc, np.asarray(u_next, dtype=float) / grid.dt, 1.0 / grid.dt, t,
+                   grid, problem, controls, epsilon,
+                   obstacle=np.full(grid.n_nodes, obstacle_value))
+    return float(res[i])

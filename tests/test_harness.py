@@ -71,6 +71,25 @@ class TestExtendSolution:
         assert extend_solution(sol, -5.0, 100.0) == sol.surface[0][-1]
         assert extend_solution(sol, 99.0, -100.0) == sol.surface[g.N][0]
 
+    def test_scalar_call_returns_float(self, heat_solution):
+        assert type(extend_solution(heat_solution, 0.3, 0.7)) is float
+
+    @pytest.mark.parametrize("stationary", [False, True], ids=["finite", "stationary"])
+    def test_array_form_matches_scalar_calls(self, heat_solution, stationary):
+        if stationary:
+            p = builtin("heat", {"beta": 1.0})
+            sol = solve_infinite_horizon(p, build_uniform_grid(Q=4, M=16, N=16, T=4))
+        else:
+            sol = heat_solution
+        g = sol.grid
+        # Off-node points, cell edges and points outside [0, T] x [-Q, Q].
+        ts = np.array([-1.0, 0.0, 0.49 * g.dt, 0.5 * g.dt, 0.37, g.T, g.T + 2.0])
+        xs = np.array([-9.0, -g.Q, 0.5 * (g.nodes[0] + g.nodes[1]), 0.0, 0.3, g.Q, 12.5])
+        mesh = extend_solution(sol, ts[:, np.newaxis], xs)
+        assert mesh.shape == (ts.size, xs.size)
+        expected = [[extend_solution(sol, t, x) for x in xs] for t in ts]
+        assert np.array_equal(mesh, expected)
+
 
 class TestSupError:
     def test_solution_against_itself(self):
@@ -98,6 +117,19 @@ class TestSupError:
         fine = solve_finite_horizon(p, build_uniform_grid(Q=4, M=32, N=8, T=1))
         w = Window((0, 1), (-2, 2))
         assert sup_error(coarse, fine, w) == sup_error(fine, coarse, w) > 0
+
+    def test_matches_pointwise_maximum(self):
+        p = builtin("heat")
+        coarse = solve_finite_horizon(p, build_uniform_grid(Q=4, M=16, N=4, T=1))
+        fine = solve_finite_horizon(p, build_uniform_grid(Q=4, M=32, N=8, T=1))
+        w = Window((0.2, 1), (-2, 1))
+        g = fine.grid
+        points = [(t, x) for t in g.times() if t >= 0.2 for x in g.nodes if -2 <= x <= 1]
+        expected = max(abs(extend_solution(coarse, t, x) - extend_solution(fine, t, x))
+                       for t, x in points)
+        assert sup_error(coarse, fine, w) == expected
+        expected_exact = max(abs(extend_solution(fine, t, x) - p.exact(t, x)) for t, x in points)
+        assert sup_error(fine, p.exact, w) == expected_exact
 
 
 class TestObservedOrders:

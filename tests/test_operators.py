@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.operators import (
+    InterventionTable,
     apply_band,
     apply_intervention,
     discretize_controls,
@@ -372,3 +373,21 @@ class TestApplyIntervention:
         ref_vals, ref_z = brute_force_intervention(u, g, 0.0, p, c)
         assert np.allclose(res.values, ref_vals, atol=1e-12)
         assert np.array_equal(res.impulses, ref_z)
+
+    def test_jump_rows_read_back_the_chosen_candidates(self):
+        # Ragged candidate sets: the padded copies must not shadow the first
+        # match, and the read-back weights reproduce the chosen values.
+        p = replace(
+            jump_problem(lambda t, x, z: z - x, lambda t, x, z: -1.0 - 0.1 * np.abs(z)),
+            impulse_bounds=lambda t, x: (-1.0 - abs(x), 1.0 + abs(x)),
+        )
+        g = build_uniform_grid(Q=2, M=5, N=1, T=1)
+        table = InterventionTable(p, g, discretize_controls(p, rho=0.35), 0.0)
+        u = np.random.default_rng(3).normal(size=g.n_nodes)
+        res = table.apply(u)
+        rows = np.arange(g.n_nodes)
+        k, alpha, cost = table.jump_rows(rows, res.impulses)
+        k_next = np.minimum(k + 1, g.n_nodes - 1)
+        assert np.array_equal((1.0 - alpha) * u[k] + alpha * u[k_next] + cost, res.values)
+        with pytest.raises(ValueError, match="node index 0"):
+            table.jump_rows(rows, np.full(g.n_nodes, 0.123))

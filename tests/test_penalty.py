@@ -7,6 +7,7 @@ from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import InterventionTable, discretize_controls, interp_weights
 from hjbqvi.penalty import (
+    _assemble,
     assemble_policy_system,
     penalty_timestep,
     policy_improve,
@@ -140,13 +141,54 @@ class TestAssemblePolicySystem:
         # Terminal data never triggers intervention (that is the terminal
         # no-gain hypothesis); scale it so the wings are deep enough to jump.
         u = 4.0 * terminal_values(p, g)
-        policy = policy_improve(u, u, (g.N - 1) * g.dt, g, p, c)
+        policy = policy_improve(u, (g.N - 1) * g.dt, g, p, c)
         assert policy.intervene.any()
         system = assemble_policy_system(policy, u, (g.N - 1) * g.dt, g, p, c,
                                         epsilon=0.25)
         report = analyze_matrix(system.matrix)
         assert report.passed
         assert report.sign_pattern_ok and report.wcdd_ok
+
+
+    def test_impulse_outside_candidates_is_named(self):
+        # The heat impulse set at rho = 0.5 is {-1, -0.5, 0, 0.5, 1}; 0.3 is
+        # not a candidate, so no jump row can be built for it.
+        p = builtin("heat")
+        g = build_uniform_grid(Q=2, M=4, N=4, T=1)
+        c = discretize_controls(p, g.rho)
+        n = g.n_nodes
+        intervene = np.zeros(n, dtype=bool)
+        intervene[[1, 6]] = True
+        impulses = np.full(n, np.nan)
+        impulses[[1, 6]] = [0.5, 0.3]
+        policy = PenaltyPolicy(controls=np.zeros(n), intervene=intervene, impulses=impulses)
+        with pytest.raises(ValueError, match=r"impulse 0\.3 at node index 6 .*not one of"):
+            assemble_policy_system(policy, np.zeros(n), 0.0, g, p, c, epsilon=0.25)
+
+    def test_prebuilt_table_makes_no_jump_coefficient_calls(self):
+        calls = {"shift": 0, "cost": 0}
+        cash = builtin("cash")
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        p = replace(cash, impulse_shift=counted("shift", cash.impulse_shift),
+                    impulse_cost=counted("cost", cash.impulse_cost))
+        g = build_uniform_grid(Q=4, M=16, N=12, T=3)
+        c = discretize_controls(p, g.rho)
+        t = (g.N - 1) * g.dt
+        table = InterventionTable(p, g, c, t)
+        u = 4.0 * terminal_values(p, g)
+        policy = policy_improve(u, t, g, p, c, table=table)
+        assert policy.intervene.any()
+        calls.update(shift=0, cost=0)
+        system = _assemble(policy, u / g.dt, 1.0 / g.dt, t, g, p, 0.25, None, table)
+        assert calls == {"shift": 0, "cost": 0}
+        assert np.array_equal(system.matrix.toarray(), assemble_policy_system(
+            policy, u, t, g, p, c, epsilon=0.25).matrix.toarray())
 
 
 class TestAssembledSystemMatchesResidual:
@@ -176,7 +218,7 @@ class TestAssembledSystemMatchesResidual:
             u = rng.normal(size=grid.n_nodes)
             u[[0, -1]] = 3.0            # draws the outer nodes' jumps past +-Q
             u_next = rng.normal(size=grid.n_nodes)
-            policy = policy_improve(u, u_next, t, grid, p, c, table=table)
+            policy = policy_improve(u, t, grid, p, c, table=table)
             system = assemble_policy_system(policy, u_next, t, grid, p, c, eps)
             res = residual(u, u_next / grid.dt, 1 / grid.dt, t, grid, p, c, eps, table=table)
             gap = np.abs(system.matrix @ u - system.rhs - res).max()
@@ -196,7 +238,7 @@ class TestPolicyImprove:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 5.0)
-        policy = policy_improve(u, u, 0.5, g, p, c)
+        policy = policy_improve(u, 0.5, g, p, c)
         assert not policy.intervene.any()
 
     def test_drift_control_follows_slope(self):
@@ -218,7 +260,7 @@ class TestPolicyImprove:
         c = discretize_controls(p, rho=1.0)   # controls {-0.5, 0, 0.5}... width 1 -> {-0.5, 0.5}
         assert np.array_equal(c.controls, [-0.5, 0.5])
         u = np.exp(g.nodes)   # strictly increasing
-        policy = policy_improve(u, u, 0.0, g, p, c)
+        policy = policy_improve(u, 0.0, g, p, c)
         interior = slice(1, g.n_nodes - 1)
         assert np.all(policy.controls[interior] == 0.5)
 
@@ -229,7 +271,7 @@ class TestPolicyImprove:
         g = build_uniform_grid(Q=2, M=4, N=4, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 3.0)
-        policy = policy_improve(u, u, 0.0, g, p, c)
+        policy = policy_improve(u, 0.0, g, p, c)
         assert not policy.intervene.any()
 
 
