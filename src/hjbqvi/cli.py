@@ -38,24 +38,19 @@ from .harness import (
     PENALTY,
     SCHEMES,
     SEMILAGRANGIAN,
-    RESIDUAL_ORACLE_TOL,
-    PropertyCheck,
     Window,
+    _require_known_checks,
     _solve_for_study,
-    check_monotonicity,
-    check_solution_matrices,
     check_stability_bound,
-    make_penalty_row,
-    make_semilagrangian_row,
+    run_checks,
     run_refinement_study,
 )
 from .operators import discretize_controls
+# cli calls neither check_stability_bound nor brute_force_residual; the span
+# tracer in perfbench/tracing.py wraps cli's bindings of both by name.
 from .oracle import brute_force_residual
 from .problem import ProblemSpec, builtin, validate
 from .solution import INFINITE, Solution, SolverConfig
-
-KNOWN_CHECKS = ("stability", "matrices", "residual_oracle", "monotonicity")
-MONOTONICITY_TRIALS = 100
 
 
 @dataclass
@@ -108,16 +103,29 @@ def _require_keys(section: dict, allowed: tuple, where: str) -> None:
                           f"(allowed: {', '.join(allowed)})")
 
 
+def _number(kind, value, key: str):
+    """``kind(value)``, or a ConfigError naming the key; bools and fractions never pass."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and number != value):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    return number
+
+
 def _as_window(raw, where: str) -> Window:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a mapping with 't' and 'x' ranges")
     _require_keys(raw, ("t", "x"), where)
     try:
-        t_lo, t_hi = raw["t"]
-        x_lo, x_hi = raw["x"]
+        t_lo, t_hi = (float(v) for v in raw["t"])
+        x_lo, x_hi = (float(v) for v in raw["x"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where} needs 't: [lo, hi]' and 'x: [lo, hi]': {exc}") from exc
-    return Window(t_range=(float(t_lo), float(t_hi)), x_range=(float(x_lo), float(x_hi)))
+    return Window(t_range=(t_lo, t_hi), x_range=(x_lo, x_hi))
 
 
 def parse_config(path) -> RunSpec:
@@ -172,57 +180,55 @@ def parse_config(path) -> RunSpec:
                                "epsilon"), "solver")
     try:
         solver = SolverConfig(
-            tol=float(solver_raw.get("tol", 1e-10)),
-            residual_tol=float(solver_raw.get("residual_tol", 1e-8)),
-            max_iters=int(solver_raw.get("max_iters", 100)),
-            c_eps=float(solver_raw.get("c_eps", 1.0)),
+            tol=_number(float, solver_raw.get("tol", 1e-10), "solver.tol"),
+            residual_tol=_number(float, solver_raw.get("residual_tol", 1e-8),
+                                 "solver.residual_tol"),
+            max_iters=_number(int, solver_raw.get("max_iters", 100), "solver.max_iters"),
+            c_eps=_number(float, solver_raw.get("c_eps", 1.0), "solver.c_eps"),
         )
     except ValueError as exc:
         raise ConfigError(f"bad solver section: {exc}") from exc
     epsilon = solver_raw.get("epsilon")
     if epsilon is not None:
-        epsilon = float(epsilon)
+        epsilon = _number(float, epsilon, "solver.epsilon")
         if not epsilon > 0:
             raise ConfigError(f"solver.epsilon must be positive, got {epsilon}")
 
     study_raw = raw.get("study") or {}
     _require_keys(study_raw, ("levels", "window"), "study")
-    levels = int(study_raw.get("levels", 2))
+    levels = _number(int, study_raw.get("levels", 2), "study.levels")
     window = None
     if study_raw.get("window") is not None:
         window = _as_window(study_raw["window"], "study.window")
 
-    checks_raw = raw.get("checks")
-    if checks_raw is None:
-        checks = ["stability", "matrices"]
-        if scheme == PENALTY:
-            checks.append("residual_oracle")
-        checks = tuple(checks)
-    else:
-        if not isinstance(checks_raw, list):
-            raise ConfigError("checks must be a list of check names")
-        for name in checks_raw:
-            if name not in KNOWN_CHECKS:
-                raise ConfigError(f"unknown check {name!r} (allowed: {', '.join(KNOWN_CHECKS)})")
-        checks = tuple(checks_raw)
+    checks = raw.get("checks")
+    if checks is None:
+        checks = ["stability", "matrices"] + (["residual_oracle"] if scheme == PENALTY else [])
+    if not isinstance(checks, list):
+        raise ConfigError("checks must be a list of check names")
+    try:
+        _require_known_checks(checks)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     return RunSpec(
         problem_name=str(problem_raw["name"]),
         problem_params=dict(params),
         scheme=scheme,
         grid_mode=mode,
-        Q=float(grid_raw["Q"]),
-        N=int(grid_raw["N"]),
-        M=None if not has_m else int(grid_raw["M"]),
-        rho=None if not has_rho else float(grid_raw["rho"]),
-        c_b=None if grid_raw.get("c_b") is None else float(grid_raw["c_b"]),
-        alpha=None if grid_raw.get("alpha") is None else float(grid_raw["alpha"]),
+        Q=_number(float, grid_raw["Q"], "grid.Q"),
+        N=_number(int, grid_raw["N"], "grid.N"),
+        M=None if not has_m else _number(int, grid_raw["M"], "grid.M"),
+        rho=None if not has_rho else _number(float, grid_raw["rho"], "grid.rho"),
+        c_b=None if grid_raw.get("c_b") is None else _number(float, grid_raw["c_b"], "grid.c_b"),
+        alpha=None if grid_raw.get("alpha") is None else
+            _number(float, grid_raw["alpha"], "grid.alpha"),
         solver=solver,
         epsilon=epsilon,
         levels=levels,
         window=window,
-        checks=checks,
-        seed=int(raw.get("seed", 0)),
+        checks=tuple(checks),
+        seed=_number(int, raw.get("seed", 0), "seed"),
         output=raw.get("output"),
     )
 
@@ -235,21 +241,23 @@ def build_problem(spec: RunSpec) -> ProblemSpec:
 
 
 def build_grid(spec: RunSpec, problem: ProblemSpec) -> SpaceTimeGrid:
-    if problem.finite_horizon:
-        T = problem.horizon
-    else:
-        # The stationary solve never uses dt; pick T so that dt equals the
-        # spatial spacing and rho reflects the mesh.
-        dx = spec.rho if spec.rho is not None else spec.Q / spec.M
-        T = spec.N * dx
-    if spec.grid_mode == BOUNDARY_REFINED:
-        grid = build_boundary_refined_grid(spec.Q, spec.rho, spec.c_b, spec.N, T)
-    else:
+    try:
+        if problem.finite_horizon:
+            T = problem.horizon
+        else:
+            # The stationary solve never uses dt; pick T so that dt equals the
+            # spatial spacing and rho reflects the mesh.
+            dx = spec.rho if spec.rho is not None else spec.Q / spec.M
+            T = spec.N * dx
+        if spec.grid_mode == BOUNDARY_REFINED:
+            return build_boundary_refined_grid(spec.Q, spec.rho, spec.c_b, spec.N, T)
         M = spec.M if spec.M is not None else max(1, int(round(spec.Q / spec.rho)))
         grid = build_uniform_grid(spec.Q, M, spec.N, T)
         if spec.grid_mode == GROWING_Q:
             grid = as_growing_q(grid, spec.alpha if spec.alpha is not None else 0.25)
-    return grid
+        return grid
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad grid: {exc}") from exc
 
 
 def check_semantics(spec: RunSpec, problem: ProblemSpec) -> None:
@@ -363,31 +371,6 @@ def _diagnostics_dict(sol: Solution) -> dict:
 # ---------------------------------------------------------------------------
 # Command implementations.
 
-def _run_requested_checks(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid,
-                          sol: Solution) -> list[PropertyCheck]:
-    controls = discretize_controls(problem, grid.rho)
-    out = []
-    for name in spec.checks:
-        if name == "stability":
-            out.append(check_stability_bound(sol, problem, controls))
-        elif name == "matrices":
-            out.append(check_solution_matrices(sol))
-        elif name == "residual_oracle":
-            if spec.scheme == PENALTY and problem.finite_horizon:
-                value = brute_force_residual(sol, problem, grid, controls, sol.epsilon)
-                out.append(PropertyCheck("residual_oracle",
-                                         value <= RESIDUAL_ORACLE_TOL, value=value))
-        elif name == "monotonicity":
-            if spec.scheme == SEMILAGRANGIAN:
-                row = make_semilagrangian_row(problem, grid, controls, t=0.0)
-            else:
-                row = make_penalty_row(problem, grid, controls, sol.epsilon, t=0.0)
-            report = check_monotonicity(row, grid, MONOTONICITY_TRIALS, spec.seed)
-            out.append(PropertyCheck("monotonicity", report.passed,
-                                     value=float(report.violations)))
-    return out
-
-
 def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
         levels: int | None = None) -> int:
     """Execute a run spec and write solution.csv, report.json, plotdata.csv.
@@ -395,55 +378,41 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
     Returns the process exit status: 0 when the solve succeeded and every
     requested property check passed.
     """
-    out = Path(out_dir if out_dir is not None else (spec.output or "."))
-    out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(spec)
     check_semantics(spec, problem)
     grid = build_grid(spec, problem)
+    n_levels = levels if levels is not None else spec.levels
+    if mode == "study" and n_levels < 2:
+        raise ConfigError(f"a refinement study needs >= 2 levels, got {n_levels}")
+    out = Path(out_dir if out_dir is not None else (spec.output or "."))
+    out.mkdir(parents=True, exist_ok=True)
 
-    report: dict = {"kind": mode, "config": spec.as_dict(), "failures": []}
-    status = 0
+    report: dict = {"kind": mode, "config": spec.as_dict()}
 
     if mode == "solve":
+        controls = discretize_controls(problem, grid.rho)
         try:
-            sol = _solve_for_study(problem, grid, spec.scheme,
-                                   discretize_controls(problem, grid.rho),
+            sol = _solve_for_study(problem, grid, spec.scheme, controls,
                                    spec.epsilon, spec.solver)
         except SolverError as exc:
-            report["failures"].append({"name": "solve", "message": str(exc)})
+            report["failures"] = [{"name": "solve", "message": str(exc)}]
             write_json(out / "report.json", report)
             return 1
-        checks = _run_requested_checks(spec, problem, grid, sol) if check else []
+        checks = run_checks(spec.checks, sol, problem, controls, spec.seed) if check else []
         report["grid"] = grid.summary()
         report["diagnostics"] = _diagnostics_dict(sol)
-        report["checks"] = [
-            {"name": c.name, "passed": c.passed, "value": c.value, "witness": c.witness}
-            for c in checks
-        ]
-        for c in checks:
-            if not c.passed:
-                report["failures"].append({"name": c.name, "witness": c.witness,
-                                           "value": c.value})
-                status = 1
+        report["checks"] = [c.as_dict() for c in checks]
+        named = [(c.name, c) for c in checks]
         write_solution_csv(out / "solution.csv", sol)
         write_plotdata_csv(out / "plotdata.csv", [sol])
     elif mode == "study":
-        n_levels = levels if levels is not None else spec.levels
         solutions: list[Solution | None] = []
-        study_checks = tuple(c for c in spec.checks if c != "monotonicity")
         study = run_refinement_study(
             problem, grid, spec.scheme, n_levels, spec.solver,
-            window=spec.window, checks=study_checks, solutions_out=solutions,
+            window=spec.window, checks=spec.checks, solutions_out=solutions,
         )
-        report["study"] = study.to_dict(include_timing=False)
-        for lv in study.levels:
-            for c in lv.checks:
-                if not c.passed:
-                    report["failures"].append({
-                        "name": f"level{lv.level}:{c.name}",
-                        "witness": c.witness, "value": c.value,
-                    })
-                    status = 1
+        report["study"] = study.to_dict()
+        named = [(f"level{lv.level}:{c.name}", c) for lv in study.levels for c in lv.checks]
         finest = next((s for s in reversed(solutions) if s is not None), None)
         if finest is not None:
             write_solution_csv(out / "solution.csv", finest)
@@ -451,8 +420,10 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
     else:
         raise ConfigError(f"unknown run mode {mode!r}")
 
+    report["failures"] = [{"name": name, "witness": c.witness, "value": c.value}
+                          for name, c in named if not c.passed]
     write_json(out / "report.json", report)
-    return status
+    return 1 if report["failures"] else 0
 
 
 def _cmd_validate(spec: RunSpec) -> int:

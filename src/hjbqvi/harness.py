@@ -12,14 +12,13 @@ bounds, monotone matrix structure (on the sparse matrices the solvers
 assemble), and monotonicity of the scheme in its off-node arguments
 (randomized ordered pairs).  The scheme rows read their generator
 coefficients from the stencil core the assembled systems are built from,
-so the monotonicity check tests the solvers' own stencil.  When no closed
-form is available, studies fall back to self-convergence against the
-finest level and say so; the two are never conflated.
+so the monotonicity check tests the solvers' own stencil; :func:`run_checks`
+alone maps check names to checks.  Without a closed form, studies fall back
+to self-convergence against the finest level and say so.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .matrices import MatrixReport, analyze_matrix
 from .operators import DiscreteControls, discretize_controls
 from .oracle import brute_force_residual, solve_iterated_optimal_stopping
 from .problem import ProblemSpec, eval_on
-from .solution import INFINITE, Solution, SolverConfig
+from .solution import FINITE, INFINITE, Solution, SolverConfig
 
 RESIDUAL_ORACLE_TOL = 1e-8
 STABILITY_SLACK = 1e-8
@@ -41,6 +40,10 @@ PENALTY = "penalty"
 SEMILAGRANGIAN = "semilagrangian"
 IOS = "ios"
 SCHEMES = (PENALTY, SEMILAGRANGIAN, IOS)
+
+#: Property checks by name, in the order :func:`run_checks` runs and reports them.
+CHECKS = ("stability", "matrices", "residual_oracle", "monotonicity")
+MONOTONICITY_TRIALS = 100
 
 #: Errors below this are treated as exactly resolved; observed orders on
 #: such levels are undefined and flagged as None.
@@ -66,6 +69,10 @@ class PropertyCheck:
         tail = "" if self.witness is None else f": {self.witness}"
         return f"{self.name}: {status}{detail}{tail}"
 
+    def as_dict(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "value": self.value,
+                "witness": self.witness}
+
 
 @dataclass
 class LevelResult:
@@ -76,7 +83,6 @@ class LevelResult:
     epsilon: float
     error: float | None = None
     observed_order: float | None = None
-    wall_time: float = 0.0
     iterations: dict = field(default_factory=dict)
     checks: list[PropertyCheck] = field(default_factory=list)
     solve_failed: bool = False
@@ -96,20 +102,15 @@ class ConvergenceReport:
     levels: list[LevelResult] = field(default_factory=list)
 
     @property
-    def property_checks(self) -> list[PropertyCheck]:
-        return [c for lv in self.levels for c in lv.checks]
-
-    @property
     def passed(self) -> bool:
         return all(lv.passed for lv in self.levels)
 
     def errors(self) -> list[float | None]:
         return [lv.error for lv in self.levels]
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        levels = []
-        for lv in self.levels:
-            entry = {
+    def to_dict(self) -> dict:
+        levels = [
+            {
                 "level": lv.level,
                 "rho": lv.rho,
                 "grid": lv.grid_summary,
@@ -118,17 +119,12 @@ class ConvergenceReport:
                 "error": lv.error,
                 "observed_order": lv.observed_order,
                 "iterations": lv.iterations,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "value": c.value,
-                     "witness": c.witness}
-                    for c in lv.checks
-                ],
+                "checks": [c.as_dict() for c in lv.checks],
                 "solve_failed": lv.solve_failed,
                 "message": lv.message,
             }
-            if include_timing:
-                entry["wall_time"] = lv.wall_time
-            levels.append(entry)
+            for lv in self.levels
+        ]
         return {
             "problem": self.problem_name,
             "scheme": self.scheme,
@@ -302,6 +298,40 @@ def make_semilagrangian_row(problem, grid, controls, t):
     return row
 
 
+def _require_known_checks(names) -> None:
+    for name in names:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r} (known: {', '.join(CHECKS)})")
+
+
+def run_checks(names, sol: Solution, problem: ProblemSpec, controls: DiscreteControls,
+               seed: int = 0) -> list[PropertyCheck]:
+    """Run the named property checks on a solution, once each, in ``CHECKS`` order.
+
+    ``residual_oracle`` applies only to finite-horizon penalty solutions and
+    is skipped for any other; ``monotonicity`` probes the row of
+    ``sol.scheme`` with ``seed``.  An unknown name raises ValueError.
+    """
+    _require_known_checks(names)
+    out = []
+    if "stability" in names:
+        out.append(check_stability_bound(sol, problem, controls))
+    if "matrices" in names:
+        out.append(check_solution_matrices(sol))
+    if "residual_oracle" in names and sol.scheme == PENALTY and sol.horizon == FINITE:
+        value = brute_force_residual(sol, problem, sol.grid, controls, sol.epsilon)
+        out.append(PropertyCheck("residual_oracle", value <= RESIDUAL_ORACLE_TOL, value=value))
+    if "monotonicity" in names:
+        if sol.scheme == SEMILAGRANGIAN:
+            row = make_semilagrangian_row(problem, sol.grid, controls, t=0.0)
+        else:
+            row = make_penalty_row(problem, sol.grid, controls, sol.epsilon, t=0.0)
+        report = check_monotonicity(row, sol.grid, MONOTONICITY_TRIALS, seed)
+        out.append(PropertyCheck("monotonicity", report.passed,
+                                 value=float(report.violations)))
+    return out
+
+
 def default_window(grid: SpaceTimeGrid) -> Window:
     return Window(t_range=(0.0, grid.T), x_range=(-grid.Q / 2.0, grid.Q / 2.0))
 
@@ -330,8 +360,11 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
     Errors are measured against the problem's closed form when it has one,
     otherwise against the finest level (self-convergence; the finest level
     then has no error of its own).  A failed solve is recorded at its level
-    and the study continues.
+    and the study continues.  Every listed check except ``monotonicity``
+    runs at each level (see :func:`run_checks`).
     """
+    _require_known_checks(checks)
+    level_checks = tuple(c for c in checks if c != "monotonicity")
     if levels < 2:
         raise ValueError(f"a refinement study needs >= 2 levels, got {levels}")
     cfg = cfg or SolverConfig()
@@ -345,7 +378,6 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
         epsilon = penalty_mod.default_epsilon(grid, cfg)
         result = LevelResult(level=level, rho=grid.rho, grid_summary=grid.summary(),
                              scheme=scheme, epsilon=epsilon)
-        start = time.perf_counter()
         try:
             sol = _solve_for_study(problem, grid, scheme, controls, epsilon, cfg)
         except SolverError as exc:
@@ -355,16 +387,8 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
             results.append(result)
             solutions.append(None)
             continue
-        result.wall_time = time.perf_counter() - start
         result.iterations = sol.diagnostics.iteration_stats()
-        if "stability" in checks:
-            result.checks.append(check_stability_bound(sol, problem, controls))
-        if "matrices" in checks:
-            result.checks.append(check_solution_matrices(sol))
-        if "residual_oracle" in checks and scheme == PENALTY and problem.finite_horizon:
-            value = brute_force_residual(sol, problem, grid, controls, epsilon)
-            result.checks.append(PropertyCheck(
-                "residual_oracle", value <= RESIDUAL_ORACLE_TOL, value=value))
+        result.checks.extend(run_checks(level_checks, sol, problem, controls))
         results.append(result)
         solutions.append(sol)
 

@@ -319,13 +319,16 @@ def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
     """Penalty residual at one node with the node value and obstacle pinned.
 
     This is the scheme read as a function of the off-node values, which is
-    what the monotonicity property quantifies over; it is the timestep's own
-    :func:`residual`, so the check probes the equations every step is gated on.
+    what the monotonicity property quantifies over; it is the :func:`residual`
+    the solve is gated on (stationary, ``u_next`` unused, when discounted).
     """
     i = grid.offset(j)
     u_loc = np.array(u_n, dtype=float)
     u_loc[i] = center
-    res = residual(u_loc, np.asarray(u_next, dtype=float) / grid.dt, 1.0 / grid.dt, t,
-                   grid, problem, controls, epsilon,
+    if problem.finite_horizon:
+        rhs_base, time_weight = np.asarray(u_next, dtype=float) / grid.dt, 1.0 / grid.dt
+    else:
+        rhs_base, time_weight = 0.0, problem.discount
+    res = residual(u_loc, rhs_base, time_weight, t, grid, problem, controls, epsilon,
                    obstacle=np.full(grid.n_nodes, obstacle_value))
     return float(res[i])

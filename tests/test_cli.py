@@ -29,6 +29,16 @@ checks: [stability, matrices]
 seed: 3
 """
 
+DISCOUNTED_CASH = """\
+problem:
+  name: cash
+  params: {beta: 0.5}
+scheme: penalty
+grid: {Q: 4.0, M: 20, N: 15}
+checks: [stability, matrices, residual_oracle, monotonicity]
+seed: 0
+"""
+
 
 def write_config(tmp_path, text, name="run.yaml"):
     path = tmp_path / name
@@ -125,6 +135,46 @@ class TestRunSolve:
         config = write_config(tmp_path, MINIMAL)
         assert cli.main(["validate", "--config", str(config)]) == 0
 
+    def test_discounted_solve_runs_stationary_checks(self, tmp_path):
+        spec = cli.parse_config(write_config(tmp_path, DISCOUNTED_CASH))
+        status = cli.run(spec, mode="solve", out_dir=tmp_path / "out", check=True)
+        assert status == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        names = [c["name"] for c in report["checks"]]
+        assert "stability_bound_discounted" in names
+        assert "monotonicity" in names
+        # The brute-force audit is finite-horizon penalty only.
+        assert "residual_oracle" not in names
+
+    def test_checks_run_once_each_in_harness_order(self, tmp_path):
+        text = MINIMAL + "checks: [monotonicity, stability, matrices, stability]\n"
+        spec = cli.parse_config(write_config(tmp_path, text))
+        cli.run(spec, mode="solve", out_dir=tmp_path / "out", check=True)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [c["name"] for c in report["checks"]] == [
+            "stability_bound", "matrix_properties", "monotonicity"]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("text, args", [
+        (MINIMAL + "study: {levels: 1}\n", ["study"]),
+        (MINIMAL, ["study", "--levels", "1"]),
+        (MINIMAL.replace("N: 8}", "N: 0}"), ["solve"]),
+        (MINIMAL.replace("N: 8}", "N: 8.5}"), ["solve"]),
+        (MINIMAL + "seed: abc\n", ["solve"]),
+        (MINIMAL + "solver: {tol: 0}\n", ["solve"]),
+        (MINIMAL + "solver: {max_iters: 0}\n", ["solve"]),
+    ], ids=["study-levels", "levels-flag", "grid-N", "grid-N-fraction", "seed",
+            "solver-tol", "solver-max-iters"])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, text, args):
+        config = write_config(tmp_path, text)
+        command, *flags = args
+        status = cli.main([command, "--config", str(config),
+                           "--out", str(tmp_path / "out"), *flags])
+        assert status == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunStudy:
     def test_heat_study_reports_two_orders(self, tmp_path):
@@ -139,6 +189,17 @@ class TestRunStudy:
         plot = (tmp_path / "out" / "plotdata.csv").read_text().splitlines()
         levels_seen = {line.split(",")[0] for line in plot[1:]}
         assert levels_seen == {"0", "1", "2"}
+
+    def test_solve_and_study_share_check_entries(self, tmp_path):
+        text = HEAT_STUDY.replace("checks: [stability, matrices]",
+                                  "checks: [stability, matrices, residual_oracle]")
+        spec = cli.parse_config(write_config(tmp_path, text))
+        cli.run(spec, mode="solve", out_dir=tmp_path / "solve", check=True)
+        cli.run(spec, mode="study", out_dir=tmp_path / "study")
+        solve = json.loads((tmp_path / "solve" / "report.json").read_text())
+        study = json.loads((tmp_path / "study" / "report.json").read_text())
+        assert len(solve["checks"]) == 3
+        assert solve["checks"] == study["study"]["levels"][0]["checks"]
 
     def test_levels_override(self, tmp_path):
         spec = cli.parse_config(write_config(tmp_path, HEAT_STUDY))

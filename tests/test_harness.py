@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hjbqvi import harness
 from hjbqvi import penalty as penalty_mod
 from hjbqvi import semilag as semilag_mod
 from hjbqvi.exceptions import MatrixStructureError
@@ -318,6 +319,20 @@ class TestSchemeRowsAtSolutions:
                                           t, g, p, c, sol.epsilon)
         assert self.worst_row(sol, row, ahead=0) <= 1e-9
 
+    def test_penalty_row_discounted(self):
+        # A discounted solve is gated on the stationary equations, so the row
+        # must vanish at its solution whatever u_next is passed.
+        p = builtin("cash", {"beta": 0.5})
+        g, c = self.grid, self.controls
+        sol = solve_infinite_horizon(p, g, c)
+        u = sol.surface[0]
+        obstacle = InterventionTable(p, g, c, 0.0).apply(u).values
+        rng = np.random.default_rng(0)
+        worst = max(abs(penalty_mod.scheme_row(j, u[g.offset(j)], u, rng.uniform(-1, 1, u.size),
+                                               obstacle[g.offset(j)], 0.0, g, p, c, sol.epsilon))
+                    for j in range(-g.M, g.M + 1))
+        assert worst <= 1e-9
+
     def test_semilagrangian_row(self):
         p, g, c = self.problem, self.grid, self.controls
         sol = solve_semi_lagrangian(p, g, c)
@@ -383,6 +398,15 @@ class TestRefinementStudy:
         base = build_uniform_grid(Q=2, M=4, N=4, T=1)
         with pytest.raises(ValueError):
             run_refinement_study(p, base, "penalty", levels=1)
+
+    def test_misspelled_check_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved")
+        monkeypatch.setattr(harness, "_solve_for_study", no_solve)
+        p = builtin("constant")
+        base = build_uniform_grid(Q=2, M=4, N=4, T=1)
+        with pytest.raises(ValueError, match="'stabilty'"):
+            run_refinement_study(p, base, "penalty", levels=2, checks=("stabilty",))
 
     def test_solver_failure_recorded_and_study_continues(self):
         # A one-iteration budget starves policy iteration on the cash
