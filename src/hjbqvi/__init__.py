@@ -19,7 +19,8 @@ from .grid import (
 from .problem import ProblemSpec, ValidationReport, builtin, validate
 from .operators import (
     DiscreteControls,
-    apply_intervention,
+    FrozenObstacle,
+    InterventionTable,
     discretize_controls,
     generator_band,
 )
@@ -59,7 +60,8 @@ __all__ = [
     "SpaceTimeGrid", "as_growing_q", "build_boundary_refined_grid",
     "build_uniform_grid", "grid_for_level",
     "ProblemSpec", "ValidationReport", "builtin", "validate",
-    "DiscreteControls", "apply_intervention", "discretize_controls", "generator_band",
+    "DiscreteControls", "FrozenObstacle", "InterventionTable", "discretize_controls",
+    "generator_band",
     "SparseSystem", "assemble_policy_system", "penalty_timestep", "policy_improve",
     "residual", "solve_finite_horizon", "solve_infinite_horizon",
     "assemble_A", "overstep_threshold", "sl_rhs",

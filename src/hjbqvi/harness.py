@@ -31,7 +31,7 @@ from .matrices import MatrixReport, analyze_matrix
 from .operators import DiscreteControls, discretize_controls
 from .oracle import brute_force_residual, solve_iterated_optimal_stopping
 from .problem import ProblemSpec, eval_on
-from .solution import FINITE, INFINITE, Solution, SolverConfig
+from .solution import INFINITE, Solution, SolverConfig, default_epsilon
 
 RESIDUAL_ORACLE_TOL = 1e-8
 STABILITY_SLACK = 1e-8
@@ -308,8 +308,8 @@ def run_checks(names, sol: Solution, problem: ProblemSpec, controls: DiscreteCon
                seed: int = 0) -> list[PropertyCheck]:
     """Run the named property checks on a solution, once each, in ``CHECKS`` order.
 
-    ``residual_oracle`` applies only to finite-horizon penalty solutions and
-    is skipped for any other; ``monotonicity`` probes the row of
+    ``residual_oracle`` applies to penalty solutions, finite-horizon and
+    discounted, and is skipped for any other; ``monotonicity`` probes the row of
     ``sol.scheme`` with ``seed``.  An unknown name raises ValueError.
     """
     _require_known_checks(names)
@@ -318,7 +318,7 @@ def run_checks(names, sol: Solution, problem: ProblemSpec, controls: DiscreteCon
         out.append(check_stability_bound(sol, problem, controls))
     if "matrices" in names:
         out.append(check_solution_matrices(sol))
-    if "residual_oracle" in names and sol.scheme == PENALTY and sol.horizon == FINITE:
+    if "residual_oracle" in names and sol.scheme == PENALTY:
         value = brute_force_residual(sol, problem, sol.grid, controls, sol.epsilon)
         out.append(PropertyCheck("residual_oracle", value <= RESIDUAL_ORACLE_TOL, value=value))
     if "monotonicity" in names:
@@ -375,7 +375,7 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
     for level in range(levels):
         grid = grid_for_level(base_grid, level)
         controls = discretize_controls(problem, grid.rho)
-        epsilon = penalty_mod.default_epsilon(grid, cfg)
+        epsilon = default_epsilon(grid, cfg)
         result = LevelResult(level=level, rho=grid.rho, grid_summary=grid.summary(),
                              scheme=scheme, epsilon=epsilon)
         try:

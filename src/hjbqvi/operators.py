@@ -13,11 +13,14 @@ The stencils follow the monotone implicit discretization:
   matrix and both schemes' monotonicity rows all read from this function,
 * linear interpolation with convex weights, clamped to the boundary values
   outside [-Q, Q] (:func:`interp_weights`, over arrays of points),
-* intervention maximum over the discretized impulse set,
-  (max_z { interp(u, x_j + shift) + cost }), ties to the smallest z.
-  :class:`InterventionTable` holds one time level's candidates as a single
-  nodes x K block; a node with fewer than K impulse candidates repeats its
-  last one.
+* two intervention operators M with one interface: ``apply(u)`` gives
+  (Mu)_j and the impulse attaining it, ``jump_rows(rows, impulses)`` gives
+  ``(couplings, cost)``, active row j reading (Mu)_j = sum of w u_col over
+  its (col, w) couplings + cost.  :class:`InterventionTable` is the impulse
+  maximum max_z { interp(u, x_j + shift) + cost }, ties to the smallest z,
+  over one time level's candidates as a nodes x K block (a node with fewer
+  than K candidates repeats its last one).  :class:`FrozenObstacle` is a
+  fixed vector with no couplings: an optimal-stopping obstacle.
 
 The functions here are pure.  The one mutable piece is
 ``DiscreteControls._impulse_cache``, which memoizes ``impulse_values`` and
@@ -198,9 +201,13 @@ class InterventionTable:
         self.k, self.alpha = interp_weights(nodes, targets.ravel())
         self.k_next = np.minimum(self.k + 1, nodes.size - 1)
 
-    def jump_rows(self, rows, impulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(k, alpha, cost) of the candidate ``impulses[r]`` at node ``rows[r]``;
-        ValueError names the first node whose impulse is not a candidate there."""
+    def jump_rows(self, rows, impulses) -> tuple[tuple, np.ndarray]:
+        """Couplings and cost of the candidate ``impulses[r]`` at node ``rows[r]``.
+
+        The couplings are the interpolation pairs (k, 1 - alpha) and
+        (k + 1, alpha); a zero weight marks no coupling.  ValueError names
+        the first node whose impulse is not a candidate there.
+        """
         rows = np.asarray(rows, dtype=int)
         impulses = np.asarray(impulses, dtype=float)
         match = self._impulse_grid[rows] == impulses[:, np.newaxis]
@@ -210,20 +217,28 @@ class InterventionTable:
             raise ValueError(f"impulse {float(impulses[bad])!r} at node index {int(rows[bad])} "
                              f"(t={self.t!r}) is not one of that node's candidates")
         flat = self.offsets[rows] + match.argmax(axis=1)
-        return self.k[flat], self.alpha[flat], self.costs[flat]
-
-    def candidate_values(self, u: np.ndarray) -> np.ndarray:
-        return (1.0 - self.alpha) * u[self.k] + self.alpha * u[self.k_next] + self.costs
+        k, alpha = self.k[flat], self.alpha[flat]
+        return ((k, 1.0 - alpha), (k + 1, alpha)), self.costs[flat]
 
     def apply(self, u: np.ndarray) -> InterventionResult:
-        block = self.candidate_values(u).reshape(self._impulse_grid.shape)
+        """Best-impulse value max_z { interp(u, x_j + shift) + cost } at every node."""
+        values = (1.0 - self.alpha) * u[self.k] + self.alpha * u[self.k_next] + self.costs
+        block = values.reshape(self._impulse_grid.shape)
         best = block.argmax(axis=1)
         rows = np.arange(block.shape[0])
         return InterventionResult(values=block[rows, best],
                                   impulses=self._impulse_grid[rows, best])
 
 
-def apply_intervention(u: np.ndarray, grid: SpaceTimeGrid, t: float,
-                       problem: ProblemSpec, controls: DiscreteControls) -> InterventionResult:
-    """Best-impulse value max_z { interp(u, x_j + shift) + cost } at every node."""
-    return InterventionTable(problem, grid, controls, t).apply(u)
+class FrozenObstacle:
+    """A fixed obstacle, (Mu)_j = values_j: no couplings, NaN impulses."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def apply(self, u: np.ndarray) -> InterventionResult:
+        return InterventionResult(values=self.values,
+                                  impulses=np.full(self.values.shape, np.nan))
+
+    def jump_rows(self, rows, impulses) -> tuple[tuple, np.ndarray]:
+        return (), self.values[rows]

@@ -23,10 +23,11 @@ import numpy as np
 
 from .exceptions import NonConvergenceError
 from .grid import SpaceTimeGrid
-from .operators import DiscreteControls, InterventionTable, discretize_controls
-from .penalty import default_epsilon, penalty_timestep
+from .operators import DiscreteControls, FrozenObstacle, InterventionTable, discretize_controls
+from .penalty import penalty_timestep
 from .problem import ProblemSpec, eval_on
-from .solution import FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig
+from .solution import (FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig,
+                       default_epsilon)
 
 
 def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -64,7 +65,7 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
         u = terminal
         for n in range(grid.N - 1, -1, -1):
             u, step_diag = penalty_timestep(u, n * dt, grid, problem, controls,
-                                            epsilon, cfg, obstacle=obstacles[n])
+                                            epsilon, cfg, FrozenObstacle(obstacles[n]))
             surface[n] = u
             policies[n] = step_diag.policy
             diagnostics.record_step(step_diag)
@@ -146,47 +147,32 @@ def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
                          controls: DiscreteControls, epsilon: float) -> float:
     """Loop-based re-evaluation of the penalty equations over a full surface.
 
-    Returns the worst residual over all interior-time rows plus the worst
-    terminal mismatch |u^N_j - g(x_j)|.  Accepts a Solution or a bare
-    surface array.
+    For a finite-horizon problem, returns the worst residual over all
+    interior-time rows plus the worst terminal mismatch |u^N_j - g(x_j)|;
+    for a discounted problem, the worst residual of the stationary rows at
+    t = 0.  Accepts a Solution or a bare surface array.
     """
-    surface = getattr(sol, "surface", sol)
+    surface = np.atleast_2d(getattr(sol, "surface", sol))
     nodes = [float(x) for x in grid.nodes]
     n_nodes = len(nodes)
-    n_steps = surface.shape[0] - 1
-    dt = float(grid.dt)
     bs = [float(b) for b in controls.controls]
 
     terminal_gap = 0.0
-    for i, x in enumerate(nodes):
-        gap = abs(float(surface[n_steps][i]) - float(problem.terminal_reward(x)))
-        terminal_gap = max(terminal_gap, gap)
+    if problem.finite_horizon:
+        dt = float(grid.dt)
+        rows = [(n * dt, surface[n], surface[n + 1]) for n in range(surface.shape[0] - 1)]
+        for x, v in zip(nodes, surface[-1]):
+            terminal_gap = max(terminal_gap, abs(float(v) - float(problem.terminal_reward(x))))
+    else:
+        dt, rows = None, [(0.0, surface[0], surface[0])]
 
     worst = 0.0
-    for n in range(n_steps):
-        t = n * dt
-        u = [float(v) for v in surface[n]]
-        u_next = [float(v) for v in surface[n + 1]]
+    for t, u_row, next_row in rows:
+        u = [float(v) for v in u_row]
+        u_next = [float(v) for v in next_row]
         for i, x in enumerate(nodes):
             zs = [float(z) for z in controls.impulse_values(t, x)]
             row = _row_residual(problem, nodes, n_nodes, zs, t, dt, i, x,
                                 u, u_next, bs, epsilon)
             worst = max(worst, abs(row))
     return worst + terminal_gap
-
-
-def brute_force_residual_stationary(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
-                                    controls: DiscreteControls, epsilon: float) -> float:
-    """Same re-evaluation for a stationary (discounted) solve."""
-    surface = getattr(sol, "surface", sol)
-    u = [float(v) for v in np.atleast_2d(surface)[0]]
-    nodes = [float(x) for x in grid.nodes]
-    n_nodes = len(nodes)
-    bs = [float(b) for b in controls.controls]
-    worst = 0.0
-    for i, x in enumerate(nodes):
-        zs = [float(z) for z in controls.impulse_values(0.0, x)]
-        row = _row_residual(problem, nodes, n_nodes, zs, 0.0, None, i, x,
-                            u, u, bs, epsilon)
-        worst = max(worst, abs(row))
-    return worst

@@ -20,9 +20,12 @@ The stationary (discounted) analogue replaces the time difference by
 The penalty parameter must vanish with the mesh; the default is
 epsilon = c_eps * rho.
 
-An optional frozen ``obstacle`` vector replaces (Mu^n)_j; this turns the
-timestep into a plain variational inequality solve and is what the
-iterated-optimal-stopping reference solver builds on.
+M enters through one ``intervention`` argument, any operator with the
+interface of :mod:`operators` (``apply`` and ``jump_rows``); ``None`` means
+the problem's own :class:`operators.InterventionTable` at the step's time.
+Passing a :class:`operators.FrozenObstacle` turns the timestep into a plain
+variational inequality solve: the iterated-optimal-stopping reference solver
+builds on this, and so does the monotonicity row, whose jump value is pinned.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .grid import SpaceTimeGrid
 from .matrices import MatrixReport, analyze_matrix
 from .operators import (
     DiscreteControls,
+    FrozenObstacle,
     InterventionTable,
     apply_band,
     discretize_controls,
@@ -53,6 +57,7 @@ from .solution import (
     Solution,
     SolverConfig,
     TimestepDiagnostics,
+    default_epsilon,
 )
 
 
@@ -66,17 +71,9 @@ class SparseSystem:
     report: MatrixReport
 
 
-def default_epsilon(grid: SpaceTimeGrid, cfg: SolverConfig) -> float:
-    return cfg.c_eps * grid.rho
-
-
-def _obstacle_values(u, t, grid, problem, controls, obstacle, table):
-    if obstacle is not None:
-        return np.asarray(obstacle, dtype=float), None
-    if table is None:
-        table = InterventionTable(problem, grid, controls, t)
-    res = table.apply(u)
-    return res.values, res.impulses
+def _intervention_at(intervention, t, grid, problem, controls):
+    """The operator M to use at time t: the given one, else the problem's table."""
+    return InterventionTable(problem, grid, controls, t) if intervention is None else intervention
 
 
 def _band(grid, problem, b):
@@ -104,8 +101,7 @@ def _best_control(u, t, grid, problem, controls):
     return vals[best_idx, np.arange(grid.n_nodes)], best_idx
 
 
-def policy_improve(u, t, grid, problem, controls,
-                   obstacle=None, table=None) -> PenaltyPolicy:
+def policy_improve(u, t, grid, problem, controls, intervention=None) -> PenaltyPolicy:
     """Greedy policy at the current iterate.
 
     The control argmax ignores the time (or discount) term, which does not
@@ -113,18 +109,16 @@ def policy_improve(u, t, grid, problem, controls,
     value exceeds u_j, so at equality the penalty stays off.
     """
     _, best_idx = _best_control(u, t, grid, problem, controls)
-    m_vals, impulses = _obstacle_values(u, t, grid, problem, controls, obstacle, table)
-    if impulses is None:
-        impulses = np.full(grid.n_nodes, np.nan)
+    jump = _intervention_at(intervention, t, grid, problem, controls).apply(u)
     return PenaltyPolicy(
         controls=controls.controls[best_idx],
-        intervene=m_vals - u > 0.0,
-        impulses=impulses,
+        intervene=jump.values - u > 0.0,
+        impulses=jump.impulses,
     )
 
 
 def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-             obstacle=None, table=None) -> np.ndarray:
+             intervention=None) -> np.ndarray:
     """Pointwise residual of the discrete penalty equations
 
         -max_b { rhs_base_j - time_weight u_j + (L_b u)_j + f_j(b) }
@@ -136,20 +130,20 @@ def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     best_vals, _ = _best_control(u, t, grid, problem, controls)
-    m_vals, _ = _obstacle_values(u, t, grid, problem, controls, obstacle, table)
+    m_vals = _intervention_at(intervention, t, grid, problem, controls).apply(u).values
     return -(best_vals + (rhs_base - time_weight * u)) - np.maximum(m_vals - u, 0.0) / epsilon
 
 
 def _assemble(policy, rhs_base, time_weight, t, grid, problem, epsilon,
-              obstacle, table) -> SparseSystem:
+              intervention) -> SparseSystem:
     """Linear system of the penalty equations at a frozen policy.
 
-    Row j:  time_weight*u_j - (L_{b_j} u)_j + (d_j/eps)(u_j - interp(u; jump_j))
+    Row j:  time_weight*u_j - (L_{b_j} u)_j + (d_j/eps)(u_j - sum_c w_c u_c)
             = rhs_base_j + f_j(b_j) + (d_j/eps) * cost_j,
-    with zero stencils in the boundary rows.  The jump weights and costs of
-    the active rows are read from ``table`` (the InterventionTable that
-    chose the impulses), or the rows couple to the frozen ``obstacle`` when
-    one is given.  Interpolation couplings that land on the row itself merge
+    with zero stencils in the boundary rows.  The couplings (c, w_c) and the
+    cost of each active row are read from ``intervention.jump_rows``, the
+    operator that chose the policy: interpolation pairs for a jump table,
+    none for a frozen obstacle.  Couplings that land on the row itself merge
     into the diagonal; the structural check rejects any configuration that
     loses the M-matrix sign pattern or WCDD.
     """
@@ -159,24 +153,22 @@ def _assemble(policy, rhs_base, time_weight, t, grid, problem, epsilon,
 
     # Penalty rows: one diagonal entry of 1/eps (less any coupling that lands
     # on the row itself), summed into the band's diagonal by implicit_matrix.
-    # A zero k+1 weight (alpha == 0) is dropped: an explicit zero would add a
-    # false edge to the WCDD reachability search.
+    # A zero weight (alpha == 0 in the k+1 pair) is dropped: an explicit zero
+    # would add a false edge to the WCDD reachability search.
     inv_eps = 1.0 / epsilon
     active = np.flatnonzero(policy.intervene)
     on_diag = np.full(active.size, inv_eps)
     rows, cols, data = [active], [active], [on_diag]
-    if obstacle is not None:
-        rhs[active] += inv_eps * np.asarray(obstacle, dtype=float)[active]
-    else:
-        k, alpha, cost = table.jump_rows(active, policy.impulses[active])
-        for col, weight, used in ((k, inv_eps * (1.0 - alpha), True),
-                                  (k + 1, inv_eps * alpha, alpha > 0.0)):
-            on_diag -= np.where(used & (col == active), weight, 0.0)
-            off = used & (col != active)
-            rows.append(active[off])
-            cols.append(col[off])
-            data.append(-weight[off])
-        rhs[active] += inv_eps * cost
+    couplings, cost = intervention.jump_rows(active, policy.impulses[active])
+    for col, share in couplings:
+        weight = inv_eps * share
+        used = share > 0.0
+        on_diag -= np.where(used & (col == active), weight, 0.0)
+        off = used & (col != active)
+        rows.append(active[off])
+        cols.append(col[off])
+        data.append(-weight[off])
+    rhs[active] += inv_eps * cost
     matrix = implicit_matrix(float(time_weight), band, np.concatenate(rows),
                              np.concatenate(cols), np.concatenate(data))
 
@@ -190,34 +182,31 @@ def _assemble(policy, rhs_base, time_weight, t, grid, problem, epsilon,
 
 
 def assemble_policy_system(policy, u_next, t, grid, problem, controls,
-                           epsilon, obstacle=None) -> SparseSystem:
+                           epsilon, intervention=None) -> SparseSystem:
     """Finite-horizon policy system: time weight 1/dt, source u^{n+1}/dt.
-    Without an obstacle, each active impulse must be a candidate at its node."""
+    With a jump table, each active impulse must be a candidate at its node."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    table = InterventionTable(problem, grid, controls, t) if obstacle is None else None
-    return _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt,
-                     t, grid, problem, epsilon, obstacle, table)
+    return _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt, t, grid, problem,
+                     epsilon, _intervention_at(intervention, t, grid, problem, controls))
 
 
-def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem,
-                      controls, epsilon, cfg, obstacle, time_index) -> tuple[np.ndarray, TimestepDiagnostics]:
-    table = InterventionTable(problem, grid, controls, t) if obstacle is None else None
+def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls, epsilon,
+                      cfg, intervention, time_index) -> tuple[np.ndarray, TimestepDiagnostics]:
+    operator = _intervention_at(intervention, t, grid, problem, controls)
     diag = TimestepDiagnostics(time_index=time_index, iterations=0)
-    policy = policy_improve(u_start, t, grid, problem, controls,
-                            obstacle=obstacle, table=table)
+    policy = policy_improve(u_start, t, grid, problem, controls, operator)
     u = np.asarray(u_start, dtype=float)
     for _ in range(cfg.max_iters):
         system = _assemble(policy, rhs_base, time_weight, t, grid, problem,
-                           epsilon, obstacle, table)
+                           epsilon, operator)
         diag.iterations += 1
         diag.matrix_systems += 1
         diag.min_dominance_margin = min(diag.min_dominance_margin, system.report.min_margin)
         u_new = spsolve(system.matrix, system.rhs)
         if not np.all(np.isfinite(u_new)):
             raise SolverError("policy system solve returned non-finite values")
-        new_policy = policy_improve(u_new, t, grid, problem, controls,
-                                    obstacle=obstacle, table=table)
+        new_policy = policy_improve(u_new, t, grid, problem, controls, operator)
         update = float(np.abs(u_new - u).max())
         diag.updates.append(update)
         unchanged = policy.same_as(new_policy)
@@ -233,33 +222,36 @@ def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem,
     return u, diag
 
 
-def _check_residual(res_vec, diag, cfg, where):
-    diag.final_residual = float(np.abs(res_vec).max())
+def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, epsilon,
+                cfg, intervention, time_index, where) -> tuple[np.ndarray, TimestepDiagnostics]:
+    """Solve one system of penalty equations (a timestep or the stationary
+    equations) by policy iteration from ``u_start``, then gate the result on
+    the pointwise :func:`residual`."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    u, diag = _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls,
+                                epsilon, cfg, intervention, time_index)
+    # Given None, the gate builds its own table once policy iteration's is freed
+    # (one alive at a time); perfbench/selftest.py pins these two builds a step.
+    res = residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon, intervention)
+    diag.final_residual = float(np.abs(res).max())
     if diag.final_residual > cfg.residual_tol:
         raise NonConvergenceError(
             f"{where}: residual {diag.final_residual:.3g} exceeds "
             f"residual_tol {cfg.residual_tol:.3g}",
             history=diag.updates,
         )
+    return u, diag
 
 
 def penalty_timestep(u_next, t, grid, problem, controls, epsilon,
                      cfg: SolverConfig | None = None,
-                     obstacle=None) -> tuple[np.ndarray, TimestepDiagnostics]:
+                     intervention=None) -> tuple[np.ndarray, TimestepDiagnostics]:
     """One implicit timestep by policy iteration, solved to residual tolerance."""
-    cfg = cfg or SolverConfig()
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     u_next = np.asarray(u_next, dtype=float)
-    rhs_base, time_weight = u_next / grid.dt, 1.0 / grid.dt
-    u, diag = _policy_iteration(
-        u_next, rhs_base, time_weight, t, grid, problem, controls,
-        epsilon, cfg, obstacle, time_index=int(round(t / grid.dt)),
-    )
-    res = residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-                   obstacle=obstacle)
-    _check_residual(res, diag, cfg, "penalty timestep")
-    return u, diag
+    return _solve_step(u_next, u_next / grid.dt, 1.0 / grid.dt, t, grid, problem, controls,
+                       epsilon, cfg or SolverConfig(), intervention,
+                       time_index=int(round(t / grid.dt)), where="penalty timestep")
 
 
 def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -301,12 +293,8 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     epsilon = default_epsilon(grid, cfg) if epsilon is None else float(epsilon)
 
     zeros = np.zeros(grid.n_nodes)
-    u, step_diag = _policy_iteration(
-        zeros, zeros, problem.discount, 0.0, grid, problem, controls,
-        epsilon, cfg, obstacle=None, time_index=0,
-    )
-    res = residual(u, zeros, problem.discount, 0.0, grid, problem, controls, epsilon)
-    _check_residual(res, step_diag, cfg, "stationary solve")
+    u, step_diag = _solve_step(zeros, zeros, problem.discount, 0.0, grid, problem, controls,
+                               epsilon, cfg, None, time_index=0, where="stationary solve")
     diagnostics = SolveDiagnostics()
     diagnostics.record_step(step_diag)
     return Solution(grid=grid, scheme="penalty", horizon=INFINITE,
@@ -330,5 +318,5 @@ def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
     else:
         rhs_base, time_weight = 0.0, problem.discount
     res = residual(u_loc, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-                   obstacle=np.full(grid.n_nodes, obstacle_value))
+                   FrozenObstacle(np.full(grid.n_nodes, obstacle_value)))
     return float(res[i])

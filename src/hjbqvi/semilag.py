@@ -50,7 +50,8 @@ from .operators import (
     implicit_matrix,
 )
 from .problem import ProblemSpec, eval_on
-from .solution import FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig
+from .solution import (FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig,
+                       default_epsilon)
 
 
 def _variance(problem: ProblemSpec, grid: SpaceTimeGrid) -> np.ndarray:
@@ -205,7 +206,7 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
         diagnostics.interior_oversteps += step.interior_oversteps
         diagnostics.step_min.append(float(u.min()))
         diagnostics.step_max.append(float(u.max()))
-    epsilon = float((cfg or SolverConfig()).c_eps * grid.rho)
+    epsilon = default_epsilon(grid, cfg or SolverConfig())
     return Solution(grid=grid, scheme="semilagrangian", horizon=FINITE,
                     surface=surface, policies=policies,
                     diagnostics=diagnostics, epsilon=epsilon)

@@ -30,6 +30,11 @@ class SolverConfig:
             raise ValueError("tol, residual_tol, c_eps must be positive and max_iters >= 1")
 
 
+def default_epsilon(grid: SpaceTimeGrid, cfg: SolverConfig) -> float:
+    """The penalty parameter epsilon = c_eps * rho, which vanishes with the mesh."""
+    return cfg.c_eps * grid.rho
+
+
 @dataclass(eq=False)
 class PenaltyPolicy:
     """Per-node controls frozen for one linear policy-evaluation solve.

@@ -24,15 +24,10 @@ from hjbqvi.harness import (
     run_refinement_study,
 )
 from hjbqvi.operators import discretize_controls, generator_band
-from hjbqvi.oracle import (
-    brute_force_residual,
-    brute_force_residual_stationary,
-    solve_iterated_optimal_stopping,
-)
+from hjbqvi.oracle import brute_force_residual, solve_iterated_optimal_stopping
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import ProblemSpec, builtin
 from hjbqvi.semilag import overstep_threshold, solve_semi_lagrangian
-from hjbqvi.solution import INFINITE
 
 SEED = 20260810
 OUTER_TOL = 1e-6
@@ -344,12 +339,8 @@ def test_criterion_8_residual_oracle(corpus):
             continue
         grid = entry.sol.grid
         controls = discretize_controls(entry.problem, grid.rho)
-        if entry.sol.horizon == INFINITE:
-            value = brute_force_residual_stationary(
-                entry.sol, entry.problem, grid, controls, entry.sol.epsilon)
-        else:
-            value = brute_force_residual(
-                entry.sol, entry.problem, grid, controls, entry.sol.epsilon)
+        value = brute_force_residual(
+            entry.sol, entry.problem, grid, controls, entry.sol.epsilon)
         audited += 1
         if value > worst:
             worst, worst_label = value, entry.label

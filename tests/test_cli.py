@@ -143,8 +143,9 @@ class TestRunSolve:
         names = [c["name"] for c in report["checks"]]
         assert "stability_bound_discounted" in names
         assert "monotonicity" in names
-        # The brute-force audit is finite-horizon penalty only.
-        assert "residual_oracle" not in names
+        # The brute-force audit evaluates the stationary rows that were solved.
+        oracle = [c for c in report["checks"] if c["name"] == "residual_oracle"]
+        assert len(oracle) == 1 and oracle[0]["passed"]
 
     def test_checks_run_once_each_in_harness_order(self, tmp_path):
         text = MINIMAL + "checks: [monotonicity, stability, matrices, stability]\n"

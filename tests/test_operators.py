@@ -9,7 +9,6 @@ from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.operators import (
     InterventionTable,
     apply_band,
-    apply_intervention,
     discretize_controls,
     generator_band,
     interp_weights,
@@ -284,7 +283,7 @@ class TestApplyIntervention:
         p = jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z)
         c = discretize_controls(p, rho=0.5)
         u = np.full(GRID5.n_nodes, 7.0)
-        res = apply_intervention(u, GRID5, 0.0, p, c)
+        res = InterventionTable(p, GRID5, c, 0.0).apply(u)
         assert np.allclose(res.values, 6.0)
 
     def test_two_candidate_example(self):
@@ -294,7 +293,7 @@ class TestApplyIntervention:
         c = discretize_controls(p, rho=2.0)   # endpoints only: {0, 2}
         g = build_uniform_grid(Q=2, M=1, N=1, T=1)  # nodes -2, 0, 2... no: M=1 -> -2,0,2
         u = np.array([0.0, 0.0, 20.0])
-        res = apply_intervention(u, g, 0.0, p, c)
+        res = InterventionTable(p, g, c, 0.0).apply(u)
         at_zero = g.offset(0)
         assert res.values[at_zero] == pytest.approx(18.0)
         assert res.impulses[at_zero] == 2.0
@@ -304,7 +303,7 @@ class TestApplyIntervention:
         p = jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z)
         c = discretize_controls(p, rho=0.25)
         u = np.zeros(GRID5.n_nodes)
-        res = apply_intervention(u, GRID5, 0.0, p, c)
+        res = InterventionTable(p, GRID5, c, 0.0).apply(u)
         assert np.all(res.impulses == -1.0)
 
     def test_monotone_in_values(self):
@@ -315,8 +314,8 @@ class TestApplyIntervention:
         for _ in range(20):
             lo = rng.normal(size=g.n_nodes)
             hi = lo + rng.uniform(0, 2, size=g.n_nodes)
-            r_lo = apply_intervention(lo, g, 0.0, p, c)
-            r_hi = apply_intervention(hi, g, 0.0, p, c)
+            r_lo = InterventionTable(p, g, c, 0.0).apply(lo)
+            r_hi = InterventionTable(p, g, c, 0.0).apply(hi)
             assert np.all(r_lo.values <= r_hi.values + 1e-12)
 
     def test_shift_equivariance(self):
@@ -324,8 +323,8 @@ class TestApplyIntervention:
         c = discretize_controls(p, rho=0.3)
         g = build_uniform_grid(Q=2, M=6, N=1, T=1)
         u = np.sin(g.nodes)
-        base = apply_intervention(u, g, 0.0, p, c)
-        shifted = apply_intervention(u + 4.2, g, 0.0, p, c)
+        base = InterventionTable(p, g, c, 0.0).apply(u)
+        shifted = InterventionTable(p, g, c, 0.0).apply(u + 4.2)
         assert np.allclose(shifted.values, base.values + 4.2)
 
     def test_bounded_by_max_plus_worst_cost(self):
@@ -333,7 +332,7 @@ class TestApplyIntervention:
         c = discretize_controls(p, rho=0.3)
         g = build_uniform_grid(Q=2, M=6, N=1, T=1)
         u = np.cos(3 * g.nodes)
-        res = apply_intervention(u, g, 0.0, p, c)
+        res = InterventionTable(p, g, c, 0.0).apply(u)
         assert res.values.max() <= u.max() - 1.5 + 1e-12
         assert res.values.max() < u.max()
 
@@ -344,7 +343,7 @@ class TestApplyIntervention:
         rng = np.random.default_rng(5)
         for _ in range(10):
             u = rng.normal(size=g.n_nodes)
-            res = apply_intervention(u, g, 0.0, p, c)
+            res = InterventionTable(p, g, c, 0.0).apply(u)
             ref_vals, ref_z = brute_force_intervention(u, g, 0.0, p, c)
             assert np.allclose(res.values, ref_vals, atol=1e-12)
             assert np.array_equal(res.impulses, ref_z)
@@ -354,7 +353,7 @@ class TestApplyIntervention:
                          bounds=(1.0, -1.0))
         c = discretize_controls(p, rho=0.5)
         with pytest.raises(ValueError, match="empty impulse set"):
-            apply_intervention(np.zeros(GRID5.n_nodes), GRID5, 0.0, p, c)
+            InterventionTable(p, GRID5, c, 0.0).apply(np.zeros(GRID5.n_nodes))
 
     def test_state_dependent_impulse_sets(self):
         # Interval width varies with x, so candidate counts differ per node;
@@ -369,7 +368,7 @@ class TestApplyIntervention:
         assert len(sizes) > 1
         rng = np.random.default_rng(8)
         u = rng.normal(size=g.n_nodes)
-        res = apply_intervention(u, g, 0.0, p, c)
+        res = InterventionTable(p, g, c, 0.0).apply(u)
         ref_vals, ref_z = brute_force_intervention(u, g, 0.0, p, c)
         assert np.allclose(res.values, ref_vals, atol=1e-12)
         assert np.array_equal(res.impulses, ref_z)
@@ -386,8 +385,9 @@ class TestApplyIntervention:
         u = np.random.default_rng(3).normal(size=g.n_nodes)
         res = table.apply(u)
         rows = np.arange(g.n_nodes)
-        k, alpha, cost = table.jump_rows(rows, res.impulses)
-        k_next = np.minimum(k + 1, g.n_nodes - 1)
-        assert np.array_equal((1.0 - alpha) * u[k] + alpha * u[k_next] + cost, res.values)
+        ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.impulses)
+        assert np.all(w_k > 0.0) and np.all(w_next >= 0.0)
+        k_next = np.minimum(k_next, g.n_nodes - 1)   # a zero weight may point past the grid
+        assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, res.values)
         with pytest.raises(ValueError, match="node index 0"):
             table.jump_rows(rows, np.full(g.n_nodes, 0.123))

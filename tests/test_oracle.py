@@ -9,11 +9,7 @@ from hjbqvi import oracle
 from hjbqvi.exceptions import NonConvergenceError
 from hjbqvi.grid import build_uniform_grid
 from hjbqvi.operators import discretize_controls
-from hjbqvi.oracle import (
-    brute_force_residual,
-    brute_force_residual_stationary,
-    solve_iterated_optimal_stopping,
-)
+from hjbqvi.oracle import brute_force_residual, solve_iterated_optimal_stopping
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import builtin
 
@@ -98,7 +94,7 @@ class TestBruteForceResidual:
         g = build_uniform_grid(Q=2, M=8, N=1, T=0.25)
         c = discretize_controls(p, g.rho)
         sol = solve_infinite_horizon(p, g, c)
-        assert brute_force_residual_stationary(sol, p, g, c, sol.epsilon) <= 1e-8
+        assert brute_force_residual(sol, p, g, c, sol.epsilon) <= 1e-8
 
     def test_terminal_mismatch_contributes(self):
         p = builtin("constant", {"c": 5})
@@ -141,8 +137,7 @@ class TestAuditIndependence:
         # into it would let a shared bug pass the audit.
         imported = names_imported_from_solvers(oracle)
         assert {"InterventionTable", "penalty_timestep"} <= imported
-        audit = (oracle.brute_force_residual, oracle.brute_force_residual_stationary,
-                 oracle._row_residual, oracle._interp_scalar)
+        audit = (oracle.brute_force_residual, oracle._row_residual, oracle._interp_scalar)
         for fn in audit:
             shared = global_names(fn.__code__) & imported
             assert not shared, f"{fn.__name__} uses {sorted(shared)} from the solvers"

@@ -5,7 +5,12 @@ import pytest
 
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.matrices import analyze_matrix
-from hjbqvi.operators import InterventionTable, discretize_controls, interp_weights
+from hjbqvi.operators import (
+    FrozenObstacle,
+    InterventionTable,
+    discretize_controls,
+    interp_weights,
+)
 from hjbqvi.penalty import (
     _assemble,
     assemble_policy_system,
@@ -182,10 +187,10 @@ class TestAssemblePolicySystem:
         t = (g.N - 1) * g.dt
         table = InterventionTable(p, g, c, t)
         u = 4.0 * terminal_values(p, g)
-        policy = policy_improve(u, t, g, p, c, table=table)
+        policy = policy_improve(u, t, g, p, c, intervention=table)
         assert policy.intervene.any()
         calls.update(shift=0, cost=0)
-        system = _assemble(policy, u / g.dt, 1.0 / g.dt, t, g, p, 0.25, None, table)
+        system = _assemble(policy, u / g.dt, 1.0 / g.dt, t, g, p, 0.25, table)
         assert calls == {"shift": 0, "cost": 0}
         assert np.array_equal(system.matrix.toarray(), assemble_policy_system(
             policy, u, t, g, p, c, epsilon=0.25).matrix.toarray())
@@ -193,8 +198,9 @@ class TestAssemblePolicySystem:
 
 class TestAssembledSystemMatchesResidual:
     """At the greedy policy the assembled system reproduces the residual:
-    A u - rhs == residual(u), which ties _assemble's jump rows to the table
-    that chose them."""
+    A u - rhs == residual(u), which ties _assemble's jump rows to the
+    intervention operator that chose them (a jump table, or a frozen
+    obstacle, whose active rows must hold no couplings)."""
 
     # Short relative jumps whose candidates fall between nodes, so couplings
     # land on their own row, and reach past +-Q from the outer nodes.
@@ -203,11 +209,12 @@ class TestAssembledSystemMatchesResidual:
                       impulse_cost=lambda t, x, z: -0.1 - 0.1 * np.abs(z),
                       impulse_bounds=lambda t, x: (-0.5, 0.5))
 
-    @pytest.mark.parametrize("grid", [
-        build_uniform_grid(Q=2, M=8, N=4, T=1.0),
-        build_boundary_refined_grid(Q=2, rho=0.25, c_b=1.0, N=4, T=1.0),
-    ], ids=["uniform", "refined"])
-    def test_random_iterates(self, grid):
+    @pytest.mark.parametrize("grid, frozen", [
+        (build_uniform_grid(Q=2, M=8, N=4, T=1.0), False),
+        (build_boundary_refined_grid(Q=2, rho=0.25, c_b=1.0, N=4, T=1.0), False),
+        (build_uniform_grid(Q=2, M=8, N=4, T=1.0), True),
+    ], ids=["uniform", "refined", "frozen-obstacle"])
+    def test_random_iterates(self, grid, frozen):
         p = self.PROBLEM
         c = discretize_controls(p, rho=0.2)
         t, eps = 0.0, 0.05
@@ -218,18 +225,31 @@ class TestAssembledSystemMatchesResidual:
             u = rng.normal(size=grid.n_nodes)
             u[[0, -1]] = 3.0            # draws the outer nodes' jumps past +-Q
             u_next = rng.normal(size=grid.n_nodes)
-            policy = policy_improve(u, t, grid, p, c, table=table)
-            system = assemble_policy_system(policy, u_next, t, grid, p, c, eps)
-            res = residual(u, u_next / grid.dt, 1 / grid.dt, t, grid, p, c, eps, table=table)
+            operator = FrozenObstacle(rng.normal(size=grid.n_nodes)) if frozen else table
+            policy = policy_improve(u, t, grid, p, c, intervention=operator)
+            system = assemble_policy_system(policy, u_next, t, grid, p, c, eps,
+                                            intervention=operator if frozen else None)
+            res = residual(u, u_next / grid.dt, 1 / grid.dt, t, grid, p, c, eps,
+                           intervention=operator)
             gap = np.abs(system.matrix @ u - system.rhs - res).max()
             assert gap <= 1e-12 * np.abs(res).max()
 
             rows = np.flatnonzero(policy.intervene)
-            targets = grid.nodes[rows] + policy.impulses[rows]
-            k, alpha = interp_weights(grid.nodes, targets)
-            own += int(np.sum((k == rows) | ((k + 1 == rows) & (alpha > 0.0))))
-            clamped += int(np.sum(np.abs(targets) >= grid.Q))
-        assert own >= 1 and clamped >= 1
+            if frozen:
+                # Active rows differ from the penalty-free rows on the diagonal only.
+                free = PenaltyPolicy(controls=policy.controls,
+                                     intervene=np.zeros(grid.n_nodes, dtype=bool),
+                                     impulses=policy.impulses)
+                extra = (system.matrix - assemble_policy_system(
+                    free, u_next, t, grid, p, c, eps, intervention=operator).matrix).toarray()
+                np.fill_diagonal(extra, 0.0)
+                assert rows.size > 0 and not extra.any()
+            else:
+                targets = grid.nodes[rows] + policy.impulses[rows]
+                k, alpha = interp_weights(grid.nodes, targets)
+                own += int(np.sum((k == rows) | ((k + 1 == rows) & (alpha > 0.0))))
+                clamped += int(np.sum(np.abs(targets) >= grid.Q))
+        assert frozen or (own >= 1 and clamped >= 1)
 
 
 class TestPolicyImprove:
