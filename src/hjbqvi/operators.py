@@ -24,8 +24,11 @@ The stencils follow the monotone implicit discretization:
 
 The functions here are pure.  The one mutable piece is
 ``DiscreteControls._impulse_cache``, which memoizes ``impulse_values`` and
-grows by one entry per distinct (t, x) it is asked for; share a
-``DiscreteControls`` between threads only with that in mind.
+grows by one entry per distinct (t, x) it is asked for: per node and time
+level on the penalty and iterated optimal stopping paths, and on the
+semi-Lagrangian path per node and table build, which is once per solve
+when the impulse data do not depend on t.  Share a ``DiscreteControls``
+between threads only with that in mind.
 """
 
 from __future__ import annotations
@@ -186,7 +189,8 @@ class InterventionTable:
     def __init__(self, problem: ProblemSpec, grid: SpaceTimeGrid,
                  controls: DiscreteControls, t: float):
         self.t = float(t)
-        nodes = grid.nodes
+        self._problem = problem
+        self._nodes = nodes = grid.nodes
         zs_all = [controls.impulse_values(t, float(x)) for x in nodes]
         sizes = np.array([zs.size for zs in zs_all])
         per_node = int(sizes.max())
@@ -200,6 +204,27 @@ class InterventionTable:
         self.costs = eval_on(problem.impulse_cost, t, x_col, impulse_grid).ravel()
         self.k, self.alpha = interp_weights(nodes, targets.ravel())
         self.k_next = np.minimum(self.k + 1, nodes.size - 1)
+
+    def same_data_at(self, t: float) -> bool:
+        """Whether the table at time t would be this one.
+
+        True when the impulse bounds at every node, and the shifts and costs
+        of these candidates, equal at t those this table was built from.
+        Each node's candidates run from its lower to its upper bound, so the
+        first and last columns of the block are the bounds at ``self.t``.
+        The shifts are evaluated at both times rather than kept, so a table
+        holds no more memory than it needs for :meth:`apply`.  Costs one
+        scalar ``impulse_bounds`` call per node and three array calls,
+        against one ``impulse_values`` sample per node for a build.
+        """
+        problem, nodes, zs = self._problem, self._nodes, self._impulse_grid
+        bounds = np.array([problem.impulse_bounds(t, x) for x in nodes.tolist()], dtype=float)
+        if not (np.array_equal(bounds[:, 0], zs[:, 0]) and np.array_equal(bounds[:, 1], zs[:, -1])):
+            return False
+        x_col = nodes[:, np.newaxis]
+        return (np.array_equal(eval_on(problem.impulse_cost, t, x_col, zs).ravel(), self.costs)
+                and np.array_equal(eval_on(problem.impulse_shift, t, x_col, zs),
+                                   eval_on(problem.impulse_shift, self.t, x_col, zs)))
 
     def jump_rows(self, rows, impulses) -> tuple[tuple, np.ndarray]:
         """Couplings and cost of the candidate ``impulses[r]`` at node ``rows[r]``.

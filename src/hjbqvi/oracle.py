@@ -150,9 +150,12 @@ def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     For a finite-horizon problem, returns the worst residual over all
     interior-time rows plus the worst terminal mismatch |u^N_j - g(x_j)|;
     for a discounted problem, the worst residual of the stationary rows at
-    t = 0.  Accepts a Solution or a bare surface array.
+    t = 0.  Accepts a Solution or a bare surface array; a non-finite entry
+    anywhere in it makes the residual NaN.
     """
     surface = np.atleast_2d(getattr(sol, "surface", sol))
+    if not np.isfinite(surface).all():
+        return float("nan")
     nodes = [float(x) for x in grid.nodes]
     n_nodes = len(nodes)
     bs = [float(b) for b in controls.controls]

@@ -15,7 +15,8 @@ Standing hypotheses, checked by :func:`validate` on sampled points:
 * rewards bounded and jumping at the terminal time never gains
   (sup_z { g(x + shift) + cost } <= g(x)),
 * the impulse set is a nonempty interval at every (t, x),
-* the impulse cost is strictly negative everywhere.
+* the impulse cost is strictly negative everywhere,
+* a declared ``diffusion_control_independent`` flag holds.
 
 Coefficients are plain callables (scalar in, scalar out); array-aware
 callables are exploited when they broadcast, via :func:`eval_on`.
@@ -72,6 +73,10 @@ class ProblemSpec:
     exclusive.  In the infinite-horizon case the time argument of
     ``running_reward``, ``impulse_shift``, ``impulse_cost`` and
     ``impulse_bounds`` is vestigial and is always passed as 0.
+
+    ``diffusion_control_independent`` declares that ``diffusion(x, b)``
+    ignores b, which the semi-Lagrangian scheme requires; :func:`validate`
+    samples the diffusion and fails the flag when it does not hold.
     """
 
     drift: Callable[[float, float], float]            # drift(x, b)
@@ -222,11 +227,20 @@ def validate(problem: ProblemSpec, grid: SpaceTimeGrid, samples: int = 64) -> Va
     kb, kx = np.unravel_index(int(sg.argmin()), sg.shape)
     worst_diffusion, diffusion_witness = float(sg[kb, kx]), (float(xs[kx]), float(bs[kb]))
 
+    # The declared flag: the check reports the largest sampled spread over
+    # the controls either way and fails only when the flag is set.
+    spread = np.abs(sg - sg[0])
+    kb, kx = np.unravel_index(int(spread.argmax()), spread.shape)
+    control_spread, control_witness = float(spread[kb, kx]), (float(xs[kx]), float(bs[kb]))
+
     checks = [
         CheckResult("impulse_cost_negative", worst_cost < 0.0, worst_cost, cost_witness),
         CheckResult("terminal_intervention_no_gain", worst_gain <= 1e-12, worst_gain, gain_witness),
         CheckResult("impulse_set_nonempty", min_width >= 0.0, float(min_width), width_witness),
         CheckResult("diffusion_nonnegative", worst_diffusion >= 0.0, worst_diffusion, diffusion_witness),
+        CheckResult("diffusion_control_independent",
+                    not problem.diffusion_control_independent or control_spread == 0.0,
+                    control_spread, control_witness),
     ]
     return ValidationReport(checks=checks, lipschitz_estimate=lipschitz)
 

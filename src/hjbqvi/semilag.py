@@ -21,7 +21,11 @@ monotonicity row :func:`scheme_row` reads the same block.
 A = I - dt L_0 is built from the same stencil core as the penalty systems
 (:func:`operators.generator_band` with zero drift).  It has identity
 boundary rows (zero boundary stencils) and is strictly diagonally dominant,
-hence nonsingular; the solver checks this once per solve.
+hence nonsingular; the solver checks this and factorises A once per solve.
+The jump table of a step is reused from the step before when the impulse
+data at its level equal those the table was built from
+(:meth:`InterventionTable.same_data_at`), so data that ignore t build one
+table per solve.
 
 Foot points x_j + drift dt can leave [-Q, Q] on fixed-Q uniform grids; the
 interpolant then clamps and the step is counted as an overstep.  Grids with
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .exceptions import SolverError
 from .grid import BOUNDARY_REFINED, UNIFORM, SpaceTimeGrid
@@ -96,13 +100,14 @@ def _continuation(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec, b):
 
 
 def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
-           controls: DiscreteControls) -> SLStep:
+           controls: DiscreteControls, intervention=None) -> SLStep:
     """max( best continuation along characteristics, best jump ) per node.
 
     Continuation and jump candidates both read u^{n+1}.  Ties inside either
     maximum go to the smallest control or impulse; a tie between the two
     branches counts as continuation, matching the strict-intervention rule
-    of the penalty scheme.
+    of the penalty scheme.  ``intervention`` is the jump operator read at
+    level n+1; None means the problem's table at t + dt.
     """
     u_next = np.asarray(u_next, dtype=float)
     feet, values = _continuation(u_next, t, grid, problem, controls.controls[:, np.newaxis])
@@ -110,7 +115,9 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
     best_cont = values[best, np.arange(grid.n_nodes)]
     outside = np.abs(feet) > grid.Q
 
-    jump = InterventionTable(problem, grid, controls, t + grid.dt).apply(u_next)
+    if intervention is None:
+        intervention = InterventionTable(problem, grid, controls, t + grid.dt)
+    jump = intervention.apply(u_next)
     intervene = jump.values > best_cont
     rhs = np.where(intervene, jump.values, best_cont)
     policy = PenaltyPolicy(controls=controls.controls[best], intervene=intervene,
@@ -119,18 +126,35 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
                   interior_oversteps=int(outside[:, 1:-1].sum()))
 
 
-def thomas_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Sparse direct solve of A u = rhs (scipy's spsolve) with a residual guard.
+def factorise(A: sp.csr_matrix):
+    """SuperLU factors of A for repeated :func:`thomas_solve` calls.
 
-    A singular matrix makes spsolve return NaN, which no residual comparison
-    catches, so a non-finite solution is escalated as an internal error, as
-    is a residual above 1e-10 * (1 + |rhs|).
+    The CSR arrays of A are the CSC arrays of its transpose.  Factorising
+    A^T and solving the transposed system is what scipy's spsolve does with
+    a CSR matrix, so each solve matches spsolve bit for bit.  A singular
+    matrix, which spsolve would answer with NaN, is an internal error.
+    """
+    try:
+        return splu(A.T.tocsc())
+    except RuntimeError as exc:
+        raise SolverError(f"semi-Lagrangian matrix is singular ({exc}); its solve "
+                          "would return non-finite values") from exc
+
+
+def thomas_solve(A: sp.csr_matrix, rhs: np.ndarray, factor=None) -> np.ndarray:
+    """Sparse direct solve of A u = rhs with a residual guard.
+
+    ``factor`` is A's :func:`factorise` result, computed here when None.  A
+    non-finite solution is escalated as an internal error, as is a residual
+    above 1e-10 * (1 + |rhs|).
     """
     n = A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size != n:
         raise ValueError(f"rhs length {rhs.size} does not match matrix size {n}")
-    out = spsolve(A, rhs)
+    if factor is None:
+        factor = factorise(A)
+    out = factor.solve(rhs, trans="T")
     if not np.all(np.isfinite(out)):
         raise SolverError("semi-Lagrangian solve returned non-finite values (singular matrix)")
     residual = float(np.abs(A @ out - rhs).max())
@@ -177,7 +201,9 @@ def overstep_threshold(problem: ProblemSpec, grid: SpaceTimeGrid,
 def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
                           controls: DiscreteControls | None = None,
                           cfg: SolverConfig | None = None) -> Solution:
-    """Backward induction: one sparse solve per timestep from u^N = g."""
+    """Backward induction from u^N = g: one factorisation of A per solve,
+    then one sparse solve per timestep.  A step's jump table, at t + dt, is
+    the previous step's when the impulse data there are the same."""
     if not problem.finite_horizon:
         raise ValueError("the semi-Lagrangian scheme is finite-horizon only")
     controls = controls or discretize_controls(problem, grid.rho)
@@ -197,9 +223,14 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
     surface[grid.N] = eval_on(problem.terminal_reward, grid.nodes)
     policies: list[PenaltyPolicy | None] = [None] * (grid.N + 1)
     u = surface[grid.N]
+    factor = factorise(A)
+    table = None
     for n in range(grid.N - 1, -1, -1):
-        step = sl_rhs(u, n * grid.dt, grid, problem, controls)
-        u = thomas_solve(A, step.rhs)
+        t = n * grid.dt
+        if table is None or not table.same_data_at(t + grid.dt):
+            table = InterventionTable(problem, grid, controls, t + grid.dt)
+        step = sl_rhs(u, t, grid, problem, controls, intervention=table)
+        u = thomas_solve(A, step.rhs, factor)
         surface[n] = u
         policies[n] = step.policy
         diagnostics.oversteps += step.oversteps

@@ -135,6 +135,19 @@ class TestRunSolve:
         config = write_config(tmp_path, MINIMAL)
         assert cli.main(["validate", "--config", str(config)]) == 0
 
+    def test_validate_fails_a_false_flag(self, tmp_path, monkeypatch, capsys):
+        # The constant problem declares diffusion_control_independent; a
+        # diffusion that varies with b makes `hjbqvi validate` exit 1 and
+        # print that check's failure.
+        base = builtin("constant", {"c": 5.0, "T": 1.0})
+        broken = replace(base, control_bounds=(0.0, 1.0), diffusion=lambda x, b: 1.0 + b + 0.0 * x)
+        assert broken.diffusion_control_independent
+        monkeypatch.setattr(cli, "builtin", lambda name, params: broken)
+        assert cli.main(["validate", "--config", str(write_config(tmp_path, MINIMAL))]) == 1
+        out = capsys.readouterr().out
+        assert "diffusion_control_independent: FAIL" in out
+        assert out.count("FAIL") == 1
+
     def test_discounted_solve_runs_stationary_checks(self, tmp_path):
         spec = cli.parse_config(write_config(tmp_path, DISCOUNTED_CASH))
         status = cli.run(spec, mode="solve", out_dir=tmp_path / "out", check=True)

@@ -391,3 +391,24 @@ class TestApplyIntervention:
         assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, res.values)
         with pytest.raises(ValueError, match="node index 0"):
             table.jump_rows(rows, np.full(g.n_nodes, 0.123))
+
+    @pytest.mark.parametrize("field, late", [
+        (None, None),
+        ("impulse_bounds", lambda t, x: (-1.0 - abs(x), 1.0 + abs(x) + (t > 0.5) * (x == 2.0))),
+        ("impulse_bounds", lambda t, x: (-1.0 - abs(x) - (t > 0.5) * (x == -2.0), 1.0 + abs(x))),
+        ("impulse_shift", lambda t, x, z: z - x + (t > 0.5) * (x == 0.0) * (z == -1.0)),
+        ("impulse_cost", lambda t, x, z: -1.0 - 0.1 * np.abs(z) - 1e-9 * (t > 0.5) * (x == 0.4)),
+    ])
+    def test_same_data_at_compares_bounds_shifts_and_costs(self, field, late):
+        # Ragged candidate sets; each variant changes one datum at one node
+        # for t > 0.5 only, and the table built at t = 0 must notice it.
+        p = replace(
+            jump_problem(lambda t, x, z: z - x, lambda t, x, z: -1.0 - 0.1 * np.abs(z)),
+            impulse_bounds=lambda t, x: (-1.0 - abs(x), 1.0 + abs(x)),
+        )
+        if field is not None:
+            p = replace(p, **{field: late})
+        g = build_uniform_grid(Q=2, M=5, N=1, T=1)
+        table = InterventionTable(p, g, discretize_controls(p, rho=0.35), 0.0)
+        assert table.same_data_at(0.0) and table.same_data_at(0.4)
+        assert table.same_data_at(0.7) == (field is None)

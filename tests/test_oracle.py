@@ -1,6 +1,7 @@
 import ast
 import inspect
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hjbqvi import oracle
 from hjbqvi.exceptions import NonConvergenceError
 from hjbqvi.grid import build_uniform_grid
+from hjbqvi.harness import run_checks
 from hjbqvi.operators import discretize_controls
 from hjbqvi.oracle import brute_force_residual, solve_iterated_optimal_stopping
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
@@ -95,6 +97,23 @@ class TestBruteForceResidual:
         c = discretize_controls(p, g.rho)
         sol = solve_infinite_horizon(p, g, c)
         assert brute_force_residual(sol, p, g, c, sol.epsilon) <= 1e-8
+
+    @pytest.mark.parametrize("beta", [None, 0.5])
+    def test_non_finite_surface_is_nan_and_fails_the_check(self, beta):
+        # Python's max() never keeps a NaN it is handed second, so without
+        # an explicit guard an all-NaN surface would audit as 0.0.
+        p = builtin("cash", {"beta": beta})
+        g = build_uniform_grid(Q=4, M=8, N=6, T=3)
+        c = discretize_controls(p, g.rho)
+        solve = solve_finite_horizon if beta is None else solve_infinite_horizon
+        sol = solve(p, g, c)
+        nan_surface = np.full(sol.surface.shape, np.nan)
+        assert np.isnan(brute_force_residual(nan_surface, p, g, c, sol.epsilon))
+        one_nan = sol.surface.copy()
+        one_nan[0, 3] = np.inf
+        assert np.isnan(brute_force_residual(one_nan, p, g, c, sol.epsilon))
+        [check] = run_checks(("residual_oracle",), replace(sol, surface=nan_surface), p, c)
+        assert check.name == "residual_oracle" and not check.passed
 
     def test_terminal_mismatch_contributes(self):
         p = builtin("constant", {"c": 5})

@@ -138,6 +138,19 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(flat_problem(), grid, samples=0)
 
+    def test_control_dependent_diffusion_fails_declared_flag(self):
+        cash = builtin("cash")
+        assert cash.diffusion_control_independent
+        spreading = replace(cash, diffusion=lambda x, b: 1.0 + b * b + 0.0 * x)
+        grid = build_uniform_grid(Q=4, M=16, N=12, T=3)
+        failed = validate(spreading, grid, samples=32).failures()
+        assert [c.name for c in failed] == ["diffusion_control_independent"]
+        # Read against the smallest control b = -0.5, the spread peaks at b = 0.
+        assert failed[0].worst_value == 0.25
+        assert failed[0].witness == (-4.0, 0.0)
+        undeclared = replace(spreading, diffusion_control_independent=False)
+        assert validate(undeclared, grid, samples=32).passed
+
     @pytest.mark.parametrize("name", ["constant", "heat", "cash"])
     @pytest.mark.parametrize("make_grid", [
         lambda T: build_uniform_grid(Q=2, M=8, N=8, T=T),

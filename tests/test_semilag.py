@@ -3,17 +3,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
+from hjbqvi import semilag
 from hjbqvi.exceptions import SolverError
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import Window, sup_error
 from hjbqvi.matrices import analyze_matrix
-from hjbqvi.operators import discretize_controls
+from hjbqvi.operators import InterventionTable, discretize_controls
 from hjbqvi.penalty import solve_finite_horizon
-from hjbqvi.problem import ProblemSpec, builtin
+from hjbqvi.problem import ProblemSpec, builtin, eval_on
 from hjbqvi.semilag import (
     assemble_A,
     detect_inward_drift,
+    factorise,
     overstep_threshold,
     sl_rhs,
     solve_semi_lagrangian,
@@ -34,6 +37,32 @@ def drift_problem(drift, diffusion=1.0, b_bounds=(0.0, 0.0)):
         horizon=1.0,
         diffusion_control_independent=True,
     )
+
+
+def cash_with_dated_cost():
+    """builtin("cash") whose impulse cost grows with t: the jump table differs
+    at every time level, so no step may reuse the one before."""
+    return replace(builtin("cash"),
+                   impulse_cost=lambda t, x, z: -2.0 - 0.5 * np.abs(z - x) - 0.2 * t)
+
+
+def brute_force_rhs(u_next, t, g, p, c):
+    """Per-node max of the continuation and jump candidates, with the jump
+    data read at t + dt, by scalar loops."""
+    rhs = np.empty(g.n_nodes)
+    for i, x in enumerate(g.nodes):
+        best = -np.inf
+        for b in c.controls:
+            foot = x + float(p.drift(x, float(b))) * g.dt
+            best = max(best, float(np.interp(foot, g.nodes, u_next))
+                       + float(p.running_reward(t, x, float(b))) * g.dt)
+        jump = -np.inf
+        for z in c.impulse_values(t + g.dt, float(x)):
+            target = x + float(p.impulse_shift(t + g.dt, x, float(z)))
+            jump = max(jump, float(np.interp(target, g.nodes, u_next))
+                       + float(p.impulse_cost(t + g.dt, x, float(z))))
+        rhs[i] = max(best, jump)
+    return rhs
 
 
 class TestAssembleA:
@@ -112,18 +141,19 @@ class TestSlRhs:
             u_next = rng.normal(size=g.n_nodes)
             t = float(rng.uniform(0, 2.5))
             step = sl_rhs(u_next, t, g, p, c)
-            for i, x in enumerate(g.nodes):
-                best = -np.inf
-                for b in c.controls:
-                    foot = x + float(p.drift(x, float(b))) * g.dt
-                    best = max(best, float(np.interp(foot, g.nodes, u_next))
-                               + float(p.running_reward(t, x, float(b))) * g.dt)
-                jump = -np.inf
-                for z in c.impulse_values(t + g.dt, float(x)):
-                    target = x + float(p.impulse_shift(t + g.dt, x, float(z)))
-                    jump = max(jump, float(np.interp(target, g.nodes, u_next))
-                               + float(p.impulse_cost(t + g.dt, x, float(z))))
-                assert step.rhs[i] == pytest.approx(max(best, jump), abs=1e-12)
+            assert np.abs(step.rhs - brute_force_rhs(u_next, t, g, p, c)).max() <= 1e-12
+
+    def test_time_dependent_cost_matches_brute_force(self):
+        # With no intervention given, sl_rhs reads the jump data at t + dt.
+        p = cash_with_dated_cost()
+        g = build_uniform_grid(Q=4, M=10, N=6, T=3)
+        c = discretize_controls(p, g.rho)
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            u_next = rng.normal(size=g.n_nodes)
+            t = float(rng.uniform(0, 2.5))
+            step = sl_rhs(u_next, t, g, p, c)
+            assert np.abs(step.rhs - brute_force_rhs(u_next, t, g, p, c)).max() <= 1e-12
 
     def test_monotone_in_next_values(self):
         p = builtin("cash")
@@ -181,6 +211,93 @@ class TestThomasSolve:
         A = sp.identity(3, format="csr")
         with pytest.raises(ValueError):
             thomas_solve(A, np.ones(4))
+
+    def test_reused_factor_matches_spsolve_bit_for_bit(self):
+        # factorise(A) factors A^T as spsolve does for a CSR matrix, so a
+        # factor reused across right-hand sides changes no bit of a solve.
+        p = builtin("cash")
+        g = build_boundary_refined_grid(Q=4, rho=0.05, c_b=1.0, N=60, T=3)
+        A = assemble_A(g, p)
+        factor = factorise(A)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            rhs = rng.normal(size=g.n_nodes)
+            assert np.array_equal(thomas_solve(A, rhs, factor), spsolve(A, rhs))
+
+
+def per_step_solve(p, g, c):
+    """Surfaces and policies of the backward induction with a fresh jump
+    table at every step (sl_rhs's default) and a fresh solve of A."""
+    A = assemble_A(g, p)
+    u = eval_on(p.terminal_reward, g.nodes)
+    surface, policies = [u], []
+    for n in range(g.N - 1, -1, -1):
+        step = sl_rhs(u, n * g.dt, g, p, c)
+        u = spsolve(A, step.rhs)
+        surface.append(u)
+        policies.append(step.policy)
+    return np.array(surface[::-1]), policies[::-1]
+
+
+class TestTableReuse:
+    """A step reuses the previous step's jump table only when the impulse
+    data at its level are the same; the surfaces and policies then equal a
+    solve that builds a table at every step."""
+
+    def build_times(self, monkeypatch, p, g, c):
+        times = []
+
+        class CountingTable(InterventionTable):
+            def __init__(self, problem, grid, controls, t):
+                times.append(t)
+                super().__init__(problem, grid, controls, t)
+
+        monkeypatch.setattr(semilag, "InterventionTable", CountingTable)
+        return solve_semi_lagrangian(p, g, c), times
+
+    def assert_matches_per_step(self, sol, p, g, c):
+        surface, policies = per_step_solve(p, g, c)
+        assert np.array_equal(sol.surface, surface)
+        for a, b in zip(sol.policies[:-1], policies):
+            assert np.array_equal(a.intervene, b.intervene)
+            assert np.array_equal(a.impulses, b.impulses)
+            assert np.array_equal(a.controls, b.controls)
+
+    def test_builds_once_when_data_ignore_t(self, monkeypatch):
+        p = builtin("cash")
+        g = build_boundary_refined_grid(Q=4, rho=0.2, c_b=1.0, N=15, T=3)
+        c = discretize_controls(p, g.rho)
+        sol, times = self.build_times(monkeypatch, p, g, c)
+        assert times == [(g.N - 1) * g.dt + g.dt]
+        self.assert_matches_per_step(sol, p, g, c)
+
+    def test_time_dependent_cost_rebuilds_every_step(self, monkeypatch):
+        p = cash_with_dated_cost()
+        g = build_uniform_grid(Q=4, M=10, N=6, T=3)
+        c = discretize_controls(p, g.rho)
+        sol, times = self.build_times(monkeypatch, p, g, c)
+        assert times == [n * g.dt + g.dt for n in range(g.N - 1, -1, -1)]
+        self.assert_matches_per_step(sol, p, g, c)
+        A = assemble_A(g, p)
+        for n in range(g.N):
+            rhs = brute_force_rhs(sol.surface[n + 1], n * g.dt, g, p, c)
+            assert np.abs(A @ sol.surface[n] - rhs).max() <= 1e-10
+        # The dated cost never exceeds the builtin's, so by monotonicity the
+        # t = 0 surface lies below the builtin's.
+        assert np.all(sol.surface[0] <= solve_semi_lagrangian(builtin("cash"), g, c).surface[0])
+
+    @pytest.mark.parametrize("field, value", [
+        ("impulse_bounds", lambda t, x: (-1.0, 1.0) if t > 1.5 else (-0.5, 1.0)),
+        ("impulse_shift", lambda t, x, z: z - x + (0.0 if t > 1.5 else 0.25)),
+        ("impulse_cost", lambda t, x, z: -2.0 - 0.5 * np.abs(z - x) - (0.0 if t > 1.5 else 1.0)),
+    ])
+    def test_data_switching_once_builds_twice(self, monkeypatch, field, value):
+        p = replace(builtin("cash"), **{field: value})
+        g = build_uniform_grid(Q=4, M=10, N=6, T=3)
+        c = discretize_controls(p, g.rho)
+        sol, times = self.build_times(monkeypatch, p, g, c)
+        assert times == [g.N * g.dt, 2 * g.dt + g.dt]
+        self.assert_matches_per_step(sol, p, g, c)
 
 
 class TestSolveSemiLagrangian:
