@@ -24,11 +24,12 @@ The stencils follow the monotone implicit discretization:
 
 The functions here are pure.  The one mutable piece is
 ``DiscreteControls._impulse_cache``, which memoizes ``impulse_values`` and
-grows by one entry per distinct (t, x) it is asked for: per node and time
+grows by one entry per distinct (t, node set) it is asked for: per time
 level on the penalty and iterated optimal stopping paths, and on the
-semi-Lagrangian path per node and table build, which is once per solve
-when the impulse data do not depend on t.  Share a ``DiscreteControls``
-between threads only with that in mind.
+semi-Lagrangian path per table build, which is once per solve when the
+impulse data do not depend on t.  Each entry is one nodes x K candidate
+block, shared by every table built at that level and read-only.  Share a
+``DiscreteControls`` between threads only with that in mind.
 """
 
 from __future__ import annotations
@@ -131,15 +132,38 @@ def interp_weights(nodes: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
     return k, alpha
 
 
+def impulse_bounds_on(problem: ProblemSpec, t: float,
+                      nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The impulse bounds (lo, hi) at time t over the nodes, as two arrays.
+
+    ValueError names the first node whose bounds are not finite, or whose
+    interval is empty (hi < lo).
+    """
+    bounds = np.array([problem.impulse_bounds(t, x) for x in nodes.tolist()],
+                      dtype=float).reshape(-1, 2)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    if not (np.isfinite(bounds).all() and (lo <= hi).all()):
+        finite = np.isfinite(bounds).all(axis=1)
+        i = np.flatnonzero(~(finite & (lo <= hi)))[0]
+        kind = "empty impulse set" if finite[i] else "non-finite impulse bounds"
+        raise ValueError(f"{kind} at (t={float(t)!r}, x={float(nodes[i])!r}): "
+                         f"[{float(lo[i])!r}, {float(hi[i])!r}]")
+    return lo, hi
+
+
 @dataclass
 class DiscreteControls:
     """Finite control and impulse sets at refinement rho.
 
-    ``controls`` samples the control interval; ``impulse_values(t, x)``
-    samples the impulse interval at that point (memoized, since the solvers
-    revisit the same (t, x) many times per timestep).  Both include their
-    interval endpoints, and their spacing is at most rho, so the Hausdorff
-    distance to the continuous sets is at most rho / 2.
+    ``controls`` samples the control interval.  ``impulse_values(t, nodes)``
+    samples the impulse interval at every node of one time level as a
+    nodes x K block, K the largest candidate count at any node; row i is
+    ``uniform_sample(lo_i, hi_i, rho)`` followed by copies of its last z.
+    The block is memoized per (t, node set), since both table builds of a
+    penalty step and the brute-force audit read the same level, and is
+    read-only because they share it.  Both samples include their interval
+    endpoints, and their spacing is at most rho, so the Hausdorff distance
+    to the continuous sets is at most rho / 2.
     """
 
     problem: ProblemSpec
@@ -147,16 +171,31 @@ class DiscreteControls:
     controls: np.ndarray
     _impulse_cache: dict = field(default_factory=dict, repr=False)
 
-    def impulse_values(self, t: float, x: float) -> np.ndarray:
-        key = (float(t), float(x))
-        cached = self._impulse_cache.get(key)
-        if cached is None:
-            lo, hi = self.problem.impulse_bounds(t, x)
-            if hi < lo:
-                raise ValueError(f"empty impulse set at (t={t!r}, x={x!r}): [{lo!r}, {hi!r}]")
-            cached = uniform_sample(float(lo), float(hi), self.rho)
-            self._impulse_cache[key] = cached
-        return cached
+    def impulse_values(self, t: float, nodes: np.ndarray) -> np.ndarray:
+        """The nodes x K impulse candidate block at time t.
+
+        Each row is computed as ``np.linspace(lo, hi, count)`` computes it,
+        bit for bit: step = (hi - lo) / (count - 1), candidate k is
+        k * step + lo, and every column from count - 1 on holds hi (a single
+        candidate holds lo).  linspace's branch for a step that underflows
+        to zero cannot trigger here: count = ceil((hi - lo) / rho) + 1 keeps
+        the step at no less than min(hi - lo, rho / 2), up to rounding.
+        """
+        nodes = np.asarray(nodes, dtype=float)
+        key = (float(t), nodes.tobytes())
+        block = self._impulse_cache.get(key)
+        if block is None:
+            lo, hi = impulse_bounds_on(self.problem, t, nodes)
+            width = hi - lo
+            last = np.ceil(width / self.rho)[:, np.newaxis]   # count - 1 per node
+            step = width[:, np.newaxis] / np.maximum(last, 1.0)
+            columns = np.arange(int(last.max()) + 1, dtype=float)
+            block = np.where(columns >= last,
+                             np.where(last > 0, hi[:, np.newaxis], lo[:, np.newaxis]),
+                             columns * step + lo[:, np.newaxis])
+            block.flags.writeable = False
+            self._impulse_cache[key] = block
+        return block
 
 
 def discretize_controls(problem: ProblemSpec, rho: float) -> DiscreteControls:
@@ -191,12 +230,8 @@ class InterventionTable:
         self.t = float(t)
         self._problem = problem
         self._nodes = nodes = grid.nodes
-        zs_all = [controls.impulse_values(t, float(x)) for x in nodes]
-        sizes = np.array([zs.size for zs in zs_all])
-        per_node = int(sizes.max())
-        starts = np.cumsum(sizes) - sizes
-        padded = np.minimum(np.arange(per_node), sizes[:, np.newaxis] - 1)
-        impulse_grid = np.concatenate(zs_all)[starts[:, np.newaxis] + padded]   # (n, K)
+        impulse_grid = controls.impulse_values(t, nodes)   # (n, K), shared
+        per_node = impulse_grid.shape[1]
         x_col = nodes[:, np.newaxis]
         targets = x_col + eval_on(problem.impulse_shift, t, x_col, impulse_grid)
         self._impulse_grid = impulse_grid
@@ -213,13 +248,14 @@ class InterventionTable:
         Each node's candidates run from its lower to its upper bound, so the
         first and last columns of the block are the bounds at ``self.t``.
         The shifts are evaluated at both times rather than kept, so a table
-        holds no more memory than it needs for :meth:`apply`.  Costs one
-        scalar ``impulse_bounds`` call per node and three array calls,
-        against one ``impulse_values`` sample per node for a build.
+        holds no more memory than it needs for :meth:`apply`.  Costs the
+        bounds read a build's ``impulse_values`` sample also makes (one scalar
+        ``impulse_bounds`` call per node) and three array calls; a build adds
+        the candidate block, its shifts and costs and the interpolation weights.
         """
         problem, nodes, zs = self._problem, self._nodes, self._impulse_grid
-        bounds = np.array([problem.impulse_bounds(t, x) for x in nodes.tolist()], dtype=float)
-        if not (np.array_equal(bounds[:, 0], zs[:, 0]) and np.array_equal(bounds[:, 1], zs[:, -1])):
+        lo, hi = impulse_bounds_on(problem, t, nodes)
+        if not (np.array_equal(lo, zs[:, 0]) and np.array_equal(hi, zs[:, -1])):
             return False
         x_col = nodes[:, np.newaxis]
         return (np.array_equal(eval_on(problem.impulse_cost, t, x_col, zs).ravel(), self.costs)

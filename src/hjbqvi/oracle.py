@@ -12,7 +12,10 @@ Two independent routes:
 
 * :func:`brute_force_residual` re-evaluates the discrete penalty equations
   with plain scalar loops that share no code with the solver's assembled
-  systems (only the problem data and the discrete control sets).
+  systems, only the problem data and the discrete control sets.  It shares
+  the sampled candidate sets: each time level's impulse candidates come
+  from one ``impulse_values`` block, in which a node with fewer candidates
+  repeats its last z, leaving the maximum over candidates unchanged.
 """
 
 from __future__ import annotations
@@ -173,9 +176,9 @@ def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     for t, u_row, next_row in rows:
         u = [float(v) for v in u_row]
         u_next = [float(v) for v in next_row]
+        candidates = controls.impulse_values(t, grid.nodes).tolist()
         for i, x in enumerate(nodes):
-            zs = [float(z) for z in controls.impulse_values(t, x)]
-            row = _row_residual(problem, nodes, n_nodes, zs, t, dt, i, x,
+            row = _row_residual(problem, nodes, n_nodes, candidates[i], t, dt, i, x,
                                 u, u_next, bs, epsilon)
             worst = max(worst, abs(row))
     return worst + terminal_gap

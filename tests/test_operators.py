@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.operators import (
+    DiscreteControls,
     InterventionTable,
     apply_band,
     discretize_controls,
@@ -14,7 +15,9 @@ from hjbqvi.operators import (
     interp_weights,
 )
 from hjbqvi.oracle import _row_residual
-from hjbqvi.problem import ProblemSpec
+from hjbqvi.penalty import solve_finite_horizon
+from hjbqvi.problem import ProblemSpec, builtin, uniform_sample
+from hjbqvi.semilag import solve_semi_lagrangian
 
 
 def jump_problem(shift, cost, bounds=(-1.0, 1.0)):
@@ -243,7 +246,7 @@ class TestDiscretizeControls:
     def test_impulse_sampling_hausdorff(self):
         p = jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z)
         c = discretize_controls(p, rho=0.5)
-        zs = c.impulse_values(0.0, 0.0)  # interval [-1, 1]
+        zs = uniform_sample(*p.impulse_bounds(0.0, 0.0), c.rho)  # interval [-1, 1]
         assert zs[0] == -1.0 and zs[-1] == 1.0
         assert np.diff(zs).max() <= 0.5 + 1e-15
 
@@ -251,7 +254,7 @@ class TestDiscretizeControls:
         p = jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z,
                          bounds=(-1.0, 1.0))
         c = discretize_controls(p, rho=0.5)
-        zs = c.impulse_values(0.0, 0.0)
+        zs = uniform_sample(*p.impulse_bounds(0.0, 0.0), c.rho)
         assert np.array_equal(zs, [-1.0, -0.5, 0.0, 0.5, 1.0])
         # Hausdorff distance to the continuous interval is half the spacing.
         assert np.diff(zs).max() / 2 == pytest.approx(0.25)
@@ -262,12 +265,99 @@ class TestDiscretizeControls:
             discretize_controls(p, rho=0.0)
 
 
+TINY = 5e-324   # the smallest subnormal double
+
+
+class TestImpulseSampler:
+    """``impulse_values`` against ``uniform_sample`` (plain ``np.linspace``)."""
+
+    @pytest.mark.parametrize("bounds, rho", [
+        (lambda t, x: (-1.0 - 0.1 * abs(x), 1.0 + 0.1 * abs(x)), 0.2),    # ragged
+        (lambda t, x: (0.5, 0.5 + max(x, 0.0)), 0.3),                     # hi == lo for x <= 0
+        (lambda t, x: (0.7, 0.7), 0.3),                                    # hi == lo everywhere
+        (lambda t, x: (-3 * TINY, (4 + abs(x)) * TINY), 2 * TINY),        # denormal width
+        (lambda t, x: (0.0, TINY * (1 + (x > 0))), 10.0),                 # width / rho underflows
+        (lambda t, x: (-1.0, 1.0 + (x > 0)), 0.25),                       # width a multiple of rho
+    ])
+    def test_rows_match_uniform_sample_bit_for_bit(self, bounds, rho):
+        p = replace(jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z),
+                    impulse_bounds=bounds)
+        g = build_uniform_grid(Q=4, M=20, N=1, T=1)
+        c = discretize_controls(p, rho=rho)
+        block = c.impulse_values(0.25, g.nodes)
+        expected = []
+        for i, x in enumerate(g.nodes):
+            ref = uniform_sample(*p.impulse_bounds(0.25, float(x)), rho)
+            expected.append(np.pad(ref, (0, block.shape[1] - ref.size), mode="edge"))
+            assert np.array_equal(block[i], expected[i])
+        assert block.tobytes() == np.array(expected).tobytes()
+
+    def test_block_is_shared_and_read_only(self):
+        p = jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z)
+        c = discretize_controls(p, rho=0.5)
+        block = c.impulse_values(0.0, GRID5.nodes)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 3.0
+        assert c.impulse_values(0.0, GRID5.nodes.copy()) is block
+        assert c.impulse_values(0.5, GRID5.nodes) is not block
+        assert c.impulse_values(0.0, GRID3.nodes).shape == (GRID3.n_nodes, 5)
+        assert InterventionTable(p, GRID5, c, 0.0)._impulse_grid is block
+
+    @pytest.mark.parametrize("bad, message", [
+        ((-1.0, np.nan), "non-finite impulse bounds"),
+        ((-np.inf, 1.0), "non-finite impulse bounds"),
+        ((1.0, -1.0), "empty impulse set"),
+    ])
+    def test_bad_bounds_name_t_and_x(self, bad, message):
+        p = replace(jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z),
+                    impulse_bounds=lambda t, x: bad if (t > 0.5 and x == 1.0) else (-1.0, 1.0))
+        c = discretize_controls(p, rho=0.5)
+        table = InterventionTable(p, GRID5, c, 0.0)
+        where = r"\(t=0\.75, x=1\.0\)"
+        with pytest.raises(ValueError, match=f"{message} at {where}"):
+            InterventionTable(p, GRID5, c, 0.75)
+        with pytest.raises(ValueError, match=f"{message} at {where}"):
+            table.same_data_at(0.75)
+
+    @pytest.fixture
+    def impulse_calls(self, monkeypatch):
+        calls = []
+        sample = DiscreteControls.impulse_values
+
+        def counted(controls, t, nodes):
+            calls.append(t)
+            return sample(controls, t, nodes)
+
+        monkeypatch.setattr(DiscreteControls, "impulse_values", counted)
+        return calls
+
+    def test_one_sample_per_time_level(self, impulse_calls):
+        # Penalty: two table builds per step (the step and its residual
+        # gate) share one sample, so 2 * 8 calls fill 8 memo entries.
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=10, N=8, T=p.horizon)
+        c = discretize_controls(p, g.rho)
+        solve_finite_horizon(p, g, c)
+        assert len(impulse_calls) == 16
+        assert len(c._impulse_cache) == 8
+
+    def test_one_sample_per_semilagrangian_solve(self, impulse_calls):
+        # The impulse data of cash ignore t, so one table serves every step.
+        p = builtin("cash")
+        g = build_boundary_refined_grid(Q=4, rho=0.2, c_b=1.0, N=16, T=p.horizon)
+        c = discretize_controls(p, g.rho)
+        solve_semi_lagrangian(p, g, c)
+        assert len(impulse_calls) == 1
+        assert len(c._impulse_cache) == 1
+
+
 def brute_force_intervention(u, grid, t, problem, controls):
     """Independent double loop with numpy's interpolation as the reference."""
     values, impulses = [], []
     for x in grid.nodes:
         best, best_z = -np.inf, None
-        for z in controls.impulse_values(t, float(x)):
+        for z in uniform_sample(*problem.impulse_bounds(t, float(x)), controls.rho):
             target = float(x) + float(problem.impulse_shift(t, float(x), float(z)))
             val = float(np.interp(target, grid.nodes, u)) \
                 + float(problem.impulse_cost(t, float(x), float(z)))
@@ -364,7 +454,7 @@ class TestApplyIntervention:
         )
         g = build_uniform_grid(Q=2, M=5, N=1, T=1)
         c = discretize_controls(p, rho=0.35)
-        sizes = {c.impulse_values(0.0, float(x)).size for x in g.nodes}
+        sizes = {uniform_sample(*p.impulse_bounds(0.0, float(x)), c.rho).size for x in g.nodes}
         assert len(sizes) > 1
         rng = np.random.default_rng(8)
         u = rng.normal(size=g.n_nodes)

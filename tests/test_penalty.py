@@ -20,7 +20,7 @@ from hjbqvi.penalty import (
     solve_finite_horizon,
     solve_infinite_horizon,
 )
-from hjbqvi.problem import ProblemSpec, builtin, eval_on
+from hjbqvi.problem import ProblemSpec, builtin, eval_on, uniform_sample
 from hjbqvi.solution import PenaltyPolicy
 
 
@@ -51,7 +51,7 @@ def brute_residual_row(problem, grid, controls, epsilon, t, i, u, u_next):
             + float(problem.running_reward(t, x, b))
         best = max(best, val)
     jump = -np.inf
-    for z in controls.impulse_values(t, x):
+    for z in uniform_sample(*problem.impulse_bounds(t, x), controls.rho):
         z = float(z)
         target = x + float(problem.impulse_shift(t, x, z))
         jump = max(jump, float(np.interp(target, grid.nodes, u))

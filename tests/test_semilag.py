@@ -12,7 +12,7 @@ from hjbqvi.harness import Window, sup_error
 from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import InterventionTable, discretize_controls
 from hjbqvi.penalty import solve_finite_horizon
-from hjbqvi.problem import ProblemSpec, builtin, eval_on
+from hjbqvi.problem import ProblemSpec, builtin, eval_on, uniform_sample
 from hjbqvi.semilag import (
     assemble_A,
     detect_inward_drift,
@@ -57,7 +57,7 @@ def brute_force_rhs(u_next, t, g, p, c):
             best = max(best, float(np.interp(foot, g.nodes, u_next))
                        + float(p.running_reward(t, x, float(b))) * g.dt)
         jump = -np.inf
-        for z in c.impulse_values(t + g.dt, float(x)):
+        for z in uniform_sample(*p.impulse_bounds(t + g.dt, float(x)), c.rho):
             target = x + float(p.impulse_shift(t + g.dt, x, float(z)))
             jump = max(jump, float(np.interp(target, g.nodes, u_next))
                        + float(p.impulse_cost(t + g.dt, x, float(z))))
