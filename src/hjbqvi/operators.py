@@ -117,12 +117,13 @@ def interp_weights(nodes: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
     """Indices k and weights a per point with interp = (1-a) u_k + a u_{k+1}, a in [0, 1).
 
     Outside the grid the value clamps: the weight is 0 and k is the nearest
-    boundary index, so the single coupling carries full weight.
+    boundary index, so the single coupling carries full weight.  Inside, k is
+    the cell [x_k, x_{k+1}) holding the point, found among the interior nodes
+    alone, which keeps k in [0, n - 2] without a clip.
     """
     xs = np.asarray(xs, dtype=float)
-    k = np.searchsorted(nodes, xs, side="right") - 1
-    k = np.clip(k, 0, nodes.size - 2)
-    alpha = (xs - nodes[k]) / (nodes[k + 1] - nodes[k])
+    k = np.searchsorted(nodes[1:-1], xs, side="right")
+    alpha = (xs - nodes[k]) / np.diff(nodes)[k]
     left = xs <= nodes[0]
     right = xs >= nodes[-1]
     k[left] = 0
@@ -136,19 +137,41 @@ def impulse_bounds_on(problem: ProblemSpec, t: float,
                       nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The impulse bounds (lo, hi) at time t over the nodes, as two arrays.
 
+    Array first, as :func:`problem.eval_on` does: one call
+    ``impulse_bounds(t, nodes)`` whose lo and hi are each a per-node array or
+    a scalar (constant over the nodes).  A TypeError or ValueError from that
+    call, or any other shape, falls back to one scalar call per node.
     ValueError names the first node whose bounds are not finite, or whose
     interval is empty (hi < lo).
     """
-    bounds = np.array([problem.impulse_bounds(t, x) for x in nodes.tolist()],
-                      dtype=float).reshape(-1, 2)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    if not (np.isfinite(bounds).all() and (lo <= hi).all()):
-        finite = np.isfinite(bounds).all(axis=1)
+    lo_hi = _bounds_array(problem, t, nodes)
+    if lo_hi is None:
+        lo_hi = np.array([problem.impulse_bounds(t, x) for x in nodes.tolist()],
+                         dtype=float).reshape(-1, 2).T
+    lo, hi = lo_hi
+    if not (np.isfinite(lo_hi).all() and (lo <= hi).all()):
+        finite = np.isfinite(lo_hi).all(axis=0)
         i = np.flatnonzero(~(finite & (lo <= hi)))[0]
         kind = "empty impulse set" if finite[i] else "non-finite impulse bounds"
         raise ValueError(f"{kind} at (t={float(t)!r}, x={float(nodes[i])!r}): "
                          f"[{float(lo[i])!r}, {float(hi[i])!r}]")
     return lo, hi
+
+
+def _bounds_array(problem: ProblemSpec, t: float, nodes: np.ndarray) -> np.ndarray | None:
+    """(lo, hi) from one array call as a 2 x nodes array, or None when the
+    callable is not array-aware (see :func:`impulse_bounds_on`)."""
+    try:
+        lo, hi = problem.impulse_bounds(t, nodes)
+        pair = [np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)]
+    except (TypeError, ValueError):
+        return None
+    out = np.empty((2, nodes.size))
+    for row, bound in zip(out, pair):
+        if bound.shape not in ((), nodes.shape):
+            return None
+        row[:] = bound
+    return out
 
 
 @dataclass
@@ -178,8 +201,9 @@ class DiscreteControls:
         bit for bit: step = (hi - lo) / (count - 1), candidate k is
         k * step + lo, and every column from count - 1 on holds hi (a single
         candidate holds lo).  linspace's branch for a step that underflows
-        to zero cannot trigger here: count = ceil((hi - lo) / rho) + 1 keeps
-        the step at no less than min(hi - lo, rho / 2), up to rounding.
+        to zero cannot trigger here: count = max(ceil((hi - lo) / rho), 1) + 1
+        on a nonempty interval keeps the step at no less than
+        min(hi - lo, rho / 2), up to rounding.
         """
         nodes = np.asarray(nodes, dtype=float)
         key = (float(t), nodes.tobytes())
@@ -187,7 +211,8 @@ class DiscreteControls:
         if block is None:
             lo, hi = impulse_bounds_on(self.problem, t, nodes)
             width = hi - lo
-            last = np.ceil(width / self.rho)[:, np.newaxis]   # count - 1 per node
+            # count - 1 per node, at least 1 on a nonempty width, as in uniform_sample
+            last = np.maximum(np.ceil(width / self.rho), width > 0.0)[:, np.newaxis]
             step = width[:, np.newaxis] / np.maximum(last, 1.0)
             columns = np.arange(int(last.max()) + 1, dtype=float)
             block = np.where(columns >= last,
@@ -249,9 +274,9 @@ class InterventionTable:
         first and last columns of the block are the bounds at ``self.t``.
         The shifts are evaluated at both times rather than kept, so a table
         holds no more memory than it needs for :meth:`apply`.  Costs the
-        bounds read a build's ``impulse_values`` sample also makes (one scalar
-        ``impulse_bounds`` call per node) and three array calls; a build adds
-        the candidate block, its shifts and costs and the interpolation weights.
+        bounds read a build's ``impulse_values`` sample also makes (see
+        :func:`impulse_bounds_on`) and three array calls; a build adds the
+        candidate block, its shifts and costs and the interpolation weights.
         """
         problem, nodes, zs = self._problem, self._nodes, self._impulse_grid
         lo, hi = impulse_bounds_on(problem, t, nodes)

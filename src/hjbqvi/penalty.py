@@ -14,6 +14,12 @@ terminates in finitely many steps on such systems.  The generator
 coefficients of the assembled systems, of the control argmax and of the
 monotonicity row all come from :func:`operators.generator_band`.
 
+drift(x, b) and diffusion(x, b) take no t, so the controls x nodes band of
+L_b that the control argmax reads is the same at every step and every policy
+iteration: a solve builds it once and passes it down (``band``), and a
+standalone :func:`penalty_timestep`, :func:`policy_improve` or
+:func:`residual` call given none builds its own.
+
 The stationary (discounted) analogue replaces the time difference by
 -beta u_j and solves a single such system.
 
@@ -84,31 +90,36 @@ def _band(grid, problem, b):
                           eval_on(problem.diffusion, nodes, b) ** 2)
 
 
-def _control_values(u, t, grid, problem, b):
-    """(L_b u)_j + f(t, x_j, b), shaped like the controls ``b`` (see _band)."""
-    return apply_band(_band(grid, problem, b), u) \
-        + eval_on(problem.running_reward, t, grid.nodes, b)
+def _control_band(grid, problem, controls):
+    """Band of L_b with one row per discrete control (controls x nodes)."""
+    return _band(grid, problem, controls.controls[:, np.newaxis])
 
 
-def _best_control(u, t, grid, problem, controls):
-    """Argmax over the discrete control set of (L_b u)_j + f(t, x_j, b).
+def _best_control(u, t, grid, problem, controls, band):
+    """Argmax over the discrete control set of (L_b u)_j + f(t, x_j, b),
+    ``band`` being the :func:`_control_band` of these controls.
 
     Returns (values, indices); ties go to the smallest control, the first
     index argmax meets.
     """
-    vals = _control_values(u, t, grid, problem, controls.controls[:, np.newaxis])
+    vals = apply_band(band, u) \
+        + eval_on(problem.running_reward, t, grid.nodes, controls.controls[:, np.newaxis])
     best_idx = vals.argmax(axis=0)
     return vals[best_idx, np.arange(grid.n_nodes)], best_idx
 
 
-def policy_improve(u, t, grid, problem, controls, intervention=None) -> PenaltyPolicy:
+def policy_improve(u, t, grid, problem, controls, intervention=None,
+                   band=None) -> PenaltyPolicy:
     """Greedy policy at the current iterate.
 
     The control argmax ignores the time (or discount) term, which does not
     depend on b; the penalty indicator is strict, d_j = 1 iff the best jump
-    value exceeds u_j, so at equality the penalty stays off.
+    value exceeds u_j, so at equality the penalty stays off.  ``band`` is the
+    :func:`_control_band`, built here when not given.
     """
-    _, best_idx = _best_control(u, t, grid, problem, controls)
+    if band is None:
+        band = _control_band(grid, problem, controls)
+    _, best_idx = _best_control(u, t, grid, problem, controls, band)
     jump = _intervention_at(intervention, t, grid, problem, controls).apply(u)
     return PenaltyPolicy(
         controls=controls.controls[best_idx],
@@ -118,7 +129,7 @@ def policy_improve(u, t, grid, problem, controls, intervention=None) -> PenaltyP
 
 
 def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-             intervention=None) -> np.ndarray:
+             intervention=None, band=None) -> np.ndarray:
     """Pointwise residual of the discrete penalty equations
 
         -max_b { rhs_base_j - time_weight u_j + (L_b u)_j + f_j(b) }
@@ -126,10 +137,13 @@ def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
 
     with the (rhs_base, time_weight) pair of :func:`_assemble`:
     (u^{n+1}/dt, 1/dt) for a timestep, (0, beta) for the stationary equations.
+    ``band`` is the :func:`_control_band`, built here when not given.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    best_vals, _ = _best_control(u, t, grid, problem, controls)
+    if band is None:
+        band = _control_band(grid, problem, controls)
+    best_vals, _ = _best_control(u, t, grid, problem, controls, band)
     m_vals = _intervention_at(intervention, t, grid, problem, controls).apply(u).values
     return -(best_vals + (rhs_base - time_weight * u)) - np.maximum(m_vals - u, 0.0) / epsilon
 
@@ -192,10 +206,11 @@ def assemble_policy_system(policy, u_next, t, grid, problem, controls,
 
 
 def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-                      cfg, intervention, time_index) -> tuple[np.ndarray, TimestepDiagnostics]:
+                      cfg, intervention, band,
+                      time_index) -> tuple[np.ndarray, TimestepDiagnostics]:
     operator = _intervention_at(intervention, t, grid, problem, controls)
     diag = TimestepDiagnostics(time_index=time_index, iterations=0)
-    policy = policy_improve(u_start, t, grid, problem, controls, operator)
+    policy = policy_improve(u_start, t, grid, problem, controls, operator, band)
     u = np.asarray(u_start, dtype=float)
     for _ in range(cfg.max_iters):
         system = _assemble(policy, rhs_base, time_weight, t, grid, problem,
@@ -206,7 +221,7 @@ def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls
         u_new = spsolve(system.matrix, system.rhs)
         if not np.all(np.isfinite(u_new)):
             raise SolverError("policy system solve returned non-finite values")
-        new_policy = policy_improve(u_new, t, grid, problem, controls, operator)
+        new_policy = policy_improve(u_new, t, grid, problem, controls, operator, band)
         update = float(np.abs(u_new - u).max())
         diag.updates.append(update)
         unchanged = policy.same_as(new_policy)
@@ -223,17 +238,19 @@ def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls
 
 
 def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-                cfg, intervention, time_index, where) -> tuple[np.ndarray, TimestepDiagnostics]:
+                cfg, intervention, band, time_index,
+                where) -> tuple[np.ndarray, TimestepDiagnostics]:
     """Solve one system of penalty equations (a timestep or the stationary
     equations) by policy iteration from ``u_start``, then gate the result on
-    the pointwise :func:`residual`."""
+    the pointwise :func:`residual`; ``band`` is the :func:`_control_band`."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     u, diag = _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls,
-                                epsilon, cfg, intervention, time_index)
+                                epsilon, cfg, intervention, band, time_index)
     # Given None, the gate builds its own table once policy iteration's is freed
     # (one alive at a time); perfbench/selftest.py pins these two builds a step.
-    res = residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon, intervention)
+    res = residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
+                   intervention, band)
     diag.final_residual = float(np.abs(res).max())
     if diag.final_residual > cfg.residual_tol:
         raise NonConvergenceError(
@@ -245,12 +262,18 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, epsi
 
 
 def penalty_timestep(u_next, t, grid, problem, controls, epsilon,
-                     cfg: SolverConfig | None = None,
-                     intervention=None) -> tuple[np.ndarray, TimestepDiagnostics]:
-    """One implicit timestep by policy iteration, solved to residual tolerance."""
+                     cfg: SolverConfig | None = None, intervention=None,
+                     band=None) -> tuple[np.ndarray, TimestepDiagnostics]:
+    """One implicit timestep by policy iteration, solved to residual tolerance.
+
+    ``band`` is the :func:`_control_band`; a solve passes the one it built,
+    and without it the step builds its own once.
+    """
     u_next = np.asarray(u_next, dtype=float)
+    if band is None:
+        band = _control_band(grid, problem, controls)
     return _solve_step(u_next, u_next / grid.dt, 1.0 / grid.dt, t, grid, problem, controls,
-                       epsilon, cfg or SolverConfig(), intervention,
+                       epsilon, cfg or SolverConfig(), intervention, band,
                        time_index=int(round(t / grid.dt)), where="penalty timestep")
 
 
@@ -258,7 +281,8 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
                          controls: DiscreteControls | None = None,
                          epsilon: float | None = None,
                          cfg: SolverConfig | None = None) -> Solution:
-    """Backward induction of the penalty scheme from u^N = g."""
+    """Backward induction of the penalty scheme from u^N = g, with one
+    :func:`_control_band` for every step."""
     if not problem.finite_horizon:
         raise ValueError("solve_finite_horizon needs a finite-horizon problem")
     cfg = cfg or SolverConfig()
@@ -270,10 +294,11 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     surface[grid.N] = eval_on(problem.terminal_reward, grid.nodes)
     policies: list[PenaltyPolicy | None] = [None] * (grid.N + 1)
     diagnostics = SolveDiagnostics()
+    band = _control_band(grid, problem, controls)
     u = surface[grid.N]
     for n in range(grid.N - 1, -1, -1):
         t = n * grid.dt
-        u, step_diag = penalty_timestep(u, t, grid, problem, controls, epsilon, cfg)
+        u, step_diag = penalty_timestep(u, t, grid, problem, controls, epsilon, cfg, band=band)
         surface[n] = u
         policies[n] = step_diag.policy
         diagnostics.record_step(step_diag)
@@ -294,7 +319,8 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     zeros = np.zeros(grid.n_nodes)
     u, step_diag = _solve_step(zeros, zeros, problem.discount, 0.0, grid, problem, controls,
-                               epsilon, cfg, None, time_index=0, where="stationary solve")
+                               epsilon, cfg, None, _control_band(grid, problem, controls),
+                               time_index=0, where="stationary solve")
     diagnostics = SolveDiagnostics()
     diagnostics.record_step(step_diag)
     return Solution(grid=grid, scheme="penalty", horizon=INFINITE,

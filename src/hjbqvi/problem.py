@@ -142,10 +142,14 @@ def _subsample(values: np.ndarray, count: int) -> np.ndarray:
 
 
 def uniform_sample(lo: float, hi: float, resolution: float) -> np.ndarray:
-    """Endpoints-included uniform sample with ceil(width / resolution) + 1 points."""
+    """Endpoints-included uniform sample with ceil(width / resolution) + 1 points.
+
+    A nonempty width takes at least one step, so the sample holds both lo and
+    hi even when width / resolution underflows to zero.
+    """
     if hi <= lo:
         return np.array([float(lo)])
-    count = int(np.ceil((hi - lo) / resolution)) + 1
+    count = max(int(np.ceil((hi - lo) / resolution)), 1) + 1
     return np.linspace(lo, hi, count)
 
 

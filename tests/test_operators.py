@@ -12,6 +12,7 @@ from hjbqvi.operators import (
     apply_band,
     discretize_controls,
     generator_band,
+    impulse_bounds_on,
     interp_weights,
 )
 from hjbqvi.oracle import _row_residual
@@ -211,6 +212,42 @@ class TestInterp:
         xs = rng.uniform(-2.5, 2.5, 50)
         assert np.allclose(interp(u, g, xs), np.interp(xs, g.nodes, u), rtol=0, atol=1e-12)
 
+    @staticmethod
+    def clipped_search(nodes, xs):
+        """interp_weights as first written: a search over all nodes, less one, clipped."""
+        xs = np.asarray(xs, dtype=float)
+        k = np.searchsorted(nodes, xs, side="right") - 1
+        k = np.clip(k, 0, nodes.size - 2)
+        alpha = (xs - nodes[k]) / (nodes[k + 1] - nodes[k])
+        left = xs <= nodes[0]
+        right = xs >= nodes[-1]
+        k[left] = 0
+        alpha[left] = 0.0
+        k[right] = nodes.size - 1
+        alpha[right] = 0.0
+        return k, alpha
+
+    @pytest.mark.parametrize("nodes", [
+        build_uniform_grid(Q=3, M=6, N=1, T=1).nodes,
+        build_boundary_refined_grid(Q=2, rho=0.2, c_b=1.0, N=1, T=1).nodes,
+        np.array([-1.5, 0.5]),
+    ], ids=["uniform", "boundary-refined", "two-node"])
+    def test_matches_clipped_search_bit_for_bit(self, nodes):
+        h = np.diff(nodes)
+        q = float(np.abs(nodes).max())
+        xs = np.concatenate([
+            nodes,                                      # at nodes
+            np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+            nodes[:-1] + 0.5 * h, nodes[:-1] + 0.3 * h,  # between nodes
+            [-q - 1.0, q + 1.0, -1e300, 1e300],         # outside [-Q, Q]
+            [np.nan, np.inf, -np.inf],
+        ])
+        k, alpha = interp_weights(nodes, xs)
+        k_ref, alpha_ref = self.clipped_search(nodes, xs)
+        assert k.dtype == k_ref.dtype and alpha.dtype == alpha_ref.dtype
+        assert np.array_equal(k, k_ref)
+        assert np.array_equal(alpha, alpha_ref, equal_nan=True)
+
     def test_any_shape(self):
         g = build_boundary_refined_grid(Q=2, rho=0.2, c_b=1.0, N=2, T=1)
         xs = np.random.default_rng(4).uniform(-2.5, 2.5, (3, 7))
@@ -291,6 +328,10 @@ class TestImpulseSampler:
             expected.append(np.pad(ref, (0, block.shape[1] - ref.size), mode="edge"))
             assert np.array_equal(block[i], expected[i])
         assert block.tobytes() == np.array(expected).tobytes()
+        # Both endpoints are candidates at every node, also where the width
+        # is nonzero but width / rho underflows to 0.
+        lo, hi = np.array([p.impulse_bounds(0.25, float(x)) for x in g.nodes]).T
+        assert np.array_equal(block[:, 0], lo) and np.array_equal(block[:, -1], hi)
 
     def test_block_is_shared_and_read_only(self):
         p = jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z)
@@ -350,6 +391,55 @@ class TestImpulseSampler:
         solve_semi_lagrangian(p, g, c)
         assert len(impulse_calls) == 1
         assert len(c._impulse_cache) == 1
+
+
+def counted_bounds(bounds, calls):
+    def counted(t, x):
+        calls.append(x)
+        return bounds(t, x)
+    return counted
+
+
+class TestImpulseBoundsOn:
+    """One array call to ``impulse_bounds`` when it is array-aware, else one call per node."""
+
+    GRID = build_uniform_grid(Q=2, M=8, N=1, T=1)
+
+    def bounds_on(self, bounds, t=0.25):
+        calls = []
+        p = replace(jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z),
+                    impulse_bounds=counted_bounds(bounds, calls))
+        lo, hi = impulse_bounds_on(p, t, self.GRID.nodes)
+        per_node = np.array([bounds(t, x) for x in self.GRID.nodes.tolist()], dtype=float)
+        assert np.array_equal(lo, per_node[:, 0]) and np.array_equal(hi, per_node[:, 1])
+        return calls
+
+    @pytest.mark.parametrize("bounds", [
+        *(builtin(name).impulse_bounds for name in ("constant", "heat", "cash")),
+        lambda t, x: (-1.0 - 0.1 * np.abs(x), 1.0 + 0.1 * np.abs(x) + t),   # ragged
+        lambda t, x: (0.0, TINY * (1 + (x > 0))),                          # scalar lo
+    ], ids=["constant", "heat", "cash", "ragged", "scalar-lo"])
+    def test_array_aware_bounds_take_one_call(self, bounds):
+        calls = self.bounds_on(bounds)
+        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+
+    @pytest.mark.parametrize("bounds", [
+        lambda t, x: (0.5, 0.5 + max(x, 0.0)),
+        lambda t, x: (-1.0, 2.0) if x == 1.0 and t > 0.0 else (-1.0, 1.0),
+        lambda t, x: (-1.0, 1.0) if np.ndim(x) == 0 else (np.zeros(3), np.ones(3)),
+        lambda t, x: (-1.0, 1.0) if np.ndim(x) == 0 else (x[:, None] - 1.0, x[:, None] + 1.0),
+        lambda t, x: (-1.0, 1.0) if np.ndim(x) == 0 else np.column_stack([x - 1.0, x + 1.0]),
+    ], ids=["max", "and", "wrong-length", "column", "nodes-by-two"])
+    def test_other_bounds_fall_back_per_node(self, bounds):
+        calls = self.bounds_on(bounds)
+        assert len(calls) == 1 + self.GRID.n_nodes
+        assert all(isinstance(x, float) for x in calls[1:])
+
+    def test_array_path_names_the_bad_node(self):
+        p = replace(jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z),
+                    impulse_bounds=lambda t, x: (-1.0 + 0.0 * x, np.where(x == 1.0, np.nan, 1.0)))
+        with pytest.raises(ValueError, match=r"non-finite impulse bounds at \(t=0\.5, x=1\.0\)"):
+            impulse_bounds_on(p, 0.5, self.GRID.nodes)
 
 
 def brute_force_intervention(u, grid, t, problem, controls):

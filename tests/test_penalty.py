@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hjbqvi import penalty as penalty_mod
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import (
     FrozenObstacle,
     InterventionTable,
+    apply_band,
     discretize_controls,
     interp_weights,
 )
@@ -436,3 +438,71 @@ class TestSolveInfiniteHorizon:
             u = sol.surface[0]
             r = residual(u, np.zeros_like(u), beta, 0.0, g, p, c, sol.epsilon)
             assert np.abs(r).max() <= 1e-8
+
+
+class TestControlBandPerSolve:
+    """drift(x, b) and diffusion(x, b) take no t, so a solve evaluates them on
+    the controls x nodes block once; the control argmax reads that band."""
+
+    PROBLEMS = [(name, params) for name in ("constant", "heat", "cash")
+                for params in ({}, {"beta": 0.5})]
+
+    @staticmethod
+    def counted(problem):
+        """The problem with drift and diffusion recording each call's shape."""
+        shapes = {"drift": [], "diffusion": []}
+
+        def wrap(name, fn):
+            def counted_fn(x, b):
+                shapes[name].append(np.broadcast(x, b).shape)
+                return fn(x, b)
+            return counted_fn
+
+        return replace(problem, drift=wrap("drift", problem.drift),
+                       diffusion=wrap("diffusion", problem.diffusion)), shapes
+
+    @staticmethod
+    def solve(problem, grid, controls):
+        if problem.finite_horizon:
+            return solve_finite_horizon(problem, grid, controls)
+        return solve_infinite_horizon(problem, grid, controls)
+
+    @pytest.mark.parametrize("name, params", PROBLEMS)
+    def test_one_block_evaluation_per_solve(self, name, params):
+        p, shapes = self.counted(builtin(name, params))
+        g = build_uniform_grid(Q=3, M=10, N=6, T=1.0)
+        c = discretize_controls(p, g.rho)
+        sol = self.solve(p, g, c)
+        block = (c.controls.size, g.n_nodes)
+        for calls in shapes.values():
+            # One block call, then one per-node call per assembled system.
+            assert calls.count(block) == 1
+            assert calls.count((g.n_nodes,)) == sol.diagnostics.matrix_systems_checked
+            assert len(calls) == 1 + sol.diagnostics.matrix_systems_checked
+
+    def test_standalone_timestep_builds_its_band_once(self):
+        p, shapes = self.counted(builtin("cash"))
+        g = build_uniform_grid(Q=4, M=10, N=6, T=3.0)
+        c = discretize_controls(p, g.rho)
+        u_next = terminal_values(p, g)
+        _, diag = penalty_timestep(u_next, (g.N - 1) * g.dt, g, p, c, epsilon=0.1)
+        assert diag.iterations >= 2
+        assert shapes["drift"].count((c.controls.size, g.n_nodes)) == 1
+
+    @pytest.mark.parametrize("name, params", PROBLEMS)
+    def test_surfaces_equal_per_call_band(self, name, params, monkeypatch):
+        p = builtin(name, params)
+        g = build_uniform_grid(Q=3, M=10, N=6, T=1.0)
+        c = discretize_controls(p, g.rho)
+        hoisted = self.solve(p, g, c).surface
+
+        def per_call_band(u, t, grid, problem, controls, band):
+            # The argmax as it was before the band was hoisted: its own band each call.
+            b = controls.controls[:, np.newaxis]
+            vals = apply_band(penalty_mod._band(grid, problem, b), u) \
+                + eval_on(problem.running_reward, t, grid.nodes, b)
+            best_idx = vals.argmax(axis=0)
+            return vals[best_idx, np.arange(grid.n_nodes)], best_idx
+
+        monkeypatch.setattr(penalty_mod, "_best_control", per_call_band)
+        assert np.array_equal(self.solve(p, g, c).surface, hoisted)
