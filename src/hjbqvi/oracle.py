@@ -27,7 +27,7 @@ import numpy as np
 from .exceptions import NonConvergenceError
 from .grid import SpaceTimeGrid
 from .operators import DiscreteControls, FrozenObstacle, InterventionTable, discretize_controls
-from .penalty import penalty_timestep
+from .penalty import _control_band, penalty_timestep
 from .problem import ProblemSpec, eval_on
 from .solution import (FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig,
                        default_epsilon)
@@ -45,7 +45,8 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     iterate is the no-intervention solve (a frozen obstacle of -inf), which
     still lies below the solution, so the monotone bracketing survives.  The
     terminal row of each pass is max(g, frozen obstacle at T), which under
-    the terminal no-gain hypothesis is just g.
+    the terminal no-gain hypothesis is just g.  Every inner step of every
+    pass reads one controls x nodes generator band, built once per call.
     """
     if not problem.finite_horizon:
         raise ValueError("iterated optimal stopping needs a finite-horizon problem")
@@ -58,6 +59,7 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     n_nodes = grid.n_nodes
     dt = grid.dt
     tables = [InterventionTable(problem, grid, controls, n * dt) for n in range(grid.N + 1)]
+    band = _control_band(grid, problem, controls)
     g_vals = eval_on(problem.terminal_reward, grid.nodes)
     diagnostics = SolveDiagnostics()
 
@@ -67,8 +69,8 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
         policies: list[PenaltyPolicy | None] = [None] * (grid.N + 1)
         u = terminal
         for n in range(grid.N - 1, -1, -1):
-            u, step_diag = penalty_timestep(u, n * dt, grid, problem, controls,
-                                            epsilon, cfg, FrozenObstacle(obstacles[n]))
+            u, step_diag = penalty_timestep(u, n * dt, grid, problem, controls, epsilon,
+                                            cfg, FrozenObstacle(obstacles[n]), band)
             surface[n] = u
             policies[n] = step_diag.policy
             diagnostics.record_step(step_diag)

@@ -216,7 +216,6 @@ def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls
         system = _assemble(policy, rhs_base, time_weight, t, grid, problem,
                            epsilon, operator)
         diag.iterations += 1
-        diag.matrix_systems += 1
         diag.min_dominance_margin = min(diag.min_dominance_margin, system.report.min_margin)
         u_new = spsolve(system.matrix, system.rhs)
         if not np.all(np.isfinite(u_new)):

@@ -16,7 +16,8 @@ Standing hypotheses, checked by :func:`validate` on sampled points:
   (sup_z { g(x + shift) + cost } <= g(x)),
 * the impulse set is a nonempty interval at every (t, x),
 * the impulse cost is strictly negative everywhere,
-* a declared ``diffusion_control_independent`` flag holds.
+* the diffusion is nonnegative (the semi-Lagrangian solve checks, exactly,
+  that it ignores the control: :func:`semilag.diffusion_variance`).
 
 Coefficients are plain callables (scalar in, scalar out); array-aware
 callables are exploited when they broadcast, via :func:`eval_on`.
@@ -73,10 +74,6 @@ class ProblemSpec:
     exclusive.  In the infinite-horizon case the time argument of
     ``running_reward``, ``impulse_shift``, ``impulse_cost`` and
     ``impulse_bounds`` is vestigial and is always passed as 0.
-
-    ``diffusion_control_independent`` declares that ``diffusion(x, b)``
-    ignores b, which the semi-Lagrangian scheme requires; :func:`validate`
-    samples the diffusion and fails the flag when it does not hold.
     """
 
     drift: Callable[[float, float], float]            # drift(x, b)
@@ -89,7 +86,6 @@ class ProblemSpec:
     control_bounds: tuple[float, float]
     horizon: float | None = None
     discount: float | None = None
-    diffusion_control_independent: bool = False
     exact: Callable[[float, float], float] | None = None
     name: str = "custom"
 
@@ -169,8 +165,9 @@ def validate(problem: ProblemSpec, grid: SpaceTimeGrid, samples: int = 64) -> Va
     """Check the standing hypotheses on a deterministic sample of grid points.
 
     The report carries every check with its worst witness; callers decide
-    what a failure means.  It raises ValueError for ``samples < 1`` and,
-    through :func:`eval_on`, when a coefficient returns a non-finite value.
+    what a failure means.  It raises ValueError for ``samples < 1``, for a
+    non-finite impulse bound (naming its (t, x)) and, through
+    :func:`eval_on`, when a coefficient returns a non-finite value.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -194,6 +191,9 @@ def validate(problem: ProblemSpec, grid: SpaceTimeGrid, samples: int = 64) -> Va
     for t in ts:
         for x in xs:
             lo, hi = problem.impulse_bounds(t, x)
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"non-finite impulse bounds at (t={float(t)!r}, "
+                                 f"x={float(x)!r}): [{float(lo)!r}, {float(hi)!r}]")
             width = hi - lo
             if width < min_width:
                 min_width, width_witness = width, (float(t), float(x))
@@ -231,20 +231,11 @@ def validate(problem: ProblemSpec, grid: SpaceTimeGrid, samples: int = 64) -> Va
     kb, kx = np.unravel_index(int(sg.argmin()), sg.shape)
     worst_diffusion, diffusion_witness = float(sg[kb, kx]), (float(xs[kx]), float(bs[kb]))
 
-    # The declared flag: the check reports the largest sampled spread over
-    # the controls either way and fails only when the flag is set.
-    spread = np.abs(sg - sg[0])
-    kb, kx = np.unravel_index(int(spread.argmax()), spread.shape)
-    control_spread, control_witness = float(spread[kb, kx]), (float(xs[kx]), float(bs[kb]))
-
     checks = [
         CheckResult("impulse_cost_negative", worst_cost < 0.0, worst_cost, cost_witness),
         CheckResult("terminal_intervention_no_gain", worst_gain <= 1e-12, worst_gain, gain_witness),
         CheckResult("impulse_set_nonempty", min_width >= 0.0, float(min_width), width_witness),
         CheckResult("diffusion_nonnegative", worst_diffusion >= 0.0, worst_diffusion, diffusion_witness),
-        CheckResult("diffusion_control_independent",
-                    not problem.diffusion_control_independent or control_spread == 0.0,
-                    control_spread, control_witness),
     ]
     return ValidationReport(checks=checks, lipschitz_estimate=lipschitz)
 
@@ -291,7 +282,6 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
             impulse_cost=lambda t, x, z: -1.0 + 0.0 * z,
             impulse_bounds=lambda t, x: (0.0, 1.0),
             control_bounds=(0.0, 0.0),
-            diffusion_control_independent=True,
             exact=(lambda t, x: c + 0.0 * x) if finite else (lambda t, x: 0.0 * x),
             name="constant",
             **_horizon_fields(p),
@@ -312,7 +302,6 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
             impulse_cost=lambda t, x, z: -3.0 + 0.0 * z,
             impulse_bounds=lambda t, x: (-1.0, 1.0),
             control_bounds=(0.0, 0.0),
-            diffusion_control_independent=True,
             exact=exact,
             name="heat",
             **_horizon_fields(p),
@@ -335,7 +324,6 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
             impulse_cost=lambda t, x, z: -c0 - lam * np.abs(z - x),
             impulse_bounds=lambda t, x: (-1.0, 1.0),
             control_bounds=(-b_max, b_max),
-            diffusion_control_independent=True,
             name="cash",
             **_horizon_fields(p),
         )

@@ -19,9 +19,11 @@ points); the timestep takes their maximum with one argmax, and the
 monotonicity row :func:`scheme_row` reads the same block.
 
 A = I - dt L_0 is built from the same stencil core as the penalty systems
-(:func:`operators.generator_band` with zero drift).  It has identity
-boundary rows (zero boundary stencils) and is strictly diagonally dominant,
-hence nonsingular; the solver checks this and factorises A once per solve.
+(:func:`operators.generator_band` with zero drift) and the variance of
+:func:`diffusion_variance`, which checks control independence on the data.
+It has identity boundary rows (zero boundary stencils) and is strictly
+diagonally dominant, hence nonsingular; the solver checks this and
+factorises A once per solve.
 The jump table of a step is reused from the step before when the impulse
 data at its level equal those the table was built from
 (:meth:`InterventionTable.same_data_at`), so data that ignore t build one
@@ -58,22 +60,31 @@ from .solution import (FINITE, PenaltyPolicy, SolveDiagnostics, Solution, Solver
                        default_epsilon)
 
 
-def _variance(problem: ProblemSpec, grid: SpaceTimeGrid) -> np.ndarray:
-    """diffusion^2 per node, read at the smallest control (it does not
-    depend on the control)."""
-    b_ref = problem.control_bounds[0]
-    return eval_on(problem.diffusion, grid.nodes, b_ref) ** 2
-
-
-def assemble_A(grid: SpaceTimeGrid, problem: ProblemSpec) -> sp.csr_matrix:
-    """Implicit diffusion matrix I - dt L_0 in CSR form; identity rows at j = +-M."""
-    if not problem.diffusion_control_independent:
+def diffusion_variance(problem: ProblemSpec, grid: SpaceTimeGrid,
+                       controls: DiscreteControls) -> np.ndarray:
+    """diffusion^2 per node, read at the smallest control from the controls x
+    nodes block; any entry of the block that differs from that row raises
+    ValueError naming the first such (x, b) and both values."""
+    sigma = eval_on(problem.diffusion, grid.nodes, controls.controls[:, np.newaxis])
+    differs = np.flatnonzero(sigma != sigma[0])
+    if differs.size:
+        k, i = np.unravel_index(differs[0], sigma.shape)
+        x, b, b0 = float(grid.nodes[i]), float(controls.controls[k]), float(controls.controls[0])
         raise ValueError(
-            "the semi-Lagrangian scheme requires a control-independent "
-            "diffusion coefficient (diffusion(x, b) = diffusion(x))"
+            "the semi-Lagrangian scheme requires a control-independent diffusion "
+            f"coefficient, but diffusion(x, b) = {float(sigma[k, i])!r} at (x, b) = {(x, b)} "
+            f"and {float(sigma[0, i])!r} at {(x, b0)}"
         )
+    return sigma[0] ** 2
+
+
+def assemble_A(grid: SpaceTimeGrid, problem: ProblemSpec,
+               controls: DiscreteControls) -> sp.csr_matrix:
+    """Implicit diffusion matrix I - dt L_0 in CSR form; identity rows at j = +-M.
+    Raises ValueError when the diffusion varies over ``controls``."""
     # dt scales the variance before the band divides by the cell widths.
-    dt_band = generator_band(grid.nodes, 0.0, _variance(problem, grid) * grid.dt)
+    variance = diffusion_variance(problem, grid, controls)
+    dt_band = generator_band(grid.nodes, 0.0, variance * grid.dt)
     return implicit_matrix(1.0, dt_band)
 
 
@@ -207,14 +218,13 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
     if not problem.finite_horizon:
         raise ValueError("the semi-Lagrangian scheme is finite-horizon only")
     controls = controls or discretize_controls(problem, grid.rho)
-    A = assemble_A(grid, problem)
+    A = assemble_A(grid, problem, controls)
     report = analyze_matrix(A)
     if not (report.passed and report.strictly_dominant_ok):
         raise SolverError(f"semi-Lagrangian matrix lost strict dominance: {report.witness}")
 
     diagnostics = SolveDiagnostics()
     diagnostics.matrix_systems_checked = 1
-    diagnostics.matrix_systems_passed = 1
     diagnostics.min_dominance_margin = report.min_margin
     diagnostics.inward_drift = detect_inward_drift(problem, grid, controls)
 
@@ -235,8 +245,6 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
         policies[n] = step.policy
         diagnostics.oversteps += step.oversteps
         diagnostics.interior_oversteps += step.interior_oversteps
-        diagnostics.step_min.append(float(u.min()))
-        diagnostics.step_max.append(float(u.max()))
     epsilon = default_epsilon(grid, cfg or SolverConfig())
     return Solution(grid=grid, scheme="semilagrangian", horizon=FINITE,
                     surface=surface, policies=policies,
@@ -252,7 +260,7 @@ def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
     u_loc = np.array(u_n, dtype=float)
     u_loc[i] = center
     dt = grid.dt
-    diffusion_band = generator_band(grid.nodes, 0.0, _variance(problem, grid))
+    diffusion_band = generator_band(grid.nodes, 0.0, diffusion_variance(problem, grid, controls))
     diffusion_term = float(apply_band(diffusion_band, u_loc)[i])
     _, values = _continuation(np.asarray(u_next, dtype=float), t, grid, problem,
                               controls.controls[:, np.newaxis])

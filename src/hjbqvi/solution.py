@@ -63,7 +63,6 @@ class TimestepDiagnostics:
     iterations: int
     updates: list[float] = field(default_factory=list)
     final_residual: float = 0.0
-    matrix_systems: int = 0
     min_dominance_margin: float = np.inf
     policy: "PenaltyPolicy | None" = None
 
@@ -71,15 +70,12 @@ class TimestepDiagnostics:
 @dataclass
 class SolveDiagnostics:
     timesteps: list[TimestepDiagnostics] = field(default_factory=list)
-    matrix_systems_checked: int = 0
-    matrix_systems_passed: int = 0
+    matrix_systems_checked: int = 0     # each passed: a failing system raises
     min_dominance_margin: float = np.inf
     # Semi-Lagrangian bookkeeping.
     oversteps: int = 0
     interior_oversteps: int = 0
     inward_drift: bool | None = None
-    step_min: list[float] = field(default_factory=list)
-    step_max: list[float] = field(default_factory=list)
     # Iterated-optimal-stopping bookkeeping (per outer pass).
     outer_changes: list[float] = field(default_factory=list)
     outer_min_increments: list[float] = field(default_factory=list)
@@ -87,8 +83,8 @@ class SolveDiagnostics:
 
     def record_step(self, step: TimestepDiagnostics) -> None:
         self.timesteps.append(step)
-        self.matrix_systems_checked += step.matrix_systems
-        self.matrix_systems_passed += step.matrix_systems
+        # One system is assembled and checked per policy iteration.
+        self.matrix_systems_checked += step.iterations
         self.min_dominance_margin = min(self.min_dominance_margin, step.min_dominance_margin)
 
     def iteration_stats(self) -> dict:
@@ -124,10 +120,6 @@ class Solution:
     @property
     def terminal(self) -> np.ndarray:
         return self.surface[-1]
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.surface[0]
 
     def sup_norm(self) -> float:
         return float(np.abs(self.surface).max())

@@ -87,15 +87,25 @@ class TestParseConfig:
             cli.parse_config(write_config(
                 tmp_path, MINIMAL.replace("scheme: penalty", "scheme: upwindy")))
 
-    def test_semilagrangian_needs_control_independent_diffusion(self, tmp_path, monkeypatch):
-        spec = cli.parse_config(write_config(
-            tmp_path, MINIMAL.replace("scheme: penalty", "scheme: semilagrangian")))
+    def test_semilagrangian_needs_control_independent_diffusion(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        config = write_config(
+            tmp_path, MINIMAL.replace("scheme: penalty", "scheme: semilagrangian"))
+        spec = cli.parse_config(config)
         control_dependent = replace(builtin("constant", {"c": 5.0, "T": 1.0}),
-                                    diffusion=lambda x, b: 1.0 + 0.1 * b,
-                                    diffusion_control_independent=False)
+                                    control_bounds=(0.0, 1.0),
+                                    diffusion=lambda x, b: 1.0 + 0.1 * b)
         monkeypatch.setattr(cli, "builtin", lambda name, params: control_dependent)
-        with pytest.raises(ConfigError, match="control-independent diffusion"):
+        with pytest.raises(ConfigError, match="requires a control-independent diffusion"):
             cli.run(spec, mode="solve", out_dir=tmp_path / "out")
+        assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "at (x, b) = (-2.0, " in err
+        assert not (tmp_path / "out").exists()
+        assert cli.main(["validate", "--config", str(config)]) == 2
+        # The penalty scheme solves the same problem.
+        penalty = replace(spec, scheme="penalty")
+        assert cli.run(penalty, mode="solve", out_dir=tmp_path / "out", check=True) == 0
 
 
 class TestRunSolve:
@@ -134,19 +144,6 @@ class TestRunSolve:
     def test_validate_command(self, tmp_path):
         config = write_config(tmp_path, MINIMAL)
         assert cli.main(["validate", "--config", str(config)]) == 0
-
-    def test_validate_fails_a_false_flag(self, tmp_path, monkeypatch, capsys):
-        # The constant problem declares diffusion_control_independent; a
-        # diffusion that varies with b makes `hjbqvi validate` exit 1 and
-        # print that check's failure.
-        base = builtin("constant", {"c": 5.0, "T": 1.0})
-        broken = replace(base, control_bounds=(0.0, 1.0), diffusion=lambda x, b: 1.0 + b + 0.0 * x)
-        assert broken.diffusion_control_independent
-        monkeypatch.setattr(cli, "builtin", lambda name, params: broken)
-        assert cli.main(["validate", "--config", str(write_config(tmp_path, MINIMAL))]) == 1
-        out = capsys.readouterr().out
-        assert "diffusion_control_independent: FAIL" in out
-        assert out.count("FAIL") == 1
 
     def test_discounted_solve_runs_stationary_checks(self, tmp_path):
         spec = cli.parse_config(write_config(tmp_path, DISCOUNTED_CASH))

@@ -185,7 +185,7 @@ class TestMatrixChecks:
     def test_semi_lagrangian_matrix_passes(self):
         p = builtin("heat")
         g = build_uniform_grid(Q=4, M=16, N=8, T=1)
-        report = check_matrix_properties(assemble_A(g, p))
+        report = check_matrix_properties(assemble_A(g, p, discretize_controls(p, g.rho)))
         assert report.passed and report.strictly_dominant_ok
 
     def test_penalty_diagonal_dominance(self):

@@ -63,6 +63,54 @@ class TestIteratedOptimalStopping:
             solve_iterated_optimal_stopping(p, g)
 
 
+class TestControlBandPerSolve:
+    """Every inner step of every outer pass reads one controls x nodes band."""
+
+    @staticmethod
+    def counted(problem):
+        """The problem with drift and diffusion recording each call's shape."""
+        shapes = {"drift": [], "diffusion": []}
+
+        def wrap(name, fn):
+            def counted_fn(x, b):
+                shapes[name].append(np.broadcast(x, b).shape)
+                return fn(x, b)
+            return counted_fn
+
+        return replace(problem, drift=wrap("drift", problem.drift),
+                       diffusion=wrap("diffusion", problem.diffusion)), shapes
+
+    @pytest.mark.parametrize("name", ["heat", "cash"])
+    def test_one_block_evaluation_per_solve(self, name):
+        p, shapes = self.counted(builtin(name))
+        g = build_uniform_grid(Q=4, M=10, N=6, T=p.horizon)
+        c = discretize_controls(p, g.rho)
+        sol = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
+        assert sol.diagnostics.outer_iterations >= 1
+        block = (c.controls.size, g.n_nodes)
+        for calls in shapes.values():
+            # One block call, then one per-node call per assembled system.
+            assert calls.count(block) == 1
+            assert calls.count((g.n_nodes,)) == sol.diagnostics.matrix_systems_checked
+            assert len(calls) == 1 + sol.diagnostics.matrix_systems_checked
+
+    def test_surfaces_equal_per_step_band(self, monkeypatch):
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=10, N=6, T=3)
+        c = discretize_controls(p, g.rho)
+        hoisted = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
+        timestep = oracle.penalty_timestep
+
+        def own_band(*args, band=None):
+            # Each step builds its own band, as it did before the solve shared one.
+            return timestep(*args[:8])
+
+        monkeypatch.setattr(oracle, "penalty_timestep", own_band)
+        per_step = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
+        assert np.array_equal(per_step.surface, hoisted.surface)
+        assert per_step.diagnostics.outer_changes == hoisted.diagnostics.outer_changes
+
+
 class TestBruteForceResidual:
     def test_penalty_solution_within_tolerance(self):
         p = builtin("cash")

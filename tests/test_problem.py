@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hjbqvi.grid import build_uniform_grid
+from hjbqvi.harness import check_solution_matrices
 from hjbqvi.penalty import solve_finite_horizon
 from hjbqvi.problem import ProblemSpec, builtin, eval_on, validate
 from hjbqvi.semilag import solve_semi_lagrangian
@@ -138,18 +139,27 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(flat_problem(), grid, samples=0)
 
-    def test_control_dependent_diffusion_fails_declared_flag(self):
-        cash = builtin("cash")
-        assert cash.diffusion_control_independent
-        spreading = replace(cash, diffusion=lambda x, b: 1.0 + b * b + 0.0 * x)
+    def test_control_dependent_diffusion_is_a_valid_problem(self):
+        # The standing hypotheses allow a diffusion that depends on b: validate
+        # passes it, and the penalty scheme solves it within its guarantees.
+        spreading = replace(builtin("cash"), diffusion=lambda x, b: 1.0 + 2.0 * b + 0.0 * x)
         grid = build_uniform_grid(Q=4, M=16, N=12, T=3)
-        failed = validate(spreading, grid, samples=32).failures()
-        assert [c.name for c in failed] == ["diffusion_control_independent"]
-        # Read against the smallest control b = -0.5, the spread peaks at b = 0.
-        assert failed[0].worst_value == 0.25
-        assert failed[0].witness == (-4.0, 0.0)
-        undeclared = replace(spreading, diffusion_control_independent=False)
-        assert validate(undeclared, grid, samples=32).passed
+        report = validate(spreading, grid, samples=32)
+        assert report.passed, [str(c) for c in report.failures()]
+        assert [c.name for c in report.checks] == [
+            "impulse_cost_negative", "terminal_intervention_no_gain",
+            "impulse_set_nonempty", "diffusion_nonnegative"]
+        sol = solve_finite_horizon(spreading, grid)
+        assert check_solution_matrices(sol).passed
+        assert sol.sup_norm() <= 2.0 + 2.0 * 3.0   # |g| <= 2, |f| <= 2, T = 3
+
+    def test_non_finite_impulse_bound_is_named(self):
+        cash = builtin("cash")
+        broken = replace(cash, impulse_bounds=lambda t, x: (-1.0, np.nan if x > 1.0 else 1.0))
+        grid = build_uniform_grid(Q=4, M=16, N=12, T=3)
+        named = r"non-finite impulse bounds at \(t=0\.0, x=1\.25\): \[-1\.0, nan\]"
+        with pytest.raises(ValueError, match=named):
+            validate(broken, grid, samples=32)
 
     @pytest.mark.parametrize("name", ["constant", "heat", "cash"])
     @pytest.mark.parametrize("make_grid", [

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +36,6 @@ def drift_problem(drift, diffusion=1.0, b_bounds=(0.0, 0.0)):
         impulse_bounds=lambda t, x: (-1.0, 1.0),
         control_bounds=b_bounds,
         horizon=1.0,
-        diffusion_control_independent=True,
     )
 
 
@@ -69,14 +69,14 @@ class TestAssembleA:
     def test_zero_diffusion_gives_identity(self):
         p = drift_problem(lambda x, b: 0.0, diffusion=0.0)
         g = build_uniform_grid(Q=2, M=4, N=4, T=1)
-        A = assemble_A(g, p)
+        A = assemble_A(g, p, discretize_controls(p, g.rho))
         assert A.format == "csr"
         assert np.array_equal(A.toarray(), np.eye(g.n_nodes))
 
     def test_unit_coefficients_three_node(self):
         p = drift_problem(lambda x, b: 0.0, diffusion=1.0)
         g = build_uniform_grid(Q=1, M=1, N=1, T=1)   # dt = dx = 1
-        A = assemble_A(g, p)
+        A = assemble_A(g, p, discretize_controls(p, g.rho))
         expected = np.array([
             [1.0, 0.0, 0.0],
             [-0.5, 2.0, -0.5],
@@ -88,21 +88,48 @@ class TestAssembleA:
         p = builtin("cash")
         for M, N in [(8, 6), (16, 12), (32, 24)]:
             g = build_uniform_grid(Q=4, M=M, N=N, T=3)
-            report = analyze_matrix(assemble_A(g, p))
+            report = analyze_matrix(assemble_A(g, p, discretize_controls(p, g.rho)))
             assert report.strictly_dominant_ok and report.passed
 
     def test_rejects_control_dependent_diffusion(self):
-        p = replace(builtin("cash"), diffusion_control_independent=False)
+        # diffusion 1 + 2b is 0 at the smallest control b = -0.5 and 2 at
+        # the largest; the solve must not silently run with the former.
+        p = replace(builtin("cash"), diffusion=lambda x, b: 1.0 + 2.0 * b + 0.0 * x)
         g = build_uniform_grid(Q=4, M=8, N=6, T=3)
-        with pytest.raises(ValueError, match="control-independent"):
-            assemble_A(g, p)
+        c = discretize_controls(p, g.rho)
+        assert c.controls.tolist() == [-0.5, 0.0, 0.5]
+        named = re.escape("requires a control-independent diffusion coefficient, but "
+                          "diffusion(x, b) = 1.0 at (x, b) = (-4.0, 0.0) and 0.0 at (-4.0, -0.5)")
+        with pytest.raises(ValueError, match=named):
+            assemble_A(g, p, c)
+        with pytest.raises(ValueError, match=named):
+            solve_semi_lagrangian(p, g, c)
+        with pytest.raises(ValueError, match="requires a control-independent diffusion"):
+            solve_semi_lagrangian(p, g)
+
+    def test_check_is_exact_not_sampled(self):
+        # The diffusion differs from the smallest control's at one interior
+        # node and one interior control only: every entry of the controls x
+        # nodes block is compared, so that single pair is found and named.
+        p0 = builtin("cash")
+        g = build_uniform_grid(Q=4, M=40, N=30, T=3)
+        c = discretize_controls(p0, g.rho)
+        x_star, b_star = float(g.nodes[5]), float(c.controls[c.controls.size // 2 + 1])
+        assert c.controls.size > 9 and b_star not in np.linspace(-0.5, 0.5, 9)
+        p = replace(p0, diffusion=lambda x, b: np.where((x == x_star) & (b == b_star),
+                                                        1.0 + 1e-12, 1.0) + 0.0 * x)
+        with pytest.raises(ValueError, match=re.escape(f"at (x, b) = {(x_star, b_star)}")):
+            solve_semi_lagrangian(p, g, c)
+        # Without that control the block is constant in b: the matrix is the builtin's.
+        others = replace(c, controls=c.controls[c.controls != b_star])
+        assert (assemble_A(g, p, others) != assemble_A(g, p0, c)).nnz == 0
 
     def test_inverse_is_nonnegative(self):
         # Monotonicity of the implicit step: solving against every basis
         # vector recovers the columns of the inverse.
         p = drift_problem(lambda x, b: 0.0, diffusion=1.3)
         g = build_uniform_grid(Q=2, M=5, N=4, T=1)
-        A = assemble_A(g, p)
+        A = assemble_A(g, p, discretize_controls(p, g.rho))
         for k in range(g.n_nodes):
             e = np.zeros(g.n_nodes)
             e[k] = 1.0
@@ -183,7 +210,7 @@ class TestThomasSolve:
         # Interior row sums equal one, so constants are reproduced exactly.
         p = drift_problem(lambda x, b: 0.0, diffusion=1.0)
         g = build_uniform_grid(Q=1, M=1, N=1, T=1)
-        A = assemble_A(g, p)
+        A = assemble_A(g, p, discretize_controls(p, g.rho))
         assert np.allclose(thomas_solve(A, np.ones(3)), 1.0)
 
     def test_against_dense_solver(self):
@@ -217,7 +244,7 @@ class TestThomasSolve:
         # factor reused across right-hand sides changes no bit of a solve.
         p = builtin("cash")
         g = build_boundary_refined_grid(Q=4, rho=0.05, c_b=1.0, N=60, T=3)
-        A = assemble_A(g, p)
+        A = assemble_A(g, p, discretize_controls(p, g.rho))
         factor = factorise(A)
         rng = np.random.default_rng(5)
         for _ in range(4):
@@ -228,7 +255,7 @@ class TestThomasSolve:
 def per_step_solve(p, g, c):
     """Surfaces and policies of the backward induction with a fresh jump
     table at every step (sl_rhs's default) and a fresh solve of A."""
-    A = assemble_A(g, p)
+    A = assemble_A(g, p, c)
     u = eval_on(p.terminal_reward, g.nodes)
     surface, policies = [u], []
     for n in range(g.N - 1, -1, -1):
@@ -278,7 +305,7 @@ class TestTableReuse:
         sol, times = self.build_times(monkeypatch, p, g, c)
         assert times == [n * g.dt + g.dt for n in range(g.N - 1, -1, -1)]
         self.assert_matches_per_step(sol, p, g, c)
-        A = assemble_A(g, p)
+        A = assemble_A(g, p, c)
         for n in range(g.N):
             rhs = brute_force_rhs(sol.surface[n + 1], n * g.dt, g, p, c)
             assert np.abs(A @ sol.surface[n] - rhs).max() <= 1e-10
@@ -323,8 +350,7 @@ class TestSolveSemiLagrangian:
         g = build_uniform_grid(Q=4, M=16, N=12, T=3)
         sol = solve_semi_lagrangian(p, g)
         bound = 2.0 + 2.0 * 3.0   # |g| <= 2, |f| <= 2, T = 3
-        assert max(abs(v) for v in sol.diagnostics.step_min) <= bound + 1e-8
-        assert max(abs(v) for v in sol.diagnostics.step_max) <= bound + 1e-8
+        assert np.abs(sol.surface[:-1]).max() <= bound + 1e-8
 
     def test_agrees_with_penalty_under_refinement(self):
         p = builtin("cash")
