@@ -32,6 +32,7 @@ from .grid import (
     as_growing_q,
     build_boundary_refined_grid,
     build_uniform_grid,
+    grid_for_level,
 )
 from .harness import (
     IOS,
@@ -261,13 +262,18 @@ def build_grid(spec: RunSpec, problem: ProblemSpec) -> SpaceTimeGrid:
         raise ConfigError(f"bad grid: {exc}") from exc
 
 
-def check_semantics(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid) -> None:
-    """Scheme versus problem; semi-Lagrangian configs run the solve's diffusion check."""
+def check_semantics(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid,
+                    levels: int = 1) -> None:
+    """Scheme versus problem; semi-Lagrangian configs run the solve's diffusion
+    check on the grid and controls of each of ``levels`` refinement levels."""
     if spec.scheme == SEMILAGRANGIAN:
         if not problem.finite_horizon:
             raise ConfigError("scheme 'semilagrangian' is finite-horizon only")
         try:
-            diffusion_variance(problem, grid, discretize_controls(problem, grid.rho))
+            for level in range(levels):
+                level_grid = grid_for_level(grid, level)
+                diffusion_variance(problem, level_grid,
+                                   discretize_controls(problem, level_grid.rho))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if spec.scheme == IOS and not problem.finite_horizon:
@@ -381,10 +387,10 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
     """
     problem = build_problem(spec)
     grid = build_grid(spec, problem)
-    check_semantics(spec, problem, grid)
     n_levels = levels if levels is not None else spec.levels
     if mode == "study" and n_levels < 2:
         raise ConfigError(f"a refinement study needs >= 2 levels, got {n_levels}")
+    check_semantics(spec, problem, grid, n_levels if mode == "study" else 1)
     out = Path(out_dir if out_dir is not None else (spec.output or "."))
     out.mkdir(parents=True, exist_ok=True)
 

@@ -245,9 +245,11 @@ class InterventionTable:
     one nodes x K block (``_impulse_grid``), K the largest impulse count at
     any node.  A node with fewer candidates repeats its last z: the copy has
     the same value as the candidate it repeats, and argmax keeps the first
-    of equal values, so padding never changes a result.  ``costs``, ``k``
-    and ``alpha`` are the block flattened row by row; node i owns entries
-    ``offsets[i]:offsets[i + 1]``.
+    of equal values, so padding never changes a result.  ``costs``, ``k``,
+    ``alpha`` and ``stay`` (1 - alpha) are the block flattened row by row;
+    node i owns entries ``offsets[i]:offsets[i + 1]``.  The table also keeps
+    the block's shifts (``_shifts``), so that :meth:`same_data_at` evaluates
+    the shift once, at the new time.
     """
 
     def __init__(self, problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -258,11 +260,12 @@ class InterventionTable:
         impulse_grid = controls.impulse_values(t, nodes)   # (n, K), shared
         per_node = impulse_grid.shape[1]
         x_col = nodes[:, np.newaxis]
-        targets = x_col + eval_on(problem.impulse_shift, t, x_col, impulse_grid)
         self._impulse_grid = impulse_grid
+        self._shifts = eval_on(problem.impulse_shift, t, x_col, impulse_grid)
         self.offsets = np.arange(nodes.size + 1) * per_node
         self.costs = eval_on(problem.impulse_cost, t, x_col, impulse_grid).ravel()
-        self.k, self.alpha = interp_weights(nodes, targets.ravel())
+        self.k, self.alpha = interp_weights(nodes, (x_col + self._shifts).ravel())
+        self.stay = 1.0 - self.alpha
         self.k_next = np.minimum(self.k + 1, nodes.size - 1)
 
     def same_data_at(self, t: float) -> bool:
@@ -271,12 +274,12 @@ class InterventionTable:
         True when the impulse bounds at every node, and the shifts and costs
         of these candidates, equal at t those this table was built from.
         Each node's candidates run from its lower to its upper bound, so the
-        first and last columns of the block are the bounds at ``self.t``.
-        The shifts are evaluated at both times rather than kept, so a table
-        holds no more memory than it needs for :meth:`apply`.  Costs the
-        bounds read a build's ``impulse_values`` sample also makes (see
-        :func:`impulse_bounds_on`) and three array calls; a build adds the
-        candidate block, its shifts and costs and the interpolation weights.
+        first and last columns of the block are the bounds at ``self.t``;
+        the shifts at ``self.t`` are the kept ``_shifts`` block.  A check
+        costs the bounds read a build's ``impulse_values`` sample also makes
+        (see :func:`impulse_bounds_on`) and one array call each for the
+        bounds, costs and shifts at t; a build adds the candidate block and
+        the interpolation weights.
         """
         problem, nodes, zs = self._problem, self._nodes, self._impulse_grid
         lo, hi = impulse_bounds_on(problem, t, nodes)
@@ -284,8 +287,7 @@ class InterventionTable:
             return False
         x_col = nodes[:, np.newaxis]
         return (np.array_equal(eval_on(problem.impulse_cost, t, x_col, zs).ravel(), self.costs)
-                and np.array_equal(eval_on(problem.impulse_shift, t, x_col, zs),
-                                   eval_on(problem.impulse_shift, self.t, x_col, zs)))
+                and np.array_equal(eval_on(problem.impulse_shift, t, x_col, zs), self._shifts))
 
     def jump_rows(self, rows, impulses) -> tuple[tuple, np.ndarray]:
         """Couplings and cost of the candidate ``impulses[r]`` at node ``rows[r]``.
@@ -303,12 +305,18 @@ class InterventionTable:
             raise ValueError(f"impulse {float(impulses[bad])!r} at node index {int(rows[bad])} "
                              f"(t={self.t!r}) is not one of that node's candidates")
         flat = self.offsets[rows] + match.argmax(axis=1)
-        k, alpha = self.k[flat], self.alpha[flat]
-        return ((k, 1.0 - alpha), (k + 1, alpha)), self.costs[flat]
+        k = self.k[flat]
+        return ((k, self.stay[flat]), (k + 1, self.alpha[flat])), self.costs[flat]
 
     def apply(self, u: np.ndarray) -> InterventionResult:
-        """Best-impulse value max_z { interp(u, x_j + shift) + cost } at every node."""
-        values = (1.0 - self.alpha) * u[self.k] + self.alpha * u[self.k_next] + self.costs
+        """Best-impulse value max_z { interp(u, x_j + shift) + cost } at every node,
+        formed as (1 - alpha) u_k + alpha u_{k+1} + cost in two work arrays."""
+        values = u.take(self.k)
+        values *= self.stay
+        right = u.take(self.k_next)
+        right *= self.alpha
+        values += right
+        values += self.costs
         block = values.reshape(self._impulse_grid.shape)
         best = block.argmax(axis=1)
         rows = np.arange(block.shape[0])

@@ -18,7 +18,12 @@ drift(x, b) and diffusion(x, b) take no t, so the controls x nodes band of
 L_b that the control argmax reads is the same at every step and every policy
 iteration: a solve builds it once and passes it down (``band``), and a
 standalone :func:`penalty_timestep`, :func:`policy_improve` or
-:func:`residual` call given none builds its own.
+:func:`residual` call given none builds its own.  The running reward
+f(t, x, b) is fixed within a step, so a step evaluates it once on the same
+block (``reward``).  Each assembled system reads row b_j of the band and of
+the reward block at node j, by the control index the argmax chose, so the
+systems and the argmax read the same numbers.  The residual gate reuses the
+argmax values of the last policy improvement, which evaluated the same u.
 
 The stationary (discounted) analogue replaces the time difference by
 -beta u_j and solves a single such system.
@@ -83,8 +88,7 @@ def _intervention_at(intervention, t, grid, problem, controls):
 
 
 def _band(grid, problem, b):
-    """Band of L_b for per-node controls, or one band row per control when
-    ``b`` is a column of controls."""
+    """Band of L_b with one row per control of the column ``b`` (controls x nodes)."""
     nodes = grid.nodes
     return generator_band(nodes, eval_on(problem.drift, nodes, b),
                           eval_on(problem.diffusion, nodes, b) ** 2)
@@ -95,17 +99,37 @@ def _control_band(grid, problem, controls):
     return _band(grid, problem, controls.controls[:, np.newaxis])
 
 
-def _best_control(u, t, grid, problem, controls, band):
+def _reward_block(t, grid, problem, b):
+    """f(t, x_j, b) with one row per control of the column ``b`` (controls x nodes)."""
+    return eval_on(problem.running_reward, t, grid.nodes, b)
+
+
+def _best_control(u, t, grid, problem, controls, band, reward=None):
     """Argmax over the discrete control set of (L_b u)_j + f(t, x_j, b),
-    ``band`` being the :func:`_control_band` of these controls.
+    ``band`` being the :func:`_control_band` of these controls and ``reward``
+    their :func:`_reward_block` at t, evaluated here when None.
 
     Returns (values, indices); ties go to the smallest control, the first
     index argmax meets.
     """
-    vals = apply_band(band, u) \
-        + eval_on(problem.running_reward, t, grid.nodes, controls.controls[:, np.newaxis])
+    if reward is None:
+        reward = _reward_block(t, grid, problem, controls.controls[:, np.newaxis])
+    vals = apply_band(band, u) + reward
     best_idx = vals.argmax(axis=0)
     return vals[best_idx, np.arange(grid.n_nodes)], best_idx
+
+
+def _improve(u, t, grid, problem, controls, intervention, band, reward):
+    """:func:`policy_improve` at a given operator, band and reward block, also
+    returning the control argmax values and indices the policy was chosen by."""
+    best_vals, best_idx = _best_control(u, t, grid, problem, controls, band, reward)
+    jump = intervention.apply(u)
+    policy = PenaltyPolicy(
+        controls=controls.controls[best_idx],
+        intervene=jump.values - u > 0.0,
+        impulses=jump.impulses,
+    )
+    return policy, best_vals, best_idx
 
 
 def policy_improve(u, t, grid, problem, controls, intervention=None,
@@ -119,17 +143,12 @@ def policy_improve(u, t, grid, problem, controls, intervention=None,
     """
     if band is None:
         band = _control_band(grid, problem, controls)
-    _, best_idx = _best_control(u, t, grid, problem, controls, band)
-    jump = _intervention_at(intervention, t, grid, problem, controls).apply(u)
-    return PenaltyPolicy(
-        controls=controls.controls[best_idx],
-        intervene=jump.values - u > 0.0,
-        impulses=jump.impulses,
-    )
+    operator = _intervention_at(intervention, t, grid, problem, controls)
+    return _improve(u, t, grid, problem, controls, operator, band, None)[0]
 
 
 def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-             intervention=None, band=None) -> np.ndarray:
+             intervention=None, band=None, best=None) -> np.ndarray:
     """Pointwise residual of the discrete penalty equations
 
         -max_b { rhs_base_j - time_weight u_j + (L_b u)_j + f_j(b) }
@@ -137,33 +156,45 @@ def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
 
     with the (rhs_base, time_weight) pair of :func:`_assemble`:
     (u^{n+1}/dt, 1/dt) for a timestep, (0, beta) for the stationary equations.
-    ``band`` is the :func:`_control_band`, built here when not given.
+    ``best`` is max_b { (L_b u)_j + f_j(b) } at this u, and ``band`` the
+    :func:`_control_band`; each is computed here when not given.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if band is None:
-        band = _control_band(grid, problem, controls)
-    best_vals, _ = _best_control(u, t, grid, problem, controls, band)
+    if best is None:
+        if band is None:
+            band = _control_band(grid, problem, controls)
+        best, _ = _best_control(u, t, grid, problem, controls, band)
     m_vals = _intervention_at(intervention, t, grid, problem, controls).apply(u).values
-    return -(best_vals + (rhs_base - time_weight * u)) - np.maximum(m_vals - u, 0.0) / epsilon
+    return -(best + (rhs_base - time_weight * u)) - np.maximum(m_vals - u, 0.0) / epsilon
 
 
 def _assemble(policy, rhs_base, time_weight, t, grid, problem, epsilon,
-              intervention) -> SparseSystem:
+              intervention, coefficients=None) -> SparseSystem:
     """Linear system of the penalty equations at a frozen policy.
 
     Row j:  time_weight*u_j - (L_{b_j} u)_j + (d_j/eps)(u_j - sum_c w_c u_c)
             = rhs_base_j + f_j(b_j) + (d_j/eps) * cost_j,
-    with zero stencils in the boundary rows.  The couplings (c, w_c) and the
-    cost of each active row are read from ``intervention.jump_rows``, the
-    operator that chose the policy: interpolation pairs for a jump table,
-    none for a frozen obstacle.  Couplings that land on the row itself merge
-    into the diagonal; the structural check rejects any configuration that
-    loses the M-matrix sign pattern or WCDD.
+    with zero stencils in the boundary rows.  L_{b_j} and f_j(b_j) are row
+    idx_j of a controls x nodes band and reward block, ``coefficients`` being
+    (band, reward, idx): a solve passes its :func:`_control_band`, the step's
+    :func:`_reward_block` and the control indices of the argmax that chose
+    the policy.  Given None, the blocks are built over the policy's distinct
+    controls.  The couplings (c, w_c) and the cost of each active row are
+    read from ``intervention.jump_rows``, the operator that chose the policy:
+    interpolation pairs for a jump table, none for a frozen obstacle.
+    Couplings that land on the row itself merge into the diagonal; the
+    structural check rejects any configuration that loses the M-matrix sign
+    pattern or WCDD.
     """
-    band = _band(grid, problem, policy.controls)
-    rhs = np.asarray(rhs_base, dtype=float) \
-        + eval_on(problem.running_reward, t, grid.nodes, policy.controls)
+    if coefficients is None:
+        distinct, idx = np.unique(policy.controls, return_inverse=True)
+        b = distinct[:, np.newaxis]
+        coefficients = _band(grid, problem, b), _reward_block(t, grid, problem, b), idx
+    block_band, reward, idx = coefficients
+    nodes = np.arange(grid.n_nodes)
+    band = tuple(part[idx, nodes] for part in block_band)
+    rhs = np.asarray(rhs_base, dtype=float) + reward[idx, nodes]
 
     # Penalty rows: one diagonal entry of 1/eps (less any coupling that lands
     # on the row itself), summed into the band's diagonal by implicit_matrix.
@@ -206,21 +237,25 @@ def assemble_policy_system(policy, u_next, t, grid, problem, controls,
 
 
 def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-                      cfg, intervention, band,
-                      time_index) -> tuple[np.ndarray, TimestepDiagnostics]:
+                      cfg, intervention, band, reward,
+                      time_index) -> tuple[np.ndarray, TimestepDiagnostics, np.ndarray]:
+    """Policy iteration from ``u_start``; returns the solution, the step's
+    diagnostics and the control argmax values of the last policy
+    improvement, which evaluated the returned u."""
     operator = _intervention_at(intervention, t, grid, problem, controls)
     diag = TimestepDiagnostics(time_index=time_index, iterations=0)
-    policy = policy_improve(u_start, t, grid, problem, controls, operator, band)
+    policy, _, best_idx = _improve(u_start, t, grid, problem, controls, operator, band, reward)
     u = np.asarray(u_start, dtype=float)
     for _ in range(cfg.max_iters):
         system = _assemble(policy, rhs_base, time_weight, t, grid, problem,
-                           epsilon, operator)
+                           epsilon, operator, (band, reward, best_idx))
         diag.iterations += 1
         diag.min_dominance_margin = min(diag.min_dominance_margin, system.report.min_margin)
         u_new = spsolve(system.matrix, system.rhs)
         if not np.all(np.isfinite(u_new)):
             raise SolverError("policy system solve returned non-finite values")
-        new_policy = policy_improve(u_new, t, grid, problem, controls, operator, band)
+        new_policy, best_vals, best_idx = _improve(u_new, t, grid, problem, controls,
+                                                   operator, band, reward)
         update = float(np.abs(u_new - u).max())
         diag.updates.append(update)
         unchanged = policy.same_as(new_policy)
@@ -233,7 +268,7 @@ def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls
             history=diag.updates,
         )
     diag.policy = policy
-    return u, diag
+    return u, diag, best_vals
 
 
 def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, epsilon,
@@ -241,15 +276,18 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, epsi
                 where) -> tuple[np.ndarray, TimestepDiagnostics]:
     """Solve one system of penalty equations (a timestep or the stationary
     equations) by policy iteration from ``u_start``, then gate the result on
-    the pointwise :func:`residual`; ``band`` is the :func:`_control_band`."""
+    the pointwise :func:`residual`; ``band`` is the :func:`_control_band`, and
+    the step evaluates the running reward once, as its :func:`_reward_block`."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    u, diag = _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls,
-                                epsilon, cfg, intervention, band, time_index)
+    reward = _reward_block(t, grid, problem, controls.controls[:, np.newaxis])
+    u, diag, best = _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem,
+                                      controls, epsilon, cfg, intervention, band, reward,
+                                      time_index)
     # Given None, the gate builds its own table once policy iteration's is freed
     # (one alive at a time); perfbench/selftest.py pins these two builds a step.
     res = residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-                   intervention, band)
+                   intervention, band, best)
     diag.final_residual = float(np.abs(res).max())
     if diag.final_residual > cfg.residual_tol:
         raise NonConvergenceError(

@@ -24,6 +24,12 @@ A = I - dt L_0 is built from the same stencil core as the penalty systems
 It has identity boundary rows (zero boundary stencils) and is strictly
 diagonally dominant, hence nonsingular; the solver checks this and
 factorises A once per solve.
+
+drift(x, b) takes no t, so a solve also computes once what every step reads
+of the foot points (:class:`FootPoints`): each foot's interpolation cell and
+offset, and the overstep counts.  A step then does only the work that
+depends on u^{n+1} or on t: the cell slopes of u^{n+1}, the continuation
+values and the running reward at t, the jump maximum, and the solve.
 The jump table of a step is reused from the step before when the impulse
 data at its level equal those the table was built from
 (:meth:`InterventionTable.same_data_at`), so data that ignore t build one
@@ -99,32 +105,81 @@ class SLStep:
     interior_oversteps: int
 
 
-def _continuation(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec, b):
-    """Foot points x_j + drift(x_j, b) dt and continuation values
-    interp(u^{n+1}, foot) + f(t, x_j, b) dt, shaped like the controls ``b``
-    broadcast against the nodes (one row per control when ``b`` is a column)."""
+class FootPoints:
+    """Fixed interpolation points with what ``np.interp`` reads off the nodes
+    for each, so that :meth:`interp` repeats its result bit for bit.
+
+    A point in the cell [x_j, x_{j+1}) of the nodes reads
+    slope_j (x - x_j) + u_j, slope_j = (u_{j+1} - u_j) / (x_{j+1} - x_j),
+    as ``np.interp`` computes it; ``cell`` and ``offset`` hold j and x - x_j.
+    A point on a node reads that node's value and a point beyond either end
+    reads the end value: ``pinned`` lists these points (flat indices) and
+    ``pinned_node`` the node each reads.  ``oversteps`` counts the points
+    outside [-Q, Q], ``interior_oversteps`` those of the interior nodes
+    (every column but the first and last).
+    """
+
+    def __init__(self, nodes: np.ndarray, points: np.ndarray, Q: float):
+        points = np.asarray(points, dtype=float)
+        last = nodes.size - 1
+        j = np.searchsorted(nodes, points, side="right") - 1   # nodes[j] <= x < nodes[j+1]
+        node = np.clip(j, 0, last)
+        pinned = (j < 0) | (j == last) | (points == nodes[node])
+        self.cell = np.minimum(node, last - 1)
+        self.offset = np.where(pinned, 0.0, points - nodes[self.cell])
+        self.pinned = np.flatnonzero(pinned)
+        self.pinned_node = node.ravel()[self.pinned]
+        self._widths = np.diff(nodes)
+        outside = np.abs(points) > Q
+        self.oversteps = int(outside.sum())
+        self.interior_oversteps = int(outside[..., 1:-1].sum())
+
+    def interp(self, u: np.ndarray) -> np.ndarray:
+        """``np.interp(points, nodes, u)``, shaped like the points."""
+        slopes = np.diff(u) / self._widths
+        values = slopes.take(self.cell)
+        values *= self.offset
+        values += u.take(self.cell)
+        values.put(self.pinned, u.take(self.pinned_node))
+        return values
+
+
+def foot_points(grid: SpaceTimeGrid, problem: ProblemSpec,
+                controls: DiscreteControls) -> FootPoints:
+    """The controls x nodes foot points x_j + drift(x_j, b) dt, one row per
+    control; drift takes no t, so they serve every step of a solve."""
     nodes = grid.nodes
-    feet = nodes + eval_on(problem.drift, nodes, b) * grid.dt
-    values = np.interp(feet, nodes, u_next) \
-        + eval_on(problem.running_reward, t, nodes, b) * grid.dt
-    return feet, values
+    drift = eval_on(problem.drift, nodes, controls.controls[:, np.newaxis])
+    return FootPoints(nodes, nodes + drift * grid.dt, grid.Q)
+
+
+def _continuation(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
+                  controls: DiscreteControls, feet: FootPoints) -> np.ndarray:
+    """Continuation values interp(u^{n+1}, foot) + f(t, x_j, b) dt on the
+    controls x nodes block, ``feet`` being the :func:`foot_points`."""
+    values = feet.interp(u_next)
+    values += eval_on(problem.running_reward, t, grid.nodes,
+                      controls.controls[:, np.newaxis]) * grid.dt
+    return values
 
 
 def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
-           controls: DiscreteControls, intervention=None) -> SLStep:
+           controls: DiscreteControls, intervention=None, feet=None) -> SLStep:
     """max( best continuation along characteristics, best jump ) per node.
 
     Continuation and jump candidates both read u^{n+1}.  Ties inside either
     maximum go to the smallest control or impulse; a tie between the two
     branches counts as continuation, matching the strict-intervention rule
     of the penalty scheme.  ``intervention`` is the jump operator read at
-    level n+1; None means the problem's table at t + dt.
+    level n+1; None means the problem's table at t + dt.  ``feet`` are the
+    :func:`foot_points`, computed here when None.
     """
     u_next = np.asarray(u_next, dtype=float)
-    feet, values = _continuation(u_next, t, grid, problem, controls.controls[:, np.newaxis])
+    if feet is None:
+        feet = foot_points(grid, problem, controls)
+    values = _continuation(u_next, t, grid, problem, controls, feet)
     best = values.argmax(axis=0)
     best_cont = values[best, np.arange(grid.n_nodes)]
-    outside = np.abs(feet) > grid.Q
 
     if intervention is None:
         intervention = InterventionTable(problem, grid, controls, t + grid.dt)
@@ -133,8 +188,8 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
     rhs = np.where(intervene, jump.values, best_cont)
     policy = PenaltyPolicy(controls=controls.controls[best], intervene=intervene,
                            impulses=jump.impulses)
-    return SLStep(rhs=rhs, policy=policy, oversteps=int(outside.sum()),
-                  interior_oversteps=int(outside[:, 1:-1].sum()))
+    return SLStep(rhs=rhs, policy=policy, oversteps=feet.oversteps,
+                  interior_oversteps=feet.interior_oversteps)
 
 
 def factorise(A: sp.csr_matrix):
@@ -212,9 +267,10 @@ def overstep_threshold(problem: ProblemSpec, grid: SpaceTimeGrid,
 def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
                           controls: DiscreteControls | None = None,
                           cfg: SolverConfig | None = None) -> Solution:
-    """Backward induction from u^N = g: one factorisation of A per solve,
-    then one sparse solve per timestep.  A step's jump table, at t + dt, is
-    the previous step's when the impulse data there are the same."""
+    """Backward induction from u^N = g: one factorisation of A and one set of
+    foot points per solve, then one sparse solve per timestep.  A step's jump
+    table, at t + dt, is the previous step's when the impulse data there are
+    the same."""
     if not problem.finite_horizon:
         raise ValueError("the semi-Lagrangian scheme is finite-horizon only")
     controls = controls or discretize_controls(problem, grid.rho)
@@ -234,12 +290,13 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
     policies: list[PenaltyPolicy | None] = [None] * (grid.N + 1)
     u = surface[grid.N]
     factor = factorise(A)
+    feet = foot_points(grid, problem, controls)
     table = None
     for n in range(grid.N - 1, -1, -1):
         t = n * grid.dt
         if table is None or not table.same_data_at(t + grid.dt):
             table = InterventionTable(problem, grid, controls, t + grid.dt)
-        step = sl_rhs(u, t, grid, problem, controls, intervention=table)
+        step = sl_rhs(u, t, grid, problem, controls, intervention=table, feet=feet)
         u = thomas_solve(A, step.rhs, factor)
         surface[n] = u
         policies[n] = step.policy
@@ -252,17 +309,19 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
 
 
 def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
-               controls) -> float:
+               controls, feet=None) -> float:
     """Semi-Lagrangian scheme value at one node with node value and obstacle
     pinned; used by the monotonicity checker (min of the two branches).  The
-    continuation is the solver's own (:func:`_continuation`)."""
+    continuation is the solver's own (:func:`_continuation`); ``feet`` are
+    the :func:`foot_points`, computed here when None."""
     i = grid.offset(j)
     u_loc = np.array(u_n, dtype=float)
     u_loc[i] = center
     dt = grid.dt
     diffusion_band = generator_band(grid.nodes, 0.0, diffusion_variance(problem, grid, controls))
     diffusion_term = float(apply_band(diffusion_band, u_loc)[i])
-    _, values = _continuation(np.asarray(u_next, dtype=float), t, grid, problem,
-                              controls.controls[:, np.newaxis])
+    if feet is None:
+        feet = foot_points(grid, problem, controls)
+    values = _continuation(np.asarray(u_next, dtype=float), t, grid, problem, controls, feet)
     best = (float(values[:, i].max()) - center) / dt + diffusion_term
     return min(-best, center - obstacle_value - diffusion_term * dt)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -106,6 +107,30 @@ class TestParseConfig:
         # The penalty scheme solves the same problem.
         penalty = replace(spec, scheme="penalty")
         assert cli.run(penalty, mode="solve", out_dir=tmp_path / "out", check=True) == 0
+
+    def test_semilagrangian_study_checks_every_level(self, tmp_path, monkeypatch, capsys):
+        # b = 0.25 is a control only from level 1 on (rho 0.5, then 0.25).
+        config = write_config(tmp_path, """\
+problem:
+  name: cash
+  params: {}
+scheme: semilagrangian
+grid: {Q: 4.0, M: 8, N: 6}
+study:
+  levels: 2
+  window: {t: [0.0, 3.0], x: [-2.0, 2.0]}
+checks: [stability]
+""")
+        cash = builtin("cash")
+        late = replace(cash, diffusion=lambda x, b: 1.0 + 0.1 * (b == 0.25) + 0.0 * x)
+        monkeypatch.setattr(cli, "builtin", lambda name, params: late)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        shutil.rmtree(out)
+        assert cli.main(["study", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "(x, b) = (-4.0, 0.25)" in err
+        assert not out.exists()
 
 
 class TestRunSolve:

@@ -342,6 +342,16 @@ class TestSchemeRowsAtSolutions:
                                           t, g, p, c)
         assert self.worst_row(sol, row, ahead=1) <= 1e-9
 
+    def test_semilagrangian_row_reads_given_feet(self):
+        # The monotonicity check builds the foot points once for all probes.
+        p, g, c = self.problem, self.grid, self.controls
+        feet = semilag_mod.foot_points(g, p, c)
+        rng = np.random.default_rng(5)
+        for j in range(-g.M, g.M + 1):
+            u_n, u_next = rng.uniform(-1, 1, (2, g.n_nodes))
+            args = (j, u_n[g.offset(j)], u_n, u_next, 0.5, 0.0, g, p, c)
+            assert semilag_mod.scheme_row(*args, feet) == semilag_mod.scheme_row(*args)
+
 
 class TestRaggedImpulseSets:
     """Impulse bounds that widen with |x| give nodes different candidate

@@ -592,3 +592,19 @@ class TestApplyIntervention:
         table = InterventionTable(p, g, discretize_controls(p, rho=0.35), 0.0)
         assert table.same_data_at(0.0) and table.same_data_at(0.4)
         assert table.same_data_at(0.7) == (field is None)
+
+    def test_same_data_at_evaluates_the_shift_once(self):
+        # The table keeps the shift block of its build, so a check evaluates
+        # the shift only at the new time.
+        times = []
+
+        def shift(t, x, z):
+            times.append(float(np.ravel(t)[0]))
+            return z - x
+
+        p = jump_problem(shift, lambda t, x, z: -1.0 - 0.1 * np.abs(z))
+        g = build_uniform_grid(Q=2, M=5, N=1, T=1)
+        table = InterventionTable(p, g, discretize_controls(p, rho=0.35), 0.0)
+        assert times == [0.0]
+        assert table.same_data_at(0.4)
+        assert times == [0.0, 0.4]

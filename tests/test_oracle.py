@@ -87,12 +87,11 @@ class TestControlBandPerSolve:
         c = discretize_controls(p, g.rho)
         sol = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
         assert sol.diagnostics.outer_iterations >= 1
+        assert sol.diagnostics.matrix_systems_checked >= 1
         block = (c.controls.size, g.n_nodes)
         for calls in shapes.values():
-            # One block call, then one per-node call per assembled system.
-            assert calls.count(block) == 1
-            assert calls.count((g.n_nodes,)) == sol.diagnostics.matrix_systems_checked
-            assert len(calls) == 1 + sol.diagnostics.matrix_systems_checked
+            # One block call; each assembled system reads rows of that band.
+            assert calls == [block]
 
     def test_surfaces_equal_per_step_band(self, monkeypatch):
         p = builtin("cash")

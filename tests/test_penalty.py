@@ -475,11 +475,10 @@ class TestControlBandPerSolve:
         c = discretize_controls(p, g.rho)
         sol = self.solve(p, g, c)
         block = (c.controls.size, g.n_nodes)
+        assert sol.diagnostics.matrix_systems_checked >= 1
         for calls in shapes.values():
-            # One block call, then one per-node call per assembled system.
-            assert calls.count(block) == 1
-            assert calls.count((g.n_nodes,)) == sol.diagnostics.matrix_systems_checked
-            assert len(calls) == 1 + sol.diagnostics.matrix_systems_checked
+            # One block call; each assembled system reads rows of that band.
+            assert calls == [block]
 
     def test_standalone_timestep_builds_its_band_once(self):
         p, shapes = self.counted(builtin("cash"))
@@ -497,7 +496,7 @@ class TestControlBandPerSolve:
         c = discretize_controls(p, g.rho)
         hoisted = self.solve(p, g, c).surface
 
-        def per_call_band(u, t, grid, problem, controls, band):
+        def per_call_band(u, t, grid, problem, controls, band, reward=None):
             # The argmax as it was before the band was hoisted: its own band each call.
             b = controls.controls[:, np.newaxis]
             vals = apply_band(penalty_mod._band(grid, problem, b), u) \
@@ -507,3 +506,46 @@ class TestControlBandPerSolve:
 
         monkeypatch.setattr(penalty_mod, "_best_control", per_call_band)
         assert np.array_equal(self.solve(p, g, c).surface, hoisted)
+
+
+class TestStepReuse:
+    """A step evaluates the running reward once on the controls x nodes
+    block, and its residual gate reuses the last policy improvement's argmax."""
+
+    @pytest.mark.parametrize("beta", [None, 0.5])
+    def test_reward_block_once_per_step(self, beta):
+        shapes = []
+        cash = builtin("cash", {} if beta is None else {"beta": beta})
+
+        def reward(t, x, b):
+            shapes.append(np.broadcast(t, x, b).shape)
+            return cash.running_reward(t, x, b)
+
+        p = replace(cash, running_reward=reward)
+        g = build_uniform_grid(Q=4, M=10, N=6, T=3)
+        c = discretize_controls(p, g.rho)
+        sol = TestControlBandPerSolve.solve(p, g, c)
+        assert shapes == [(c.controls.size, g.n_nodes)] * len(sol.diagnostics.timesteps)
+
+    def test_gate_reuses_last_argmax(self, monkeypatch):
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=20, N=15, T=3)
+        c = discretize_controls(p, g.rho)
+        calls = []
+        best_control = penalty_mod._best_control
+
+        def counted(*args):
+            calls.append(None)
+            return best_control(*args)
+
+        monkeypatch.setattr(penalty_mod, "_best_control", counted)
+        sol = solve_finite_horizon(p, g, c)
+        steps = sol.diagnostics.timesteps
+        # One argmax per policy improvement: the initial one and one per iteration.
+        assert len(calls) == sum(step.iterations + 1 for step in steps)
+        monkeypatch.undo()
+        for step in steps:
+            n = step.time_index
+            res = residual(sol.surface[n], sol.surface[n + 1] / g.dt, 1.0 / g.dt, n * g.dt,
+                           g, p, c, sol.epsilon)
+            assert step.final_residual == float(np.abs(res).max())

@@ -15,6 +15,7 @@ from hjbqvi.operators import InterventionTable, discretize_controls
 from hjbqvi.penalty import solve_finite_horizon
 from hjbqvi.problem import ProblemSpec, builtin, eval_on, uniform_sample
 from hjbqvi.semilag import (
+    FootPoints,
     assemble_A,
     detect_inward_drift,
     factorise,
@@ -325,6 +326,83 @@ class TestTableReuse:
         sol, times = self.build_times(monkeypatch, p, g, c)
         assert times == [g.N * g.dt, 2 * g.dt + g.dt]
         self.assert_matches_per_step(sol, p, g, c)
+
+
+def per_step_continuation(u_next, t, grid, problem, controls, feet):
+    """The continuation as it was before the feet were hoisted: drift and
+    np.interp at every step, ignoring the solve's ``feet``."""
+    nodes, b = grid.nodes, controls.controls[:, np.newaxis]
+    foot = nodes + eval_on(problem.drift, nodes, b) * grid.dt
+    return np.interp(foot, nodes, u_next) \
+        + eval_on(problem.running_reward, t, nodes, b) * grid.dt
+
+
+class TestFootPointsPerSolve:
+    """drift(x, b) takes no t, so a solve computes its foot points, their
+    interpolation cells and their overstep counts once."""
+
+    GRIDS = {
+        "uniform": lambda: build_uniform_grid(Q=4, M=20, N=15, T=3),
+        "refined": lambda: build_boundary_refined_grid(Q=4, rho=0.1, c_b=1.0, N=30, T=3),
+    }
+
+    @pytest.mark.parametrize("mode", GRIDS)
+    def test_interp_equals_np_interp(self, mode):
+        g = self.GRIDS[mode]()
+        nodes, Q = g.nodes, g.Q
+        rng = np.random.default_rng(4)
+        points = np.concatenate([
+            nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+            [-Q, Q, -Q - 0.5, Q + 0.5, np.nextafter(-Q, -np.inf), np.nextafter(Q, np.inf)],
+            rng.uniform(-Q - 1.0, Q + 1.0, 500),
+        ])
+        points = np.stack([points, rng.permutation(points)])
+        feet = FootPoints(nodes, points, Q)
+        for u in (rng.normal(size=nodes.size), np.sin(nodes),
+                  np.where(rng.random(nodes.size) < 0.5, -0.0, 0.0)):
+            assert feet.interp(u).tobytes() == np.interp(points, nodes, u).tobytes()
+        outside = np.abs(points) > Q
+        assert feet.oversteps == int(outside.sum()) > 0
+        assert feet.interior_oversteps == int(outside[:, 1:-1].sum())
+
+    @pytest.mark.parametrize("mode", GRIDS)
+    def test_drift_block_once_per_solve(self, mode):
+        shapes = []
+
+        def drift(x, b):
+            shapes.append(np.broadcast(x, b).shape)
+            return b + 0.0 * x
+
+        p = replace(builtin("cash"), drift=drift)
+        g = self.GRIDS[mode]()
+        c = discretize_controls(p, g.rho)
+        solve_semi_lagrangian(p, g, c)
+        assert shapes.count((c.controls.size, g.n_nodes)) == 1
+        # The rest are detect_inward_drift's two reads at -Q and Q.
+        assert shapes.count((c.controls.size,)) == 2 and len(shapes) == 3
+
+    @pytest.mark.parametrize("name, grid", [
+        ("cash", lambda: build_uniform_grid(Q=4, M=80, N=20, T=3)),
+        ("heat", lambda: build_uniform_grid(Q=4, M=40, N=10, T=1)),
+        ("constant", lambda: build_uniform_grid(Q=2, M=16, N=8, T=1)),
+        ("cash", lambda: build_boundary_refined_grid(Q=4, rho=0.05, c_b=1.0, N=60, T=3)),
+    ])
+    def test_surfaces_equal_per_step_continuation(self, name, grid, monkeypatch):
+        p, g = builtin(name), grid()
+        c = discretize_controls(p, g.rho)
+        hoisted = solve_semi_lagrangian(p, g, c)
+        monkeypatch.setattr(semilag, "_continuation", per_step_continuation)
+        per_step = solve_semi_lagrangian(p, g, c)
+        assert per_step.surface.tobytes() == hoisted.surface.tobytes()
+        for a, b in zip(hoisted.policies[:-1], per_step.policies[:-1]):
+            assert a.same_as(b)
+        outside = np.abs(g.nodes + eval_on(p.drift, g.nodes, c.controls[:, np.newaxis])
+                         * g.dt) > g.Q
+        assert hoisted.diagnostics.oversteps == g.N * int(outside.sum())
+        assert hoisted.diagnostics.interior_oversteps == g.N * int(outside[:, 1:-1].sum())
+        if name == "cash" and g.mode == "uniform":
+            assert (hoisted.diagnostics.oversteps, hoisted.diagnostics.interior_oversteps) \
+                == (240, 80)
 
 
 class TestSolveSemiLagrangian:
