@@ -293,10 +293,11 @@ def make_penalty_row(problem, grid, controls, epsilon, t):
 
 def make_semilagrangian_row(problem, grid, controls, t):
     feet = semilag_mod.foot_points(grid, problem, controls)
+    band = semilag_mod.diffusion_band(grid, problem, controls)
 
     def row(j, center, u_n, u_next, obstacle_value):
         return semilag_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                      t, grid, problem, controls, feet)
+                                      t, grid, problem, controls, feet, band)
     return row
 
 

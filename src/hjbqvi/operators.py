@@ -27,8 +27,10 @@ The functions here are pure.  The one mutable piece is
 grows by one entry per distinct (t, node set) it is asked for: per time
 level on the penalty and iterated optimal stopping paths, and on the
 semi-Lagrangian path per table build, which is once per solve when the
-impulse data do not depend on t.  Each entry is one nodes x K candidate
-block, shared by every table built at that level and read-only.  Share a
+impulse data do not depend on t.  Each entry refers to a read-only nodes x K
+candidate block, shared by every table built at that level and by every
+later level whose impulse bounds equal it bit for bit, so bounds that ignore
+t keep one block per node set in memory, not one per level.  Share a
 ``DiscreteControls`` between threads only with that in mind.
 """
 
@@ -184,9 +186,13 @@ class DiscreteControls:
     ``uniform_sample(lo_i, hi_i, rho)`` followed by copies of its last z.
     The block is memoized per (t, node set), since both table builds of a
     penalty step and the brute-force audit read the same level, and is
-    read-only because they share it.  Both samples include their interval
-    endpoints, and their spacing is at most rho, so the Hausdorff distance
-    to the continuous sets is at most rho / 2.
+    read-only because they share it.  A level whose bounds equal, bit for
+    bit, the first and last columns of the newest block for the same node
+    count gets that block rather than a new sample: the sample is a
+    function of (lo, hi, rho) alone, so bounds that ignore t cost one
+    block per solve.  Both samples include their interval endpoints, and
+    their spacing is at most rho, so the Hausdorff distance to the
+    continuous sets is at most rho / 2.
     """
 
     problem: ProblemSpec
@@ -204,12 +210,24 @@ class DiscreteControls:
         to zero cannot trigger here: count = max(ceil((hi - lo) / rho), 1) + 1
         on a nonempty interval keeps the step at no less than
         min(hi - lo, rho / 2), up to rounding.
+
+        Sharing a block keeps every bit: its first column is lo, or +0.0
+        where lo is -0.0 on a nonzero width (k * step + lo reads +0.0 there,
+        and samples the same row from either zero), and its last column is
+        hi, or lo on a zero width (the row is then lo throughout).  So bounds
+        equal to those columns sample the same rows, and the same K.
         """
         nodes = np.asarray(nodes, dtype=float)
         key = (float(t), nodes.tobytes())
         block = self._impulse_cache.get(key)
         if block is None:
             lo, hi = impulse_bounds_on(self.problem, t, nodes)
+            newest = next((b for b in reversed(self._impulse_cache.values())
+                           if b.shape[0] == nodes.size), None)
+            if (newest is not None and lo.tobytes() == newest[:, 0].tobytes()
+                    and hi.tobytes() == newest[:, -1].tobytes()):
+                self._impulse_cache[key] = newest
+                return newest
             width = hi - lo
             # count - 1 per node, at least 1 on a nonempty width, as in uniform_sample
             last = np.maximum(np.ceil(width / self.rho), width > 0.0)[:, np.newaxis]

@@ -7,8 +7,10 @@ Two independent routes:
   solves the problem with the obstacle frozen at the best-jump values of
   iterate k-1, so each pass is an optimal-stopping problem.  Iterates are
   pointwise nondecreasing.  The inner solves reuse the penalty timestep
-  with a frozen obstacle, memory be damned: every iterate keeps its full
-  surface, which is exactly the cost that motivates the direct schemes.
+  with a frozen obstacle.  Every iterate keeps its full surface, O(M^2)
+  memory, while each level's jump table is built again, one at a time, in
+  every pass that applies it: time traded for memory, since keeping all
+  N+1 tables costs O(M^3).
 
 * :func:`brute_force_residual` re-evaluates the discrete penalty equations
   with plain scalar loops that share no code with the solver's assembled
@@ -47,6 +49,9 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     terminal row of each pass is max(g, frozen obstacle at T), which under
     the terminal no-gain hypothesis is just g.  Every inner step of every
     pass reads one controls x nodes generator band, built once per call.
+    A pass builds each level's jump table when it applies it and drops it
+    after, so one table is alive at a time; no table is reused across
+    levels or passes.
     """
     if not problem.finite_horizon:
         raise ValueError("iterated optimal stopping needs a finite-horizon problem")
@@ -58,7 +63,6 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     n_nodes = grid.n_nodes
     dt = grid.dt
-    tables = [InterventionTable(problem, grid, controls, n * dt) for n in range(grid.N + 1)]
     band = _control_band(grid, problem, controls)
     g_vals = eval_on(problem.terminal_reward, grid.nodes)
     diagnostics = SolveDiagnostics()
@@ -81,7 +85,8 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     converged = False
     for _ in range(k_max):
-        obstacles = [tables[n].apply(surface[n]).values for n in range(grid.N + 1)]
+        obstacles = [InterventionTable(problem, grid, controls, n * dt).apply(surface[n]).values
+                     for n in range(grid.N + 1)]
         terminal = np.maximum(g_vals, obstacles[grid.N])
         new_surface, policies = solve_frozen(obstacles, terminal)
         diff = new_surface - surface

@@ -308,18 +308,26 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
                     diagnostics=diagnostics, epsilon=epsilon)
 
 
+def diffusion_band(grid: SpaceTimeGrid, problem: ProblemSpec, controls: DiscreteControls):
+    """Band of the diffusion part L_0 of the generator (zero drift), as
+    :func:`scheme_row` reads it; ValueError as :func:`diffusion_variance`."""
+    return generator_band(grid.nodes, 0.0, diffusion_variance(problem, grid, controls))
+
+
 def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
-               controls, feet=None) -> float:
+               controls, feet=None, band=None) -> float:
     """Semi-Lagrangian scheme value at one node with node value and obstacle
     pinned; used by the monotonicity checker (min of the two branches).  The
     continuation is the solver's own (:func:`_continuation`); ``feet`` are
-    the :func:`foot_points`, computed here when None."""
+    the :func:`foot_points` and ``band`` the :func:`diffusion_band`, each
+    computed here when None."""
     i = grid.offset(j)
     u_loc = np.array(u_n, dtype=float)
     u_loc[i] = center
     dt = grid.dt
-    diffusion_band = generator_band(grid.nodes, 0.0, diffusion_variance(problem, grid, controls))
-    diffusion_term = float(apply_band(diffusion_band, u_loc)[i])
+    if band is None:
+        band = diffusion_band(grid, problem, controls)
+    diffusion_term = float(apply_band(band, u_loc)[i])
     if feet is None:
         feet = foot_points(grid, problem, controls)
     values = _continuation(np.asarray(u_next, dtype=float), t, grid, problem, controls, feet)

@@ -352,6 +352,29 @@ class TestSchemeRowsAtSolutions:
             args = (j, u_n[g.offset(j)], u_n, u_next, 0.5, 0.0, g, p, c)
             assert semilag_mod.scheme_row(*args, feet) == semilag_mod.scheme_row(*args)
 
+    def test_semilagrangian_row_reads_given_band(self):
+        p, g, c = self.problem, self.grid, self.controls
+        band = semilag_mod.diffusion_band(g, p, c)
+        rng = np.random.default_rng(6)
+        for j in range(-g.M, g.M + 1):
+            u_n, u_next = rng.uniform(-1, 1, (2, g.n_nodes))
+            args = (j, u_n[g.offset(j)], u_n, u_next, 0.5, 0.0, g, p, c)
+            assert semilag_mod.scheme_row(*args, band=band) == semilag_mod.scheme_row(*args)
+
+    def test_semilagrangian_check_builds_one_band(self, monkeypatch):
+        # The monotonicity check builds the diffusion band once, not per probe.
+        p, g, c = self.problem, self.grid, self.controls
+        calls = []
+        variance = semilag_mod.diffusion_variance
+
+        def counted(*args):
+            calls.append(args)
+            return variance(*args)
+
+        monkeypatch.setattr(semilag_mod, "diffusion_variance", counted)
+        report = check_monotonicity(make_semilagrangian_row(p, g, c, t=0.0), g, 50, 0)
+        assert report.trials == 50 and len(calls) == 1
+
 
 class TestRaggedImpulseSets:
     """Impulse bounds that widen with |x| give nodes different candidate

@@ -305,17 +305,20 @@ class TestDiscretizeControls:
 TINY = 5e-324   # the smallest subnormal double
 
 
+SAMPLER_CASES = [
+    (lambda t, x: (-1.0 - 0.1 * abs(x), 1.0 + 0.1 * abs(x)), 0.2),    # ragged
+    (lambda t, x: (0.5, 0.5 + max(x, 0.0)), 0.3),                     # hi == lo for x <= 0
+    (lambda t, x: (0.7, 0.7), 0.3),                                    # hi == lo everywhere
+    (lambda t, x: (-3 * TINY, (4 + abs(x)) * TINY), 2 * TINY),        # denormal width
+    (lambda t, x: (0.0, TINY * (1 + (x > 0))), 10.0),                 # width / rho underflows
+    (lambda t, x: (-1.0, 1.0 + (x > 0)), 0.25),                       # width a multiple of rho
+]
+
+
 class TestImpulseSampler:
     """``impulse_values`` against ``uniform_sample`` (plain ``np.linspace``)."""
 
-    @pytest.mark.parametrize("bounds, rho", [
-        (lambda t, x: (-1.0 - 0.1 * abs(x), 1.0 + 0.1 * abs(x)), 0.2),    # ragged
-        (lambda t, x: (0.5, 0.5 + max(x, 0.0)), 0.3),                     # hi == lo for x <= 0
-        (lambda t, x: (0.7, 0.7), 0.3),                                    # hi == lo everywhere
-        (lambda t, x: (-3 * TINY, (4 + abs(x)) * TINY), 2 * TINY),        # denormal width
-        (lambda t, x: (0.0, TINY * (1 + (x > 0))), 10.0),                 # width / rho underflows
-        (lambda t, x: (-1.0, 1.0 + (x > 0)), 0.25),                       # width a multiple of rho
-    ])
+    @pytest.mark.parametrize("bounds, rho", SAMPLER_CASES)
     def test_rows_match_uniform_sample_bit_for_bit(self, bounds, rho):
         p = replace(jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z),
                     impulse_bounds=bounds)
@@ -341,9 +344,52 @@ class TestImpulseSampler:
         with pytest.raises(ValueError):
             block[0, 0] = 3.0
         assert c.impulse_values(0.0, GRID5.nodes.copy()) is block
-        assert c.impulse_values(0.5, GRID5.nodes) is not block
+        # The bounds ignore t: a later level shares the block under its own
+        # memo entry, also after a level of another node count.
+        assert c.impulse_values(0.5, GRID5.nodes) is block
         assert c.impulse_values(0.0, GRID3.nodes).shape == (GRID3.n_nodes, 5)
+        assert c.impulse_values(0.75, GRID5.nodes) is block
+        assert list(c._impulse_cache) == [(0.0, GRID5.nodes.tobytes()),
+                                          (0.5, GRID5.nodes.tobytes()),
+                                          (0.0, GRID3.nodes.tobytes()),
+                                          (0.75, GRID5.nodes.tobytes())]
         assert InterventionTable(p, GRID5, c, 0.0)._impulse_grid is block
+
+    @pytest.mark.parametrize("bounds", [
+        lambda t, x: (-1.0, np.nextafter(1.0, 2.0) if x == 1.0 and t > 0.0 else 1.0),
+        lambda t, x: (-1.0, 1.0 + t),
+    ], ids=["one-node", "every-node"])
+    def test_bounds_that_differ_get_a_new_block(self, bounds):
+        p = replace(jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z),
+                    impulse_bounds=bounds)
+        c = discretize_controls(p, rho=0.5)
+        first = c.impulse_values(0.0, GRID5.nodes)
+        later = c.impulse_values(0.5, GRID5.nodes)
+        assert later is not first
+        fresh = discretize_controls(p, rho=0.5).impulse_values(0.5, GRID5.nodes)
+        assert later.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("bounds, rho, distinct", [
+        *((bounds, rho, 1) for bounds, rho in SAMPLER_CASES),
+        (lambda t, x: (-0.0, 1.0), 0.25, 3),                        # first column reads +0.0
+        (lambda t, x: (-0.0 if t < 0.5 else 0.0, 1.0), 0.25, 1),    # ... so +0.0 shares it
+        (lambda t, x: (-0.0 if x > 0 and t < 0.5 else 0.0, 1.0 + (x > 0)), 0.25, 1),
+        (lambda t, x: (-0.0, 0.0 if t < 0.5 else -0.0), 0.3, 1),     # zero width, row is lo
+        (lambda t, x: (0.0, -0.0 if t < 0.5 else 0.0), 0.3, 1),
+        (lambda t, x: (0.0, 0.0) if t < 0.5 else (-0.0, -0.0), 0.3, 2),
+    ])
+    def test_shared_block_is_the_fresh_sample(self, bounds, rho, distinct):
+        # A level that shares a block gets, byte for byte, the block a fresh
+        # sampler draws at that level, signed zeros included.
+        p = replace(jump_problem(lambda t, x, z: 0.0 * z, lambda t, x, z: -1.0 + 0.0 * z),
+                    impulse_bounds=bounds)
+        g = build_uniform_grid(Q=4, M=20, N=1, T=1)
+        c = discretize_controls(p, rho=rho)
+        for t in (0.25, 0.5, 0.75):
+            fresh = discretize_controls(p, rho=rho).impulse_values(t, g.nodes)
+            block = c.impulse_values(t, g.nodes)
+            assert block.shape == fresh.shape and block.tobytes() == fresh.tobytes()
+        assert len({id(b) for b in c._impulse_cache.values()}) == distinct
 
     @pytest.mark.parametrize("bad, message", [
         ((-1.0, np.nan), "non-finite impulse bounds"),
@@ -382,6 +428,21 @@ class TestImpulseSampler:
         solve_finite_horizon(p, g, c)
         assert len(impulse_calls) == 16
         assert len(c._impulse_cache) == 8
+
+    @pytest.mark.parametrize("bounds, distinct", [
+        (None, 1),
+        (lambda t, x: (-1.0, 1.0 - 0.1 * t), 30),
+    ], ids=["cash", "t-dependent"])
+    def test_penalty_solve_keeps_one_block_per_distinct_bounds(self, bounds, distinct):
+        # One memo entry per level; levels with equal bounds hold one array.
+        p = builtin("cash")
+        if bounds is not None:
+            p = replace(p, impulse_bounds=bounds)
+        g = build_uniform_grid(Q=4, M=40, N=30, T=p.horizon)
+        c = discretize_controls(p, g.rho)
+        solve_finite_horizon(p, g, c)
+        assert len(c._impulse_cache) == g.N
+        assert len({id(b) for b in c._impulse_cache.values()}) == distinct
 
     def test_one_sample_per_semilagrangian_solve(self, impulse_calls):
         # The impulse data of cash ignore t, so one table serves every step.
