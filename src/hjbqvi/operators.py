@@ -12,7 +12,9 @@ The stencils follow the monotone implicit discretization:
   +-Q).  The penalty systems and control argmax, the semi-Lagrangian
   matrix and both schemes' monotonicity rows all read from this function,
 * linear interpolation with convex weights, clamped to the boundary values
-  outside [-Q, Q] (:func:`interp_weights`, over arrays of points),
+  outside [-Q, Q] (:func:`interp_weights`, over arrays of points): each
+  point is clipped into [-Q, Q] first, so it reads a cell k in [0, n - 2]
+  and couples to nodes k and k + 1 only,
 * two intervention operators M with one interface: ``apply(u)`` gives
   (Mu)_j and the impulse attaining it, ``jump_rows(rows, impulses)`` gives
   ``(couplings, cost)``, active row j reading (Mu)_j = sum of w u_col over
@@ -116,22 +118,23 @@ def implicit_matrix(weight, band, rows=(), cols=(), data=()) -> sp.csr_matrix:
 
 
 def interp_weights(nodes: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Indices k and weights a per point with interp = (1-a) u_k + a u_{k+1}, a in [0, 1).
+    """Indices k and weights a per point with interp = (1-a) u_k + a u_{k+1}, a in [0, 1].
 
-    Outside the grid the value clamps: the weight is 0 and k is the nearest
-    boundary index, so the single coupling carries full weight.  Inside, k is
-    the cell [x_k, x_{k+1}) holding the point, found among the interior nodes
-    alone, which keeps k in [0, n - 2] without a clip.
+    Clamp first: the points (an array of any shape) are clipped into
+    [x_0, x_{n-1}], so every point, NaN and +-inf included, gets a cell
+    k in [0, n - 2]; one at or beyond x_{n-1} reads (n - 2, 1).  The cell is
+    the floor of ``np.interp`` over the node indices, capped at n - 2 (where
+    a NaN lands, with a NaN weight) and moved down one where rounding put it
+    past the point.  The weights are formed in the clipped copy, and the
+    gathers share one work array: fewer temporaries per table build.
     """
-    xs = np.asarray(xs, dtype=float)
-    k = np.searchsorted(nodes[1:-1], xs, side="right")
-    alpha = (xs - nodes[k]) / np.diff(nodes)[k]
-    left = xs <= nodes[0]
-    right = xs >= nodes[-1]
-    k[left] = 0
-    alpha[left] = 0.0
-    k[right] = nodes.size - 1
-    alpha[right] = 0.0
+    alpha = np.clip(xs, nodes[0], nodes[-1])
+    work = np.interp(alpha, nodes, np.arange(nodes.size, dtype=float))
+    k = np.fmin(work, nodes.size - 2, out=work).astype(np.intp)
+    # k is in range, and mode="clip" lets take write to work unbuffered.
+    k -= alpha < nodes.take(k, out=work, mode="clip")
+    alpha -= nodes.take(k, out=work, mode="clip")
+    alpha /= np.diff(nodes).take(k, out=work, mode="clip")
     return k, alpha
 
 
@@ -265,9 +268,10 @@ class InterventionTable:
     the same value as the candidate it repeats, and argmax keeps the first
     of equal values, so padding never changes a result.  ``costs``, ``k``,
     ``alpha`` and ``stay`` (1 - alpha) are the block flattened row by row;
-    node i owns entries ``offsets[i]:offsets[i + 1]``.  The table also keeps
-    the block's shifts (``_shifts``), so that :meth:`same_data_at` evaluates
-    the shift once, at the new time.
+    node i owns entries ``offsets[i]:offsets[i + 1]``.  Targets are clamped
+    first (see :func:`interp_weights`), so ``k_next`` = k + 1 is a node for
+    every candidate.  The table also keeps the block's shifts (``_shifts``),
+    so that :meth:`same_data_at` evaluates the shift once, at the new time.
     """
 
     def __init__(self, problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -284,7 +288,7 @@ class InterventionTable:
         self.costs = eval_on(problem.impulse_cost, t, x_col, impulse_grid).ravel()
         self.k, self.alpha = interp_weights(nodes, (x_col + self._shifts).ravel())
         self.stay = 1.0 - self.alpha
-        self.k_next = np.minimum(self.k + 1, nodes.size - 1)
+        self.k_next = self.k + 1
 
     def same_data_at(self, t: float) -> bool:
         """Whether the table at time t would be this one.
@@ -311,7 +315,8 @@ class InterventionTable:
         """Couplings and cost of the candidate ``impulses[r]`` at node ``rows[r]``.
 
         The couplings are the interpolation pairs (k, 1 - alpha) and
-        (k + 1, alpha); a zero weight marks no coupling.  ValueError names
+        (k + 1, alpha), both columns on the grid; a zero weight marks no
+        coupling (at a clamped target one of the two).  ValueError names
         the first node whose impulse is not a candidate there.
         """
         rows = np.asarray(rows, dtype=int)

@@ -198,8 +198,9 @@ def _assemble(policy, rhs_base, time_weight, t, grid, problem, epsilon,
 
     # Penalty rows: one diagonal entry of 1/eps (less any coupling that lands
     # on the row itself), summed into the band's diagonal by implicit_matrix.
-    # A zero weight (alpha == 0 in the k+1 pair) is dropped: an explicit zero
-    # would add a false edge to the WCDD reachability search.
+    # A zero weight (alpha == 0, or alpha == 1 at a target clamped to +Q) is
+    # dropped: an explicit zero would add a false edge to the WCDD
+    # reachability search.
     inv_eps = 1.0 / epsilon
     active = np.flatnonzero(policy.intervene)
     on_diag = np.full(active.size, inv_eps)

@@ -173,8 +173,7 @@ class TestApplyGenerator:
 def interp(u, grid, xs):
     """Interpolant read off interp_weights the way InterventionTable reads it."""
     k, alpha = interp_weights(grid.nodes, xs)
-    k_next = np.minimum(k + 1, grid.n_nodes - 1)
-    return (1.0 - alpha) * u[k] + alpha * u[k_next]
+    return (1.0 - alpha) * u[k] + alpha * u[k + 1]
 
 
 class TestInterp:
@@ -188,15 +187,18 @@ class TestInterp:
         assert interp(self.U5, GRID5, np.array([0.5]))[0] == pytest.approx(5.0)
 
     def test_clamps_beyond_grid(self):
+        # Clamp first: at or beyond the right end the point reads the last
+        # cell at full weight, (n - 2, 1); at or beyond the left end (0, 0).
         k, alpha = interp_weights(GRID5.nodes, np.array([5.0, -5.0, 2.0, -2.0]))
-        assert np.array_equal(k, [4, 0, 4, 0])
-        assert np.array_equal(alpha, [0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(k, [3, 0, 3, 0])
+        assert np.array_equal(alpha, [1.0, 0.0, 1.0, 0.0])
         assert np.array_equal(interp(self.U5, GRID5, np.array([5.0, -5.0])), [20.0, 0.0])
 
     def test_nodal_exactness(self):
         k, alpha = interp_weights(GRID5.nodes, GRID5.nodes)
-        assert np.array_equal(k, np.arange(GRID5.n_nodes))
-        assert np.all(alpha == 0.0)
+        last = GRID5.n_nodes - 1
+        assert np.array_equal(k, [*range(last), last - 1])
+        assert np.array_equal(alpha, [*([0.0] * last), 1.0])
         assert np.array_equal(interp(self.U5, GRID5, GRID5.nodes), self.U5)
 
     def test_reproduces_affine_inside(self):
@@ -214,17 +216,11 @@ class TestInterp:
 
     @staticmethod
     def clipped_search(nodes, xs):
-        """interp_weights as first written: a search over all nodes, less one, clipped."""
-        xs = np.asarray(xs, dtype=float)
+        """Clamp first, then a search over all nodes, less one, clipped to a cell."""
+        xs = np.clip(np.asarray(xs, dtype=float), nodes[0], nodes[-1])
         k = np.searchsorted(nodes, xs, side="right") - 1
         k = np.clip(k, 0, nodes.size - 2)
         alpha = (xs - nodes[k]) / (nodes[k + 1] - nodes[k])
-        left = xs <= nodes[0]
-        right = xs >= nodes[-1]
-        k[left] = 0
-        alpha[left] = 0.0
-        k[right] = nodes.size - 1
-        alpha[right] = 0.0
         return k, alpha
 
     @pytest.mark.parametrize("nodes", [
@@ -240,11 +236,12 @@ class TestInterp:
             np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
             nodes[:-1] + 0.5 * h, nodes[:-1] + 0.3 * h,  # between nodes
             [-q - 1.0, q + 1.0, -1e300, 1e300],         # outside [-Q, Q]
-            [np.nan, np.inf, -np.inf],
+            [np.nan, np.inf, -np.inf, np.finfo(float).max, -np.finfo(float).max],
         ])
-        k, alpha = interp_weights(nodes, xs)
+        k, alpha = interp_weights(nodes, xs)   # filterwarnings = error fails on any warning
         k_ref, alpha_ref = self.clipped_search(nodes, xs)
         assert k.dtype == k_ref.dtype and alpha.dtype == alpha_ref.dtype
+        assert k.min() >= 0 and k.max() <= nodes.size - 2    # NaN and +-inf included
         assert np.array_equal(k, k_ref)
         assert np.array_equal(alpha, alpha_ref, equal_nan=True)
 
@@ -255,7 +252,7 @@ class TestInterp:
         k_flat, alpha_flat = interp_weights(g.nodes, xs.ravel())
         assert k.shape == alpha.shape == (3, 7)
         assert np.array_equal(k.ravel(), k_flat) and np.array_equal(alpha.ravel(), alpha_flat)
-        assert np.all((alpha >= 0.0) & (alpha < 1.0))
+        assert np.all((alpha >= 0.0) & (alpha <= 1.0))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=5, max_size=5),
@@ -454,6 +451,58 @@ class TestImpulseSampler:
         assert len(c._impulse_cache) == 1
 
 
+# Cash with its reset replaced by a relative jump of 3z, z in [-1, 1]: from
+# |x| > 1 some targets leave [-Q, Q], which no builtin does.
+WIDE_CASH = replace(builtin("cash"), impulse_shift=lambda t, x, z: 3.0 * z)
+
+
+def clamped_interp(nodes, u, y):
+    """Scalar clamped linear interpolation by a walk over the cells."""
+    y = min(max(y, nodes[0]), nodes[-1])
+    i = 0
+    while i < len(nodes) - 2 and y >= nodes[i + 1]:
+        i += 1
+    return u[i] + (y - nodes[i]) / (nodes[i + 1] - nodes[i]) * (u[i + 1] - u[i])
+
+
+class TestClampedJumpTargets:
+    GRIDS = [build_uniform_grid(Q=4, M=10, N=1, T=1),
+             build_boundary_refined_grid(Q=4, rho=0.3, c_b=1.0, N=1, T=1)]
+
+    @pytest.mark.parametrize("g", GRIDS, ids=["uniform", "refined"])
+    def test_jump_rows_stay_on_the_grid(self, g):
+        table = InterventionTable(WIDE_CASH, g, discretize_controls(WIDE_CASH, g.rho), 0.0)
+        zs = table._impulse_grid
+        targets = g.nodes[:, np.newaxis] + 3.0 * zs
+        assert (targets > g.Q).any() and (targets < -g.Q).any()
+        rows = np.repeat(np.arange(g.n_nodes), zs.shape[1])
+        ((k, w_k), (k_next, w_next)), _ = table.jump_rows(rows, zs.ravel())
+        assert k.min() >= 0 and k_next.max() < g.n_nodes
+        assert np.all(w_k >= 0.0) and np.all(w_next >= 0.0)
+        assert np.abs(w_k + w_next - 1.0).max() <= 1e-15
+        beyond = targets.ravel() >= g.Q
+        assert np.all(k_next[beyond] == g.n_nodes - 1) and np.all(w_next[beyond] == 1.0)
+        below = targets.ravel() <= -g.Q
+        assert np.all(k[below] == 0) and np.all(w_k[below] == 1.0)
+
+    @pytest.mark.parametrize("g", GRIDS, ids=["uniform", "refined"])
+    def test_apply_matches_scalar_clamped_reference(self, g):
+        p = WIDE_CASH
+        c = discretize_controls(p, g.rho)
+        table = InterventionTable(p, g, c, 0.0)
+        nodes = g.nodes.tolist()
+        for seed in range(3):
+            u = np.random.default_rng(seed).normal(size=g.n_nodes)
+            res = table.apply(u)
+            for i, x in enumerate(nodes):
+                zs = uniform_sample(*p.impulse_bounds(0.0, x), c.rho).tolist()
+                vals = [clamped_interp(nodes, u, x + 3.0 * z) + float(p.impulse_cost(0.0, x, z))
+                        for z in zs]
+                best = int(np.argmax(vals))
+                assert res.values[i] == pytest.approx(vals[best], rel=0, abs=1e-12)
+                assert res.impulses[i] == zs[best]
+
+
 def counted_bounds(bounds, calls):
     def counted(t, x):
         calls.append(x)
@@ -628,7 +677,7 @@ class TestApplyIntervention:
         rows = np.arange(g.n_nodes)
         ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.impulses)
         assert np.all(w_k > 0.0) and np.all(w_next >= 0.0)
-        k_next = np.minimum(k_next, g.n_nodes - 1)   # a zero weight may point past the grid
+        assert np.array_equal(k_next, k + 1) and k_next.max() < g.n_nodes
         assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, res.values)
         with pytest.raises(ValueError, match="node index 0"):
             table.jump_rows(rows, np.full(g.n_nodes, 0.123))

@@ -5,6 +5,7 @@ import pytest
 
 from hjbqvi import penalty as penalty_mod
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
+from hjbqvi.harness import check_solution_matrices, check_stability_bound
 from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import (
     FrozenObstacle,
@@ -249,7 +250,8 @@ class TestAssembledSystemMatchesResidual:
             else:
                 targets = grid.nodes[rows] + policy.impulses[rows]
                 k, alpha = interp_weights(grid.nodes, targets)
-                own += int(np.sum((k == rows) | ((k + 1 == rows) & (alpha > 0.0))))
+                own += int(np.sum(((k == rows) & (alpha < 1.0))
+                                  | ((k + 1 == rows) & (alpha > 0.0))))
                 clamped += int(np.sum(np.abs(targets) >= grid.Q))
         assert frozen or (own >= 1 and clamped >= 1)
 
@@ -390,6 +392,19 @@ class TestSolveFiniteHorizon:
         # One system per policy iteration, each checked before its solve.
         assert d.matrix_systems_checked == sum(s.iterations for s in d.timesteps)
         assert d.min_dominance_margin > 0
+
+    def test_clamped_jump_targets(self):
+        # Jumps of 3z leave [-Q, Q] from |x| > 1; the clamped couplings keep
+        # every system a WCDD M-matrix and the surface within its bound.
+        p = replace(builtin("cash"), impulse_shift=lambda t, x, z: 3.0 * z)
+        g = build_uniform_grid(Q=4, M=20, N=15, T=p.horizon)
+        c = discretize_controls(p, g.rho)
+        sol = solve_finite_horizon(p, g, c)
+        assert check_stability_bound(sol, p, c).passed
+        assert check_solution_matrices(sol).passed
+        assert sol.diagnostics.matrix_systems_checked == sum(
+            s.iterations for s in sol.diagnostics.timesteps)
+        assert any(s.policy.intervene.any() for s in sol.diagnostics.timesteps)
 
 
 class TestSolveInfiniteHorizon:

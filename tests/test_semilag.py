@@ -9,7 +9,7 @@ from scipy.sparse.linalg import spsolve
 from hjbqvi import semilag
 from hjbqvi.exceptions import SolverError
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
-from hjbqvi.harness import Window, sup_error
+from hjbqvi.harness import Window, check_solution_matrices, check_stability_bound, sup_error
 from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import InterventionTable, discretize_controls
 from hjbqvi.penalty import solve_finite_horizon
@@ -440,6 +440,17 @@ class TestSolveSemiLagrangian:
             diffs.append(sup_error(solve_finite_horizon(p, g, c),
                                    solve_semi_lagrangian(p, g, c), window))
         assert diffs[1] < diffs[0]
+
+    def test_clamped_jump_targets(self):
+        # Jumps of 3z leave [-Q, Q] from |x| > 1; the matrix check and the
+        # stability bound hold on the boundary-refined grid.
+        p = replace(builtin("cash"), impulse_shift=lambda t, x, z: 3.0 * z)
+        g = build_boundary_refined_grid(Q=4, rho=0.2, c_b=1.0, N=16, T=p.horizon)
+        c = discretize_controls(p, g.rho)
+        sol = solve_semi_lagrangian(p, g, c)
+        assert check_stability_bound(sol, p, c).passed
+        assert check_solution_matrices(sol).passed
+        assert sol.diagnostics.interior_oversteps == 0
 
     def test_requires_finite_horizon(self):
         p = builtin("cash", {"beta": 0.5})
