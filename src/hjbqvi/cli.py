@@ -193,8 +193,8 @@ def parse_config(path) -> RunSpec:
     epsilon = solver_raw.get("epsilon")
     if epsilon is not None:
         epsilon = _number(float, epsilon, "solver.epsilon")
-        if not epsilon > 0:
-            raise ConfigError(f"solver.epsilon must be positive, got {epsilon}")
+        if not 0 < epsilon < np.inf:
+            raise ConfigError(f"solver.epsilon must be finite and positive, got {epsilon}")
 
     study_raw = raw.get("study") or {}
     _require_keys(study_raw, ("levels", "window"), "study")

@@ -84,6 +84,8 @@ class LevelResult:
     error: float | None = None
     observed_order: float | None = None
     iterations: dict = field(default_factory=dict)
+    oversteps: int = 0                  # the level's solve diagnostics; 0 but
+    interior_oversteps: int = 0         # for semi-Lagrangian levels
     checks: list[PropertyCheck] = field(default_factory=list)
     solve_failed: bool = False
     message: str | None = None
@@ -119,6 +121,8 @@ class ConvergenceReport:
                 "error": lv.error,
                 "observed_order": lv.observed_order,
                 "iterations": lv.iterations,
+                "oversteps": lv.oversteps,
+                "interior_oversteps": lv.interior_oversteps,
                 "checks": [c.as_dict() for c in lv.checks],
                 "solve_failed": lv.solve_failed,
                 "message": lv.message,
@@ -391,6 +395,8 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
             solutions.append(None)
             continue
         result.iterations = sol.diagnostics.iteration_stats()
+        result.oversteps = sol.diagnostics.oversteps
+        result.interior_oversteps = sol.diagnostics.interior_oversteps
         result.checks.extend(run_checks(level_checks, sol, problem, controls))
         results.append(result)
         solutions.append(sol)

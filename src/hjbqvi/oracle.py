@@ -6,11 +6,12 @@ Two independent routes:
   inequality as the monotone limit of variational inequalities: iterate k
   solves the problem with the obstacle frozen at the best-jump values of
   iterate k-1, so each pass is an optimal-stopping problem.  Iterates are
-  pointwise nondecreasing.  The inner solves reuse the penalty timestep
-  with a frozen obstacle.  Every iterate keeps its full surface, O(M^2)
-  memory, while each level's jump table is built again, one at a time, in
-  every pass that applies it: time traded for memory, since keeping all
-  N+1 tables costs O(M^3).
+  pointwise nondecreasing.  A pass is the solvers' backward induction of
+  the penalty timestep against its own frozen obstacles, read off jump
+  tables the oracle builds itself.  Every iterate keeps its full surface,
+  O(M^2) memory, while each level's jump table is built again, one at a
+  time, in every pass that applies it: time traded for memory, since
+  keeping all N+1 tables costs O(M^3).
 
 * :func:`brute_force_residual` re-evaluates the discrete penalty equations
   with plain scalar loops that share no code with the solver's assembled
@@ -31,7 +32,7 @@ from .grid import SpaceTimeGrid
 from .operators import DiscreteControls, FrozenObstacle, InterventionTable, discretize_controls
 from .penalty import _control_band, penalty_timestep
 from .problem import ProblemSpec, eval_on
-from .solution import (FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig,
+from .solution import (FINITE, SolveDiagnostics, Solution, SolverConfig, backward_induction,
                        default_epsilon)
 
 
@@ -61,34 +62,27 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 
-    n_nodes = grid.n_nodes
     dt = grid.dt
     band = _control_band(grid, problem, controls)
     g_vals = eval_on(problem.terminal_reward, grid.nodes)
     diagnostics = SolveDiagnostics()
 
-    def solve_frozen(obstacles, terminal):
-        surface = np.empty((grid.N + 1, n_nodes))
-        surface[grid.N] = terminal
-        policies: list[PenaltyPolicy | None] = [None] * (grid.N + 1)
-        u = terminal
-        for n in range(grid.N - 1, -1, -1):
-            u, step_diag = penalty_timestep(u, n * dt, grid, problem, controls, epsilon,
-                                            cfg, FrozenObstacle(obstacles[n]), band)
-            surface[n] = u
-            policies[n] = step_diag.policy
-            diagnostics.record_step(step_diag)
-        return surface, policies
+    def step(u_next, n):
+        # Reads the current pass's ``obstacles``.
+        u, step_diag = penalty_timestep(u_next, n * dt, grid, problem, controls, epsilon,
+                                        cfg, FrozenObstacle(obstacles[n]), band)
+        diagnostics.record_step(step_diag)
+        return u, step_diag.policy
 
-    no_obstacle = [np.full(n_nodes, -np.inf)] * grid.N
-    surface, policies = solve_frozen(no_obstacle, g_vals)
+    obstacles = [np.full(grid.n_nodes, -np.inf)] * grid.N
+    surface, policies = backward_induction(grid, g_vals, step)
 
     converged = False
     for _ in range(k_max):
         obstacles = [InterventionTable(problem, grid, controls, n * dt).apply(surface[n]).values
                      for n in range(grid.N + 1)]
-        terminal = np.maximum(g_vals, obstacles[grid.N])
-        new_surface, policies = solve_frozen(obstacles, terminal)
+        new_surface, policies = backward_induction(
+            grid, np.maximum(g_vals, obstacles[grid.N]), step)
         diff = new_surface - surface
         diagnostics.outer_changes.append(float(np.abs(diff).max()))
         diagnostics.outer_min_increments.append(float(diff.min()))

@@ -68,6 +68,7 @@ from .solution import (
     Solution,
     SolverConfig,
     TimestepDiagnostics,
+    backward_induction,
     default_epsilon,
 )
 
@@ -80,6 +81,12 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     report: MatrixReport
+
+
+def _require_epsilon(epsilon) -> None:
+    """ValueError unless the penalty parameter is finite and positive."""
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
 
 
 def _intervention_at(intervention, t, grid, problem, controls):
@@ -159,8 +166,7 @@ def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
     ``best`` is max_b { (L_b u)_j + f_j(b) } at this u, and ``band`` the
     :func:`_control_band`; each is computed here when not given.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    _require_epsilon(epsilon)
     if best is None:
         if band is None:
             band = _control_band(grid, problem, controls)
@@ -231,8 +237,7 @@ def assemble_policy_system(policy, u_next, t, grid, problem, controls,
                            epsilon, intervention=None) -> SparseSystem:
     """Finite-horizon policy system: time weight 1/dt, source u^{n+1}/dt.
     With a jump table, each active impulse must be a candidate at its node."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    _require_epsilon(epsilon)
     return _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt, t, grid, problem,
                      epsilon, _intervention_at(intervention, t, grid, problem, controls))
 
@@ -279,8 +284,7 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, epsi
     equations) by policy iteration from ``u_start``, then gate the result on
     the pointwise :func:`residual`; ``band`` is the :func:`_control_band`, and
     the step evaluates the running reward once, as its :func:`_reward_block`."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    _require_epsilon(epsilon)
     reward = _reward_block(t, grid, problem, controls.controls[:, np.newaxis])
     u, diag, best = _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem,
                                       controls, epsilon, cfg, intervention, band, reward,
@@ -319,27 +323,25 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
                          controls: DiscreteControls | None = None,
                          epsilon: float | None = None,
                          cfg: SolverConfig | None = None) -> Solution:
-    """Backward induction of the penalty scheme from u^N = g, with one
-    :func:`_control_band` for every step."""
+    """:func:`solution.backward_induction` of :func:`penalty_timestep` from
+    u^N = g, with one :func:`_control_band` for every step."""
     if not problem.finite_horizon:
         raise ValueError("solve_finite_horizon needs a finite-horizon problem")
     cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
     epsilon = default_epsilon(grid, cfg) if epsilon is None else float(epsilon)
 
-    n_nodes = grid.n_nodes
-    surface = np.empty((grid.N + 1, n_nodes))
-    surface[grid.N] = eval_on(problem.terminal_reward, grid.nodes)
-    policies: list[PenaltyPolicy | None] = [None] * (grid.N + 1)
     diagnostics = SolveDiagnostics()
     band = _control_band(grid, problem, controls)
-    u = surface[grid.N]
-    for n in range(grid.N - 1, -1, -1):
-        t = n * grid.dt
-        u, step_diag = penalty_timestep(u, t, grid, problem, controls, epsilon, cfg, band=band)
-        surface[n] = u
-        policies[n] = step_diag.policy
+
+    def step(u_next, n):
+        u, step_diag = penalty_timestep(u_next, n * grid.dt, grid, problem, controls, epsilon,
+                                        cfg, band=band)
         diagnostics.record_step(step_diag)
+        return u, step_diag.policy
+
+    surface, policies = backward_induction(
+        grid, eval_on(problem.terminal_reward, grid.nodes), step)
     return Solution(grid=grid, scheme="penalty", horizon=FINITE, surface=surface,
                     policies=policies, diagnostics=diagnostics, epsilon=epsilon)
 

@@ -16,7 +16,9 @@ to one sparse (tridiagonal) solve A u^n = rhs with
 The continuation candidates are one controls x nodes block from
 :func:`_continuation` (numpy's clamped linear interpolation at the foot
 points); the timestep takes their maximum with one argmax, and the
-monotonicity row :func:`scheme_row` reads the same block.
+monotonicity row :func:`scheme_row` reads the same block.  A solve's step,
+run by :func:`solution.backward_induction`, is :func:`sl_rhs`, which returns
+(rhs, policy), and one sparse solve.
 
 A = I - dt L_0 is built from the same stencil core as the penalty systems
 (:func:`operators.generator_band` with zero drift) and the variance of
@@ -27,24 +29,23 @@ factorises A once per solve.
 
 drift(x, b) takes no t, so a solve also computes once what every step reads
 of the foot points (:class:`FootPoints`): each foot's interpolation cell and
-offset, and the overstep counts.  A step then does only the work that
-depends on u^{n+1} or on t: the cell slopes of u^{n+1}, the continuation
-values and the running reward at t, the jump maximum, and the solve.
+offset, and the overstep counts (the solve's are N times the feet's).  A
+step then does only the work that depends on u^{n+1} or on t: the cell
+slopes of u^{n+1}, the continuation values and the running reward at t, the
+jump maximum, and the solve.
 The jump table of a step is reused from the step before when the impulse
 data at its level equal those the table was built from
 (:meth:`InterventionTable.same_data_at`), so data that ignore t build one
 table per solve.
 
 Foot points x_j + drift dt can leave [-Q, Q] on fixed-Q uniform grids; the
-interpolant then clamps and the step is counted as an overstep.  Grids with
+interpolant then clamps and each step counts it as an overstep.  Grids with
 shrinking-sublinear boundary cells remove interior oversteps once rho drops
 below ``overstep_threshold``; inward drift at both ends removes them on any
 grid and is detected and reported.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +64,7 @@ from .operators import (
 )
 from .problem import ProblemSpec, eval_on
 from .solution import (FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig,
-                       default_epsilon)
+                       backward_induction, default_epsilon)
 
 
 def diffusion_variance(problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -92,17 +93,6 @@ def assemble_A(grid: SpaceTimeGrid, problem: ProblemSpec,
     variance = diffusion_variance(problem, grid, controls)
     dt_band = generator_band(grid.nodes, 0.0, variance * grid.dt)
     return implicit_matrix(1.0, dt_band)
-
-
-@dataclass
-class SLStep:
-    """Explicit right-hand side of one timestep, with its policy record and
-    the clamped-foot-point counts."""
-
-    rhs: np.ndarray
-    policy: PenaltyPolicy
-    oversteps: int
-    interior_oversteps: int
 
 
 class FootPoints:
@@ -164,8 +154,9 @@ def _continuation(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
 
 
 def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
-           controls: DiscreteControls, intervention=None, feet=None) -> SLStep:
-    """max( best continuation along characteristics, best jump ) per node.
+           controls: DiscreteControls, intervention=None, feet=None) -> tuple:
+    """(rhs, policy): max( best continuation along characteristics, best jump )
+    per node, and the argmax control, jump-won nodes and best impulses.
 
     Continuation and jump candidates both read u^{n+1}.  Ties inside either
     maximum go to the smallest control or impulse; a tie between the two
@@ -188,8 +179,7 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
     rhs = np.where(intervene, jump.values, best_cont)
     policy = PenaltyPolicy(controls=controls.controls[best], intervene=intervene,
                            impulses=jump.impulses)
-    return SLStep(rhs=rhs, policy=policy, oversteps=feet.oversteps,
-                  interior_oversteps=feet.interior_oversteps)
+    return rhs, policy
 
 
 def factorise(A: sp.csr_matrix):
@@ -267,10 +257,10 @@ def overstep_threshold(problem: ProblemSpec, grid: SpaceTimeGrid,
 def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
                           controls: DiscreteControls | None = None,
                           cfg: SolverConfig | None = None) -> Solution:
-    """Backward induction from u^N = g: one factorisation of A and one set of
-    foot points per solve, then one sparse solve per timestep.  A step's jump
-    table, at t + dt, is the previous step's when the impulse data there are
-    the same."""
+    """:func:`solution.backward_induction` from u^N = g: one factorisation of
+    A and one set of foot points per solve, then one :func:`sl_rhs` and one
+    sparse solve per timestep.  A step's jump table, at t + dt, is the
+    previous step's when the impulse data there are the same."""
     if not problem.finite_horizon:
         raise ValueError("the semi-Lagrangian scheme is finite-horizon only")
     controls = controls or discretize_controls(problem, grid.rho)
@@ -279,29 +269,26 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
     if not (report.passed and report.strictly_dominant_ok):
         raise SolverError(f"semi-Lagrangian matrix lost strict dominance: {report.witness}")
 
+    factor = factorise(A)
+    feet = foot_points(grid, problem, controls)
     diagnostics = SolveDiagnostics()
     diagnostics.matrix_systems_checked = 1
     diagnostics.min_dominance_margin = report.min_margin
     diagnostics.inward_drift = detect_inward_drift(problem, grid, controls)
-
-    n_nodes = grid.n_nodes
-    surface = np.empty((grid.N + 1, n_nodes))
-    surface[grid.N] = eval_on(problem.terminal_reward, grid.nodes)
-    policies: list[PenaltyPolicy | None] = [None] * (grid.N + 1)
-    u = surface[grid.N]
-    factor = factorise(A)
-    feet = foot_points(grid, problem, controls)
+    diagnostics.oversteps = grid.N * feet.oversteps
+    diagnostics.interior_oversteps = grid.N * feet.interior_oversteps
     table = None
-    for n in range(grid.N - 1, -1, -1):
+
+    def step(u_next, n):
+        nonlocal table
         t = n * grid.dt
         if table is None or not table.same_data_at(t + grid.dt):
             table = InterventionTable(problem, grid, controls, t + grid.dt)
-        step = sl_rhs(u, t, grid, problem, controls, intervention=table, feet=feet)
-        u = thomas_solve(A, step.rhs, factor)
-        surface[n] = u
-        policies[n] = step.policy
-        diagnostics.oversteps += step.oversteps
-        diagnostics.interior_oversteps += step.interior_oversteps
+        rhs, policy = sl_rhs(u_next, t, grid, problem, controls, intervention=table, feet=feet)
+        return thomas_solve(A, rhs, factor), policy
+
+    surface, policies = backward_induction(
+        grid, eval_on(problem.terminal_reward, grid.nodes), step)
     epsilon = default_epsilon(grid, cfg or SolverConfig())
     return Solution(grid=grid, scheme="semilagrangian", horizon=FINITE,
                     surface=surface, policies=policies,

@@ -1,4 +1,4 @@
-"""Shared solver types: configuration, policies, diagnostics, solutions."""
+"""Shared solver types, and the backward induction of the finite-horizon solvers."""
 
 from __future__ import annotations
 
@@ -26,8 +26,12 @@ class SolverConfig:
     c_eps: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.residual_tol <= 0 or self.c_eps <= 0 or self.max_iters < 1:
-            raise ValueError("tol, residual_tol, c_eps must be positive and max_iters >= 1")
+        for name in ("tol", "residual_tol", "c_eps"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
 
 def default_epsilon(grid: SpaceTimeGrid, cfg: SolverConfig) -> float:
@@ -123,3 +127,17 @@ class Solution:
 
     def sup_norm(self) -> float:
         return float(np.abs(self.surface).max())
+
+
+def backward_induction(grid: SpaceTimeGrid, terminal, step):
+    """(surface, policies) of (u^n, policy) = step(u^{n+1}, n) for n = N-1 ... 0,
+    from row N = ``terminal``, each call given what the previous returned;
+    ``policies[N]`` is None."""
+    surface = np.empty((grid.N + 1, grid.n_nodes))
+    surface[grid.N] = terminal
+    policies: list[PenaltyPolicy | None] = [None] * (grid.N + 1)
+    u = surface[grid.N]
+    for n in range(grid.N - 1, -1, -1):
+        u, policies[n] = step(u, n)
+        surface[n] = u
+    return surface, policies

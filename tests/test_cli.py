@@ -2,12 +2,15 @@ import csv
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from hjbqvi import cli
 from hjbqvi.exceptions import ConfigError
 from hjbqvi.problem import builtin
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """\
 problem:
@@ -200,8 +203,17 @@ class TestConfigErrors:
         (MINIMAL + "seed: abc\n", ["solve"]),
         (MINIMAL + "solver: {tol: 0}\n", ["solve"]),
         (MINIMAL + "solver: {max_iters: 0}\n", ["solve"]),
+        (MINIMAL + "solver: {residual_tol: .nan}\n", ["solve", "--check"]),
+        (MINIMAL + "solver: {tol: .inf}\n", ["solve"]),
+        (MINIMAL + "solver: {c_eps: .inf}\n", ["solve", "--check"]),
+        (MINIMAL + "solver: {c_eps: .nan}\n", ["solve", "--check"]),
+        (MINIMAL + "solver: {epsilon: .inf}\n", ["solve", "--check"]),
+        (MINIMAL + "solver: {epsilon: .nan}\n", ["solve"]),
+        (MINIMAL + "solver: {epsilon: 0}\n", ["solve"]),
     ], ids=["study-levels", "levels-flag", "grid-N", "grid-N-fraction", "seed",
-            "solver-tol", "solver-max-iters"])
+            "solver-tol", "solver-max-iters", "solver-residual-tol-nan", "solver-tol-inf",
+            "solver-c-eps-inf", "solver-c-eps-nan", "solver-epsilon-inf", "solver-epsilon-nan",
+            "solver-epsilon-zero"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, text, args):
         config = write_config(tmp_path, text)
         command, *flags = args
@@ -242,6 +254,24 @@ class TestRunStudy:
         cli.run(spec, mode="study", out_dir=tmp_path / "out", levels=2)
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(report["study"]["levels"]) == 2
+
+    def test_semilagrangian_study_reports_oversteps(self, tmp_path):
+        # Boundary feet overstep at every level; on the refined grid no
+        # interior foot does (overstep_threshold is 16, far above each rho).
+        spec = cli.parse_config(CONFIGS / "cash_semilagrangian_study.yaml")
+        assert cli.run(spec, mode="study", out_dir=tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        levels = report["study"]["levels"]
+        assert len(levels) == 3
+        assert all(lv["oversteps"] > 0 for lv in levels)
+        assert all(lv["interior_oversteps"] == 0 for lv in levels)
+
+    def test_ios_study_reports_zero_oversteps(self, tmp_path):
+        spec = cli.parse_config(CONFIGS / "cash_ios_study.yaml")
+        assert cli.run(spec, mode="study", out_dir=tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [(lv["oversteps"], lv["interior_oversteps"])
+                for lv in report["study"]["levels"]] == [(0, 0), (0, 0)]
 
 
 class TestDeterminism:

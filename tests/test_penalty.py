@@ -102,6 +102,27 @@ class TestResidual:
         with pytest.raises(ValueError):
             residual(u, u / g.dt, 1 / g.dt, 0.0, g, p, c, epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan, -1.0])
+    def test_epsilon_must_be_finite_at_every_entry_point(self, epsilon):
+        # An infinite epsilon would zero the penalty term and drop the obstacle.
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=8, N=4, T=3)
+        c = discretize_controls(p, g.rho)
+        u = terminal_values(p, g)
+        policy = PenaltyPolicy(controls=np.zeros(g.n_nodes),
+                               intervene=np.zeros(g.n_nodes, dtype=bool),
+                               impulses=np.zeros(g.n_nodes))
+        entry_points = [
+            lambda: residual(u, u / g.dt, 1 / g.dt, 0.0, g, p, c, epsilon),
+            lambda: assemble_policy_system(policy, u, 0.0, g, p, c, epsilon),
+            lambda: penalty_timestep(u, 0.0, g, p, c, epsilon),
+            lambda: solve_finite_horizon(p, g, c, epsilon),
+            lambda: solve_infinite_horizon(builtin("cash", {"beta": 0.5}), g, c, epsilon),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+                call()
+
 
 class TestAssemblePolicySystem:
     def test_pure_diffusion_tridiagonal(self):

@@ -143,9 +143,9 @@ class TestSlRhs:
         p = builtin("constant", {"c": 7})
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
-        step = sl_rhs(np.full(g.n_nodes, 7.0), 0.0, g, p, c)
-        assert np.allclose(step.rhs, 7.0)
-        assert not step.policy.intervene.any()
+        rhs, policy = sl_rhs(np.full(g.n_nodes, 7.0), 0.0, g, p, c)
+        assert np.allclose(rhs, 7.0)
+        assert not policy.intervene.any()
 
     def test_overstepping_clamps_and_counts(self):
         # Strong outward drift at the right edge: every foot point past Q
@@ -154,11 +154,12 @@ class TestSlRhs:
         g = build_uniform_grid(Q=1, M=4, N=2, T=1)   # dt = 0.5, feet move +2
         c = discretize_controls(p, g.rho)
         u_next = g.nodes.copy()
-        step = sl_rhs(u_next, 0.0, g, p, c)
-        assert step.oversteps > 0
-        assert step.interior_oversteps > 0
+        feet = semilag.foot_points(g, p, c)
+        assert feet.oversteps > 0
+        assert feet.interior_oversteps > 0
+        rhs, _ = sl_rhs(u_next, 0.0, g, p, c)
         # Foot of the right boundary node clamps to u at Q exactly.
-        assert step.rhs[-1] == pytest.approx(max(1.0, -2.0 + u_next.max()))
+        assert rhs[-1] == pytest.approx(max(1.0, -2.0 + u_next.max()))
 
     def test_matches_brute_force(self):
         p = builtin("cash")
@@ -168,8 +169,8 @@ class TestSlRhs:
         for _ in range(5):
             u_next = rng.normal(size=g.n_nodes)
             t = float(rng.uniform(0, 2.5))
-            step = sl_rhs(u_next, t, g, p, c)
-            assert np.abs(step.rhs - brute_force_rhs(u_next, t, g, p, c)).max() <= 1e-12
+            rhs, _ = sl_rhs(u_next, t, g, p, c)
+            assert np.abs(rhs - brute_force_rhs(u_next, t, g, p, c)).max() <= 1e-12
 
     def test_time_dependent_cost_matches_brute_force(self):
         # With no intervention given, sl_rhs reads the jump data at t + dt.
@@ -180,8 +181,8 @@ class TestSlRhs:
         for _ in range(5):
             u_next = rng.normal(size=g.n_nodes)
             t = float(rng.uniform(0, 2.5))
-            step = sl_rhs(u_next, t, g, p, c)
-            assert np.abs(step.rhs - brute_force_rhs(u_next, t, g, p, c)).max() <= 1e-12
+            rhs, _ = sl_rhs(u_next, t, g, p, c)
+            assert np.abs(rhs - brute_force_rhs(u_next, t, g, p, c)).max() <= 1e-12
 
     def test_monotone_in_next_values(self):
         p = builtin("cash")
@@ -191,8 +192,8 @@ class TestSlRhs:
         for _ in range(10):
             lo = rng.normal(size=g.n_nodes)
             hi = lo + rng.uniform(0, 1, size=g.n_nodes)
-            assert np.all(sl_rhs(lo, 0.0, g, p, c).rhs
-                          <= sl_rhs(hi, 0.0, g, p, c).rhs + 1e-12)
+            assert np.all(sl_rhs(lo, 0.0, g, p, c)[0]
+                          <= sl_rhs(hi, 0.0, g, p, c)[0] + 1e-12)
 
 
 def tridiagonal(lower, diag, upper):
@@ -260,10 +261,10 @@ def per_step_solve(p, g, c):
     u = eval_on(p.terminal_reward, g.nodes)
     surface, policies = [u], []
     for n in range(g.N - 1, -1, -1):
-        step = sl_rhs(u, n * g.dt, g, p, c)
-        u = spsolve(A, step.rhs)
+        rhs, policy = sl_rhs(u, n * g.dt, g, p, c)
+        u = spsolve(A, rhs)
         surface.append(u)
-        policies.append(step.policy)
+        policies.append(policy)
     return np.array(surface[::-1]), policies[::-1]
 
 
