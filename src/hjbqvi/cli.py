@@ -390,6 +390,10 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
     n_levels = levels if levels is not None else spec.levels
     if mode == "study" and n_levels < 2:
         raise ConfigError(f"a refinement study needs >= 2 levels, got {n_levels}")
+    if mode == "study" and spec.epsilon is not None:
+        raise ConfigError("solver.epsilon fixes one penalty parameter, but a study's epsilon "
+                          "must shrink with each level's rho; set solver.c_eps instead "
+                          "(epsilon = c_eps * rho)")
     check_semantics(spec, problem, grid, n_levels if mode == "study" else 1)
     out = Path(out_dir if out_dir is not None else (spec.output or "."))
     out.mkdir(parents=True, exist_ok=True)

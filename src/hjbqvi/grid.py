@@ -103,8 +103,8 @@ class SpaceTimeGrid:
 
 def _require_positive(**values) -> None:
     for name, value in values.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def build_uniform_grid(Q: float, M: int, N: int, T: float) -> SpaceTimeGrid:

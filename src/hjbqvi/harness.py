@@ -289,9 +289,12 @@ def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int, seed: int,
 
 
 def make_penalty_row(problem, grid, controls, epsilon, t):
+    band = penalty_mod._control_band(grid, problem, controls)
+    reward = penalty_mod._reward_block(t, grid, problem, controls)
+
     def row(j, center, u_n, u_next, obstacle_value):
         return penalty_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                      t, grid, problem, controls, epsilon)
+                                      t, grid, problem, controls, band, reward, epsilon)
     return row
 
 

@@ -69,8 +69,8 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     def step(u_next, n):
         # Reads the current pass's ``obstacles``.
-        u, step_diag = penalty_timestep(u_next, n * dt, grid, problem, controls, epsilon,
-                                        cfg, FrozenObstacle(obstacles[n]), band)
+        u, step_diag = penalty_timestep(u_next, n * dt, grid, problem, controls, band, epsilon,
+                                        cfg, FrozenObstacle(obstacles[n]))
         diagnostics.record_step(step_diag)
         return u, step_diag.policy
 

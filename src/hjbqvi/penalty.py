@@ -16,14 +16,13 @@ monotonicity row all come from :func:`operators.generator_band`.
 
 drift(x, b) and diffusion(x, b) take no t, so the controls x nodes band of
 L_b that the control argmax reads is the same at every step and every policy
-iteration: a solve builds it once and passes it down (``band``), and a
-standalone :func:`penalty_timestep`, :func:`policy_improve` or
-:func:`residual` call given none builds its own.  The running reward
-f(t, x, b) is fixed within a step, so a step evaluates it once on the same
-block (``reward``).  Each assembled system reads row b_j of the band and of
-the reward block at node j, by the control index the argmax chose, so the
-systems and the argmax read the same numbers.  The residual gate reuses the
-argmax values of the last policy improvement, which evaluated the same u.
+iteration: a caller builds it once (:func:`_control_band`) and passes it
+down as ``band``.  The running reward f(t, x, b) is fixed within a step, so
+a step evaluates it once on the same block (``reward``).  Each assembled
+system reads row b_j of the band and of the reward block at node j, by the
+control index the argmax chose, so the systems and the argmax read the same
+numbers.  The residual gate reuses the argmax values of the last policy
+improvement, which evaluated the same u.
 
 The stationary (discounted) analogue replaces the time difference by
 -beta u_j and solves a single such system.
@@ -94,42 +93,35 @@ def _intervention_at(intervention, t, grid, problem, controls):
     return InterventionTable(problem, grid, controls, t) if intervention is None else intervention
 
 
-def _band(grid, problem, b):
-    """Band of L_b with one row per control of the column ``b`` (controls x nodes)."""
-    nodes = grid.nodes
+def _control_band(grid, problem, controls):
+    """Band of L_b with one row per discrete control (controls x nodes)."""
+    nodes, b = grid.nodes, controls.controls[:, np.newaxis]
     return generator_band(nodes, eval_on(problem.drift, nodes, b),
                           eval_on(problem.diffusion, nodes, b) ** 2)
 
 
-def _control_band(grid, problem, controls):
-    """Band of L_b with one row per discrete control (controls x nodes)."""
-    return _band(grid, problem, controls.controls[:, np.newaxis])
+def _reward_block(t, grid, problem, controls):
+    """f(t, x_j, b) with one row per discrete control (controls x nodes)."""
+    return eval_on(problem.running_reward, t, grid.nodes, controls.controls[:, np.newaxis])
 
 
-def _reward_block(t, grid, problem, b):
-    """f(t, x_j, b) with one row per control of the column ``b`` (controls x nodes)."""
-    return eval_on(problem.running_reward, t, grid.nodes, b)
-
-
-def _best_control(u, t, grid, problem, controls, band, reward=None):
+def _best_control(u, band, reward):
     """Argmax over the discrete control set of (L_b u)_j + f(t, x_j, b),
     ``band`` being the :func:`_control_band` of these controls and ``reward``
-    their :func:`_reward_block` at t, evaluated here when None.
+    their :func:`_reward_block` at t.
 
     Returns (values, indices); ties go to the smallest control, the first
     index argmax meets.
     """
-    if reward is None:
-        reward = _reward_block(t, grid, problem, controls.controls[:, np.newaxis])
     vals = apply_band(band, u) + reward
     best_idx = vals.argmax(axis=0)
-    return vals[best_idx, np.arange(grid.n_nodes)], best_idx
+    return vals[best_idx, np.arange(vals.shape[1])], best_idx
 
 
-def _improve(u, t, grid, problem, controls, intervention, band, reward):
+def _improve(u, controls, intervention, band, reward):
     """:func:`policy_improve` at a given operator, band and reward block, also
     returning the control argmax values and indices the policy was chosen by."""
-    best_vals, best_idx = _best_control(u, t, grid, problem, controls, band, reward)
+    best_vals, best_idx = _best_control(u, band, reward)
     jump = intervention.apply(u)
     policy = PenaltyPolicy(
         controls=controls.controls[best_idx],
@@ -139,23 +131,21 @@ def _improve(u, t, grid, problem, controls, intervention, band, reward):
     return policy, best_vals, best_idx
 
 
-def policy_improve(u, t, grid, problem, controls, intervention=None,
-                   band=None) -> PenaltyPolicy:
+def policy_improve(u, t, grid, problem, controls, band,
+                   intervention=None) -> PenaltyPolicy:
     """Greedy policy at the current iterate.
 
     The control argmax ignores the time (or discount) term, which does not
     depend on b; the penalty indicator is strict, d_j = 1 iff the best jump
     value exceeds u_j, so at equality the penalty stays off.  ``band`` is the
-    :func:`_control_band`, built here when not given.
+    :func:`_control_band`.
     """
-    if band is None:
-        band = _control_band(grid, problem, controls)
     operator = _intervention_at(intervention, t, grid, problem, controls)
-    return _improve(u, t, grid, problem, controls, operator, band, None)[0]
+    return _improve(u, controls, operator, band, _reward_block(t, grid, problem, controls))[0]
 
 
-def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-             intervention=None, band=None, best=None) -> np.ndarray:
+def residual(u, rhs_base, time_weight, t, grid, problem, controls, band, epsilon,
+             intervention=None, best=None) -> np.ndarray:
     """Pointwise residual of the discrete penalty equations
 
         -max_b { rhs_base_j - time_weight u_j + (L_b u)_j + f_j(b) }
@@ -163,43 +153,34 @@ def residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
 
     with the (rhs_base, time_weight) pair of :func:`_assemble`:
     (u^{n+1}/dt, 1/dt) for a timestep, (0, beta) for the stationary equations.
-    ``best`` is max_b { (L_b u)_j + f_j(b) } at this u, and ``band`` the
-    :func:`_control_band`; each is computed here when not given.
+    ``best`` is max_b { (L_b u)_j + f_j(b) } at this u, read off ``band``,
+    the :func:`_control_band`, when not given.
     """
     _require_epsilon(epsilon)
     if best is None:
-        if band is None:
-            band = _control_band(grid, problem, controls)
-        best, _ = _best_control(u, t, grid, problem, controls, band)
+        best, _ = _best_control(u, band, _reward_block(t, grid, problem, controls))
     m_vals = _intervention_at(intervention, t, grid, problem, controls).apply(u).values
     return -(best + (rhs_base - time_weight * u)) - np.maximum(m_vals - u, 0.0) / epsilon
 
 
-def _assemble(policy, rhs_base, time_weight, t, grid, problem, epsilon,
-              intervention, coefficients=None) -> SparseSystem:
+def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
+              control_band, reward, idx) -> SparseSystem:
     """Linear system of the penalty equations at a frozen policy.
 
     Row j:  time_weight*u_j - (L_{b_j} u)_j + (d_j/eps)(u_j - sum_c w_c u_c)
             = rhs_base_j + f_j(b_j) + (d_j/eps) * cost_j,
     with zero stencils in the boundary rows.  L_{b_j} and f_j(b_j) are row
-    idx_j of a controls x nodes band and reward block, ``coefficients`` being
-    (band, reward, idx): a solve passes its :func:`_control_band`, the step's
-    :func:`_reward_block` and the control indices of the argmax that chose
-    the policy.  Given None, the blocks are built over the policy's distinct
-    controls.  The couplings (c, w_c) and the cost of each active row are
-    read from ``intervention.jump_rows``, the operator that chose the policy:
+    idx_j of the :func:`_control_band` and of the step's :func:`_reward_block`,
+    ``idx`` holding the control index of b_j at each node.  The couplings
+    (c, w_c) and the cost of each active row are read from
+    ``intervention.jump_rows``, the operator that chose the policy:
     interpolation pairs for a jump table, none for a frozen obstacle.
     Couplings that land on the row itself merge into the diagonal; the
     structural check rejects any configuration that loses the M-matrix sign
     pattern or WCDD.
     """
-    if coefficients is None:
-        distinct, idx = np.unique(policy.controls, return_inverse=True)
-        b = distinct[:, np.newaxis]
-        coefficients = _band(grid, problem, b), _reward_block(t, grid, problem, b), idx
-    block_band, reward, idx = coefficients
-    nodes = np.arange(grid.n_nodes)
-    band = tuple(part[idx, nodes] for part in block_band)
+    nodes = np.arange(idx.size)
+    band = tuple(part[idx, nodes] for part in control_band)
     rhs = np.asarray(rhs_base, dtype=float) + reward[idx, nodes]
 
     # Penalty rows: one diagonal entry of 1/eps (less any coupling that lands
@@ -236,32 +217,42 @@ def _assemble(policy, rhs_base, time_weight, t, grid, problem, epsilon,
 def assemble_policy_system(policy, u_next, t, grid, problem, controls,
                            epsilon, intervention=None) -> SparseSystem:
     """Finite-horizon policy system: time weight 1/dt, source u^{n+1}/dt.
-    With a jump table, each active impulse must be a candidate at its node."""
+
+    Every control of the policy must be one of the discrete ``controls``, and
+    with a jump table each active impulse must be a candidate at its node;
+    ValueError names the first node where either fails.
+    """
     _require_epsilon(epsilon)
-    return _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt, t, grid, problem,
-                     epsilon, _intervention_at(intervention, t, grid, problem, controls))
+    matches = policy.controls[:, np.newaxis] == controls.controls
+    found = matches.any(axis=1)
+    if not found.all():
+        bad = int(np.argmin(found))
+        raise ValueError(f"policy control {float(policy.controls[bad])!r} at node index "
+                         f"{bad} is not one of the discrete controls")
+    return _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt, epsilon,
+                     _intervention_at(intervention, t, grid, problem, controls),
+                     _control_band(grid, problem, controls),
+                     _reward_block(t, grid, problem, controls), matches.argmax(axis=1))
 
 
-def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-                      cfg, intervention, band, reward,
+def _policy_iteration(u_start, rhs_base, time_weight, epsilon, cfg, controls,
+                      intervention, band, reward,
                       time_index) -> tuple[np.ndarray, TimestepDiagnostics, np.ndarray]:
     """Policy iteration from ``u_start``; returns the solution, the step's
     diagnostics and the control argmax values of the last policy
     improvement, which evaluated the returned u."""
-    operator = _intervention_at(intervention, t, grid, problem, controls)
     diag = TimestepDiagnostics(time_index=time_index, iterations=0)
-    policy, _, best_idx = _improve(u_start, t, grid, problem, controls, operator, band, reward)
+    policy, _, best_idx = _improve(u_start, controls, intervention, band, reward)
     u = np.asarray(u_start, dtype=float)
     for _ in range(cfg.max_iters):
-        system = _assemble(policy, rhs_base, time_weight, t, grid, problem,
-                           epsilon, operator, (band, reward, best_idx))
+        system = _assemble(policy, rhs_base, time_weight, epsilon, intervention,
+                           band, reward, best_idx)
         diag.iterations += 1
         diag.min_dominance_margin = min(diag.min_dominance_margin, system.report.min_margin)
         u_new = spsolve(system.matrix, system.rhs)
         if not np.all(np.isfinite(u_new)):
             raise SolverError("policy system solve returned non-finite values")
-        new_policy, best_vals, best_idx = _improve(u_new, t, grid, problem, controls,
-                                                   operator, band, reward)
+        new_policy, best_vals, best_idx = _improve(u_new, controls, intervention, band, reward)
         update = float(np.abs(u_new - u).max())
         diag.updates.append(update)
         unchanged = policy.same_as(new_policy)
@@ -277,22 +268,23 @@ def _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem, controls
     return u, diag, best_vals
 
 
-def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-                cfg, intervention, band, time_index,
+def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band,
+                epsilon, cfg, intervention, time_index,
                 where) -> tuple[np.ndarray, TimestepDiagnostics]:
     """Solve one system of penalty equations (a timestep or the stationary
     equations) by policy iteration from ``u_start``, then gate the result on
     the pointwise :func:`residual`; ``band`` is the :func:`_control_band`, and
     the step evaluates the running reward once, as its :func:`_reward_block`."""
     _require_epsilon(epsilon)
-    reward = _reward_block(t, grid, problem, controls.controls[:, np.newaxis])
-    u, diag, best = _policy_iteration(u_start, rhs_base, time_weight, t, grid, problem,
-                                      controls, epsilon, cfg, intervention, band, reward,
-                                      time_index)
-    # Given None, the gate builds its own table once policy iteration's is freed
-    # (one alive at a time); perfbench/selftest.py pins these two builds a step.
-    res = residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-                   intervention, band, best)
+    reward = _reward_block(t, grid, problem, controls)
+    # Only policy iteration holds its table, which is freed before the gate,
+    # given None, builds its own (one alive at a time); perfbench/selftest.py
+    # pins these two builds a step.
+    u, diag, best = _policy_iteration(
+        u_start, rhs_base, time_weight, epsilon, cfg, controls,
+        _intervention_at(intervention, t, grid, problem, controls), band, reward, time_index)
+    res = residual(u, rhs_base, time_weight, t, grid, problem, controls, band, epsilon,
+                   intervention, best)
     diag.final_residual = float(np.abs(res).max())
     if diag.final_residual > cfg.residual_tol:
         raise NonConvergenceError(
@@ -303,19 +295,14 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, epsi
     return u, diag
 
 
-def penalty_timestep(u_next, t, grid, problem, controls, epsilon,
-                     cfg: SolverConfig | None = None, intervention=None,
-                     band=None) -> tuple[np.ndarray, TimestepDiagnostics]:
-    """One implicit timestep by policy iteration, solved to residual tolerance.
-
-    ``band`` is the :func:`_control_band`; a solve passes the one it built,
-    and without it the step builds its own once.
-    """
+def penalty_timestep(u_next, t, grid, problem, controls, band, epsilon,
+                     cfg: SolverConfig | None = None,
+                     intervention=None) -> tuple[np.ndarray, TimestepDiagnostics]:
+    """One implicit timestep by policy iteration, solved to residual tolerance;
+    ``band`` is the :func:`_control_band`."""
     u_next = np.asarray(u_next, dtype=float)
-    if band is None:
-        band = _control_band(grid, problem, controls)
     return _solve_step(u_next, u_next / grid.dt, 1.0 / grid.dt, t, grid, problem, controls,
-                       epsilon, cfg or SolverConfig(), intervention, band,
+                       band, epsilon, cfg or SolverConfig(), intervention,
                        time_index=int(round(t / grid.dt)), where="penalty timestep")
 
 
@@ -335,8 +322,8 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     band = _control_band(grid, problem, controls)
 
     def step(u_next, n):
-        u, step_diag = penalty_timestep(u_next, n * grid.dt, grid, problem, controls, epsilon,
-                                        cfg, band=band)
+        u, step_diag = penalty_timestep(u_next, n * grid.dt, grid, problem, controls, band,
+                                        epsilon, cfg)
         diagnostics.record_step(step_diag)
         return u, step_diag.policy
 
@@ -359,7 +346,7 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     zeros = np.zeros(grid.n_nodes)
     u, step_diag = _solve_step(zeros, zeros, problem.discount, 0.0, grid, problem, controls,
-                               epsilon, cfg, None, _control_band(grid, problem, controls),
+                               _control_band(grid, problem, controls), epsilon, cfg, None,
                                time_index=0, where="stationary solve")
     diagnostics = SolveDiagnostics()
     diagnostics.record_step(step_diag)
@@ -369,12 +356,14 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
 
 
 def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
-               controls, epsilon) -> float:
+               controls, band, reward, epsilon) -> float:
     """Penalty residual at one node with the node value and obstacle pinned.
 
     This is the scheme read as a function of the off-node values, which is
     what the monotonicity property quantifies over; it is the :func:`residual`
     the solve is gated on (stationary, ``u_next`` unused, when discounted).
+    ``band`` is the :func:`_control_band` and ``reward`` the
+    :func:`_reward_block` at t.
     """
     i = grid.offset(j)
     u_loc = np.array(u_n, dtype=float)
@@ -383,6 +372,7 @@ def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
         rhs_base, time_weight = np.asarray(u_next, dtype=float) / grid.dt, 1.0 / grid.dt
     else:
         rhs_base, time_weight = 0.0, problem.discount
-    res = residual(u_loc, rhs_base, time_weight, t, grid, problem, controls, epsilon,
-                   FrozenObstacle(np.full(grid.n_nodes, obstacle_value)))
+    res = residual(u_loc, rhs_base, time_weight, t, grid, problem, controls, band, epsilon,
+                   FrozenObstacle(np.full(grid.n_nodes, obstacle_value)),
+                   _best_control(u_loc, band, reward)[0])
     return float(res[i])

@@ -92,10 +92,10 @@ class ProblemSpec:
     def __post_init__(self):
         if (self.horizon is None) == (self.discount is None):
             raise ValueError("exactly one of horizon (T) and discount (beta) must be set")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
-        if self.discount is not None and not self.discount > 0:
-            raise ValueError(f"discount must be positive, got {self.discount!r}")
+        if self.horizon is not None and not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
+        if self.discount is not None and not 0 < self.discount < np.inf:
+            raise ValueError(f"discount must be finite and positive, got {self.discount!r}")
         lo, hi = self.control_bounds
         if hi < lo:
             raise ValueError(f"empty control interval {self.control_bounds!r}")
@@ -246,6 +246,9 @@ def _known_params(params: dict, allowed: dict) -> dict:
         raise ValueError(f"unknown problem parameters: {sorted(unknown)}")
     merged = dict(allowed)
     merged.update(params)
+    for name, value in merged.items():
+        if value is not None and not np.isfinite(float(value)):
+            raise ValueError(f"problem parameter {name} must be finite, got {value!r}")
     return merged
 
 

@@ -137,10 +137,15 @@ class FootPoints:
 def foot_points(grid: SpaceTimeGrid, problem: ProblemSpec,
                 controls: DiscreteControls) -> FootPoints:
     """The controls x nodes foot points x_j + drift(x_j, b) dt, one row per
-    control; drift takes no t, so they serve every step of a solve."""
+    control; drift takes no t, so they serve every step of a solve.  Their
+    ``inward_drift`` is True when drift points inward at both ends for every
+    control, in which case no foot point can leave [-Q, Q] from an interior node.
+    """
     nodes = grid.nodes
     drift = eval_on(problem.drift, nodes, controls.controls[:, np.newaxis])
-    return FootPoints(nodes, nodes + drift * grid.dt, grid.Q)
+    feet = FootPoints(nodes, nodes + drift * grid.dt, grid.Q)
+    feet.inward_drift = bool(np.all(drift[:, 0] >= 0.0) and np.all(drift[:, -1] <= 0.0))
+    return feet
 
 
 def _continuation(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
@@ -154,7 +159,7 @@ def _continuation(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
 
 
 def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
-           controls: DiscreteControls, intervention=None, feet=None) -> tuple:
+           controls: DiscreteControls, intervention, feet: FootPoints) -> tuple:
     """(rhs, policy): max( best continuation along characteristics, best jump )
     per node, and the argmax control, jump-won nodes and best impulses.
 
@@ -162,18 +167,14 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
     maximum go to the smallest control or impulse; a tie between the two
     branches counts as continuation, matching the strict-intervention rule
     of the penalty scheme.  ``intervention`` is the jump operator read at
-    level n+1; None means the problem's table at t + dt.  ``feet`` are the
-    :func:`foot_points`, computed here when None.
+    level n+1, such as the problem's table at t + dt, and ``feet`` are the
+    :func:`foot_points`.
     """
     u_next = np.asarray(u_next, dtype=float)
-    if feet is None:
-        feet = foot_points(grid, problem, controls)
     values = _continuation(u_next, t, grid, problem, controls, feet)
     best = values.argmax(axis=0)
     best_cont = values[best, np.arange(grid.n_nodes)]
 
-    if intervention is None:
-        intervention = InterventionTable(problem, grid, controls, t + grid.dt)
     jump = intervention.apply(u_next)
     intervene = jump.values > best_cont
     rhs = np.where(intervene, jump.values, best_cont)
@@ -197,19 +198,17 @@ def factorise(A: sp.csr_matrix):
                           "would return non-finite values") from exc
 
 
-def thomas_solve(A: sp.csr_matrix, rhs: np.ndarray, factor=None) -> np.ndarray:
+def thomas_solve(A: sp.csr_matrix, rhs: np.ndarray, factor) -> np.ndarray:
     """Sparse direct solve of A u = rhs with a residual guard.
 
-    ``factor`` is A's :func:`factorise` result, computed here when None.  A
-    non-finite solution is escalated as an internal error, as is a residual
-    above 1e-10 * (1 + |rhs|).
+    ``factor`` is A's :func:`factorise` result.  A non-finite solution is
+    escalated as an internal error, as is a residual above
+    1e-10 * (1 + |rhs|).
     """
     n = A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size != n:
         raise ValueError(f"rhs length {rhs.size} does not match matrix size {n}")
-    if factor is None:
-        factor = factorise(A)
     out = factor.solve(rhs, trans="T")
     if not np.all(np.isfinite(out)):
         raise SolverError("semi-Lagrangian solve returned non-finite values (singular matrix)")
@@ -224,15 +223,6 @@ def norm_drift(problem: ProblemSpec, grid: SpaceTimeGrid,
     """max |drift| over the grid nodes and the discrete control set."""
     drift = eval_on(problem.drift, grid.nodes, controls.controls[:, np.newaxis])
     return float(np.abs(drift).max())
-
-
-def detect_inward_drift(problem: ProblemSpec, grid: SpaceTimeGrid,
-                        controls: DiscreteControls) -> bool:
-    """True when drift points inward at both ends for every discrete control,
-    in which case no foot point can leave [-Q, Q] from an interior node."""
-    left = eval_on(problem.drift, -grid.Q, controls.controls)
-    right = eval_on(problem.drift, grid.Q, controls.controls)
-    return bool(np.all(left >= 0.0) and np.all(right <= 0.0))
 
 
 def overstep_threshold(problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -274,7 +264,7 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
     diagnostics = SolveDiagnostics()
     diagnostics.matrix_systems_checked = 1
     diagnostics.min_dominance_margin = report.min_margin
-    diagnostics.inward_drift = detect_inward_drift(problem, grid, controls)
+    diagnostics.inward_drift = feet.inward_drift
     diagnostics.oversteps = grid.N * feet.oversteps
     diagnostics.interior_oversteps = grid.N * feet.interior_oversteps
     table = None
@@ -284,7 +274,7 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
         t = n * grid.dt
         if table is None or not table.same_data_at(t + grid.dt):
             table = InterventionTable(problem, grid, controls, t + grid.dt)
-        rhs, policy = sl_rhs(u_next, t, grid, problem, controls, intervention=table, feet=feet)
+        rhs, policy = sl_rhs(u_next, t, grid, problem, controls, table, feet)
         return thomas_solve(A, rhs, factor), policy
 
     surface, policies = backward_induction(
@@ -302,21 +292,16 @@ def diffusion_band(grid: SpaceTimeGrid, problem: ProblemSpec, controls: Discrete
 
 
 def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
-               controls, feet=None, band=None) -> float:
+               controls, feet, band) -> float:
     """Semi-Lagrangian scheme value at one node with node value and obstacle
     pinned; used by the monotonicity checker (min of the two branches).  The
     continuation is the solver's own (:func:`_continuation`); ``feet`` are
-    the :func:`foot_points` and ``band`` the :func:`diffusion_band`, each
-    computed here when None."""
+    the :func:`foot_points` and ``band`` the :func:`diffusion_band`."""
     i = grid.offset(j)
     u_loc = np.array(u_n, dtype=float)
     u_loc[i] = center
     dt = grid.dt
-    if band is None:
-        band = diffusion_band(grid, problem, controls)
     diffusion_term = float(apply_band(band, u_loc)[i])
-    if feet is None:
-        feet = foot_points(grid, problem, controls)
     values = _continuation(np.asarray(u_next, dtype=float), t, grid, problem, controls, feet)
     best = (float(values[:, i].max()) - center) / dt + diffusion_term
     return min(-best, center - obstacle_value - diffusion_term * dt)

@@ -210,10 +210,13 @@ class TestConfigErrors:
         (MINIMAL + "solver: {epsilon: .inf}\n", ["solve", "--check"]),
         (MINIMAL + "solver: {epsilon: .nan}\n", ["solve"]),
         (MINIMAL + "solver: {epsilon: 0}\n", ["solve"]),
+        (MINIMAL.replace("Q: 2.0", "Q: .inf"), ["solve"]),
+        (MINIMAL.replace("c: 5.0", "c: .nan"), ["solve"]),
+        (MINIMAL + "solver: {epsilon: 1000}\n", ["study"]),
     ], ids=["study-levels", "levels-flag", "grid-N", "grid-N-fraction", "seed",
             "solver-tol", "solver-max-iters", "solver-residual-tol-nan", "solver-tol-inf",
             "solver-c-eps-inf", "solver-c-eps-nan", "solver-epsilon-inf", "solver-epsilon-nan",
-            "solver-epsilon-zero"])
+            "solver-epsilon-zero", "grid-Q-inf", "problem-param-nan", "study-epsilon"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, text, args):
         config = write_config(tmp_path, text)
         command, *flags = args

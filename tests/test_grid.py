@@ -36,7 +36,8 @@ class TestUniformGrid:
     @pytest.mark.parametrize("kwargs", [
         dict(Q=0, M=2, N=2, T=1), dict(Q=2, M=0, N=2, T=1),
         dict(Q=2, M=2, N=0, T=1), dict(Q=2, M=2, N=2, T=0),
-        dict(Q=-1, M=2, N=2, T=1),
+        dict(Q=-1, M=2, N=2, T=1), dict(Q=np.inf, M=2, N=2, T=1),
+        dict(Q=np.nan, M=2, N=2, T=1), dict(Q=2, M=2, N=2, T=np.inf),
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):

@@ -313,10 +313,12 @@ class TestSchemeRowsAtSolutions:
     def test_penalty_row(self):
         p, g, c = self.problem, self.grid, self.controls
         sol = solve_finite_horizon(p, g, c)
+        band = penalty_mod._control_band(g, p, c)
 
         def row(j, center, u_n, u_next, obstacle_value, t):
-            return penalty_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                          t, g, p, c, sol.epsilon)
+            return penalty_mod.scheme_row(j, center, u_n, u_next, obstacle_value, t, g, p, c,
+                                          band, penalty_mod._reward_block(t, g, p, c),
+                                          sol.epsilon)
         assert self.worst_row(sol, row, ahead=0) <= 1e-9
 
     def test_penalty_row_discounted(self):
@@ -327,39 +329,43 @@ class TestSchemeRowsAtSolutions:
         sol = solve_infinite_horizon(p, g, c)
         u = sol.surface[0]
         obstacle = InterventionTable(p, g, c, 0.0).apply(u).values
+        band, reward = penalty_mod._control_band(g, p, c), penalty_mod._reward_block(0.0, g, p, c)
         rng = np.random.default_rng(0)
         worst = max(abs(penalty_mod.scheme_row(j, u[g.offset(j)], u, rng.uniform(-1, 1, u.size),
-                                               obstacle[g.offset(j)], 0.0, g, p, c, sol.epsilon))
+                                               obstacle[g.offset(j)], 0.0, g, p, c, band, reward,
+                                               sol.epsilon))
                     for j in range(-g.M, g.M + 1))
         assert worst <= 1e-9
 
     def test_semilagrangian_row(self):
         p, g, c = self.problem, self.grid, self.controls
         sol = solve_semi_lagrangian(p, g, c)
+        feet = semilag_mod.foot_points(g, p, c)
+        band = semilag_mod.diffusion_band(g, p, c)
 
         def row(j, center, u_n, u_next, obstacle_value, t):
             return semilag_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                          t, g, p, c)
+                                          t, g, p, c, feet, band)
         assert self.worst_row(sol, row, ahead=1) <= 1e-9
 
-    def test_semilagrangian_row_reads_given_feet(self):
-        # The monotonicity check builds the foot points once for all probes.
+    def test_penalty_check_builds_one_band_and_reward(self, monkeypatch):
+        # The monotonicity check evaluates the control band and the reward
+        # block once, not per probe.
         p, g, c = self.problem, self.grid, self.controls
-        feet = semilag_mod.foot_points(g, p, c)
-        rng = np.random.default_rng(5)
-        for j in range(-g.M, g.M + 1):
-            u_n, u_next = rng.uniform(-1, 1, (2, g.n_nodes))
-            args = (j, u_n[g.offset(j)], u_n, u_next, 0.5, 0.0, g, p, c)
-            assert semilag_mod.scheme_row(*args, feet) == semilag_mod.scheme_row(*args)
+        calls = {"_control_band": 0, "_reward_block": 0}
 
-    def test_semilagrangian_row_reads_given_band(self):
-        p, g, c = self.problem, self.grid, self.controls
-        band = semilag_mod.diffusion_band(g, p, c)
-        rng = np.random.default_rng(6)
-        for j in range(-g.M, g.M + 1):
-            u_n, u_next = rng.uniform(-1, 1, (2, g.n_nodes))
-            args = (j, u_n[g.offset(j)], u_n, u_next, 0.5, 0.0, g, p, c)
-            assert semilag_mod.scheme_row(*args, band=band) == semilag_mod.scheme_row(*args)
+        def counted(name):
+            fn = getattr(penalty_mod, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(penalty_mod, name, counted(name))
+        report = check_monotonicity(make_penalty_row(p, g, c, 0.25, t=0.0), g, 50, 0)
+        assert report.trials == 50 and calls == {"_control_band": 1, "_reward_block": 1}
 
     def test_semilagrangian_check_builds_one_band(self, monkeypatch):
         # The monotonicity check builds the diffusion band once, not per probe.

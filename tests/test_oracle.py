@@ -100,9 +100,10 @@ class TestControlBandPerSolve:
         hoisted = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
         timestep = oracle.penalty_timestep
 
-        def own_band(*args, band=None):
+        def own_band(u_next, t, grid, problem, controls, band, *rest):
             # Each step builds its own band, as it did before the solve shared one.
-            return timestep(*args[:8])
+            return timestep(u_next, t, grid, problem, controls,
+                            oracle._control_band(grid, problem, controls), *rest)
 
         monkeypatch.setattr(oracle, "penalty_timestep", own_band)
         per_step = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)

@@ -12,10 +12,11 @@ from hjbqvi.operators import (
     InterventionTable,
     apply_band,
     discretize_controls,
+    generator_band,
     interp_weights,
 )
 from hjbqvi.penalty import (
-    _assemble,
+    _control_band,
     assemble_policy_system,
     penalty_timestep,
     policy_improve,
@@ -68,7 +69,7 @@ class TestResidual:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 5.0)
-        r = residual(u, u / g.dt, 1 / g.dt, 0.5, g, p, c, epsilon=0.25)
+        r = residual(u, u / g.dt, 1 / g.dt, 0.5, g, p, c, _control_band(g, p, c), epsilon=0.25)
         assert np.abs(r).max() == 0.0
 
     def test_pure_time_term(self):
@@ -76,7 +77,8 @@ class TestResidual:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 5.0)
-        r = residual(u, (u + g.dt) / g.dt, 1 / g.dt, 0.5, g, p, c, epsilon=0.25)
+        r = residual(u, (u + g.dt) / g.dt, 1 / g.dt, 0.5, g, p, c, _control_band(g, p, c),
+                     epsilon=0.25)
         assert np.allclose(r, -1.0)
 
     def test_matches_brute_force_on_random_data(self):
@@ -89,7 +91,7 @@ class TestResidual:
             u_next = rng.normal(size=g.n_nodes)
             t = float(rng.uniform(0, 3))
             eps = float(rng.uniform(0.05, 0.5))
-            r = residual(u, u_next / g.dt, 1 / g.dt, t, g, p, c, eps)
+            r = residual(u, u_next / g.dt, 1 / g.dt, t, g, p, c, _control_band(g, p, c), eps)
             ref = [brute_residual_row(p, g, c, eps, t, i, u, u_next)
                    for i in range(g.n_nodes)]
             assert np.allclose(r, ref, atol=1e-10)
@@ -100,7 +102,7 @@ class TestResidual:
         c = discretize_controls(p, g.rho)
         u = np.zeros(g.n_nodes)
         with pytest.raises(ValueError):
-            residual(u, u / g.dt, 1 / g.dt, 0.0, g, p, c, epsilon=0.0)
+            residual(u, u / g.dt, 1 / g.dt, 0.0, g, p, c, _control_band(g, p, c), epsilon=0.0)
 
     @pytest.mark.parametrize("epsilon", [np.inf, np.nan, -1.0])
     def test_epsilon_must_be_finite_at_every_entry_point(self, epsilon):
@@ -113,9 +115,9 @@ class TestResidual:
                                intervene=np.zeros(g.n_nodes, dtype=bool),
                                impulses=np.zeros(g.n_nodes))
         entry_points = [
-            lambda: residual(u, u / g.dt, 1 / g.dt, 0.0, g, p, c, epsilon),
+            lambda: residual(u, u / g.dt, 1 / g.dt, 0.0, g, p, c, _control_band(g, p, c), epsilon),
             lambda: assemble_policy_system(policy, u, 0.0, g, p, c, epsilon),
-            lambda: penalty_timestep(u, 0.0, g, p, c, epsilon),
+            lambda: penalty_timestep(u, 0.0, g, p, c, _control_band(g, p, c), epsilon),
             lambda: solve_finite_horizon(p, g, c, epsilon),
             lambda: solve_infinite_horizon(builtin("cash", {"beta": 0.5}), g, c, epsilon),
         ]
@@ -170,7 +172,7 @@ class TestAssemblePolicySystem:
         # Terminal data never triggers intervention (that is the terminal
         # no-gain hypothesis); scale it so the wings are deep enough to jump.
         u = 4.0 * terminal_values(p, g)
-        policy = policy_improve(u, (g.N - 1) * g.dt, g, p, c)
+        policy = policy_improve(u, (g.N - 1) * g.dt, g, p, c, _control_band(g, p, c))
         assert policy.intervene.any()
         system = assemble_policy_system(policy, u, (g.N - 1) * g.dt, g, p, c,
                                         epsilon=0.25)
@@ -194,6 +196,21 @@ class TestAssemblePolicySystem:
         with pytest.raises(ValueError, match=r"impulse 0\.3 at node index 6 .*not one of"):
             assemble_policy_system(policy, np.zeros(n), 0.0, g, p, c, epsilon=0.25)
 
+    def test_control_outside_discrete_set_is_named(self):
+        # The cash controls at rho = 0.5 are {-0.5, 0, 0.5}; 0.25 is not one,
+        # so the system has no band row for it.
+        p = builtin("cash")
+        g = build_uniform_grid(Q=2, M=4, N=4, T=2)
+        c = discretize_controls(p, g.rho)
+        assert np.array_equal(c.controls, [-0.5, 0.0, 0.5])
+        n = g.n_nodes
+        controls = np.zeros(n)
+        controls[[3, 5]] = [0.5, 0.25]
+        policy = PenaltyPolicy(controls=controls, intervene=np.zeros(n, dtype=bool),
+                               impulses=np.full(n, np.nan))
+        with pytest.raises(ValueError, match=r"control 0\.25 at node index 5 .*not one of"):
+            assemble_policy_system(policy, np.zeros(n), 0.0, g, p, c, epsilon=0.25)
+
     def test_prebuilt_table_makes_no_jump_coefficient_calls(self):
         calls = {"shift": 0, "cost": 0}
         cash = builtin("cash")
@@ -211,10 +228,10 @@ class TestAssemblePolicySystem:
         t = (g.N - 1) * g.dt
         table = InterventionTable(p, g, c, t)
         u = 4.0 * terminal_values(p, g)
-        policy = policy_improve(u, t, g, p, c, intervention=table)
+        policy = policy_improve(u, t, g, p, c, _control_band(g, p, c), intervention=table)
         assert policy.intervene.any()
         calls.update(shift=0, cost=0)
-        system = _assemble(policy, u / g.dt, 1.0 / g.dt, t, g, p, 0.25, table)
+        system = assemble_policy_system(policy, u, t, g, p, c, 0.25, intervention=table)
         assert calls == {"shift": 0, "cost": 0}
         assert np.array_equal(system.matrix.toarray(), assemble_policy_system(
             policy, u, t, g, p, c, epsilon=0.25).matrix.toarray())
@@ -243,6 +260,7 @@ class TestAssembledSystemMatchesResidual:
         c = discretize_controls(p, rho=0.2)
         t, eps = 0.0, 0.05
         table = InterventionTable(p, grid, c, t)
+        band = _control_band(grid, p, c)
         rng = np.random.default_rng(0)
         own = clamped = 0
         for _ in range(5):
@@ -250,10 +268,10 @@ class TestAssembledSystemMatchesResidual:
             u[[0, -1]] = 3.0            # draws the outer nodes' jumps past +-Q
             u_next = rng.normal(size=grid.n_nodes)
             operator = FrozenObstacle(rng.normal(size=grid.n_nodes)) if frozen else table
-            policy = policy_improve(u, t, grid, p, c, intervention=operator)
+            policy = policy_improve(u, t, grid, p, c, band, intervention=operator)
             system = assemble_policy_system(policy, u_next, t, grid, p, c, eps,
                                             intervention=operator if frozen else None)
-            res = residual(u, u_next / grid.dt, 1 / grid.dt, t, grid, p, c, eps,
+            res = residual(u, u_next / grid.dt, 1 / grid.dt, t, grid, p, c, band, eps,
                            intervention=operator)
             gap = np.abs(system.matrix @ u - system.rhs - res).max()
             assert gap <= 1e-12 * np.abs(res).max()
@@ -283,7 +301,7 @@ class TestPolicyImprove:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 5.0)
-        policy = policy_improve(u, 0.5, g, p, c)
+        policy = policy_improve(u, 0.5, g, p, c, _control_band(g, p, c))
         assert not policy.intervene.any()
 
     def test_drift_control_follows_slope(self):
@@ -305,7 +323,7 @@ class TestPolicyImprove:
         c = discretize_controls(p, rho=1.0)   # controls {-0.5, 0, 0.5}... width 1 -> {-0.5, 0.5}
         assert np.array_equal(c.controls, [-0.5, 0.5])
         u = np.exp(g.nodes)   # strictly increasing
-        policy = policy_improve(u, 0.0, g, p, c)
+        policy = policy_improve(u, 0.0, g, p, c, _control_band(g, p, c))
         interior = slice(1, g.n_nodes - 1)
         assert np.all(policy.controls[interior] == 0.5)
 
@@ -316,7 +334,7 @@ class TestPolicyImprove:
         g = build_uniform_grid(Q=2, M=4, N=4, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 3.0)
-        policy = policy_improve(u, 0.0, g, p, c)
+        policy = policy_improve(u, 0.0, g, p, c, _control_band(g, p, c))
         assert not policy.intervene.any()
 
 
@@ -326,7 +344,7 @@ class TestPenaltyTimestep:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u_next = np.full(g.n_nodes, 5.0)
-        u, diag = penalty_timestep(u_next, 0.5, g, p, c, epsilon=0.125)
+        u, diag = penalty_timestep(u_next, 0.5, g, p, c, _control_band(g, p, c), epsilon=0.125)
         assert np.allclose(u, u_next, atol=1e-12)
         assert diag.iterations == 1
 
@@ -339,7 +357,7 @@ class TestPenaltyTimestep:
         c = discretize_controls(p, g.rho)
         u_next = terminal_values(p, g)
         t = (g.N - 1) * g.dt
-        u, _ = penalty_timestep(u_next, t, g, p, c, epsilon=0.05)
+        u, _ = penalty_timestep(u_next, t, g, p, c, _control_band(g, p, c), epsilon=0.05)
         window = np.abs(g.nodes) <= 2.0
         oracle = np.exp(-0.5 * g.dt) * np.sin(g.nodes[window])
         assert np.abs(u[window] - oracle).max() <= g.rho
@@ -350,9 +368,10 @@ class TestPenaltyTimestep:
         c = discretize_controls(p, g.rho)
         u_next = terminal_values(p, g)
         eps = 0.25
-        u, diag = penalty_timestep(u_next, (g.N - 1) * g.dt, g, p, c, eps)
+        u, diag = penalty_timestep(u_next, (g.N - 1) * g.dt, g, p, c, _control_band(g, p, c), eps)
         assert diag.final_residual <= 1e-8
-        r = residual(u, u_next / g.dt, 1 / g.dt, (g.N - 1) * g.dt, g, p, c, eps)
+        r = residual(u, u_next / g.dt, 1 / g.dt, (g.N - 1) * g.dt, g, p, c,
+                     _control_band(g, p, c), eps)
         assert np.abs(r).max() <= 1e-8
 
 
@@ -473,7 +492,8 @@ class TestSolveInfiniteHorizon:
             sol = solve_infinite_horizon(p, g, c)
             assert sol.sup_norm() <= amp / beta + 1e-8
             u = sol.surface[0]
-            r = residual(u, np.zeros_like(u), beta, 0.0, g, p, c, sol.epsilon)
+            r = residual(u, np.zeros_like(u), beta, 0.0, g, p, c, _control_band(g, p, c),
+                         sol.epsilon)
             assert np.abs(r).max() <= 1e-8
 
 
@@ -516,15 +536,6 @@ class TestControlBandPerSolve:
             # One block call; each assembled system reads rows of that band.
             assert calls == [block]
 
-    def test_standalone_timestep_builds_its_band_once(self):
-        p, shapes = self.counted(builtin("cash"))
-        g = build_uniform_grid(Q=4, M=10, N=6, T=3.0)
-        c = discretize_controls(p, g.rho)
-        u_next = terminal_values(p, g)
-        _, diag = penalty_timestep(u_next, (g.N - 1) * g.dt, g, p, c, epsilon=0.1)
-        assert diag.iterations >= 2
-        assert shapes["drift"].count((c.controls.size, g.n_nodes)) == 1
-
     @pytest.mark.parametrize("name, params", PROBLEMS)
     def test_surfaces_equal_per_call_band(self, name, params, monkeypatch):
         p = builtin(name, params)
@@ -532,13 +543,13 @@ class TestControlBandPerSolve:
         c = discretize_controls(p, g.rho)
         hoisted = self.solve(p, g, c).surface
 
-        def per_call_band(u, t, grid, problem, controls, band, reward=None):
+        def per_call_band(u, band, reward):
             # The argmax as it was before the band was hoisted: its own band each call.
-            b = controls.controls[:, np.newaxis]
-            vals = apply_band(penalty_mod._band(grid, problem, b), u) \
-                + eval_on(problem.running_reward, t, grid.nodes, b)
+            b = c.controls[:, np.newaxis]
+            vals = apply_band(generator_band(g.nodes, eval_on(p.drift, g.nodes, b),
+                                             eval_on(p.diffusion, g.nodes, b) ** 2), u) + reward
             best_idx = vals.argmax(axis=0)
-            return vals[best_idx, np.arange(grid.n_nodes)], best_idx
+            return vals[best_idx, np.arange(g.n_nodes)], best_idx
 
         monkeypatch.setattr(penalty_mod, "_best_control", per_call_band)
         assert np.array_equal(self.solve(p, g, c).surface, hoisted)
@@ -583,5 +594,5 @@ class TestStepReuse:
         for step in steps:
             n = step.time_index
             res = residual(sol.surface[n], sol.surface[n + 1] / g.dt, 1.0 / g.dt, n * g.dt,
-                           g, p, c, sol.epsilon)
+                           g, p, c, _control_band(g, p, c), sol.epsilon)
             assert step.final_residual == float(np.abs(res).max())

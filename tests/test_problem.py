@@ -218,6 +218,14 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="unknown problem parameters"):
             builtin("heat", {"sigma": 2.0})
 
+    @pytest.mark.parametrize("name, params", [
+        ("constant", {"c": np.nan}), ("heat", {"T": np.inf}), ("cash", {"beta": np.inf}),
+        ("cash", {"s": -np.inf}),
+    ])
+    def test_non_finite_parameter(self, name, params):
+        with pytest.raises(ValueError, match=f"parameter {next(iter(params))} must be finite"):
+            builtin(name, params)
+
     def test_beta_switches_to_discounted(self):
         problem = builtin("constant", {"c": 5, "beta": 0.5})
         assert not problem.finite_horizon
@@ -230,6 +238,14 @@ class TestProblemSpecInvariants:
             flat_problem(horizon=None)
         with pytest.raises(ValueError):
             flat_problem(discount=0.5)  # both set
+
+    @pytest.mark.parametrize("overrides", [
+        dict(horizon=np.inf), dict(horizon=np.nan), dict(horizon=0.0),
+        dict(horizon=None, discount=np.inf), dict(horizon=None, discount=np.nan),
+    ])
+    def test_horizon_and_discount_finite_and_positive(self, overrides):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            flat_problem(**overrides)
 
     def test_empty_control_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from hjbqvi.problem import ProblemSpec, builtin, eval_on, uniform_sample
 from hjbqvi.semilag import (
     FootPoints,
     assemble_A,
-    detect_inward_drift,
     factorise,
     overstep_threshold,
     sl_rhs,
@@ -64,6 +63,12 @@ def brute_force_rhs(u_next, t, g, p, c):
                        + float(p.impulse_cost(t + g.dt, x, float(z))))
         rhs[i] = max(best, jump)
     return rhs
+
+
+def level_rhs(u_next, t, g, p, c):
+    """:func:`sl_rhs` with the problem's jump table at t + dt and the foot points."""
+    return sl_rhs(u_next, t, g, p, c, InterventionTable(p, g, c, t + g.dt),
+                  semilag.foot_points(g, p, c))
 
 
 class TestAssembleA:
@@ -134,7 +139,7 @@ class TestAssembleA:
         for k in range(g.n_nodes):
             e = np.zeros(g.n_nodes)
             e[k] = 1.0
-            col = thomas_solve(A, e)
+            col = thomas_solve(A, e, factorise(A))
             assert col.min() >= -1e-14
 
 
@@ -143,7 +148,7 @@ class TestSlRhs:
         p = builtin("constant", {"c": 7})
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
-        rhs, policy = sl_rhs(np.full(g.n_nodes, 7.0), 0.0, g, p, c)
+        rhs, policy = level_rhs(np.full(g.n_nodes, 7.0), 0.0, g, p, c)
         assert np.allclose(rhs, 7.0)
         assert not policy.intervene.any()
 
@@ -157,7 +162,7 @@ class TestSlRhs:
         feet = semilag.foot_points(g, p, c)
         assert feet.oversteps > 0
         assert feet.interior_oversteps > 0
-        rhs, _ = sl_rhs(u_next, 0.0, g, p, c)
+        rhs, _ = level_rhs(u_next, 0.0, g, p, c)
         # Foot of the right boundary node clamps to u at Q exactly.
         assert rhs[-1] == pytest.approx(max(1.0, -2.0 + u_next.max()))
 
@@ -169,11 +174,11 @@ class TestSlRhs:
         for _ in range(5):
             u_next = rng.normal(size=g.n_nodes)
             t = float(rng.uniform(0, 2.5))
-            rhs, _ = sl_rhs(u_next, t, g, p, c)
+            rhs, _ = level_rhs(u_next, t, g, p, c)
             assert np.abs(rhs - brute_force_rhs(u_next, t, g, p, c)).max() <= 1e-12
 
     def test_time_dependent_cost_matches_brute_force(self):
-        # With no intervention given, sl_rhs reads the jump data at t + dt.
+        # The jump data are those of the table at t + dt.
         p = cash_with_dated_cost()
         g = build_uniform_grid(Q=4, M=10, N=6, T=3)
         c = discretize_controls(p, g.rho)
@@ -181,7 +186,7 @@ class TestSlRhs:
         for _ in range(5):
             u_next = rng.normal(size=g.n_nodes)
             t = float(rng.uniform(0, 2.5))
-            rhs, _ = sl_rhs(u_next, t, g, p, c)
+            rhs, _ = level_rhs(u_next, t, g, p, c)
             assert np.abs(rhs - brute_force_rhs(u_next, t, g, p, c)).max() <= 1e-12
 
     def test_monotone_in_next_values(self):
@@ -192,8 +197,8 @@ class TestSlRhs:
         for _ in range(10):
             lo = rng.normal(size=g.n_nodes)
             hi = lo + rng.uniform(0, 1, size=g.n_nodes)
-            assert np.all(sl_rhs(lo, 0.0, g, p, c)[0]
-                          <= sl_rhs(hi, 0.0, g, p, c)[0] + 1e-12)
+            assert np.all(level_rhs(lo, 0.0, g, p, c)[0]
+                          <= level_rhs(hi, 0.0, g, p, c)[0] + 1e-12)
 
 
 def tridiagonal(lower, diag, upper):
@@ -206,14 +211,14 @@ class TestThomasSolve:
         n = 7
         A = sp.identity(n, format="csr")
         rhs = np.arange(n, dtype=float)
-        assert np.array_equal(thomas_solve(A, rhs), rhs)
+        assert np.array_equal(thomas_solve(A, rhs, factorise(A)), rhs)
 
     def test_constant_vector_preserved(self):
         # Interior row sums equal one, so constants are reproduced exactly.
         p = drift_problem(lambda x, b: 0.0, diffusion=1.0)
         g = build_uniform_grid(Q=1, M=1, N=1, T=1)
         A = assemble_A(g, p, discretize_controls(p, g.rho))
-        assert np.allclose(thomas_solve(A, np.ones(3)), 1.0)
+        assert np.allclose(thomas_solve(A, np.ones(3), factorise(A)), 1.0)
 
     def test_against_dense_solver(self):
         rng = np.random.default_rng(12)
@@ -223,7 +228,7 @@ class TestThomasSolve:
             diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 2.0, n)
             A = tridiagonal(lower, diag, upper)
             rhs = rng.normal(size=n)
-            x = thomas_solve(A, rhs)
+            x = thomas_solve(A, rhs, factorise(A))
             ref = np.linalg.solve(A.toarray(), rhs)
             assert np.abs(x - ref).max() <= 1e-12
 
@@ -234,12 +239,12 @@ class TestThomasSolve:
         A = tridiagonal(np.array([0.0, -1.0, -1.0]), np.array([1.0, 2.0, 1.0]),
                         np.array([-1.0, -1.0, 0.0]))
         with pytest.raises(SolverError, match="non-finite"):
-            thomas_solve(A, np.ones(3))
+            thomas_solve(A, np.ones(3), factorise(A))
 
     def test_size_mismatch(self):
         A = sp.identity(3, format="csr")
         with pytest.raises(ValueError):
-            thomas_solve(A, np.ones(4))
+            thomas_solve(A, np.ones(4), factorise(A))
 
     def test_reused_factor_matches_spsolve_bit_for_bit(self):
         # factorise(A) factors A^T as spsolve does for a CSR matrix, so a
@@ -256,12 +261,12 @@ class TestThomasSolve:
 
 def per_step_solve(p, g, c):
     """Surfaces and policies of the backward induction with a fresh jump
-    table at every step (sl_rhs's default) and a fresh solve of A."""
+    table and fresh foot points at every step and a fresh solve of A."""
     A = assemble_A(g, p, c)
     u = eval_on(p.terminal_reward, g.nodes)
     surface, policies = [u], []
     for n in range(g.N - 1, -1, -1):
-        rhs, policy = sl_rhs(u, n * g.dt, g, p, c)
+        rhs, policy = level_rhs(u, n * g.dt, g, p, c)
         u = spsolve(A, rhs)
         surface.append(u)
         policies.append(policy)
@@ -379,8 +384,7 @@ class TestFootPointsPerSolve:
         c = discretize_controls(p, g.rho)
         solve_semi_lagrangian(p, g, c)
         assert shapes.count((c.controls.size, g.n_nodes)) == 1
-        # The rest are detect_inward_drift's two reads at -Q and Q.
-        assert shapes.count((c.controls.size,)) == 2 and len(shapes) == 3
+        assert len(shapes) == 1
 
     @pytest.mark.parametrize("name, grid", [
         ("cash", lambda: build_uniform_grid(Q=4, M=80, N=20, T=3)),
@@ -490,7 +494,7 @@ class TestOverstepping:
         pulled_in = drift_problem(lambda x, b: -x, diffusion=1.0)
         g = build_uniform_grid(Q=2, M=8, N=4, T=1)
         c = discretize_controls(pulled_in, g.rho)
-        assert detect_inward_drift(pulled_in, g, c)
+        assert semilag.foot_points(g, pulled_in, c).inward_drift
         sol = solve_semi_lagrangian(pulled_in, g, c)
         assert sol.diagnostics.inward_drift is True
         assert sol.diagnostics.oversteps == 0
@@ -499,4 +503,4 @@ class TestOverstepping:
         p = builtin("cash")
         g = build_uniform_grid(Q=4, M=8, N=6, T=3)
         c = discretize_controls(p, g.rho)
-        assert not detect_inward_drift(p, g, c)
+        assert not semilag.foot_points(g, p, c).inward_drift
