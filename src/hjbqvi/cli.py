@@ -127,6 +127,8 @@ def _as_window(raw, where: str) -> Window:
         x_lo, x_hi = (float(v) for v in raw["x"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where} needs 't: [lo, hi]' and 'x: [lo, hi]': {exc}") from exc
+    if not (np.isfinite([t_lo, t_hi, x_lo, x_hi]).all() and t_lo <= t_hi and x_lo <= x_hi):
+        raise ConfigError(f"{where} needs finite ranges with lo <= hi, got {raw!r}")
     return Window(t_range=(t_lo, t_hi), x_range=(x_lo, x_hi))
 
 

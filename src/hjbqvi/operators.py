@@ -12,9 +12,9 @@ The stencils follow the monotone implicit discretization:
   +-Q).  The penalty systems and control argmax, the semi-Lagrangian
   matrix and both schemes' monotonicity rows all read from this function,
 * linear interpolation with convex weights, clamped to the boundary values
-  outside [-Q, Q] (:func:`interp_weights`, over arrays of points): each
-  point is clipped into [-Q, Q] first, so it reads a cell k in [0, n - 2]
-  and couples to nodes k and k + 1 only,
+  outside [-Q, Q] (:func:`interp_weights`, read by jump tables and foot
+  points through one gather, :class:`Interpolant`): each point is clipped
+  first, so it reads a cell k in [0, n - 2] and couples to nodes k and k + 1,
 * two intervention operators M with one interface: ``apply(u)`` gives
   (Mu)_j and the impulse attaining it, ``jump_rows(rows, impulses)`` gives
   ``(couplings, cost)``, active row j reading (Mu)_j = sum of w u_col over
@@ -138,6 +138,30 @@ def interp_weights(nodes: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
     return k, alpha
 
 
+class Interpolant:
+    """Clamped linear interpolation at fixed points, from their :func:`interp_weights`.
+
+    Taking (k, alpha), not the points, lets a caller's points be freed before
+    ``stay`` and ``k_next`` are allocated.  Weights 0 and 1 (nodes, and points
+    at or beyond either end) read a node value exactly; elsewhere the result
+    is within a few ulps of ``np.interp``'s slope (x - x_k) + u_k.
+    """
+
+    def __init__(self, k: np.ndarray, alpha: np.ndarray):
+        self.k, self.alpha = k, alpha
+        self.stay = 1.0 - alpha
+        self.k_next = k + 1
+
+    def interp(self, u: np.ndarray) -> np.ndarray:
+        """(1 - alpha) u_k + alpha u_{k+1} in two work arrays, shaped like k."""
+        values = u.take(self.k)
+        values *= self.stay
+        right = u.take(self.k_next)
+        right *= self.alpha
+        values += right
+        return values
+
+
 def impulse_bounds_on(problem: ProblemSpec, t: float,
                       nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The impulse bounds (lo, hi) at time t over the nodes, as two arrays.
@@ -257,7 +281,7 @@ class InterventionResult(NamedTuple):
     impulses: np.ndarray  # achieving z per node (smallest on ties)
 
 
-class InterventionTable:
+class InterventionTable(Interpolant):
     """Precomputed jump targets and costs for one time level.
 
     The impulse candidates, their interpolation weights and their costs
@@ -266,12 +290,12 @@ class InterventionTable:
     one nodes x K block (``_impulse_grid``), K the largest impulse count at
     any node.  A node with fewer candidates repeats its last z: the copy has
     the same value as the candidate it repeats, and argmax keeps the first
-    of equal values, so padding never changes a result.  ``costs``, ``k``,
-    ``alpha`` and ``stay`` (1 - alpha) are the block flattened row by row;
-    node i owns entries ``offsets[i]:offsets[i + 1]``.  Targets are clamped
-    first (see :func:`interp_weights`), so ``k_next`` = k + 1 is a node for
-    every candidate.  The table also keeps the block's shifts (``_shifts``),
-    so that :meth:`same_data_at` evaluates the shift once, at the new time.
+    of equal values, so padding never changes a result.  The table is the
+    :class:`Interpolant` of the targets x_j + shift; ``costs`` and its
+    ``k``, ``alpha``, ``stay`` and ``k_next`` are the block flattened row by
+    row, node i owning entries ``offsets[i]:offsets[i + 1]``.  The table also
+    keeps the block's shifts (``_shifts``), so that :meth:`same_data_at`
+    evaluates the shift once, at the new time.
     """
 
     def __init__(self, problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -286,9 +310,7 @@ class InterventionTable:
         self._shifts = eval_on(problem.impulse_shift, t, x_col, impulse_grid)
         self.offsets = np.arange(nodes.size + 1) * per_node
         self.costs = eval_on(problem.impulse_cost, t, x_col, impulse_grid).ravel()
-        self.k, self.alpha = interp_weights(nodes, (x_col + self._shifts).ravel())
-        self.stay = 1.0 - self.alpha
-        self.k_next = self.k + 1
+        super().__init__(*interp_weights(nodes, (x_col + self._shifts).ravel()))
 
     def same_data_at(self, t: float) -> bool:
         """Whether the table at time t would be this one.
@@ -332,13 +354,8 @@ class InterventionTable:
         return ((k, self.stay[flat]), (k + 1, self.alpha[flat])), self.costs[flat]
 
     def apply(self, u: np.ndarray) -> InterventionResult:
-        """Best-impulse value max_z { interp(u, x_j + shift) + cost } at every node,
-        formed as (1 - alpha) u_k + alpha u_{k+1} + cost in two work arrays."""
-        values = u.take(self.k)
-        values *= self.stay
-        right = u.take(self.k_next)
-        right *= self.alpha
-        values += right
+        """Best-impulse value max_z { interp(u, x_j + shift) + cost } at every node."""
+        values = self.interp(u)
         values += self.costs
         block = values.reshape(self._impulse_grid.shape)
         best = block.argmax(axis=1)

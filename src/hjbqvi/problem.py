@@ -244,11 +244,17 @@ def _known_params(params: dict, allowed: dict) -> dict:
     unknown = set(params) - set(allowed)
     if unknown:
         raise ValueError(f"unknown problem parameters: {sorted(unknown)}")
-    merged = dict(allowed)
-    merged.update(params)
+    merged = {**allowed, **params}
     for name, value in merged.items():
-        if value is not None and not np.isfinite(float(value)):
-            raise ValueError(f"problem parameter {name} must be finite, got {value!r}")
+        if value is None:
+            continue
+        try:
+            number = None if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if number is None or not np.isfinite(number):
+            kind = "a number" if number is None else "finite"
+            raise ValueError(f"problem parameter {name} must be {kind}, got {value!r}")
     return merged
 
 

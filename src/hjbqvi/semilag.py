@@ -14,8 +14,8 @@ to one sparse (tridiagonal) solve A u^n = rhs with
                      (M u^{n+1})_j ).
 
 The continuation candidates are one controls x nodes block from
-:func:`_continuation` (numpy's clamped linear interpolation at the foot
-points); the timestep takes their maximum with one argmax, and the
+:func:`_continuation` (the jump tables' clamped linear interpolation at the
+foot points); the timestep takes their maximum with one argmax, and the
 monotonicity row :func:`scheme_row` reads the same block.  A solve's step,
 run by :func:`solution.backward_induction`, is :func:`sl_rhs`, which returns
 (rhs, policy), and one sparse solve.
@@ -29,10 +29,10 @@ factorises A once per solve.
 
 drift(x, b) takes no t, so a solve also computes once what every step reads
 of the foot points (:class:`FootPoints`): each foot's interpolation cell and
-offset, and the overstep counts (the solve's are N times the feet's).  A
-step then does only the work that depends on u^{n+1} or on t: the cell
-slopes of u^{n+1}, the continuation values and the running reward at t, the
-jump maximum, and the solve.
+weights, and the overstep counts (the solve's are N times the feet's).  A
+step then does only the work that depends on u^{n+1} or on t: the
+continuation values, within about 2 ulps of ``np.interp`` (exact on nodes
+and beyond [-Q, Q]), the running reward at t, the jump maximum, and the solve.
 The jump table of a step is reused from the step before when the impulse
 data at its level equal those the table was built from
 (:meth:`InterventionTable.same_data_at`), so data that ignore t build one
@@ -57,10 +57,12 @@ from .matrices import analyze_matrix
 from .operators import (
     DiscreteControls,
     InterventionTable,
+    Interpolant,
     apply_band,
     discretize_controls,
     generator_band,
     implicit_matrix,
+    interp_weights,
 )
 from .problem import ProblemSpec, eval_on
 from .solution import (FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig,
@@ -95,43 +97,15 @@ def assemble_A(grid: SpaceTimeGrid, problem: ProblemSpec,
     return implicit_matrix(1.0, dt_band)
 
 
-class FootPoints:
-    """Fixed interpolation points with what ``np.interp`` reads off the nodes
-    for each, so that :meth:`interp` repeats its result bit for bit.
-
-    A point in the cell [x_j, x_{j+1}) of the nodes reads
-    slope_j (x - x_j) + u_j, slope_j = (u_{j+1} - u_j) / (x_{j+1} - x_j),
-    as ``np.interp`` computes it; ``cell`` and ``offset`` hold j and x - x_j.
-    A point on a node reads that node's value and a point beyond either end
-    reads the end value: ``pinned`` lists these points (flat indices) and
-    ``pinned_node`` the node each reads.  ``oversteps`` counts the points
-    outside [-Q, Q], ``interior_oversteps`` those of the interior nodes
-    (every column but the first and last).
-    """
+class FootPoints(Interpolant):
+    """The interpolant of fixed points, with ``oversteps``, the number outside
+    [-Q, Q], and ``interior_oversteps``, those in every column but the ends."""
 
     def __init__(self, nodes: np.ndarray, points: np.ndarray, Q: float):
-        points = np.asarray(points, dtype=float)
-        last = nodes.size - 1
-        j = np.searchsorted(nodes, points, side="right") - 1   # nodes[j] <= x < nodes[j+1]
-        node = np.clip(j, 0, last)
-        pinned = (j < 0) | (j == last) | (points == nodes[node])
-        self.cell = np.minimum(node, last - 1)
-        self.offset = np.where(pinned, 0.0, points - nodes[self.cell])
-        self.pinned = np.flatnonzero(pinned)
-        self.pinned_node = node.ravel()[self.pinned]
-        self._widths = np.diff(nodes)
+        super().__init__(*interp_weights(nodes, points))
         outside = np.abs(points) > Q
         self.oversteps = int(outside.sum())
         self.interior_oversteps = int(outside[..., 1:-1].sum())
-
-    def interp(self, u: np.ndarray) -> np.ndarray:
-        """``np.interp(points, nodes, u)``, shaped like the points."""
-        slopes = np.diff(u) / self._widths
-        values = slopes.take(self.cell)
-        values *= self.offset
-        values += u.take(self.cell)
-        values.put(self.pinned, u.take(self.pinned_node))
-        return values
 
 
 def foot_points(grid: SpaceTimeGrid, problem: ProblemSpec,

@@ -9,6 +9,7 @@ from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.operators import (
     DiscreteControls,
     InterventionTable,
+    Interpolant,
     apply_band,
     discretize_controls,
     generator_band,
@@ -171,13 +172,13 @@ class TestApplyGenerator:
 
 
 def interp(u, grid, xs):
-    """Interpolant read off interp_weights the way InterventionTable reads it."""
-    k, alpha = interp_weights(grid.nodes, xs)
-    return (1.0 - alpha) * u[k] + alpha * u[k + 1]
+    """The Interpolant of the points, read once."""
+    return Interpolant(*interp_weights(grid.nodes, xs)).interp(u)
 
 
 class TestInterp:
-    """Clamped linear interpolation read through the vectorised interp_weights."""
+    """Clamped linear interpolation: the vectorised interp_weights and the
+    Interpolant gather that tables and foot points read them through."""
 
     U5 = np.array([0.0, 0.0, 0.0, 10.0, 20.0])  # on GRID5 (nodes -2..2); linear on [0, 2]
 
@@ -253,6 +254,10 @@ class TestInterp:
         assert k.shape == alpha.shape == (3, 7)
         assert np.array_equal(k.ravel(), k_flat) and np.array_equal(alpha.ravel(), alpha_flat)
         assert np.all((alpha >= 0.0) & (alpha <= 1.0))
+        u = np.sin(g.nodes)
+        values = Interpolant(k, alpha).interp(u)
+        assert values.shape == (3, 7)
+        assert np.array_equal(values.ravel(), Interpolant(k_flat, alpha_flat).interp(u))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=5, max_size=5),

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from hjbqvi.grid import build_uniform_grid
+from hjbqvi.problem import builtin
+
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -40,3 +43,16 @@ def test_a_missing_binding_is_named(tracing, monkeypatch, module, attr):
     monkeypatch.delattr(modules[module], attr)
     with pytest.raises(tracing.MissingBinding, match=attr):
         tracing.Tracer()._patches(modules)
+
+
+def test_traced_table_sizes_its_arrays(tracing):
+    # The traced table reads its arrays by attribute name: moving or renaming
+    # one fails here, not only in the benchmark's self-test.
+    modules = tracing.load_modules()
+    tracer = tracing.Tracer()
+    problem, grid = builtin("cash"), build_uniform_grid(Q=4, M=4, N=3, T=3)
+    with tracer.installed("unit", modules):
+        operators = modules["operators"]
+        operators.InterventionTable(problem, grid,
+                                    operators.discretize_controls(problem, grid.rho), 0.0)
+    assert tracer.counters["unit"]["operators.intervention_table.bytes"] > 0
