@@ -26,9 +26,7 @@ from .operators import (
 )
 from .penalty import (
     SparseSystem,
-    assemble_policy_system,
     penalty_timestep,
-    policy_improve,
     residual,
     solve_finite_horizon,
     solve_infinite_horizon,
@@ -62,8 +60,8 @@ __all__ = [
     "ProblemSpec", "ValidationReport", "builtin", "validate",
     "DiscreteControls", "FrozenObstacle", "InterventionTable", "discretize_controls",
     "generator_band",
-    "SparseSystem", "assemble_policy_system", "penalty_timestep", "policy_improve",
-    "residual", "solve_finite_horizon", "solve_infinite_horizon",
+    "SparseSystem", "penalty_timestep", "residual", "solve_finite_horizon",
+    "solve_infinite_horizon",
     "assemble_A", "overstep_threshold", "sl_rhs",
     "solve_semi_lagrangian", "thomas_solve",
     "brute_force_residual", "solve_iterated_optimal_stopping",

@@ -396,6 +396,9 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
         raise ConfigError("solver.epsilon fixes one penalty parameter, but a study's epsilon "
                           "must shrink with each level's rho; set solver.c_eps instead "
                           "(epsilon = c_eps * rho)")
+    if spec.scheme == SEMILAGRANGIAN and spec.epsilon is not None:
+        raise ConfigError("solver.epsilon is a penalty parameter; the semi-Lagrangian "
+                          "scheme has no penalty term and would ignore it")
     check_semantics(spec, problem, grid, n_levels if mode == "study" else 1)
     out = Path(out_dir if out_dir is not None else (spec.output or "."))
     out.mkdir(parents=True, exist_ok=True)

@@ -10,11 +10,13 @@ statements are locally uniform.
 The property checks mirror what the schemes guarantee: sup-norm stability
 bounds, monotone matrix structure (on the sparse matrices the solvers
 assemble), and monotonicity of the scheme in its off-node arguments
-(randomized ordered pairs).  The scheme rows read their generator
-coefficients from the stencil core the assembled systems are built from,
-so the monotonicity check tests the solvers' own stencil; :func:`run_checks`
-alone maps check names to checks.  Without a closed form, studies fall back
-to self-convergence against the finest level and say so.
+(randomized ordered pairs).  The scheme rows are the equations the solvers
+solve, on the solvers' own operands built once per check: the penalty row
+is :func:`penalty.residual` on the control band and reward block, the
+semi-Lagrangian row (A u - rhs)_j on the solve's matrix A, foot points and
+right-hand side.  :func:`run_checks` alone maps check names to checks.
+Without a closed form, studies fall back to self-convergence against the
+finest level and say so.
 """
 
 from __future__ import annotations
@@ -294,17 +296,17 @@ def make_penalty_row(problem, grid, controls, epsilon, t):
 
     def row(j, center, u_n, u_next, obstacle_value):
         return penalty_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                      t, grid, problem, controls, band, reward, epsilon)
+                                      grid, problem, band, reward, epsilon)
     return row
 
 
 def make_semilagrangian_row(problem, grid, controls, t):
     feet = semilag_mod.foot_points(grid, problem, controls)
-    band = semilag_mod.diffusion_band(grid, problem, controls)
+    A = semilag_mod.assemble_A(grid, problem, controls)
 
     def row(j, center, u_n, u_next, obstacle_value):
         return semilag_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                      t, grid, problem, controls, feet, band)
+                                      t, grid, problem, controls, feet, A)
     return row
 
 

@@ -21,8 +21,10 @@ down as ``band``.  The running reward f(t, x, b) is fixed within a step, so
 a step evaluates it once on the same block (``reward``).  Each assembled
 system reads row b_j of the band and of the reward block at node j, by the
 control index the argmax chose, so the systems and the argmax read the same
-numbers.  The residual gate reuses the argmax values of the last policy
-improvement, which evaluated the same u.
+numbers.  :func:`residual` is the formula alone and builds nothing: the gate
+passes it the argmax values of the last policy improvement, which evaluated
+the same u, and (Mu)_j; the monotonicity row :func:`scheme_row` passes a
+pinned scalar (Mu)_j.
 
 The stationary (discounted) analogue replaces the time difference by
 -beta u_j and solves a single such system.
@@ -30,12 +32,13 @@ The stationary (discounted) analogue replaces the time difference by
 The penalty parameter must vanish with the mesh; the default is
 epsilon = c_eps * rho.
 
-M enters through one ``intervention`` argument, any operator with the
-interface of :mod:`operators` (``apply`` and ``jump_rows``); ``None`` means
-the problem's own :class:`operators.InterventionTable` at the step's time.
-Passing a :class:`operators.FrozenObstacle` turns the timestep into a plain
-variational inequality solve: the iterated-optimal-stopping reference solver
-builds on this, and so does the monotonicity row, whose jump value is pinned.
+M enters :func:`penalty_timestep` as ``intervention``, any operator with the
+interface of :mod:`operators` (``apply`` and ``jump_rows``) and the one
+optional operand: ``None`` builds the problem's own
+:class:`operators.InterventionTable` at the step's time for policy iteration
+and, once that is freed, again for the residual gate.  A
+:class:`operators.FrozenObstacle` turns the timestep into a plain variational
+inequality solve, which the iterated-optimal-stopping solver builds on.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .grid import SpaceTimeGrid
 from .matrices import MatrixReport, analyze_matrix
 from .operators import (
     DiscreteControls,
-    FrozenObstacle,
     InterventionTable,
     apply_band,
     discretize_controls,
@@ -88,11 +90,6 @@ def _require_epsilon(epsilon) -> None:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
 
 
-def _intervention_at(intervention, t, grid, problem, controls):
-    """The operator M to use at time t: the given one, else the problem's table."""
-    return InterventionTable(problem, grid, controls, t) if intervention is None else intervention
-
-
 def _control_band(grid, problem, controls):
     """Band of L_b with one row per discrete control (controls x nodes)."""
     nodes, b = grid.nodes, controls.controls[:, np.newaxis]
@@ -119,8 +116,10 @@ def _best_control(u, band, reward):
 
 
 def _improve(u, controls, intervention, band, reward):
-    """:func:`policy_improve` at a given operator, band and reward block, also
-    returning the control argmax values and indices the policy was chosen by."""
+    """(policy, argmax values, argmax indices) at the iterate ``u``.  The
+    control argmax ignores the time (or discount) term, which does not depend
+    on b; the penalty indicator is strict, d_j = 1 iff the best jump value
+    exceeds u_j, so at equality the penalty stays off."""
     best_vals, best_idx = _best_control(u, band, reward)
     jump = intervention.apply(u)
     policy = PenaltyPolicy(
@@ -131,21 +130,7 @@ def _improve(u, controls, intervention, band, reward):
     return policy, best_vals, best_idx
 
 
-def policy_improve(u, t, grid, problem, controls, band,
-                   intervention=None) -> PenaltyPolicy:
-    """Greedy policy at the current iterate.
-
-    The control argmax ignores the time (or discount) term, which does not
-    depend on b; the penalty indicator is strict, d_j = 1 iff the best jump
-    value exceeds u_j, so at equality the penalty stays off.  ``band`` is the
-    :func:`_control_band`.
-    """
-    operator = _intervention_at(intervention, t, grid, problem, controls)
-    return _improve(u, controls, operator, band, _reward_block(t, grid, problem, controls))[0]
-
-
-def residual(u, rhs_base, time_weight, t, grid, problem, controls, band, epsilon,
-             intervention=None, best=None) -> np.ndarray:
+def residual(u, rhs_base, time_weight, best, jump, epsilon) -> np.ndarray:
     """Pointwise residual of the discrete penalty equations
 
         -max_b { rhs_base_j - time_weight u_j + (L_b u)_j + f_j(b) }
@@ -153,14 +138,12 @@ def residual(u, rhs_base, time_weight, t, grid, problem, controls, band, epsilon
 
     with the (rhs_base, time_weight) pair of :func:`_assemble`:
     (u^{n+1}/dt, 1/dt) for a timestep, (0, beta) for the stationary equations.
-    ``best`` is max_b { (L_b u)_j + f_j(b) } at this u, read off ``band``,
-    the :func:`_control_band`, when not given.
+    ``best`` is max_b { (L_b u)_j + f_j(b) } at this u, the values of
+    :func:`_best_control`, and ``jump`` is (Mu)_j, an array or one scalar
+    for every node.
     """
     _require_epsilon(epsilon)
-    if best is None:
-        best, _ = _best_control(u, band, _reward_block(t, grid, problem, controls))
-    m_vals = _intervention_at(intervention, t, grid, problem, controls).apply(u).values
-    return -(best + (rhs_base - time_weight * u)) - np.maximum(m_vals - u, 0.0) / epsilon
+    return -(best + (rhs_base - time_weight * u)) - np.maximum(jump - u, 0.0) / epsilon
 
 
 def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
@@ -214,27 +197,6 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
     return SparseSystem(matrix=matrix, rhs=rhs, report=report)
 
 
-def assemble_policy_system(policy, u_next, t, grid, problem, controls,
-                           epsilon, intervention=None) -> SparseSystem:
-    """Finite-horizon policy system: time weight 1/dt, source u^{n+1}/dt.
-
-    Every control of the policy must be one of the discrete ``controls``, and
-    with a jump table each active impulse must be a candidate at its node;
-    ValueError names the first node where either fails.
-    """
-    _require_epsilon(epsilon)
-    matches = policy.controls[:, np.newaxis] == controls.controls
-    found = matches.any(axis=1)
-    if not found.all():
-        bad = int(np.argmin(found))
-        raise ValueError(f"policy control {float(policy.controls[bad])!r} at node index "
-                         f"{bad} is not one of the discrete controls")
-    return _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt, epsilon,
-                     _intervention_at(intervention, t, grid, problem, controls),
-                     _control_band(grid, problem, controls),
-                     _reward_block(t, grid, problem, controls), matches.argmax(axis=1))
-
-
 def _policy_iteration(u_start, rhs_base, time_weight, epsilon, cfg, controls,
                       intervention, band, reward,
                       time_index) -> tuple[np.ndarray, TimestepDiagnostics, np.ndarray]:
@@ -277,14 +239,15 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band
     the step evaluates the running reward once, as its :func:`_reward_block`."""
     _require_epsilon(epsilon)
     reward = _reward_block(t, grid, problem, controls)
-    # Only policy iteration holds its table, which is freed before the gate,
-    # given None, builds its own (one alive at a time); perfbench/selftest.py
-    # pins these two builds a step.
+    # Given None, policy iteration and the gate each build the table at t,
+    # the first freed before the second: one alive at a time.
     u, diag, best = _policy_iteration(
         u_start, rhs_base, time_weight, epsilon, cfg, controls,
-        _intervention_at(intervention, t, grid, problem, controls), band, reward, time_index)
-    res = residual(u, rhs_base, time_weight, t, grid, problem, controls, band, epsilon,
-                   intervention, best)
+        InterventionTable(problem, grid, controls, t) if intervention is None else intervention,
+        band, reward, time_index)
+    if intervention is None:
+        intervention = InterventionTable(problem, grid, controls, t)
+    res = residual(u, rhs_base, time_weight, best, intervention.apply(u).values, epsilon)
     diag.final_residual = float(np.abs(res).max())
     if diag.final_residual > cfg.residual_tol:
         raise NonConvergenceError(
@@ -355,15 +318,15 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
                     diagnostics=diagnostics, epsilon=epsilon)
 
 
-def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
-               controls, band, reward, epsilon) -> float:
+def scheme_row(j, center, u_n, u_next, obstacle_value, grid, problem, band, reward,
+               epsilon) -> float:
     """Penalty residual at one node with the node value and obstacle pinned.
 
     This is the scheme read as a function of the off-node values, which is
     what the monotonicity property quantifies over; it is the :func:`residual`
-    the solve is gated on (stationary, ``u_next`` unused, when discounted).
-    ``band`` is the :func:`_control_band` and ``reward`` the
-    :func:`_reward_block` at t.
+    the solve is gated on (stationary, ``u_next`` unused, when discounted),
+    with (Mu)_j = ``obstacle_value`` at every node.  ``band`` is the
+    :func:`_control_band` and ``reward`` the :func:`_reward_block`.
     """
     i = grid.offset(j)
     u_loc = np.array(u_n, dtype=float)
@@ -372,7 +335,5 @@ def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
         rhs_base, time_weight = np.asarray(u_next, dtype=float) / grid.dt, 1.0 / grid.dt
     else:
         rhs_base, time_weight = 0.0, problem.discount
-    res = residual(u_loc, rhs_base, time_weight, t, grid, problem, controls, band, epsilon,
-                   FrozenObstacle(np.full(grid.n_nodes, obstacle_value)),
-                   _best_control(u_loc, band, reward)[0])
-    return float(res[i])
+    best = _best_control(u_loc, band, reward)[0]
+    return float(residual(u_loc, rhs_base, time_weight, best, obstacle_value, epsilon)[i])

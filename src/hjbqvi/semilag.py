@@ -15,10 +15,11 @@ to one sparse (tridiagonal) solve A u^n = rhs with
 
 The continuation candidates are one controls x nodes block from
 :func:`_continuation` (the jump tables' clamped linear interpolation at the
-foot points); the timestep takes their maximum with one argmax, and the
-monotonicity row :func:`scheme_row` reads the same block.  A solve's step,
-run by :func:`solution.backward_induction`, is :func:`sl_rhs`, which returns
-(rhs, policy), and one sparse solve.
+foot points); the timestep takes their maximum with one argmax.  A solve's
+step, run by :func:`solution.backward_induction`, is :func:`sl_rhs`, which
+returns (rhs, policy), and one sparse solve.  The monotonicity row
+:func:`scheme_row` is that step's own equation, (A u - rhs)_j, with the
+solve's A and foot points and the obstacle pinned.
 
 A = I - dt L_0 is built from the same stencil core as the penalty systems
 (:func:`operators.generator_band` with zero drift) and the variance of
@@ -56,9 +57,9 @@ from .grid import BOUNDARY_REFINED, UNIFORM, SpaceTimeGrid
 from .matrices import analyze_matrix
 from .operators import (
     DiscreteControls,
+    FrozenObstacle,
     InterventionTable,
     Interpolant,
-    apply_band,
     discretize_controls,
     generator_band,
     implicit_matrix,
@@ -259,23 +260,16 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
                     diagnostics=diagnostics, epsilon=epsilon)
 
 
-def diffusion_band(grid: SpaceTimeGrid, problem: ProblemSpec, controls: DiscreteControls):
-    """Band of the diffusion part L_0 of the generator (zero drift), as
-    :func:`scheme_row` reads it; ValueError as :func:`diffusion_variance`."""
-    return generator_band(grid.nodes, 0.0, diffusion_variance(problem, grid, controls))
-
-
 def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
-               controls, feet, band) -> float:
-    """Semi-Lagrangian scheme value at one node with node value and obstacle
-    pinned; used by the monotonicity checker (min of the two branches).  The
-    continuation is the solver's own (:func:`_continuation`); ``feet`` are
-    the :func:`foot_points` and ``band`` the :func:`diffusion_band`."""
+               controls, feet, A) -> float:
+    """(A u - rhs)_j at one node with the node value and obstacle pinned: the
+    step's own equation, read by the monotonicity checker.  ``A`` is the
+    :func:`assemble_A` matrix, ``feet`` the :func:`foot_points`, and rhs the
+    :func:`sl_rhs` of ``u_next`` with (M u^{n+1})_j = ``obstacle_value`` at
+    every node."""
     i = grid.offset(j)
     u_loc = np.array(u_n, dtype=float)
     u_loc[i] = center
-    dt = grid.dt
-    diffusion_term = float(apply_band(band, u_loc)[i])
-    values = _continuation(np.asarray(u_next, dtype=float), t, grid, problem, controls, feet)
-    best = (float(values[:, i].max()) - center) / dt + diffusion_term
-    return min(-best, center - obstacle_value - diffusion_term * dt)
+    obstacle = FrozenObstacle(np.full(grid.n_nodes, obstacle_value))
+    rhs, _ = sl_rhs(u_next, t, grid, problem, controls, obstacle, feet)
+    return float((A @ u_loc)[i] - rhs[i])

@@ -217,12 +217,14 @@ class TestConfigErrors:
         (HEAT_STUDY.replace("x: [-4.0, 4.0]", "x: [1, -1]"), ["study"]),
         (MINIMAL.replace("c: 5.0", "c: [1]"), ["solve"]),
         (MINIMAL.replace("c: 5.0", "c: true"), ["solve"]),
+        (MINIMAL.replace("scheme: penalty", "scheme: semilagrangian")
+         + "solver: {epsilon: 0.001}\n", ["solve"]),
     ], ids=["study-levels", "levels-flag", "grid-N", "grid-N-fraction", "seed",
             "solver-tol", "solver-max-iters", "solver-residual-tol-nan", "solver-tol-inf",
             "solver-c-eps-inf", "solver-c-eps-nan", "solver-epsilon-inf", "solver-epsilon-nan",
             "solver-epsilon-zero", "grid-Q-inf", "problem-param-nan", "study-epsilon",
             "study-window-nan", "study-window-reversed", "problem-param-list",
-            "problem-param-bool"])
+            "problem-param-bool", "semilagrangian-epsilon"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, text, args):
         config = write_config(tmp_path, text)
         command, *flags = args

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hjbqvi import harness
 from hjbqvi import penalty as penalty_mod
@@ -25,7 +26,7 @@ from hjbqvi.harness import (
 )
 from hjbqvi.operators import InterventionTable, discretize_controls, generator_band
 from hjbqvi.oracle import brute_force_residual
-from hjbqvi.penalty import assemble_policy_system, solve_finite_horizon, solve_infinite_horizon
+from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import ProblemSpec, builtin, uniform_sample
 from hjbqvi.semilag import assemble_A, solve_semi_lagrangian
 from hjbqvi.solution import PenaltyPolicy, SolverConfig
@@ -235,6 +236,24 @@ class TestMonotonicity:
         report = check_monotonicity(row, self.grid, trials=100, seed=7)
         assert report.violations == 0
 
+    def test_flipped_matrix_detected_on_semilagrangian_row(self):
+        # The row reads the A it is given: with A's lower off-diagonals
+        # negated, raising u_{j-1} raises the row, and the checker says so.
+        p, g, c = self.problem, self.grid, self.controls
+        feet = semilag_mod.foot_points(g, p, c)
+        A = assemble_A(g, p, c)
+        mutant = (A - 2.0 * sp.tril(A, k=-1)).tocsr()
+
+        def row_with(matrix):
+            def row(j, center, u_n, u_next, obstacle_value):
+                return semilag_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
+                                              0.0, g, p, c, feet, matrix)
+            return row
+
+        assert check_monotonicity(row_with(A), g, trials=100, seed=7).violations == 0
+        report = check_monotonicity(row_with(mutant), g, trials=100, seed=7)
+        assert report.violations >= 1 and report.witness is not None
+
     def test_hand_pair_single_bump(self):
         row = make_penalty_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
         g = self.grid
@@ -283,8 +302,13 @@ class TestMonotonicity:
         n = grid.n_nodes
         policy = PenaltyPolicy(controls=np.ones(n), intervene=np.zeros(n, dtype=bool),
                                impulses=np.full(n, np.nan))
+        idx = np.full(n, int(np.flatnonzero(controls.controls == 1.0)[0]))
+        band = penalty_mod._control_band(grid, problem, controls)
+        reward = penalty_mod._reward_block(0.0, grid, problem, controls)
         with pytest.raises(MatrixStructureError):
-            assemble_policy_system(policy, np.zeros(n), 0.0, grid, problem, controls, 0.25)
+            penalty_mod._assemble(policy, np.zeros(n), 1.0 / grid.dt, 0.25,
+                                  InterventionTable(problem, grid, controls, 0.0), band, reward,
+                                  idx)
 
 
 class TestSchemeRowsAtSolutions:
@@ -316,9 +340,8 @@ class TestSchemeRowsAtSolutions:
         band = penalty_mod._control_band(g, p, c)
 
         def row(j, center, u_n, u_next, obstacle_value, t):
-            return penalty_mod.scheme_row(j, center, u_n, u_next, obstacle_value, t, g, p, c,
-                                          band, penalty_mod._reward_block(t, g, p, c),
-                                          sol.epsilon)
+            return penalty_mod.scheme_row(j, center, u_n, u_next, obstacle_value, g, p, band,
+                                          penalty_mod._reward_block(t, g, p, c), sol.epsilon)
         assert self.worst_row(sol, row, ahead=0) <= 1e-9
 
     def test_penalty_row_discounted(self):
@@ -332,7 +355,7 @@ class TestSchemeRowsAtSolutions:
         band, reward = penalty_mod._control_band(g, p, c), penalty_mod._reward_block(0.0, g, p, c)
         rng = np.random.default_rng(0)
         worst = max(abs(penalty_mod.scheme_row(j, u[g.offset(j)], u, rng.uniform(-1, 1, u.size),
-                                               obstacle[g.offset(j)], 0.0, g, p, c, band, reward,
+                                               obstacle[g.offset(j)], g, p, band, reward,
                                                sol.epsilon))
                     for j in range(-g.M, g.M + 1))
         assert worst <= 1e-9
@@ -340,12 +363,11 @@ class TestSchemeRowsAtSolutions:
     def test_semilagrangian_row(self):
         p, g, c = self.problem, self.grid, self.controls
         sol = solve_semi_lagrangian(p, g, c)
-        feet = semilag_mod.foot_points(g, p, c)
-        band = semilag_mod.diffusion_band(g, p, c)
+        feet, A = semilag_mod.foot_points(g, p, c), assemble_A(g, p, c)
 
         def row(j, center, u_n, u_next, obstacle_value, t):
             return semilag_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                          t, g, p, c, feet, band)
+                                          t, g, p, c, feet, A)
         assert self.worst_row(sol, row, ahead=1) <= 1e-9
 
     def test_penalty_check_builds_one_band_and_reward(self, monkeypatch):
@@ -368,7 +390,8 @@ class TestSchemeRowsAtSolutions:
         assert report.trials == 50 and calls == {"_control_band": 1, "_reward_block": 1}
 
     def test_semilagrangian_check_builds_one_band(self, monkeypatch):
-        # The monotonicity check builds the diffusion band once, not per probe.
+        # The monotonicity check builds A, and so reads the diffusion, once,
+        # not per probe.
         p, g, c = self.problem, self.grid, self.controls
         calls = []
         variance = semilag_mod.diffusion_variance

@@ -16,10 +16,12 @@ from hjbqvi.operators import (
     interp_weights,
 )
 from hjbqvi.penalty import (
+    _assemble,
+    _best_control,
     _control_band,
-    assemble_policy_system,
+    _improve,
+    _reward_block,
     penalty_timestep,
-    policy_improve,
     residual,
     solve_finite_horizon,
     solve_infinite_horizon,
@@ -30,6 +32,28 @@ from hjbqvi.solution import PenaltyPolicy
 
 def terminal_values(problem, grid):
     return eval_on(problem.terminal_reward, grid.nodes)
+
+
+def operands(problem, grid, controls, t):
+    """What a penalty step builds once: the control band, and the reward
+    block and jump table at t."""
+    return (_control_band(grid, problem, controls), _reward_block(t, grid, problem, controls),
+            InterventionTable(problem, grid, controls, t))
+
+
+def timestep_system(policy, idx, u_next, grid, epsilon, operator, band, reward):
+    """The finite-horizon policy system: time weight 1/dt, source u^{n+1}/dt;
+    ``idx`` holds each node's control index."""
+    return _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt, epsilon, operator,
+                     band, reward, idx)
+
+
+def gate_residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon):
+    """residual(u) as the step's gate reads it: the argmax values of the
+    control band and reward block at t, and (Mu)_j of the jump table at t."""
+    band, reward, table = operands(problem, grid, controls, t)
+    best, _ = _best_control(u, band, reward)
+    return residual(u, rhs_base, time_weight, best, table.apply(u).values, epsilon)
 
 
 def brute_residual_row(problem, grid, controls, epsilon, t, i, u, u_next):
@@ -69,7 +93,7 @@ class TestResidual:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 5.0)
-        r = residual(u, u / g.dt, 1 / g.dt, 0.5, g, p, c, _control_band(g, p, c), epsilon=0.25)
+        r = gate_residual(u, u / g.dt, 1 / g.dt, 0.5, g, p, c, epsilon=0.25)
         assert np.abs(r).max() == 0.0
 
     def test_pure_time_term(self):
@@ -77,8 +101,7 @@ class TestResidual:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 5.0)
-        r = residual(u, (u + g.dt) / g.dt, 1 / g.dt, 0.5, g, p, c, _control_band(g, p, c),
-                     epsilon=0.25)
+        r = gate_residual(u, (u + g.dt) / g.dt, 1 / g.dt, 0.5, g, p, c, epsilon=0.25)
         assert np.allclose(r, -1.0)
 
     def test_matches_brute_force_on_random_data(self):
@@ -91,18 +114,15 @@ class TestResidual:
             u_next = rng.normal(size=g.n_nodes)
             t = float(rng.uniform(0, 3))
             eps = float(rng.uniform(0.05, 0.5))
-            r = residual(u, u_next / g.dt, 1 / g.dt, t, g, p, c, _control_band(g, p, c), eps)
+            r = gate_residual(u, u_next / g.dt, 1 / g.dt, t, g, p, c, eps)
             ref = [brute_residual_row(p, g, c, eps, t, i, u, u_next)
                    for i in range(g.n_nodes)]
             assert np.allclose(r, ref, atol=1e-10)
 
     def test_epsilon_must_be_positive(self):
-        p = builtin("constant")
-        g = build_uniform_grid(Q=2, M=4, N=4, T=1)
-        c = discretize_controls(p, g.rho)
-        u = np.zeros(g.n_nodes)
+        u = np.zeros(9)
         with pytest.raises(ValueError):
-            residual(u, u / g.dt, 1 / g.dt, 0.0, g, p, c, _control_band(g, p, c), epsilon=0.0)
+            residual(u, u, 1.0, u, 0.0, epsilon=0.0)
 
     @pytest.mark.parametrize("epsilon", [np.inf, np.nan, -1.0])
     def test_epsilon_must_be_finite_at_every_entry_point(self, epsilon):
@@ -111,12 +131,8 @@ class TestResidual:
         g = build_uniform_grid(Q=4, M=8, N=4, T=3)
         c = discretize_controls(p, g.rho)
         u = terminal_values(p, g)
-        policy = PenaltyPolicy(controls=np.zeros(g.n_nodes),
-                               intervene=np.zeros(g.n_nodes, dtype=bool),
-                               impulses=np.zeros(g.n_nodes))
         entry_points = [
-            lambda: residual(u, u / g.dt, 1 / g.dt, 0.0, g, p, c, _control_band(g, p, c), epsilon),
-            lambda: assemble_policy_system(policy, u, 0.0, g, p, c, epsilon),
+            lambda: residual(u, u / g.dt, 1 / g.dt, np.zeros_like(u), 0.0, epsilon),
             lambda: penalty_timestep(u, 0.0, g, p, c, _control_band(g, p, c), epsilon),
             lambda: solve_finite_horizon(p, g, c, epsilon),
             lambda: solve_infinite_horizon(builtin("cash", {"beta": 0.5}), g, c, epsilon),
@@ -135,7 +151,9 @@ class TestAssemblePolicySystem:
         policy = PenaltyPolicy(controls=np.zeros(n),
                                intervene=np.zeros(n, dtype=bool),
                                impulses=np.full(n, np.nan))
-        system = assemble_policy_system(policy, np.zeros(n), 0.0, g, p, c, epsilon=0.25)
+        band, reward, table = operands(p, g, c, 0.0)
+        system = timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, 0.25, table,
+                                 band, reward)
         dense = system.matrix.toarray()
         dx, dt = 0.5, 0.25
         for i in range(1, n - 1):
@@ -159,7 +177,9 @@ class TestAssemblePolicySystem:
         policy = PenaltyPolicy(controls=np.zeros(n), intervene=intervene,
                                impulses=impulses)
         eps = 0.2
-        system = assemble_policy_system(policy, np.zeros(n), 0.0, g, p, c, eps)
+        band, reward, table = operands(p, g, c, 0.0)
+        system = timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, eps, table,
+                                 band, reward)
         dense = system.matrix.toarray()
         row = g.offset(-2)
         assert dense[row, g.offset(2)] == pytest.approx(-1 / eps)
@@ -172,10 +192,10 @@ class TestAssemblePolicySystem:
         # Terminal data never triggers intervention (that is the terminal
         # no-gain hypothesis); scale it so the wings are deep enough to jump.
         u = 4.0 * terminal_values(p, g)
-        policy = policy_improve(u, (g.N - 1) * g.dt, g, p, c, _control_band(g, p, c))
+        band, reward, table = operands(p, g, c, (g.N - 1) * g.dt)
+        policy, _, idx = _improve(u, c, table, band, reward)
         assert policy.intervene.any()
-        system = assemble_policy_system(policy, u, (g.N - 1) * g.dt, g, p, c,
-                                        epsilon=0.25)
+        system = timestep_system(policy, idx, u, g, 0.25, table, band, reward)
         report = analyze_matrix(system.matrix)
         assert report.passed
         assert report.sign_pattern_ok and report.wcdd_ok
@@ -193,23 +213,10 @@ class TestAssemblePolicySystem:
         impulses = np.full(n, np.nan)
         impulses[[1, 6]] = [0.5, 0.3]
         policy = PenaltyPolicy(controls=np.zeros(n), intervene=intervene, impulses=impulses)
+        band, reward, table = operands(p, g, c, 0.0)
         with pytest.raises(ValueError, match=r"impulse 0\.3 at node index 6 .*not one of"):
-            assemble_policy_system(policy, np.zeros(n), 0.0, g, p, c, epsilon=0.25)
-
-    def test_control_outside_discrete_set_is_named(self):
-        # The cash controls at rho = 0.5 are {-0.5, 0, 0.5}; 0.25 is not one,
-        # so the system has no band row for it.
-        p = builtin("cash")
-        g = build_uniform_grid(Q=2, M=4, N=4, T=2)
-        c = discretize_controls(p, g.rho)
-        assert np.array_equal(c.controls, [-0.5, 0.0, 0.5])
-        n = g.n_nodes
-        controls = np.zeros(n)
-        controls[[3, 5]] = [0.5, 0.25]
-        policy = PenaltyPolicy(controls=controls, intervene=np.zeros(n, dtype=bool),
-                               impulses=np.full(n, np.nan))
-        with pytest.raises(ValueError, match=r"control 0\.25 at node index 5 .*not one of"):
-            assemble_policy_system(policy, np.zeros(n), 0.0, g, p, c, epsilon=0.25)
+            timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, 0.25, table,
+                            band, reward)
 
     def test_prebuilt_table_makes_no_jump_coefficient_calls(self):
         calls = {"shift": 0, "cost": 0}
@@ -226,15 +233,16 @@ class TestAssemblePolicySystem:
         g = build_uniform_grid(Q=4, M=16, N=12, T=3)
         c = discretize_controls(p, g.rho)
         t = (g.N - 1) * g.dt
-        table = InterventionTable(p, g, c, t)
+        band, reward, table = operands(p, g, c, t)
         u = 4.0 * terminal_values(p, g)
-        policy = policy_improve(u, t, g, p, c, _control_band(g, p, c), intervention=table)
+        policy, _, idx = _improve(u, c, table, band, reward)
         assert policy.intervene.any()
         calls.update(shift=0, cost=0)
-        system = assemble_policy_system(policy, u, t, g, p, c, 0.25, intervention=table)
+        system = timestep_system(policy, idx, u, g, 0.25, table, band, reward)
         assert calls == {"shift": 0, "cost": 0}
-        assert np.array_equal(system.matrix.toarray(), assemble_policy_system(
-            policy, u, t, g, p, c, epsilon=0.25).matrix.toarray())
+        fresh = InterventionTable(p, g, c, t)
+        assert np.array_equal(system.matrix.toarray(), timestep_system(
+            policy, idx, u, g, 0.25, fresh, band, reward).matrix.toarray())
 
 
 class TestAssembledSystemMatchesResidual:
@@ -259,8 +267,7 @@ class TestAssembledSystemMatchesResidual:
         p = self.PROBLEM
         c = discretize_controls(p, rho=0.2)
         t, eps = 0.0, 0.05
-        table = InterventionTable(p, grid, c, t)
-        band = _control_band(grid, p, c)
+        band, reward, table = operands(p, grid, c, t)
         rng = np.random.default_rng(0)
         own = clamped = 0
         for _ in range(5):
@@ -268,11 +275,10 @@ class TestAssembledSystemMatchesResidual:
             u[[0, -1]] = 3.0            # draws the outer nodes' jumps past +-Q
             u_next = rng.normal(size=grid.n_nodes)
             operator = FrozenObstacle(rng.normal(size=grid.n_nodes)) if frozen else table
-            policy = policy_improve(u, t, grid, p, c, band, intervention=operator)
-            system = assemble_policy_system(policy, u_next, t, grid, p, c, eps,
-                                            intervention=operator if frozen else None)
-            res = residual(u, u_next / grid.dt, 1 / grid.dt, t, grid, p, c, band, eps,
-                           intervention=operator)
+            policy, best, idx = _improve(u, c, operator, band, reward)
+            system = timestep_system(policy, idx, u_next, grid, eps, operator, band, reward)
+            res = residual(u, u_next / grid.dt, 1 / grid.dt, best, operator.apply(u).values,
+                           eps)
             gap = np.abs(system.matrix @ u - system.rhs - res).max()
             assert gap <= 1e-12 * np.abs(res).max()
 
@@ -282,8 +288,8 @@ class TestAssembledSystemMatchesResidual:
                 free = PenaltyPolicy(controls=policy.controls,
                                      intervene=np.zeros(grid.n_nodes, dtype=bool),
                                      impulses=policy.impulses)
-                extra = (system.matrix - assemble_policy_system(
-                    free, u_next, t, grid, p, c, eps, intervention=operator).matrix).toarray()
+                extra = (system.matrix - timestep_system(
+                    free, idx, u_next, grid, eps, operator, band, reward).matrix).toarray()
                 np.fill_diagonal(extra, 0.0)
                 assert rows.size > 0 and not extra.any()
             else:
@@ -301,8 +307,8 @@ class TestPolicyImprove:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 5.0)
-        policy = policy_improve(u, 0.5, g, p, c, _control_band(g, p, c))
-        assert not policy.intervene.any()
+        band, reward, table = operands(p, g, c, 0.5)
+        assert not _improve(u, c, table, band, reward)[0].intervene.any()
 
     def test_drift_control_follows_slope(self):
         # Two controls +-0.5 steering the drift; on an increasing profile the
@@ -323,7 +329,8 @@ class TestPolicyImprove:
         c = discretize_controls(p, rho=1.0)   # controls {-0.5, 0, 0.5}... width 1 -> {-0.5, 0.5}
         assert np.array_equal(c.controls, [-0.5, 0.5])
         u = np.exp(g.nodes)   # strictly increasing
-        policy = policy_improve(u, 0.0, g, p, c, _control_band(g, p, c))
+        band, reward, table = operands(p, g, c, 0.0)
+        policy = _improve(u, c, table, band, reward)[0]
         interior = slice(1, g.n_nodes - 1)
         assert np.all(policy.controls[interior] == 0.5)
 
@@ -334,8 +341,8 @@ class TestPolicyImprove:
         g = build_uniform_grid(Q=2, M=4, N=4, T=1)
         c = discretize_controls(p, g.rho)
         u = np.full(g.n_nodes, 3.0)
-        policy = policy_improve(u, 0.0, g, p, c, _control_band(g, p, c))
-        assert not policy.intervene.any()
+        band, reward, table = operands(p, g, c, 0.0)
+        assert not _improve(u, c, table, band, reward)[0].intervene.any()
 
 
 class TestPenaltyTimestep:
@@ -370,8 +377,7 @@ class TestPenaltyTimestep:
         eps = 0.25
         u, diag = penalty_timestep(u_next, (g.N - 1) * g.dt, g, p, c, _control_band(g, p, c), eps)
         assert diag.final_residual <= 1e-8
-        r = residual(u, u_next / g.dt, 1 / g.dt, (g.N - 1) * g.dt, g, p, c,
-                     _control_band(g, p, c), eps)
+        r = gate_residual(u, u_next / g.dt, 1 / g.dt, (g.N - 1) * g.dt, g, p, c, eps)
         assert np.abs(r).max() <= 1e-8
 
 
@@ -492,8 +498,7 @@ class TestSolveInfiniteHorizon:
             sol = solve_infinite_horizon(p, g, c)
             assert sol.sup_norm() <= amp / beta + 1e-8
             u = sol.surface[0]
-            r = residual(u, np.zeros_like(u), beta, 0.0, g, p, c, _control_band(g, p, c),
-                         sol.epsilon)
+            r = gate_residual(u, np.zeros_like(u), beta, 0.0, g, p, c, sol.epsilon)
             assert np.abs(r).max() <= 1e-8
 
 
@@ -593,6 +598,6 @@ class TestStepReuse:
         monkeypatch.undo()
         for step in steps:
             n = step.time_index
-            res = residual(sol.surface[n], sol.surface[n + 1] / g.dt, 1.0 / g.dt, n * g.dt,
-                           g, p, c, _control_band(g, p, c), sol.epsilon)
+            res = gate_residual(sol.surface[n], sol.surface[n + 1] / g.dt, 1.0 / g.dt,
+                                n * g.dt, g, p, c, sol.epsilon)
             assert step.final_residual == float(np.abs(res).max())
