@@ -42,7 +42,6 @@ from .oracle import brute_force_residual, solve_iterated_optimal_stopping
 from .harness import (
     ConvergenceReport,
     Window,
-    check_matrix_properties,
     check_monotonicity,
     check_stability_bound,
     extend_solution,
@@ -65,7 +64,7 @@ __all__ = [
     "assemble_A", "overstep_threshold", "sl_rhs",
     "solve_semi_lagrangian", "thomas_solve",
     "brute_force_residual", "solve_iterated_optimal_stopping",
-    "ConvergenceReport", "Window", "check_matrix_properties", "check_monotonicity",
+    "ConvergenceReport", "Window", "check_monotonicity",
     "check_stability_bound", "extend_solution", "observed_orders",
     "run_refinement_study", "sup_error",
     "PenaltyPolicy", "Solution", "SolverConfig",

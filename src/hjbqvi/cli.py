@@ -68,7 +68,6 @@ class RunSpec:
     c_b: float | None = None
     alpha: float | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
-    epsilon: float | None = None
     levels: int = 2
     window: Window | None = None
     checks: tuple = ("stability", "matrices")
@@ -86,7 +85,6 @@ class RunSpec:
             "solver": {
                 "tol": self.solver.tol, "residual_tol": self.solver.residual_tol,
                 "max_iters": self.solver.max_iters, "c_eps": self.solver.c_eps,
-                "epsilon": self.epsilon,
             },
             "study": {
                 "levels": self.levels,
@@ -180,8 +178,7 @@ def parse_config(path) -> RunSpec:
         raise ConfigError("give exactly one of grid.M and grid.rho")
 
     solver_raw = raw.get("solver") or {}
-    _require_keys(solver_raw, ("tol", "residual_tol", "max_iters", "c_eps",
-                               "epsilon"), "solver")
+    _require_keys(solver_raw, ("tol", "residual_tol", "max_iters", "c_eps"), "solver")
     try:
         solver = SolverConfig(
             tol=_number(float, solver_raw.get("tol", 1e-10), "solver.tol"),
@@ -192,11 +189,6 @@ def parse_config(path) -> RunSpec:
         )
     except ValueError as exc:
         raise ConfigError(f"bad solver section: {exc}") from exc
-    epsilon = solver_raw.get("epsilon")
-    if epsilon is not None:
-        epsilon = _number(float, epsilon, "solver.epsilon")
-        if not 0 < epsilon < np.inf:
-            raise ConfigError(f"solver.epsilon must be finite and positive, got {epsilon}")
 
     study_raw = raw.get("study") or {}
     _require_keys(study_raw, ("levels", "window"), "study")
@@ -228,7 +220,6 @@ def parse_config(path) -> RunSpec:
         alpha=None if grid_raw.get("alpha") is None else
             _number(float, grid_raw["alpha"], "grid.alpha"),
         solver=solver,
-        epsilon=epsilon,
         levels=levels,
         window=window,
         checks=tuple(checks),
@@ -392,13 +383,6 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
     n_levels = levels if levels is not None else spec.levels
     if mode == "study" and n_levels < 2:
         raise ConfigError(f"a refinement study needs >= 2 levels, got {n_levels}")
-    if mode == "study" and spec.epsilon is not None:
-        raise ConfigError("solver.epsilon fixes one penalty parameter, but a study's epsilon "
-                          "must shrink with each level's rho; set solver.c_eps instead "
-                          "(epsilon = c_eps * rho)")
-    if spec.scheme == SEMILAGRANGIAN and spec.epsilon is not None:
-        raise ConfigError("solver.epsilon is a penalty parameter; the semi-Lagrangian "
-                          "scheme has no penalty term and would ignore it")
     check_semantics(spec, problem, grid, n_levels if mode == "study" else 1)
     out = Path(out_dir if out_dir is not None else (spec.output or "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -408,8 +392,7 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
     if mode == "solve":
         controls = discretize_controls(problem, grid.rho)
         try:
-            sol = _solve_for_study(problem, grid, spec.scheme, controls,
-                                   spec.epsilon, spec.solver)
+            sol = _solve_for_study(problem, grid, spec.scheme, controls, spec.solver)
         except SolverError as exc:
             report["failures"] = [{"name": "solve", "message": str(exc)}]
             write_json(out / "report.json", report)

@@ -29,11 +29,13 @@ from . import penalty as penalty_mod
 from . import semilag as semilag_mod
 from .exceptions import SolverError
 from .grid import SpaceTimeGrid, grid_for_level
-from .matrices import MatrixReport, analyze_matrix
+# harness no longer calls analyze_matrix; the span tracer in
+# perfbench/tracing.py wraps harness's binding of it by name.
+from .matrices import analyze_matrix
 from .operators import DiscreteControls, discretize_controls
 from .oracle import brute_force_residual, solve_iterated_optimal_stopping
 from .problem import ProblemSpec, eval_on
-from .solution import INFINITE, Solution, SolverConfig, default_epsilon
+from .solution import INFINITE, Solution, SolverConfig
 
 RESIDUAL_ORACLE_TOL = 1e-8
 STABILITY_SLACK = 1e-8
@@ -82,7 +84,7 @@ class LevelResult:
     rho: float
     grid_summary: dict
     scheme: str
-    epsilon: float
+    epsilon: float | None = None        # the level's Solution.epsilon
     error: float | None = None
     observed_order: float | None = None
     iterations: dict = field(default_factory=dict)
@@ -221,15 +223,6 @@ def check_stability_bound(sol: Solution, problem: ProblemSpec,
     )
 
 
-def check_matrix_properties(system) -> MatrixReport:
-    """Sign pattern, dominance and WCDD for any assembled system.
-
-    Accepts a penalty SparseSystem, a scipy sparse matrix (such as the
-    semi-Lagrangian ``assemble_A``) or a dense array.
-    """
-    return analyze_matrix(getattr(system, "matrix", system))
-
-
 def check_solution_matrices(sol: Solution) -> PropertyCheck:
     """Did the solve assemble and check any system.  A system that fails its
     structural check raises during the solve, so every counted one passed."""
@@ -348,15 +341,15 @@ def default_window(grid: SpaceTimeGrid) -> Window:
     return Window(t_range=(0.0, grid.T), x_range=(-grid.Q / 2.0, grid.Q / 2.0))
 
 
-def _solve_for_study(problem, grid, scheme, controls, epsilon, cfg):
+def _solve_for_study(problem, grid, scheme, controls, cfg):
     if scheme == PENALTY:
         if problem.finite_horizon:
-            return penalty_mod.solve_finite_horizon(problem, grid, controls, epsilon, cfg)
-        return penalty_mod.solve_infinite_horizon(problem, grid, controls, epsilon, cfg)
+            return penalty_mod.solve_finite_horizon(problem, grid, controls, cfg)
+        return penalty_mod.solve_infinite_horizon(problem, grid, controls, cfg)
     if scheme == SEMILAGRANGIAN:
-        return semilag_mod.solve_semi_lagrangian(problem, grid, controls, cfg)
+        return semilag_mod.solve_semi_lagrangian(problem, grid, controls)
     if scheme == IOS:
-        return solve_iterated_optimal_stopping(problem, grid, controls, epsilon, cfg=cfg)
+        return solve_iterated_optimal_stopping(problem, grid, controls, cfg=cfg)
     raise ValueError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
 
 
@@ -387,11 +380,10 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
     for level in range(levels):
         grid = grid_for_level(base_grid, level)
         controls = discretize_controls(problem, grid.rho)
-        epsilon = default_epsilon(grid, cfg)
         result = LevelResult(level=level, rho=grid.rho, grid_summary=grid.summary(),
-                             scheme=scheme, epsilon=epsilon)
+                             scheme=scheme)
         try:
-            sol = _solve_for_study(problem, grid, scheme, controls, epsilon, cfg)
+            sol = _solve_for_study(problem, grid, scheme, controls, cfg)
         except SolverError as exc:
             result.solve_failed = True
             result.message = str(exc)
@@ -399,6 +391,7 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
             results.append(result)
             solutions.append(None)
             continue
+        result.epsilon = sol.epsilon
         result.iterations = sol.diagnostics.iteration_stats()
         result.oversteps = sol.diagnostics.oversteps
         result.interior_oversteps = sol.diagnostics.interior_oversteps

@@ -38,7 +38,6 @@ from .solution import (FINITE, SolveDiagnostics, Solution, SolverConfig, backwar
 
 def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
                                     controls: DiscreteControls | None = None,
-                                    epsilon: float | None = None,
                                     outer_tol: float = 1e-6,
                                     k_max: int = 50,
                                     cfg: SolverConfig | None = None) -> Solution:
@@ -58,7 +57,7 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
         raise ValueError("iterated optimal stopping needs a finite-horizon problem")
     cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
-    epsilon = default_epsilon(grid, cfg) if epsilon is None else float(epsilon)
+    epsilon = default_epsilon(grid, cfg)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 

@@ -29,8 +29,7 @@ pinned scalar (Mu)_j.
 The stationary (discounted) analogue replaces the time difference by
 -beta u_j and solves a single such system.
 
-The penalty parameter must vanish with the mesh; the default is
-epsilon = c_eps * rho.
+The penalty parameter must vanish with the mesh: epsilon = c_eps * rho.
 
 M enters :func:`penalty_timestep` as ``intervention``, any operator with the
 interface of :mod:`operators` (``apply`` and ``jump_rows``) and the one
@@ -271,7 +270,6 @@ def penalty_timestep(u_next, t, grid, problem, controls, band, epsilon,
 
 def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
                          controls: DiscreteControls | None = None,
-                         epsilon: float | None = None,
                          cfg: SolverConfig | None = None) -> Solution:
     """:func:`solution.backward_induction` of :func:`penalty_timestep` from
     u^N = g, with one :func:`_control_band` for every step."""
@@ -279,7 +277,7 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
         raise ValueError("solve_finite_horizon needs a finite-horizon problem")
     cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
-    epsilon = default_epsilon(grid, cfg) if epsilon is None else float(epsilon)
+    epsilon = default_epsilon(grid, cfg)
 
     diagnostics = SolveDiagnostics()
     band = _control_band(grid, problem, controls)
@@ -298,14 +296,13 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
 
 def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
                            controls: DiscreteControls | None = None,
-                           epsilon: float | None = None,
                            cfg: SolverConfig | None = None) -> Solution:
     """Stationary discounted equations, solved by policy iteration from u = 0."""
     if problem.finite_horizon:
         raise ValueError("solve_infinite_horizon needs a discounted problem")
     cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
-    epsilon = default_epsilon(grid, cfg) if epsilon is None else float(epsilon)
+    epsilon = default_epsilon(grid, cfg)
 
     zeros = np.zeros(grid.n_nodes)
     u, step_diag = _solve_step(zeros, zeros, problem.discount, 0.0, grid, problem, controls,

@@ -66,8 +66,7 @@ from .operators import (
     interp_weights,
 )
 from .problem import ProblemSpec, eval_on
-from .solution import (FINITE, PenaltyPolicy, SolveDiagnostics, Solution, SolverConfig,
-                       backward_induction, default_epsilon)
+from .solution import FINITE, PenaltyPolicy, SolveDiagnostics, Solution, backward_induction
 
 
 def diffusion_variance(problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -220,12 +219,12 @@ def overstep_threshold(problem: ProblemSpec, grid: SpaceTimeGrid,
 
 
 def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
-                          controls: DiscreteControls | None = None,
-                          cfg: SolverConfig | None = None) -> Solution:
+                          controls: DiscreteControls | None = None) -> Solution:
     """:func:`solution.backward_induction` from u^N = g: one factorisation of
     A and one set of foot points per solve, then one :func:`sl_rhs` and one
     sparse solve per timestep.  A step's jump table, at t + dt, is the
-    previous step's when the impulse data there are the same."""
+    previous step's when the impulse data there are the same.  The scheme
+    has no penalty term, so the solution's ``epsilon`` is None."""
     if not problem.finite_horizon:
         raise ValueError("the semi-Lagrangian scheme is finite-horizon only")
     controls = controls or discretize_controls(problem, grid.rho)
@@ -254,10 +253,8 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     surface, policies = backward_induction(
         grid, eval_on(problem.terminal_reward, grid.nodes), step)
-    epsilon = default_epsilon(grid, cfg or SolverConfig())
     return Solution(grid=grid, scheme="semilagrangian", horizon=FINITE,
-                    surface=surface, policies=policies,
-                    diagnostics=diagnostics, epsilon=epsilon)
+                    surface=surface, policies=policies, diagnostics=diagnostics)
 
 
 def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,

@@ -16,8 +16,8 @@ INFINITE = "infinite"
 class SolverConfig:
     """Knobs for the per-timestep policy iteration.
 
-    ``c_eps`` scales the default penalty parameter epsilon = c_eps * rho,
-    which vanishes with the mesh as the scheme requires.
+    ``c_eps`` sets the penalty parameter epsilon = c_eps * rho, which
+    vanishes with the mesh as the scheme requires.
     """
 
     tol: float = 1e-10
@@ -110,7 +110,9 @@ class Solution:
     ``surface`` has one row per time level (u^0 ... u^N) for finite-horizon
     solves and a single row for stationary solves.  ``policies[n]`` is the
     policy that produced u^n; the terminal entry is None because the
-    terminal row is data, not a solve.
+    terminal row is data, not a solve.  ``epsilon`` is the penalty parameter
+    of the solve, :func:`default_epsilon`, and None for the semi-Lagrangian
+    scheme, which has no penalty term.
     """
 
     grid: SpaceTimeGrid
@@ -119,7 +121,7 @@ class Solution:
     surface: np.ndarray
     policies: list[PenaltyPolicy | None]
     diagnostics: SolveDiagnostics
-    epsilon: float
+    epsilon: float | None = None
 
     @property
     def terminal(self) -> np.ndarray:

@@ -16,13 +16,13 @@ from hjbqvi import penalty as penalty_mod
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import (
     Window,
-    check_matrix_properties,
     check_monotonicity,
     check_stability_bound,
     make_penalty_row,
     make_semilagrangian_row,
     run_refinement_study,
 )
+from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import discretize_controls, generator_band
 from hjbqvi.oracle import brute_force_residual, solve_iterated_optimal_stopping
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
@@ -166,9 +166,8 @@ def c5_runs():
     problem = builtin("cash")
     grid = build_uniform_grid(Q=4, M=40, N=30, T=3.0)   # rho = 0.1
     start = time.perf_counter()
-    pen = solve_finite_horizon(problem, grid, epsilon=0.1)
-    ios = solve_iterated_optimal_stopping(problem, grid, epsilon=0.1,
-                                          outer_tol=OUTER_TOL)
+    pen = solve_finite_horizon(problem, grid)   # epsilon = c_eps * rho = 0.1
+    ios = solve_iterated_optimal_stopping(problem, grid, outer_tol=OUTER_TOL)
     elapsed = time.perf_counter() - start
     return dict(problem=problem, pen=pen, ios=ios, elapsed=elapsed)
 
@@ -270,7 +269,7 @@ def test_criterion_6_matrix_properties(corpus):
             failures.append(f"{entry.label}: margin {d.min_dominance_margin}")
         if entry.sol.scheme == "semilagrangian" and d.min_dominance_margin < 1.0 - 1e-12:
             failures.append(f"{entry.label}: semi-Lagrangian margin below 1")
-    fixture_report = check_matrix_properties(NON_WCDD_3X3)
+    fixture_report = analyze_matrix(NON_WCDD_3X3)
     fixture_ok = (not fixture_report.passed) and fixture_report.witness is not None
     ok = not failures and fixture_ok
     conclude("criterion 6 (matrix structure)", ok,

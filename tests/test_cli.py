@@ -219,12 +219,13 @@ class TestConfigErrors:
         (MINIMAL.replace("c: 5.0", "c: true"), ["solve"]),
         (MINIMAL.replace("scheme: penalty", "scheme: semilagrangian")
          + "solver: {epsilon: 0.001}\n", ["solve"]),
+        (MINIMAL + "solver: {epsilon: 0.1}\n", ["solve"]),
     ], ids=["study-levels", "levels-flag", "grid-N", "grid-N-fraction", "seed",
             "solver-tol", "solver-max-iters", "solver-residual-tol-nan", "solver-tol-inf",
             "solver-c-eps-inf", "solver-c-eps-nan", "solver-epsilon-inf", "solver-epsilon-nan",
             "solver-epsilon-zero", "grid-Q-inf", "problem-param-nan", "study-epsilon",
             "study-window-nan", "study-window-reversed", "problem-param-list",
-            "problem-param-bool", "semilagrangian-epsilon"])
+            "problem-param-bool", "semilagrangian-epsilon", "penalty-epsilon"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, text, args):
         config = write_config(tmp_path, text)
         command, *flags = args
@@ -233,6 +234,28 @@ class TestConfigErrors:
         assert status == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestPenaltyParameter:
+    """solver.c_eps is the one setting of epsilon = c_eps * rho."""
+
+    def test_c_eps_sets_the_reported_epsilon(self, tmp_path):
+        spec = cli.parse_config(write_config(tmp_path, MINIMAL + "solver: {c_eps: 0.5}\n"))
+        assert cli.run(spec, mode="solve", out_dir=tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["diagnostics"]["epsilon"] == 0.125     # 0.5 * rho, rho = 0.25
+        assert "epsilon" not in report["config"]["solver"]
+
+    def test_epsilon_key_is_unknown(self, tmp_path):
+        text = MINIMAL + "solver: {epsilon: 0.1}\n"
+        with pytest.raises(ConfigError, match="unknown key 'epsilon' in solver"):
+            cli.parse_config(write_config(tmp_path, text))
+
+    def test_semilagrangian_solve_reports_no_epsilon(self, tmp_path):
+        spec = cli.parse_config(CONFIGS / "cash_semilagrangian_refined.yaml")
+        assert cli.run(spec, mode="solve", out_dir=tmp_path / "out", check=True) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["diagnostics"]["epsilon"] is None
 
 
 class TestRunStudy:
@@ -276,6 +299,7 @@ class TestRunStudy:
         assert len(levels) == 3
         assert all(lv["oversteps"] > 0 for lv in levels)
         assert all(lv["interior_oversteps"] == 0 for lv in levels)
+        assert all(lv["epsilon"] is None for lv in levels)
 
     def test_ios_study_reports_zero_oversteps(self, tmp_path):
         spec = cli.parse_config(CONFIGS / "cash_ios_study.yaml")

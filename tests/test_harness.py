@@ -12,7 +12,6 @@ from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid, grid_fo
 from hjbqvi.harness import (
     RESIDUAL_ORACLE_TOL,
     Window,
-    check_matrix_properties,
     check_monotonicity,
     check_solution_matrices,
     check_stability_bound,
@@ -24,6 +23,7 @@ from hjbqvi.harness import (
     run_refinement_study,
     sup_error,
 )
+from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import InterventionTable, discretize_controls, generator_band
 from hjbqvi.oracle import brute_force_residual
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
@@ -186,7 +186,7 @@ class TestMatrixChecks:
     def test_semi_lagrangian_matrix_passes(self):
         p = builtin("heat")
         g = build_uniform_grid(Q=4, M=16, N=8, T=1)
-        report = check_matrix_properties(assemble_A(g, p, discretize_controls(p, g.rho)))
+        report = analyze_matrix(assemble_A(g, p, discretize_controls(p, g.rho)))
         assert report.passed and report.strictly_dominant_ok
 
     def test_penalty_diagonal_dominance(self):
@@ -198,7 +198,7 @@ class TestMatrixChecks:
         assert sol.diagnostics.min_dominance_margin == pytest.approx(1 / g.dt, rel=1e-9)
 
     def test_non_wcdd_fixture_rejected_with_witness(self):
-        report = check_matrix_properties(NON_WCDD_3X3)
+        report = analyze_matrix(NON_WCDD_3X3)
         assert not report.passed
         assert report.weakly_dominant_ok          # rows are weakly dominant
         assert not report.wcdd_ok                 # but no chain to a strict row
@@ -208,7 +208,7 @@ class TestMatrixChecks:
 
     def test_positive_offdiagonal_rejected(self):
         bad = np.array([[2.0, 0.5], [0.0, 2.0]])
-        report = check_matrix_properties(bad)
+        report = analyze_matrix(bad)
         assert not report.sign_pattern_ok
         assert "positive off-diagonal" in report.witness
 

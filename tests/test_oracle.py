@@ -14,6 +14,7 @@ from hjbqvi.operators import discretize_controls
 from hjbqvi.oracle import brute_force_residual, solve_iterated_optimal_stopping
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import builtin
+from hjbqvi.solution import SolverConfig
 
 OUTER_TOL = 1e-6
 
@@ -39,16 +40,15 @@ class TestIteratedOptimalStopping:
 
     def test_cash_monotone_iterates_and_agreement(self):
         p = builtin("cash")
-        g = build_uniform_grid(Q=4, M=16, N=12, T=3)   # rho = 0.25
+        g = build_uniform_grid(Q=4, M=16, N=12, T=3)   # rho = 0.25 = epsilon
         c = discretize_controls(p, g.rho)
-        eps = 0.25
-        sol_ios = solve_iterated_optimal_stopping(p, g, c, epsilon=eps,
-                                                  outer_tol=OUTER_TOL)
+        sol_ios = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
         assert sol_ios.diagnostics.outer_iterations >= 2
         assert min(sol_ios.diagnostics.outer_min_increments) >= -1e-8
-        sol_pen = solve_finite_horizon(p, g, c, epsilon=eps)
+        sol_pen = solve_finite_horizon(p, g, c)
+        assert sol_pen.epsilon == sol_ios.epsilon == 0.25
         gap = np.abs(sol_ios.surface - sol_pen.surface).max()
-        assert gap <= 10 * (eps + OUTER_TOL)
+        assert gap <= 10 * (sol_pen.epsilon + OUTER_TOL)
 
     def test_exhausted_outer_budget_raises(self):
         p = builtin("cash")
@@ -116,8 +116,8 @@ class TestBruteForceResidual:
         p = builtin("cash")
         g = build_uniform_grid(Q=4, M=12, N=9, T=3)
         c = discretize_controls(p, g.rho)
-        sol = solve_finite_horizon(p, g, c, epsilon=0.2)
-        assert brute_force_residual(sol, p, g, c, 0.2) <= 1e-8
+        sol = solve_finite_horizon(p, g, c, cfg=SolverConfig(c_eps=0.6))
+        assert brute_force_residual(sol, p, g, c, sol.epsilon) <= 1e-8
 
     def test_constant_exact_surface_is_zero(self):
         # Dyadic spacing keeps every stencil cancellation exact in floats.
@@ -133,10 +133,10 @@ class TestBruteForceResidual:
         p = builtin("cash")
         g = build_uniform_grid(Q=4, M=12, N=9, T=3)
         c = discretize_controls(p, g.rho)
-        sol = solve_finite_horizon(p, g, c, epsilon=0.2)
+        sol = solve_finite_horizon(p, g, c, cfg=SolverConfig(c_eps=0.6))
         surface = sol.surface.copy()
         surface[4][g.offset(0)] += 0.1
-        value = brute_force_residual(surface, p, g, c, 0.2)
+        value = brute_force_residual(surface, p, g, c, sol.epsilon)
         assert value >= 0.1 / g.dt - 1.0
 
     def test_stationary_variant(self):

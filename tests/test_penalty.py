@@ -134,8 +134,6 @@ class TestResidual:
         entry_points = [
             lambda: residual(u, u / g.dt, 1 / g.dt, np.zeros_like(u), 0.0, epsilon),
             lambda: penalty_timestep(u, 0.0, g, p, c, _control_band(g, p, c), epsilon),
-            lambda: solve_finite_horizon(p, g, c, epsilon),
-            lambda: solve_infinite_horizon(builtin("cash", {"beta": 0.5}), g, c, epsilon),
         ]
         for call in entry_points:
             with pytest.raises(ValueError, match="epsilon must be finite and positive"):

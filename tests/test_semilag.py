@@ -442,6 +442,12 @@ class TestSolveSemiLagrangian:
         bound = 2.0 + 2.0 * 3.0   # |g| <= 2, |f| <= 2, T = 3
         assert np.abs(sol.surface[:-1]).max() <= bound + 1e-8
 
+    def test_reports_no_penalty_parameter(self):
+        # The scheme has no penalty term, so there is no epsilon to report.
+        p = builtin("cash")
+        sol = solve_semi_lagrangian(p, build_uniform_grid(Q=4, M=8, N=6, T=3))
+        assert sol.epsilon is None
+
     def test_agrees_with_penalty_under_refinement(self):
         p = builtin("cash")
         window = Window((0.0, 3.0), (-2.0, 2.0))
