@@ -35,7 +35,6 @@ from .grid import (
     grid_for_level,
 )
 from .harness import (
-    IOS,
     PENALTY,
     SCHEMES,
     SEMILAGRANGIAN,
@@ -45,6 +44,7 @@ from .harness import (
     check_stability_bound,
     run_checks,
     run_refinement_study,
+    window_points,
 )
 from .operators import discretize_controls
 # cli calls neither check_stability_bound nor brute_force_residual; the span
@@ -52,7 +52,7 @@ from .operators import discretize_controls
 from .oracle import brute_force_residual
 from .problem import ProblemSpec, builtin, validate
 from .semilag import diffusion_variance
-from .solution import INFINITE, Solution, SolverConfig
+from .solution import Solution, SolverConfig
 
 
 @dataclass
@@ -62,7 +62,7 @@ class RunSpec:
     scheme: str
     grid_mode: str
     Q: float
-    N: int
+    N: int | None = None                # timesteps; None for a discounted problem
     M: int | None = None
     rho: float | None = None
     c_b: float | None = None
@@ -168,8 +168,8 @@ def parse_config(path) -> RunSpec:
     mode = grid_raw.get("mode", UNIFORM)
     if mode not in MODES:
         raise ConfigError(f"unknown grid mode {mode!r} (allowed: {', '.join(MODES)})")
-    if "Q" not in grid_raw or "N" not in grid_raw:
-        raise ConfigError("grid needs 'Q' and 'N'")
+    if "Q" not in grid_raw:
+        raise ConfigError("grid needs 'Q'")
     has_m, has_rho = "M" in grid_raw, "rho" in grid_raw
     if mode == BOUNDARY_REFINED:
         if not has_rho or "c_b" not in grid_raw:
@@ -213,7 +213,7 @@ def parse_config(path) -> RunSpec:
         scheme=scheme,
         grid_mode=mode,
         Q=_number(float, grid_raw["Q"], "grid.Q"),
-        N=_number(int, grid_raw["N"], "grid.N"),
+        N=None if "N" not in grid_raw else _number(int, grid_raw["N"], "grid.N"),
         M=None if not has_m else _number(int, grid_raw["M"], "grid.M"),
         rho=None if not has_rho else _number(float, grid_raw["rho"], "grid.rho"),
         c_b=None if grid_raw.get("c_b") is None else _number(float, grid_raw["c_b"], "grid.c_b"),
@@ -236,18 +236,17 @@ def build_problem(spec: RunSpec) -> ProblemSpec:
 
 
 def build_grid(spec: RunSpec, problem: ProblemSpec) -> SpaceTimeGrid:
+    """The run's grid: N steps up to the horizon for a finite-horizon problem,
+    no time axis (N = T = 0) for a discounted one."""
+    if (spec.N is None) == problem.finite_horizon:
+        raise ConfigError("grid.N is required for a finite-horizon problem and not allowed "
+                          "for a discounted one, which has no time axis")
+    N, T = (spec.N, problem.horizon) if problem.finite_horizon else (0, 0.0)
     try:
-        if problem.finite_horizon:
-            T = problem.horizon
-        else:
-            # The stationary solve never uses dt; pick T so that dt equals the
-            # spatial spacing and rho reflects the mesh.
-            dx = spec.rho if spec.rho is not None else spec.Q / spec.M
-            T = spec.N * dx
         if spec.grid_mode == BOUNDARY_REFINED:
-            return build_boundary_refined_grid(spec.Q, spec.rho, spec.c_b, spec.N, T)
+            return build_boundary_refined_grid(spec.Q, spec.rho, spec.c_b, N, T)
         M = spec.M if spec.M is not None else max(1, int(round(spec.Q / spec.rho)))
-        grid = build_uniform_grid(spec.Q, M, spec.N, T)
+        grid = build_uniform_grid(spec.Q, M, N, T)
         if spec.grid_mode == GROWING_Q:
             grid = as_growing_q(grid, spec.alpha if spec.alpha is not None else 0.25)
         return grid
@@ -259,9 +258,9 @@ def check_semantics(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid,
                     levels: int = 1) -> None:
     """Scheme versus problem; semi-Lagrangian configs run the solve's diffusion
     check on the grid and controls of each of ``levels`` refinement levels."""
+    if spec.scheme != PENALTY and not problem.finite_horizon:
+        raise ConfigError(f"scheme {spec.scheme!r} is finite-horizon only")
     if spec.scheme == SEMILAGRANGIAN:
-        if not problem.finite_horizon:
-            raise ConfigError("scheme 'semilagrangian' is finite-horizon only")
         try:
             for level in range(levels):
                 level_grid = grid_for_level(grid, level)
@@ -269,8 +268,6 @@ def check_semantics(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid,
                                    discretize_controls(problem, level_grid.rho))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if spec.scheme == IOS and not problem.finite_horizon:
-        raise ConfigError("scheme 'ios' is finite-horizon only")
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +314,7 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_solution_csv(path: Path, sol: Solution) -> None:
-    grid = sol.grid
-    dt = 0.0 if sol.horizon == INFINITE else grid.dt
+    grid, dt = sol.grid, sol.grid.dt
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,t,j,x,u,policy_b,policy_intervene,policy_z\n")
         for n in range(sol.surface.shape[0]):
@@ -384,6 +380,12 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
     if mode == "study" and n_levels < 2:
         raise ConfigError(f"a refinement study needs >= 2 levels, got {n_levels}")
     check_semantics(spec, problem, grid, n_levels if mode == "study" else 1)
+    if mode == "study" and spec.window is not None:
+        try:
+            for level in range(n_levels):
+                window_points(grid_for_level(grid, level), spec.window)
+        except ValueError as exc:
+            raise ConfigError(f"study.window: {exc}") from exc
     out = Path(out_dir if out_dir is not None else (spec.output or "."))
     out.mkdir(parents=True, exist_ok=True)
 

@@ -6,6 +6,10 @@ dt = T/N.  A single refinement parameter rho drives all mesh quantities
 through stored proportionality constants (dt = c_t * rho, interior spacing
 = c_x * rho), so halving rho refines time and space together.
 
+N = T = 0, the builders' default, is a stationary grid for discounted
+problems: it has no time axis, dt = 0, ``times()`` is [0], and rho is the
+spacing alone.
+
 Modes:
 
 ``uniform``
@@ -65,7 +69,7 @@ class SpaceTimeGrid:
 
     @property
     def dt(self) -> float:
-        return self.T / self.N
+        return self.T / self.N if self.N else 0.0
 
     @cached_property
     def spacings(self) -> np.ndarray:
@@ -107,18 +111,27 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def build_uniform_grid(Q: float, M: int, N: int, T: float) -> SpaceTimeGrid:
+def _time_step(N, T) -> float:
+    """dt = T/N, or 0 on a stationary grid (N = T = 0); else N, T > 0."""
+    if N == T == 0:
+        return 0.0
+    _require_positive(N=N, T=T)
+    return T / N
+
+
+def build_uniform_grid(Q: float, M: int, N: int = 0, T: float = 0.0) -> SpaceTimeGrid:
     """Uniform grid: 2M+1 equally spaced nodes on [-Q, Q], dt = T/N.
 
     The refinement parameter is recorded as rho = max(dt, dx) so that both
-    mesh sizes stay proportional to rho under halving.
+    mesh sizes stay proportional to rho under halving; on a stationary grid
+    (N = T = 0) it is dx.
     """
-    _require_positive(Q=Q, M=M, N=N, T=T)
+    _require_positive(Q=Q, M=M)
+    dt = _time_step(N, T)
     M, N = int(M), int(N)
     dx = Q / M
     nodes = np.arange(-M, M + 1, dtype=float) * dx
     nodes[0], nodes[-1] = -Q, Q
-    dt = T / N
     rho = max(dt, dx)
     return SpaceTimeGrid(
         mode=UNIFORM, rho=rho, Q=float(Q), T=float(T), N=N, nodes=nodes,
@@ -131,14 +144,15 @@ def boundary_cell_width(rho: float, c_b: float) -> float:
 
 
 def build_boundary_refined_grid(
-    Q: float, rho: float, c_b: float, N: int, T: float
+    Q: float, rho: float, c_b: float, N: int = 0, T: float = 0.0
 ) -> SpaceTimeGrid:
     """Grid with interior spacing ~ rho and boundary cells of width c_b * rho**(3/4).
 
     The interior cell count is rounded (to an even number, so the node set
     stays symmetric about 0) so that nodes land exactly on +-Q.
     """
-    _require_positive(Q=Q, rho=rho, c_b=c_b, N=N, T=T)
+    _require_positive(Q=Q, rho=rho, c_b=c_b)
+    dt = _time_step(N, T)
     width = boundary_cell_width(rho, c_b)
     if width >= Q:
         raise ValueError(
@@ -152,7 +166,6 @@ def build_boundary_refined_grid(
     inner = np.arange(-(m // 2), m // 2 + 1, dtype=float) * h
     inner[0], inner[-1] = -half, half
     nodes = np.concatenate(([-Q], inner, [Q]))
-    dt = T / N
     return SpaceTimeGrid(
         mode=BOUNDARY_REFINED, rho=float(rho), Q=float(Q), T=float(T), N=int(N),
         nodes=nodes, c_t=dt / rho, c_x=h / rho, c_b=float(c_b),

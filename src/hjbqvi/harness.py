@@ -3,9 +3,10 @@
 Solutions are compared through their piecewise-constant extension: the value
 at (t, x) is the value of the containing cell
 [(n-1/2)dt, (n+1/2)dt) x [(j-1/2)dx, (j+1/2)dx) (nearest cell outside the
-grid).  Errors are measured on an interior window, by default |x| <= Q/2,
-because the truncation at +-Q pollutes a boundary layer and the convergence
-statements are locally uniform.
+grid; a grid with no time axis has the one row at every t).  Errors are
+measured on the grid points of a window, by default |x| <= Q/2, because the
+truncation at +-Q pollutes a boundary layer and the convergence statements
+are locally uniform; a window with no grid point is an error.
 
 The property checks mirror what the schemes guarantee: sup-norm stability
 bounds, monotone matrix structure (on the sparse matrices the solvers
@@ -35,7 +36,7 @@ from .matrices import analyze_matrix
 from .operators import DiscreteControls, discretize_controls
 from .oracle import brute_force_residual, solve_iterated_optimal_stopping
 from .problem import ProblemSpec, eval_on
-from .solution import INFINITE, Solution, SolverConfig
+from .solution import Solution, SolverConfig
 
 RESIDUAL_ORACLE_TOL = 1e-8
 STABILITY_SLACK = 1e-8
@@ -150,7 +151,7 @@ def extend_solution(sol: Solution, t, x) -> float | np.ndarray:
     """
     grid = sol.grid
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    if sol.horizon == INFINITE:
+    if grid.N == 0:
         n = np.zeros(t.shape, dtype=int)
     else:
         n = np.clip(np.floor(t / grid.dt + 0.5), 0, grid.N).astype(int)
@@ -164,8 +165,22 @@ def _in_window(values: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
     return values[(values >= lo - 1e-12) & (values <= hi + 1e-12)]
 
 
+def window_points(grid: SpaceTimeGrid, window: Window) -> tuple[np.ndarray, np.ndarray]:
+    """(times as a column, nodes) of ``grid`` inside ``window``; ValueError
+    naming the window when either is empty.  A stationary grid has the one
+    time 0."""
+    ts = _in_window(grid.times(), window.t_range)
+    xs = _in_window(grid.nodes, window.x_range)
+    if not (ts.size and xs.size):
+        raise ValueError(f"window t {list(window.t_range)}, x {list(window.x_range)} holds "
+                         f"no point of the grid with times in [0, {grid.T:g}] and nodes in "
+                         f"[{-grid.Q:g}, {grid.Q:g}]")
+    return ts[:, np.newaxis], xs
+
+
 def sup_error(sol: Solution, reference, window: Window) -> float:
-    """Sup-norm disagreement on the window points of the finer grid.
+    """Sup-norm disagreement on the window points of the finer grid
+    (:func:`window_points`).
 
     Against a callable reference that is the solution's own grid (where the
     extension is exact).  Against another Solution it is the finer of the
@@ -174,15 +189,12 @@ def sup_error(sol: Solution, reference, window: Window) -> float:
     finer = sol
     if isinstance(reference, Solution) and reference.grid.rho < sol.grid.rho:
         finer = reference
-    grid = finer.grid
-    xs = _in_window(grid.nodes, window.x_range)
-    ts = np.zeros(1) if finer.horizon == INFINITE else _in_window(grid.times(), window.t_range)
-    ts = ts[:, np.newaxis]
+    ts, xs = window_points(finer.grid, window)
     if isinstance(reference, Solution):
         ref_vals = extend_solution(reference, ts, xs)
     else:
         ref_vals = eval_on(reference, ts, xs)
-    return float(np.abs(extend_solution(sol, ts, xs) - ref_vals).max(initial=0.0))
+    return float(np.abs(extend_solution(sol, ts, xs) - ref_vals).max())
 
 
 def observed_orders(errors) -> list[float | None]:
@@ -204,16 +216,15 @@ def check_stability_bound(sol: Solution, problem: ProblemSpec,
     grid = sol.grid
     controls = controls or discretize_controls(problem, grid.rho)
     g_norm = float(np.abs(eval_on(problem.terminal_reward, grid.nodes)).max())
-    times = grid.times() if sol.horizon != INFINITE else np.array([0.0])
     controls_col = controls.controls[:, np.newaxis]
     f_norm = max(float(np.abs(eval_on(problem.running_reward, t, grid.nodes, controls_col)).max())
-                 for t in times)
-    if sol.horizon == INFINITE:
-        bound = f_norm / problem.discount
-        name = "stability_bound_discounted"
-    else:
+                 for t in grid.times())
+    if problem.finite_horizon:
         bound = g_norm + f_norm * problem.horizon
         name = "stability_bound"
+    else:
+        bound = f_norm / problem.discount
+        name = "stability_bound_discounted"
     worst = sol.sup_norm()
     return PropertyCheck(
         name=name,

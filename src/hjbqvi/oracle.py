@@ -32,8 +32,8 @@ from .grid import SpaceTimeGrid
 from .operators import DiscreteControls, FrozenObstacle, InterventionTable, discretize_controls
 from .penalty import _control_band, penalty_timestep
 from .problem import ProblemSpec, eval_on
-from .solution import (FINITE, SolveDiagnostics, Solution, SolverConfig, backward_induction,
-                       default_epsilon)
+from .solution import (SolveDiagnostics, Solution, SolverConfig, backward_induction,
+                       default_epsilon, require_time_axis)
 
 
 def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -53,8 +53,7 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     after, so one table is alive at a time; no table is reused across
     levels or passes.
     """
-    if not problem.finite_horizon:
-        raise ValueError("iterated optimal stopping needs a finite-horizon problem")
+    require_time_axis(problem, grid)
     cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
     epsilon = default_epsilon(grid, cfg)
@@ -96,8 +95,8 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
             f"of {diagnostics.outer_changes[-1]:.3g} (outer_tol {outer_tol:.3g})",
             history=diagnostics.outer_changes,
         )
-    return Solution(grid=grid, scheme="ios", horizon=FINITE, surface=surface,
-                    policies=policies, diagnostics=diagnostics, epsilon=epsilon)
+    return Solution(grid=grid, scheme="ios", surface=surface, policies=policies,
+                    diagnostics=diagnostics, epsilon=epsilon)
 
 
 def _interp_scalar(nodes, values, x):

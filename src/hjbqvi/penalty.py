@@ -27,7 +27,8 @@ the same u, and (Mu)_j; the monotonicity row :func:`scheme_row` passes a
 pinned scalar (Mu)_j.
 
 The stationary (discounted) analogue replaces the time difference by
--beta u_j and solves a single such system.
+-beta u_j and solves a single such system, on a grid with no time axis
+(N = T = 0), whose rho is the spacing alone.
 
 The penalty parameter must vanish with the mesh: epsilon = c_eps * rho.
 
@@ -61,8 +62,6 @@ from .operators import (
 )
 from .problem import ProblemSpec, eval_on
 from .solution import (
-    FINITE,
-    INFINITE,
     PenaltyPolicy,
     SolveDiagnostics,
     Solution,
@@ -70,6 +69,7 @@ from .solution import (
     TimestepDiagnostics,
     backward_induction,
     default_epsilon,
+    require_time_axis,
 )
 
 
@@ -273,8 +273,7 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
                          cfg: SolverConfig | None = None) -> Solution:
     """:func:`solution.backward_induction` of :func:`penalty_timestep` from
     u^N = g, with one :func:`_control_band` for every step."""
-    if not problem.finite_horizon:
-        raise ValueError("solve_finite_horizon needs a finite-horizon problem")
+    require_time_axis(problem, grid)
     cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
     epsilon = default_epsilon(grid, cfg)
@@ -290,16 +289,16 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     surface, policies = backward_induction(
         grid, eval_on(problem.terminal_reward, grid.nodes), step)
-    return Solution(grid=grid, scheme="penalty", horizon=FINITE, surface=surface,
-                    policies=policies, diagnostics=diagnostics, epsilon=epsilon)
+    return Solution(grid=grid, scheme="penalty", surface=surface, policies=policies,
+                    diagnostics=diagnostics, epsilon=epsilon)
 
 
 def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
                            controls: DiscreteControls | None = None,
                            cfg: SolverConfig | None = None) -> Solution:
-    """Stationary discounted equations, solved by policy iteration from u = 0."""
-    if problem.finite_horizon:
-        raise ValueError("solve_infinite_horizon needs a discounted problem")
+    """Stationary discounted equations on a grid with no time axis (N = 0),
+    solved by policy iteration from u = 0."""
+    require_time_axis(problem, grid, stationary=True)
     cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
     epsilon = default_epsilon(grid, cfg)
@@ -310,9 +309,8 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
                                time_index=0, where="stationary solve")
     diagnostics = SolveDiagnostics()
     diagnostics.record_step(step_diag)
-    return Solution(grid=grid, scheme="penalty", horizon=INFINITE,
-                    surface=u[np.newaxis, :], policies=[step_diag.policy],
-                    diagnostics=diagnostics, epsilon=epsilon)
+    return Solution(grid=grid, scheme="penalty", surface=u[np.newaxis, :],
+                    policies=[step_diag.policy], diagnostics=diagnostics, epsilon=epsilon)
 
 
 def scheme_row(j, center, u_n, u_next, obstacle_value, grid, problem, band, reward,

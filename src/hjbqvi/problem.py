@@ -172,12 +172,8 @@ def validate(problem: ProblemSpec, grid: SpaceTimeGrid, samples: int = 64) -> Va
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     xs = _subsample(grid.nodes, samples)
-    if problem.finite_horizon:
-        ts = _subsample(grid.times(), samples)
-        t_terminal = problem.horizon
-    else:
-        ts = np.array([0.0])
-        t_terminal = 0.0
+    ts = _subsample(grid.times(), samples)
+    t_terminal = problem.horizon if problem.finite_horizon else 0.0
     z_resolution = max(grid.rho, 1e-12)
     b_lo, b_hi = problem.control_bounds
     bs = np.array([b_lo]) if b_hi == b_lo else np.linspace(b_lo, b_hi, min(samples, 9))

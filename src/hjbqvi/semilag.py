@@ -66,7 +66,8 @@ from .operators import (
     interp_weights,
 )
 from .problem import ProblemSpec, eval_on
-from .solution import FINITE, PenaltyPolicy, SolveDiagnostics, Solution, backward_induction
+from .solution import (PenaltyPolicy, SolveDiagnostics, Solution, backward_induction,
+                       require_time_axis)
 
 
 def diffusion_variance(problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -225,8 +226,7 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
     sparse solve per timestep.  A step's jump table, at t + dt, is the
     previous step's when the impulse data there are the same.  The scheme
     has no penalty term, so the solution's ``epsilon`` is None."""
-    if not problem.finite_horizon:
-        raise ValueError("the semi-Lagrangian scheme is finite-horizon only")
+    require_time_axis(problem, grid)
     controls = controls or discretize_controls(problem, grid.rho)
     A = assemble_A(grid, problem, controls)
     report = analyze_matrix(A)
@@ -253,8 +253,8 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     surface, policies = backward_induction(
         grid, eval_on(problem.terminal_reward, grid.nodes), step)
-    return Solution(grid=grid, scheme="semilagrangian", horizon=FINITE,
-                    surface=surface, policies=policies, diagnostics=diagnostics)
+    return Solution(grid=grid, scheme="semilagrangian", surface=surface, policies=policies,
+                    diagnostics=diagnostics)
 
 
 def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,

@@ -1,4 +1,5 @@
-"""Shared solver types, and the backward induction of the finite-horizon solvers."""
+"""Shared solver types, the backward induction of the finite-horizon solvers
+and the check of a solver's grid against its problem."""
 
 from __future__ import annotations
 
@@ -7,9 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import SpaceTimeGrid
-
-FINITE = "finite"
-INFINITE = "infinite"
+from .problem import ProblemSpec
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,9 @@ class SolveDiagnostics:
 class Solution:
     """A solved surface plus everything needed to audit it.
 
-    ``surface`` has one row per time level (u^0 ... u^N) for finite-horizon
-    solves and a single row for stationary solves.  ``policies[n]`` is the
+    ``surface`` has one row per time level of the grid: u^0 ... u^N for
+    finite-horizon solves, the single row u^0 for stationary solves on a
+    grid with no time axis (N = 0).  ``policies[n]`` is the
     policy that produced u^n; the terminal entry is None because the
     terminal row is data, not a solve.  ``epsilon`` is the penalty parameter
     of the solve, :func:`default_epsilon`, and None for the semi-Lagrangian
@@ -117,7 +117,6 @@ class Solution:
 
     grid: SpaceTimeGrid
     scheme: str
-    horizon: str
     surface: np.ndarray
     policies: list[PenaltyPolicy | None]
     diagnostics: SolveDiagnostics
@@ -129,6 +128,19 @@ class Solution:
 
     def sup_norm(self) -> float:
         return float(np.abs(self.surface).max())
+
+
+def require_time_axis(problem: ProblemSpec, grid: SpaceTimeGrid,
+                      stationary: bool = False) -> None:
+    """ValueError unless a ``stationary`` solver gets a discounted problem on a
+    grid with no time axis (N = T = 0), and any other solver a finite-horizon
+    problem on a grid of N >= 1 steps up to its horizon."""
+    if stationary and (problem.finite_horizon or grid.N != 0):
+        raise ValueError("a stationary solve needs a discounted problem on a grid with no time "
+                         f"axis (N = T = 0), got horizon {problem.horizon!r} and N = {grid.N}")
+    if not stationary and (grid.N == 0 or grid.T != problem.horizon):
+        raise ValueError("this solver needs a finite-horizon problem on a grid with N >= 1 steps "
+                         f"up to its horizon {problem.horizon!r}, got N = {grid.N}, T = {grid.T!r}")
 
 
 def backward_induction(grid: SpaceTimeGrid, terminal, step):

@@ -116,7 +116,7 @@ def c2_runs():
     entries.append(Produced("random/sl", solve_semi_lagrangian(randomized, grid), randomized))
 
     discounted = random_bounded_problem(SEED, discounted=True)
-    grid_inf = build_uniform_grid(Q=3, M=24, N=1, T=0.125)
+    grid_inf = build_uniform_grid(Q=3, M=24)
     entries.append(Produced("random/discounted",
                             solve_infinite_horizon(discounted, grid_inf), discounted))
 

@@ -38,7 +38,7 @@ problem:
   name: cash
   params: {beta: 0.5}
 scheme: penalty
-grid: {Q: 4.0, M: 20, N: 15}
+grid: {Q: 4.0, M: 20}
 checks: [stability, matrices, residual_oracle, monotonicity]
 seed: 0
 """
@@ -220,12 +220,15 @@ class TestConfigErrors:
         (MINIMAL.replace("scheme: penalty", "scheme: semilagrangian")
          + "solver: {epsilon: 0.001}\n", ["solve"]),
         (MINIMAL + "solver: {epsilon: 0.1}\n", ["solve"]),
+        (HEAT_STUDY.replace("t: [0.0, 1.0]", "t: [5.0, 6.0]"), ["study"]),
+        (DISCOUNTED_CASH + "study:\n  window: {t: [0.5, 1.0], x: [-2.0, 2.0]}\n", ["study"]),
     ], ids=["study-levels", "levels-flag", "grid-N", "grid-N-fraction", "seed",
             "solver-tol", "solver-max-iters", "solver-residual-tol-nan", "solver-tol-inf",
             "solver-c-eps-inf", "solver-c-eps-nan", "solver-epsilon-inf", "solver-epsilon-nan",
             "solver-epsilon-zero", "grid-Q-inf", "problem-param-nan", "study-epsilon",
             "study-window-nan", "study-window-reversed", "problem-param-list",
-            "problem-param-bool", "semilagrangian-epsilon", "penalty-epsilon"])
+            "problem-param-bool", "semilagrangian-epsilon", "penalty-epsilon",
+            "study-window-empty", "study-window-discounted-t"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, text, args):
         config = write_config(tmp_path, text)
         command, *flags = args
@@ -234,6 +237,30 @@ class TestConfigErrors:
         assert status == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestTimeAxis:
+    """grid.N is the time axis of a finite-horizon problem; a discounted
+    problem is solved on a grid with none."""
+
+    @pytest.mark.parametrize("text", [
+        DISCOUNTED_CASH.replace("M: 20}", "M: 20, N: 15}"), MINIMAL.replace(", N: 8}", "}"),
+    ], ids=["discounted-with-N", "finite-horizon-without-N"])
+    def test_grid_N_is_a_config_error(self, tmp_path, capsys, text):
+        config = write_config(tmp_path, text)
+        assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: grid.N is required for a finite-horizon problem" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_discounted_rho_is_the_spacing(self, tmp_path):
+        text = DISCOUNTED_CASH.replace("Q: 4.0, M: 20}", "Q: 4, rho: 0.29}")
+        spec = cli.parse_config(write_config(tmp_path, text))
+        assert cli.run(spec, mode="solve", out_dir=tmp_path / "out") == 0
+        grid = json.loads((tmp_path / "out" / "report.json").read_text())["grid"]
+        # M = round(4 / 0.29) = 14; there is no timestep for rho to take the max with.
+        assert grid["rho"] == 4 / 14
+        assert (grid["N"], grid["T"], grid["dt"]) == (0, 0, 0)
 
 
 class TestPenaltyParameter:

@@ -112,6 +112,30 @@ class TestGridForLevel:
         assert grids_equal(direct, nested)
 
 
+class TestStationaryGrid:
+    """N = T = 0, the builders' default, is a grid with no time axis."""
+
+    @pytest.mark.parametrize("make_grid, rho", [
+        (lambda: build_uniform_grid(Q=3, M=6), 0.5),
+        (lambda: build_boundary_refined_grid(Q=3, rho=0.05, c_b=1.5), 0.05),
+        (lambda: as_growing_q(build_uniform_grid(Q=3, M=6)), 0.5),
+    ], ids=["uniform", "boundary_refined", "growing_q"])
+    def test_no_time_axis_and_rho_is_the_spacing(self, make_grid, rho):
+        g = make_grid()
+        assert (g.N, g.T, g.dt) == (0, 0.0, 0.0)
+        assert np.array_equal(g.times(), [0.0])
+        assert g.rho == rho
+        fine = grid_for_level(g, 2)
+        assert (fine.N, fine.T, fine.dt) == (0, 0.0, 0.0)
+        assert fine.rho == rho / 4
+
+    @pytest.mark.parametrize("N, T", [(0, 1.0), (4, 0.0)])
+    def test_half_a_time_axis_rejected(self, N, T):
+        # build_uniform_grid's cases are in TestUniformGrid.test_rejects_nonpositive.
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            build_boundary_refined_grid(Q=2, rho=0.1, c_b=1.0, N=N, T=T)
+
+
 class TestNodeInvariants:
     @pytest.mark.parametrize("make_grid", [
         lambda: build_uniform_grid(Q=3, M=7, N=5, T=2),

@@ -80,7 +80,7 @@ class TestExtendSolution:
     def test_array_form_matches_scalar_calls(self, heat_solution, stationary):
         if stationary:
             p = builtin("heat", {"beta": 1.0})
-            sol = solve_infinite_horizon(p, build_uniform_grid(Q=4, M=16, N=16, T=4))
+            sol = solve_infinite_horizon(p, build_uniform_grid(Q=4, M=16))
         else:
             sol = heat_solution
         g = sol.grid
@@ -99,6 +99,14 @@ class TestSupError:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         sol = solve_finite_horizon(p, g)
         assert sup_error(sol, sol, default_window(g)) == 0.0
+
+    @pytest.mark.parametrize("t_range", [(0.25, 0.75), (2.0, 3.0)])
+    def test_empty_window_raises(self, t_range):
+        # Between the timesteps of the finer grid, or past its horizon.
+        p = builtin("constant", {"c": 5})
+        sol = solve_finite_horizon(p, build_uniform_grid(Q=2, M=8, N=1, T=1))
+        with pytest.raises(ValueError, match=rf"window t \[{t_range[0]}, {t_range[1]}\]"):
+            sup_error(sol, p.exact, Window(t_range, (-1.0, 1.0)))
 
     def test_constant_against_closed_form(self):
         p = builtin("constant", {"c": 5})
@@ -175,7 +183,7 @@ class TestStabilityCheck:
             control_bounds=(0.0, 0.0),
             discount=0.5,
         )
-        g = build_uniform_grid(Q=2, M=8, N=1, T=0.25)
+        g = build_uniform_grid(Q=2, M=8)
         check = check_stability_bound(solve_infinite_horizon(p, g), p)
         assert check.passed
         assert check.value == pytest.approx(2.0)
@@ -348,7 +356,8 @@ class TestSchemeRowsAtSolutions:
         # A discounted solve is gated on the stationary equations, so the row
         # must vanish at its solution whatever u_next is passed.
         p = builtin("cash", {"beta": 0.5})
-        g, c = self.grid, self.controls
+        g = build_uniform_grid(Q=4, M=12)       # self.grid's spacing, no time axis
+        c = discretize_controls(p, g.rho)
         sol = solve_infinite_horizon(p, g, c)
         u = sol.surface[0]
         obstacle = InterventionTable(p, g, c, 0.0).apply(u).values

@@ -20,6 +20,13 @@ OUTER_TOL = 1e-6
 
 
 class TestIteratedOptimalStopping:
+    @pytest.mark.parametrize("N, T", [(0, 0.0), (6, 1.0)], ids=["no-time-axis", "T-not-horizon"])
+    def test_grid_must_step_to_the_horizon(self, N, T):
+        # cash has horizon 3: a grid with no time axis, or one ending at T = 1, is refused.
+        g = build_uniform_grid(Q=4, M=8, N=N, T=T)
+        with pytest.raises(ValueError, match=f"horizon 3.0, got N = {N}, T = {T}"):
+            solve_iterated_optimal_stopping(builtin("cash"), g)
+
     def test_constant_converges_at_first_pass(self):
         p = builtin("constant", {"c": 5})
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
@@ -141,7 +148,7 @@ class TestBruteForceResidual:
 
     def test_stationary_variant(self):
         p = builtin("constant", {"beta": 0.5})
-        g = build_uniform_grid(Q=2, M=8, N=1, T=0.25)
+        g = build_uniform_grid(Q=2, M=8)
         c = discretize_controls(p, g.rho)
         sol = solve_infinite_horizon(p, g, c)
         assert brute_force_residual(sol, p, g, c, sol.epsilon) <= 1e-8
@@ -151,7 +158,7 @@ class TestBruteForceResidual:
         # Python's max() never keeps a NaN it is handed second, so without
         # an explicit guard an all-NaN surface would audit as 0.0.
         p = builtin("cash", {"beta": beta})
-        g = build_uniform_grid(Q=4, M=8, N=6, T=3)
+        g = build_uniform_grid(Q=4, M=8, N=6, T=3) if beta is None else build_uniform_grid(Q=4, M=8)
         c = discretize_controls(p, g.rho)
         solve = solve_finite_horizon if beta is None else solve_infinite_horizon
         sol = solve(p, g, c)

@@ -380,6 +380,13 @@ class TestPenaltyTimestep:
 
 
 class TestSolveFiniteHorizon:
+    @pytest.mark.parametrize("N, T", [(0, 0.0), (6, 1.0)], ids=["no-time-axis", "T-not-horizon"])
+    def test_grid_must_step_to_the_horizon(self, N, T):
+        # cash has horizon 3: a grid with no time axis, or one ending at T = 1, is refused.
+        g = build_uniform_grid(Q=4, M=8, N=N, T=T)
+        with pytest.raises(ValueError, match=f"horizon 3.0, got N = {N}, T = {T}"):
+            solve_finite_horizon(builtin("cash"), g)
+
     def test_constant_surface(self):
         p = builtin("constant", {"c": 5})
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
@@ -454,9 +461,14 @@ class TestSolveFiniteHorizon:
 class TestSolveInfiniteHorizon:
     def test_zero_reward_gives_zero(self):
         p = builtin("constant", {"beta": 0.7})
-        g = build_uniform_grid(Q=2, M=8, N=1, T=0.25)
+        g = build_uniform_grid(Q=2, M=8)
         sol = solve_infinite_horizon(p, g)
         assert np.abs(sol.surface).max() <= 1e-12
+
+    def test_time_axis_grid_rejected(self):
+        p = builtin("constant", {"beta": 0.7})
+        with pytest.raises(ValueError, match=r"\(N = T = 0\), got horizon None and N = 1"):
+            solve_infinite_horizon(p, build_uniform_grid(Q=2, M=8, N=1, T=0.25))
 
     def test_flat_reward_fixed_point(self):
         p = ProblemSpec(
@@ -470,7 +482,7 @@ class TestSolveInfiniteHorizon:
             control_bounds=(0.0, 0.0),
             discount=0.5,
         )
-        g = build_uniform_grid(Q=2, M=8, N=1, T=0.25)
+        g = build_uniform_grid(Q=2, M=8)
         sol = solve_infinite_horizon(p, g)
         assert np.abs(sol.surface - 2.0).max() <= 1e-12
 
@@ -491,7 +503,7 @@ class TestSolveInfiniteHorizon:
                 control_bounds=(0.0, 0.0),
                 discount=beta,
             )
-            g = build_uniform_grid(Q=3, M=24, N=1, T=0.125)
+            g = build_uniform_grid(Q=3, M=24)
             c = discretize_controls(p, g.rho)
             sol = solve_infinite_horizon(p, g, c)
             assert sol.sup_norm() <= amp / beta + 1e-8
@@ -522,6 +534,13 @@ class TestControlBandPerSolve:
                        diffusion=wrap("diffusion", problem.diffusion)), shapes
 
     @staticmethod
+    def grid(problem, Q, M, N):
+        """N steps up to the horizon, or no time axis for a discounted problem."""
+        if problem.finite_horizon:
+            return build_uniform_grid(Q=Q, M=M, N=N, T=problem.horizon)
+        return build_uniform_grid(Q=Q, M=M)
+
+    @staticmethod
     def solve(problem, grid, controls):
         if problem.finite_horizon:
             return solve_finite_horizon(problem, grid, controls)
@@ -530,7 +549,7 @@ class TestControlBandPerSolve:
     @pytest.mark.parametrize("name, params", PROBLEMS)
     def test_one_block_evaluation_per_solve(self, name, params):
         p, shapes = self.counted(builtin(name, params))
-        g = build_uniform_grid(Q=3, M=10, N=6, T=1.0)
+        g = self.grid(p, Q=3, M=10, N=6)
         c = discretize_controls(p, g.rho)
         sol = self.solve(p, g, c)
         block = (c.controls.size, g.n_nodes)
@@ -542,7 +561,7 @@ class TestControlBandPerSolve:
     @pytest.mark.parametrize("name, params", PROBLEMS)
     def test_surfaces_equal_per_call_band(self, name, params, monkeypatch):
         p = builtin(name, params)
-        g = build_uniform_grid(Q=3, M=10, N=6, T=1.0)
+        g = self.grid(p, Q=3, M=10, N=6)
         c = discretize_controls(p, g.rho)
         hoisted = self.solve(p, g, c).surface
 
@@ -572,7 +591,7 @@ class TestStepReuse:
             return cash.running_reward(t, x, b)
 
         p = replace(cash, running_reward=reward)
-        g = build_uniform_grid(Q=4, M=10, N=6, T=3)
+        g = TestControlBandPerSolve.grid(p, Q=4, M=10, N=6)
         c = discretize_controls(p, g.rho)
         sol = TestControlBandPerSolve.solve(p, g, c)
         assert shapes == [(c.controls.size, g.n_nodes)] * len(sol.diagnostics.timesteps)

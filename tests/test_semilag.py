@@ -418,6 +418,13 @@ class TestFootPointsPerSolve:
 
 
 class TestSolveSemiLagrangian:
+    @pytest.mark.parametrize("N, T", [(0, 0.0), (6, 1.0)], ids=["no-time-axis", "T-not-horizon"])
+    def test_grid_must_step_to_the_horizon(self, N, T):
+        # cash has horizon 3: a grid with no time axis, or one ending at T = 1, is refused.
+        g = build_uniform_grid(Q=4, M=8, N=N, T=T)
+        with pytest.raises(ValueError, match=f"horizon 3.0, got N = {N}, T = {T}"):
+            solve_semi_lagrangian(builtin("cash"), g)
+
     def test_constant_surface_exact(self):
         p = builtin("constant", {"c": 5})
         g = build_uniform_grid(Q=2, M=16, N=16, T=1)
