@@ -24,6 +24,16 @@ The stencils follow the monotone implicit discretization:
   than K candidates repeats its last one).  :class:`FrozenObstacle` is a
   fixed vector with no couplings: an optimal-stopping obstacle.
 
+A reset impulse (shift z - x, as in every builtin that intervenes) has
+target x_j + (z - x_j) = z at every node, up to rounding.  So when each
+column of a table's targets spans (max - min over the nodes) at most
+tol = ``_SHARED_ROW_ULPS`` * eps * max|x|, eps the machine epsilon, the
+table interpolates row 0 once, K points instead of nodes x K, and every
+node reads it.  This is safe because each node's weights stay convex, so M
+stays monotone in u, and each value moves by at most the largest cell slope
+of u times tol.  Any other targets (a shift that moves with x, bounds that
+depend on x, a NaN) keep one interpolant per node, bit for bit.
+
 The functions here are pure.  The one mutable piece is
 ``DiscreteControls._impulse_cache``, which memoizes ``impulse_values`` and
 grows by one entry per distinct (t, node set) it is asked for: per time
@@ -46,6 +56,12 @@ import scipy.sparse as sp
 
 from .grid import SpaceTimeGrid
 from .problem import ProblemSpec, eval_on, uniform_sample
+
+
+# A jump table interpolates row 0 of its targets for every node when each
+# column spans at most this many eps * max|x| (see the module docstring);
+# a reset's columns span about one.
+_SHARED_ROW_ULPS = 8
 
 
 def generator_band(nodes: np.ndarray, drift,
@@ -291,11 +307,14 @@ class InterventionTable(Interpolant):
     any node.  A node with fewer candidates repeats its last z: the copy has
     the same value as the candidate it repeats, and argmax keeps the first
     of equal values, so padding never changes a result.  The table is the
-    :class:`Interpolant` of the targets x_j + shift; ``costs`` and its
-    ``k``, ``alpha``, ``stay`` and ``k_next`` are the block flattened row by
-    row, node i owning entries ``offsets[i]:offsets[i + 1]``.  The table also
-    keeps the block's shifts (``_shifts``), so that :meth:`same_data_at`
-    evaluates the shift once, at the new time.
+    :class:`Interpolant` of the nodes x K targets x_j + shift, or of their
+    row 0 alone (``k``, ``alpha``, ``stay`` and ``k_next`` 1 x K) when each
+    column spans at most ``_SHARED_ROW_ULPS`` * eps * max|x| (see the module
+    docstring); :meth:`apply` broadcasts either against the costs.  ``costs``
+    is the cost block flattened row by row, node i owning entries
+    ``offsets[i]:offsets[i + 1]``.  The table also keeps the block's shifts
+    (``_shifts``), so that :meth:`same_data_at` evaluates the shift once, at
+    the new time.
     """
 
     def __init__(self, problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -310,7 +329,11 @@ class InterventionTable(Interpolant):
         self._shifts = eval_on(problem.impulse_shift, t, x_col, impulse_grid)
         self.offsets = np.arange(nodes.size + 1) * per_node
         self.costs = eval_on(problem.impulse_cost, t, x_col, impulse_grid).ravel()
-        super().__init__(*interp_weights(nodes, (x_col + self._shifts).ravel()))
+        targets = x_col + self._shifts
+        tol = _SHARED_ROW_ULPS * np.finfo(float).eps * max(abs(nodes[0]), abs(nodes[-1]))
+        if np.ptp(targets, axis=0).max() <= tol:   # False on any NaN
+            targets = targets[:1]
+        super().__init__(*interp_weights(nodes, targets))
 
     def same_data_at(self, t: float) -> bool:
         """Whether the table at time t would be this one.
@@ -349,15 +372,14 @@ class InterventionTable(Interpolant):
             bad = int(np.argmin(found))
             raise ValueError(f"impulse {float(impulses[bad])!r} at node index {int(rows[bad])} "
                              f"(t={self.t!r}) is not one of that node's candidates")
-        flat = self.offsets[rows] + match.argmax(axis=1)
-        k = self.k[flat]
-        return ((k, self.stay[flat]), (k + 1, self.alpha[flat])), self.costs[flat]
+        col = match.argmax(axis=1)
+        at = (rows if len(self.k) > 1 else 0, col)
+        k = self.k[at]
+        return ((k, self.stay[at]), (k + 1, self.alpha[at])), self.costs[self.offsets[rows] + col]
 
     def apply(self, u: np.ndarray) -> InterventionResult:
         """Best-impulse value max_z { interp(u, x_j + shift) + cost } at every node."""
-        values = self.interp(u)
-        values += self.costs
-        block = values.reshape(self._impulse_grid.shape)
+        block = self.costs.reshape(self._impulse_grid.shape) + self.interp(u)
         best = block.argmax(axis=1)
         rows = np.arange(block.shape[0])
         return InterventionResult(values=block[rows, best],

@@ -73,6 +73,13 @@ from .solution import (
 )
 
 
+# Control values at most this many eps * (the node's largest |value|) below
+# the maximum count as tied with it (see _best_control): on cash, rounding
+# ties (+-b at x = 0) differ by up to about 1 such unit, real changes by 1e5
+# or more.
+_TIE_ULPS = 64
+
+
 @dataclass
 class SparseSystem:
     """One linearized timestep: tridiagonal band plus the interpolation
@@ -101,25 +108,38 @@ def _reward_block(t, grid, problem, controls):
     return eval_on(problem.running_reward, t, grid.nodes, controls.controls[:, np.newaxis])
 
 
-def _best_control(u, band, reward):
-    """Argmax over the discrete control set of (L_b u)_j + f(t, x_j, b),
+def _best_control(u, band, reward, previous=None):
+    """Max over the discrete control set of (L_b u)_j + f(t, x_j, b),
     ``band`` being the :func:`_control_band` of these controls and ``reward``
     their :func:`_reward_block` at t.
 
-    Returns (values, indices); ties go to the smallest control, the first
-    index argmax meets.
+    Returns (values, indices): the values are the maximum, and ties go to
+    the smallest control, the first index argmax meets.  Given the
+    ``previous`` indices, a node keeps its previous control wherever that
+    control's value is at most ``_TIE_ULPS`` * eps * max_b |value| below the
+    maximum, so controls that tie up to rounding (+-b at a symmetric node)
+    do not flip between policy iterations.  The values stay the true
+    maximum.
     """
     vals = apply_band(band, u) + reward
     best_idx = vals.argmax(axis=0)
-    return vals[best_idx, np.arange(vals.shape[1])], best_idx
+    nodes = np.arange(vals.shape[1])
+    best = vals[best_idx, nodes]
+    if previous is not None:
+        # max_b |vals_bj|, as max(best_j, -min_b vals_bj) since best_j >= min_b vals_bj
+        scale = np.maximum(best, -vals.min(axis=0))
+        keep = vals[previous, nodes] >= best - _TIE_ULPS * np.finfo(float).eps * scale
+        best_idx = np.where(keep, previous, best_idx)
+    return best, best_idx
 
 
-def _improve(u, controls, intervention, band, reward):
-    """(policy, argmax values, argmax indices) at the iterate ``u``.  The
+def _improve(u, controls, intervention, band, reward, previous=None):
+    """(policy, argmax values, argmax indices) at the iterate ``u``, keeping
+    near-tied ``previous`` control indices (:func:`_best_control`).  The
     control argmax ignores the time (or discount) term, which does not depend
     on b; the penalty indicator is strict, d_j = 1 iff the best jump value
     exceeds u_j, so at equality the penalty stays off."""
-    best_vals, best_idx = _best_control(u, band, reward)
+    best_vals, best_idx = _best_control(u, band, reward, previous)
     jump = intervention.apply(u)
     policy = PenaltyPolicy(
         controls=controls.controls[best_idx],
@@ -201,7 +221,10 @@ def _policy_iteration(u_start, rhs_base, time_weight, epsilon, cfg, controls,
                       time_index) -> tuple[np.ndarray, TimestepDiagnostics, np.ndarray]:
     """Policy iteration from ``u_start``; returns the solution, the step's
     diagnostics and the control argmax values of the last policy
-    improvement, which evaluated the returned u."""
+    improvement, which evaluated the returned u.  It stops on an unchanged
+    policy or an update below ``cfg.tol``; each improvement keeps the
+    controls that still tie with the best up to rounding, so the stop does
+    not depend on rounding."""
     diag = TimestepDiagnostics(time_index=time_index, iterations=0)
     policy, _, best_idx = _improve(u_start, controls, intervention, band, reward)
     u = np.asarray(u_start, dtype=float)
@@ -213,7 +236,8 @@ def _policy_iteration(u_start, rhs_base, time_weight, epsilon, cfg, controls,
         u_new = spsolve(system.matrix, system.rhs)
         if not np.all(np.isfinite(u_new)):
             raise SolverError("policy system solve returned non-finite values")
-        new_policy, best_vals, best_idx = _improve(u_new, controls, intervention, band, reward)
+        new_policy, best_vals, best_idx = _improve(u_new, controls, intervention, band, reward,
+                                                   best_idx)
         update = float(np.abs(u_new - u).max())
         diag.updates.append(update)
         unchanged = policy.same_as(new_policy)

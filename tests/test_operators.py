@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjbqvi import operators as operators_mod
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.operators import (
     DiscreteControls,
@@ -18,7 +19,7 @@ from hjbqvi.operators import (
 )
 from hjbqvi.oracle import _row_residual
 from hjbqvi.penalty import solve_finite_horizon
-from hjbqvi.problem import ProblemSpec, builtin, uniform_sample
+from hjbqvi.problem import ProblemSpec, builtin, eval_on, uniform_sample
 from hjbqvi.semilag import solve_semi_lagrangian
 
 
@@ -506,6 +507,82 @@ class TestClampedJumpTargets:
                 best = int(np.argmax(vals))
                 assert res.values[i] == pytest.approx(vals[best], rel=0, abs=1e-12)
                 assert res.impulses[i] == zs[best]
+
+
+def per_row_reference(problem, grid, controls, t, evaluate=eval_on):
+    """The explicit per-row interpolant of a table's targets x_j + shift."""
+    x_col = grid.nodes[:, np.newaxis]
+    zs = controls.impulse_values(t, grid.nodes)
+    return Interpolant(*interp_weights(grid.nodes,
+                                       x_col + evaluate(problem.impulse_shift, t, x_col, zs)))
+
+
+class TestSharedTargetRow:
+    """A table whose target columns each span at most tol (a reset, target
+    x + (z - x) = z up to rounding) interpolates row 0 once; any other keeps
+    one interpolant per node, bit for bit."""
+
+    GRIDS = TestClampedJumpTargets.GRIDS
+    RAGGED = replace(builtin("cash"),
+                     impulse_bounds=lambda t, x: (-1.0 - 0.1 * np.abs(x), 1.0 + 0.1 * np.abs(x)))
+
+    @pytest.mark.parametrize("g", GRIDS, ids=["uniform", "refined"])
+    @pytest.mark.parametrize("name", ["cash", "heat"])
+    def test_reset_tables_hold_one_target_row(self, name, g):
+        p = builtin(name)
+        c = discretize_controls(p, g.rho)
+        table = InterventionTable(p, g, c, 0.0)
+        width = table._impulse_grid.shape[1]
+        for part in (table.k, table.alpha, table.stay, table.k_next):
+            assert part.shape == (1, width)
+        ref = per_row_reference(p, g, c, 0.0)
+        costs = table.costs.reshape(table._impulse_grid.shape)
+        rows = np.arange(g.n_nodes)
+        tol = operators_mod._SHARED_ROW_ULPS * np.finfo(float).eps * np.abs(g.nodes).max()
+        for seed in range(3):
+            u = np.random.default_rng(seed).normal(size=g.n_nodes)
+            bound = np.abs(np.diff(u) / np.diff(g.nodes)).max() * tol
+            assert np.abs(table.interp(u) - ref.interp(u)).max() <= bound
+            res = table.apply(u)
+            assert np.abs(res.values - (costs + ref.interp(u)).max(axis=1)).max() <= bound
+            ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.impulses)
+            assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, res.values)
+
+    @pytest.mark.parametrize("p", [
+        builtin("constant"),   # shift 0 z: the target is x
+        WIDE_CASH,             # shift 3 z
+        RAGGED,                # x-dependent bounds: padded rows differ
+    ], ids=["constant", "wide", "ragged"])
+    def test_other_targets_keep_the_per_row_interpolant(self, p):
+        g = self.GRIDS[0]
+        c = discretize_controls(p, g.rho)
+        self.assert_per_row(InterventionTable(p, g, c, 0.0), per_row_reference(p, g, c, 0.0), g)
+
+    def test_nan_target_keeps_the_per_row_interpolant(self, monkeypatch):
+        # eval_on rejects a non-finite shift, so put the NaN in past it.
+        p, g = builtin("cash"), self.GRIDS[0]
+        c = discretize_controls(p, g.rho)
+        checked = operators_mod.eval_on
+
+        def nan_shift(fn, *args):
+            out = checked(fn, *args)
+            if fn is p.impulse_shift:
+                out[3, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(operators_mod, "eval_on", nan_shift)
+        table = InterventionTable(p, g, c, 0.0)
+        ref = per_row_reference(p, g, c, 0.0, nan_shift)
+        assert np.isnan(table.alpha[3, 2])
+        self.assert_per_row(table, ref, g)
+
+    @staticmethod
+    def assert_per_row(table, ref, g):
+        assert table.k.shape == table._impulse_grid.shape
+        for name in ("k", "alpha", "stay", "k_next"):
+            assert getattr(table, name).tobytes() == getattr(ref, name).tobytes()
+        u = np.random.default_rng(0).normal(size=g.n_nodes)
+        assert table.interp(u).tobytes() == ref.interp(u).tobytes()
 
 
 def counted_bounds(bounds, calls):

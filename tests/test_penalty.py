@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hjbqvi import operators as operators_mod
 from hjbqvi import penalty as penalty_mod
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import check_solution_matrices, check_stability_bound
@@ -10,7 +11,6 @@ from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import (
     FrozenObstacle,
     InterventionTable,
-    apply_band,
     discretize_controls,
     generator_band,
     interp_weights,
@@ -342,6 +342,23 @@ class TestPolicyImprove:
         band, reward, table = operands(p, g, c, 0.0)
         assert not _improve(u, c, table, band, reward)[0].intervene.any()
 
+    def test_near_tie_keeps_the_previous_control(self):
+        # A zero band leaves the reward rows as the control values.  Node 0:
+        # control 1 is one ulp above control 0; node 1: 1e-9 above; node 2:
+        # an exact three-way tie; node 3: control 2 wins outright.
+        band = tuple(np.zeros((3, 4)) for _ in range(3))
+        up = np.nextafter(1.0, 2.0)
+        reward = np.array([[1.0, 1.0, 1.0, 0.0],
+                           [up, 1.0 + 1e-9, 1.0, 0.0],
+                           [0.0, 0.0, 1.0, 1.0]])
+        u = np.zeros(4)
+        best, idx = _best_control(u, band, reward)
+        assert list(idx) == [1, 1, 0, 2]
+        kept, kept_idx = _best_control(u, band, reward, previous=np.array([0, 0, 2, 0]))
+        assert list(kept_idx) == [0, 1, 2, 2]
+        # The values stay the true maximum, which the residual gate reads.
+        assert np.array_equal(kept, best) and kept[0] == up
+
 
 class TestPenaltyTimestep:
     def test_constant_fixed_point_in_one_iteration(self):
@@ -443,6 +460,22 @@ class TestSolveFiniteHorizon:
         # One system per policy iteration, each checked before its solve.
         assert d.matrix_systems_checked == sum(s.iterations for s in d.timesteps)
         assert d.min_dominance_margin > 0
+
+    @pytest.mark.parametrize("M", [20, 40, 80])
+    def test_iteration_counts_do_not_depend_on_the_table_path(self, M, monkeypatch):
+        # Cash's reset targets agree across rows up to rounding, so its tables
+        # interpolate one shared row; forcing one row per node moves the
+        # control values by ulps (the +-b tie at x = 0) and no more.
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=M, N=3 * M // 4, T=3)
+        c = discretize_controls(p, g.rho)
+        shared = solve_finite_horizon(p, g, c)
+        monkeypatch.setattr(operators_mod, "_SHARED_ROW_ULPS", -1.0)
+        assert InterventionTable(p, g, c, 0.0).k.shape == c.impulse_values(0.0, g.nodes).shape
+        per_row = solve_finite_horizon(p, g, c)
+        assert ([s.iterations for s in shared.diagnostics.timesteps]
+                == [s.iterations for s in per_row.diagnostics.timesteps])
+        assert np.abs(shared.surface - per_row.surface).max() <= 1e-12
 
     def test_clamped_jump_targets(self):
         # Jumps of 3z leave [-Q, Q] from |x| > 1; the clamped couplings keep
@@ -565,13 +598,14 @@ class TestControlBandPerSolve:
         c = discretize_controls(p, g.rho)
         hoisted = self.solve(p, g, c).surface
 
-        def per_call_band(u, band, reward):
+        best_control = penalty_mod._best_control
+
+        def per_call_band(u, band, reward, previous=None):
             # The argmax as it was before the band was hoisted: its own band each call.
             b = c.controls[:, np.newaxis]
-            vals = apply_band(generator_band(g.nodes, eval_on(p.drift, g.nodes, b),
-                                             eval_on(p.diffusion, g.nodes, b) ** 2), u) + reward
-            best_idx = vals.argmax(axis=0)
-            return vals[best_idx, np.arange(g.n_nodes)], best_idx
+            own = generator_band(g.nodes, eval_on(p.drift, g.nodes, b),
+                                 eval_on(p.diffusion, g.nodes, b) ** 2)
+            return best_control(u, own, reward, previous)
 
         monkeypatch.setattr(penalty_mod, "_best_control", per_call_band)
         assert np.array_equal(self.solve(p, g, c).surface, hoisted)
