@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json as _json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +35,7 @@ from .grid import (
     grid_for_level,
 )
 from .harness import (
-    PENALTY,
     SCHEMES,
-    SEMILAGRANGIAN,
     Window,
     _require_known_checks,
     _solve_for_study,
@@ -51,7 +49,6 @@ from .operators import discretize_controls
 # tracer in perfbench/tracing.py wraps cli's bindings of both by name.
 from .oracle import brute_force_residual
 from .problem import ProblemSpec, builtin, validate
-from .semilag import diffusion_variance
 from .solution import Solution, SolverConfig
 
 
@@ -62,17 +59,17 @@ class RunSpec:
     scheme: str
     grid_mode: str
     Q: float
-    N: int | None = None                # timesteps; None for a discounted problem
-    M: int | None = None
-    rho: float | None = None
-    c_b: float | None = None
-    alpha: float | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    levels: int = 2
-    window: Window | None = None
-    checks: tuple = ("stability", "matrices")
-    seed: int = 0
-    output: str | None = None
+    N: int | None                       # timesteps; None for a discounted problem
+    M: int | None
+    rho: float | None
+    c_b: float | None
+    alpha: float | None
+    solver: SolverConfig
+    levels: int
+    window: Window | None
+    checks: tuple
+    seed: int
+    output: str | None
 
     def as_dict(self) -> dict:
         return {
@@ -82,10 +79,7 @@ class RunSpec:
                 "mode": self.grid_mode, "Q": self.Q, "N": self.N, "M": self.M,
                 "rho": self.rho, "c_b": self.c_b, "alpha": self.alpha,
             },
-            "solver": {
-                "tol": self.solver.tol, "residual_tol": self.solver.residual_tol,
-                "max_iters": self.solver.max_iters, "c_eps": self.solver.c_eps,
-            },
+            "solver": dict(vars(self.solver)),
             "study": {
                 "levels": self.levels,
                 "window": None if self.window is None else
@@ -157,7 +151,7 @@ def parse_config(path) -> RunSpec:
     if not isinstance(params, dict):
         raise ConfigError("problem.params must be a mapping")
 
-    scheme = raw.get("scheme", PENALTY)
+    scheme = raw.get("scheme", "penalty")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r} (allowed: {', '.join(SCHEMES)})")
 
@@ -178,15 +172,12 @@ def parse_config(path) -> RunSpec:
         raise ConfigError("give exactly one of grid.M and grid.rho")
 
     solver_raw = raw.get("solver") or {}
-    _require_keys(solver_raw, ("tol", "residual_tol", "max_iters", "c_eps"), "solver")
+    defaults = vars(SolverConfig())
+    _require_keys(solver_raw, tuple(defaults), "solver")
     try:
-        solver = SolverConfig(
-            tol=_number(float, solver_raw.get("tol", 1e-10), "solver.tol"),
-            residual_tol=_number(float, solver_raw.get("residual_tol", 1e-8),
-                                 "solver.residual_tol"),
-            max_iters=_number(int, solver_raw.get("max_iters", 100), "solver.max_iters"),
-            c_eps=_number(float, solver_raw.get("c_eps", 1.0), "solver.c_eps"),
-        )
+        solver = SolverConfig(**{
+            key: _number(type(default), solver_raw.get(key, default), f"solver.{key}")
+            for key, default in defaults.items()})
     except ValueError as exc:
         raise ConfigError(f"bad solver section: {exc}") from exc
 
@@ -199,7 +190,8 @@ def parse_config(path) -> RunSpec:
 
     checks = raw.get("checks")
     if checks is None:
-        checks = ["stability", "matrices"] + (["residual_oracle"] if scheme == PENALTY else [])
+        audit = ["residual_oracle"] if SCHEMES[scheme].audited else []
+        checks = ["stability", "matrices"] + audit
     if not isinstance(checks, list):
         raise ConfigError("checks must be a list of check names")
     try:
@@ -256,16 +248,18 @@ def build_grid(spec: RunSpec, problem: ProblemSpec) -> SpaceTimeGrid:
 
 def check_semantics(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid,
                     levels: int = 1) -> None:
-    """Scheme versus problem; semi-Lagrangian configs run the solve's diffusion
-    check on the grid and controls of each of ``levels`` refinement levels."""
-    if spec.scheme != PENALTY and not problem.finite_horizon:
+    """Scheme versus problem: a scheme with no stationary solve rejects a
+    discounted problem, and a scheme's precheck runs on the grid and controls
+    of each of ``levels`` refinement levels."""
+    scheme = SCHEMES[spec.scheme]
+    if scheme.stationary is None and not problem.finite_horizon:
         raise ConfigError(f"scheme {spec.scheme!r} is finite-horizon only")
-    if spec.scheme == SEMILAGRANGIAN:
+    if scheme.precheck is not None:
         try:
             for level in range(levels):
                 level_grid = grid_for_level(grid, level)
-                diffusion_variance(problem, level_grid,
-                                   discretize_controls(problem, level_grid.rho))
+                scheme.precheck(problem, level_grid,
+                                discretize_controls(problem, level_grid.rho))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -287,12 +281,8 @@ def _fmt(value) -> str:
 def _json_value(obj) -> str:
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
+    if isinstance(obj, (bool, int, float, np.bool_, np.integer, np.floating)):
+        return _fmt(obj)
     if isinstance(obj, str):
         return _json.dumps(obj)
     if isinstance(obj, (list, tuple)):

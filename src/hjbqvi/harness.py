@@ -11,18 +11,21 @@ are locally uniform; a window with no grid point is an error.
 The property checks mirror what the schemes guarantee: sup-norm stability
 bounds, monotone matrix structure (on the sparse matrices the solvers
 assemble), and monotonicity of the scheme in its off-node arguments
-(randomized ordered pairs).  The scheme rows are the equations the solvers
-solve, on the solvers' own operands built once per check: the penalty row
-is :func:`penalty.residual` on the control band and reward block, the
-semi-Lagrangian row (A u - rhs)_j on the solve's matrix A, foot points and
-right-hand side.  :func:`run_checks` alone maps check names to checks.
-Without a closed form, studies fall back to self-convergence against the
-finest level and say so.
+(randomized ordered pairs).  :func:`run_checks` alone maps check names to
+checks.  Without a closed form, studies fall back to self-convergence
+against the finest level and say so.
+
+A scheme is one :class:`Scheme` record in ``SCHEMES``: its solves, its
+monotonicity row (each scheme module's ``monotonicity_row``, the equation the
+solve solves, on operands built once per check), whether the brute-force
+residual audit applies, and its config-time check.  The studies, the checks
+and the CLI read the record, never the scheme's name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -41,11 +44,6 @@ from .solution import Solution, SolverConfig
 RESIDUAL_ORACLE_TOL = 1e-8
 STABILITY_SLACK = 1e-8
 
-PENALTY = "penalty"
-SEMILAGRANGIAN = "semilagrangian"
-IOS = "ios"
-SCHEMES = (PENALTY, SEMILAGRANGIAN, IOS)
-
 #: Property checks by name, in the order :func:`run_checks` runs and reports them.
 CHECKS = ("stability", "matrices", "residual_oracle", "monotonicity")
 MONOTONICITY_TRIALS = 100
@@ -53,6 +51,39 @@ MONOTONICITY_TRIALS = 100
 #: Errors below this are treated as exactly resolved; observed orders on
 #: such levels are undefined and flagged as None.
 ORDER_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """What the harness and the CLI know of a scheme."""
+
+    solve: Callable                 # (problem, grid, controls, cfg), finite horizon
+    stationary: Callable | None     # the same, discounted; None: finite-horizon only
+    row: Callable                   # (problem, grid, controls, sol) -> row at t = 0
+    audited: bool                   # does residual_oracle apply
+    precheck: Callable | None = None  # (problem, grid, controls); ValueError if unsolvable
+
+
+def _penalty_row(problem, grid, controls, sol):
+    return penalty_mod.monotonicity_row(problem, grid, controls, sol.epsilon, 0.0)
+
+
+SCHEMES = {
+    "penalty": Scheme(solve=penalty_mod.solve_finite_horizon,
+                      stationary=penalty_mod.solve_infinite_horizon,
+                      row=_penalty_row, audited=True),
+    "semilagrangian": Scheme(
+        solve=lambda problem, grid, controls, cfg:
+            semilag_mod.solve_semi_lagrangian(problem, grid, controls),
+        stationary=None,
+        row=lambda problem, grid, controls, sol:
+            semilag_mod.monotonicity_row(problem, grid, controls, 0.0),
+        audited=False, precheck=semilag_mod.diffusion_variance),
+    # The penalty row at the solution's epsilon: each pass solves penalty steps.
+    "ios": Scheme(solve=lambda problem, grid, controls, cfg:
+                      solve_iterated_optimal_stopping(problem, grid, controls, cfg=cfg),
+                  stationary=None, row=_penalty_row, audited=False),
+}
 
 
 @dataclass(frozen=True)
@@ -261,9 +292,9 @@ def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int, seed: int,
                        scale: float = 1.0, tol: float = 1e-10) -> MonotonicityReport:
     """Randomized ordered pairs u >= w, equal at the probe node.
 
-    ``row_fn(j, center, u_n, u_next, obstacle_value)`` evaluates the scheme
-    at the probe; a monotone scheme must give a value for u no larger than
-    for w.  Deterministic for a fixed seed.
+    ``row_fn(j, u_n, u_next, obstacle_value)`` evaluates the scheme at the
+    probe; a monotone scheme must give a value for u no larger than for w.
+    Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     n = grid.n_nodes
@@ -278,9 +309,8 @@ def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int, seed: int,
         bump_n[i] = 0.0
         bump_next = rng.uniform(0.0, scale, n)
         obstacle_value = float(rng.uniform(-scale, scale))
-        center = float(w_n[i])
-        s_upper = row_fn(j, center, w_n + bump_n, w_next + bump_next, obstacle_value)
-        s_lower = row_fn(j, center, w_n, w_next, obstacle_value)
+        s_upper = row_fn(j, w_n + bump_n, w_next + bump_next, obstacle_value)
+        s_lower = row_fn(j, w_n, w_next, obstacle_value)
         if s_upper > s_lower + tol:
             violations += 1
             if witness is None:
@@ -294,26 +324,6 @@ def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int, seed: int,
     return MonotonicityReport(trials=trials, violations=violations, witness=witness)
 
 
-def make_penalty_row(problem, grid, controls, epsilon, t):
-    band = penalty_mod._control_band(grid, problem, controls)
-    reward = penalty_mod._reward_block(t, grid, problem, controls)
-
-    def row(j, center, u_n, u_next, obstacle_value):
-        return penalty_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                      grid, problem, band, reward, epsilon)
-    return row
-
-
-def make_semilagrangian_row(problem, grid, controls, t):
-    feet = semilag_mod.foot_points(grid, problem, controls)
-    A = semilag_mod.assemble_A(grid, problem, controls)
-
-    def row(j, center, u_n, u_next, obstacle_value):
-        return semilag_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                      t, grid, problem, controls, feet, A)
-    return row
-
-
 def _require_known_checks(names) -> None:
     for name in names:
         if name not in CHECKS:
@@ -324,25 +334,23 @@ def run_checks(names, sol: Solution, problem: ProblemSpec, controls: DiscreteCon
                seed: int = 0) -> list[PropertyCheck]:
     """Run the named property checks on a solution, once each, in ``CHECKS`` order.
 
-    ``residual_oracle`` applies to penalty solutions, finite-horizon and
-    discounted, and is skipped for any other; ``monotonicity`` probes the row of
-    ``sol.scheme`` with ``seed``.  An unknown name raises ValueError.
+    ``residual_oracle`` runs where the scheme is ``audited`` and is skipped
+    elsewhere; ``monotonicity`` probes the scheme's ``row`` with ``seed``.  An
+    unknown name raises ValueError.
     """
     _require_known_checks(names)
+    scheme = SCHEMES[sol.scheme]
     out = []
     if "stability" in names:
         out.append(check_stability_bound(sol, problem, controls))
     if "matrices" in names:
         out.append(check_solution_matrices(sol))
-    if "residual_oracle" in names and sol.scheme == PENALTY:
+    if "residual_oracle" in names and scheme.audited:
         value = brute_force_residual(sol, problem, sol.grid, controls, sol.epsilon)
         out.append(PropertyCheck("residual_oracle", value <= RESIDUAL_ORACLE_TOL, value=value))
     if "monotonicity" in names:
-        if sol.scheme == SEMILAGRANGIAN:
-            row = make_semilagrangian_row(problem, sol.grid, controls, t=0.0)
-        else:
-            row = make_penalty_row(problem, sol.grid, controls, sol.epsilon, t=0.0)
-        report = check_monotonicity(row, sol.grid, MONOTONICITY_TRIALS, seed)
+        report = check_monotonicity(scheme.row(problem, sol.grid, controls, sol), sol.grid,
+                                    MONOTONICITY_TRIALS, seed)
         out.append(PropertyCheck("monotonicity", report.passed,
                                  value=float(report.violations)))
     return out
@@ -353,15 +361,12 @@ def default_window(grid: SpaceTimeGrid) -> Window:
 
 
 def _solve_for_study(problem, grid, scheme, controls, cfg):
-    if scheme == PENALTY:
-        if problem.finite_horizon:
-            return penalty_mod.solve_finite_horizon(problem, grid, controls, cfg)
-        return penalty_mod.solve_infinite_horizon(problem, grid, controls, cfg)
-    if scheme == SEMILAGRANGIAN:
-        return semilag_mod.solve_semi_lagrangian(problem, grid, controls)
-    if scheme == IOS:
-        return solve_iterated_optimal_stopping(problem, grid, controls, cfg=cfg)
-    raise ValueError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
+    solve = SCHEMES[scheme].solve if problem.finite_horizon else SCHEMES[scheme].stationary
+    if solve is None:
+        raise ValueError(f"scheme {scheme!r} is finite-horizon only")
+    return solve(problem, grid, controls, cfg)
 
 
 def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,

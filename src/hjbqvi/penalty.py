@@ -23,8 +23,8 @@ system reads row b_j of the band and of the reward block at node j, by the
 control index the argmax chose, so the systems and the argmax read the same
 numbers.  :func:`residual` is the formula alone and builds nothing: the gate
 passes it the argmax values of the last policy improvement, which evaluated
-the same u, and (Mu)_j; the monotonicity row :func:`scheme_row` passes a
-pinned scalar (Mu)_j.
+the same u, and (Mu)_j; the row of :func:`monotonicity_row` passes a pinned
+scalar (Mu)_j.
 
 The stationary (discounted) analogue replaces the time difference by
 -beta u_j and solves a single such system, on a grid with no time axis
@@ -337,22 +337,22 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
                     policies=[step_diag.policy], diagnostics=diagnostics, epsilon=epsilon)
 
 
-def scheme_row(j, center, u_n, u_next, obstacle_value, grid, problem, band, reward,
-               epsilon) -> float:
-    """Penalty residual at one node with the node value and obstacle pinned.
+def monotonicity_row(problem, grid, controls, epsilon, t):
+    """``row(j, u_n, u_next, obstacle_value)``: the :func:`residual` the solve
+    is gated on at node j (stationary, ``u_next`` unused, when discounted), with
+    (Mu)_j = ``obstacle_value`` at every node: the scheme as a function of the
+    off-node values, for the monotonicity checker.  The :func:`_control_band`
+    and the :func:`_reward_block` at t are built once, here."""
+    band = _control_band(grid, problem, controls)
+    reward = _reward_block(t, grid, problem, controls)
 
-    This is the scheme read as a function of the off-node values, which is
-    what the monotonicity property quantifies over; it is the :func:`residual`
-    the solve is gated on (stationary, ``u_next`` unused, when discounted),
-    with (Mu)_j = ``obstacle_value`` at every node.  ``band`` is the
-    :func:`_control_band` and ``reward`` the :func:`_reward_block`.
-    """
-    i = grid.offset(j)
-    u_loc = np.array(u_n, dtype=float)
-    u_loc[i] = center
-    if problem.finite_horizon:
-        rhs_base, time_weight = np.asarray(u_next, dtype=float) / grid.dt, 1.0 / grid.dt
-    else:
-        rhs_base, time_weight = 0.0, problem.discount
-    best = _best_control(u_loc, band, reward)[0]
-    return float(residual(u_loc, rhs_base, time_weight, best, obstacle_value, epsilon)[i])
+    def row(j, u_n, u_next, obstacle_value) -> float:
+        u_n = np.asarray(u_n, dtype=float)
+        if problem.finite_horizon:
+            rhs_base, time_weight = np.asarray(u_next, dtype=float) / grid.dt, 1.0 / grid.dt
+        else:
+            rhs_base, time_weight = 0.0, problem.discount
+        best = _best_control(u_n, band, reward)[0]
+        return float(residual(u_n, rhs_base, time_weight, best, obstacle_value,
+                              epsilon)[grid.offset(j)])
+    return row

@@ -58,11 +58,11 @@ def eval_on(fn: Callable, *args) -> np.ndarray:
         if out is None or out.shape != shape:
             flat = zip(*(a.ravel() for a in arrs))
             out = np.array([float(fn(*vals)) for vals in flat]).reshape(shape)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        where = tuple(float(a.ravel()[bad[0]]) for a in arrs)
+    if not np.isfinite(out).all():
+        bad = np.flatnonzero(~np.isfinite(out))[0]
+        where = tuple(float(a.ravel()[bad]) for a in arrs)
         raise ValueError(f"coefficient {getattr(fn, '__name__', fn)!s} returned "
-                         f"{float(out.ravel()[bad[0]])} at arguments {where}")
+                         f"{float(out.ravel()[bad])} at arguments {where}")
     return out
 
 

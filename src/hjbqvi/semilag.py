@@ -17,9 +17,9 @@ The continuation candidates are one controls x nodes block from
 :func:`_continuation` (the jump tables' clamped linear interpolation at the
 foot points); the timestep takes their maximum with one argmax.  A solve's
 step, run by :func:`solution.backward_induction`, is :func:`sl_rhs`, which
-returns (rhs, policy), and one sparse solve.  The monotonicity row
-:func:`scheme_row` is that step's own equation, (A u - rhs)_j, with the
-solve's A and foot points and the obstacle pinned.
+returns (rhs, policy), and one sparse solve.  The row of
+:func:`monotonicity_row` is that step's own equation, (A u - rhs)_j, with
+the solve's A and foot points and the obstacle pinned.
 
 A = I - dt L_0 is built from the same stencil core as the penalty systems
 (:func:`operators.generator_band` with zero drift) and the variance of
@@ -257,16 +257,18 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
                     diagnostics=diagnostics)
 
 
-def scheme_row(j, center, u_n, u_next, obstacle_value, t, grid, problem,
-               controls, feet, A) -> float:
-    """(A u - rhs)_j at one node with the node value and obstacle pinned: the
-    step's own equation, read by the monotonicity checker.  ``A`` is the
-    :func:`assemble_A` matrix, ``feet`` the :func:`foot_points`, and rhs the
-    :func:`sl_rhs` of ``u_next`` with (M u^{n+1})_j = ``obstacle_value`` at
-    every node."""
-    i = grid.offset(j)
-    u_loc = np.array(u_n, dtype=float)
-    u_loc[i] = center
-    obstacle = FrozenObstacle(np.full(grid.n_nodes, obstacle_value))
-    rhs, _ = sl_rhs(u_next, t, grid, problem, controls, obstacle, feet)
-    return float((A @ u_loc)[i] - rhs[i])
+def monotonicity_row(problem: ProblemSpec, grid: SpaceTimeGrid,
+                     controls: DiscreteControls, t: float):
+    """``row(j, u_n, u_next, obstacle_value)``: (A u_n - rhs)_j, the step's own
+    equation at t with (M u^{n+1})_j = ``obstacle_value`` at every node, for the
+    monotonicity checker.  A (:func:`assemble_A`) and the foot points of rhs
+    (:func:`sl_rhs`) are built once, here."""
+    feet = foot_points(grid, problem, controls)
+    A = assemble_A(grid, problem, controls)
+
+    def row(j, u_n, u_next, obstacle_value) -> float:
+        i = grid.offset(j)
+        obstacle = FrozenObstacle(np.full(grid.n_nodes, obstacle_value))
+        rhs, _ = sl_rhs(u_next, t, grid, problem, controls, obstacle, feet)
+        return float((A @ np.asarray(u_n, dtype=float))[i] - rhs[i])
+    return row

@@ -13,13 +13,12 @@ import pytest
 
 from hjbqvi import cli
 from hjbqvi import penalty as penalty_mod
+from hjbqvi import semilag as semilag_mod
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import (
     Window,
     check_monotonicity,
     check_stability_bound,
-    make_penalty_row,
-    make_semilagrangian_row,
     run_refinement_study,
 )
 from hjbqvi.matrices import analyze_matrix
@@ -283,10 +282,10 @@ def test_criterion_7_monotonicity(corpus, monkeypatch):
     grid = build_uniform_grid(Q=4, M=12, N=9, T=3.0)
     controls = discretize_controls(problem, grid.rho)
     pen_report = check_monotonicity(
-        make_penalty_row(problem, grid, controls, epsilon=grid.rho, t=0.0),
+        penalty_mod.monotonicity_row(problem, grid, controls, epsilon=grid.rho, t=0.0),
         grid, trials=100, seed=SEED)
     sl_report = check_monotonicity(
-        make_semilagrangian_row(problem, grid, controls, t=0.0),
+        semilag_mod.monotonicity_row(problem, grid, controls, t=0.0),
         grid, trials=100, seed=SEED)
 
     # Mutation fixture: the stencil core with its upwind direction flipped,
@@ -313,12 +312,12 @@ def test_criterion_7_monotonicity(corpus, monkeypatch):
         return tuple(d - r for d, r in zip(diffusion, reversed_flow))
 
     clean_adv = check_monotonicity(
-        make_penalty_row(advection, adv_grid, adv_controls, epsilon=0.25, t=0.0),
+        penalty_mod.monotonicity_row(advection, adv_grid, adv_controls, epsilon=0.25, t=0.0),
         adv_grid, trials=100, seed=SEED)
     with monkeypatch.context() as patch:
         patch.setattr(penalty_mod, "generator_band", flipped_upwind_band)
         mutant = check_monotonicity(
-            make_penalty_row(advection, adv_grid, adv_controls, epsilon=0.25, t=0.0),
+            penalty_mod.monotonicity_row(advection, adv_grid, adv_controls, epsilon=0.25, t=0.0),
             adv_grid, trials=100, seed=SEED)
 
     ok = (pen_report.violations == 0 and sl_report.violations == 0

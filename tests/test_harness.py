@@ -1,10 +1,11 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hjbqvi import harness
+from hjbqvi import cli, harness
 from hjbqvi import penalty as penalty_mod
 from hjbqvi import semilag as semilag_mod
 from hjbqvi.exceptions import MatrixStructureError
@@ -17,8 +18,6 @@ from hjbqvi.harness import (
     check_stability_bound,
     default_window,
     extend_solution,
-    make_penalty_row,
-    make_semilagrangian_row,
     observed_orders,
     run_refinement_study,
     sup_error,
@@ -228,7 +227,7 @@ class TestMonotonicity:
         self.controls = discretize_controls(self.problem, self.grid.rho)
 
     def test_penalty_row_clean(self):
-        row = make_penalty_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
+        row = penalty_mod.monotonicity_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
         report = check_monotonicity(row, self.grid, trials=100, seed=7)
         assert report.violations == 0
 
@@ -236,45 +235,40 @@ class TestMonotonicity:
         problem = builtin("heat")
         grid = build_uniform_grid(Q=4, M=16, N=8, T=1)
         controls = discretize_controls(problem, grid.rho)
-        row = make_penalty_row(problem, grid, controls, 0.25, t=0.0)
+        row = penalty_mod.monotonicity_row(problem, grid, controls, 0.25, t=0.0)
         assert check_monotonicity(row, grid, trials=100, seed=7).violations == 0
 
     def test_semilagrangian_row_clean(self):
-        row = make_semilagrangian_row(self.problem, self.grid, self.controls, t=0.0)
+        row = semilag_mod.monotonicity_row(self.problem, self.grid, self.controls, t=0.0)
         report = check_monotonicity(row, self.grid, trials=100, seed=7)
         assert report.violations == 0
 
-    def test_flipped_matrix_detected_on_semilagrangian_row(self):
-        # The row reads the A it is given: with A's lower off-diagonals
-        # negated, raising u_{j-1} raises the row, and the checker says so.
+    def test_flipped_matrix_detected_on_semilagrangian_row(self, monkeypatch):
+        # The row reads the solve's A: with A's lower off-diagonals negated,
+        # raising u_{j-1} raises the row, and the checker says so.
         p, g, c = self.problem, self.grid, self.controls
-        feet = semilag_mod.foot_points(g, p, c)
         A = assemble_A(g, p, c)
-        mutant = (A - 2.0 * sp.tril(A, k=-1)).tocsr()
-
-        def row_with(matrix):
-            def row(j, center, u_n, u_next, obstacle_value):
-                return semilag_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                              0.0, g, p, c, feet, matrix)
-            return row
-
-        assert check_monotonicity(row_with(A), g, trials=100, seed=7).violations == 0
-        report = check_monotonicity(row_with(mutant), g, trials=100, seed=7)
+        clean = semilag_mod.monotonicity_row(p, g, c, t=0.0)
+        assert check_monotonicity(clean, g, trials=100, seed=7).violations == 0
+        monkeypatch.setattr(semilag_mod, "assemble_A",
+                            lambda *args: (A - 2.0 * sp.tril(A, k=-1)).tocsr())
+        mutant = semilag_mod.monotonicity_row(p, g, c, t=0.0)
+        report = check_monotonicity(mutant, g, trials=100, seed=7)
         assert report.violations >= 1 and report.witness is not None
 
     def test_hand_pair_single_bump(self):
-        row = make_penalty_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
+        row = penalty_mod.monotonicity_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
         g = self.grid
         w_n = np.zeros(g.n_nodes)
         u_n = np.ones(g.n_nodes)
         probe = 0
         u_n[g.offset(probe)] = 0.0
         ell = -0.3
-        assert row(probe, 0.0, u_n, np.ones(g.n_nodes), ell) \
-            <= row(probe, 0.0, w_n, np.zeros(g.n_nodes), ell) + 1e-12
+        assert row(probe, u_n, np.ones(g.n_nodes), ell) \
+            <= row(probe, w_n, np.zeros(g.n_nodes), ell) + 1e-12
 
     def test_deterministic_given_seed(self):
-        row = make_penalty_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
+        row = penalty_mod.monotonicity_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
         a = check_monotonicity(row, self.grid, trials=50, seed=3)
         b = check_monotonicity(row, self.grid, trials=50, seed=3)
         assert (a.trials, a.violations) == (b.trials, b.violations)
@@ -298,11 +292,11 @@ class TestMonotonicity:
         grid = build_uniform_grid(Q=2, M=8, N=4, T=1)
         controls = discretize_controls(problem, rho=1.0)
 
-        clean = make_penalty_row(problem, grid, controls, 0.25, t=0.0)
+        clean = penalty_mod.monotonicity_row(problem, grid, controls, 0.25, t=0.0)
         assert check_monotonicity(clean, grid, trials=100, seed=11).violations == 0
 
         monkeypatch.setattr(penalty_mod, "generator_band", flipped_upwind_band)
-        mutant = make_penalty_row(problem, grid, controls, 0.25, t=0.0)
+        mutant = penalty_mod.monotonicity_row(problem, grid, controls, 0.25, t=0.0)
         report = check_monotonicity(mutant, grid, trials=100, seed=11)
         assert report.violations >= 1
         assert report.witness is not None
@@ -328,29 +322,26 @@ class TestSchemeRowsAtSolutions:
         self.grid = build_uniform_grid(Q=4, M=12, N=9, T=3.0)
         self.controls = discretize_controls(self.problem, self.grid.rho)
 
-    def worst_row(self, sol, row, ahead):
-        """Largest |row| over all nodes and steps, with the obstacle M(u^{n+ahead})
-        taken from the table at t + ahead * dt."""
+    def worst_row(self, sol, row_at, ahead):
+        """Largest |row| over all nodes and steps, ``row_at(t)`` being the row
+        at t, with the obstacle M(u^{n+ahead}) taken from the table at
+        t + ahead * dt."""
         g, worst = self.grid, 0.0
         for n in range(g.N):
             t = n * g.dt
             u_n, u_next = sol.surface[n], sol.surface[n + 1]
             table = InterventionTable(self.problem, g, self.controls, t + ahead * g.dt)
             obstacle = table.apply(sol.surface[n + ahead]).values
+            row = row_at(t)
             for j in range(-g.M, g.M + 1):
-                i = g.offset(j)
-                worst = max(worst, abs(row(j, u_n[i], u_n, u_next, obstacle[i], t)))
+                worst = max(worst, abs(row(j, u_n, u_next, obstacle[g.offset(j)])))
         return worst
 
     def test_penalty_row(self):
         p, g, c = self.problem, self.grid, self.controls
         sol = solve_finite_horizon(p, g, c)
-        band = penalty_mod._control_band(g, p, c)
-
-        def row(j, center, u_n, u_next, obstacle_value, t):
-            return penalty_mod.scheme_row(j, center, u_n, u_next, obstacle_value, g, p, band,
-                                          penalty_mod._reward_block(t, g, p, c), sol.epsilon)
-        assert self.worst_row(sol, row, ahead=0) <= 1e-9
+        row_at = partial(penalty_mod.monotonicity_row, p, g, c, sol.epsilon)
+        assert self.worst_row(sol, row_at, ahead=0) <= 1e-9
 
     def test_penalty_row_discounted(self):
         # A discounted solve is gated on the stationary equations, so the row
@@ -361,23 +352,17 @@ class TestSchemeRowsAtSolutions:
         sol = solve_infinite_horizon(p, g, c)
         u = sol.surface[0]
         obstacle = InterventionTable(p, g, c, 0.0).apply(u).values
-        band, reward = penalty_mod._control_band(g, p, c), penalty_mod._reward_block(0.0, g, p, c)
+        row = penalty_mod.monotonicity_row(p, g, c, sol.epsilon, 0.0)
         rng = np.random.default_rng(0)
-        worst = max(abs(penalty_mod.scheme_row(j, u[g.offset(j)], u, rng.uniform(-1, 1, u.size),
-                                               obstacle[g.offset(j)], g, p, band, reward,
-                                               sol.epsilon))
+        worst = max(abs(row(j, u, rng.uniform(-1, 1, u.size), obstacle[g.offset(j)]))
                     for j in range(-g.M, g.M + 1))
         assert worst <= 1e-9
 
     def test_semilagrangian_row(self):
         p, g, c = self.problem, self.grid, self.controls
         sol = solve_semi_lagrangian(p, g, c)
-        feet, A = semilag_mod.foot_points(g, p, c), assemble_A(g, p, c)
-
-        def row(j, center, u_n, u_next, obstacle_value, t):
-            return semilag_mod.scheme_row(j, center, u_n, u_next, obstacle_value,
-                                          t, g, p, c, feet, A)
-        assert self.worst_row(sol, row, ahead=1) <= 1e-9
+        row_at = partial(semilag_mod.monotonicity_row, p, g, c)
+        assert self.worst_row(sol, row_at, ahead=1) <= 1e-9
 
     def test_penalty_check_builds_one_band_and_reward(self, monkeypatch):
         # The monotonicity check evaluates the control band and the reward
@@ -395,7 +380,7 @@ class TestSchemeRowsAtSolutions:
 
         for name in calls:
             monkeypatch.setattr(penalty_mod, name, counted(name))
-        report = check_monotonicity(make_penalty_row(p, g, c, 0.25, t=0.0), g, 50, 0)
+        report = check_monotonicity(penalty_mod.monotonicity_row(p, g, c, 0.25, t=0.0), g, 50, 0)
         assert report.trials == 50 and calls == {"_control_band": 1, "_reward_block": 1}
 
     def test_semilagrangian_check_builds_one_band(self, monkeypatch):
@@ -410,7 +395,7 @@ class TestSchemeRowsAtSolutions:
             return variance(*args)
 
         monkeypatch.setattr(semilag_mod, "diffusion_variance", counted)
-        report = check_monotonicity(make_semilagrangian_row(p, g, c, t=0.0), g, 50, 0)
+        report = check_monotonicity(semilag_mod.monotonicity_row(p, g, c, t=0.0), g, 50, 0)
         assert report.trials == 50 and len(calls) == 1
 
 
@@ -436,6 +421,57 @@ class TestRaggedImpulseSets:
         sol = solve_semi_lagrangian(self.PROBLEM, g)
         assert any(p.intervene.any() for p in sol.policies if p is not None)
         assert check_stability_bound(sol, self.PROBLEM).passed
+
+
+class TestSchemeRecords:
+    """The studies, the checks and the CLI act on a scheme's record in
+    ``harness.SCHEMES``, not on its name."""
+
+    def solve(self, name):
+        p, g = builtin("cash"), build_uniform_grid(Q=4, M=4, N=3, T=3)
+        c = discretize_controls(p, g.rho)
+        return harness._solve_for_study(p, g, name, c, SolverConfig()), p, c
+
+    @pytest.mark.parametrize("name", list(harness.SCHEMES))
+    def test_record_drives_solve_checks_and_config(self, name, tmp_path, capsys):
+        scheme = harness.SCHEMES[name]
+        sol, p, c = self.solve(name)
+        assert sol.scheme == name
+        checks = {chk.name: chk for chk in harness.run_checks(harness.CHECKS, sol, p, c)}
+        assert ("residual_oracle" in checks) == scheme.audited
+        assert all(chk.passed for chk in checks.values()) and "monotonicity" in checks
+
+        config = tmp_path / "run.yaml"
+        config.write_text(f"problem: {{name: cash}}\nscheme: {name}\n"
+                          "grid: {Q: 4.0, M: 4, N: 3}\n", encoding="utf-8")
+        assert ("residual_oracle" in cli.parse_config(config).checks) == scheme.audited
+
+        config.write_text(f"problem: {{name: cash, params: {{beta: 0.5}}}}\nscheme: {name}\n"
+                          "grid: {Q: 4.0, M: 4}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        status = cli.main(["solve", "--config", str(config), "--out", str(out)])
+        if scheme.stationary is None:
+            err = capsys.readouterr().err
+            assert status == 2 and not out.exists()
+            assert err.startswith("config error: ") and f"{name!r} is finite-horizon only" in err
+        else:
+            assert status == 0
+
+    @pytest.mark.parametrize("name, calls", [("penalty", 1), ("semilagrangian", 0), ("ios", 0)])
+    def test_audit_calls_the_harness_binding(self, name, calls, monkeypatch):
+        # The benchmark's tracer counts the audit by wrapping harness's
+        # module-level brute_force_residual, so run_checks must call it there.
+        seen = []
+        audit = harness.brute_force_residual
+
+        def counted(*args):
+            seen.append(args)
+            return audit(*args)
+
+        monkeypatch.setattr(harness, "brute_force_residual", counted)
+        sol, p, c = self.solve(name)
+        harness.run_checks(["residual_oracle"], sol, p, c)
+        assert len(seen) == calls
 
 
 class TestRefinementStudy:
