@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json as _json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,17 +32,16 @@ from .grid import (
     as_growing_q,
     build_boundary_refined_grid,
     build_uniform_grid,
-    grid_for_level,
 )
 from .harness import (
     SCHEMES,
     Window,
-    _require_known_checks,
     _solve_for_study,
     check_stability_bound,
+    default_checks,
+    require_runnable,
     run_checks,
     run_refinement_study,
-    window_points,
 )
 from .operators import discretize_controls
 # cli calls neither check_stability_bound nor brute_force_residual; the span
@@ -127,9 +126,9 @@ def _as_window(raw, where: str) -> Window:
 def parse_config(path) -> RunSpec:
     """Read and strictly validate a YAML run spec.
 
-    Unknown keys anywhere are rejected by name; semantic constraints (scheme
-    versus problem structure) are checked after the problem is built, so the
-    error can explain the hypothesis that failed.
+    Unknown keys anywhere are rejected by name.  Whether the scheme can solve
+    the problem and run the checks is :func:`harness.require_runnable`'s
+    question, asked once the problem and grid are built.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -188,16 +187,9 @@ def parse_config(path) -> RunSpec:
     if study_raw.get("window") is not None:
         window = _as_window(study_raw["window"], "study.window")
 
-    checks = raw.get("checks")
-    if checks is None:
-        audit = ["residual_oracle"] if SCHEMES[scheme].audited else []
-        checks = ["stability", "matrices"] + audit
+    checks = raw.get("checks", list(default_checks(scheme)))
     if not isinstance(checks, list):
         raise ConfigError("checks must be a list of check names")
-    try:
-        _require_known_checks(checks)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     return RunSpec(
         problem_name=str(problem_raw["name"]),
@@ -246,22 +238,14 @@ def build_grid(spec: RunSpec, problem: ProblemSpec) -> SpaceTimeGrid:
         raise ConfigError(f"bad grid: {exc}") from exc
 
 
-def check_semantics(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid,
-                    levels: int = 1) -> None:
-    """Scheme versus problem: a scheme with no stationary solve rejects a
-    discounted problem, and a scheme's precheck runs on the grid and controls
-    of each of ``levels`` refinement levels."""
-    scheme = SCHEMES[spec.scheme]
-    if scheme.stationary is None and not problem.finite_horizon:
-        raise ConfigError(f"scheme {spec.scheme!r} is finite-horizon only")
-    if scheme.precheck is not None:
-        try:
-            for level in range(levels):
-                level_grid = grid_for_level(grid, level)
-                scheme.precheck(problem, level_grid,
-                                discretize_controls(problem, level_grid.rho))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+def _require_runnable(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid,
+                      levels: int = 1, window: Window | None = None) -> None:
+    """:func:`harness.require_runnable` on the spec's scheme and checks, its
+    ValueError a ConfigError."""
+    try:
+        require_runnable(problem, grid, spec.scheme, spec.checks, levels, window)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +292,7 @@ def write_solution_csv(path: Path, sol: Solution) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,t,j,x,u,policy_b,policy_intervene,policy_z\n")
         for n in range(sol.surface.shape[0]):
-            policy = sol.policies[n] if n < len(sol.policies) else None
+            policy = sol.policies[n]
             for i in range(grid.n_nodes):
                 j = i - grid.M
                 row = [str(n), _fmt(n * dt), str(j), _fmt(grid.nodes[i]),
@@ -369,13 +353,10 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
     n_levels = levels if levels is not None else spec.levels
     if mode == "study" and n_levels < 2:
         raise ConfigError(f"a refinement study needs >= 2 levels, got {n_levels}")
-    check_semantics(spec, problem, grid, n_levels if mode == "study" else 1)
-    if mode == "study" and spec.window is not None:
-        try:
-            for level in range(n_levels):
-                window_points(grid_for_level(grid, level), spec.window)
-        except ValueError as exc:
-            raise ConfigError(f"study.window: {exc}") from exc
+    if mode == "study":
+        _require_runnable(spec, problem, grid, n_levels, spec.window)
+    else:
+        _require_runnable(spec, problem, grid)
     out = Path(out_dir if out_dir is not None else (spec.output or "."))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -392,7 +373,7 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
         checks = run_checks(spec.checks, sol, problem, controls, spec.seed) if check else []
         report["grid"] = grid.summary()
         report["diagnostics"] = _diagnostics_dict(sol)
-        report["checks"] = [c.as_dict() for c in checks]
+        report["checks"] = [asdict(c) for c in checks]
         named = [(c.name, c) for c in checks]
         write_solution_csv(out / "solution.csv", sol)
         write_plotdata_csv(out / "plotdata.csv", [sol])
@@ -400,7 +381,7 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
         solutions: list[Solution | None] = []
         study = run_refinement_study(
             problem, grid, spec.scheme, n_levels, spec.solver,
-            window=spec.window, checks=spec.checks, solutions_out=solutions,
+            window=spec.window, checks=spec.checks, seed=spec.seed, solutions_out=solutions,
         )
         report["study"] = study.to_dict()
         named = [(f"level{lv.level}:{c.name}", c) for lv in study.levels for c in lv.checks]
@@ -420,7 +401,7 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
 def _cmd_validate(spec: RunSpec) -> int:
     problem = build_problem(spec)
     grid = build_grid(spec, problem)
-    check_semantics(spec, problem, grid)
+    _require_runnable(spec, problem, grid)
     report = validate(problem, grid, samples=64)
     for result in report.checks:
         print(result)

@@ -18,13 +18,17 @@ against the finest level and say so.
 A scheme is one :class:`Scheme` record in ``SCHEMES``: its solves, its
 monotonicity row (each scheme module's ``monotonicity_row``, the equation the
 solve solves, on operands built once per check), whether the brute-force
-residual audit applies, and its config-time check.  The studies, the checks
-and the CLI read the record, never the scheme's name.
+residual audit applies, and its config-time check.  The studies and the
+checks read the record, never the scheme's name.
+
+:func:`require_runnable` alone decides whether a run can happen, and every
+check it accepts runs, at every level of a study; :func:`default_checks` is
+the list a run makes when it names none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -47,6 +51,8 @@ STABILITY_SLACK = 1e-8
 #: Property checks by name, in the order :func:`run_checks` runs and reports them.
 CHECKS = ("stability", "matrices", "residual_oracle", "monotonicity")
 MONOTONICITY_TRIALS = 100
+#: A probe whose upper value exceeds its lower one by more than this is a violation.
+MONOTONICITY_TOL = 1e-10
 
 #: Errors below this are treated as exactly resolved; observed orders on
 #: such levels are undefined and flagged as None.
@@ -80,9 +86,8 @@ SCHEMES = {
             semilag_mod.monotonicity_row(problem, grid, controls, 0.0),
         audited=False, precheck=semilag_mod.diffusion_variance),
     # The penalty row at the solution's epsilon: each pass solves penalty steps.
-    "ios": Scheme(solve=lambda problem, grid, controls, cfg:
-                      solve_iterated_optimal_stopping(problem, grid, controls, cfg=cfg),
-                  stationary=None, row=_penalty_row, audited=False),
+    "ios": Scheme(solve=solve_iterated_optimal_stopping, stationary=None, row=_penalty_row,
+                  audited=False),
 }
 
 
@@ -105,16 +110,12 @@ class PropertyCheck:
         tail = "" if self.witness is None else f": {self.witness}"
         return f"{self.name}: {status}{detail}{tail}"
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "value": self.value,
-                "witness": self.witness}
-
 
 @dataclass
 class LevelResult:
     level: int
     rho: float
-    grid_summary: dict
+    grid: dict                          # the level grid's summary()
     scheme: str
     epsilon: float | None = None        # the level's Solution.epsilon
     error: float | None = None
@@ -147,30 +148,12 @@ class ConvergenceReport:
         return [lv.error for lv in self.levels]
 
     def to_dict(self) -> dict:
-        levels = [
-            {
-                "level": lv.level,
-                "rho": lv.rho,
-                "grid": lv.grid_summary,
-                "scheme": lv.scheme,
-                "epsilon": lv.epsilon,
-                "error": lv.error,
-                "observed_order": lv.observed_order,
-                "iterations": lv.iterations,
-                "oversteps": lv.oversteps,
-                "interior_oversteps": lv.interior_oversteps,
-                "checks": [c.as_dict() for c in lv.checks],
-                "solve_failed": lv.solve_failed,
-                "message": lv.message,
-            }
-            for lv in self.levels
-        ]
         return {
             "problem": self.problem_name,
             "scheme": self.scheme,
             "reference": self.reference,
             "window": {"t": list(self.window.t_range), "x": list(self.window.x_range)},
-            "levels": levels,
+            "levels": [asdict(lv) for lv in self.levels],
             "passed": self.passed,
         }
 
@@ -288,9 +271,10 @@ class MonotonicityReport:
         return self.violations == 0
 
 
-def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int, seed: int,
-                       scale: float = 1.0, tol: float = 1e-10) -> MonotonicityReport:
-    """Randomized ordered pairs u >= w, equal at the probe node.
+def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int,
+                       seed: int) -> MonotonicityReport:
+    """Randomized ordered pairs u >= w, equal at the probe node, with entries
+    and bumps drawn from unit ranges.
 
     ``row_fn(j, u_n, u_next, obstacle_value)`` evaluates the scheme at the
     probe; a monotone scheme must give a value for u no larger than for w.
@@ -303,15 +287,15 @@ def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int, seed: int,
     for trial in range(trials):
         j = int(rng.integers(-grid.M, grid.M + 1))
         i = grid.offset(j)
-        w_n = rng.uniform(-scale, scale, n)
-        w_next = rng.uniform(-scale, scale, n)
-        bump_n = rng.uniform(0.0, scale, n)
+        w_n = rng.uniform(-1.0, 1.0, n)
+        w_next = rng.uniform(-1.0, 1.0, n)
+        bump_n = rng.uniform(0.0, 1.0, n)
         bump_n[i] = 0.0
-        bump_next = rng.uniform(0.0, scale, n)
-        obstacle_value = float(rng.uniform(-scale, scale))
+        bump_next = rng.uniform(0.0, 1.0, n)
+        obstacle_value = float(rng.uniform(-1.0, 1.0))
         s_upper = row_fn(j, w_n + bump_n, w_next + bump_next, obstacle_value)
         s_lower = row_fn(j, w_n, w_next, obstacle_value)
-        if s_upper > s_lower + tol:
+        if s_upper > s_lower + MONOTONICITY_TOL:
             violations += 1
             if witness is None:
                 witness = {
@@ -324,28 +308,52 @@ def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int, seed: int,
     return MonotonicityReport(trials=trials, violations=violations, witness=witness)
 
 
-def _require_known_checks(names) -> None:
-    for name in names:
+def default_checks(scheme: str) -> tuple:
+    """The checks a run of ``scheme`` makes when it names none: stability and
+    matrices, plus residual_oracle where the scheme is ``audited``."""
+    return ("stability", "matrices") + (("residual_oracle",) if SCHEMES[scheme].audited else ())
+
+
+def require_runnable(problem: ProblemSpec, grid: SpaceTimeGrid, scheme: str, checks,
+                     levels: int = 1, window: Window | None = None) -> None:
+    """ValueError naming what stops ``scheme`` solving ``problem`` on the first
+    ``levels`` refinement levels of ``grid`` and running ``checks`` there: a
+    check not in ``CHECKS`` or not applying to the scheme, no solve for the
+    problem's horizon, a failing ``precheck``, or a ``window`` (None: the
+    default) with no point on some level."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r} (known: {', '.join(SCHEMES)})")
+    record = SCHEMES[scheme]
+    for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r} (known: {', '.join(CHECKS)})")
+    if "residual_oracle" in checks and not record.audited:
+        raise ValueError(f"check 'residual_oracle' does not apply to scheme {scheme!r}: "
+                         "its brute-force audit evaluates the penalty equations")
+    if record.stationary is None and not problem.finite_horizon:
+        raise ValueError(f"scheme {scheme!r} is finite-horizon only")
+    for level in range(levels):
+        level_grid = grid_for_level(grid, level)
+        if record.precheck is not None:
+            record.precheck(problem, level_grid, discretize_controls(problem, level_grid.rho))
+        if window is not None:
+            window_points(level_grid, window)
 
 
 def run_checks(names, sol: Solution, problem: ProblemSpec, controls: DiscreteControls,
                seed: int = 0) -> list[PropertyCheck]:
     """Run the named property checks on a solution, once each, in ``CHECKS`` order.
 
-    ``residual_oracle`` runs where the scheme is ``audited`` and is skipped
-    elsewhere; ``monotonicity`` probes the scheme's ``row`` with ``seed``.  An
-    unknown name raises ValueError.
+    ``monotonicity`` probes the scheme's ``row`` with ``seed``.  The names are
+    those :func:`require_runnable` accepts for the solution's scheme.
     """
-    _require_known_checks(names)
     scheme = SCHEMES[sol.scheme]
     out = []
     if "stability" in names:
         out.append(check_stability_bound(sol, problem, controls))
     if "matrices" in names:
         out.append(check_solution_matrices(sol))
-    if "residual_oracle" in names and scheme.audited:
+    if "residual_oracle" in names:
         value = brute_force_residual(sol, problem, sol.grid, controls, sol.epsilon)
         out.append(PropertyCheck("residual_oracle", value <= RESIDUAL_ORACLE_TOL, value=value))
     if "monotonicity" in names:
@@ -361,11 +369,7 @@ def default_window(grid: SpaceTimeGrid) -> Window:
 
 
 def _solve_for_study(problem, grid, scheme, controls, cfg):
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
     solve = SCHEMES[scheme].solve if problem.finite_horizon else SCHEMES[scheme].stationary
-    if solve is None:
-        raise ValueError(f"scheme {scheme!r} is finite-horizon only")
     return solve(problem, grid, controls, cfg)
 
 
@@ -373,7 +377,8 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
                          scheme: str, levels: int,
                          cfg: SolverConfig | None = None,
                          window: Window | None = None,
-                         checks: tuple = ("stability", "matrices", "residual_oracle"),
+                         checks: tuple | None = None,
+                         seed: int = 0,
                          solutions_out: list | None = None,
                          ) -> ConvergenceReport:
     """Solve at rho, rho/2, ... and report errors, orders and property checks.
@@ -381,13 +386,16 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
     Errors are measured against the problem's closed form when it has one,
     otherwise against the finest level (self-convergence; the finest level
     then has no error of its own).  A failed solve is recorded at its level
-    and the study continues.  Every listed check except ``monotonicity``
-    runs at each level (see :func:`run_checks`).
+    and the study continues.  Every listed check (None:
+    :func:`default_checks`) runs at each level with ``seed`` (see
+    :func:`run_checks`); :func:`require_runnable` rejects the run before any
+    level is solved.
     """
-    _require_known_checks(checks)
-    level_checks = tuple(c for c in checks if c != "monotonicity")
     if levels < 2:
         raise ValueError(f"a refinement study needs >= 2 levels, got {levels}")
+    require_runnable(problem, base_grid, scheme, checks or (), levels, window)
+    if checks is None:
+        checks = default_checks(scheme)
     cfg = cfg or SolverConfig()
     window = window or default_window(base_grid)
 
@@ -396,8 +404,7 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
     for level in range(levels):
         grid = grid_for_level(base_grid, level)
         controls = discretize_controls(problem, grid.rho)
-        result = LevelResult(level=level, rho=grid.rho, grid_summary=grid.summary(),
-                             scheme=scheme)
+        result = LevelResult(level=level, rho=grid.rho, grid=grid.summary(), scheme=scheme)
         try:
             sol = _solve_for_study(problem, grid, scheme, controls, cfg)
         except SolverError as exc:
@@ -411,7 +418,7 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
         result.iterations = sol.diagnostics.iteration_stats()
         result.oversteps = sol.diagnostics.oversteps
         result.interior_oversteps = sol.diagnostics.interior_oversteps
-        result.checks.extend(run_checks(level_checks, sol, problem, controls))
+        result.checks.extend(run_checks(checks, sol, problem, controls, seed))
         results.append(result)
         solutions.append(sol)
 

@@ -35,13 +35,16 @@ from .problem import ProblemSpec, eval_on
 from .solution import (SolveDiagnostics, Solution, SolverConfig, backward_induction,
                        default_epsilon, require_time_axis)
 
+#: Iterated optimal stopping stops once a pass changes the surface by less
+#: than OUTER_TOL in sup norm, and fails after K_MAX passes.
+OUTER_TOL = 1e-6
+K_MAX = 50
+
 
 def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
                                     controls: DiscreteControls | None = None,
-                                    outer_tol: float = 1e-6,
-                                    k_max: int = 50,
                                     cfg: SolverConfig | None = None) -> Solution:
-    """Iterated optimal stopping up to sup-norm tolerance between iterates.
+    """Iterated optimal stopping up to sup-norm change OUTER_TOL between iterates.
 
     The textbook iteration starts from minus infinity; numerically the first
     iterate is the no-intervention solve (a frozen obstacle of -inf), which
@@ -57,8 +60,6 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
     epsilon = default_epsilon(grid, cfg)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
 
     dt = grid.dt
     band = _control_band(grid, problem, controls)
@@ -76,7 +77,7 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     surface, policies = backward_induction(grid, g_vals, step)
 
     converged = False
-    for _ in range(k_max):
+    for _ in range(K_MAX):
         obstacles = [InterventionTable(problem, grid, controls, n * dt).apply(surface[n]).values
                      for n in range(grid.N + 1)]
         new_surface, policies = backward_induction(
@@ -84,15 +85,14 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
         diff = new_surface - surface
         diagnostics.outer_changes.append(float(np.abs(diff).max()))
         diagnostics.outer_min_increments.append(float(diff.min()))
-        diagnostics.outer_iterations += 1
         surface = new_surface
-        if diagnostics.outer_changes[-1] < outer_tol:
+        if diagnostics.outer_changes[-1] < OUTER_TOL:
             converged = True
             break
     if not converged:
         raise NonConvergenceError(
-            f"iterated optimal stopping: k_max={k_max} passes left a sup change "
-            f"of {diagnostics.outer_changes[-1]:.3g} (outer_tol {outer_tol:.3g})",
+            f"iterated optimal stopping: K_MAX={K_MAX} passes left a sup change "
+            f"of {diagnostics.outer_changes[-1]:.3g} (OUTER_TOL {OUTER_TOL:.3g})",
             history=diagnostics.outer_changes,
         )
     return Solution(grid=grid, scheme="ios", surface=surface, policies=policies,

@@ -82,13 +82,16 @@ class SolveDiagnostics:
     # Iterated-optimal-stopping bookkeeping (per outer pass).
     outer_changes: list[float] = field(default_factory=list)
     outer_min_increments: list[float] = field(default_factory=list)
-    outer_iterations: int = 0
 
     def record_step(self, step: TimestepDiagnostics) -> None:
         self.timesteps.append(step)
         # One system is assembled and checked per policy iteration.
         self.matrix_systems_checked += step.iterations
         self.min_dominance_margin = min(self.min_dominance_margin, step.min_dominance_margin)
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.outer_changes)
 
     def iteration_stats(self) -> dict:
         counts = [s.iterations for s in self.timesteps]

@@ -23,13 +23,12 @@ from hjbqvi.harness import (
 )
 from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import discretize_controls, generator_band
-from hjbqvi.oracle import brute_force_residual, solve_iterated_optimal_stopping
+from hjbqvi.oracle import OUTER_TOL, brute_force_residual, solve_iterated_optimal_stopping
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import ProblemSpec, builtin
 from hjbqvi.semilag import overstep_threshold, solve_semi_lagrangian
 
 SEED = 20260810
-OUTER_TOL = 1e-6
 
 NON_WCDD_3X3 = np.array([
     [1.0, -1.0, 0.0],
@@ -166,7 +165,7 @@ def c5_runs():
     grid = build_uniform_grid(Q=4, M=40, N=30, T=3.0)   # rho = 0.1
     start = time.perf_counter()
     pen = solve_finite_horizon(problem, grid)   # epsilon = c_eps * rho = 0.1
-    ios = solve_iterated_optimal_stopping(problem, grid, outer_tol=OUTER_TOL)
+    ios = solve_iterated_optimal_stopping(problem, grid)
     elapsed = time.perf_counter() - start
     return dict(problem=problem, pen=pen, ios=ios, elapsed=elapsed)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hjbqvi import cli
+from hjbqvi import cli, harness
 from hjbqvi.exceptions import ConfigError
 from hjbqvi.problem import builtin
 
@@ -239,6 +239,24 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
+class TestRequestedChecks:
+    @pytest.mark.parametrize("scheme", ["ios", "semilagrangian"])
+    @pytest.mark.parametrize("args", [["solve", "--check"], ["study"], ["validate"]],
+                             ids=["solve", "study", "validate"])
+    def test_residual_oracle_without_audit_is_config_error(self, tmp_path, capsys, scheme,
+                                                          args):
+        text = (MINIMAL.replace("scheme: penalty", f"scheme: {scheme}")
+                + "checks: [stability, residual_oracle]\n")
+        config = write_config(tmp_path, text)
+        command, *flags = args
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        assert cli.main([command, "--config", str(config), *out, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"check 'residual_oracle' does not apply to scheme {scheme!r}" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTimeAxis:
     """grid.N is the time axis of a finite-horizon problem; a discounted
     problem is solved on a grid with none."""
@@ -327,6 +345,22 @@ class TestRunStudy:
         assert all(lv["oversteps"] > 0 for lv in levels)
         assert all(lv["interior_oversteps"] == 0 for lv in levels)
         assert all(lv["epsilon"] is None for lv in levels)
+
+    def test_monotonicity_reported_at_every_level(self, tmp_path, monkeypatch):
+        text = HEAT_STUDY.replace("checks: [stability, matrices]",
+                                  "checks: [stability, monotonicity]")
+        spec = cli.parse_config(write_config(tmp_path, text))
+        assert cli.run(spec, mode="study", out_dir=tmp_path / "out", levels=2) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [[c["name"] for c in lv["checks"]] for lv in report["study"]["levels"]] == [
+            ["stability_bound", "monotonicity"]] * 2
+        # A violation at each level fails the study under the level's name.
+        monkeypatch.setattr(harness, "check_monotonicity",
+                            lambda *args: harness.MonotonicityReport(trials=1, violations=1))
+        assert cli.run(spec, mode="study", out_dir=tmp_path / "failed", levels=2) == 1
+        report = json.loads((tmp_path / "failed" / "report.json").read_text())
+        assert [f["name"] for f in report["failures"]] == [
+            "level0:monotonicity", "level1:monotonicity"]
 
     def test_ios_study_reports_zero_oversteps(self, tmp_path):
         spec = cli.parse_config(CONFIGS / "cash_ios_study.yaml")

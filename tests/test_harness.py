@@ -437,13 +437,21 @@ class TestSchemeRecords:
         scheme = harness.SCHEMES[name]
         sol, p, c = self.solve(name)
         assert sol.scheme == name
-        checks = {chk.name: chk for chk in harness.run_checks(harness.CHECKS, sol, p, c)}
+        names = harness.default_checks(name) + ("monotonicity",)
+        harness.require_runnable(p, sol.grid, name, names)
+        checks = {chk.name: chk for chk in harness.run_checks(names, sol, p, c)}
         assert ("residual_oracle" in checks) == scheme.audited
         assert all(chk.passed for chk in checks.values()) and "monotonicity" in checks
+        if not scheme.audited:
+            # Requested anyway, the audit is refused rather than skipped.
+            with pytest.raises(ValueError, match=f"'residual_oracle' does not apply to "
+                                                 f"scheme {name!r}"):
+                harness.require_runnable(p, sol.grid, name, harness.CHECKS)
 
         config = tmp_path / "run.yaml"
         config.write_text(f"problem: {{name: cash}}\nscheme: {name}\n"
                           "grid: {Q: 4.0, M: 4, N: 3}\n", encoding="utf-8")
+        assert cli.parse_config(config).checks == harness.default_checks(name)
         assert ("residual_oracle" in cli.parse_config(config).checks) == scheme.audited
 
         config.write_text(f"problem: {{name: cash, params: {{beta: 0.5}}}}\nscheme: {name}\n"
@@ -461,6 +469,7 @@ class TestSchemeRecords:
     def test_audit_calls_the_harness_binding(self, name, calls, monkeypatch):
         # The benchmark's tracer counts the audit by wrapping harness's
         # module-level brute_force_residual, so run_checks must call it there.
+        # A scheme that is not audited never reaches it: the request is refused.
         seen = []
         audit = harness.brute_force_residual
 
@@ -470,7 +479,12 @@ class TestSchemeRecords:
 
         monkeypatch.setattr(harness, "brute_force_residual", counted)
         sol, p, c = self.solve(name)
-        harness.run_checks(["residual_oracle"], sol, p, c)
+        if harness.SCHEMES[name].audited:
+            harness.require_runnable(p, sol.grid, name, ["residual_oracle"])
+            harness.run_checks(["residual_oracle"], sol, p, c)
+        else:
+            with pytest.raises(ValueError, match="'residual_oracle'"):
+                harness.require_runnable(p, sol.grid, name, ["residual_oracle"])
         assert len(seen) == calls
 
 
@@ -516,6 +530,38 @@ class TestRefinementStudy:
         base = build_uniform_grid(Q=2, M=4, N=4, T=1)
         with pytest.raises(ValueError, match="'stabilty'"):
             run_refinement_study(p, base, "penalty", levels=2, checks=("stabilty",))
+
+    @pytest.mark.parametrize("scheme", ["penalty", "semilagrangian"])
+    def test_window_missing_a_level_rejected_before_any_solve(self, scheme, monkeypatch):
+        # Boundary-refined levels are not nested: x in [3.40, 3.41] holds a
+        # node of levels 0 and 1 (3.4054, 3.4034) and none of level 2.
+        base = build_boundary_refined_grid(Q=4, rho=0.5, c_b=1.0, N=6, T=3)
+        window = Window((0.0, 3.0), (3.40, 3.41))
+        for level in (0, 1):
+            harness.window_points(grid_for_level(base, level), window)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved")
+        monkeypatch.setattr(harness, "_solve_for_study", no_solve)
+        with pytest.raises(ValueError, match=r"window t \[0.0, 3.0\], x \[3.4, 3.41\]"):
+            run_refinement_study(builtin("cash"), base, scheme, levels=3, window=window)
+
+    def test_monotonicity_runs_at_every_level_with_the_seed(self, monkeypatch):
+        seeds = []
+        probe = harness.check_monotonicity
+
+        def recorded(row_fn, grid, trials, seed):
+            seeds.append(seed)
+            return probe(row_fn, grid, trials, seed)
+
+        monkeypatch.setattr(harness, "check_monotonicity", recorded)
+        p = builtin("cash")
+        base = build_uniform_grid(Q=4, M=8, N=6, T=3)
+        report = run_refinement_study(p, base, "penalty", levels=2,
+                                      checks=("stability", "monotonicity"), seed=7)
+        assert [[c.name for c in lv.checks] for lv in report.levels] == [
+            ["stability_bound", "monotonicity"]] * 2
+        assert seeds == [7, 7] and report.passed
 
     def test_solver_failure_recorded_and_study_continues(self):
         # A one-iteration budget starves policy iteration on the cash

@@ -11,12 +11,10 @@ from hjbqvi.exceptions import NonConvergenceError
 from hjbqvi.grid import build_uniform_grid
 from hjbqvi.harness import run_checks
 from hjbqvi.operators import discretize_controls
-from hjbqvi.oracle import brute_force_residual, solve_iterated_optimal_stopping
+from hjbqvi.oracle import OUTER_TOL, brute_force_residual, solve_iterated_optimal_stopping
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import builtin
 from hjbqvi.solution import SolverConfig
-
-OUTER_TOL = 1e-6
 
 
 class TestIteratedOptimalStopping:
@@ -30,7 +28,7 @@ class TestIteratedOptimalStopping:
     def test_constant_converges_at_first_pass(self):
         p = builtin("constant", {"c": 5})
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
-        sol = solve_iterated_optimal_stopping(p, g, outer_tol=OUTER_TOL)
+        sol = solve_iterated_optimal_stopping(p, g)
         # The obstacle c - 1 never binds, so the first obstacle pass changes
         # nothing and the outer loop stops immediately.
         assert sol.diagnostics.outer_iterations == 1
@@ -40,7 +38,7 @@ class TestIteratedOptimalStopping:
         p = builtin("heat")
         g = build_uniform_grid(Q=4, M=32, N=8, T=1)
         c = discretize_controls(p, g.rho)
-        sol_ios = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
+        sol_ios = solve_iterated_optimal_stopping(p, g, c)
         sol_pen = solve_finite_horizon(p, g, c)
         assert sol_ios.diagnostics.outer_iterations == 1
         assert np.abs(sol_ios.surface - sol_pen.surface).max() <= OUTER_TOL
@@ -49,7 +47,7 @@ class TestIteratedOptimalStopping:
         p = builtin("cash")
         g = build_uniform_grid(Q=4, M=16, N=12, T=3)   # rho = 0.25 = epsilon
         c = discretize_controls(p, g.rho)
-        sol_ios = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
+        sol_ios = solve_iterated_optimal_stopping(p, g, c)
         assert sol_ios.diagnostics.outer_iterations >= 2
         assert min(sol_ios.diagnostics.outer_min_increments) >= -1e-8
         sol_pen = solve_finite_horizon(p, g, c)
@@ -57,11 +55,13 @@ class TestIteratedOptimalStopping:
         gap = np.abs(sol_ios.surface - sol_pen.surface).max()
         assert gap <= 10 * (sol_pen.epsilon + OUTER_TOL)
 
-    def test_exhausted_outer_budget_raises(self):
+    def test_exhausted_outer_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "OUTER_TOL", 1e-14)
+        monkeypatch.setattr(oracle, "K_MAX", 1)
         p = builtin("cash")
         g = build_uniform_grid(Q=4, M=8, N=6, T=3)
-        with pytest.raises(NonConvergenceError, match="k_max"):
-            solve_iterated_optimal_stopping(p, g, outer_tol=1e-14, k_max=1)
+        with pytest.raises(NonConvergenceError, match="K_MAX=1"):
+            solve_iterated_optimal_stopping(p, g)
 
     def test_requires_finite_horizon(self):
         p = builtin("constant", {"beta": 0.5})
@@ -92,7 +92,7 @@ class TestControlBandPerSolve:
         p, shapes = self.counted(builtin(name))
         g = build_uniform_grid(Q=4, M=10, N=6, T=p.horizon)
         c = discretize_controls(p, g.rho)
-        sol = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
+        sol = solve_iterated_optimal_stopping(p, g, c)
         assert sol.diagnostics.outer_iterations >= 1
         assert sol.diagnostics.matrix_systems_checked >= 1
         block = (c.controls.size, g.n_nodes)
@@ -104,7 +104,7 @@ class TestControlBandPerSolve:
         p = builtin("cash")
         g = build_uniform_grid(Q=4, M=10, N=6, T=3)
         c = discretize_controls(p, g.rho)
-        hoisted = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
+        hoisted = solve_iterated_optimal_stopping(p, g, c)
         timestep = oracle.penalty_timestep
 
         def own_band(u_next, t, grid, problem, controls, band, *rest):
@@ -113,7 +113,7 @@ class TestControlBandPerSolve:
                             oracle._control_band(grid, problem, controls), *rest)
 
         monkeypatch.setattr(oracle, "penalty_timestep", own_band)
-        per_step = solve_iterated_optimal_stopping(p, g, c, outer_tol=OUTER_TOL)
+        per_step = solve_iterated_optimal_stopping(p, g, c)
         assert np.array_equal(per_step.surface, hoisted.surface)
         assert per_step.diagnostics.outer_changes == hoisted.diagnostics.outer_changes
 
