@@ -43,7 +43,6 @@ from .harness import (
     run_checks,
     run_refinement_study,
 )
-from .operators import discretize_controls
 # cli calls neither check_stability_bound nor brute_force_residual; the span
 # tracer in perfbench/tracing.py wraps cli's bindings of both by name.
 from .oracle import brute_force_residual
@@ -238,16 +237,6 @@ def build_grid(spec: RunSpec, problem: ProblemSpec) -> SpaceTimeGrid:
         raise ConfigError(f"bad grid: {exc}") from exc
 
 
-def _require_runnable(spec: RunSpec, problem: ProblemSpec, grid: SpaceTimeGrid,
-                      levels: int = 1, window: Window | None = None) -> None:
-    """:func:`harness.require_runnable` on the spec's scheme and checks, its
-    ValueError a ConfigError."""
-    try:
-        require_runnable(problem, grid, spec.scheme, spec.checks, levels, window)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # Deterministic artifact writers.
 
@@ -351,19 +340,17 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
     problem = build_problem(spec)
     grid = build_grid(spec, problem)
     n_levels = levels if levels is not None else spec.levels
+    if mode not in ("solve", "study"):
+        raise ConfigError(f"unknown run mode {mode!r}")
     if mode == "study" and n_levels < 2:
         raise ConfigError(f"a refinement study needs >= 2 levels, got {n_levels}")
-    if mode == "study":
-        _require_runnable(spec, problem, grid, n_levels, spec.window)
-    else:
-        _require_runnable(spec, problem, grid)
     out = Path(out_dir if out_dir is not None else (spec.output or "."))
-    out.mkdir(parents=True, exist_ok=True)
 
     report: dict = {"kind": mode, "config": spec.as_dict()}
 
     if mode == "solve":
-        controls = discretize_controls(problem, grid.rho)
+        [controls] = require_runnable(problem, grid, spec.scheme, spec.checks)
+        out.mkdir(parents=True, exist_ok=True)
         try:
             sol = _solve_for_study(problem, grid, spec.scheme, controls, spec.solver)
         except SolverError as exc:
@@ -377,20 +364,20 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
         named = [(c.name, c) for c in checks]
         write_solution_csv(out / "solution.csv", sol)
         write_plotdata_csv(out / "plotdata.csv", [sol])
-    elif mode == "study":
+    else:
+        # The study validates the run (a ConfigError) before its first solve.
         solutions: list[Solution | None] = []
         study = run_refinement_study(
             problem, grid, spec.scheme, n_levels, spec.solver,
             window=spec.window, checks=spec.checks, seed=spec.seed, solutions_out=solutions,
         )
+        out.mkdir(parents=True, exist_ok=True)
         report["study"] = study.to_dict()
         named = [(f"level{lv.level}:{c.name}", c) for lv in study.levels for c in lv.checks]
         finest = next((s for s in reversed(solutions) if s is not None), None)
         if finest is not None:
             write_solution_csv(out / "solution.csv", finest)
         write_plotdata_csv(out / "plotdata.csv", solutions)
-    else:
-        raise ConfigError(f"unknown run mode {mode!r}")
 
     report["failures"] = [{"name": name, "witness": c.witness, "value": c.value}
                           for name, c in named if not c.passed]
@@ -401,7 +388,7 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
 def _cmd_validate(spec: RunSpec) -> int:
     problem = build_problem(spec)
     grid = build_grid(spec, problem)
-    _require_runnable(spec, problem, grid)
+    require_runnable(problem, grid, spec.scheme, spec.checks)
     report = validate(problem, grid, samples=64)
     for result in report.checks:
         print(result)

@@ -22,7 +22,8 @@ residual audit applies, and its config-time check.  The studies and the
 checks read the record, never the scheme's name.
 
 :func:`require_runnable` alone decides whether a run can happen, and every
-check it accepts runs, at every level of a study; :func:`default_checks` is
+check it accepts runs, at every level of a study; it returns each level's
+discrete controls, which the run's solves take.  :func:`default_checks` is
 the list a run makes when it names none.
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import penalty as penalty_mod
 from . import semilag as semilag_mod
-from .exceptions import SolverError
+from .exceptions import ConfigError, SolverError
 from .grid import SpaceTimeGrid, grid_for_level
 # harness no longer calls analyze_matrix; the span tracer in
 # perfbench/tracing.py wraps harness's binding of it by name.
@@ -315,12 +316,23 @@ def default_checks(scheme: str) -> tuple:
 
 
 def require_runnable(problem: ProblemSpec, grid: SpaceTimeGrid, scheme: str, checks,
-                     levels: int = 1, window: Window | None = None) -> None:
-    """ValueError naming what stops ``scheme`` solving ``problem`` on the first
-    ``levels`` refinement levels of ``grid`` and running ``checks`` there: a
-    check not in ``CHECKS`` or not applying to the scheme, no solve for the
-    problem's horizon, a failing ``precheck``, or a ``window`` (None: the
-    default) with no point on some level."""
+                     levels: int = 1, window: Window | None = None) -> list[DiscreteControls]:
+    """The discrete controls of each of the first ``levels`` refinement levels
+    of ``grid``, once ``scheme`` can solve ``problem`` there and run ``checks``.
+
+    Otherwise a ConfigError (a ValueError) names what stops it: a check not in
+    ``CHECKS`` or not applying to the scheme, no solve for the problem's
+    horizon, a failing ``precheck``, or a ``window`` (None: the default)
+    with no point on some level.  The run's solves take the returned
+    controls, so each level's are built once.
+    """
+    try:
+        return _runnable_controls(problem, grid, scheme, checks, levels, window)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _runnable_controls(problem, grid, scheme, checks, levels, window):
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r} (known: {', '.join(SCHEMES)})")
     record = SCHEMES[scheme]
@@ -332,12 +344,16 @@ def require_runnable(problem: ProblemSpec, grid: SpaceTimeGrid, scheme: str, che
                          "its brute-force audit evaluates the penalty equations")
     if record.stationary is None and not problem.finite_horizon:
         raise ValueError(f"scheme {scheme!r} is finite-horizon only")
+    out = []
     for level in range(levels):
         level_grid = grid_for_level(grid, level)
+        controls = discretize_controls(problem, level_grid.rho)
         if record.precheck is not None:
-            record.precheck(problem, level_grid, discretize_controls(problem, level_grid.rho))
+            record.precheck(problem, level_grid, controls)
         if window is not None:
             window_points(level_grid, window)
+        out.append(controls)
+    return out
 
 
 def run_checks(names, sol: Solution, problem: ProblemSpec, controls: DiscreteControls,
@@ -389,11 +405,11 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
     and the study continues.  Every listed check (None:
     :func:`default_checks`) runs at each level with ``seed`` (see
     :func:`run_checks`); :func:`require_runnable` rejects the run before any
-    level is solved.
+    level is solved, and the levels' solves take the controls it returns.
     """
     if levels < 2:
         raise ValueError(f"a refinement study needs >= 2 levels, got {levels}")
-    require_runnable(problem, base_grid, scheme, checks or (), levels, window)
+    level_controls = require_runnable(problem, base_grid, scheme, checks or (), levels, window)
     if checks is None:
         checks = default_checks(scheme)
     cfg = cfg or SolverConfig()
@@ -401,9 +417,8 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
 
     results: list[LevelResult] = []
     solutions: list[Solution | None] = []
-    for level in range(levels):
+    for level, controls in enumerate(level_controls):
         grid = grid_for_level(base_grid, level)
-        controls = discretize_controls(problem, grid.rho)
         result = LevelResult(level=level, rho=grid.rho, grid=grid.summary(), scheme=scheme)
         try:
             sol = _solve_for_study(problem, grid, scheme, controls, cfg)

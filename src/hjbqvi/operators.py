@@ -20,19 +20,26 @@ The stencils follow the monotone implicit discretization:
   ``(couplings, cost)``, active row j reading (Mu)_j = sum of w u_col over
   its (col, w) couplings + cost.  :class:`InterventionTable` is the impulse
   maximum max_z { interp(u, x_j + shift) + cost }, ties to the smallest z,
-  over one time level's candidates as a nodes x K block (a node with fewer
-  than K candidates repeats its last one).  :class:`FrozenObstacle` is a
-  fixed vector with no couplings: an optimal-stopping obstacle.
+  over one time level's candidates (a node with fewer than K candidates
+  repeats its last one).  :class:`FrozenObstacle` is a fixed vector with no
+  couplings: an optimal-stopping obstacle.
 
-A reset impulse (shift z - x, as in every builtin that intervenes) has
-target x_j + (z - x_j) = z at every node, up to rounding.  So when each
-column of a table's targets spans (max - min over the nodes) at most
-tol = ``_SHARED_ROW_ULPS`` * eps * max|x|, eps the machine epsilon, the
-table interpolates row 0 once, K points instead of nodes x K, and every
-node reads it.  This is safe because each node's weights stay convex, so M
-stays monotone in u, and each value moves by at most the largest cell slope
-of u times tol.  Any other targets (a shift that moves with x, bounds that
-depend on x, a NaN) keep one interpolant per node, bit for bit.
+A jump table has two layouts (see :class:`InterventionTable`).  The reset
+layout serves a problem whose impulses are declared resets
+(``ProblemSpec.reset_cost``: shift z - x, cost -c0 - lam |z - x|, as in
+every builtin that intervenes) when the impulse bounds are equal at every
+node.  Then (Mu)_j = max_k { v_k - lam |z_k - x_j| } - c0 with
+v_k = interp(u, z_k), a maximum over a cone, which is two running maxima
+over z: the L1 case of the distance transform of sampled functions
+(Felzenszwalb & Huttenlocher, Theory of Computing 8, 2012).  A build costs
+O(n + K), one ``apply`` O(n + K), and the reuse check ``same_data_at``
+O(n): it compares the bounds and evaluates no callable.  The values are
+those of the block layout up to rounding, so an exact tie there may go to
+another candidate.
+
+The block layout serves every other table: the nodes x K targets
+x_j + shift, one interpolant per node, and the nodes x K cost block,
+O(n K) per build and per ``apply``.
 
 The functions here are pure.  The one mutable piece is
 ``DiscreteControls._impulse_cache``, which memoizes ``impulse_values`` and
@@ -56,12 +63,6 @@ import scipy.sparse as sp
 
 from .grid import SpaceTimeGrid
 from .problem import ProblemSpec, eval_on, uniform_sample
-
-
-# A jump table interpolates row 0 of its targets for every node when each
-# column spans at most this many eps * max|x| (see the module docstring);
-# a reset's columns span about one.
-_SHARED_ROW_ULPS = 8
 
 
 def generator_band(nodes: np.ndarray, drift,
@@ -298,23 +299,40 @@ class InterventionResult(NamedTuple):
 
 
 class InterventionTable(Interpolant):
-    """Precomputed jump targets and costs for one time level.
+    """Precomputed jump data for one time level, in one of two layouts.
 
-    The impulse candidates, their interpolation weights and their costs
-    depend only on (t, x_j); building them once lets repeated applications
-    to changing iterates run as pure array arithmetic.  The candidates form
-    one nodes x K block (``_impulse_grid``), K the largest impulse count at
-    any node.  A node with fewer candidates repeats its last z: the copy has
-    the same value as the candidate it repeats, and argmax keeps the first
-    of equal values, so padding never changes a result.  The table is the
-    :class:`Interpolant` of the nodes x K targets x_j + shift, or of their
-    row 0 alone (``k``, ``alpha``, ``stay`` and ``k_next`` 1 x K) when each
-    column spans at most ``_SHARED_ROW_ULPS`` * eps * max|x| (see the module
-    docstring); :meth:`apply` broadcasts either against the costs.  ``costs``
-    is the cost block flattened row by row, node i owning entries
-    ``offsets[i]:offsets[i + 1]``.  The table also keeps the block's shifts
-    (``_shifts``), so that :meth:`same_data_at` evaluates the shift once, at
-    the new time.
+    The impulse candidates depend only on (t, x_j); building what the
+    maximum needs once lets repeated applications to changing iterates run
+    as pure array arithmetic.  Each build reads the level's nodes x K
+    candidate block (``_impulse_grid``, shared through
+    :meth:`DiscreteControls.impulse_values`), K the largest impulse count at
+    any node.  ``_reset`` is the problem's ``reset_cost`` in the reset
+    layout and None in the block layout.
+
+    **Reset layout**, when the problem's impulses are declared resets at
+    cost -c0 - lam |z - x| (``ProblemSpec.reset_cost``) and the impulse
+    bounds are equal at every node, so every row of the block is the same
+    candidate row z (``_z``).  The table is the
+    :class:`Interpolant` of z itself (``k``, ``alpha``, ``stay`` and
+    ``k_next`` 1 x K), plus each node's split points in z (one
+    ``searchsorted`` each).  :meth:`apply` takes v_k = interp(u, z_k) and
+    two running maxima, max over z_k <= x_j of (v_k + lam z_k), less
+    lam x_j, and max over z_k >= x_j of (v_k - lam z_k), plus lam x_j:
+    O(n + K) per call, no nodes x K array.  Within a sweep the first index
+    that reaches the maximum wins, and the forward sweep wins an exact tie,
+    so ties go to the smallest z.  The value returned is the chosen
+    candidate's v_k + (-c0 - lam |z_k - x_j|), the sum the block layout and
+    :meth:`jump_rows` form.  ``costs`` and ``offsets`` are None.
+
+    **Block layout**, for every other table.  A node with fewer candidates
+    repeats its last z: the copy has the same value as the candidate it
+    repeats, and argmax keeps the first of equal values, so padding never
+    changes a result.  The table is the :class:`Interpolant` of the
+    nodes x K targets x_j + shift; :meth:`apply` adds it to the costs,
+    O(n K) per call.  ``costs`` is the cost block flattened row by row,
+    node i owning entries ``offsets[i]:offsets[i + 1]``.  The table also keeps the
+    block's shifts (``_shifts``), so that :meth:`same_data_at` evaluates the
+    shift once, at the new time.
     """
 
     def __init__(self, problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -323,35 +341,48 @@ class InterventionTable(Interpolant):
         self._problem = problem
         self._nodes = nodes = grid.nodes
         impulse_grid = controls.impulse_values(t, nodes)   # (n, K), shared
+        self._impulse_grid = impulse_grid
+        lo, hi = impulse_grid[:, 0], impulse_grid[:, -1]
+        self._reset = None
+        if problem.reset_cost is not None and (lo == lo[0]).all() and (hi == hi[0]).all():
+            self._reset = problem.reset_cost
+            lam = self._reset.lam
+            self._z = z = impulse_grid[0]
+            self.costs = self.offsets = None
+            # Node j's forward sweep reads z[:_below[j]] (z <= x_j), its
+            # backward sweep z[_above[j]:] (z >= x_j).
+            self._below = np.searchsorted(z, nodes, side="right")
+            self._above = np.searchsorted(z, nodes, side="left")
+            self._lam_z = lam * z
+            self._lam_x = lam * nodes
+            super().__init__(*interp_weights(nodes, z[np.newaxis]))
+            return
         per_node = impulse_grid.shape[1]
         x_col = nodes[:, np.newaxis]
-        self._impulse_grid = impulse_grid
         self._shifts = eval_on(problem.impulse_shift, t, x_col, impulse_grid)
         self.offsets = np.arange(nodes.size + 1) * per_node
         self.costs = eval_on(problem.impulse_cost, t, x_col, impulse_grid).ravel()
-        targets = x_col + self._shifts
-        tol = _SHARED_ROW_ULPS * np.finfo(float).eps * max(abs(nodes[0]), abs(nodes[-1]))
-        if np.ptp(targets, axis=0).max() <= tol:   # False on any NaN
-            targets = targets[:1]
-        super().__init__(*interp_weights(nodes, targets))
+        super().__init__(*interp_weights(nodes, x_col + self._shifts))
 
     def same_data_at(self, t: float) -> bool:
         """Whether the table at time t would be this one.
 
-        True when the impulse bounds at every node, and the shifts and costs
-        of these candidates, equal at t those this table was built from.
-        Each node's candidates run from its lower to its upper bound, so the
-        first and last columns of the block are the bounds at ``self.t``;
-        the shifts at ``self.t`` are the kept ``_shifts`` block.  A check
-        costs the bounds read a build's ``impulse_values`` sample also makes
-        (see :func:`impulse_bounds_on`) and one array call each for the
-        bounds, costs and shifts at t; a build adds the candidate block and
-        the interpolation weights.
+        True when the impulse bounds at every node equal at t those this
+        table was built from (each node's candidates run from its lower to
+        its upper bound, so they are the block's first and last columns)
+        and, in the block layout, the shifts and costs of these candidates
+        do too.  The bounds read is the one a build's ``impulse_values``
+        sample also makes (see :func:`impulse_bounds_on`).  In the reset
+        layout that is the whole check, O(n): the declared shift and cost
+        do not depend on t.  In the block layout it adds one array call
+        each for the costs and shifts at t, compared with the kept blocks.
         """
         problem, nodes, zs = self._problem, self._nodes, self._impulse_grid
         lo, hi = impulse_bounds_on(problem, t, nodes)
         if not (np.array_equal(lo, zs[:, 0]) and np.array_equal(hi, zs[:, -1])):
             return False
+        if self._reset is not None:
+            return True
         x_col = nodes[:, np.newaxis]
         return (np.array_equal(eval_on(problem.impulse_cost, t, x_col, zs).ravel(), self.costs)
                 and np.array_equal(eval_on(problem.impulse_shift, t, x_col, zs), self._shifts))
@@ -361,29 +392,81 @@ class InterventionTable(Interpolant):
 
         The couplings are the interpolation pairs (k, 1 - alpha) and
         (k + 1, alpha), both columns on the grid; a zero weight marks no
-        coupling (at a clamped target one of the two).  ValueError names
+        coupling (at a clamped target one of the two).  In the reset layout
+        the pairs are read from the 1 x K row and the cost
+        -c0 - lam |z - x_j| is formed for these rows only.  ValueError names
         the first node whose impulse is not a candidate there.
         """
         rows = np.asarray(rows, dtype=int)
         impulses = np.asarray(impulses, dtype=float)
-        match = self._impulse_grid[rows] == impulses[:, np.newaxis]
-        found = match.any(axis=1)
+        if self._reset is not None:
+            c0, lam = self._reset.c0, self._reset.lam
+            col = np.minimum(np.searchsorted(self._z, impulses), self._z.size - 1)
+            found = self._z[col] == impulses
+            at = (0, col)
+            cost = -c0 - lam * np.abs(impulses - self._nodes[rows])
+        else:
+            match = self._impulse_grid[rows] == impulses[:, np.newaxis]
+            found = match.any(axis=1)
+            col = match.argmax(axis=1)
+            at = (rows, col)
+            cost = self.costs[self.offsets[rows] + col]
         if not found.all():
             bad = int(np.argmin(found))
             raise ValueError(f"impulse {float(impulses[bad])!r} at node index {int(rows[bad])} "
                              f"(t={self.t!r}) is not one of that node's candidates")
-        col = match.argmax(axis=1)
-        at = (rows if len(self.k) > 1 else 0, col)
         k = self.k[at]
-        return ((k, self.stay[at]), (k + 1, self.alpha[at])), self.costs[self.offsets[rows] + col]
+        return ((k, self.stay[at]), (k + 1, self.alpha[at])), cost
 
     def apply(self, u: np.ndarray) -> InterventionResult:
         """Best-impulse value max_z { interp(u, x_j + shift) + cost } at every node."""
+        if self._reset is not None:
+            return self._sweep(u)
         block = self.costs.reshape(self._impulse_grid.shape) + self.interp(u)
         best = block.argmax(axis=1)
         rows = np.arange(block.shape[0])
         return InterventionResult(values=block[rows, best],
                                   impulses=self._impulse_grid[rows, best])
+
+    def _sweep(self, u: np.ndarray) -> InterventionResult:
+        """The reset layout's :meth:`apply`: two running maxima over z.
+
+        ``up[i]`` is the maximum of v_k + lam z_k over the first i
+        candidates and ``down[i]`` that of v_k - lam z_k over candidates
+        i.. K - 1, each -inf over none.  A node reads ``up`` at ``_below``
+        and ``down`` at ``_above``; ``down_at[i]`` is the smallest index
+        attaining ``down[i]``.
+        """
+        c0, lam = self._reset.c0, self._reset.lam
+        v = self.interp(u)[0]
+        size = v.size
+        up = np.empty(size + 1)
+        up[0] = -np.inf
+        np.maximum.accumulate(v + self._lam_z, out=up[1:])
+        backward = v - self._lam_z
+        down = np.empty(size + 1)
+        down[size] = -np.inf
+        down[:size] = np.maximum.accumulate(backward[::-1])[::-1]
+        down_at = np.zeros(size + 1, dtype=np.intp)
+        # Candidate i is the smallest maximizer from i on where it is at
+        # least the maximum beyond it; the index size - 1 never beats the
+        # running minimum from the right.
+        down_at[:size] = np.minimum.accumulate(
+            np.where(backward >= down[1:], np.arange(size), size - 1)[::-1])[::-1]
+        forward = up.take(self._below)
+        # The running maximum first reaches a prefix's maximum at the
+        # prefix's smallest maximizer (index 0 for an empty prefix).
+        up_at = np.searchsorted(up[1:], forward)
+        forward -= self._lam_x
+        back = down.take(self._above)
+        back += self._lam_x
+        best = np.where(forward >= back, up_at, down_at.take(self._above))
+        impulses = self._z.take(best)
+        # The chosen candidate's value, summed as jump_rows and the block
+        # layout sum it.
+        values = -c0 - lam * np.abs(impulses - self._nodes)
+        values += v.take(best)
+        return InterventionResult(values=values, impulses=impulses)
 
 
 class FrozenObstacle:

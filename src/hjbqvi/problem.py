@@ -21,6 +21,11 @@ Standing hypotheses, checked by :func:`validate` on sampled points:
 
 Coefficients are plain callables (scalar in, scalar out); array-aware
 callables are exploited when they broadcast, via :func:`eval_on`.
+
+A problem whose impulses reset the state to z at cost -c0 - lam |z - x|
+says so through its callables: ``impulse_shift`` is :func:`reset_shift` and
+``impulse_cost`` a :class:`ResetCost` (:func:`reset_impulse` gives both).
+``ProblemSpec.reset_cost`` reads the declaration back off the callables.
 """
 
 from __future__ import annotations
@@ -74,6 +79,12 @@ class ProblemSpec:
     exclusive.  In the infinite-horizon case the time argument of
     ``running_reward``, ``impulse_shift``, ``impulse_cost`` and
     ``impulse_bounds`` is vestigial and is always passed as 0.
+
+    ``reset_cost`` is the impulse cost when the impulses are declared
+    resets (see :class:`ResetCost`): jump tables then take the impulse
+    maximum from its (c0, lam), not by evaluating the callables
+    (:class:`operators.InterventionTable`).  The declaration is the pair of
+    callables itself, so replacing either one drops it.
     """
 
     drift: Callable[[float, float], float]            # drift(x, b)
@@ -103,6 +114,49 @@ class ProblemSpec:
     @property
     def finite_horizon(self) -> bool:
         return self.horizon is not None
+
+    @property
+    def reset_cost(self) -> ResetCost | None:
+        """``impulse_cost`` when ``impulse_shift`` is :func:`reset_shift` and
+        ``impulse_cost`` a :class:`ResetCost`, else None."""
+        cost = self.impulse_cost
+        if self.impulse_shift is reset_shift and isinstance(cost, ResetCost):
+            return cost
+        return None
+
+
+def reset_shift(t, x, z):
+    """The shift z - x of a reset to z: the declared reset's impulse_shift."""
+    return z - x
+
+
+@dataclass(frozen=True)
+class ResetCost:
+    """The cost -c0 - lam |z - x| of a reset to z, with finite c0 > 0 and
+    lam >= 0 (checked here).
+
+    Paired with :func:`reset_shift`, it declares that every impulse is such
+    a reset at every t, which a problem's jump tables read as (c0, lam).
+    Being the callable the solves would otherwise evaluate, the declaration
+    cannot disagree with it.
+    """
+
+    c0: float
+    lam: float
+
+    def __post_init__(self):
+        if not (0 < self.c0 < np.inf and 0 <= self.lam < np.inf):
+            raise ValueError("a reset cost needs finite c0 > 0 and lam >= 0, "
+                             f"got c0={self.c0!r}, lam={self.lam!r}")
+
+    def __call__(self, t, x, z):
+        return -self.c0 - self.lam * np.abs(z - x)
+
+
+def reset_impulse(c0: float, lam: float) -> dict:
+    """``impulse_shift`` and ``impulse_cost`` of a reset to z at cost
+    -c0 - lam |z - x|, as ``ProblemSpec`` keywords."""
+    return {"impulse_shift": reset_shift, "impulse_cost": ResetCost(c0, lam)}
 
 
 @dataclass(frozen=True)
@@ -266,9 +320,12 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
     ``constant``   no dynamics, terminal reward c; the value is identically c.
     ``heat``       pure diffusion with terminal sin(x); closed-form value
                    exp(-s^2 (T-t) / 2) sin(x) on the untruncated line, and the
-                   impulse branch is never active.
+                   impulse branch (a reset at cost -3) is never active.
     ``cash``       bounded drift control, quadratic holding cost, impulses
                    that reset the state at a fixed plus proportional cost.
+
+    ``heat`` and ``cash`` take their impulse callables from
+    :func:`reset_impulse`, so they declare their resets.
 
     Passing ``beta`` switches any of them to the stationary (discounted)
     problem; rewards of the builtins are time-independent, so this is valid.
@@ -303,12 +360,11 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
             diffusion=lambda x, b: s + 0.0 * x,
             running_reward=lambda t, x, b: 0.0,
             terminal_reward=np.sin,
-            impulse_shift=lambda t, x, z: z - x,
-            impulse_cost=lambda t, x, z: -3.0 + 0.0 * z,
             impulse_bounds=lambda t, x: (-1.0, 1.0),
             control_bounds=(0.0, 0.0),
             exact=exact,
             name="heat",
+            **reset_impulse(3.0, 0.0),
             **_horizon_fields(p),
         )
     if name == "cash":
@@ -325,11 +381,10 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
             diffusion=lambda x, b: s + 0.0 * x,
             running_reward=lambda t, x, b: -np.minimum(x * x, G),
             terminal_reward=lambda x: -np.minimum(x * x, G),
-            impulse_shift=lambda t, x, z: z - x,
-            impulse_cost=lambda t, x, z: -c0 - lam * np.abs(z - x),
             impulse_bounds=lambda t, x: (-1.0, 1.0),
             control_bounds=(-b_max, b_max),
             name="cash",
+            **reset_impulse(c0, lam),
             **_horizon_fields(p),
         )
     raise ValueError(f"unknown builtin problem {name!r}; known: constant, heat, cash")

@@ -37,7 +37,10 @@ and beyond [-Q, Q]), the running reward at t, the jump maximum, and the solve.
 The jump table of a step is reused from the step before when the impulse
 data at its level equal those the table was built from
 (:meth:`InterventionTable.same_data_at`), so data that ignore t build one
-table per solve.
+table per solve.  For a declared reset (``ProblemSpec.reset_cost``, as in
+``cash`` and ``heat``) that check is an O(n) comparison of the impulse
+bounds; otherwise it evaluates the nodes x K costs and shifts at the new
+level.
 
 Foot points x_j + drift dt can leave [-Q, Q] on fixed-Q uniform grids; the
 interpolant then clamps and each step counts it as an overstep.  Grids with
@@ -225,7 +228,8 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
     A and one set of foot points per solve, then one :func:`sl_rhs` and one
     sparse solve per timestep.  A step's jump table, at t + dt, is the
     previous step's when the impulse data there are the same.  The scheme
-    has no penalty term, so the solution's ``epsilon`` is None."""
+    has no penalty term, so the solution's ``epsilon`` is None; a declared
+    reset's reuse check compares the impulse bounds alone."""
     require_time_axis(problem, grid)
     controls = controls or discretize_controls(problem, grid.rho)
     A = assemble_A(grid, problem, controls)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hjbqvi import cli, harness
+from hjbqvi import cli, harness, semilag
 from hjbqvi.exceptions import ConfigError
 from hjbqvi.problem import builtin
 
@@ -185,6 +185,22 @@ class TestRunSolve:
         oracle = [c for c in report["checks"] if c["name"] == "residual_oracle"]
         assert len(oracle) == 1 and oracle[0]["passed"]
 
+    def test_binding_discounted_config_intervenes(self, tmp_path):
+        # At beta = 0.2 the stationary cash policy resets the state at some
+        # nodes, so the discounted route's solve, its reset-layout jump
+        # table and the audit's impulse term all see an active intervention.
+        spec = cli.parse_config(CONFIGS / "cash_discounted_binding.yaml")
+        problem = cli.build_problem(spec)
+        assert problem.discount == 0.2 and problem.reset_cost is problem.impulse_cost
+        assert cli.run(spec, mode="solve", out_dir=tmp_path / "out", check=True) == 0
+        with open(tmp_path / "out" / "solution.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        intervene = [row for row in rows if row["policy_intervene"] == "1"]
+        assert intervene and all(abs(float(row["policy_z"])) <= 1.0 for row in intervene)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert all(c["passed"] for c in report["checks"])
+        assert "residual_oracle" in [c["name"] for c in report["checks"]]
+
     def test_checks_run_once_each_in_harness_order(self, tmp_path):
         text = MINIMAL + "checks: [monotonicity, stability, matrices, stability]\n"
         spec = cli.parse_config(write_config(tmp_path, text))
@@ -345,6 +361,38 @@ class TestRunStudy:
         assert all(lv["oversteps"] > 0 for lv in levels)
         assert all(lv["interior_oversteps"] == 0 for lv in levels)
         assert all(lv["epsilon"] is None for lv in levels)
+
+    def test_semilagrangian_study_checks_each_level_once(self, tmp_path, monkeypatch):
+        # Before any solve, the study builds each level's controls and runs
+        # the diffusion precheck once per level; the solves take those
+        # controls, and each solve checks its own diffusion once more.
+        calls = {"controls": 0, "diffusion": 0, "diffusion_before_solving": None}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        def first_solve(fn):
+            def wrapped(*args):
+                if calls["diffusion_before_solving"] is None:
+                    calls["diffusion_before_solving"] = calls["diffusion"]
+                return fn(*args)
+            return wrapped
+
+        record = harness.SCHEMES["semilagrangian"]
+        monkeypatch.setitem(harness.SCHEMES, "semilagrangian",
+                            replace(record, precheck=counted("diffusion", record.precheck)))
+        monkeypatch.setattr(semilag, "diffusion_variance",
+                            counted("diffusion", semilag.diffusion_variance))
+        monkeypatch.setattr(harness, "discretize_controls",
+                            counted("controls", harness.discretize_controls))
+        monkeypatch.setattr(harness, "_solve_for_study", first_solve(harness._solve_for_study))
+        spec = cli.parse_config(CONFIGS / "cash_semilagrangian_study.yaml")
+        assert cli.run(spec, mode="study", out_dir=tmp_path / "out") == 0
+        assert spec.levels == 3
+        assert calls == {"controls": 3, "diffusion": 6, "diffusion_before_solving": 3}
 
     def test_monotonicity_reported_at_every_level(self, tmp_path, monkeypatch):
         text = HEAT_STUDY.replace("checks: [stability, matrices]",

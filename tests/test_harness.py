@@ -488,6 +488,13 @@ class TestSchemeRecords:
         assert len(seen) == calls
 
 
+class TestRequireRunnable:
+    def test_returns_each_levels_controls(self):
+        p, g = builtin("cash"), build_uniform_grid(Q=4, M=4, N=3, T=3)
+        controls = harness.require_runnable(p, g, "semilagrangian", ["stability"], levels=3)
+        assert [c.rho for c in controls] == [grid_for_level(g, lv).rho for lv in range(3)]
+
+
 class TestRefinementStudy:
     def test_heat_orders_near_one(self):
         p = builtin("heat")

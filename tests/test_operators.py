@@ -19,7 +19,14 @@ from hjbqvi.operators import (
 )
 from hjbqvi.oracle import _row_residual
 from hjbqvi.penalty import solve_finite_horizon
-from hjbqvi.problem import ProblemSpec, builtin, eval_on, uniform_sample
+from hjbqvi.problem import (
+    ProblemSpec,
+    ResetCost,
+    builtin,
+    eval_on,
+    reset_impulse,
+    uniform_sample,
+)
 from hjbqvi.semilag import solve_semi_lagrangian
 
 
@@ -517,10 +524,21 @@ def per_row_reference(problem, grid, controls, t, evaluate=eval_on):
                                        x_col + evaluate(problem.impulse_shift, t, x_col, zs)))
 
 
+def layout_bound(u, nodes, z, c0, lam):
+    """How far the reset and block layouts' values may be apart: rounding in
+    the sweeps' sums (8 ulps of the largest term) plus the block targets'
+    x + (z - x) != z (4 ulps of the largest position, times the largest cell
+    slope of u)."""
+    eps = np.finfo(float).eps
+    reach = max(np.abs(nodes).max(), np.abs(z).max())
+    slope = np.abs(np.diff(u) / np.diff(nodes)).max()
+    return 8 * eps * (np.abs(u).max() + c0 + lam * 2 * reach) + 4 * eps * reach * slope
+
+
 class TestSharedTargetRow:
-    """A table whose target columns each span at most tol (a reset, target
-    x + (z - x) = z up to rounding) interpolates row 0 once; any other keeps
-    one interpolant per node, bit for bit."""
+    """A reset table interpolates its one candidate row z for every node,
+    whose targets x_j + (z - x_j) are z up to rounding; any other keeps one
+    interpolant per node, bit for bit."""
 
     GRIDS = TestClampedJumpTargets.GRIDS
     RAGGED = replace(builtin("cash"),
@@ -536,14 +554,16 @@ class TestSharedTargetRow:
         for part in (table.k, table.alpha, table.stay, table.k_next):
             assert part.shape == (1, width)
         ref = per_row_reference(p, g, c, 0.0)
-        costs = table.costs.reshape(table._impulse_grid.shape)
+        x_col = g.nodes[:, np.newaxis]
+        costs = eval_on(p.impulse_cost, 0.0, x_col, table._impulse_grid)
         rows = np.arange(g.n_nodes)
-        tol = operators_mod._SHARED_ROW_ULPS * np.finfo(float).eps * np.abs(g.nodes).max()
+        tol = 4 * np.finfo(float).eps * np.abs(g.nodes).max()
         for seed in range(3):
             u = np.random.default_rng(seed).normal(size=g.n_nodes)
-            bound = np.abs(np.diff(u) / np.diff(g.nodes)).max() * tol
-            assert np.abs(table.interp(u) - ref.interp(u)).max() <= bound
+            slope = np.abs(np.diff(u) / np.diff(g.nodes)).max()
+            assert np.abs(table.interp(u) - ref.interp(u)).max() <= slope * tol
             res = table.apply(u)
+            bound = layout_bound(u, g.nodes, table._z, p.impulse_cost.c0, p.impulse_cost.lam)
             assert np.abs(res.values - (costs + ref.interp(u)).max(axis=1)).max() <= bound
             ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.impulses)
             assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, res.values)
@@ -559,8 +579,10 @@ class TestSharedTargetRow:
         self.assert_per_row(InterventionTable(p, g, c, 0.0), per_row_reference(p, g, c, 0.0), g)
 
     def test_nan_target_keeps_the_per_row_interpolant(self, monkeypatch):
-        # eval_on rejects a non-finite shift, so put the NaN in past it.
-        p, g = builtin("cash"), self.GRIDS[0]
+        # eval_on rejects a non-finite shift, so put the NaN in past it; an
+        # undeclared reset shift keeps the table in the block layout.
+        p = replace(builtin("cash"), impulse_shift=lambda t, x, z: z - x)
+        g = self.GRIDS[0]
         c = discretize_controls(p, g.rho)
         checked = operators_mod.eval_on
 
@@ -583,6 +605,171 @@ class TestSharedTargetRow:
             assert getattr(table, name).tobytes() == getattr(ref, name).tobytes()
         u = np.random.default_rng(0).normal(size=g.n_nodes)
         assert table.interp(u).tobytes() == ref.interp(u).tobytes()
+
+
+def reset_problem(c0, lam, bounds=(-1.0, 1.0), **fields):
+    """A problem with a declared reset at cost -c0 - lam |z - x|."""
+    return replace(jump_problem(None, None, bounds), **reset_impulse(c0, lam), **fields)
+
+
+def undeclared(problem):
+    """The same impulses through a plain shift: no declared reset."""
+    return replace(problem, impulse_shift=lambda t, x, z: z - x)
+
+
+def top_two_gap(block):
+    """Per row, the best value less the second best (inf for one candidate)."""
+    if block.shape[1] < 2:
+        return np.full(block.shape[0], np.inf)
+    top = np.sort(block, axis=1)
+    return top[:, -1] - top[:, -2]
+
+
+class TestResetLayout:
+    """A declared reset with the same bounds at every node takes the impulse
+    maximum as two running maxima over the 1 x K candidate row; it agrees
+    with the block layout of the same, undeclared, problem."""
+
+    GRIDS = TestClampedJumpTargets.GRIDS
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["uniform", "refined"]),
+           st.integers(2, 30),
+           st.floats(0.5, 6.0),
+           st.floats(1e-3, 10.0),
+           st.floats(0.0, 5.0),
+           st.floats(-7.0, 7.0), st.floats(0.0, 8.0),
+           st.floats(0.02, 1.0),
+           st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 1e-12, 1.0, 100.0]))
+    def test_matches_the_block_layout(self, mode, M, Q, c0, lam, lo, width, rho, seed, step):
+        if mode == "uniform":
+            g = build_uniform_grid(Q=Q, M=M, N=1, T=1)
+        else:
+            g = build_boundary_refined_grid(Q=Q, rho=Q / M, c_b=1.0, N=1, T=1)
+        declared = reset_problem(c0, lam, bounds=(lo, lo + width))
+        c = discretize_controls(declared, rho)
+        reset = InterventionTable(declared, g, c, 0.0)
+        block = InterventionTable(undeclared(declared), g, c, 0.0)
+        assert reset._reset == ResetCost(c0, lam) and block._reset is None
+        rng = np.random.default_rng(seed)
+        # Smooth, rough, and rounded (tied) iterates.
+        for u in (step * np.sin(g.nodes) + rng.normal(size=g.n_nodes),
+                  np.round(rng.normal(size=g.n_nodes), 1) * step):
+            a, b = reset.apply(u), block.apply(u)
+            bound = layout_bound(u, g.nodes, reset._z, c0, lam)
+            assert np.abs(a.values - b.values).max() <= bound
+            values = block.costs.reshape(block._impulse_grid.shape) + block.interp(u)
+            clear = top_two_gap(values) > bound
+            assert np.array_equal(a.impulses[clear], b.impulses[clear])
+            # Every impulse is a candidate, and its value is that candidate's.
+            rows = np.arange(g.n_nodes)
+            ((k, w_k), (k_next, w_next)), cost = reset.jump_rows(rows, a.impulses)
+            assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, a.values)
+
+    @pytest.mark.parametrize("g", GRIDS, ids=["uniform", "refined"])
+    @pytest.mark.parametrize("name", ["cash", "heat"])
+    def test_builtins_take_the_reset_layout(self, name, g):
+        p = builtin(name)
+        c = discretize_controls(p, g.rho)
+        table = InterventionTable(p, g, c, 0.0)
+        assert table._reset is p.impulse_cost
+        assert table.costs is None and table.offsets is None
+        assert table._impulse_grid is c.impulse_values(0.0, g.nodes)
+        assert np.array_equal(table._z, uniform_sample(-1.0, 1.0, c.rho))
+
+    @pytest.mark.parametrize("field, value", [
+        ("impulse_shift", lambda t, x, z: z - x),
+        ("impulse_cost", lambda t, x, z: -2.0 - 0.5 * np.abs(z - x)),
+        ("impulse_cost", lambda t, x, z: -2.0 - 0.6 * np.abs(z - x)),
+        ("impulse_shift", lambda t, x, z: 3.0 * z),
+    ], ids=["same-shift", "same-cost", "other-cost", "other-shift"])
+    def test_replacing_either_callable_drops_the_declaration(self, field, value):
+        # The declaration is the pair of callables, so any replacement, even
+        # one with the same values, solves through the block layout.
+        p = replace(builtin("cash"), **{field: value})
+        g = self.GRIDS[0]
+        assert p.reset_cost is None
+        table = InterventionTable(p, g, discretize_controls(p, g.rho), 0.0)
+        assert table._reset is None and table.costs.size == table._impulse_grid.size
+
+    def test_bounds_that_vary_with_x_take_the_block_layout(self):
+        p = reset_problem(2.0, 0.5, impulse_bounds=lambda t, x: (-1.0 - 0.1 * np.abs(x), 1.0))
+        g = self.GRIDS[0]
+        table = InterventionTable(p, g, discretize_controls(p, g.rho), 0.0)
+        assert table._reset is None and table.costs.size == table._impulse_grid.size
+
+    def test_ties_go_to_the_smallest_impulse(self):
+        g = build_uniform_grid(Q=2, M=8, N=1, T=1)
+        # lam = 0 and a constant u: every candidate ties at every node.
+        flat = InterventionTable(builtin("heat"), g, discretize_controls(builtin("heat"), 0.25),
+                                 0.0)
+        res = flat.apply(np.full(g.n_nodes, 0.5))
+        assert np.all(res.impulses == -1.0) and np.all(res.values == 0.5 - 3.0)
+        # u = x^2: at x = 0 the candidates z = -1 and z = 1 tie exactly, one
+        # in each sweep, and the forward sweep's (the smaller z) wins.
+        p = reset_problem(1.0, 0.5)
+        c = discretize_controls(p, 0.25)
+        res = InterventionTable(p, g, c, 0.0).apply(g.nodes ** 2)
+        assert res.impulses[g.offset(0)] == -1.0 and res.values[g.offset(0)] == -0.5
+        block = InterventionTable(undeclared(p), g, c, 0.0).apply(g.nodes ** 2)
+        assert np.array_equal(res.impulses, block.impulses)
+        assert np.array_equal(res.values, block.values)
+
+    @pytest.mark.parametrize("g", GRIDS, ids=["uniform", "refined"])
+    def test_jump_rows_read_back_the_chosen_candidates(self, g):
+        p = builtin("cash")
+        table = InterventionTable(p, g, discretize_controls(p, g.rho), 0.0)
+        u = 4.0 * -np.minimum(g.nodes ** 2, 2.0) + np.random.default_rng(1).normal(size=g.n_nodes)
+        res = table.apply(u)
+        rows = np.flatnonzero(res.values > u)[::-1]      # any subset, any order
+        assert rows.size
+        ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.impulses[rows])
+        assert k.shape == cost.shape == rows.shape
+        assert np.array_equal(k_next, k + 1) and k_next.max() < g.n_nodes
+        assert np.all(w_k >= 0.0) and np.all(w_next >= 0.0)
+        assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, res.values[rows])
+        assert np.array_equal(cost, p.impulse_cost(0.0, g.nodes[rows], res.impulses[rows]))
+        with pytest.raises(ValueError, match=r"impulse 0\.123 at node index 3 "):
+            table.jump_rows([3], [0.123])
+        with pytest.raises(ValueError, match=r"impulse 1\.5 at node index 0 "):
+            table.jump_rows([0], [1.5])
+
+    def test_build_and_reuse_check_evaluate_no_impulse_callable(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the reset layout evaluated an impulse callable")
+
+        seen = []
+        checked = operators_mod.eval_on
+
+        def spy(fn, *args):
+            seen.append(fn)
+            return checked(fn, *args)
+
+        monkeypatch.setattr(ResetCost, "__call__", refuse)
+        monkeypatch.setattr(operators_mod, "eval_on", spy)
+        bounds_calls = []
+        p = replace(builtin("cash"), impulse_bounds=counted_bounds(
+            lambda t, x: (-1.0, 1.0 - 0.5 * (t > 1.0)), bounds_calls))
+        g = self.GRIDS[1]
+        c = discretize_controls(p, g.rho)
+        table = InterventionTable(p, g, c, 0.0)
+        assert table._reset is p.impulse_cost
+        assert table.same_data_at(0.5) and table.same_data_at(1.0)
+        assert not table.same_data_at(1.5)
+        assert p.impulse_shift not in seen and p.impulse_cost not in seen
+        assert len(bounds_calls) == 4
+
+    def test_semilagrangian_solve_agrees_with_the_block_layout(self):
+        p = builtin("cash")
+        g = build_boundary_refined_grid(Q=4, rho=0.1, c_b=1.0, N=20, T=p.horizon)
+        c = discretize_controls(p, g.rho)
+        reset = solve_semi_lagrangian(p, g, c)
+        block = solve_semi_lagrangian(undeclared(p), g, c)
+        assert np.abs(reset.surface - block.surface).max() <= 1e-12
+        for a, b in zip(reset.policies[:-1], block.policies[:-1]):
+            assert np.array_equal(a.intervene, b.intervene)
+            assert np.array_equal(a.impulses[a.intervene], b.impulses[b.intervene])
 
 
 def counted_bounds(bounds, calls):

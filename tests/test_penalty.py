@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hjbqvi import operators as operators_mod
 from hjbqvi import penalty as penalty_mod
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import check_solution_matrices, check_stability_bound
@@ -462,20 +461,25 @@ class TestSolveFiniteHorizon:
         assert d.min_dominance_margin > 0
 
     @pytest.mark.parametrize("M", [20, 40, 80])
-    def test_iteration_counts_do_not_depend_on_the_table_path(self, M, monkeypatch):
-        # Cash's reset targets agree across rows up to rounding, so its tables
-        # interpolate one shared row; forcing one row per node moves the
-        # control values by ulps (the +-b tie at x = 0) and no more.
+    def test_iteration_counts_do_not_depend_on_the_table_path(self, M):
+        # Cash declares its resets, so its tables take the reset layout (two
+        # running maxima); the same shift as a plain lambda is no declaration
+        # and takes the block layout.  Both solve the same equations up to
+        # rounding: the same iterations, interventions and impulses.
         p = builtin("cash")
         g = build_uniform_grid(Q=4, M=M, N=3 * M // 4, T=3)
         c = discretize_controls(p, g.rho)
-        shared = solve_finite_horizon(p, g, c)
-        monkeypatch.setattr(operators_mod, "_SHARED_ROW_ULPS", -1.0)
-        assert InterventionTable(p, g, c, 0.0).k.shape == c.impulse_values(0.0, g.nodes).shape
-        per_row = solve_finite_horizon(p, g, c)
-        assert ([s.iterations for s in shared.diagnostics.timesteps]
-                == [s.iterations for s in per_row.diagnostics.timesteps])
-        assert np.abs(shared.surface - per_row.surface).max() <= 1e-12
+        undeclared = replace(p, impulse_shift=lambda t, x, z: z - x)
+        assert InterventionTable(p, g, c, 0.0)._reset is p.impulse_cost
+        assert InterventionTable(undeclared, g, c, 0.0)._reset is None
+        reset = solve_finite_horizon(p, g, c)
+        block = solve_finite_horizon(undeclared, g, c)
+        assert ([s.iterations for s in reset.diagnostics.timesteps]
+                == [s.iterations for s in block.diagnostics.timesteps])
+        assert np.abs(reset.surface - block.surface).max() <= 1e-12
+        for a, b in zip(reset.policies[:-1], block.policies[:-1]):
+            assert np.array_equal(a.intervene, b.intervene)
+            assert np.array_equal(a.impulses[a.intervene], b.impulses[b.intervene])
 
     def test_clamped_jump_targets(self):
         # Jumps of 3z leave [-Q, Q] from |x| > 1; the clamped couplings keep

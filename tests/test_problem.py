@@ -6,7 +6,15 @@ import pytest
 from hjbqvi.grid import build_uniform_grid
 from hjbqvi.harness import check_solution_matrices
 from hjbqvi.penalty import solve_finite_horizon
-from hjbqvi.problem import ProblemSpec, builtin, eval_on, validate
+from hjbqvi.problem import (
+    ProblemSpec,
+    ResetCost,
+    builtin,
+    eval_on,
+    reset_impulse,
+    reset_shift,
+    validate,
+)
 from hjbqvi.semilag import solve_semi_lagrangian
 
 
@@ -170,6 +178,45 @@ class TestValidate:
         problem = builtin(name)
         report = validate(problem, make_grid(problem.horizon), samples=24)
         assert report.passed, [str(c) for c in report.failures()]
+
+
+class TestResetCost:
+    @pytest.mark.parametrize("c0, lam", [(0.0, 0.5), (-1.0, 0.5), (2.0, -0.1), (np.inf, 0.5),
+                                         (2.0, np.inf), (np.nan, 0.5), (2.0, np.nan)])
+    def test_needs_finite_positive_c0_and_nonnegative_lam(self, c0, lam):
+        with pytest.raises(ValueError, match="a reset cost needs finite c0 > 0 and lam >= 0"):
+            ResetCost(c0, lam)
+
+    def test_a_bad_cash_reset_is_rejected_on_construction(self):
+        with pytest.raises(ValueError, match="a reset cost needs"):
+            builtin("cash", {"lam": -0.5})
+
+    def test_is_the_reset_cost_it_declares(self):
+        cost = ResetCost(2.0, 0.5)
+        x, z = np.array([-4.0, 0.0, 0.3]), np.array([1.0, -1.0, 0.3])
+        assert np.array_equal(eval_on(cost, 0.0, x, z), -2.0 - 0.5 * np.abs(z - x))
+        assert np.array_equal(eval_on(reset_shift, 0.0, x, z), z - x)
+
+    @pytest.mark.parametrize("params", [{}, {"beta": 0.5}])
+    @pytest.mark.parametrize("name, declared", [("constant", None), ("heat", (3.0, 0.0)),
+                                                ("cash", (2.0, 0.5))])
+    def test_builtins_declare_their_resets(self, name, declared, params):
+        problem = builtin(name, params)
+        if declared is None:
+            assert problem.reset_cost is None
+        else:
+            assert problem.reset_cost is problem.impulse_cost == ResetCost(*declared)
+            assert problem.impulse_shift is reset_shift
+
+    def test_the_declaration_is_the_pair_of_callables(self):
+        # Replacing either callable, even by one with the same values, drops
+        # it; a problem made from reset_impulse has it.
+        cash = builtin("cash")
+        assert replace(cash, impulse_shift=lambda t, x, z: z - x).reset_cost is None
+        assert replace(cash, impulse_cost=lambda t, x, z: cash.impulse_cost(t, x, z)).reset_cost \
+            is None
+        other = replace(cash, **reset_impulse(3.0, 0.25))
+        assert other.reset_cost == ResetCost(3.0, 0.25)
 
 
 class TestBuiltins:
