@@ -366,18 +366,15 @@ def run(spec: RunSpec, mode: str = "solve", out_dir=None, check: bool = False,
         write_plotdata_csv(out / "plotdata.csv", [sol])
     else:
         # The study validates the run (a ConfigError) before its first solve.
-        solutions: list[Solution | None] = []
-        study = run_refinement_study(
-            problem, grid, spec.scheme, n_levels, spec.solver,
-            window=spec.window, checks=spec.checks, seed=spec.seed, solutions_out=solutions,
-        )
+        study = run_refinement_study(problem, grid, spec.scheme, n_levels, spec.solver,
+                                     window=spec.window, checks=spec.checks, seed=spec.seed)
         out.mkdir(parents=True, exist_ok=True)
         report["study"] = study.to_dict()
         named = [(f"level{lv.level}:{c.name}", c) for lv in study.levels for c in lv.checks]
-        finest = next((s for s in reversed(solutions) if s is not None), None)
+        finest = next((s for s in reversed(study.solutions) if s is not None), None)
         if finest is not None:
             write_solution_csv(out / "solution.csv", finest)
-        write_plotdata_csv(out / "plotdata.csv", solutions)
+        write_plotdata_csv(out / "plotdata.csv", study.solutions)
 
     report["failures"] = [{"name": name, "witness": c.witness, "value": c.value}
                           for name, c in named if not c.passed]
@@ -389,7 +386,7 @@ def _cmd_validate(spec: RunSpec) -> int:
     problem = build_problem(spec)
     grid = build_grid(spec, problem)
     require_runnable(problem, grid, spec.scheme, spec.checks)
-    report = validate(problem, grid, samples=64)
+    report = validate(problem, grid)
     for result in report.checks:
         print(result)
     print(f"lipschitz_estimate: {report.lipschitz_estimate:.6g}")

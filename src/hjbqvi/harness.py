@@ -51,6 +51,7 @@ STABILITY_SLACK = 1e-8
 
 #: Property checks by name, in the order :func:`run_checks` runs and reports them.
 CHECKS = ("stability", "matrices", "residual_oracle", "monotonicity")
+#: Ordered pairs the monotonicity check probes per run.
 MONOTONICITY_TRIALS = 100
 #: A probe whose upper value exceeds its lower one by more than this is a violation.
 MONOTONICITY_TOL = 1e-10
@@ -140,6 +141,8 @@ class ConvergenceReport:
     reference: str                      # "exact" or "self"
     window: Window
     levels: list[LevelResult] = field(default_factory=list)
+    # Each level's Solution, None where its solve failed; not serialised.
+    solutions: list[Solution | None] = field(default_factory=list, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -263,7 +266,6 @@ def check_solution_matrices(sol: Solution) -> PropertyCheck:
 
 @dataclass
 class MonotonicityReport:
-    trials: int
     violations: int
     witness: dict | None = None
 
@@ -272,10 +274,9 @@ class MonotonicityReport:
         return self.violations == 0
 
 
-def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int,
-                       seed: int) -> MonotonicityReport:
-    """Randomized ordered pairs u >= w, equal at the probe node, with entries
-    and bumps drawn from unit ranges.
+def check_monotonicity(row_fn, grid: SpaceTimeGrid, seed: int) -> MonotonicityReport:
+    """``MONOTONICITY_TRIALS`` randomized ordered pairs u >= w, equal at the
+    probe node, with entries and bumps drawn from unit ranges.
 
     ``row_fn(j, u_n, u_next, obstacle_value)`` evaluates the scheme at the
     probe; a monotone scheme must give a value for u no larger than for w.
@@ -285,7 +286,7 @@ def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int,
     n = grid.n_nodes
     violations = 0
     witness = None
-    for trial in range(trials):
+    for trial in range(MONOTONICITY_TRIALS):
         j = int(rng.integers(-grid.M, grid.M + 1))
         i = grid.offset(j)
         w_n = rng.uniform(-1.0, 1.0, n)
@@ -306,7 +307,7 @@ def check_monotonicity(row_fn, grid: SpaceTimeGrid, trials: int,
                     "upper": float(s_upper),
                     "lower": float(s_lower),
                 }
-    return MonotonicityReport(trials=trials, violations=violations, witness=witness)
+    return MonotonicityReport(violations=violations, witness=witness)
 
 
 def default_checks(scheme: str) -> tuple:
@@ -373,8 +374,7 @@ def run_checks(names, sol: Solution, problem: ProblemSpec, controls: DiscreteCon
         value = brute_force_residual(sol, problem, sol.grid, controls, sol.epsilon)
         out.append(PropertyCheck("residual_oracle", value <= RESIDUAL_ORACLE_TOL, value=value))
     if "monotonicity" in names:
-        report = check_monotonicity(scheme.row(problem, sol.grid, controls, sol), sol.grid,
-                                    MONOTONICITY_TRIALS, seed)
+        report = check_monotonicity(scheme.row(problem, sol.grid, controls, sol), sol.grid, seed)
         out.append(PropertyCheck("monotonicity", report.passed,
                                  value=float(report.violations)))
     return out
@@ -394,18 +394,17 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
                          cfg: SolverConfig | None = None,
                          window: Window | None = None,
                          checks: tuple | None = None,
-                         seed: int = 0,
-                         solutions_out: list | None = None,
-                         ) -> ConvergenceReport:
+                         seed: int = 0) -> ConvergenceReport:
     """Solve at rho, rho/2, ... and report errors, orders and property checks.
 
     Errors are measured against the problem's closed form when it has one,
     otherwise against the finest level (self-convergence; the finest level
     then has no error of its own).  A failed solve is recorded at its level
-    and the study continues.  Every listed check (None:
-    :func:`default_checks`) runs at each level with ``seed`` (see
-    :func:`run_checks`); :func:`require_runnable` rejects the run before any
-    level is solved, and the levels' solves take the controls it returns.
+    and the study continues; the report keeps each level's solution.  Every
+    listed check (None: :func:`default_checks`) runs at each level with
+    ``seed`` (see :func:`run_checks`); :func:`require_runnable` rejects the
+    run before any level is solved, and the levels' solves take the controls
+    it returns.
     """
     if levels < 2:
         raise ValueError(f"a refinement study needs >= 2 levels, got {levels}")
@@ -453,7 +452,5 @@ def run_refinement_study(problem: ProblemSpec, base_grid: SpaceTimeGrid,
     for result, order in zip(results[1:], observed_orders(defined)):
         result.observed_order = order
 
-    if solutions_out is not None:
-        solutions_out.extend(solutions)
-    return ConvergenceReport(problem_name=problem.name, scheme=scheme,
-                             reference=reference, window=window, levels=results)
+    return ConvergenceReport(problem_name=problem.name, scheme=scheme, reference=reference,
+                             window=window, levels=results, solutions=solutions)

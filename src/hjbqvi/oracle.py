@@ -57,9 +57,8 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     levels or passes.
     """
     require_time_axis(problem, grid)
-    cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
-    epsilon = default_epsilon(grid, cfg)
+    epsilon = default_epsilon(grid, cfg or SolverConfig())
 
     dt = grid.dt
     band = _control_band(grid, problem, controls)
@@ -69,7 +68,7 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     def step(u_next, n):
         # Reads the current pass's ``obstacles``.
         u, step_diag = penalty_timestep(u_next, n * dt, grid, problem, controls, band, epsilon,
-                                        cfg, FrozenObstacle(obstacles[n]))
+                                        intervention=FrozenObstacle(obstacles[n]))
         diagnostics.record_step(step_diag)
         return u, step_diag.policy
 

@@ -30,7 +30,10 @@ The stationary (discounted) analogue replaces the time difference by
 -beta u_j and solves a single such system, on a grid with no time axis
 (N = T = 0), whose rho is the spacing alone.
 
-The penalty parameter must vanish with the mesh: epsilon = c_eps * rho.
+The penalty parameter must vanish with the mesh: epsilon = c_eps * rho, a
+solve's one setting.  Policy iteration ends in finitely many steps on these
+WCDD systems (Azimzadeh & Forsyth, SIAM J. Numer. Anal. 54(3), 2016), so
+its limits are constants: ``PI_TOL``, ``MAX_ITERS`` and ``RESIDUAL_TOL``.
 
 M enters :func:`penalty_timestep` as ``intervention``, any operator with the
 interface of :mod:`operators` (``apply`` and ``jump_rows``) and the one
@@ -71,6 +74,12 @@ from .solution import (
     default_epsilon,
     require_time_axis,
 )
+
+#: Policy iteration stops on a sup-norm update below PI_TOL (or an unchanged
+#: policy), fails after MAX_ITERS; a step fails at a residual above RESIDUAL_TOL.
+PI_TOL = 1e-10
+RESIDUAL_TOL = 1e-8
+MAX_ITERS = 100
 
 
 # Control values at most this many eps * (the node's largest |value|) below
@@ -216,19 +225,19 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
     return SparseSystem(matrix=matrix, rhs=rhs, report=report)
 
 
-def _policy_iteration(u_start, rhs_base, time_weight, epsilon, cfg, controls,
+def _policy_iteration(u_start, rhs_base, time_weight, epsilon, controls,
                       intervention, band, reward,
                       time_index) -> tuple[np.ndarray, TimestepDiagnostics, np.ndarray]:
     """Policy iteration from ``u_start``; returns the solution, the step's
     diagnostics and the control argmax values of the last policy
     improvement, which evaluated the returned u.  It stops on an unchanged
-    policy or an update below ``cfg.tol``; each improvement keeps the
+    policy or an update below ``PI_TOL``; each improvement keeps the
     controls that still tie with the best up to rounding, so the stop does
     not depend on rounding."""
     diag = TimestepDiagnostics(time_index=time_index, iterations=0)
     policy, _, best_idx = _improve(u_start, controls, intervention, band, reward)
     u = np.asarray(u_start, dtype=float)
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         system = _assemble(policy, rhs_base, time_weight, epsilon, intervention,
                            band, reward, best_idx)
         diag.iterations += 1
@@ -242,11 +251,11 @@ def _policy_iteration(u_start, rhs_base, time_weight, epsilon, cfg, controls,
         diag.updates.append(update)
         unchanged = policy.same_as(new_policy)
         u, policy = u_new, new_policy
-        if unchanged or update < cfg.tol:
+        if unchanged or update < PI_TOL:
             break
     else:
         raise NonConvergenceError(
-            f"policy iteration hit max_iters={cfg.max_iters} at t index {time_index}",
+            f"policy iteration hit MAX_ITERS={MAX_ITERS} at t index {time_index}",
             history=diag.updates,
         )
     diag.policy = policy
@@ -254,7 +263,7 @@ def _policy_iteration(u_start, rhs_base, time_weight, epsilon, cfg, controls,
 
 
 def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band,
-                epsilon, cfg, intervention, time_index,
+                epsilon, intervention, time_index,
                 where) -> tuple[np.ndarray, TimestepDiagnostics]:
     """Solve one system of penalty equations (a timestep or the stationary
     equations) by policy iteration from ``u_start``, then gate the result on
@@ -265,30 +274,29 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band
     # Given None, policy iteration and the gate each build the table at t,
     # the first freed before the second: one alive at a time.
     u, diag, best = _policy_iteration(
-        u_start, rhs_base, time_weight, epsilon, cfg, controls,
+        u_start, rhs_base, time_weight, epsilon, controls,
         InterventionTable(problem, grid, controls, t) if intervention is None else intervention,
         band, reward, time_index)
     if intervention is None:
         intervention = InterventionTable(problem, grid, controls, t)
     res = residual(u, rhs_base, time_weight, best, intervention.apply(u).values, epsilon)
     diag.final_residual = float(np.abs(res).max())
-    if diag.final_residual > cfg.residual_tol:
+    if diag.final_residual > RESIDUAL_TOL:
         raise NonConvergenceError(
             f"{where}: residual {diag.final_residual:.3g} exceeds "
-            f"residual_tol {cfg.residual_tol:.3g}",
+            f"RESIDUAL_TOL {RESIDUAL_TOL:.3g}",
             history=diag.updates,
         )
     return u, diag
 
 
 def penalty_timestep(u_next, t, grid, problem, controls, band, epsilon,
-                     cfg: SolverConfig | None = None,
                      intervention=None) -> tuple[np.ndarray, TimestepDiagnostics]:
-    """One implicit timestep by policy iteration, solved to residual tolerance;
-    ``band`` is the :func:`_control_band`."""
+    """One implicit timestep by policy iteration, its residual at most
+    ``RESIDUAL_TOL``; ``band`` is the :func:`_control_band`."""
     u_next = np.asarray(u_next, dtype=float)
     return _solve_step(u_next, u_next / grid.dt, 1.0 / grid.dt, t, grid, problem, controls,
-                       band, epsilon, cfg or SolverConfig(), intervention,
+                       band, epsilon, intervention,
                        time_index=int(round(t / grid.dt)), where="penalty timestep")
 
 
@@ -298,16 +306,15 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     """:func:`solution.backward_induction` of :func:`penalty_timestep` from
     u^N = g, with one :func:`_control_band` for every step."""
     require_time_axis(problem, grid)
-    cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
-    epsilon = default_epsilon(grid, cfg)
+    epsilon = default_epsilon(grid, cfg or SolverConfig())
 
     diagnostics = SolveDiagnostics()
     band = _control_band(grid, problem, controls)
 
     def step(u_next, n):
         u, step_diag = penalty_timestep(u_next, n * grid.dt, grid, problem, controls, band,
-                                        epsilon, cfg)
+                                        epsilon)
         diagnostics.record_step(step_diag)
         return u, step_diag.policy
 
@@ -323,13 +330,12 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     """Stationary discounted equations on a grid with no time axis (N = 0),
     solved by policy iteration from u = 0."""
     require_time_axis(problem, grid, stationary=True)
-    cfg = cfg or SolverConfig()
     controls = controls or discretize_controls(problem, grid.rho)
-    epsilon = default_epsilon(grid, cfg)
+    epsilon = default_epsilon(grid, cfg or SolverConfig())
 
     zeros = np.zeros(grid.n_nodes)
     u, step_diag = _solve_step(zeros, zeros, problem.discount, 0.0, grid, problem, controls,
-                               _control_band(grid, problem, controls), epsilon, cfg, None,
+                               _control_band(grid, problem, controls), epsilon, None,
                                time_index=0, where="stationary solve")
     diagnostics = SolveDiagnostics()
     diagnostics.record_step(step_diag)

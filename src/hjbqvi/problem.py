@@ -10,7 +10,8 @@ inequality
 on [0, T) x R with terminal value terminal_reward, or its stationary
 analogue with a discount rate in place of the time derivative.
 
-Standing hypotheses, checked by :func:`validate` on sampled points:
+Standing hypotheses, checked by :func:`validate` on up to
+``VALIDATE_SAMPLES`` nodes and times of a grid:
 
 * rewards bounded and jumping at the terminal time never gains
   (sup_z { g(x + shift) + cost } <= g(x)),
@@ -20,7 +21,10 @@ Standing hypotheses, checked by :func:`validate` on sampled points:
   that it ignores the control: :func:`semilag.diffusion_variance`).
 
 Coefficients are plain callables (scalar in, scalar out); array-aware
-callables are exploited when they broadcast, via :func:`eval_on`.
+callables are exploited when they broadcast, via :func:`eval_on` (and
+:func:`impulse_bounds_on` for the impulse bounds).  Every finite sample of
+an interval -- the control set, each node's impulse candidates, and the
+candidates :func:`validate` checks -- is :func:`uniform_sample`'s.
 
 A problem whose impulses reset the state to z at cost -c0 - lam |z - x|
 says so through its callables: ``impulse_shift`` is :func:`reset_shift` and
@@ -184,6 +188,10 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
+#: :func:`validate` samples at most this many nodes and this many times.
+VALIDATE_SAMPLES = 64
+
+
 def _subsample(values: np.ndarray, count: int) -> np.ndarray:
     if values.size <= count:
         return values
@@ -191,79 +199,108 @@ def _subsample(values: np.ndarray, count: int) -> np.ndarray:
     return values[idx]
 
 
-def uniform_sample(lo: float, hi: float, resolution: float) -> np.ndarray:
-    """Endpoints-included uniform sample with ceil(width / resolution) + 1 points.
+def uniform_sample(lo, hi, resolution: float) -> np.ndarray:
+    """Endpoints-included uniform sample of [lo, hi] at spacing at most ``resolution``.
 
-    A nonempty width takes at least one step, so the sample holds both lo and
-    hi even when width / resolution underflows to zero.
+    ``lo`` and ``hi`` are scalars or arrays of one shape; the sample adds a
+    last axis of K points, K the largest count, a shorter row repeating its
+    last point.  A nonempty interval has ceil(width / resolution) + 1 points,
+    at least 2 (both ends, even where width / resolution underflows to 0);
+    hi <= lo gives the one point lo.  The points are ``np.linspace(lo, hi,
+    count)``'s bit for bit: k * step + lo, the last hi.  linspace's zero-step
+    branch cannot trigger: the step is at least min(width, resolution / 2).
     """
-    if hi <= lo:
-        return np.array([float(lo)])
-    count = max(int(np.ceil((hi - lo) / resolution)), 1) + 1
-    return np.linspace(lo, hi, count)
+    lo = np.asarray(lo, dtype=float)[..., np.newaxis]
+    hi = np.asarray(hi, dtype=float)[..., np.newaxis]
+    width = hi - lo
+    last = np.maximum(np.ceil(width / resolution), width > 0.0)   # count - 1
+    step = width / np.maximum(last, 1.0)
+    columns = np.arange(int(last.max(initial=0.0)) + 1, dtype=float)
+    return np.where(columns >= last, np.where(last > 0, hi, lo), columns * step + lo)
 
 
-def intervention_of_terminal(problem: ProblemSpec, x: float, resolution: float) -> float:
-    """Brute-force sup_z { g(x + shift) + cost } at the terminal time."""
-    t = problem.horizon if problem.finite_horizon else 0.0
-    lo, hi = problem.impulse_bounds(t, x)
-    if hi < lo:
-        return -np.inf
-    zs = uniform_sample(float(lo), float(hi), resolution)
-    targets = x + eval_on(problem.impulse_shift, t, x, zs)
-    gains = eval_on(problem.terminal_reward, targets) + eval_on(problem.impulse_cost, t, x, zs)
-    return float(gains.max())
+def impulse_bounds_on(problem: ProblemSpec, t: float,
+                      nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The impulse bounds (lo, hi) at time t over the nodes, as two arrays.
 
-
-def validate(problem: ProblemSpec, grid: SpaceTimeGrid, samples: int = 64) -> ValidationReport:
-    """Check the standing hypotheses on a deterministic sample of grid points.
-
-    The report carries every check with its worst witness; callers decide
-    what a failure means.  It raises ValueError for ``samples < 1``, for a
-    non-finite impulse bound (naming its (t, x)) and, through
-    :func:`eval_on`, when a coefficient returns a non-finite value.
+    Array first, as :func:`eval_on` does: one call ``impulse_bounds(t, nodes)``
+    whose lo and hi are each a per-node array or a scalar (constant over the
+    nodes).  A TypeError or ValueError from that call, or any other shape,
+    falls back to one scalar call per node.  ValueError names the first node
+    whose bounds are not finite; an empty interval (hi < lo) is the caller's
+    to judge.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    xs = _subsample(grid.nodes, samples)
-    ts = _subsample(grid.times(), samples)
+    try:
+        lo, hi = problem.impulse_bounds(t, nodes)
+        pair = [np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)]
+    except (TypeError, ValueError):
+        pair = []
+    if pair and all(bound.shape in ((), nodes.shape) for bound in pair):
+        lo_hi = np.empty((2, nodes.size))
+        lo_hi[0], lo_hi[1] = pair
+    else:
+        lo_hi = np.array([problem.impulse_bounds(t, x) for x in nodes.tolist()],
+                         dtype=float).reshape(-1, 2).T
+    lo, hi = lo_hi
+    if not np.isfinite(lo_hi).all():
+        i = np.flatnonzero(~np.isfinite(lo_hi).all(axis=0))[0]
+        raise ValueError(f"non-finite impulse bounds at (t={float(t)!r}, x={float(nodes[i])!r}): "
+                         f"[{float(lo[i])!r}, {float(hi[i])!r}]")
+    return lo, hi
+
+
+def validate(problem: ProblemSpec, grid: SpaceTimeGrid) -> ValidationReport:
+    """Check the standing hypotheses at up to ``VALIDATE_SAMPLES`` evenly
+    spread nodes and times of the grid, ends included.
+
+    Each sampled time, and the terminal time, reads the impulse bounds once
+    over the nodes and samples the candidates as one block
+    (:func:`uniform_sample` at the grid's rho).  The report carries every
+    check with its worst witness, the first in (t, x, z) order; callers
+    decide what a failure means.  ValueError names a non-finite impulse
+    bound's (t, x), or (through :func:`eval_on`) a non-finite coefficient.
+    """
+    xs = _subsample(grid.nodes, VALIDATE_SAMPLES)
+    ts = _subsample(grid.times(), VALIDATE_SAMPLES)
     t_terminal = problem.horizon if problem.finite_horizon else 0.0
     z_resolution = max(grid.rho, 1e-12)
     b_lo, b_hi = problem.control_bounds
-    bs = np.array([b_lo]) if b_hi == b_lo else np.linspace(b_lo, b_hi, min(samples, 9))
+    bs = np.array([b_lo]) if b_hi == b_lo else np.linspace(b_lo, b_hi, 9)
 
-    # Impulse cost must be strictly negative everywhere.
-    worst_cost = -np.inf
-    cost_witness = ()
-    # Impulse intervals must be nonempty.
-    min_width = np.inf
-    width_witness = ()
+    def candidates(t):
+        """(hi - lo, the nodes with a nonempty impulse set, their candidate rows) at t."""
+        lo, hi = impulse_bounds_on(problem, t, xs)
+        keep = hi >= lo
+        return hi - lo, keep, uniform_sample(lo[keep], hi[keep], z_resolution)
+
+    # Impulse cost must be strictly negative everywhere, and impulse
+    # intervals nonempty.
+    worst_cost, cost_witness = -np.inf, ()
+    min_width, width_witness = np.inf, ()
     for t in ts:
-        for x in xs:
-            lo, hi = problem.impulse_bounds(t, x)
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError(f"non-finite impulse bounds at (t={float(t)!r}, "
-                                 f"x={float(x)!r}): [{float(lo)!r}, {float(hi)!r}]")
-            width = hi - lo
-            if width < min_width:
-                min_width, width_witness = width, (float(t), float(x))
-            if hi < lo:
-                continue
-            zs = uniform_sample(float(lo), float(hi), z_resolution)
-            costs = eval_on(problem.impulse_cost, t, x, zs)
-            k = int(costs.argmax())
-            if costs[k] > worst_cost:
-                worst_cost, cost_witness = float(costs[k]), (float(t), float(x), float(zs[k]))
+        width, keep, zs = candidates(t)
+        i = int(width.argmin())
+        if width[i] < min_width:
+            min_width, width_witness = width[i], (float(t), float(xs[i]))
+        if keep.any():
+            x_col = xs[keep, np.newaxis]
+            costs = eval_on(problem.impulse_cost, t, x_col, zs)
+            r, k = np.unravel_index(int(costs.argmax()), costs.shape)
+            if costs[r, k] > worst_cost:
+                worst_cost = float(costs[r, k])
+                cost_witness = (float(t), float(x_col[r, 0]), float(zs[r, k]))
 
     # Jumping at the terminal time must never gain.
-    worst_gain = -np.inf
-    gain_witness = ()
-    for x in xs:
-        gap = intervention_of_terminal(problem, x, z_resolution) - float(
-            eval_on(problem.terminal_reward, x)
-        )
-        if gap > worst_gain:
-            worst_gain, gain_witness = gap, (float(t_terminal), float(x))
+    worst_gain, gain_witness = -np.inf, ()
+    _, keep, zs = candidates(t_terminal)
+    g_x = eval_on(problem.terminal_reward, xs)
+    if keep.any():
+        x_col = xs[keep, np.newaxis]
+        targets = x_col + eval_on(problem.impulse_shift, t_terminal, x_col, zs)
+        gaps = (eval_on(problem.terminal_reward, targets)
+                + eval_on(problem.impulse_cost, t_terminal, x_col, zs)).max(axis=1) - g_x[keep]
+        i = int(gaps.argmax())
+        worst_gain, gain_witness = float(gaps[i]), (float(t_terminal), float(x_col[i, 0]))
 
     # One row per sampled control.
     mu = eval_on(problem.drift, xs, bs[:, np.newaxis])

@@ -1,5 +1,8 @@
 """Shared solver types, the backward induction of the finite-horizon solvers
-and the check of a solver's grid against its problem."""
+and the check of a solver's grid against its problem.
+
+A solve has one setting, :class:`SolverConfig`'s ``c_eps``; everything else
+that shapes a solve is the problem, the grid and the discrete controls."""
 
 from __future__ import annotations
 
@@ -13,24 +16,16 @@ from .problem import ProblemSpec
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the per-timestep policy iteration.
+    """The one setting of a solve: ``c_eps`` sets the penalty parameter
+    epsilon = c_eps * rho, which vanishes with the mesh as the scheme
+    requires.  Policy iteration's stopping rules are constants of
+    :mod:`penalty`."""
 
-    ``c_eps`` sets the penalty parameter epsilon = c_eps * rho, which
-    vanishes with the mesh as the scheme requires.
-    """
-
-    tol: float = 1e-10
-    residual_tol: float = 1e-8
-    max_iters: int = 100
     c_eps: float = 1.0
 
     def __post_init__(self):
-        for name in ("tol", "residual_tol", "c_eps"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        if not 0 < self.c_eps < np.inf:
+            raise ValueError(f"c_eps must be finite and positive, got {self.c_eps!r}")
 
 
 def default_epsilon(grid: SpaceTimeGrid, cfg: SolverConfig) -> float:

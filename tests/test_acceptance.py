@@ -130,12 +130,9 @@ def c3_runs():
     start = time.perf_counter()
     out = {}
     for scheme in ("penalty", "semilagrangian"):
-        solutions = []
-        report = run_refinement_study(problem, base, scheme, levels=4,
-                                      window=window,
-                                      checks=("stability", "matrices"),
-                                      solutions_out=solutions)
-        out[scheme] = dict(report=report, solutions=solutions)
+        report = run_refinement_study(problem, base, scheme, levels=4, window=window,
+                                      checks=("stability", "matrices"))
+        out[scheme] = dict(report=report, solutions=report.solutions)
     elapsed = time.perf_counter() - start
     return dict(problem=problem, runs=out, elapsed=elapsed)
 
@@ -282,10 +279,10 @@ def test_criterion_7_monotonicity(corpus, monkeypatch):
     controls = discretize_controls(problem, grid.rho)
     pen_report = check_monotonicity(
         penalty_mod.monotonicity_row(problem, grid, controls, epsilon=grid.rho, t=0.0),
-        grid, trials=100, seed=SEED)
+        grid, seed=SEED)
     sl_report = check_monotonicity(
         semilag_mod.monotonicity_row(problem, grid, controls, t=0.0),
-        grid, trials=100, seed=SEED)
+        grid, seed=SEED)
 
     # Mutation fixture: the stencil core with its upwind direction flipped,
     # on a pure-advection problem (diffusion would otherwise mask the broken
@@ -312,12 +309,12 @@ def test_criterion_7_monotonicity(corpus, monkeypatch):
 
     clean_adv = check_monotonicity(
         penalty_mod.monotonicity_row(advection, adv_grid, adv_controls, epsilon=0.25, t=0.0),
-        adv_grid, trials=100, seed=SEED)
+        adv_grid, seed=SEED)
     with monkeypatch.context() as patch:
         patch.setattr(penalty_mod, "generator_band", flipped_upwind_band)
         mutant = check_monotonicity(
             penalty_mod.monotonicity_row(advection, adv_grid, adv_controls, epsilon=0.25, t=0.0),
-            adv_grid, trials=100, seed=SEED)
+            adv_grid, seed=SEED)
 
     ok = (pen_report.violations == 0 and sl_report.violations == 0
           and clean_adv.violations == 0 and mutant.violations >= 1)

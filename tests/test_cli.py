@@ -1,16 +1,19 @@
 import csv
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 from hjbqvi import cli, harness, semilag
 from hjbqvi.exceptions import ConfigError
 from hjbqvi.problem import builtin
+from hjbqvi.solution import SolverConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """\
 problem:
@@ -56,8 +59,7 @@ class TestParseConfig:
         assert spec.problem_name == "constant"
         assert spec.scheme == "penalty"
         assert spec.grid_mode == "uniform"
-        assert spec.solver.tol == 1e-10
-        assert spec.solver.max_iters == 100
+        assert spec.solver == SolverConfig()
         assert spec.seed == 0
         assert "stability" in spec.checks
 
@@ -254,6 +256,38 @@ class TestConfigErrors:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["tol", "max_iters", "residual_tol"])
+    def test_policy_iteration_limits_are_unknown_keys(self, tmp_path, capsys, key):
+        # Policy iteration's limits are constants of the penalty module.
+        config = write_config(tmp_path, MINIMAL + f"solver: {{{key}: 1}}\n")
+        status = cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert status == 2
+        assert f"unknown key {key!r} in solver" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestReadmeSchema:
+    """The README's schema block is the config format parse_config reads."""
+
+    # Values for the keys the block leaves empty (required, no default).
+    REQUIRED = {("problem", "name"): "cash", ("grid", "Q"): 4.0, ("grid", "M"): 8,
+                ("grid", "N"): 6, ("grid", "c_b"): 1.0}
+
+    def schema(self):
+        text = README.read_text(encoding="utf-8")
+        return yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+    def test_every_listed_key_is_accepted(self, tmp_path):
+        schema = self.schema()
+        for (section, key), value in self.REQUIRED.items():
+            assert schema[section][key] is None
+            schema[section][key] = value
+        spec = cli.parse_config(write_config(tmp_path, json.dumps(schema)))
+        assert spec.problem_name == "cash" and spec.M == 8 and spec.c_b == 1.0
+
+    def test_solver_keys_are_the_solver_config(self):
+        assert set(self.schema()["solver"]) == {f.name for f in fields(SolverConfig)}
+
 
 class TestRequestedChecks:
     @pytest.mark.parametrize("scheme", ["ios", "semilagrangian"])
@@ -404,7 +438,7 @@ class TestRunStudy:
             ["stability_bound", "monotonicity"]] * 2
         # A violation at each level fails the study under the level's name.
         monkeypatch.setattr(harness, "check_monotonicity",
-                            lambda *args: harness.MonotonicityReport(trials=1, violations=1))
+                            lambda *args: harness.MonotonicityReport(violations=1))
         assert cli.run(spec, mode="study", out_dir=tmp_path / "failed", levels=2) == 1
         report = json.loads((tmp_path / "failed" / "report.json").read_text())
         assert [f["name"] for f in report["failures"]] == [

@@ -228,7 +228,7 @@ class TestMonotonicity:
 
     def test_penalty_row_clean(self):
         row = penalty_mod.monotonicity_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
-        report = check_monotonicity(row, self.grid, trials=100, seed=7)
+        report = check_monotonicity(row, self.grid, seed=7)
         assert report.violations == 0
 
     def test_penalty_row_clean_on_heat(self):
@@ -236,11 +236,11 @@ class TestMonotonicity:
         grid = build_uniform_grid(Q=4, M=16, N=8, T=1)
         controls = discretize_controls(problem, grid.rho)
         row = penalty_mod.monotonicity_row(problem, grid, controls, 0.25, t=0.0)
-        assert check_monotonicity(row, grid, trials=100, seed=7).violations == 0
+        assert check_monotonicity(row, grid, seed=7).violations == 0
 
     def test_semilagrangian_row_clean(self):
         row = semilag_mod.monotonicity_row(self.problem, self.grid, self.controls, t=0.0)
-        report = check_monotonicity(row, self.grid, trials=100, seed=7)
+        report = check_monotonicity(row, self.grid, seed=7)
         assert report.violations == 0
 
     def test_flipped_matrix_detected_on_semilagrangian_row(self, monkeypatch):
@@ -249,11 +249,11 @@ class TestMonotonicity:
         p, g, c = self.problem, self.grid, self.controls
         A = assemble_A(g, p, c)
         clean = semilag_mod.monotonicity_row(p, g, c, t=0.0)
-        assert check_monotonicity(clean, g, trials=100, seed=7).violations == 0
+        assert check_monotonicity(clean, g, seed=7).violations == 0
         monkeypatch.setattr(semilag_mod, "assemble_A",
                             lambda *args: (A - 2.0 * sp.tril(A, k=-1)).tocsr())
         mutant = semilag_mod.monotonicity_row(p, g, c, t=0.0)
-        report = check_monotonicity(mutant, g, trials=100, seed=7)
+        report = check_monotonicity(mutant, g, seed=7)
         assert report.violations >= 1 and report.witness is not None
 
     def test_hand_pair_single_bump(self):
@@ -269,9 +269,9 @@ class TestMonotonicity:
 
     def test_deterministic_given_seed(self):
         row = penalty_mod.monotonicity_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
-        a = check_monotonicity(row, self.grid, trials=50, seed=3)
-        b = check_monotonicity(row, self.grid, trials=50, seed=3)
-        assert (a.trials, a.violations) == (b.trials, b.violations)
+        a = check_monotonicity(row, self.grid, seed=3)
+        b = check_monotonicity(row, self.grid, seed=3)
+        assert (a.violations, a.witness) == (b.violations, b.witness)
 
     def test_flipped_upwind_detected_on_advection(self, monkeypatch):
         # Pure advection keeps the diffusion term from masking the broken
@@ -293,11 +293,11 @@ class TestMonotonicity:
         controls = discretize_controls(problem, rho=1.0)
 
         clean = penalty_mod.monotonicity_row(problem, grid, controls, 0.25, t=0.0)
-        assert check_monotonicity(clean, grid, trials=100, seed=11).violations == 0
+        assert check_monotonicity(clean, grid, seed=11).violations == 0
 
         monkeypatch.setattr(penalty_mod, "generator_band", flipped_upwind_band)
         mutant = penalty_mod.monotonicity_row(problem, grid, controls, 0.25, t=0.0)
-        report = check_monotonicity(mutant, grid, trials=100, seed=11)
+        report = check_monotonicity(mutant, grid, seed=11)
         assert report.violations >= 1
         assert report.witness is not None
         # The system assembled from the same mutant loses the M-matrix structure.
@@ -380,8 +380,8 @@ class TestSchemeRowsAtSolutions:
 
         for name in calls:
             monkeypatch.setattr(penalty_mod, name, counted(name))
-        report = check_monotonicity(penalty_mod.monotonicity_row(p, g, c, 0.25, t=0.0), g, 50, 0)
-        assert report.trials == 50 and calls == {"_control_band": 1, "_reward_block": 1}
+        check_monotonicity(penalty_mod.monotonicity_row(p, g, c, 0.25, t=0.0), g, 0)
+        assert calls == {"_control_band": 1, "_reward_block": 1}
 
     def test_semilagrangian_check_builds_one_band(self, monkeypatch):
         # The monotonicity check builds A, and so reads the diffusion, once,
@@ -395,8 +395,8 @@ class TestSchemeRowsAtSolutions:
             return variance(*args)
 
         monkeypatch.setattr(semilag_mod, "diffusion_variance", counted)
-        report = check_monotonicity(semilag_mod.monotonicity_row(p, g, c, t=0.0), g, 50, 0)
-        assert report.trials == 50 and len(calls) == 1
+        check_monotonicity(semilag_mod.monotonicity_row(p, g, c, t=0.0), g, 0)
+        assert len(calls) == 1
 
 
 class TestRaggedImpulseSets:
@@ -522,6 +522,11 @@ class TestRefinementStudy:
         assert report.reference == "self"
         assert report.levels[-1].error is None
         assert report.errors()[0] > report.errors()[1] > 0
+        # The report keeps each level's solution, and its dict leaves them out.
+        assert [s.grid.rho for s in report.solutions] == [lv.rho for lv in report.levels]
+        assert report.errors()[0] == sup_error(report.solutions[0], report.solutions[-1],
+                                               report.window)
+        assert "solutions" not in report.to_dict()
 
     def test_needs_two_levels(self):
         p = builtin("constant")
@@ -557,9 +562,9 @@ class TestRefinementStudy:
         seeds = []
         probe = harness.check_monotonicity
 
-        def recorded(row_fn, grid, trials, seed):
+        def recorded(row_fn, grid, seed):
             seeds.append(seed)
-            return probe(row_fn, grid, trials, seed)
+            return probe(row_fn, grid, seed)
 
         monkeypatch.setattr(harness, "check_monotonicity", recorded)
         p = builtin("cash")
@@ -570,19 +575,20 @@ class TestRefinementStudy:
             ["stability_bound", "monotonicity"]] * 2
         assert seeds == [7, 7] and report.passed
 
-    def test_solver_failure_recorded_and_study_continues(self):
+    def test_solver_failure_recorded_and_study_continues(self, monkeypatch):
         # A one-iteration budget starves policy iteration on the cash
         # problem; each level must be recorded as failed without aborting
         # the study.
+        monkeypatch.setattr(penalty_mod, "MAX_ITERS", 1)
         p = builtin("cash")
         base = build_uniform_grid(Q=4, M=10, N=8, T=3)
-        report = run_refinement_study(
-            p, base, "penalty", levels=2, cfg=SolverConfig(max_iters=1))
+        report = run_refinement_study(p, base, "penalty", levels=2)
         assert len(report.levels) == 2
         assert all(lv.solve_failed for lv in report.levels)
         assert all(any(c.name == "solve" and not c.passed for c in lv.checks)
                    for lv in report.levels)
-        assert all("policy iteration hit max_iters=1" in lv.message for lv in report.levels)
+        assert all("policy iteration hit MAX_ITERS=1" in lv.message for lv in report.levels)
+        assert report.solutions == [None, None]
         assert not report.passed
 
     def test_level_grids_follow_halving(self):

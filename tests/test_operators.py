@@ -325,8 +325,16 @@ SAMPLER_CASES = [
 ]
 
 
+def linspace_sample(lo, hi, rho):
+    """np.linspace with ceil(width / rho) + 1 points, at least 2 on a nonempty
+    width, and [lo] on an empty or zero one: the reference sampler."""
+    if hi <= lo:
+        return np.array([lo])
+    return np.linspace(lo, hi, max(int(np.ceil((hi - lo) / rho)), 1) + 1)
+
+
 class TestImpulseSampler:
-    """``impulse_values`` against ``uniform_sample`` (plain ``np.linspace``)."""
+    """``impulse_values`` and ``uniform_sample`` against plain ``np.linspace``."""
 
     @pytest.mark.parametrize("bounds, rho", SAMPLER_CASES)
     def test_rows_match_uniform_sample_bit_for_bit(self, bounds, rho):
@@ -337,7 +345,9 @@ class TestImpulseSampler:
         block = c.impulse_values(0.25, g.nodes)
         expected = []
         for i, x in enumerate(g.nodes):
-            ref = uniform_sample(*p.impulse_bounds(0.25, float(x)), rho)
+            lo, hi = p.impulse_bounds(0.25, float(x))
+            ref = linspace_sample(lo, hi, rho)
+            assert uniform_sample(lo, hi, rho).tobytes() == ref.tobytes()
             expected.append(np.pad(ref, (0, block.shape[1] - ref.size), mode="edge"))
             assert np.array_equal(block[i], expected[i])
         assert block.tobytes() == np.array(expected).tobytes()

@@ -107,10 +107,10 @@ class TestControlBandPerSolve:
         hoisted = solve_iterated_optimal_stopping(p, g, c)
         timestep = oracle.penalty_timestep
 
-        def own_band(u_next, t, grid, problem, controls, band, *rest):
+        def own_band(u_next, t, grid, problem, controls, band, *rest, **kwargs):
             # Each step builds its own band, as it did before the solve shared one.
             return timestep(u_next, t, grid, problem, controls,
-                            oracle._control_band(grid, problem, controls), *rest)
+                            oracle._control_band(grid, problem, controls), *rest, **kwargs)
 
         monkeypatch.setattr(oracle, "penalty_timestep", own_band)
         per_step = solve_iterated_optimal_stopping(p, g, c)

@@ -14,6 +14,7 @@ from hjbqvi.problem import (
     reset_impulse,
     reset_shift,
     validate,
+    VALIDATE_SAMPLES,
 )
 from hjbqvi.semilag import solve_semi_lagrangian
 
@@ -111,14 +112,14 @@ class TestValidate:
 
     def test_constant_problem_passes(self):
         grid = build_uniform_grid(Q=2, M=8, N=8, T=1)
-        report = validate(flat_problem(), grid, samples=16)
+        report = validate(flat_problem(), grid)
         assert report.passed
         cost = next(c for c in report.checks if c.name == "impulse_cost_negative")
         assert cost.worst_value == -1.0
 
     def test_zero_impulse_cost_fails_with_witness(self):
         grid = build_uniform_grid(Q=2, M=8, N=8, T=1)
-        report = validate(flat_problem(impulse_cost=0.0), grid, samples=16)
+        report = validate(flat_problem(impulse_cost=0.0), grid)
         failed = report.failures()
         assert [c.name for c in failed] == ["impulse_cost_negative"]
         assert failed[0].worst_value == 0.0
@@ -130,7 +131,7 @@ class TestValidate:
         # at most sin(1) - 3 + 1 <= -1 on every sampled node.
         problem = builtin("heat")
         grid = build_uniform_grid(Q=4, M=16, N=8, T=1)
-        report = validate(problem, grid, samples=32)
+        report = validate(problem, grid)
         assert report.passed
         margin = next(c for c in report.checks if c.name == "terminal_intervention_no_gain")
         assert margin.worst_value <= -1.0
@@ -138,21 +139,16 @@ class TestValidate:
     def test_cash_passes(self):
         problem = builtin("cash")
         grid = build_uniform_grid(Q=4, M=16, N=12, T=3)
-        report = validate(problem, grid, samples=32)
+        report = validate(problem, grid)
         assert report.passed
         assert report.lipschitz_estimate < 100.0
-
-    def test_samples_precondition(self):
-        grid = build_uniform_grid(Q=2, M=4, N=4, T=1)
-        with pytest.raises(ValueError):
-            validate(flat_problem(), grid, samples=0)
 
     def test_control_dependent_diffusion_is_a_valid_problem(self):
         # The standing hypotheses allow a diffusion that depends on b: validate
         # passes it, and the penalty scheme solves it within its guarantees.
         spreading = replace(builtin("cash"), diffusion=lambda x, b: 1.0 + 2.0 * b + 0.0 * x)
         grid = build_uniform_grid(Q=4, M=16, N=12, T=3)
-        report = validate(spreading, grid, samples=32)
+        report = validate(spreading, grid)
         assert report.passed, [str(c) for c in report.failures()]
         assert [c.name for c in report.checks] == [
             "impulse_cost_negative", "terminal_intervention_no_gain",
@@ -167,7 +163,7 @@ class TestValidate:
         grid = build_uniform_grid(Q=4, M=16, N=12, T=3)
         named = r"non-finite impulse bounds at \(t=0\.0, x=1\.25\): \[-1\.0, nan\]"
         with pytest.raises(ValueError, match=named):
-            validate(broken, grid, samples=32)
+            validate(broken, grid)
 
     @pytest.mark.parametrize("name", ["constant", "heat", "cash"])
     @pytest.mark.parametrize("make_grid", [
@@ -176,8 +172,60 @@ class TestValidate:
     ])
     def test_every_builtin_passes_on_every_grid(self, name, make_grid):
         problem = builtin(name)
-        report = validate(problem, make_grid(problem.horizon), samples=24)
+        report = validate(problem, make_grid(problem.horizon))
         assert report.passed, [str(c) for c in report.failures()]
+
+    @pytest.mark.parametrize("problem", [
+        builtin("cash"),
+        builtin("heat", {"beta": 0.5}),
+        replace(builtin("cash"),
+                impulse_bounds=lambda t, x: (-1.0 - 0.1 * np.abs(x), 1.0 - np.abs(x) + t),
+                impulse_cost=lambda t, x, z: 0.1 * t - z * z + 0.0 * x),
+        replace(builtin("cash"), impulse_bounds=lambda t, x: (0.5, 0.5 + max(x, 0.0)),
+                impulse_cost=lambda t, x, z: -0.01 + 0.0 * z),
+    ], ids=["cash", "heat-discounted", "ragged-with-empty-sets", "scalar-bounds"])
+    def test_impulse_checks_match_the_per_point_loop(self, problem):
+        # 81 nodes and 98 times: validate subsamples both.
+        grid = (build_uniform_grid(Q=4, M=40, N=97, T=problem.horizon) if problem.finite_horizon
+                else build_uniform_grid(Q=4, M=40))
+        checks = {c.name: (c.worst_value, c.witness) for c in validate(problem, grid).checks}
+        for name, expected in loop_impulse_checks(problem, grid).items():
+            assert checks[name] == expected, name
+
+
+def loop_impulse_checks(problem, grid):
+    """validate's impulse checks as one scalar loop over (t, x) and np.linspace
+    candidates, the reference its array blocks must reproduce exactly."""
+    def sample(lo, hi):
+        if hi <= lo:
+            return [lo]
+        width = hi - lo
+        return np.linspace(lo, hi, max(int(np.ceil(width / grid.rho)), 1) + 1).tolist()
+
+    xs, ts = grid.nodes, grid.times()
+    xs = xs[np.unique(np.linspace(0, xs.size - 1, VALIDATE_SAMPLES).round().astype(int))]
+    ts = ts[np.unique(np.linspace(0, ts.size - 1, VALIDATE_SAMPLES).round().astype(int))]
+    cost = (-np.inf, ())
+    width = (np.inf, ())
+    for t in ts.tolist():
+        for x in xs.tolist():
+            lo, hi = (float(b) for b in problem.impulse_bounds(t, x))
+            if hi - lo < width[0]:
+                width = (hi - lo, (t, x))
+            for z in sample(lo, hi) if hi >= lo else []:
+                if float(problem.impulse_cost(t, x, z)) > cost[0]:
+                    cost = (float(problem.impulse_cost(t, x, z)), (t, x, z))
+    t = problem.horizon if problem.finite_horizon else 0.0
+    gain = (-np.inf, ())
+    for x in xs.tolist():
+        lo, hi = (float(b) for b in problem.impulse_bounds(t, x))
+        jumps = [float(problem.terminal_reward(x + float(problem.impulse_shift(t, x, z))))
+                 + float(problem.impulse_cost(t, x, z)) for z in sample(lo, hi) if hi >= lo]
+        gap = max(jumps, default=-np.inf) - float(problem.terminal_reward(x))
+        if gap > gain[0]:
+            gain = (gap, (t, x))
+    return {"impulse_cost_negative": cost, "impulse_set_nonempty": width,
+            "terminal_intervention_no_gain": gain}
 
 
 class TestResetCost:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,12 @@ class TestBackwardInduction:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("field", ["tol", "residual_tol", "c_eps"])
+    @pytest.mark.parametrize("field", ["c_eps"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_tolerances_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
             SolverConfig(**{field: value})
+
+    def test_c_eps_is_the_one_setting(self):
+        assert [f.name for f in fields(SolverConfig)] == ["c_eps"]
+        assert SolverConfig().c_eps == 1.0
