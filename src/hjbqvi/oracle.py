@@ -30,7 +30,7 @@ import numpy as np
 from .exceptions import NonConvergenceError
 from .grid import SpaceTimeGrid
 from .operators import DiscreteControls, FrozenObstacle, InterventionTable, discretize_controls
-from .penalty import _control_band, penalty_timestep
+from .penalty import SystemMemo, _control_band, penalty_timestep
 from .problem import ProblemSpec, eval_on
 from .solution import (SolveDiagnostics, Solution, SolverConfig, backward_induction,
                        default_epsilon, require_time_axis)
@@ -51,7 +51,9 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     still lies below the solution, so the monotone bracketing survives.  The
     terminal row of each pass is max(g, frozen obstacle at T), which under
     the terminal no-gain hypothesis is just g.  Every inner step of every
-    pass reads one controls x nodes generator band, built once per call.
+    pass reads one controls x nodes generator band and passes its policy
+    systems through one :class:`penalty.SystemMemo`, both kept for the call,
+    so a step whose system repeats the one solved before reuses it.
     A pass builds each level's jump table when it applies it and drops it
     after, so one table is alive at a time; no table is reused across
     levels or passes.
@@ -64,11 +66,12 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     band = _control_band(grid, problem, controls)
     g_vals = eval_on(problem.terminal_reward, grid.nodes)
     diagnostics = SolveDiagnostics()
+    memo = SystemMemo()
 
     def step(u_next, n):
         # Reads the current pass's ``obstacles``.
         u, step_diag = penalty_timestep(u_next, n * dt, grid, problem, controls, band, epsilon,
-                                        intervention=FrozenObstacle(obstacles[n]))
+                                        intervention=FrozenObstacle(obstacles[n]), memo=memo)
         diagnostics.record_step(step_diag)
         return u, step_diag.policy
 

@@ -26,6 +26,19 @@ passes it the argmax values of the last policy improvement, which evaluated
 the same u, and (Mu)_j; the row of :func:`monotonicity_row` passes a pinned
 scalar (Mu)_j.
 
+Most policy systems of a finite-horizon solve repeat the one solved just
+before: on cash at M=160, N=120, all but about 20 of some 140.  A solve,
+and an iterated-optimal-stopping call, therefore passes one
+:class:`SystemMemo` to every step, which keeps the last distinct matrix
+with its WCDD report.  A system whose operands equal the kept ones, byte
+for byte, reuses them, so ``implicit_matrix`` and ``analyze_matrix`` run
+once per distinct system and every matrix solved has passed its check.
+The rhs is built anew for every system.  A kept matrix is solved by
+``spsolve`` the first time; when it recurs it is factorised once, and the
+factors, whose solves match ``spsolve`` bit for bit, serve it until
+another system replaces it.  Surfaces, policies and diagnostics are
+therefore those of a solve that assembles every system afresh.
+
 The stationary (discounted) analogue replaces the time difference by
 -beta u_j and solves a single such system, on a grid with no time axis
 (N = T = 0), whose rho is the spacing alone.
@@ -54,7 +67,7 @@ from scipy.sparse.linalg import spsolve
 
 from .exceptions import MatrixStructureError, NonConvergenceError, SolverError
 from .grid import SpaceTimeGrid
-from .matrices import MatrixReport, analyze_matrix
+from .matrices import MatrixReport, analyze_matrix, factorise
 from .operators import (
     DiscreteControls,
     InterventionTable,
@@ -99,6 +112,45 @@ class SparseSystem:
     report: MatrixReport
 
 
+class SystemMemo:
+    """The last distinct policy matrix of a solve, with its report and, once
+    it recurs, its factors.
+
+    A policy matrix is a pure function of what :func:`_assemble` passes to
+    ``implicit_matrix``: the time weight, the control band (the same object,
+    whose arrays are read-only), each node's control index and the penalty
+    rows' (rows, cols, data).  :func:`_assemble` reuses the kept matrix and
+    report when all of them equal the kept ones, byte for byte, and
+    otherwise builds, checks and keeps the new matrix.  :meth:`solve` solves
+    the kept matrix: by ``spsolve`` on its first use, and from then on by
+    one :func:`matrices.factorise`, whose solves match ``spsolve`` bit for
+    bit.
+    """
+
+    def __init__(self):
+        self.band = self.key = self.matrix = self.report = None
+        self._factor = None
+        self._uses = 0
+
+    def holds(self, band, key) -> bool:
+        """Whether the kept matrix is the one these operands build."""
+        return band is self.band and key == self.key
+
+    def keep(self, band, key, matrix, report) -> None:
+        self.band, self.key, self.matrix, self.report = band, key, matrix, report
+        self._factor = None
+        self._uses = 0
+
+    def solve(self, rhs) -> np.ndarray:
+        """u with (kept matrix) u = rhs."""
+        self._uses += 1
+        if self._uses == 1:
+            return spsolve(self.matrix, rhs)
+        if self._factor is None:
+            self._factor = factorise(self.matrix, "policy system")
+        return self._factor(rhs)
+
+
 def _require_epsilon(epsilon) -> None:
     """ValueError unless the penalty parameter is finite and positive."""
     if not 0 < epsilon < np.inf:
@@ -106,10 +158,14 @@ def _require_epsilon(epsilon) -> None:
 
 
 def _control_band(grid, problem, controls):
-    """Band of L_b with one row per discrete control (controls x nodes)."""
+    """Band of L_b with one row per discrete control (controls x nodes),
+    read-only, so that a :class:`SystemMemo` may compare it by identity."""
     nodes, b = grid.nodes, controls.controls[:, np.newaxis]
-    return generator_band(nodes, eval_on(problem.drift, nodes, b),
+    band = generator_band(nodes, eval_on(problem.drift, nodes, b),
                           eval_on(problem.diffusion, nodes, b) ** 2)
+    for part in band:
+        part.flags.writeable = False
+    return band
 
 
 def _reward_block(t, grid, problem, controls):
@@ -175,8 +231,10 @@ def residual(u, rhs_base, time_weight, best, jump, epsilon) -> np.ndarray:
 
 
 def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
-              control_band, reward, idx) -> SparseSystem:
-    """Linear system of the penalty equations at a frozen policy.
+              control_band, reward, idx, memo) -> SparseSystem:
+    """Linear system of the penalty equations at a frozen policy, its matrix
+    the ``memo``'s when the memo holds the one these operands build, and
+    otherwise built, checked and kept there.
 
     Row j:  time_weight*u_j - (L_{b_j} u)_j + (d_j/eps)(u_j - sum_c w_c u_c)
             = rhs_base_j + f_j(b_j) + (d_j/eps) * cost_j,
@@ -191,7 +249,6 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
     pattern or WCDD.
     """
     nodes = np.arange(idx.size)
-    band = tuple(part[idx, nodes] for part in control_band)
     rhs = np.asarray(rhs_base, dtype=float) + reward[idx, nodes]
 
     # Penalty rows: one diagonal entry of 1/eps (less any coupling that lands
@@ -213,36 +270,42 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
         cols.append(col[off])
         data.append(-weight[off])
     rhs[active] += inv_eps * cost
-    matrix = implicit_matrix(float(time_weight), band, np.concatenate(rows),
-                             np.concatenate(cols), np.concatenate(data))
+    rows, cols, data = np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+    key = (float(time_weight), idx.tobytes(), rows.tobytes(), cols.tobytes(), data.tobytes())
+    if memo.holds(control_band, key):
+        return SparseSystem(matrix=memo.matrix, rhs=rhs, report=memo.report)
 
+    band = tuple(part[idx, nodes] for part in control_band)
+    matrix = implicit_matrix(float(time_weight), band, rows, cols, data)
     report = analyze_matrix(matrix)
     if not report.passed:
         raise MatrixStructureError(
             f"assembled penalty system is outside the scheme's guarantees: {report.witness}",
             report=report,
         )
+    memo.keep(control_band, key, matrix, report)
     return SparseSystem(matrix=matrix, rhs=rhs, report=report)
 
 
 def _policy_iteration(u_start, rhs_base, time_weight, epsilon, controls,
-                      intervention, band, reward,
-                      time_index) -> tuple[np.ndarray, TimestepDiagnostics, np.ndarray]:
+                      intervention, band, reward, time_index,
+                      memo) -> tuple[np.ndarray, TimestepDiagnostics, np.ndarray]:
     """Policy iteration from ``u_start``; returns the solution, the step's
     diagnostics and the control argmax values of the last policy
     improvement, which evaluated the returned u.  It stops on an unchanged
     policy or an update below ``PI_TOL``; each improvement keeps the
     controls that still tie with the best up to rounding, so the stop does
-    not depend on rounding."""
+    not depend on rounding.  Each system is assembled into and solved by
+    the :class:`SystemMemo` ``memo``."""
     diag = TimestepDiagnostics(time_index=time_index, iterations=0)
     policy, _, best_idx = _improve(u_start, controls, intervention, band, reward)
     u = np.asarray(u_start, dtype=float)
     for _ in range(MAX_ITERS):
         system = _assemble(policy, rhs_base, time_weight, epsilon, intervention,
-                           band, reward, best_idx)
+                           band, reward, best_idx, memo)
         diag.iterations += 1
         diag.min_dominance_margin = min(diag.min_dominance_margin, system.report.min_margin)
-        u_new = spsolve(system.matrix, system.rhs)
+        u_new = memo.solve(system.rhs)
         if not np.all(np.isfinite(u_new)):
             raise SolverError("policy system solve returned non-finite values")
         new_policy, best_vals, best_idx = _improve(u_new, controls, intervention, band, reward,
@@ -263,12 +326,13 @@ def _policy_iteration(u_start, rhs_base, time_weight, epsilon, controls,
 
 
 def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band,
-                epsilon, intervention, time_index,
-                where) -> tuple[np.ndarray, TimestepDiagnostics]:
+                epsilon, intervention, time_index, where,
+                memo) -> tuple[np.ndarray, TimestepDiagnostics]:
     """Solve one system of penalty equations (a timestep or the stationary
     equations) by policy iteration from ``u_start``, then gate the result on
     the pointwise :func:`residual`; ``band`` is the :func:`_control_band`, and
-    the step evaluates the running reward once, as its :func:`_reward_block`."""
+    the step evaluates the running reward once, as its :func:`_reward_block`.
+    Policy systems go through the :class:`SystemMemo` ``memo``."""
     _require_epsilon(epsilon)
     reward = _reward_block(t, grid, problem, controls)
     # Given None, policy iteration and the gate each build the table at t,
@@ -276,7 +340,7 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band
     u, diag, best = _policy_iteration(
         u_start, rhs_base, time_weight, epsilon, controls,
         InterventionTable(problem, grid, controls, t) if intervention is None else intervention,
-        band, reward, time_index)
+        band, reward, time_index, memo)
     if intervention is None:
         intervention = InterventionTable(problem, grid, controls, t)
     res = residual(u, rhs_base, time_weight, best, intervention.apply(u).values, epsilon)
@@ -291,30 +355,34 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band
 
 
 def penalty_timestep(u_next, t, grid, problem, controls, band, epsilon,
-                     intervention=None) -> tuple[np.ndarray, TimestepDiagnostics]:
+                     intervention=None, memo=None) -> tuple[np.ndarray, TimestepDiagnostics]:
     """One implicit timestep by policy iteration, its residual at most
-    ``RESIDUAL_TOL``; ``band`` is the :func:`_control_band`."""
+    ``RESIDUAL_TOL``; ``band`` is the :func:`_control_band`.  A solve passes
+    every step the same :class:`SystemMemo`, so that a step whose system
+    repeats the one before reuses it; None gives the step its own."""
     u_next = np.asarray(u_next, dtype=float)
     return _solve_step(u_next, u_next / grid.dt, 1.0 / grid.dt, t, grid, problem, controls,
-                       band, epsilon, intervention,
-                       time_index=int(round(t / grid.dt)), where="penalty timestep")
+                       band, epsilon, intervention, time_index=int(round(t / grid.dt)),
+                       where="penalty timestep", memo=memo or SystemMemo())
 
 
 def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
                          controls: DiscreteControls | None = None,
                          cfg: SolverConfig | None = None) -> Solution:
     """:func:`solution.backward_induction` of :func:`penalty_timestep` from
-    u^N = g, with one :func:`_control_band` for every step."""
+    u^N = g, with one :func:`_control_band` and one :class:`SystemMemo` for
+    every step."""
     require_time_axis(problem, grid)
     controls = controls or discretize_controls(problem, grid.rho)
     epsilon = default_epsilon(grid, cfg or SolverConfig())
 
     diagnostics = SolveDiagnostics()
     band = _control_band(grid, problem, controls)
+    memo = SystemMemo()
 
     def step(u_next, n):
         u, step_diag = penalty_timestep(u_next, n * grid.dt, grid, problem, controls, band,
-                                        epsilon)
+                                        epsilon, memo=memo)
         diagnostics.record_step(step_diag)
         return u, step_diag.policy
 
@@ -336,7 +404,7 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     zeros = np.zeros(grid.n_nodes)
     u, step_diag = _solve_step(zeros, zeros, problem.discount, 0.0, grid, problem, controls,
                                _control_band(grid, problem, controls), epsilon, None,
-                               time_index=0, where="stationary solve")
+                               time_index=0, where="stationary solve", memo=SystemMemo())
     diagnostics = SolveDiagnostics()
     diagnostics.record_step(step_diag)
     return Solution(grid=grid, scheme="penalty", surface=u[np.newaxis, :],

@@ -53,11 +53,10 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .exceptions import SolverError
 from .grid import BOUNDARY_REFINED, UNIFORM, SpaceTimeGrid
-from .matrices import analyze_matrix
+from .matrices import analyze_matrix, factorise
 from .operators import (
     DiscreteControls,
     FrozenObstacle,
@@ -161,33 +160,18 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
     return rhs, policy
 
 
-def factorise(A: sp.csr_matrix):
-    """SuperLU factors of A for repeated :func:`thomas_solve` calls.
-
-    The CSR arrays of A are the CSC arrays of its transpose.  Factorising
-    A^T and solving the transposed system is what scipy's spsolve does with
-    a CSR matrix, so each solve matches spsolve bit for bit.  A singular
-    matrix, which spsolve would answer with NaN, is an internal error.
-    """
-    try:
-        return splu(A.T.tocsc())
-    except RuntimeError as exc:
-        raise SolverError(f"semi-Lagrangian matrix is singular ({exc}); its solve "
-                          "would return non-finite values") from exc
-
-
 def thomas_solve(A: sp.csr_matrix, rhs: np.ndarray, factor) -> np.ndarray:
     """Sparse direct solve of A u = rhs with a residual guard.
 
-    ``factor`` is A's :func:`factorise` result.  A non-finite solution is
-    escalated as an internal error, as is a residual above
+    ``factor`` is A's :func:`matrices.factorise` solve.  A non-finite
+    solution is escalated as an internal error, as is a residual above
     1e-10 * (1 + |rhs|).
     """
     n = A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size != n:
         raise ValueError(f"rhs length {rhs.size} does not match matrix size {n}")
-    out = factor.solve(rhs, trans="T")
+    out = factor(rhs)
     if not np.all(np.isfinite(out)):
         raise SolverError("semi-Lagrangian solve returned non-finite values (singular matrix)")
     residual = float(np.abs(A @ out - rhs).max())
@@ -237,7 +221,7 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
     if not (report.passed and report.strictly_dominant_ok):
         raise SolverError(f"semi-Lagrangian matrix lost strict dominance: {report.witness}")
 
-    factor = factorise(A)
+    factor = factorise(A, "semi-Lagrangian matrix")
     feet = foot_points(grid, problem, controls)
     diagnostics = SolveDiagnostics()
     diagnostics.matrix_systems_checked = 1

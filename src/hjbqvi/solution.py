@@ -80,7 +80,8 @@ class SolveDiagnostics:
 
     def record_step(self, step: TimestepDiagnostics) -> None:
         self.timesteps.append(step)
-        # One system is assembled and checked per policy iteration.
+        # One system per policy iteration.  It is assembled and checked, or
+        # it is bit-identical to the system before it, which passed its check.
         self.matrix_systems_checked += step.iterations
         self.min_dominance_margin = min(self.min_dominance_margin, step.min_dominance_margin)
 

@@ -310,7 +310,7 @@ class TestMonotonicity:
         with pytest.raises(MatrixStructureError):
             penalty_mod._assemble(policy, np.zeros(n), 1.0 / grid.dt, 0.25,
                                   InterventionTable(problem, grid, controls, 0.0), band, reward,
-                                  idx)
+                                  idx, penalty_mod.SystemMemo())
 
 
 class TestSchemeRowsAtSolutions:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hjbqvi import penalty as penalty_mod
+from hjbqvi.exceptions import MatrixStructureError
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import check_solution_matrices, check_stability_bound
+from hjbqvi.oracle import solve_iterated_optimal_stopping
 from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import (
     FrozenObstacle,
@@ -15,6 +17,7 @@ from hjbqvi.operators import (
     interp_weights,
 )
 from hjbqvi.penalty import (
+    SystemMemo,
     _assemble,
     _best_control,
     _control_band,
@@ -44,7 +47,7 @@ def timestep_system(policy, idx, u_next, grid, epsilon, operator, band, reward):
     """The finite-horizon policy system: time weight 1/dt, source u^{n+1}/dt;
     ``idx`` holds each node's control index."""
     return _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt, epsilon, operator,
-                     band, reward, idx)
+                     band, reward, idx, SystemMemo())
 
 
 def gate_residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon):
@@ -656,3 +659,159 @@ class TestStepReuse:
             res = gate_residual(sol.surface[n], sol.surface[n + 1] / g.dt, 1.0 / g.dt,
                                 n * g.dt, g, p, c, sol.epsilon)
             assert step.final_residual == float(np.abs(res).max())
+
+
+def never_hit(monkeypatch):
+    """Make every SystemMemo miss, as a solve without the memo would."""
+    monkeypatch.setattr(penalty_mod.SystemMemo, "holds", lambda self, band, key: False)
+
+
+def solve_record(sol):
+    """Everything a finite-horizon penalty (or IOS) solve returns, as
+    comparable values."""
+    d = sol.diagnostics
+    steps = [(s.time_index, s.iterations, s.updates, s.final_residual, s.min_dominance_margin,
+              s.policy.controls.tobytes(), s.policy.intervene.tobytes(),
+              s.policy.impulses.tobytes()) for s in d.timesteps]
+    policies = [None if p is None else (p.controls.tobytes(), p.intervene.tobytes(),
+                                        p.impulses.tobytes()) for p in sol.policies]
+    return (sol.surface.tobytes(), policies, steps, d.matrix_systems_checked,
+            d.min_dominance_margin)
+
+
+def step_operands(problem, grid):
+    """A solved step of ``problem`` with active penalty rows, as the
+    operands of :func:`_assemble`: (policy, rhs_base, time weight, epsilon,
+    table, band, reward, control indices)."""
+    c = discretize_controls(problem, grid.rho)
+    sol = solve_finite_horizon(problem, grid, c)
+    n = next(n for n, p in enumerate(sol.policies[:-1]) if p.intervene.any())
+    policy, t = sol.policies[n], n * grid.dt
+    band, reward, table = operands(problem, grid, c, t)
+    idx = np.searchsorted(c.controls, policy.controls)
+    return (policy, sol.surface[n + 1] / grid.dt, 1.0 / grid.dt, sol.epsilon, table, band,
+            reward, idx)
+
+
+def moving_bounds():
+    """Cash whose impulse bounds, hence candidates and couplings, move with t."""
+    return replace(builtin("cash"), impulse_bounds=lambda t, x: (-1.0 + 0.1 * t, 1.0 - 0.05 * t))
+
+
+class TestSystemMemo:
+    """A solve assembles, checks and factorises each distinct policy system
+    once; a system equal to the one before reuses its matrix, report and
+    factors, and changes no bit of the solve."""
+
+    CASES = [(builtin("cash"), M) for M in (20, 40, 80)] + [
+        (builtin("cash", {"G": 1.95, "c0": 2.08, "lam": 0.52, "s": 0.97}), M)
+        for M in (20, 40, 80)] + [(builtin("heat"), 20), (moving_bounds(), 40)]
+
+    @pytest.mark.parametrize("problem, M", CASES)
+    def test_solve_equals_a_never_hit_memo(self, problem, M, monkeypatch):
+        g = build_uniform_grid(Q=4, M=M, N=3 * M // 4, T=problem.horizon)
+        c = discretize_controls(problem, g.rho)
+        memo = solve_record(solve_finite_horizon(problem, g, c))
+        never_hit(monkeypatch)
+        assert memo == solve_record(solve_finite_horizon(problem, g, c))
+
+    def test_iterated_optimal_stopping_equals_a_never_hit_memo(self, monkeypatch):
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=20, N=15, T=p.horizon)
+        c = discretize_controls(p, g.rho)
+
+        def record():
+            sol = solve_iterated_optimal_stopping(p, g, c)
+            return solve_record(sol), sol.diagnostics.outer_changes
+
+        memo = record()
+        never_hit(monkeypatch)
+        assert memo == record()
+
+    @staticmethod
+    def changes(problem, grid, monkeypatch):
+        """(systems, systems differing from the one before) of a never-hit solve."""
+        matrices = []
+        implicit = penalty_mod.implicit_matrix
+
+        def recorded(*args):
+            m = implicit(*args)
+            matrices.append((m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()))
+            return m
+
+        with monkeypatch.context() as m:
+            never_hit(m)
+            m.setattr(penalty_mod, "implicit_matrix", recorded)
+            solve_finite_horizon(problem, grid, discretize_controls(problem, grid.rho))
+        return len(matrices), sum(a != b for a, b in zip([None] + matrices, matrices))
+
+    @pytest.mark.parametrize("problem, mostly_repeats", [(builtin("cash"), True),
+                                                         (moving_bounds(), False)])
+    def test_one_check_and_one_first_solve_per_distinct_system(self, problem, mostly_repeats,
+                                                                monkeypatch):
+        g = build_uniform_grid(Q=4, M=40, N=30, T=problem.horizon)
+        systems, distinct = self.changes(problem, g, monkeypatch)
+        calls = {"analyze": 0, "spsolve": 0, "factorise": 0, "factor solve": 0}
+
+        def counted(name, fn):
+            def counted_fn(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted_fn
+
+        factorise = penalty_mod.factorise
+        monkeypatch.setattr(penalty_mod, "analyze_matrix",
+                            counted("analyze", penalty_mod.analyze_matrix))
+        monkeypatch.setattr(penalty_mod, "spsolve", counted("spsolve", penalty_mod.spsolve))
+        monkeypatch.setattr(penalty_mod, "factorise", counted(
+            "factorise", lambda *args: counted("factor solve", factorise(*args))))
+        sol = solve_finite_horizon(problem, g, discretize_controls(problem, g.rho))
+        iterations = sum(s.iterations for s in sol.diagnostics.timesteps)
+        assert sol.diagnostics.matrix_systems_checked == iterations == systems
+        assert calls["analyze"] == calls["spsolve"] == distinct
+        assert calls["spsolve"] + calls["factor solve"] == iterations
+        assert calls["factorise"] <= calls["analyze"]
+        if mostly_repeats:
+            assert 2 * distinct < systems and calls["factorise"] >= 1
+
+    @staticmethod
+    def nudged(table, share):
+        """``table`` with the first active row's first coupling weight one ulp
+        nearer to ``share``."""
+        class Nudged:
+            def jump_rows(self, rows, impulses):
+                ((k0, w0), pair), cost = table.jump_rows(rows, impulses)
+                w0 = w0.copy()
+                w0[0] = np.nextafter(w0[0], share)
+                return ((k0, w0), pair), cost
+        return Nudged()
+
+    @pytest.mark.parametrize("change", ["time weight", "control index", "coupling weight"])
+    def test_a_changed_operand_is_checked_again(self, change, monkeypatch):
+        p = builtin("cash")
+        policy, rhs_base, weight, eps, table, band, reward, idx = step_operands(
+            p, build_uniform_grid(Q=4, M=40, N=30, T=p.horizon))
+        memo = SystemMemo()
+        kept = _assemble(policy, rhs_base, weight, eps, table, band, reward, idx, memo)
+        analyze = penalty_mod.analyze_matrix
+        monkeypatch.setattr(penalty_mod, "analyze_matrix",
+                            lambda m: replace(analyze(m), sign_pattern_ok=False, witness="patched"))
+        # The same operands: the kept matrix and report, not checked again.
+        again = _assemble(policy, rhs_base, weight, eps, table, band, reward, idx, memo)
+        assert again.matrix is kept.matrix and again.report is kept.report
+        assert np.array_equal(again.rhs, kept.rhs)
+
+        # Each change is the smallest one: one ulp, or one index.
+        if change == "time weight":
+            weight = np.nextafter(weight, np.inf)
+        elif change == "control index":
+            idx = idx.copy()
+            j = idx.size // 2
+            idx[j] = (idx[j] + 1) % band[0].shape[0]
+        else:
+            active = np.flatnonzero(policy.intervene)
+            couplings, _ = table.jump_rows(active, policy.impulses[active])
+            w0 = couplings[0][1][0]
+            table = self.nudged(table, 0.0 if w0 > 0.5 else 1.0)
+        with pytest.raises(MatrixStructureError, match="patched"):
+            _assemble(policy, rhs_base, weight, eps, table, band, reward, idx, memo)

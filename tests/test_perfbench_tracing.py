@@ -3,10 +3,12 @@
 ``perfbench/tracing.py`` wraps module-level names the solvers look up at call
 time, and stops the benchmark with ``MissingBinding`` when one is gone.  Building
 its patches here makes a rename in the package fail the tests in about a second,
-not only in the benchmark's self-test.  Only ``perfbench/`` is read.
+not only in the benchmark's self-test.  ``perfbench/`` is only read: the
+module is compiled from its source, and no bytecode is written beside it.
 """
 
-import importlib.util
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -17,12 +19,29 @@ from hjbqvi.problem import builtin
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
+def load_tracing():
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING_PATH)
+    source = TRACING_PATH.read_text(encoding="utf-8")
+    exec(compile(source, str(TRACING_PATH), "exec"), module.__dict__)
+    return module
+
+
+TRACING = load_tracing()
+
+
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return TRACING
+
+
+@pytest.mark.parametrize("span, attr, binder", [
+    (span, attr, binder) for span, attr, binders in TRACING.FUNCTION_SPANS for binder in binders
+])
+def test_every_function_span_binder_has_its_name(span, attr, binder):
+    # A renamed spsolve, _assemble or analyze_matrix fails here, where the
+    # traced benchmark would exit 2 (MissingBinding).
+    assert hasattr(importlib.import_module(f"hjbqvi.{binder}"), attr), (span, binder)
 
 
 def test_every_traced_binding_exists(tracing):

@@ -10,19 +10,24 @@ from hjbqvi import semilag
 from hjbqvi.exceptions import SolverError
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import Window, check_solution_matrices, check_stability_bound, sup_error
-from hjbqvi.matrices import analyze_matrix
+from hjbqvi.matrices import analyze_matrix, factorise
 from hjbqvi.operators import InterventionTable, Interpolant, discretize_controls, interp_weights
-from hjbqvi.penalty import solve_finite_horizon
+from hjbqvi.penalty import (SystemMemo, _assemble, _control_band, _reward_block,
+                            solve_finite_horizon)
 from hjbqvi.problem import ProblemSpec, builtin, eval_on, uniform_sample
 from hjbqvi.semilag import (
     FootPoints,
     assemble_A,
-    factorise,
     overstep_threshold,
     sl_rhs,
     solve_semi_lagrangian,
     thomas_solve,
 )
+
+
+def sl_factor(A):
+    """A's factorised solve, named as the semi-Lagrangian solve names it."""
+    return factorise(A, "semi-Lagrangian matrix")
 
 
 def drift_problem(drift, diffusion=1.0, b_bounds=(0.0, 0.0)):
@@ -139,7 +144,7 @@ class TestAssembleA:
         for k in range(g.n_nodes):
             e = np.zeros(g.n_nodes)
             e[k] = 1.0
-            col = thomas_solve(A, e, factorise(A))
+            col = thomas_solve(A, e, sl_factor(A))
             assert col.min() >= -1e-14
 
 
@@ -211,14 +216,14 @@ class TestThomasSolve:
         n = 7
         A = sp.identity(n, format="csr")
         rhs = np.arange(n, dtype=float)
-        assert np.array_equal(thomas_solve(A, rhs, factorise(A)), rhs)
+        assert np.array_equal(thomas_solve(A, rhs, sl_factor(A)), rhs)
 
     def test_constant_vector_preserved(self):
         # Interior row sums equal one, so constants are reproduced exactly.
         p = drift_problem(lambda x, b: 0.0, diffusion=1.0)
         g = build_uniform_grid(Q=1, M=1, N=1, T=1)
         A = assemble_A(g, p, discretize_controls(p, g.rho))
-        assert np.allclose(thomas_solve(A, np.ones(3), factorise(A)), 1.0)
+        assert np.allclose(thomas_solve(A, np.ones(3), sl_factor(A)), 1.0)
 
     def test_against_dense_solver(self):
         rng = np.random.default_rng(12)
@@ -228,7 +233,7 @@ class TestThomasSolve:
             diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 2.0, n)
             A = tridiagonal(lower, diag, upper)
             rhs = rng.normal(size=n)
-            x = thomas_solve(A, rhs, factorise(A))
+            x = thomas_solve(A, rhs, sl_factor(A))
             ref = np.linalg.solve(A.toarray(), rhs)
             assert np.abs(x - ref).max() <= 1e-12
 
@@ -239,24 +244,47 @@ class TestThomasSolve:
         A = tridiagonal(np.array([0.0, -1.0, -1.0]), np.array([1.0, 2.0, 1.0]),
                         np.array([-1.0, -1.0, 0.0]))
         with pytest.raises(SolverError, match="non-finite"):
-            thomas_solve(A, np.ones(3), factorise(A))
+            thomas_solve(A, np.ones(3), sl_factor(A))
 
     def test_size_mismatch(self):
         A = sp.identity(3, format="csr")
         with pytest.raises(ValueError):
-            thomas_solve(A, np.ones(4), factorise(A))
+            thomas_solve(A, np.ones(4), sl_factor(A))
+
+    @staticmethod
+    def penalty_system(problem, grid):
+        """The matrix and rhs of a solved penalty step with active rows."""
+        c = discretize_controls(problem, grid.rho)
+        sol = solve_finite_horizon(problem, grid, c)
+        n = next(n for n, p in enumerate(sol.policies[:-1]) if p.intervene.any())
+        policy, t = sol.policies[n], n * grid.dt
+        system = _assemble(policy, sol.surface[n + 1] / grid.dt, 1.0 / grid.dt, sol.epsilon,
+                           InterventionTable(problem, grid, c, t), _control_band(grid, problem, c),
+                           _reward_block(t, grid, problem, c),
+                           np.searchsorted(c.controls, policy.controls), SystemMemo())
+        return system.matrix, system.rhs
 
     def test_reused_factor_matches_spsolve_bit_for_bit(self):
         # factorise(A) factors A^T as spsolve does for a CSR matrix, so a
-        # factor reused across right-hand sides changes no bit of a solve.
+        # factor reused across right-hand sides changes no bit of a solve:
+        # for the SL matrix, and for penalty systems whose active rows couple
+        # off the band, in the reset and in the block layout.
         p = builtin("cash")
         g = build_boundary_refined_grid(Q=4, rho=0.05, c_b=1.0, N=60, T=3)
-        A = assemble_A(g, p, discretize_controls(p, g.rho))
-        factor = factorise(A)
+        systems = [(assemble_A(g, p, discretize_controls(p, g.rho)), [])]
+        uniform = build_uniform_grid(Q=4, M=40, N=30, T=3)
+        undeclared = replace(p, impulse_shift=lambda t, x, z: z - x)
+        assert undeclared.reset_cost is None
+        for problem in (p, undeclared):
+            A, rhs = self.penalty_system(problem, uniform)
+            rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+            assert (np.abs(A.indices - rows) > 1).any()
+            systems.append((A, [rhs]))
         rng = np.random.default_rng(5)
-        for _ in range(4):
-            rhs = rng.normal(size=g.n_nodes)
-            assert np.array_equal(thomas_solve(A, rhs, factor), spsolve(A, rhs))
+        for A, rhss in systems:
+            factor = factorise(A, "matrix")
+            for rhs in rhss + [rng.normal(size=A.shape[0]) for _ in range(4)]:
+                assert np.array_equal(factor(rhs), spsolve(A, rhs))
 
 
 def per_step_solve(p, g, c):
