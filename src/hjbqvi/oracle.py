@@ -65,7 +65,7 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     dt = grid.dt
     band = _control_band(grid, problem, controls)
     g_vals = eval_on(problem.terminal_reward, grid.nodes)
-    diagnostics = SolveDiagnostics()
+    diagnostics = SolveDiagnostics(control_rows=band.index.size)
     memo = SystemMemo()
 
     def step(u_next, n):
@@ -112,33 +112,33 @@ def _interp_scalar(nodes, values, x):
 
 
 def _row_residual(problem, nodes, n_nodes, zs, t, dt_term, i, x, u, u_next, bs, epsilon):
+    # The terms free of b, once per row; the loop picks the one-sided
+    # difference on the sign of the drift.
+    if 0 < i < n_nodes - 1:
+        forward = (u[i + 1] - u[i]) / (nodes[i + 1] - nodes[i])
+        backward = (u[i] - u[i - 1]) / (nodes[i] - nodes[i - 1])
+        hm = nodes[i] - nodes[i - 1]
+        hp = nodes[i + 1] - nodes[i]
+        second = 2.0 * (u[i - 1] / (hm * (hm + hp))
+                        - u[i] / (hm * hp)
+                        + u[i + 1] / (hp * (hm + hp)))
+    else:
+        forward = backward = second = 0.0
+    if dt_term is not None:
+        time_part = (u_next[i] - u[i]) / dt_term
+    else:
+        time_part = -problem.discount * u[i]
     best = -np.inf
     for b in bs:
         mu = float(problem.drift(x, b))
         sg = float(problem.diffusion(x, b))
-        if 0 < i < n_nodes - 1:
-            if mu >= 0.0:
-                first = (u[i + 1] - u[i]) / (nodes[i + 1] - nodes[i])
-            else:
-                first = (u[i] - u[i - 1]) / (nodes[i] - nodes[i - 1])
-            hm = nodes[i] - nodes[i - 1]
-            hp = nodes[i + 1] - nodes[i]
-            second = 2.0 * (u[i - 1] / (hm * (hm + hp))
-                            - u[i] / (hm * hp)
-                            + u[i + 1] / (hp * (hm + hp)))
-        else:
-            first = second = 0.0
-        if dt_term is not None:
-            time_part = (u_next[i] - u[i]) / dt_term
-        else:
-            time_part = -problem.discount * u[i]
+        first = forward if mu >= 0.0 else backward
         val = time_part + mu * first + 0.5 * sg * sg * second \
             + float(problem.running_reward(t, x, b))
         if val > best:
             best = val
     jump_best = -np.inf
     for z in zs:
-        z = float(z)
         target = x + float(problem.impulse_shift(t, x, z))
         gain = _interp_scalar(nodes, u, target) + float(problem.impulse_cost(t, x, z))
         if gain > jump_best:

@@ -14,14 +14,30 @@ terminates in finitely many steps on such systems.  The generator
 coefficients of the assembled systems, of the control argmax and of the
 monotonicity row all come from :func:`operators.generator_band`.
 
-drift(x, b) and diffusion(x, b) take no t, so the controls x nodes band of
-L_b that the control argmax reads is the same at every step and every policy
-iteration: a caller builds it once (:func:`_control_band`) and passes it
-down as ``band``.  The running reward f(t, x, b) is fixed within a step, so
-a step evaluates it once on the same block (``reward``).  Each assembled
-system reads row b_j of the band and of the reward block at node j, by the
-control index the argmax chose, so the systems and the argmax read the same
-numbers.  :func:`residual` is the formula alone and builds nothing: the gate
+drift(x, b) and diffusion(x, b) take no t, so the band of L_b that the
+control argmax reads, one row per control it maximises over, is the same at
+every step and every policy iteration: a caller builds it once
+(:func:`_control_band`) and passes it down as ``band``.  The running reward
+f(t, x, b) is fixed within a step, so a step evaluates it once on the same
+rows (``reward``).  Each assembled system reads row b_j of the band and of
+the reward block at node j, by the row index the argmax chose, so the
+systems and the argmax read the same numbers.
+
+Which rows the band holds is decided in :func:`_control_band` alone.  An
+undeclared problem keeps every sampled control.  When the reward ignores b
+(``ProblemSpec.separable_reward``), the drift is b itself and the diffusion
+ignores b, row j's value is linear in b on b < 0 and on b >= 0, where the
+upwinding picks one one-sided difference, so in exact arithmetic its
+maximum, and its smallest maximiser, sit at an end of a half.  The band
+then keeps the first and last control of each half: 4 rows at every grid
+size for cash, against B = 2 b_max / rho + 1 for the full sample.  Where
+controls differ only by rounding, the full sample could pick an interior
+one; surfaces and policies were the full sample's bit for bit on cash at
+M=20 to 640 and on every shipped config.  The brute-force audit
+(:func:`oracle.brute_force_residual`) still maximises over every sampled
+control, and so checks the reduction independently.
+
+:func:`residual` is the formula alone and builds nothing: the gate
 passes it the argmax values of the last policy improvement, which evaluated
 the same u, and (Mu)_j; the row of :func:`monotonicity_row` passes a pinned
 scalar (Mu)_j.
@@ -112,6 +128,20 @@ class SparseSystem:
     report: MatrixReport
 
 
+@dataclass(frozen=True, eq=False)
+class ControlBand:
+    """The control rows a policy improvement maximises over, and L_b on them.
+
+    ``index`` holds those rows of ``controls.controls`` in increasing order;
+    ``parts`` is the band (lower, diag, upper) of :func:`generator_band`
+    with one row per entry of ``index``, read-only, so that a
+    :class:`SystemMemo` may compare a band by identity.
+    """
+
+    index: np.ndarray
+    parts: tuple
+
+
 class SystemMemo:
     """The last distinct policy matrix of a solve, with its report and, once
     it recurs, its factors.
@@ -157,26 +187,42 @@ def _require_epsilon(epsilon) -> None:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
 
 
-def _control_band(grid, problem, controls):
-    """Band of L_b with one row per discrete control (controls x nodes),
-    read-only, so that a :class:`SystemMemo` may compare it by identity."""
-    nodes, b = grid.nodes, controls.controls[:, np.newaxis]
-    band = generator_band(nodes, eval_on(problem.drift, nodes, b),
-                          eval_on(problem.diffusion, nodes, b) ** 2)
-    for part in band:
+def _control_band(grid, problem, controls) -> ControlBand:
+    """The :class:`ControlBand` a solve's policy improvements read.
+
+    Every sampled control, unless the reward is declared to ignore b
+    (``ProblemSpec.separable_reward``), the controls increase, and the
+    drift block equals b and the diffusion rows are equal, each compared
+    exactly: then the first and last control of b < 0 and of b >= 0.  Each
+    kept row equals that control's row of the full band bit for bit.
+    """
+    nodes, b = grid.nodes, controls.controls
+    column = b[:, np.newaxis]
+    drift = eval_on(problem.drift, nodes, column)
+    sigma = eval_on(problem.diffusion, nodes, column)
+    if (problem.separable_reward is not None and (np.diff(b) > 0.0).all()
+            and not (drift != column).any() and not (sigma != sigma[0]).any()):
+        k = int(np.searchsorted(b, 0.0))        # the first b >= 0
+        index = np.unique(np.clip([0, k - 1, k, b.size - 1], 0, b.size - 1))
+    else:
+        index = np.arange(b.size)
+    parts = generator_band(nodes, drift[index], sigma[index] ** 2)
+    for part in parts:
         part.flags.writeable = False
-    return band
+    return ControlBand(index=index, parts=parts)
 
 
-def _reward_block(t, grid, problem, controls):
-    """f(t, x_j, b) with one row per discrete control (controls x nodes)."""
-    return eval_on(problem.running_reward, t, grid.nodes, controls.controls[:, np.newaxis])
+def _reward_block(t, grid, problem, controls, band):
+    """f(t, x_j, b) with one row per control of the :class:`ControlBand`
+    ``band`` (its rows x nodes)."""
+    return eval_on(problem.running_reward, t, grid.nodes,
+                   controls.controls[band.index, np.newaxis])
 
 
 def _best_control(u, band, reward, previous=None):
-    """Max over the discrete control set of (L_b u)_j + f(t, x_j, b),
-    ``band`` being the :func:`_control_band` of these controls and ``reward``
-    their :func:`_reward_block` at t.
+    """Max over the band's controls of (L_b u)_j + f(t, x_j, b), ``band``
+    being the ``parts`` of a :class:`ControlBand` and ``reward`` its
+    :func:`_reward_block` at t.
 
     Returns (values, indices): the values are the maximum, and ties go to
     the smallest control, the first index argmax meets.  Given the
@@ -184,7 +230,9 @@ def _best_control(u, band, reward, previous=None):
     control's value is at most ``_TIE_ULPS`` * eps * max_b |value| below the
     maximum, so controls that tie up to rounding (+-b at a symmetric node)
     do not flip between policy iterations.  The values stay the true
-    maximum.
+    maximum.  max_b |value| is taken over the band's rows; on a band that
+    keeps each sign half's ends it is the full sample's in exact
+    arithmetic, each half's values being linear in b.
     """
     vals = apply_band(band, u) + reward
     best_idx = vals.argmax(axis=0)
@@ -199,15 +247,17 @@ def _best_control(u, band, reward, previous=None):
 
 
 def _improve(u, controls, intervention, band, reward, previous=None):
-    """(policy, argmax values, argmax indices) at the iterate ``u``, keeping
-    near-tied ``previous`` control indices (:func:`_best_control`).  The
-    control argmax ignores the time (or discount) term, which does not depend
-    on b; the penalty indicator is strict, d_j = 1 iff the best jump value
-    exceeds u_j, so at equality the penalty stays off."""
-    best_vals, best_idx = _best_control(u, band, reward, previous)
+    """(policy, argmax values, argmax row indices) at the iterate ``u``,
+    keeping near-tied ``previous`` rows (:func:`_best_control`) of the
+    :class:`ControlBand` ``band``; the policy's controls are the sampled
+    controls those rows index.  The control argmax ignores the time (or
+    discount) term, which does not depend on b; the penalty indicator is
+    strict, d_j = 1 iff the best jump value exceeds u_j, so at equality the
+    penalty stays off."""
+    best_vals, best_idx = _best_control(u, band.parts, reward, previous)
     jump = intervention.apply(u)
     policy = PenaltyPolicy(
-        controls=controls.controls[best_idx],
+        controls=controls.controls[band.index[best_idx]],
         intervene=jump.values - u > 0.0,
         impulses=jump.impulses,
     )
@@ -239,8 +289,8 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
     Row j:  time_weight*u_j - (L_{b_j} u)_j + (d_j/eps)(u_j - sum_c w_c u_c)
             = rhs_base_j + f_j(b_j) + (d_j/eps) * cost_j,
     with zero stencils in the boundary rows.  L_{b_j} and f_j(b_j) are row
-    idx_j of the :func:`_control_band` and of the step's :func:`_reward_block`,
-    ``idx`` holding the control index of b_j at each node.  The couplings
+    idx_j of the :class:`ControlBand` and of the step's :func:`_reward_block`,
+    ``idx`` holding the row index of b_j at each node.  The couplings
     (c, w_c) and the cost of each active row are read from
     ``intervention.jump_rows``, the operator that chose the policy:
     interpolation pairs for a jump table, none for a frozen obstacle.
@@ -275,7 +325,7 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
     if memo.holds(control_band, key):
         return SparseSystem(matrix=memo.matrix, rhs=rhs, report=memo.report)
 
-    band = tuple(part[idx, nodes] for part in control_band)
+    band = tuple(part[idx, nodes] for part in control_band.parts)
     matrix = implicit_matrix(float(time_weight), band, rows, cols, data)
     report = analyze_matrix(matrix)
     if not report.passed:
@@ -334,7 +384,7 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band
     the step evaluates the running reward once, as its :func:`_reward_block`.
     Policy systems go through the :class:`SystemMemo` ``memo``."""
     _require_epsilon(epsilon)
-    reward = _reward_block(t, grid, problem, controls)
+    reward = _reward_block(t, grid, problem, controls, band)
     # Given None, policy iteration and the gate each build the table at t,
     # the first freed before the second: one alive at a time.
     u, diag, best = _policy_iteration(
@@ -376,8 +426,8 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     controls = controls or discretize_controls(problem, grid.rho)
     epsilon = default_epsilon(grid, cfg or SolverConfig())
 
-    diagnostics = SolveDiagnostics()
     band = _control_band(grid, problem, controls)
+    diagnostics = SolveDiagnostics(control_rows=band.index.size)
     memo = SystemMemo()
 
     def step(u_next, n):
@@ -402,10 +452,11 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     epsilon = default_epsilon(grid, cfg or SolverConfig())
 
     zeros = np.zeros(grid.n_nodes)
+    band = _control_band(grid, problem, controls)
     u, step_diag = _solve_step(zeros, zeros, problem.discount, 0.0, grid, problem, controls,
-                               _control_band(grid, problem, controls), epsilon, None,
-                               time_index=0, where="stationary solve", memo=SystemMemo())
-    diagnostics = SolveDiagnostics()
+                               band, epsilon, None, time_index=0, where="stationary solve",
+                               memo=SystemMemo())
+    diagnostics = SolveDiagnostics(control_rows=band.index.size)
     diagnostics.record_step(step_diag)
     return Solution(grid=grid, scheme="penalty", surface=u[np.newaxis, :],
                     policies=[step_diag.policy], diagnostics=diagnostics, epsilon=epsilon)
@@ -418,7 +469,7 @@ def monotonicity_row(problem, grid, controls, epsilon, t):
     off-node values, for the monotonicity checker.  The :func:`_control_band`
     and the :func:`_reward_block` at t are built once, here."""
     band = _control_band(grid, problem, controls)
-    reward = _reward_block(t, grid, problem, controls)
+    reward = _reward_block(t, grid, problem, controls, band)
 
     def row(j, u_n, u_next, obstacle_value) -> float:
         u_n = np.asarray(u_n, dtype=float)
@@ -426,7 +477,7 @@ def monotonicity_row(problem, grid, controls, epsilon, t):
             rhs_base, time_weight = np.asarray(u_next, dtype=float) / grid.dt, 1.0 / grid.dt
         else:
             rhs_base, time_weight = 0.0, problem.discount
-        best = _best_control(u_n, band, reward)[0]
+        best = _best_control(u_n, band.parts, reward)[0]
         return float(residual(u_n, rhs_base, time_weight, best, obstacle_value,
                               epsilon)[grid.offset(j)])
     return row

@@ -26,10 +26,24 @@ callables are exploited when they broadcast, via :func:`eval_on` (and
 an interval -- the control set, each node's impulse candidates, and the
 candidates :func:`validate` checks -- is :func:`uniform_sample`'s.
 
-A problem whose impulses reset the state to z at cost -c0 - lam |z - x|
-says so through its callables: ``impulse_shift`` is :func:`reset_shift` and
-``impulse_cost`` a :class:`ResetCost` (:func:`reset_impulse` gives both).
-``ProblemSpec.reset_cost`` reads the declaration back off the callables.
+A problem declares structure the solvers exploit through its callables,
+and ``ProblemSpec`` reads each declaration back off them, so it cannot
+disagree with the values the solvers would otherwise evaluate:
+
+* a **reset**: impulses reset the state to z at cost -c0 - lam |z - x|.
+  ``impulse_shift`` is :func:`reset_shift` and ``impulse_cost`` a
+  :class:`ResetCost` (:func:`reset_impulse` gives both); read back as
+  ``ProblemSpec.reset_cost``.  Jump tables then take the impulse maximum
+  in O(n + K) rather than over a nodes x K block.
+* a **reward that ignores the control**: ``running_reward`` is a
+  :class:`SeparableReward`, state(t, x) alone; read back as
+  ``ProblemSpec.separable_reward``.  When the drift is also b itself and
+  the diffusion ignores b, which the penalty solve checks on the values,
+  the penalty control maximum reads only the first and last control of
+  each sign half: 4 of the B controls for cash at every grid size.
+
+Undeclared problems keep the general paths: every impulse candidate and
+every sampled control.
 """
 
 from __future__ import annotations
@@ -45,33 +59,36 @@ from .grid import SpaceTimeGrid
 def eval_on(fn: Callable, *args) -> np.ndarray:
     """Evaluate a scalar coefficient callable on broadcast array arguments.
 
-    Tries a direct vectorized call first; falls back to a scalar loop when
-    the callable is not array-aware, which shows as a TypeError or ValueError
-    (any other exception propagates).  A scalar return against array input is
-    taken as a constant function.  A non-finite value (NaN or infinite)
-    raises ValueError naming the first argument tuple that produced one: the
-    schemes would otherwise read a NaN drift as zero drift, since it is
-    neither >= 0 nor < 0 in the upwind choice.
+    Tries a direct call on the arguments as given first, unbroadcast, so a
+    callable that ignores an argument is evaluated on the others' shape
+    alone: cash's reward, which ignores b, costs n values, not controls x n.
+    A result whose shape broadcasts to the arguments' broadcast shape (a
+    scalar included, taken as a constant function) is returned as a
+    read-only ``np.broadcast_to`` view of that shape.  The call falls back
+    to a scalar loop when the callable is not array-aware, which shows as a
+    TypeError or ValueError (any other exception propagates), or when its
+    result has any other shape.  A non-finite value (NaN or infinite)
+    raises ValueError naming the first broadcast argument tuple that
+    produced one: the schemes would otherwise read a NaN drift as zero
+    drift, since it is neither >= 0 nor < 0 in the upwind choice.
     """
-    arrs = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in args])
-    shape = arrs[0].shape
+    arrs = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in arrs))
     if shape == ():
-        out = np.asarray(float(fn(*[float(a) for a in arrs])))
+        raw = np.asarray(float(fn(*[float(a) for a in arrs])))
     else:
         try:
-            out = np.asarray(fn(*arrs), dtype=float)
+            raw = np.asarray(fn(*arrs), dtype=float)
+            np.broadcast_to(raw, shape)     # ValueError: another shape
         except (TypeError, ValueError):
-            out = None
-        if out is not None and out.ndim == 0:
-            out = np.full(shape, float(out))
-        if out is None or out.shape != shape:
-            flat = zip(*(a.ravel() for a in arrs))
-            out = np.array([float(fn(*vals)) for vals in flat]).reshape(shape)
-    if not np.isfinite(out).all():
-        bad = np.flatnonzero(~np.isfinite(out))[0]
-        where = tuple(float(a.ravel()[bad]) for a in arrs)
+            flat = zip(*(np.broadcast_to(a, shape).ravel() for a in arrs))
+            raw = np.array([float(fn(*vals)) for vals in flat]).reshape(shape)
+    out = np.broadcast_to(raw, shape)
+    if not np.isfinite(raw).all():
+        bad = np.unravel_index(np.flatnonzero(~np.isfinite(out))[0], shape)
+        where = tuple(float(np.broadcast_to(a, shape)[bad]) for a in arrs)
         raise ValueError(f"coefficient {getattr(fn, '__name__', fn)!s} returned "
-                         f"{float(out.ravel()[bad])} at arguments {where}")
+                         f"{float(out[bad])} at arguments {where}")
     return out
 
 
@@ -89,6 +106,10 @@ class ProblemSpec:
     maximum from its (c0, lam), not by evaluating the callables
     (:class:`operators.InterventionTable`).  The declaration is the pair of
     callables itself, so replacing either one drops it.
+    ``separable_reward`` is the running reward when it is declared to
+    ignore the control (see :class:`SeparableReward`): the penalty control
+    maximum may then read a few rows of the control sample only
+    (:func:`penalty._control_band`).
     """
 
     drift: Callable[[float, float], float]            # drift(x, b)
@@ -128,6 +149,28 @@ class ProblemSpec:
             return cost
         return None
 
+    @property
+    def separable_reward(self) -> SeparableReward | None:
+        """``running_reward`` when it is a :class:`SeparableReward`, else None."""
+        reward = self.running_reward
+        return reward if isinstance(reward, SeparableReward) else None
+
+
+@dataclass(frozen=True)
+class SeparableReward:
+    """The running reward state(t, x), declared to ignore the control b.
+
+    Its values are those of ``state``, so the declaration cannot be false.
+    The drift and diffusion take no t, so a solve checks once, on their
+    values, what else its reduction needs (:func:`penalty._control_band`);
+    the reward takes t, so it is declared by its callable instead.
+    """
+
+    state: Callable[[float, float], float]
+
+    def __call__(self, t, x, b):
+        return self.state(t, x)
+
 
 def reset_shift(t, x, z):
     """The shift z - x of a reset to z: the declared reset's impulse_shift."""
@@ -154,7 +197,7 @@ class ResetCost:
                              f"got c0={self.c0!r}, lam={self.lam!r}")
 
     def __call__(self, t, x, z):
-        return -self.c0 - self.lam * np.abs(z - x)
+        return -self.c0 - self.lam * abs(z - x)
 
 
 def reset_impulse(c0: float, lam: float) -> dict:
@@ -362,7 +405,8 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
                    that reset the state at a fixed plus proportional cost.
 
     ``heat`` and ``cash`` take their impulse callables from
-    :func:`reset_impulse`, so they declare their resets.
+    :func:`reset_impulse`, so they declare their resets.  ``cash``'s
+    reward is a :class:`SeparableReward`: it ignores b.
 
     Passing ``beta`` switches any of them to the stationary (discounted)
     problem; rewards of the builtins are time-independent, so this is valid.
@@ -416,7 +460,7 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
         return ProblemSpec(
             drift=lambda x, b: b + 0.0 * x,
             diffusion=lambda x, b: s + 0.0 * x,
-            running_reward=lambda t, x, b: -np.minimum(x * x, G),
+            running_reward=SeparableReward(lambda t, x: -np.minimum(x * x, G)),
             terminal_reward=lambda x: -np.minimum(x * x, G),
             impulse_bounds=lambda t, x: (-1.0, 1.0),
             control_bounds=(-b_max, b_max),

@@ -223,7 +223,7 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     factor = factorise(A, "semi-Lagrangian matrix")
     feet = foot_points(grid, problem, controls)
-    diagnostics = SolveDiagnostics()
+    diagnostics = SolveDiagnostics(control_rows=controls.controls.size)
     diagnostics.matrix_systems_checked = 1
     diagnostics.min_dominance_margin = report.min_margin
     diagnostics.inward_drift = feet.inward_drift

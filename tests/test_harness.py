@@ -304,9 +304,9 @@ class TestMonotonicity:
         n = grid.n_nodes
         policy = PenaltyPolicy(controls=np.ones(n), intervene=np.zeros(n, dtype=bool),
                                impulses=np.full(n, np.nan))
-        idx = np.full(n, int(np.flatnonzero(controls.controls == 1.0)[0]))
         band = penalty_mod._control_band(grid, problem, controls)
-        reward = penalty_mod._reward_block(0.0, grid, problem, controls)
+        idx = np.full(n, int(np.flatnonzero(controls.controls[band.index] == 1.0)[0]))
+        reward = penalty_mod._reward_block(0.0, grid, problem, controls, band)
         with pytest.raises(MatrixStructureError):
             penalty_mod._assemble(policy, np.zeros(n), 1.0 / grid.dt, 0.25,
                                   InterventionTable(problem, grid, controls, 0.0), band, reward,

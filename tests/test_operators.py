@@ -597,7 +597,7 @@ class TestSharedTargetRow:
         checked = operators_mod.eval_on
 
         def nan_shift(fn, *args):
-            out = checked(fn, *args)
+            out = np.array(checked(fn, *args))     # eval_on's result is read-only
             if fn is p.impulse_shift:
                 out[3, 2] = np.nan
             return out

@@ -6,8 +6,8 @@ import pytest
 from hjbqvi import penalty as penalty_mod
 from hjbqvi.exceptions import MatrixStructureError
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
-from hjbqvi.harness import check_solution_matrices, check_stability_bound
-from hjbqvi.oracle import solve_iterated_optimal_stopping
+from hjbqvi.harness import RESIDUAL_ORACLE_TOL, check_solution_matrices, check_stability_bound
+from hjbqvi.oracle import brute_force_residual, solve_iterated_optimal_stopping
 from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import (
     FrozenObstacle,
@@ -39,7 +39,8 @@ def terminal_values(problem, grid):
 def operands(problem, grid, controls, t):
     """What a penalty step builds once: the control band, and the reward
     block and jump table at t."""
-    return (_control_band(grid, problem, controls), _reward_block(t, grid, problem, controls),
+    band = _control_band(grid, problem, controls)
+    return (band, _reward_block(t, grid, problem, controls, band),
             InterventionTable(problem, grid, controls, t))
 
 
@@ -54,7 +55,7 @@ def gate_residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon)
     """residual(u) as the step's gate reads it: the argmax values of the
     control band and reward block at t, and (Mu)_j of the jump table at t."""
     band, reward, table = operands(problem, grid, controls, t)
-    best, _ = _best_control(u, band, reward)
+    best, _ = _best_control(u, band.parts, reward)
     return residual(u, rhs_base, time_weight, best, table.apply(u).values, epsilon)
 
 
@@ -607,9 +608,11 @@ class TestControlBandPerSolve:
 
         best_control = penalty_mod._best_control
 
+        rows = _control_band(g, p, c).index
+
         def per_call_band(u, band, reward, previous=None):
             # The argmax as it was before the band was hoisted: its own band each call.
-            b = c.controls[:, np.newaxis]
+            b = c.controls[rows, np.newaxis]
             own = generator_band(g.nodes, eval_on(p.drift, g.nodes, b),
                                  eval_on(p.diffusion, g.nodes, b) ** 2)
             return best_control(u, own, reward, previous)
@@ -688,7 +691,7 @@ def step_operands(problem, grid):
     n = next(n for n, p in enumerate(sol.policies[:-1]) if p.intervene.any())
     policy, t = sol.policies[n], n * grid.dt
     band, reward, table = operands(problem, grid, c, t)
-    idx = np.searchsorted(c.controls, policy.controls)
+    idx = np.searchsorted(c.controls[band.index], policy.controls)
     return (policy, sol.surface[n + 1] / grid.dt, 1.0 / grid.dt, sol.epsilon, table, band,
             reward, idx)
 
@@ -807,7 +810,7 @@ class TestSystemMemo:
         elif change == "control index":
             idx = idx.copy()
             j = idx.size // 2
-            idx[j] = (idx[j] + 1) % band[0].shape[0]
+            idx[j] = (idx[j] + 1) % band.index.size
         else:
             active = np.flatnonzero(policy.intervene)
             couplings, _ = table.jump_rows(active, policy.impulses[active])
@@ -815,3 +818,117 @@ class TestSystemMemo:
             table = self.nudged(table, 0.0 if w0 > 0.5 else 1.0)
         with pytest.raises(MatrixStructureError, match="patched"):
             _assemble(policy, rhs_base, weight, eps, table, band, reward, idx, memo)
+
+
+def undeclared(problem):
+    """``problem`` with the same values and no declared reward: a new reward
+    callable that calls the declared one."""
+    reward = problem.running_reward
+    return replace(problem, running_reward=lambda t, x, b: reward(t, x, b))
+
+
+class TestSeparableControl:
+    """A reward declared to ignore b, with drift b and a diffusion that
+    ignores b, maximises over the first and last control of each sign half;
+    any other problem over every sampled control.  Either way the surfaces
+    and policies are those of the full sample, bit for bit."""
+
+    @staticmethod
+    def grids(problem, M):
+        if problem.finite_horizon:
+            return build_uniform_grid(Q=4, M=M, N=3 * M // 4, T=problem.horizon)
+        return build_uniform_grid(Q=4, M=M)
+
+    @pytest.mark.parametrize("M", [20, 40, 80, 160])
+    def test_cash_reads_four_rows(self, M):
+        p = builtin("cash")
+        g = self.grids(p, M)
+        c = discretize_controls(p, g.rho)
+        assert c.controls.size > 4
+        assert solve_finite_horizon(p, g, c).diagnostics.control_rows == 4
+        s = builtin("cash", {"beta": 0.2})
+        assert solve_infinite_horizon(s, self.grids(s, M)).diagnostics.control_rows == 4
+        if M == 20:
+            assert solve_iterated_optimal_stopping(p, g, c).diagnostics.control_rows == 4
+
+    @pytest.mark.parametrize("bounds, rows", [
+        ((-0.5, 0.5), [0, 4, 5, 10]),       # b = -0.1 and 0.0 end the halves
+        ((0.0, 0.5), [0, 5]),
+        ((-0.5, -0.1), [0, 4]),
+        ((0.2, 0.2), [0]),
+    ])
+    def test_keeps_the_ends_of_each_sign_half(self, bounds, rows):
+        p = replace(builtin("cash"), control_bounds=bounds)
+        g = self.grids(p, 40)
+        assert _control_band(g, p, discretize_controls(p, g.rho)).index.tolist() == rows
+
+    @pytest.mark.parametrize("change, reduced", [
+        ("drift, same values", True),
+        ("drift", False),
+        ("reward", False),
+        ("diffusion", False),
+        ("controls out of order", False),
+    ])
+    def test_a_changed_problem_falls_back_to_every_control(self, change, reduced):
+        # The drift and diffusion are checked on their values, so a new
+        # callable with the same values keeps the reduction; the reward is
+        # declared by its callable.
+        p = builtin("cash")
+        g = self.grids(p, 40)
+        c = discretize_controls(p, g.rho)
+        if change == "drift, same values":
+            p = replace(p, drift=lambda x, b: b + 0.0 * x)
+        elif change == "drift":
+            p = replace(p, drift=lambda x, b: b + 0.1 * x)
+        elif change == "reward":
+            p = undeclared(p)
+        elif change == "diffusion":
+            p = replace(p, diffusion=lambda x, b: 1.0 + 0.1 * b * b + 0.0 * x)
+        else:
+            c = replace(c, controls=c.controls[::-1].copy())
+        rows = solve_finite_horizon(p, g, c).diagnostics.control_rows
+        assert rows == (4 if reduced else c.controls.size)
+
+    @staticmethod
+    def solves(problem, M):
+        """The penalty, stationary (beta = 0.2) and IOS solves of ``problem``
+        at M, each as (solution, its problem, its controls)."""
+        out = []
+        for q in (problem, replace(problem, horizon=None, discount=0.2)):
+            g = TestSeparableControl.grids(q, M)
+            c = discretize_controls(q, g.rho)
+            solve = solve_finite_horizon if q.finite_horizon else solve_infinite_horizon
+            out.append((solve(q, g, c), q, c))
+        g, c = out[0][0].grid, out[0][2]
+        return out + [(solve_iterated_optimal_stopping(problem, g, c), problem, c)]
+
+    @pytest.mark.parametrize("M, bounds", [(20, None), (40, None), (80, None),
+                                           (40, (0.0, 0.5))])
+    def test_cash_equals_its_undeclared_twin(self, M, bounds):
+        # Diagnostics included.
+        p = builtin("cash")
+        if bounds is not None:
+            p = replace(p, control_bounds=bounds)
+        solves = self.solves(p, M)
+        twins = self.solves(undeclared(p), M)
+        for (sol, _, c), (twin, _, _) in zip(solves, twins):
+            assert (sol.diagnostics.control_rows, twin.diagnostics.control_rows) == \
+                (4 if bounds is None else 2, c.controls.size)
+            assert solve_record(sol) == solve_record(twin)
+        # The audit maximises over every sampled control.
+        if M == 40:
+            for sol, problem, controls in solves[:2]:
+                assert brute_force_residual(sol, problem, sol.grid, controls,
+                                            sol.epsilon) <= RESIDUAL_ORACLE_TOL
+
+    def test_monotonicity_row_equals_its_undeclared_twin(self):
+        p = builtin("cash")
+        g = self.grids(p, 40)
+        c = discretize_controls(p, g.rho)
+        rows = [penalty_mod.monotonicity_row(q, g, c, 0.1, 1.5) for q in (p, undeclared(p))]
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            u, u_next = rng.normal(size=(2, g.n_nodes))
+            j = int(rng.integers(-g.M, g.M + 1))
+            obstacle = float(rng.normal())
+            assert rows[0](j, u, u_next, obstacle) == rows[1](j, u, u_next, obstacle)

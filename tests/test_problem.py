@@ -9,6 +9,7 @@ from hjbqvi.penalty import solve_finite_horizon
 from hjbqvi.problem import (
     ProblemSpec,
     ResetCost,
+    SeparableReward,
     builtin,
     eval_on,
     reset_impulse,
@@ -80,6 +81,39 @@ class TestEvalOn:
         with pytest.raises(RuntimeError, match="array path"):
             eval_on(broken_on_arrays, np.array([1.0, 2.0]), 0.0)
         assert float(eval_on(broken_on_arrays, 1.0, 0.0)) == 1.0
+
+    def test_an_ignored_argument_gives_a_read_only_view(self):
+        # The callable sees its arguments unbroadcast and ignores b: one
+        # call on the nodes, viewed as the controls x nodes block.
+        shapes = []
+
+        def reward(t, x, b):
+            shapes.append(np.shape(x))
+            return -np.minimum(x * x, 2.0)
+
+        x, b = np.linspace(-2.0, 2.0, 5), np.array([[-0.5], [0.0], [0.5]])
+        out = eval_on(reward, 1.0, x, b)
+        assert shapes == [(5,)] and out.shape == (3, 5)
+        block = np.array([[reward(1.0, xi, bi) for xi in x] for bi in b[:, 0]])
+        assert out.tobytes() == block.tobytes()
+        assert not out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0] = 1.0
+
+    def test_non_finite_broadcast_value_names_its_arguments(self):
+        # The NaN at x = 1 repeats down the b axis; the first is at b = -1.
+        fn = lambda t, x, b: np.where(x == 1.0, np.nan, 0.0 * x)
+        with pytest.raises(ValueError, match=r"nan at arguments \(0\.5, 1\.0, -1\.0\)"):
+            eval_on(fn, 0.5, np.array([0.0, 1.0, 2.0]), np.array([[-1.0], [1.0]]))
+
+    def test_a_result_that_does_not_broadcast_takes_the_scalar_loop(self):
+        def wrong_shape(x, b):
+            if np.ndim(x) or np.ndim(b):
+                return np.zeros(7)
+            return x * b
+        x, b = np.array([1.0, 2.0, 3.0]), np.array([[1.0], [-2.0]])
+        out = eval_on(wrong_shape, x, b)
+        assert out.tobytes() == (x * b).tobytes()
 
 
 def cash_with_nan(field):
@@ -242,8 +276,11 @@ class TestResetCost:
     def test_is_the_reset_cost_it_declares(self):
         cost = ResetCost(2.0, 0.5)
         x, z = np.array([-4.0, 0.0, 0.3]), np.array([1.0, -1.0, 0.3])
-        assert np.array_equal(eval_on(cost, 0.0, x, z), -2.0 - 0.5 * np.abs(z - x))
+        assert eval_on(cost, 0.0, x, z).tobytes() == (-2.0 - 0.5 * np.abs(z - x)).tobytes()
         assert np.array_equal(eval_on(reset_shift, 0.0, x, z), z - x)
+        # A scalar call stays a Python float, with the same value.
+        assert type(cost(0.0, 0.3, -1.0)) is float
+        assert cost(0.0, 0.3, -1.0) == -2.0 - 0.5 * float(np.abs(-1.0 - 0.3))
 
     @pytest.mark.parametrize("params", [{}, {"beta": 0.5}])
     @pytest.mark.parametrize("name, declared", [("constant", None), ("heat", (3.0, 0.0)),
@@ -265,6 +302,33 @@ class TestResetCost:
             is None
         other = replace(cash, **reset_impulse(3.0, 0.25))
         assert other.reset_cost == ResetCost(3.0, 0.25)
+
+
+class TestSeparableReward:
+    def test_is_its_state_part_whatever_b(self):
+        state = lambda t, x: t - x * x
+        x, b = np.array([-1.0, 0.5, 2.0]), np.array([[-0.5], [0.25]])
+        assert eval_on(SeparableReward(state), 2.0, x, b).tobytes() == \
+            np.broadcast_to(2.0 - x * x, (2, 3)).tobytes()
+        assert SeparableReward(state)(2.0, 0.5, 0.25) == 2.0 - 0.25
+
+    @pytest.mark.parametrize("params", [{}, {"beta": 0.5}])
+    def test_cash_declares_it_with_its_old_values(self, params):
+        cash = builtin("cash", params)
+        assert cash.separable_reward is cash.running_reward
+        G = 2.0
+        x, b = np.linspace(-4.0, 4.0, 17), np.linspace(-0.5, 0.5, 5)[:, np.newaxis]
+        assert eval_on(cash.running_reward, 1.0, x, b).tobytes() == \
+            np.broadcast_to(-np.minimum(x * x, G), (5, 17)).tobytes()
+        assert builtin("heat", params).separable_reward is None
+
+    def test_the_declaration_is_the_callable(self):
+        # Replacing the reward, even by one with the same values, drops it.
+        cash = builtin("cash")
+        assert replace(cash, running_reward=lambda t, x, b: cash.running_reward(t, x, b)) \
+            .separable_reward is None
+        declared = SeparableReward(lambda t, x: 0.0 * x)
+        assert replace(cash, running_reward=declared).separable_reward is declared
 
 
 class TestBuiltins:

@@ -258,10 +258,11 @@ class TestThomasSolve:
         sol = solve_finite_horizon(problem, grid, c)
         n = next(n for n, p in enumerate(sol.policies[:-1]) if p.intervene.any())
         policy, t = sol.policies[n], n * grid.dt
+        band = _control_band(grid, problem, c)
         system = _assemble(policy, sol.surface[n + 1] / grid.dt, 1.0 / grid.dt, sol.epsilon,
-                           InterventionTable(problem, grid, c, t), _control_band(grid, problem, c),
-                           _reward_block(t, grid, problem, c),
-                           np.searchsorted(c.controls, policy.controls), SystemMemo())
+                           InterventionTable(problem, grid, c, t), band,
+                           _reward_block(t, grid, problem, c, band),
+                           np.searchsorted(c.controls[band.index], policy.controls), SystemMemo())
         return system.matrix, system.rhs
 
     def test_reused_factor_matches_spsolve_bit_for_bit(self):
