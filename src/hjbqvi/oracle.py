@@ -19,6 +19,9 @@ Two independent routes:
   the sampled candidate sets: each time level's impulse candidates come
   from one ``impulse_values`` block, in which a node with fewer candidates
   repeats its last z, leaving the maximum over candidates unchanged.
+  :func:`brute_force_sl_residual` does the same for the semi-Lagrangian
+  equations, sharing no code with :mod:`semilag`.  Both maximise over every
+  sampled control, so they audit the solvers' reduced control maxima.
 """
 
 from __future__ import annotations
@@ -111,17 +114,33 @@ def _interp_scalar(nodes, values, x):
     return (1.0 - weight) * values[k] + weight * values[k + 1]
 
 
+def _second_difference(nodes, u, i):
+    """The three-point second difference of u at interior node i."""
+    hm = nodes[i] - nodes[i - 1]
+    hp = nodes[i + 1] - nodes[i]
+    return 2.0 * (u[i - 1] / (hm * (hm + hp))
+                  - u[i] / (hm * hp)
+                  + u[i + 1] / (hp * (hm + hp)))
+
+
+def _best_jump(problem, nodes, zs, t, x, u):
+    """max over the candidates zs of u(x + shift) + cost, u read by _interp_scalar."""
+    best = -np.inf
+    for z in zs:
+        target = x + float(problem.impulse_shift(t, x, z))
+        gain = _interp_scalar(nodes, u, target) + float(problem.impulse_cost(t, x, z))
+        if gain > best:
+            best = gain
+    return best
+
+
 def _row_residual(problem, nodes, n_nodes, zs, t, dt_term, i, x, u, u_next, bs, epsilon):
     # The terms free of b, once per row; the loop picks the one-sided
     # difference on the sign of the drift.
     if 0 < i < n_nodes - 1:
         forward = (u[i + 1] - u[i]) / (nodes[i + 1] - nodes[i])
         backward = (u[i] - u[i - 1]) / (nodes[i] - nodes[i - 1])
-        hm = nodes[i] - nodes[i - 1]
-        hp = nodes[i + 1] - nodes[i]
-        second = 2.0 * (u[i - 1] / (hm * (hm + hp))
-                        - u[i] / (hm * hp)
-                        + u[i + 1] / (hp * (hm + hp)))
+        second = _second_difference(nodes, u, i)
     else:
         forward = backward = second = 0.0
     if dt_term is not None:
@@ -137,13 +156,7 @@ def _row_residual(problem, nodes, n_nodes, zs, t, dt_term, i, x, u, u_next, bs, 
             + float(problem.running_reward(t, x, b))
         if val > best:
             best = val
-    jump_best = -np.inf
-    for z in zs:
-        target = x + float(problem.impulse_shift(t, x, z))
-        gain = _interp_scalar(nodes, u, target) + float(problem.impulse_cost(t, x, z))
-        if gain > jump_best:
-            jump_best = gain
-    penalty_part = max(jump_best - u[i], 0.0) / epsilon
+    penalty_part = max(_best_jump(problem, nodes, zs, t, x, u) - u[i], 0.0) / epsilon
     return -best - penalty_part
 
 
@@ -182,4 +195,54 @@ def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
             row = _row_residual(problem, nodes, n_nodes, candidates[i], t, dt, i, x,
                                 u, u_next, bs, epsilon)
             worst = max(worst, abs(row))
+    return worst + terminal_gap
+
+
+def brute_force_sl_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
+                            controls: DiscreteControls) -> float:
+    """Loop-based re-evaluation of the semi-Lagrangian equations over a full
+    surface, sharing no code with :mod:`semilag`.
+
+    Row j of step n, at t = n dt, is u_j - dt/2 diffusion(x_j, b_0)^2
+    (D2 u)_j (u_j at either end), b_0 the smallest control; its right-hand
+    side is the larger of the best continuation over every sampled control,
+    u^{n+1} at the foot x_j + drift(x_j, b) dt plus f(t, x_j, b) dt, and the
+    best jump at level n+1 over that level's ``impulse_values`` candidates.
+    Feet and jump targets are read by clamped linear interpolation.  Returns
+    the worst |row - rhs| plus the worst terminal mismatch |u^N_j - g(x_j)|.
+    Accepts a Solution or a bare surface array; a non-finite entry anywhere
+    in it makes the residual NaN.
+    """
+    surface = np.atleast_2d(getattr(sol, "surface", sol))
+    if not np.isfinite(surface).all():
+        return float("nan")
+    nodes = [float(x) for x in grid.nodes]
+    n_nodes = len(nodes)
+    bs = [float(b) for b in controls.controls]
+    dt = float(grid.dt)
+
+    terminal_gap = 0.0
+    for x, v in zip(nodes, surface[-1]):
+        terminal_gap = max(terminal_gap, abs(float(v) - float(problem.terminal_reward(x))))
+
+    worst = 0.0
+    for n in range(surface.shape[0] - 1):
+        t = n * dt
+        u = [float(v) for v in surface[n]]
+        u_next = [float(v) for v in surface[n + 1]]
+        candidates = controls.impulse_values(t + dt, grid.nodes).tolist()
+        for i, x in enumerate(nodes):
+            row = u[i]
+            if 0 < i < n_nodes - 1:
+                sg = float(problem.diffusion(x, bs[0]))
+                row -= 0.5 * dt * sg * sg * _second_difference(nodes, u, i)
+            best = -np.inf
+            for b in bs:
+                foot = x + float(problem.drift(x, b)) * dt
+                value = _interp_scalar(nodes, u_next, foot) \
+                    + float(problem.running_reward(t, x, b)) * dt
+                if value > best:
+                    best = value
+            rhs = max(best, _best_jump(problem, nodes, candidates[i], t + dt, x, u_next))
+            worst = max(worst, abs(row - rhs))
     return worst + terminal_gap

@@ -13,9 +13,20 @@ to one sparse (tridiagonal) solve A u^n = rhs with
     rhs_j     = max( max_b { interp(u^{n+1}, x_j + drift dt) + f dt },
                      (M u^{n+1})_j ).
 
-The continuation candidates are one controls x nodes block from
+The continuation candidates are one rows x nodes block from
 :func:`_continuation` (the jump tables' clamped linear interpolation at the
-foot points); the timestep takes their maximum with one argmax.  A solve's
+foot points); the timestep takes their maximum with one argmax.  Which rows
+is decided once per solve, in :func:`foot_points`.  An undeclared problem
+keeps all B sampled controls.  When the reward ignores b
+(``ProblemSpec.separable_reward``) and each node's foot cells and weights
+are nondecreasing down the control sample, checked exactly on the values,
+the candidate is affine in the weight along each run of one cell, so its
+maximum, and its smallest maximiser, lie at a run's first row or at the
+first row of its last weight in exact arithmetic.  The block then keeps
+those rows (:func:`_candidate_rows`): 4 of the B controls per node for cash,
+whose window b_max dt crosses one node.  Where controls differ only by
+rounding, the full sample can pick an interior one; the brute-force audit
+(:func:`oracle.brute_force_sl_residual`) reads every control.  A solve's
 step, run by :func:`solution.backward_induction`, is :func:`sl_rhs`, which
 returns (rhs, policy), and one sparse solve.  The row of
 :func:`monotonicity_row` is that step's own equation, (A u - rhs)_j, with
@@ -29,11 +40,12 @@ diagonally dominant, hence nonsingular; the solver checks this and
 factorises A once per solve.
 
 drift(x, b) takes no t, so a solve also computes once what every step reads
-of the foot points (:class:`FootPoints`): each foot's interpolation cell and
-weights, and the overstep counts (the solve's are N times the feet's).  A
-step then does only the work that depends on u^{n+1} or on t: the
-continuation values, within about 2 ulps of ``np.interp`` (exact on nodes
-and beyond [-Q, Q]), the running reward at t, the jump maximum, and the solve.
+of the foot points (:class:`FootPoints`): each kept foot's interpolation
+cell and weights, and the overstep counts of every foot (the solve's are N
+times the feet's).  A step then does only the work that depends on u^{n+1}
+or on t: the continuation values, within about 2 ulps of ``np.interp``
+(exact on nodes and beyond [-Q, Q]), the running reward at t, the jump
+maximum, and the solve.
 The jump table of a step is reused from the step before when the impulse
 data at its level equal those the table was built from
 (:meth:`InterventionTable.same_data_at`), so data that ignore t build one
@@ -100,15 +112,61 @@ def assemble_A(grid: SpaceTimeGrid, problem: ProblemSpec,
     return implicit_matrix(1.0, dt_band)
 
 
+def _candidate_rows(k: np.ndarray, alpha: np.ndarray) -> np.ndarray | None:
+    """Per node, the rows of a controls x nodes block of interpolation cells k
+    and weights alpha that a maximum over the rows may read, or None when
+    they are not nondecreasing down the rows (k, then alpha within one k).
+
+    Along a run of rows with one cell k, interp(u) + (a reward that ignores
+    b) is affine in a nondecreasing alpha, so its maximum, and its first
+    maximising row, is the run's first row or the first row of its last
+    alpha.  Those rows are kept, in row order; a node with fewer than the
+    largest count H repeats its last, giving an H x nodes index.
+    """
+    new_cell = k[1:] != k[:-1]
+    if (k[1:] < k[:-1]).any() or (~new_cell & (alpha[1:] < alpha[:-1])).any():
+        return None
+    B, n = k.shape
+    first = np.ones((B, n), dtype=bool)
+    first[1:] = new_cell
+    last = np.ones((B, n), dtype=bool)
+    last[:-1] = new_cell
+    # Each row's run end (the first last row at or below it), and whether
+    # the row has the weight its run ends with.
+    end = np.where(last, np.arange(B)[:, np.newaxis], B)
+    end = np.minimum.accumulate(end[::-1], axis=0)[::-1]
+    at_end = alpha == np.take_along_axis(alpha, end, axis=0)
+    keep = first.copy()
+    keep[1:] |= at_end[1:] & ~at_end[:-1]
+    rows, cols = np.nonzero(keep)
+    slots = (np.cumsum(keep, axis=0) - 1)[rows, cols]
+    index = np.broadcast_to(B - 1 - keep[::-1].argmax(axis=0), (slots.max() + 1, n)).copy()
+    index[slots, cols] = rows
+    return index
+
+
 class FootPoints(Interpolant):
     """The interpolant of fixed points, with ``oversteps``, the number outside
-    [-Q, Q], and ``interior_oversteps``, those in every column but the ends."""
+    [-Q, Q], and ``interior_oversteps``, those in every column but the ends.
 
-    def __init__(self, nodes: np.ndarray, points: np.ndarray, Q: float):
-        super().__init__(*interp_weights(nodes, points))
+    ``index`` holds the rows of ``points`` the interpolant keeps: every row
+    (a column of row numbers), or, with ``candidates``, the H x nodes rows of
+    :func:`_candidate_rows` when those exist.  The counts are of every point.
+    """
+
+    def __init__(self, nodes: np.ndarray, points: np.ndarray, Q: float,
+                 candidates: bool = False):
         outside = np.abs(points) > Q
         self.oversteps = int(outside.sum())
         self.interior_oversteps = int(outside[..., 1:-1].sum())
+        k, alpha = interp_weights(nodes, points)
+        index = _candidate_rows(k, alpha) if candidates else None
+        if index is None:
+            index = np.arange(k.shape[0])[:, np.newaxis]
+        else:
+            k, alpha = np.take_along_axis(k, index, 0), np.take_along_axis(alpha, index, 0)
+        self.index = index
+        super().__init__(k, alpha)
 
 
 def foot_points(grid: SpaceTimeGrid, problem: ProblemSpec,
@@ -117,10 +175,15 @@ def foot_points(grid: SpaceTimeGrid, problem: ProblemSpec,
     control; drift takes no t, so they serve every step of a solve.  Their
     ``inward_drift`` is True when drift points inward at both ends for every
     control, in which case no foot point can leave [-Q, Q] from an interior node.
+
+    When the reward ignores b (``ProblemSpec.separable_reward``), the feet
+    keep only each node's candidate rows (:func:`_candidate_rows`) where
+    those exist; the overstep counts and ``inward_drift`` are of every foot.
     """
     nodes = grid.nodes
     drift = eval_on(problem.drift, nodes, controls.controls[:, np.newaxis])
-    feet = FootPoints(nodes, nodes + drift * grid.dt, grid.Q)
+    feet = FootPoints(nodes, nodes + drift * grid.dt, grid.Q,
+                      candidates=problem.separable_reward is not None)
     feet.inward_drift = bool(np.all(drift[:, 0] >= 0.0) and np.all(drift[:, -1] <= 0.0))
     return feet
 
@@ -128,10 +191,11 @@ def foot_points(grid: SpaceTimeGrid, problem: ProblemSpec,
 def _continuation(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
                   controls: DiscreteControls, feet: FootPoints) -> np.ndarray:
     """Continuation values interp(u^{n+1}, foot) + f(t, x_j, b) dt on the
-    controls x nodes block, ``feet`` being the :func:`foot_points`."""
+    rows of ``feet``, the :func:`foot_points`: the controls x nodes block,
+    or each node's candidate rows."""
     values = feet.interp(u_next)
     values += eval_on(problem.running_reward, t, grid.nodes,
-                      controls.controls[:, np.newaxis]) * grid.dt
+                      controls.controls[feet.index]) * grid.dt
     return values
 
 
@@ -145,17 +209,19 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
     branches counts as continuation, matching the strict-intervention rule
     of the penalty scheme.  ``intervention`` is the jump operator read at
     level n+1, such as the problem's table at t + dt, and ``feet`` are the
-    :func:`foot_points`.
+    :func:`foot_points`, whose ``index`` maps the argmax row to its control.
     """
     u_next = np.asarray(u_next, dtype=float)
     values = _continuation(u_next, t, grid, problem, controls, feet)
     best = values.argmax(axis=0)
-    best_cont = values[best, np.arange(grid.n_nodes)]
+    nodes = np.arange(grid.n_nodes)
+    best_cont = values[best, nodes]
 
     jump = intervention.apply(u_next)
     intervene = jump.values > best_cont
     rhs = np.where(intervene, jump.values, best_cont)
-    policy = PenaltyPolicy(controls=controls.controls[best], intervene=intervene,
+    rows = np.broadcast_to(feet.index, values.shape)[best, nodes]
+    policy = PenaltyPolicy(controls=controls.controls[rows], intervene=intervene,
                            impulses=jump.impulses)
     return rhs, policy
 
@@ -223,7 +289,7 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     factor = factorise(A, "semi-Lagrangian matrix")
     feet = foot_points(grid, problem, controls)
-    diagnostics = SolveDiagnostics(control_rows=controls.controls.size)
+    diagnostics = SolveDiagnostics(control_rows=feet.index.shape[0])
     diagnostics.matrix_systems_checked = 1
     diagnostics.min_dominance_margin = report.min_margin
     diagnostics.inward_drift = feet.inward_drift

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import ProblemSpec, builtin, uniform_sample
 from hjbqvi.semilag import assemble_A, solve_semi_lagrangian
 from hjbqvi.solution import PenaltyPolicy, SolverConfig
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def flipped_upwind_band(nodes, drift, variance):
     """The stencil core with the upwind direction flipped on purpose:
@@ -506,6 +509,31 @@ class TestRefinementStudy:
         assert errors[0] > errors[1] > errors[2] > 0
         assert report.levels[-1].observed_order == pytest.approx(1.0, abs=0.3)
         assert report.passed
+
+    def test_growing_q_removes_the_truncation_floor(self):
+        # configs/heat_growing_q_study.yaml: the zero boundary stencils at
+        # +-Q cost heat an O(1) error near the boundary.  On a fixed Q = 4
+        # it reaches |x| <= 3.5 and stalls there near 0.13; growing Q with
+        # the mesh (Q = 4, 4.8, 5.65, 6.73) brings back first order.
+        spec = cli.parse_config(CONFIGS / "heat_growing_q_study.yaml")
+        p = cli.build_problem(spec)
+        growing = cli.build_grid(spec, p)
+        assert growing.mode == "growing_q" and spec.window.x_range == (-3.5, 3.5)
+        fixed = build_uniform_grid(growing.Q, growing.M, growing.N, growing.T)
+        inner, outer = Window((0.0, 1.0), (-2.0, 2.0)), spec.window
+
+        def errors(base, window):
+            report = run_refinement_study(p, base, "penalty", spec.levels, checks=(),
+                                          window=window)
+            return report.errors(), [lv.observed_order for lv in report.levels]
+
+        for window in (inner, outer):
+            errs, orders = errors(growing, window)
+            assert all(a > b for a, b in zip(errs, errs[1:]))
+            assert orders[-1] == pytest.approx(1.0, abs=0.15)
+        errs, orders = errors(fixed, outer)
+        assert all(0.1 <= e <= 0.15 for e in errs[1:])
+        assert abs(orders[-1]) <= 0.05
 
     def test_constant_errors_resolved_and_flagged(self):
         p = builtin("constant", {"c": 5})

@@ -2,19 +2,23 @@ import ast
 import inspect
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hjbqvi import oracle
+from hjbqvi import cli, oracle, semilag
 from hjbqvi.exceptions import NonConvergenceError
 from hjbqvi.grid import build_uniform_grid
-from hjbqvi.harness import run_checks
+from hjbqvi.harness import RESIDUAL_ORACLE_TOL, run_checks
 from hjbqvi.operators import discretize_controls
-from hjbqvi.oracle import OUTER_TOL, brute_force_residual, solve_iterated_optimal_stopping
+from hjbqvi.oracle import (OUTER_TOL, brute_force_residual, brute_force_sl_residual,
+                           solve_iterated_optimal_stopping)
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import builtin
 from hjbqvi.solution import SolverConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestIteratedOptimalStopping:
@@ -179,6 +183,65 @@ class TestBruteForceResidual:
         assert brute_force_residual(surface, p, g, c, 0.25) >= 1.0
 
 
+class TestBruteForceSlResidual:
+    """The semi-Lagrangian audit reads every sampled control, so it checks a
+    solve whose control maximum reads each node's candidate rows only."""
+
+    GRIDS = {
+        "uniform": lambda p: build_uniform_grid(Q=4, M=40, N=30, T=3),
+        "refined-config": lambda p: cli.build_grid(
+            cli.parse_config(CONFIGS / "cash_semilagrangian_refined.yaml"), p),
+    }
+
+    @pytest.mark.parametrize("mode", GRIDS)
+    def test_reduced_solve_passes(self, mode):
+        p = builtin("cash")
+        g = self.GRIDS[mode](p)
+        c = discretize_controls(p, g.rho)
+        sol = semilag.solve_semi_lagrangian(p, g, c)
+        assert sol.diagnostics.control_rows == 4 < c.controls.size
+        assert brute_force_sl_residual(sol, p, g, c) <= RESIDUAL_ORACLE_TOL
+
+    @pytest.mark.parametrize("mode", GRIDS)
+    def test_tripled_foot_step_fails(self, mode, monkeypatch):
+        # Feet at x_j + 3 drift dt move the t = 0 surface by about 2.4; the
+        # audit, which traces its own feet, sees each step's equation broken.
+        p = builtin("cash")
+        g = self.GRIDS[mode](p)
+        c = discretize_controls(p, g.rho)
+        true_feet = semilag.foot_points
+
+        def tripled(grid, problem, controls):
+            return true_feet(grid, replace(problem, drift=lambda x, b: 3.0 * problem.drift(x, b)),
+                             controls)
+
+        monkeypatch.setattr(semilag, "foot_points", tripled)
+        assert brute_force_sl_residual(semilag.solve_semi_lagrangian(p, g, c), p, g, c) > 0.1
+
+    def test_jump_is_read_at_the_next_level(self):
+        # A cost that grows with t makes the jump at level n differ from
+        # the one at n + 1, which the solve reads.
+        p = replace(builtin("cash"),
+                    impulse_cost=lambda t, x, z: -2.0 - 0.5 * np.abs(z - x) - 0.2 * t)
+        g = build_uniform_grid(Q=4, M=10, N=6, T=3)
+        c = discretize_controls(p, g.rho)
+        sol = semilag.solve_semi_lagrangian(p, g, c)
+        assert sol.policies[0].intervene.any()
+        assert brute_force_sl_residual(sol, p, g, c) <= RESIDUAL_ORACLE_TOL
+
+    def test_terminal_mismatch_and_non_finite_surface(self):
+        # Dyadic spacing keeps every stencil cancellation exact in floats.
+        p = builtin("constant", {"c": 5})
+        g = build_uniform_grid(Q=2, M=8, N=4, T=1)
+        c = discretize_controls(p, g.rho)
+        surface = np.full((g.N + 1, g.n_nodes), 5.0)
+        assert brute_force_sl_residual(surface, p, g, c) == 0.0
+        surface[g.N][0] = 4.0
+        assert brute_force_sl_residual(surface, p, g, c) >= 1.0
+        surface[0, 3] = np.nan
+        assert np.isnan(brute_force_sl_residual(surface, p, g, c))
+
+
 SOLVER_MODULES = ("operators", "penalty", "semilag")
 
 
@@ -211,7 +274,8 @@ class TestAuditIndependence:
         # into it would let a shared bug pass the audit.
         imported = names_imported_from_solvers(oracle)
         assert {"InterventionTable", "penalty_timestep"} <= imported
-        audit = (oracle.brute_force_residual, oracle._row_residual, oracle._interp_scalar)
+        audit = (oracle.brute_force_residual, oracle._row_residual, oracle._interp_scalar,
+                 oracle.brute_force_sl_residual, oracle._second_difference, oracle._best_jump)
         for fn in audit:
             shared = global_names(fn.__code__) & imported
             assert not shared, f"{fn.__name__} uses {sorted(shared)} from the solvers"

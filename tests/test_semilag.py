@@ -1,12 +1,13 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from hjbqvi import semilag
+from hjbqvi import cli, semilag
 from hjbqvi.exceptions import SolverError
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import Window, check_solution_matrices, check_stability_bound, sup_error
@@ -23,6 +24,8 @@ from hjbqvi.semilag import (
     solve_semi_lagrangian,
     thomas_solve,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def sl_factor(A):
@@ -365,11 +368,13 @@ class TestTableReuse:
 
 def per_step_continuation(u_next, t, grid, problem, controls, feet):
     """The continuation with the drift, the foot points and their
-    interpolation weights rebuilt at every step, ignoring the solve's ``feet``."""
+    interpolation weights rebuilt at every step on the full controls x nodes
+    block, of which the rows the solve's ``feet`` keep are returned."""
     nodes, b = grid.nodes, controls.controls[:, np.newaxis]
     foot = nodes + eval_on(problem.drift, nodes, b) * grid.dt
-    return Interpolant(*interp_weights(nodes, foot)).interp(u_next) \
+    values = Interpolant(*interp_weights(nodes, foot)).interp(u_next) \
         + eval_on(problem.running_reward, t, nodes, b) * grid.dt
+    return np.take_along_axis(values, feet.index, axis=0)
 
 
 class TestFootPointsPerSolve:
@@ -444,6 +449,98 @@ class TestFootPointsPerSolve:
         if name == "cash" and g.mode == "uniform":
             assert (hoisted.diagnostics.oversteps, hoisted.diagnostics.interior_oversteps) \
                 == (240, 80)
+
+
+def undeclared_twin(p):
+    """p with the same reward values from a callable that is no
+    :class:`problem.SeparableReward`, so its solve reads every control."""
+    state = p.separable_reward.state
+    return replace(p, running_reward=lambda t, x, b: state(t, x))
+
+
+class TestCandidateRows:
+    """A declared reward that ignores b and feet nondecreasing in b let the
+    continuation maximum read each node's candidate rows only; the solve
+    stays the full sample's up to rounding."""
+
+    GRIDS = {
+        "uniform": lambda: (build_uniform_grid(Q=4, M=40, N=30, T=3), None),
+        "refined-config": lambda: (cli.build_grid(
+            cli.parse_config(CONFIGS / "cash_semilagrangian_refined.yaml"), builtin("cash")), None),
+        # b_max dt = 0.1875 spans 3.75 cells, sampled by 101 controls.
+        "wide-window": lambda: (build_uniform_grid(Q=4, M=80, N=8, T=3), 0.01),
+    }
+
+    def test_rows_of_a_block(self):
+        # Node 0: cells 0 then 1, each with rising weights.  Node 1: one
+        # cell whose last weight repeats (a clamped foot), so the run's end
+        # is the first row of that weight, and the node pads to H = 4.
+        k = np.array([[0, 2], [0, 2], [0, 2], [1, 2], [1, 2], [1, 2]])
+        alpha = np.array([[0.0, 0.1], [0.2, 0.1], [0.4, 0.3], [0.0, 1.0], [0.5, 1.0],
+                          [0.6, 1.0]])
+        assert semilag._candidate_rows(k, alpha).T.tolist() == [[0, 2, 3, 5], [0, 3, 3, 3]]
+        assert semilag._candidate_rows(k[::-1], alpha[::-1]) is None
+        falling = alpha.copy()
+        falling[4, 0] = 0.7
+        assert semilag._candidate_rows(k, falling) is None
+
+    @pytest.mark.parametrize("mode", GRIDS)
+    def test_matches_the_full_sample(self, mode):
+        p = builtin("cash")
+        g, rho = self.GRIDS[mode]()
+        c = discretize_controls(p, rho or g.rho)
+        twin = undeclared_twin(p)
+        sol = solve_semi_lagrangian(p, g, c)
+        full = solve_semi_lagrangian(twin, g, c)
+        B = c.controls.size
+        assert full.diagnostics.control_rows == B
+        if rho is None:
+            assert sol.diagnostics.control_rows == 4
+        else:
+            assert 4 < sol.diagnostics.control_rows < B
+        assert np.abs(sol.surface - full.surface).max() <= 1e-13
+        for name in ("oversteps", "interior_oversteps", "inward_drift"):
+            assert getattr(sol.diagnostics, name) == getattr(full.diagnostics, name)
+        feet = semilag.foot_points(g, twin, c)
+        eps = np.finfo(float).eps
+        for n, (a, b) in enumerate(zip(sol.policies[:-1], full.policies[:-1])):
+            assert np.array_equal(a.intervene, b.intervene)
+            assert np.array_equal(a.impulses, b.impulses)
+            differ = np.flatnonzero(a.controls != b.controls)
+            if differ.size:
+                values = semilag._continuation(full.surface[n + 1], n * g.dt, g, twin, c, feet)
+                ra = np.searchsorted(c.controls, a.controls[differ])
+                rb = np.searchsorted(c.controls, b.controls[differ])
+                gap = np.abs(values[ra, differ] - values[rb, differ])
+                assert np.all(gap <= 4 * eps * np.abs(values[:, differ]).max(axis=0))
+
+    def test_feet_hold_the_candidate_rows(self):
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=40, N=30, T=3)
+        c = discretize_controls(p, g.rho)
+        feet = semilag.foot_points(g, p, c)
+        full = semilag.foot_points(g, undeclared_twin(p), c)
+        shape = (4, g.n_nodes)
+        assert [a.shape for a in (feet.index, feet.k, feet.alpha, feet.stay, feet.k_next)] \
+            == [shape] * 5
+        assert full.k.shape == (c.controls.size, g.n_nodes)
+        assert full.index.ravel().tolist() == list(range(c.controls.size))
+        # Each kept row is that control's row of the full block.
+        assert np.array_equal(feet.k, np.take_along_axis(full.k, feet.index, axis=0))
+        assert np.array_equal(feet.alpha, np.take_along_axis(full.alpha, feet.index, axis=0))
+        assert (feet.oversteps, feet.interior_oversteps) \
+            == (full.oversteps, full.interior_oversteps)
+
+    def test_feet_falling_in_b_keep_every_row(self):
+        # Drift -b puts the feet in decreasing order down the control
+        # sample: the rows are not checked to be runs, so all are read.
+        p = replace(builtin("cash"), drift=lambda x, b: -b + 0.0 * x)
+        assert p.separable_reward is not None
+        g = build_uniform_grid(Q=4, M=40, N=30, T=3)
+        c = discretize_controls(p, g.rho)
+        sol = solve_semi_lagrangian(p, g, c)
+        assert sol.diagnostics.control_rows == c.controls.size
+        assert semilag.foot_points(g, p, c).k.shape == (c.controls.size, g.n_nodes)
 
 
 class TestSolveSemiLagrangian:
