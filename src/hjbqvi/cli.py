@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json as _json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -240,15 +241,23 @@ def build_grid(spec: RunSpec, problem: ProblemSpec) -> SpaceTimeGrid:
 # ---------------------------------------------------------------------------
 # Deterministic artifact writers.
 
+def _float_text(value: float) -> str:
+    """A float as every artifact writes it: 17 significant digits, or null
+    when it is not finite."""
+    return format(value, ".17g") if math.isfinite(value) else "null"
+
+
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if not np.isfinite(value):
-        return "null"
-    return format(value, ".17g")
+    return _float_text(float(value))
+
+
+def _column(values) -> list[str]:
+    """``_fmt`` of each entry of a float array, read as Python floats at once."""
+    return [_float_text(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
 def _json_value(obj) -> str:
@@ -278,21 +287,22 @@ def write_json(path: Path, obj) -> None:
 
 def write_solution_csv(path: Path, sol: Solution) -> None:
     grid, dt = sol.grid, sol.grid.dt
+    # Per node "j,x", and the three empty policy cells of a row with no policy.
+    node_cells = [f"{i - grid.M},{x}" for i, x in enumerate(_column(grid.nodes))]
+    no_policy = [",,"] * grid.n_nodes
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,t,j,x,u,policy_b,policy_intervene,policy_z\n")
         for n in range(sol.surface.shape[0]):
             policy = sol.policies[n]
-            for i in range(grid.n_nodes):
-                j = i - grid.M
-                row = [str(n), _fmt(n * dt), str(j), _fmt(grid.nodes[i]),
-                       _fmt(sol.surface[n][i])]
-                if policy is None:
-                    row += ["", "", ""]
-                else:
-                    row += [_fmt(policy.controls[i]),
-                            str(int(policy.intervene[i])),
-                            _fmt(policy.impulses[i])]
-                fh.write(",".join(row) + "\n")
+            head = f"{n},{_float_text(float(n * dt))},"
+            if policy is None:
+                tails = no_policy
+            else:
+                tails = [f"{b},{int(v)},{z}" for b, v, z in zip(
+                    _column(policy.controls), policy.intervene.tolist(),
+                    _column(policy.impulses))]
+            fh.writelines(f"{head}{node},{u},{tail}\n" for node, u, tail in zip(
+                node_cells, _column(sol.surface[n]), tails))
 
 
 def write_plotdata_csv(path: Path, solutions: list[Solution | None]) -> None:
@@ -301,11 +311,9 @@ def write_plotdata_csv(path: Path, solutions: list[Solution | None]) -> None:
         for level, sol in enumerate(solutions):
             if sol is None:
                 continue
-            for i in range(sol.grid.n_nodes):
-                fh.write(",".join([
-                    str(level), _fmt(sol.grid.rho),
-                    _fmt(sol.grid.nodes[i]), _fmt(sol.surface[0][i]),
-                ]) + "\n")
+            head = f"{level},{_fmt(sol.grid.rho)},"
+            fh.writelines(f"{head}{x},{u}\n" for x, u in zip(
+                _column(sol.grid.nodes), _column(sol.surface[0])))
 
 
 def _diagnostics_dict(sol: Solution) -> dict:

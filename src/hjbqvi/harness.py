@@ -17,8 +17,9 @@ against the finest level and say so.
 
 A scheme is one :class:`Scheme` record in ``SCHEMES``: its solves, its
 monotonicity row (each scheme module's ``monotonicity_row``, the equation the
-solve solves, on operands built once per check), whether the brute-force
-residual audit applies, and its config-time check.  The studies and the
+solve solves, on operands built once per check), its brute-force residual
+audit (:mod:`oracle`'s penalty or semi-Lagrangian one; none for iterated
+optimal stopping), and its config-time check.  The studies and the
 checks read the record, never the scheme's name.
 
 :func:`require_runnable` alone decides whether a run can happen, and every
@@ -42,7 +43,8 @@ from .grid import SpaceTimeGrid, grid_for_level
 # perfbench/tracing.py wraps harness's binding of it by name.
 from .matrices import analyze_matrix
 from .operators import DiscreteControls, discretize_controls
-from .oracle import brute_force_residual, solve_iterated_optimal_stopping
+from .oracle import (brute_force_residual, brute_force_sl_residual,
+                     solve_iterated_optimal_stopping)
 from .problem import ProblemSpec, eval_on
 from .solution import Solution, SolverConfig
 
@@ -68,28 +70,43 @@ class Scheme:
     solve: Callable                 # (problem, grid, controls, cfg), finite horizon
     stationary: Callable | None     # the same, discounted; None: finite-horizon only
     row: Callable                   # (problem, grid, controls, sol) -> row at t = 0
-    audited: bool                   # does residual_oracle apply
+    audit: Callable | None          # (sol, problem, controls) -> residual; None: unaudited
     precheck: Callable | None = None  # (problem, grid, controls); ValueError if unsolvable
+
+    @property
+    def audited(self) -> bool:
+        """Does residual_oracle apply."""
+        return self.audit is not None
 
 
 def _penalty_row(problem, grid, controls, sol):
     return penalty_mod.monotonicity_row(problem, grid, controls, sol.epsilon, 0.0)
 
 
+# The audits call harness's module-level bindings of the oracles, looked up
+# at call time, so that a wrapper of either binding sees every audit.
+def _penalty_audit(sol, problem, controls):
+    return brute_force_residual(sol, problem, sol.grid, controls, sol.epsilon)
+
+
+def _semilag_audit(sol, problem, controls):
+    return brute_force_sl_residual(sol, problem, sol.grid, controls)
+
+
 SCHEMES = {
     "penalty": Scheme(solve=penalty_mod.solve_finite_horizon,
                       stationary=penalty_mod.solve_infinite_horizon,
-                      row=_penalty_row, audited=True),
+                      row=_penalty_row, audit=_penalty_audit),
     "semilagrangian": Scheme(
         solve=lambda problem, grid, controls, cfg:
             semilag_mod.solve_semi_lagrangian(problem, grid, controls),
         stationary=None,
         row=lambda problem, grid, controls, sol:
             semilag_mod.monotonicity_row(problem, grid, controls, 0.0),
-        audited=False, precheck=semilag_mod.diffusion_variance),
+        audit=_semilag_audit, precheck=semilag_mod.diffusion_variance),
     # The penalty row at the solution's epsilon: each pass solves penalty steps.
     "ios": Scheme(solve=solve_iterated_optimal_stopping, stationary=None, row=_penalty_row,
-                  audited=False),
+                  audit=None),
 }
 
 
@@ -342,7 +359,7 @@ def _runnable_controls(problem, grid, scheme, checks, levels, window):
             raise ValueError(f"unknown check {name!r} (known: {', '.join(CHECKS)})")
     if "residual_oracle" in checks and not record.audited:
         raise ValueError(f"check 'residual_oracle' does not apply to scheme {scheme!r}: "
-                         "its brute-force audit evaluates the penalty equations")
+                         "no brute-force audit evaluates its equations")
     if record.stationary is None and not problem.finite_horizon:
         raise ValueError(f"scheme {scheme!r} is finite-horizon only")
     out = []
@@ -361,8 +378,9 @@ def run_checks(names, sol: Solution, problem: ProblemSpec, controls: DiscreteCon
                seed: int = 0) -> list[PropertyCheck]:
     """Run the named property checks on a solution, once each, in ``CHECKS`` order.
 
-    ``monotonicity`` probes the scheme's ``row`` with ``seed``.  The names are
-    those :func:`require_runnable` accepts for the solution's scheme.
+    ``residual_oracle`` runs the scheme's ``audit``; ``monotonicity`` probes
+    its ``row`` with ``seed``.  The names are those :func:`require_runnable`
+    accepts for the solution's scheme.
     """
     scheme = SCHEMES[sol.scheme]
     out = []
@@ -371,7 +389,7 @@ def run_checks(names, sol: Solution, problem: ProblemSpec, controls: DiscreteCon
     if "matrices" in names:
         out.append(check_solution_matrices(sol))
     if "residual_oracle" in names:
-        value = brute_force_residual(sol, problem, sol.grid, controls, sol.epsilon)
+        value = scheme.audit(sol, problem, controls)
         out.append(PropertyCheck("residual_oracle", value <= RESIDUAL_ORACLE_TOL, value=value))
     if "monotonicity" in names:
         report = check_monotonicity(scheme.row(problem, sol.grid, controls, sol), sol.grid, seed)

@@ -22,6 +22,14 @@ Two independent routes:
   :func:`brute_force_sl_residual` does the same for the semi-Lagrangian
   equations, sharing no code with :mod:`semilag`.  Both maximise over every
   sampled control, so they audit the solvers' reduced control maxima.
+
+  Both audits read once what they already hold exactly, and evaluate at
+  every point what depends on t.  Drift and diffusion take no t, so each
+  call evaluates them once per (node, control), before the time loop.
+  Within one time level, u at a jump target is a function of the target
+  alone, so each distinct target is interpolated once per level.  The
+  running reward is evaluated at every (t, x, b), and the impulse shift and
+  cost at every (t, x, z).
 """
 
 from __future__ import annotations
@@ -123,20 +131,37 @@ def _second_difference(nodes, u, i):
                   + u[i + 1] / (hp * (hm + hp)))
 
 
-def _best_jump(problem, nodes, zs, t, x, u):
-    """max over the candidates zs of u(x + shift) + cost, u read by _interp_scalar."""
+def _coefficients(problem, x, bs):
+    """(b, drift(x, b), diffusion(x, b)) for every control b in bs.
+
+    Drift and diffusion take no t: an audit reads each node's list once and
+    uses it in every time row."""
+    return [(b, float(problem.drift(x, b)), float(problem.diffusion(x, b))) for b in bs]
+
+
+def _best_jump(problem, nodes, zs, t, x, u, reads):
+    """max over the candidates zs of u(x + shift) + cost, u read by _interp_scalar.
+
+    ``reads`` holds u(target) for each target already read at this level: a
+    target shared by several (x, z) is interpolated once.  (0.0 and -0.0
+    share an entry; their reads differ at most in the sign of a zero.)"""
     best = -np.inf
     for z in zs:
         target = x + float(problem.impulse_shift(t, x, z))
-        gain = _interp_scalar(nodes, u, target) + float(problem.impulse_cost(t, x, z))
+        value = reads.get(target)
+        if value is None:
+            value = reads[target] = _interp_scalar(nodes, u, target)
+        gain = value + float(problem.impulse_cost(t, x, z))
         if gain > best:
             best = gain
     return best
 
 
-def _row_residual(problem, nodes, n_nodes, zs, t, dt_term, i, x, u, u_next, bs, epsilon):
+def _row_residual(problem, nodes, n_nodes, zs, t, dt_term, i, x, u, u_next, coefficients,
+                  epsilon, reads):
     # The terms free of b, once per row; the loop picks the one-sided
-    # difference on the sign of the drift.
+    # difference on the sign of the drift.  ``coefficients`` is the node's
+    # _coefficients list; ``reads`` is _best_jump's.
     if 0 < i < n_nodes - 1:
         forward = (u[i + 1] - u[i]) / (nodes[i + 1] - nodes[i])
         backward = (u[i] - u[i - 1]) / (nodes[i] - nodes[i - 1])
@@ -148,15 +173,13 @@ def _row_residual(problem, nodes, n_nodes, zs, t, dt_term, i, x, u, u_next, bs, 
     else:
         time_part = -problem.discount * u[i]
     best = -np.inf
-    for b in bs:
-        mu = float(problem.drift(x, b))
-        sg = float(problem.diffusion(x, b))
+    for b, mu, sg in coefficients:
         first = forward if mu >= 0.0 else backward
         val = time_part + mu * first + 0.5 * sg * sg * second \
             + float(problem.running_reward(t, x, b))
         if val > best:
             best = val
-    penalty_part = max(_best_jump(problem, nodes, zs, t, x, u) - u[i], 0.0) / epsilon
+    penalty_part = max(_best_jump(problem, nodes, zs, t, x, u, reads) - u[i], 0.0) / epsilon
     return -best - penalty_part
 
 
@@ -173,27 +196,29 @@ def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     surface = np.atleast_2d(getattr(sol, "surface", sol))
     if not np.isfinite(surface).all():
         return float("nan")
-    nodes = [float(x) for x in grid.nodes]
+    nodes = grid.nodes.tolist()
     n_nodes = len(nodes)
-    bs = [float(b) for b in controls.controls]
+    bs = controls.controls.tolist()
+    coefficients = [_coefficients(problem, x, bs) for x in nodes]
 
     terminal_gap = 0.0
     if problem.finite_horizon:
         dt = float(grid.dt)
         rows = [(n * dt, surface[n], surface[n + 1]) for n in range(surface.shape[0] - 1)]
-        for x, v in zip(nodes, surface[-1]):
-            terminal_gap = max(terminal_gap, abs(float(v) - float(problem.terminal_reward(x))))
+        for x, v in zip(nodes, surface[-1].tolist()):
+            terminal_gap = max(terminal_gap, abs(v - float(problem.terminal_reward(x))))
     else:
         dt, rows = None, [(0.0, surface[0], surface[0])]
 
     worst = 0.0
     for t, u_row, next_row in rows:
-        u = [float(v) for v in u_row]
-        u_next = [float(v) for v in next_row]
+        u = u_row.tolist()
+        u_next = next_row.tolist()
         candidates = controls.impulse_values(t, grid.nodes).tolist()
+        reads = {}
         for i, x in enumerate(nodes):
             row = _row_residual(problem, nodes, n_nodes, candidates[i], t, dt, i, x,
-                                u, u_next, bs, epsilon)
+                                u, u_next, coefficients[i], epsilon, reads)
             worst = max(worst, abs(row))
     return worst + terminal_gap
 
@@ -216,33 +241,40 @@ def brute_force_sl_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     surface = np.atleast_2d(getattr(sol, "surface", sol))
     if not np.isfinite(surface).all():
         return float("nan")
-    nodes = [float(x) for x in grid.nodes]
+    nodes = grid.nodes.tolist()
     n_nodes = len(nodes)
-    bs = [float(b) for b in controls.controls]
     dt = float(grid.dt)
+    # Per node, the diffusion row's weight and each control's foot: neither
+    # depends on t.
+    bs = controls.controls.tolist()
+    weights, feet = [], []
+    for x in nodes:
+        row = _coefficients(problem, x, bs)
+        sg = row[0][2]
+        weights.append(0.5 * dt * sg * sg)
+        feet.append([(b, x + mu * dt) for b, mu, _ in row])
 
     terminal_gap = 0.0
-    for x, v in zip(nodes, surface[-1]):
-        terminal_gap = max(terminal_gap, abs(float(v) - float(problem.terminal_reward(x))))
+    for x, v in zip(nodes, surface[-1].tolist()):
+        terminal_gap = max(terminal_gap, abs(v - float(problem.terminal_reward(x))))
 
     worst = 0.0
     for n in range(surface.shape[0] - 1):
         t = n * dt
-        u = [float(v) for v in surface[n]]
-        u_next = [float(v) for v in surface[n + 1]]
+        u = surface[n].tolist()
+        u_next = surface[n + 1].tolist()
         candidates = controls.impulse_values(t + dt, grid.nodes).tolist()
+        reads = {}
         for i, x in enumerate(nodes):
             row = u[i]
             if 0 < i < n_nodes - 1:
-                sg = float(problem.diffusion(x, bs[0]))
-                row -= 0.5 * dt * sg * sg * _second_difference(nodes, u, i)
+                row -= weights[i] * _second_difference(nodes, u, i)
             best = -np.inf
-            for b in bs:
-                foot = x + float(problem.drift(x, b)) * dt
+            for b, foot in feet[i]:
                 value = _interp_scalar(nodes, u_next, foot) \
                     + float(problem.running_reward(t, x, b)) * dt
                 if value > best:
                     best = value
-            rhs = max(best, _best_jump(problem, nodes, candidates[i], t + dt, x, u_next))
+            rhs = max(best, _best_jump(problem, nodes, candidates[i], t + dt, x, u_next, reads))
             worst = max(worst, abs(row - rhs))
     return worst + terminal_gap

@@ -463,11 +463,20 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
         s, b_max = float(p["s"]), float(p["b_max"])
         if c0 < G:
             raise ValueError(f"cash problem needs c0 >= G for a terminal no-gain margin, got c0={c0} < G={G}")
+
+        def holding(t, x):
+            # -min(x^2, G), the running and the terminal reward.  On a float
+            # the builtin min gives np.minimum's value at a fraction of its
+            # cost, which the audit's scalar loops pay per (t, x, b).
+            if isinstance(x, float):
+                return -min(x * x, G)
+            return -np.minimum(x * x, G)
+
         return ProblemSpec(
             drift=lambda x, b: b + 0.0 * x,
             diffusion=lambda x, b: s + 0.0 * x,
-            running_reward=SeparableReward(lambda t, x: -np.minimum(x * x, G)),
-            terminal_reward=lambda x: -np.minimum(x * x, G),
+            running_reward=SeparableReward(holding),
+            terminal_reward=lambda x: holding(0.0, x),
             impulse_bounds=lambda t, x: (-1.0, 1.0),
             control_bounds=(-b_max, b_max),
             name="cash",

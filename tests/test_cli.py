@@ -4,13 +4,16 @@ import shutil
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from hjbqvi import cli, harness, semilag
 from hjbqvi.exceptions import ConfigError
+from hjbqvi.grid import build_uniform_grid
+from hjbqvi.penalty import solve_finite_horizon
 from hjbqvi.problem import builtin
-from hjbqvi.solution import SolverConfig
+from hjbqvi.solution import PenaltyPolicy, SolverConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -290,7 +293,7 @@ class TestReadmeSchema:
 
 
 class TestRequestedChecks:
-    @pytest.mark.parametrize("scheme", ["ios", "semilagrangian"])
+    @pytest.mark.parametrize("scheme", ["ios"])
     @pytest.mark.parametrize("args", [["solve", "--check"], ["study"], ["validate"]],
                              ids=["solve", "study", "validate"])
     def test_residual_oracle_without_audit_is_config_error(self, tmp_path, capsys, scheme,
@@ -305,6 +308,33 @@ class TestRequestedChecks:
         assert err.startswith("config error: ")
         assert f"check 'residual_oracle' does not apply to scheme {scheme!r}" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestSemiLagrangianAudit:
+    """residual_oracle audits a semi-Lagrangian run with the SL equations: a
+    solve whose feet are wrong fails its run."""
+
+    @pytest.mark.parametrize("config, args", [
+        ("cash_semilagrangian_refined.yaml", ["solve", "--check"]),
+        ("cash_semilagrangian_study.yaml", ["study"])], ids=["solve", "study"])
+    def test_tripled_feet_fail_the_run(self, tmp_path, monkeypatch, config, args):
+        # Feet at x_j + 3 drift dt pass every other check of these configs.
+        command, *flags = args
+        spec = cli.parse_config(CONFIGS / config)
+        assert "residual_oracle" in spec.checks
+        true_feet = semilag.foot_points
+
+        def tripled(grid, problem, controls):
+            return true_feet(grid, replace(problem, drift=lambda x, b: 3.0 * problem.drift(x, b)),
+                             controls)
+
+        monkeypatch.setattr(semilag, "foot_points", tripled)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(CONFIGS / config), "--out", str(out),
+                         *flags]) == 1
+        failures = json.loads((out / "report.json").read_text())["failures"]
+        assert failures and all(f["name"].endswith("residual_oracle") and f["value"] > 0.1
+                                for f in failures)
 
 
 class TestTimeAxis:
@@ -471,3 +501,62 @@ class TestDeterminism:
         # dt = 0.125 and node 0.25 survive the 17-digit round trip exactly.
         assert "0.125" in text
         assert cli._fmt(1 / 3) == "0.33333333333333331"
+
+
+def reference_solution_csv(sol) -> str:
+    """solution.csv written one cell at a time with cli._fmt."""
+    grid = sol.grid
+    lines = ["n,t,j,x,u,policy_b,policy_intervene,policy_z"]
+    for n in range(sol.surface.shape[0]):
+        policy = sol.policies[n]
+        for i in range(grid.n_nodes):
+            row = [str(n), cli._fmt(n * grid.dt), str(i - grid.M), cli._fmt(grid.nodes[i]),
+                   cli._fmt(sol.surface[n][i])]
+            if policy is None:
+                row += ["", "", ""]
+            else:
+                row += [cli._fmt(policy.controls[i]), str(int(policy.intervene[i])),
+                        cli._fmt(policy.impulses[i])]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_plotdata_csv(solutions) -> str:
+    lines = ["level,rho,x,u0"]
+    for level, sol in enumerate(solutions):
+        if sol is not None:
+            lines += [",".join([str(level), cli._fmt(sol.grid.rho), cli._fmt(sol.grid.nodes[i]),
+                                cli._fmt(sol.surface[0][i])]) for i in range(sol.grid.n_nodes)]
+    return "\n".join(lines) + "\n"
+
+
+class TestArtifactColumns:
+    """The CSV writers format whole columns with _fmt's float rule."""
+
+    def solution(self):
+        """A small penalty solution with non-finite, signed-zero and 17-digit
+        entries, and a policy row of every kind."""
+        grid = build_uniform_grid(Q=2.0, M=4, N=3, T=1.0)
+        sol = solve_finite_horizon(builtin("constant", {"c": 5.0}), grid)
+        surface = sol.surface.copy()
+        surface[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
+        n = grid.n_nodes
+        policies = list(sol.policies)
+        policies[0] = PenaltyPolicy(controls=np.array([-0.0, 0.5, np.nan] + [0.1] * (n - 3)),
+                                    intervene=np.arange(n) % 2 == 1,
+                                    impulses=np.array([np.inf, -1.0] + [np.nan] * (n - 2)))
+        assert policies[-1] is None
+        return replace(sol, surface=surface, policies=policies)
+
+    def test_match_a_per_cell_fmt_loop(self, tmp_path):
+        sol = self.solution()
+        cli.write_solution_csv(tmp_path / "solution.csv", sol)
+        text = (tmp_path / "solution.csv").read_bytes().decode("utf-8")
+        assert text == reference_solution_csv(sol)
+        assert "\n0,0,-4,-2,null,-0,0,null\n0,0,-3,-1.5,null,0.5,1,-1\n" in text
+        assert "\n0,0,-1,-0.5,-0,0.10000000000000001,1,null\n" in text
+        assert "\n1,0.33333333333333331,-4,-2," in text and text.endswith(",,\n")
+        cli.write_plotdata_csv(tmp_path / "plotdata.csv", [sol, None, sol])
+        text = (tmp_path / "plotdata.csv").read_bytes().decode("utf-8")
+        assert text == reference_plotdata_csv([sol, None, sol])
+        assert "\n0,0.5,-2,null\n" in text and "\n2,0.5,-0.5,-0\n" in text

@@ -468,27 +468,28 @@ class TestSchemeRecords:
         else:
             assert status == 0
 
-    @pytest.mark.parametrize("name, calls", [("penalty", 1), ("semilagrangian", 0), ("ios", 0)])
+    @pytest.mark.parametrize("name, calls", [("penalty", (1, 0)), ("semilagrangian", (0, 1)),
+                                             ("ios", (0, 0))])
     def test_audit_calls_the_harness_binding(self, name, calls, monkeypatch):
         # The benchmark's tracer counts the audit by wrapping harness's
-        # module-level brute_force_residual, so run_checks must call it there.
-        # A scheme that is not audited never reaches it: the request is refused.
-        seen = []
-        audit = harness.brute_force_residual
-
-        def counted(*args):
-            seen.append(args)
-            return audit(*args)
-
-        monkeypatch.setattr(harness, "brute_force_residual", counted)
+        # module-level brute_force_residual, so run_checks must call it there,
+        # and the semi-Lagrangian oracle likewise through its binding.
+        # A scheme that is not audited never reaches either: the request is refused.
+        seen = {"brute_force_residual": [], "brute_force_sl_residual": []}
+        for attr, args in seen.items():
+            def counted(*a, audit=getattr(harness, attr), args=args):
+                args.append(a)
+                return audit(*a)
+            monkeypatch.setattr(harness, attr, counted)
         sol, p, c = self.solve(name)
         if harness.SCHEMES[name].audited:
             harness.require_runnable(p, sol.grid, name, ["residual_oracle"])
-            harness.run_checks(["residual_oracle"], sol, p, c)
+            [check] = harness.run_checks(["residual_oracle"], sol, p, c)
+            assert check.passed
         else:
             with pytest.raises(ValueError, match="'residual_oracle'"):
                 harness.require_runnable(p, sol.grid, name, ["residual_oracle"])
-        assert len(seen) == calls
+        assert tuple(len(args) for args in seen.values()) == calls
 
 
 class TestRequireRunnable:

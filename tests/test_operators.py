@@ -17,7 +17,7 @@ from hjbqvi.operators import (
     impulse_bounds_on,
     interp_weights,
 )
-from hjbqvi.oracle import _row_residual
+from hjbqvi.oracle import _coefficients, _row_residual
 from hjbqvi.penalty import solve_finite_horizon
 from hjbqvi.problem import (
     ProblemSpec,
@@ -173,7 +173,7 @@ class TestApplyGenerator:
             u_list = [float(v) for v in u]
             oracle_rows = [
                 -_row_residual(p, nodes, len(nodes), [0.0], 0.0, 1.0, i, x,
-                               u_list, u_list, [0.1], 1.0)
+                               u_list, u_list, _coefficients(p, x, [0.1]), 1.0, {})
                 for i, x in enumerate(nodes)
             ]
             assert np.allclose(core, oracle_rows, rtol=1e-12, atol=1e-9)

@@ -242,6 +242,69 @@ class TestBruteForceSlResidual:
         assert np.isnan(brute_force_sl_residual(surface, p, g, c))
 
 
+class TestAuditEvaluations:
+    """Counting wrappers pin what the audits evaluate: a later speed-up that
+    drops an evaluation fails here rather than silently."""
+
+    COUNTED = ("drift", "diffusion", "running_reward", "impulse_shift", "impulse_cost")
+
+    @classmethod
+    def counted(cls, problem):
+        calls = dict.fromkeys(cls.COUNTED, 0)
+
+        def wrap(name, fn):
+            def counted_fn(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted_fn
+
+        return replace(problem, **{name: wrap(name, getattr(problem, name))
+                                   for name in cls.COUNTED}), calls
+
+    @pytest.mark.parametrize("scheme", ["penalty", "semilagrangian"])
+    def test_every_point_is_evaluated(self, scheme):
+        # The solve reads the declared problem; the audit reads the wrapped
+        # callables, which give the same values.
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=8, N=6, T=3)
+        c = discretize_controls(p, g.rho)
+        counted, calls = self.counted(p)
+        if scheme == "penalty":
+            sol = solve_finite_horizon(p, g, c)
+            audit = lambda problem: brute_force_residual(sol, problem, g, c, sol.epsilon)
+        else:
+            sol = semilag.solve_semi_lagrangian(p, g, c)
+            audit = lambda problem: brute_force_sl_residual(sol, problem, g, c)
+        value = audit(counted)
+        assert value == audit(p) <= RESIDUAL_ORACLE_TOL
+        N, n, B = g.N, g.n_nodes, c.controls.size
+        K = c.impulse_values(0.0, g.nodes).shape[1]
+        assert B >= 3 and K >= 3
+        assert calls == {"drift": n * B, "diffusion": n * B, "running_reward": N * n * B,
+                         "impulse_shift": N * n * K, "impulse_cost": N * n * K}
+
+    def test_each_jump_target_is_read_once_per_level(self, monkeypatch):
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=8, N=6, T=3)
+        c = discretize_controls(p, g.rho)
+        sol = solve_finite_horizon(p, g, c)
+        read = []
+        interp = oracle._interp_scalar
+
+        def counted(nodes, values, x):
+            read.append(x)
+            return interp(nodes, values, x)
+
+        monkeypatch.setattr(oracle, "_interp_scalar", counted)
+        brute_force_residual(sol, p, g, c, sol.epsilon)
+        expected = []
+        for n in range(g.N):
+            zs = c.impulse_values(n * g.dt, g.nodes)
+            targets = g.nodes[:, np.newaxis] + (zs - g.nodes[:, np.newaxis])
+            expected.append(len(set(targets.ravel().tolist())))
+        assert len(read) == sum(expected) < g.N * zs.size
+
+
 SOLVER_MODULES = ("operators", "penalty", "semilag")
 
 
@@ -275,7 +338,8 @@ class TestAuditIndependence:
         imported = names_imported_from_solvers(oracle)
         assert {"InterventionTable", "penalty_timestep"} <= imported
         audit = (oracle.brute_force_residual, oracle._row_residual, oracle._interp_scalar,
-                 oracle.brute_force_sl_residual, oracle._second_difference, oracle._best_jump)
+                 oracle.brute_force_sl_residual, oracle._second_difference, oracle._best_jump,
+                 oracle._coefficients)
         for fn in audit:
             shared = global_names(fn.__code__) & imported
             assert not shared, f"{fn.__name__} uses {sorted(shared)} from the solvers"

@@ -331,6 +331,58 @@ class TestSeparableReward:
         assert replace(cash, running_reward=declared).separable_reward is declared
 
 
+def old_cash(params=None):
+    """cash with the np.minimum rewards it had before its float path."""
+    cash = builtin("cash", params)
+    G = 2.0
+    return replace(cash, running_reward=SeparableReward(lambda t, x: -np.minimum(x * x, G)),
+                   terminal_reward=lambda x: -np.minimum(x * x, G))
+
+
+class TestCashFloatPath:
+    """cash's rewards take the builtin min on a float and np.minimum on an
+    array; both paths give the same bits."""
+
+    G = 2.0
+    ROOT = float(np.sqrt(2.0))
+
+    def points(self):
+        grid = build_uniform_grid(Q=4, M=40, N=30, T=3)
+        edges = [0.0, -0.0, self.ROOT, -self.ROOT, np.nextafter(self.ROOT, 0.0),
+                 np.nextafter(self.ROOT, 3.0), -np.nextafter(self.ROOT, 3.0), 1.5, -3.75, 10.0]
+        return [float(x) for x in edges] + grid.nodes.tolist()
+
+    def test_float_path_equals_array_path_bit_for_bit(self):
+        cash = builtin("cash")
+        xs = self.points()
+        for reward in (cash.terminal_reward, lambda x: cash.running_reward(0.7, x, -0.25)):
+            floats = [reward(x) for x in xs]
+            assert all(type(v) is float for v in floats)
+            array = reward(np.array(xs))
+            assert isinstance(array, np.ndarray)
+            assert np.array(floats).tobytes() == array.tobytes()
+            # The sign of -min(0, G) survives both paths.
+            assert np.signbit(floats[0]) and np.signbit(array[1])
+
+    def test_values_are_the_old_ones(self):
+        cash, old = builtin("cash"), old_cash()
+        xs = self.points()
+        assert np.array([cash.terminal_reward(x) for x in xs]).tobytes() == \
+            np.array([old.terminal_reward(x) for x in xs]).tobytes()
+        assert np.array([cash.running_reward(0.0, x, 0.5) for x in xs]).tobytes() == \
+            np.array([old.running_reward(0.0, x, 0.5) for x in xs]).tobytes()
+
+    @pytest.mark.parametrize("params", [{}, {"beta": 0.5}])
+    def test_validate_and_solves_are_unchanged(self, params):
+        cash, old = builtin("cash", params), old_cash(params)
+        grid = build_uniform_grid(Q=4, M=20, N=15, T=3) if not params else \
+            build_uniform_grid(Q=4, M=20)
+        assert repr(validate(cash, grid)) == repr(validate(old, grid))
+        if not params:
+            for solve in (solve_finite_horizon, solve_semi_lagrangian):
+                assert solve(cash, grid).surface.tobytes() == solve(old, grid).surface.tobytes()
+
+
 class TestBuiltins:
     def test_constant_exact_value(self):
         problem = builtin("constant", {"c": 5})
