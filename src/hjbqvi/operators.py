@@ -15,6 +15,8 @@ The stencils follow the monotone implicit discretization:
   outside [-Q, Q] (:func:`interp_weights`, read by jump tables and foot
   points through one gather, :class:`Interpolant`): each point is clipped
   first, so it reads a cell k in [0, n - 2] and couples to nodes k and k + 1,
+* the rows of the control sample that both schemes' control maxima read
+  (:func:`candidate_rows`, one H x nodes index, gathered by :func:`row_at`),
 * two intervention operators M with one interface: ``apply(u)`` gives
   (Mu)_j and the impulse attaining it, ``jump_rows(rows, impulses)`` gives
   ``(couplings, cost)``, active row j reading (Mu)_j = sum of w u_col over
@@ -177,6 +179,56 @@ class Interpolant:
         right *= self.alpha
         values += right
         return values
+
+
+def candidate_rows(piece: np.ndarray, param: np.ndarray) -> np.ndarray | None:
+    """Per node, the rows of a controls x nodes block that a maximum over
+    the rows may read, or None when they are not nondecreasing down the
+    rows (``piece``, then ``param`` within one piece), checked exactly on
+    the values.
+
+    Both control maxima use it when the reward is declared to ignore b
+    (``ProblemSpec.separable_reward``).  A node's candidate value is then
+    affine in ``param`` along each run of rows with one ``piece``: the
+    penalty row (L_b u)_j in the drift on drift < 0 and on drift >= 0,
+    where the upwinding picks one one-sided difference (piece drift >= 0),
+    and the semi-Lagrangian interp(u, foot) in the weight within one
+    interpolation cell (piece the cell).  So in exact arithmetic a run's
+    maximum, and its first maximising row, is the run's first row or the
+    first row of its last ``param``.  Those rows are kept, in row order; a
+    node with fewer than the largest count H repeats its last, giving an
+    H x nodes index.  A column of every row is the full sample in the same
+    layout.  Cash keeps 4 of its B controls per node in both schemes.
+    Where controls differ only by rounding, the full sample could pick an
+    interior one; the brute-force audits (:mod:`oracle`) read every sampled
+    control, and so check the reduction independently.
+    """
+    new_piece = piece[1:] != piece[:-1]
+    if (piece[1:] < piece[:-1]).any() or (~new_piece & (param[1:] < param[:-1])).any():
+        return None
+    B, n = piece.shape
+    first = np.ones((B, n), dtype=bool)
+    first[1:] = new_piece
+    last = np.ones((B, n), dtype=bool)
+    last[:-1] = new_piece
+    # Each row's run end (the first last row at or below it), and whether
+    # the row has the param its run ends with.
+    end = np.where(last, np.arange(B)[:, np.newaxis], B)
+    end = np.minimum.accumulate(end[::-1], axis=0)[::-1]
+    at_end = param == np.take_along_axis(param, end, axis=0)
+    keep = first.copy()
+    keep[1:] |= at_end[1:] & ~at_end[:-1]
+    rows, cols = np.nonzero(keep)
+    slots = (np.cumsum(keep, axis=0) - 1)[rows, cols]
+    index = np.broadcast_to(B - 1 - keep[::-1].argmax(axis=0), (slots.max() + 1, n)).copy()
+    index[slots, cols] = rows
+    return index
+
+
+def row_at(index: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """index[picks_j, j] at each node j, for an H x nodes ``index`` of
+    :func:`candidate_rows` or a column of every row, which serves each node."""
+    return index[picks, np.arange(picks.size) if index.shape[1] > 1 else 0]
 
 
 def _nonempty_bounds_on(problem: ProblemSpec, t: float,

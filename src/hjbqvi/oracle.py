@@ -76,7 +76,7 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     dt = grid.dt
     band = _control_band(grid, problem, controls)
     g_vals = eval_on(problem.terminal_reward, grid.nodes)
-    diagnostics = SolveDiagnostics(control_rows=band.index.size)
+    diagnostics = SolveDiagnostics(control_rows=band.index.shape[0])
     memo = SystemMemo()
 
     def step(u_next, n):

@@ -15,27 +15,17 @@ coefficients of the assembled systems, of the control argmax and of the
 monotonicity row all come from :func:`operators.generator_band`.
 
 drift(x, b) and diffusion(x, b) take no t, so the band of L_b that the
-control argmax reads, one row per control it maximises over, is the same at
-every step and every policy iteration: a caller builds it once
-(:func:`_control_band`) and passes it down as ``band``.  The running reward
-f(t, x, b) is fixed within a step, so a step evaluates it once on the same
-rows (``reward``).  Each assembled system reads row b_j of the band and of
-the reward block at node j, by the row index the argmax chose, so the
-systems and the argmax read the same numbers.
-
-Which rows the band holds is decided in :func:`_control_band` alone.  An
-undeclared problem keeps every sampled control.  When the reward ignores b
-(``ProblemSpec.separable_reward``), the drift is b itself and the diffusion
-ignores b, row j's value is linear in b on b < 0 and on b >= 0, where the
-upwinding picks one one-sided difference, so in exact arithmetic its
-maximum, and its smallest maximiser, sit at an end of a half.  The band
-then keeps the first and last control of each half: 4 rows at every grid
-size for cash, against B = 2 b_max / rho + 1 for the full sample.  Where
-controls differ only by rounding, the full sample could pick an interior
-one; surfaces and policies were the full sample's bit for bit on cash at
-M=20 to 640 and on every shipped config.  The brute-force audit
-(:func:`oracle.brute_force_residual`) still maximises over every sampled
-control, and so checks the reduction independently.
+control argmax reads, one row per control it maximises over at each node,
+is the same at every step and every policy iteration: a caller builds it
+once (:func:`_control_band`) and passes it down as ``band``.  The running
+reward f(t, x, b) is fixed within a step, so a step evaluates it once on
+the same rows (``reward``).  Each assembled system reads, at node j, the
+row of the band and of the reward block that the argmax chose, so the
+systems and the argmax read the same numbers.  The band keeps every
+sampled control, or, when the reward ignores b
+(``ProblemSpec.separable_reward``) and the diffusion ignores b, each
+node's :func:`operators.candidate_rows` of the drift where those exist:
+4 rows for cash at every grid size, against B = 2 b_max / rho + 1.
 
 :func:`residual` is the formula alone and builds nothing: the gate
 passes it the argmax values of the last policy improvement, which evaluated
@@ -88,9 +78,11 @@ from .operators import (
     DiscreteControls,
     InterventionTable,
     apply_band,
+    candidate_rows,
     discretize_controls,
     generator_band,
     implicit_matrix,
+    row_at,
 )
 from .problem import ProblemSpec, eval_on
 from .solution import (
@@ -132,9 +124,10 @@ class SparseSystem:
 class ControlBand:
     """The control rows a policy improvement maximises over, and L_b on them.
 
-    ``index`` holds those rows of ``controls.controls`` in increasing order;
-    ``parts`` is the band (lower, diag, upper) of :func:`generator_band`
-    with one row per entry of ``index``, read-only, so that a
+    ``index`` holds each node's rows of ``controls.controls``, H x nodes as
+    in :class:`semilag.FootPoints` (a column of every row for the full
+    sample); ``parts`` is the band (lower, diag, upper) of
+    :func:`generator_band` on those rows, read-only, so that a
     :class:`SystemMemo` may compare a band by identity.
     """
 
@@ -191,22 +184,21 @@ def _control_band(grid, problem, controls) -> ControlBand:
     """The :class:`ControlBand` a solve's policy improvements read.
 
     Every sampled control, unless the reward is declared to ignore b
-    (``ProblemSpec.separable_reward``), the controls increase, and the
-    drift block equals b and the diffusion rows are equal, each compared
-    exactly: then the first and last control of b < 0 and of b >= 0.  Each
-    kept row equals that control's row of the full band bit for bit.
+    (``ProblemSpec.separable_reward``) and the diffusion rows are equal,
+    compared exactly: then each node's :func:`operators.candidate_rows` of
+    the drift's sign and value, where those exist.  Each kept row equals
+    that control's row of the full band bit for bit.
     """
-    nodes, b = grid.nodes, controls.controls
-    column = b[:, np.newaxis]
+    nodes, column = grid.nodes, controls.controls[:, np.newaxis]
     drift = eval_on(problem.drift, nodes, column)
     sigma = eval_on(problem.diffusion, nodes, column)
-    if (problem.separable_reward is not None and (np.diff(b) > 0.0).all()
-            and not (drift != column).any() and not (sigma != sigma[0]).any()):
-        k = int(np.searchsorted(b, 0.0))        # the first b >= 0
-        index = np.unique(np.clip([0, k - 1, k, b.size - 1], 0, b.size - 1))
-    else:
-        index = np.arange(b.size)
-    parts = generator_band(nodes, drift[index], sigma[index] ** 2)
+    index = None
+    if problem.separable_reward is not None and not (sigma != sigma[0]).any():
+        index = candidate_rows(drift >= 0.0, drift)
+    if index is None:
+        index = np.arange(column.size)[:, np.newaxis]
+    parts = generator_band(nodes, np.take_along_axis(drift, index, 0),
+                           np.take_along_axis(sigma, index, 0) ** 2)
     for part in parts:
         part.flags.writeable = False
     return ControlBand(index=index, parts=parts)
@@ -215,8 +207,7 @@ def _control_band(grid, problem, controls) -> ControlBand:
 def _reward_block(t, grid, problem, controls, band):
     """f(t, x_j, b) with one row per control of the :class:`ControlBand`
     ``band`` (its rows x nodes)."""
-    return eval_on(problem.running_reward, t, grid.nodes,
-                   controls.controls[band.index, np.newaxis])
+    return eval_on(problem.running_reward, t, grid.nodes, controls.controls[band.index])
 
 
 def _best_control(u, band, reward, previous=None):
@@ -230,9 +221,9 @@ def _best_control(u, band, reward, previous=None):
     control's value is at most ``_TIE_ULPS`` * eps * max_b |value| below the
     maximum, so controls that tie up to rounding (+-b at a symmetric node)
     do not flip between policy iterations.  The values stay the true
-    maximum.  max_b |value| is taken over the band's rows; on a band that
-    keeps each sign half's ends it is the full sample's in exact
-    arithmetic, each half's values being linear in b.
+    maximum.  max_b |value| is taken over the band's rows; on the rows of
+    :func:`operators.candidate_rows` it is the full sample's in exact
+    arithmetic, |value| being convex along each run.
     """
     vals = apply_band(band, u) + reward
     best_idx = vals.argmax(axis=0)
@@ -250,14 +241,14 @@ def _improve(u, controls, intervention, band, reward, previous=None):
     """(policy, argmax values, argmax row indices) at the iterate ``u``,
     keeping near-tied ``previous`` rows (:func:`_best_control`) of the
     :class:`ControlBand` ``band``; the policy's controls are the sampled
-    controls those rows index.  The control argmax ignores the time (or
-    discount) term, which does not depend on b; the penalty indicator is
-    strict, d_j = 1 iff the best jump value exceeds u_j, so at equality the
-    penalty stays off."""
+    controls those rows index at each node.  The control argmax ignores the
+    time (or discount) term, which does not depend on b; the penalty
+    indicator is strict, d_j = 1 iff the best jump value exceeds u_j, so at
+    equality the penalty stays off."""
     best_vals, best_idx = _best_control(u, band.parts, reward, previous)
     jump = intervention.apply(u)
     policy = PenaltyPolicy(
-        controls=controls.controls[band.index[best_idx]],
+        controls=controls.controls[row_at(band.index, best_idx)],
         intervene=jump.values - u > 0.0,
         impulses=jump.impulses,
     )
@@ -427,7 +418,7 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     epsilon = default_epsilon(grid, cfg or SolverConfig())
 
     band = _control_band(grid, problem, controls)
-    diagnostics = SolveDiagnostics(control_rows=band.index.size)
+    diagnostics = SolveDiagnostics(control_rows=band.index.shape[0])
     memo = SystemMemo()
 
     def step(u_next, n):
@@ -456,7 +447,7 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     u, step_diag = _solve_step(zeros, zeros, problem.discount, 0.0, grid, problem, controls,
                                band, epsilon, None, time_index=0, where="stationary solve",
                                memo=SystemMemo())
-    diagnostics = SolveDiagnostics(control_rows=band.index.size)
+    diagnostics = SolveDiagnostics(control_rows=band.index.shape[0])
     diagnostics.record_step(step_diag)
     return Solution(grid=grid, scheme="penalty", surface=u[np.newaxis, :],
                     policies=[step_diag.policy], diagnostics=diagnostics, epsilon=epsilon)

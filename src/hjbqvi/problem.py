@@ -37,14 +37,10 @@ disagree with the values the solvers would otherwise evaluate:
   in O(n + K) rather than over a nodes x K block.
 * a **reward that ignores the control**: ``running_reward`` is a
   :class:`SeparableReward`, state(t, x) alone; read back as
-  ``ProblemSpec.separable_reward``.  When the drift is also b itself and
-  the diffusion ignores b, which the penalty solve checks on the values,
-  the penalty control maximum reads only the first and last control of
-  each sign half: 4 of the B controls for cash at every grid size.  When
-  the semi-Lagrangian feet x + drift(x, b) dt are nondecreasing in b, which
-  that solve checks on the values, its control maximum reads only the ends
-  of each run of feet in one interpolation cell: 4 of the B controls per
-  node for cash (:func:`semilag._candidate_rows`).
+  ``ProblemSpec.separable_reward``.  Where the drift (and, in the penalty
+  scheme, the diffusion) allows it, checked on the values, both control
+  maxima then read only each node's :func:`operators.candidate_rows`: 4 of
+  the B controls for cash at every grid size.
 
 Undeclared problems keep the general paths: every impulse candidate and
 all B sampled controls.
@@ -113,8 +109,7 @@ class ProblemSpec:
     ``separable_reward`` is the running reward when it is declared to
     ignore the control (see :class:`SeparableReward`): the penalty and the
     semi-Lagrangian control maxima may then read a few rows of the control
-    sample only (:func:`penalty._control_band`, :func:`semilag.foot_points`),
-    each after checking on the drift's values that the rows suffice.
+    sample only, each node's :func:`operators.candidate_rows`.
     """
 
     drift: Callable[[float, float], float]            # drift(x, b)
@@ -167,9 +162,8 @@ class SeparableReward:
 
     Its values are those of ``state``, so the declaration cannot be false.
     The drift and diffusion take no t, so a solve checks once, on their
-    values, what else its reduction needs (:func:`penalty._control_band`,
-    :func:`semilag.foot_points`); the reward takes t, so it is declared by
-    its callable instead.
+    values, what else its reduction needs (:func:`operators.candidate_rows`);
+    the reward takes t, so it is declared by its callable instead.
     """
 
     state: Callable[[float, float], float]

@@ -16,17 +16,10 @@ to one sparse (tridiagonal) solve A u^n = rhs with
 The continuation candidates are one rows x nodes block from
 :func:`_continuation` (the jump tables' clamped linear interpolation at the
 foot points); the timestep takes their maximum with one argmax.  Which rows
-is decided once per solve, in :func:`foot_points`.  An undeclared problem
-keeps all B sampled controls.  When the reward ignores b
-(``ProblemSpec.separable_reward``) and each node's foot cells and weights
-are nondecreasing down the control sample, checked exactly on the values,
-the candidate is affine in the weight along each run of one cell, so its
-maximum, and its smallest maximiser, lie at a run's first row or at the
-first row of its last weight in exact arithmetic.  The block then keeps
-those rows (:func:`_candidate_rows`): 4 of the B controls per node for cash,
-whose window b_max dt crosses one node.  Where controls differ only by
-rounding, the full sample can pick an interior one; the brute-force audit
-(:func:`oracle.brute_force_sl_residual`) reads every control.  A solve's
+is decided once per solve, in :func:`foot_points`: all B sampled controls,
+or, when the reward ignores b (``ProblemSpec.separable_reward``), each
+node's :func:`operators.candidate_rows` of its foot cells and weights, where
+those exist (4 of the B controls per node for cash).  A solve's
 step, run by :func:`solution.backward_induction`, is :func:`sl_rhs`, which
 returns (rhs, policy), and one sparse solve.  The row of
 :func:`monotonicity_row` is that step's own equation, (A u - rhs)_j, with
@@ -74,10 +67,12 @@ from .operators import (
     FrozenObstacle,
     InterventionTable,
     Interpolant,
+    candidate_rows,
     discretize_controls,
     generator_band,
     implicit_matrix,
     interp_weights,
+    row_at,
 )
 from .problem import ProblemSpec, eval_on
 from .solution import (PenaltyPolicy, SolveDiagnostics, Solution, backward_induction,
@@ -112,46 +107,14 @@ def assemble_A(grid: SpaceTimeGrid, problem: ProblemSpec,
     return implicit_matrix(1.0, dt_band)
 
 
-def _candidate_rows(k: np.ndarray, alpha: np.ndarray) -> np.ndarray | None:
-    """Per node, the rows of a controls x nodes block of interpolation cells k
-    and weights alpha that a maximum over the rows may read, or None when
-    they are not nondecreasing down the rows (k, then alpha within one k).
-
-    Along a run of rows with one cell k, interp(u) + (a reward that ignores
-    b) is affine in a nondecreasing alpha, so its maximum, and its first
-    maximising row, is the run's first row or the first row of its last
-    alpha.  Those rows are kept, in row order; a node with fewer than the
-    largest count H repeats its last, giving an H x nodes index.
-    """
-    new_cell = k[1:] != k[:-1]
-    if (k[1:] < k[:-1]).any() or (~new_cell & (alpha[1:] < alpha[:-1])).any():
-        return None
-    B, n = k.shape
-    first = np.ones((B, n), dtype=bool)
-    first[1:] = new_cell
-    last = np.ones((B, n), dtype=bool)
-    last[:-1] = new_cell
-    # Each row's run end (the first last row at or below it), and whether
-    # the row has the weight its run ends with.
-    end = np.where(last, np.arange(B)[:, np.newaxis], B)
-    end = np.minimum.accumulate(end[::-1], axis=0)[::-1]
-    at_end = alpha == np.take_along_axis(alpha, end, axis=0)
-    keep = first.copy()
-    keep[1:] |= at_end[1:] & ~at_end[:-1]
-    rows, cols = np.nonzero(keep)
-    slots = (np.cumsum(keep, axis=0) - 1)[rows, cols]
-    index = np.broadcast_to(B - 1 - keep[::-1].argmax(axis=0), (slots.max() + 1, n)).copy()
-    index[slots, cols] = rows
-    return index
-
-
 class FootPoints(Interpolant):
     """The interpolant of fixed points, with ``oversteps``, the number outside
     [-Q, Q], and ``interior_oversteps``, those in every column but the ends.
 
     ``index`` holds the rows of ``points`` the interpolant keeps: every row
     (a column of row numbers), or, with ``candidates``, the H x nodes rows of
-    :func:`_candidate_rows` when those exist.  The counts are of every point.
+    :func:`operators.candidate_rows` when those exist.  The counts are of
+    every point.
     """
 
     def __init__(self, nodes: np.ndarray, points: np.ndarray, Q: float,
@@ -160,7 +123,7 @@ class FootPoints(Interpolant):
         self.oversteps = int(outside.sum())
         self.interior_oversteps = int(outside[..., 1:-1].sum())
         k, alpha = interp_weights(nodes, points)
-        index = _candidate_rows(k, alpha) if candidates else None
+        index = candidate_rows(k, alpha) if candidates else None
         if index is None:
             index = np.arange(k.shape[0])[:, np.newaxis]
         else:
@@ -177,8 +140,8 @@ def foot_points(grid: SpaceTimeGrid, problem: ProblemSpec,
     control, in which case no foot point can leave [-Q, Q] from an interior node.
 
     When the reward ignores b (``ProblemSpec.separable_reward``), the feet
-    keep only each node's candidate rows (:func:`_candidate_rows`) where
-    those exist; the overstep counts and ``inward_drift`` are of every foot.
+    keep only each node's :func:`operators.candidate_rows` where those
+    exist; the overstep counts and ``inward_drift`` are of every foot.
     """
     nodes = grid.nodes
     drift = eval_on(problem.drift, nodes, controls.controls[:, np.newaxis])
@@ -214,15 +177,13 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
     u_next = np.asarray(u_next, dtype=float)
     values = _continuation(u_next, t, grid, problem, controls, feet)
     best = values.argmax(axis=0)
-    nodes = np.arange(grid.n_nodes)
-    best_cont = values[best, nodes]
+    best_cont = values[best, np.arange(grid.n_nodes)]
 
     jump = intervention.apply(u_next)
     intervene = jump.values > best_cont
     rhs = np.where(intervene, jump.values, best_cont)
-    rows = np.broadcast_to(feet.index, values.shape)[best, nodes]
-    policy = PenaltyPolicy(controls=controls.controls[rows], intervene=intervene,
-                           impulses=jump.impulses)
+    policy = PenaltyPolicy(controls=controls.controls[row_at(feet.index, best)],
+                           intervene=intervene, impulses=jump.impulses)
     return rhs, policy
 
 

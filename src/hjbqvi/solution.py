@@ -71,8 +71,7 @@ class SolveDiagnostics:
     matrix_systems_checked: int = 0     # each passed: a failing system raises
     min_dominance_margin: float = np.inf
     # Controls each control maximum reads per node: the sample's size B, or
-    # each sign half's first and last where penalty._control_band keeps
-    # those, or the padded count H of semilag._candidate_rows (4 for cash).
+    # the padded count H of operators.candidate_rows (4 for cash).
     control_rows: int = 0
     # Semi-Lagrangian bookkeeping.
     oversteps: int = 0

@@ -12,10 +12,12 @@ from hjbqvi.operators import (
     InterventionTable,
     Interpolant,
     apply_band,
+    candidate_rows,
     discretize_controls,
     generator_band,
     impulse_bounds_on,
     interp_weights,
+    row_at,
 )
 from hjbqvi.oracle import _coefficients, _row_residual
 from hjbqvi.penalty import solve_finite_horizon
@@ -276,6 +278,74 @@ class TestInterp:
         hi = lo + np.array(bumps)
         xs = np.array([x])
         assert interp(lo, GRID5, xs)[0] <= interp(hi, GRID5, xs)[0] + 1e-12
+
+
+class TestCandidateRows:
+    """The rows a control maximum reads: each run of one piece's first row
+    and the first row of its last param, per node, as an H x nodes index."""
+
+    def test_rows_of_a_block(self):
+        # Node 0: cells 0 then 1, each with rising weights.  Node 1: one
+        # cell whose last weight repeats (a clamped foot), so the run's end
+        # is the first row of that weight, and the node pads to H = 4.
+        k = np.array([[0, 2], [0, 2], [0, 2], [1, 2], [1, 2], [1, 2]])
+        alpha = np.array([[0.0, 0.1], [0.2, 0.1], [0.4, 0.3], [0.0, 1.0], [0.5, 1.0],
+                          [0.6, 1.0]])
+        assert candidate_rows(k, alpha).T.tolist() == [[0, 2, 3, 5], [0, 3, 3, 3]]
+        assert candidate_rows(k[::-1], alpha[::-1]) is None
+        falling = alpha.copy()
+        falling[4, 0] = 0.7
+        assert candidate_rows(k, falling) is None
+
+    def test_row_at_reads_each_nodes_pick(self):
+        index = np.array([[0, 0], [2, 3], [3, 3], [5, 3]])
+        assert row_at(index, np.array([1, 3])).tolist() == [2, 3]
+        # A column of every row serves each node.
+        assert row_at(np.arange(6)[:, np.newaxis], np.array([4, 1, 0])).tolist() == [4, 1, 0]
+
+    @pytest.mark.parametrize("bounds, rows", [
+        ((-0.5, 0.5), [0, 4, 5, 10]),       # b = 0 is the first row of b >= 0
+        ((0.0, 0.5), [0, 5]),
+        ((-0.5, -0.1), [0, 4]),
+        ((0.2, 0.2), [0]),
+    ])
+    def test_the_ends_of_each_sign_half_of_a_drift(self, bounds, rows):
+        # The penalty band's inputs: the piece is drift >= 0, the param the drift.
+        b = uniform_sample(*bounds, 0.1)
+        drift = np.broadcast_to(b[:, np.newaxis], (b.size, 5))
+        index = candidate_rows(drift >= 0.0, drift)
+        assert index.shape == (len(rows), 5)
+        assert all(column == rows for column in index.T.tolist())
+        if b.size > 1:
+            assert candidate_rows(drift[::-1] >= 0.0, drift[::-1]) is None
+
+    def test_a_drift_that_ignores_b_keeps_row_zero(self):
+        drift = np.broadcast_to(np.array([-0.3, 0.0, 0.3]), (7, 3))
+        assert candidate_rows(drift >= 0.0, drift).tolist() == [[0, 0, 0]]
+
+    def test_a_drift_in_b_and_x_keeps_per_node_rows(self):
+        b = uniform_sample(-0.5, 0.5, 0.1)[:, np.newaxis]
+        x = np.array([-4.0, 0.0, 2.0, 4.0])
+        index = candidate_rows(b + 0.1 * x >= 0.0, b + 0.1 * x)
+        # x = -4: b >= 0.4 from row 9; x = 4: every b >= -0.4 but the first.
+        assert index.T.tolist() == [[0, 8, 9, 10], [0, 4, 5, 10], [0, 2, 3, 10],
+                                    [0, 1, 10, 10]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_the_maximum_and_first_maximiser_of_a_piecewise_affine_block(self, B, n, seed):
+        # Integer data keep every value exact: each run's value is
+        # slope * param + intercept, the slope and intercept per piece.
+        rng = np.random.default_rng(seed)
+        piece = np.sort(rng.integers(0, 3, (B, n)), axis=0)
+        param = np.sort(rng.integers(-3, 4, (B, n)), axis=0)
+        slope, intercept = rng.integers(-3, 4, (2, 3, n))
+        nodes = np.arange(n)
+        values = (slope[piece, nodes] * param + intercept[piece, nodes]).astype(float)
+        index = candidate_rows(piece, param)
+        kept = np.take_along_axis(values, index, axis=0)
+        assert np.array_equal(kept.max(axis=0), values.max(axis=0))
+        assert np.array_equal(index[kept.argmax(axis=0), nodes], values.argmax(axis=0))
 
 
 class TestDiscretizeControls:

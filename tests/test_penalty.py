@@ -612,7 +612,7 @@ class TestControlBandPerSolve:
 
         def per_call_band(u, band, reward, previous=None):
             # The argmax as it was before the band was hoisted: its own band each call.
-            b = c.controls[rows, np.newaxis]
+            b = c.controls[rows]
             own = generator_band(g.nodes, eval_on(p.drift, g.nodes, b),
                                  eval_on(p.diffusion, g.nodes, b) ** 2)
             return best_control(u, own, reward, previous)
@@ -691,7 +691,7 @@ def step_operands(problem, grid):
     n = next(n for n, p in enumerate(sol.policies[:-1]) if p.intervene.any())
     policy, t = sol.policies[n], n * grid.dt
     band, reward, table = operands(problem, grid, c, t)
-    idx = np.searchsorted(c.controls[band.index], policy.controls)
+    idx = (c.controls[np.broadcast_to(band.index, reward.shape)] == policy.controls).argmax(0)
     return (policy, sol.surface[n + 1] / grid.dt, 1.0 / grid.dt, sol.epsilon, table, band,
             reward, idx)
 
@@ -810,7 +810,7 @@ class TestSystemMemo:
         elif change == "control index":
             idx = idx.copy()
             j = idx.size // 2
-            idx[j] = (idx[j] + 1) % band.index.size
+            idx[j] = (idx[j] + 1) % band.index.shape[0]
         else:
             active = np.flatnonzero(policy.intervene)
             couplings, _ = table.jump_rows(active, policy.impulses[active])
@@ -828,10 +828,10 @@ def undeclared(problem):
 
 
 class TestSeparableControl:
-    """A reward declared to ignore b, with drift b and a diffusion that
-    ignores b, maximises over the first and last control of each sign half;
-    any other problem over every sampled control.  Either way the surfaces
-    and policies are those of the full sample, bit for bit."""
+    """A reward declared to ignore b, with a diffusion that ignores b,
+    maximises over each node's operators.candidate_rows of the drift, where
+    those exist; any other problem over every sampled control.  Either way
+    the surfaces and policies are those of the full sample, bit for bit."""
 
     @staticmethod
     def grids(problem, M):
@@ -860,19 +860,23 @@ class TestSeparableControl:
     def test_keeps_the_ends_of_each_sign_half(self, bounds, rows):
         p = replace(builtin("cash"), control_bounds=bounds)
         g = self.grids(p, 40)
-        assert _control_band(g, p, discretize_controls(p, g.rho)).index.tolist() == rows
+        index = _control_band(g, p, discretize_controls(p, g.rho)).index
+        assert index.shape == (len(rows), g.n_nodes)
+        assert all(column == rows for column in index.T.tolist())
 
     @pytest.mark.parametrize("change, reduced", [
         ("drift, same values", True),
-        ("drift", False),
+        ("drift", True),
+        ("drift -b", False),
         ("reward", False),
         ("diffusion", False),
         ("controls out of order", False),
     ])
     def test_a_changed_problem_falls_back_to_every_control(self, change, reduced):
         # The drift and diffusion are checked on their values, so a new
-        # callable with the same values keeps the reduction; the reward is
-        # declared by its callable.
+        # callable with the same values, or a drift b + 0.1 x that still
+        # rises in b, keeps the reduction; the reward is declared by its
+        # callable.
         p = builtin("cash")
         g = self.grids(p, 40)
         c = discretize_controls(p, g.rho)
@@ -880,6 +884,8 @@ class TestSeparableControl:
             p = replace(p, drift=lambda x, b: b + 0.0 * x)
         elif change == "drift":
             p = replace(p, drift=lambda x, b: b + 0.1 * x)
+        elif change == "drift -b":
+            p = replace(p, drift=lambda x, b: -b + 0.0 * x)
         elif change == "reward":
             p = undeclared(p)
         elif change == "diffusion":
@@ -920,6 +926,14 @@ class TestSeparableControl:
             for sol, problem, controls in solves[:2]:
                 assert brute_force_residual(sol, problem, sol.grid, controls,
                                             sol.epsilon) <= RESIDUAL_ORACLE_TOL
+
+    def test_a_drift_in_b_and_x_equals_its_undeclared_twin(self):
+        # Each node's rows are the ends of its own sign halves of b + 0.1 x.
+        p = replace(builtin("cash"), drift=lambda x, b: b + 0.1 * x)
+        for (sol, _, c), (twin, _, _) in zip(self.solves(p, 40), self.solves(undeclared(p), 40)):
+            assert (sol.diagnostics.control_rows, twin.diagnostics.control_rows) == \
+                (4, c.controls.size)
+            assert solve_record(sol) == solve_record(twin)
 
     def test_monotonicity_row_equals_its_undeclared_twin(self):
         p = builtin("cash")

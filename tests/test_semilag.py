@@ -262,10 +262,11 @@ class TestThomasSolve:
         n = next(n for n, p in enumerate(sol.policies[:-1]) if p.intervene.any())
         policy, t = sol.policies[n], n * grid.dt
         band = _control_band(grid, problem, c)
+        reward = _reward_block(t, grid, problem, c, band)
+        rows = c.controls[np.broadcast_to(band.index, reward.shape)]
         system = _assemble(policy, sol.surface[n + 1] / grid.dt, 1.0 / grid.dt, sol.epsilon,
-                           InterventionTable(problem, grid, c, t), band,
-                           _reward_block(t, grid, problem, c, band),
-                           np.searchsorted(c.controls[band.index], policy.controls), SystemMemo())
+                           InterventionTable(problem, grid, c, t), band, reward,
+                           (rows == policy.controls).argmax(axis=0), SystemMemo())
         return system.matrix, system.rhs
 
     def test_reused_factor_matches_spsolve_bit_for_bit(self):
@@ -470,19 +471,6 @@ class TestCandidateRows:
         # b_max dt = 0.1875 spans 3.75 cells, sampled by 101 controls.
         "wide-window": lambda: (build_uniform_grid(Q=4, M=80, N=8, T=3), 0.01),
     }
-
-    def test_rows_of_a_block(self):
-        # Node 0: cells 0 then 1, each with rising weights.  Node 1: one
-        # cell whose last weight repeats (a clamped foot), so the run's end
-        # is the first row of that weight, and the node pads to H = 4.
-        k = np.array([[0, 2], [0, 2], [0, 2], [1, 2], [1, 2], [1, 2]])
-        alpha = np.array([[0.0, 0.1], [0.2, 0.1], [0.4, 0.3], [0.0, 1.0], [0.5, 1.0],
-                          [0.6, 1.0]])
-        assert semilag._candidate_rows(k, alpha).T.tolist() == [[0, 2, 3, 5], [0, 3, 3, 3]]
-        assert semilag._candidate_rows(k[::-1], alpha[::-1]) is None
-        falling = alpha.copy()
-        falling[4, 0] = 0.7
-        assert semilag._candidate_rows(k, falling) is None
 
     @pytest.mark.parametrize("mode", GRIDS)
     def test_matches_the_full_sample(self, mode):
