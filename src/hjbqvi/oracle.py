@@ -24,17 +24,25 @@ Two independent routes:
   sampled control, so they audit the solvers' reduced control maxima.
 
   Both audits read once what they already hold exactly, and evaluate at
-  every point what depends on t.  Drift and diffusion take no t, so each
+  every point what may change.  Drift and diffusion take no t, so each
   call evaluates them once per (node, control), before the time loop.
   Within one time level, u at a jump target is a function of the target
-  alone, so each distinct target is interpolated once per level.  The
-  running reward is evaluated at every (t, x, b), and the impulse shift and
-  cost at every (t, x, z).
+  alone, so each distinct target is interpolated once per level.  A
+  declared :class:`problem.SeparableReward` ignores b, so the running
+  reward is evaluated once per (t, x).  A declared reset
+  (``ProblemSpec.reset_cost``) takes no t, so each node's (target, cost)
+  pairs are evaluated once per call and rebuilt only at a level whose
+  impulse candidates differ, byte for byte, from those they were built
+  from.  An undeclared problem's reward is evaluated at every (t, x, b),
+  and its impulse shift and cost at every (t, x, z).  A non-finite value
+  wherever an audit evaluates one makes its residual NaN.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import repeat
+from math import isfinite
 
 import numpy as np
 
@@ -132,36 +140,99 @@ def _second_difference(nodes, u, i):
 
 
 def _coefficients(problem, x, bs):
-    """(b, drift(x, b), diffusion(x, b)) for every control b in bs.
+    """(b, drift(x, b), diffusion(x, b)) for every control b in bs, or None
+    when a value is not finite.
 
     Drift and diffusion take no t: an audit reads each node's list once and
     uses it in every time row."""
-    return [(b, float(problem.drift(x, b)), float(problem.diffusion(x, b))) for b in bs]
+    row = [(b, float(problem.drift(x, b)), float(problem.diffusion(x, b))) for b in bs]
+    return row if all(isfinite(mu) and isfinite(sg) for _, mu, sg in row) else None
 
 
-def _best_jump(problem, nodes, zs, t, x, u, reads):
-    """max over the candidates zs of u(x + shift) + cost, u read by _interp_scalar.
+def _reward_reader(problem, bs):
+    """A function of (t, x) giving f(t, x, b) for the controls bs in order,
+    or None when a value is not finite.
 
-    ``reads`` holds u(target) for each target already read at this level: a
-    target shared by several (x, z) is interpolated once.  (0.0 and -0.0
-    share an entry; their reads differ at most in the sign of a zero.)"""
+    A declared :class:`problem.SeparableReward` ignores b, so it is
+    evaluated once per (t, x), at bs[0], and that value stands for every b;
+    an undeclared reward is evaluated at every (t, x, b)."""
+    reward = problem.running_reward
+    if problem.separable_reward is not None:
+        b0 = bs[0]
+
+        def read(t, x):
+            f = float(reward(t, x, b0))
+            return repeat(f) if isfinite(f) else None
+    else:
+        def read(t, x):
+            fs = [float(reward(t, x, b)) for b in bs]
+            return fs if all(map(isfinite, fs)) else None
+    return read
+
+
+def _jump_reader(problem, grid, controls):
+    """A function of t giving each node's (x + impulse_shift, impulse_cost)
+    pairs over its candidates in level t's ``impulse_values`` block, or None
+    when a target or a cost is not finite.
+
+    A declared reset (``problem.reset_cost``) takes no t, so its pairs are
+    kept, evaluated once, while a level's block is byte for byte the block
+    they were built from, and rebuilt when it is not; an undeclared impulse
+    is evaluated at every (t, x, z).  The comparison is on values, not on
+    the block's identity."""
+    shift, cost = problem.impulse_shift, problem.impulse_cost
+    nodes = grid.nodes.tolist()
+    declared = problem.reset_cost is not None
+    kept_key = kept = None
+
+    def build(t, block):
+        pairs = []
+        for x, zs in zip(nodes, block.tolist()):
+            row = [(x + float(shift(t, x, z)), float(cost(t, x, z))) for z in zs]
+            if not all(isfinite(target) and isfinite(c) for target, c in row):
+                return None
+            pairs.append(row)
+        return pairs
+
+    def read(t):
+        nonlocal kept_key, kept
+        block = controls.impulse_values(t, grid.nodes)
+        if not declared:
+            return build(t, block)
+        key = (block.shape, block.tobytes())
+        if key != kept_key:
+            kept_key, kept = key, build(t, block)
+        return kept
+    return read
+
+
+def _best_jump(nodes, pairs, u, reads):
+    """max over a node's (target, cost) pairs of u(target) + cost, u read by
+    _interp_scalar.
+
+    ``pairs`` is the node's list from :func:`_jump_reader`: a declared
+    reset's, built once while the level's candidates stay the same, or an
+    undeclared impulse's, evaluated at this level.  ``reads`` holds
+    u(target) for each target already read at this level: a target shared
+    by several (x, z) is interpolated once.  (0.0 and -0.0 share an entry;
+    their reads differ at most in the sign of a zero.)"""
     best = -np.inf
-    for z in zs:
-        target = x + float(problem.impulse_shift(t, x, z))
+    for target, cost in pairs:
         value = reads.get(target)
         if value is None:
             value = reads[target] = _interp_scalar(nodes, u, target)
-        gain = value + float(problem.impulse_cost(t, x, z))
+        gain = value + cost
         if gain > best:
             best = gain
     return best
 
 
-def _row_residual(problem, nodes, n_nodes, zs, t, dt_term, i, x, u, u_next, coefficients,
-                  epsilon, reads):
+def _row_residual(problem, nodes, n_nodes, pairs, dt_term, i, u, u_next, coefficients,
+                  rewards, epsilon, reads):
     # The terms free of b, once per row; the loop picks the one-sided
     # difference on the sign of the drift.  ``coefficients`` is the node's
-    # _coefficients list; ``reads`` is _best_jump's.
+    # _coefficients list, ``rewards`` its _reward_reader values in the same
+    # control order; ``pairs`` and ``reads`` are _best_jump's.
     if 0 < i < n_nodes - 1:
         forward = (u[i + 1] - u[i]) / (nodes[i + 1] - nodes[i])
         backward = (u[i] - u[i - 1]) / (nodes[i] - nodes[i - 1])
@@ -173,14 +244,24 @@ def _row_residual(problem, nodes, n_nodes, zs, t, dt_term, i, x, u, u_next, coef
     else:
         time_part = -problem.discount * u[i]
     best = -np.inf
-    for b, mu, sg in coefficients:
+    for (_, mu, sg), f in zip(coefficients, rewards):
         first = forward if mu >= 0.0 else backward
-        val = time_part + mu * first + 0.5 * sg * sg * second \
-            + float(problem.running_reward(t, x, b))
+        val = time_part + mu * first + 0.5 * sg * sg * second + f
         if val > best:
             best = val
-    penalty_part = max(_best_jump(problem, nodes, zs, t, x, u, reads) - u[i], 0.0) / epsilon
+    penalty_part = max(_best_jump(nodes, pairs, u, reads) - u[i], 0.0) / epsilon
     return -best - penalty_part
+
+
+def _terminal_gap(problem, nodes, last_row):
+    """The worst |u^N_j - g(x_j)|, or None when a g(x_j) is not finite."""
+    gap = 0.0
+    for x, v in zip(nodes, last_row.tolist()):
+        g = float(problem.terminal_reward(x))
+        if not isfinite(g):
+            return None
+        gap = max(gap, abs(v - g))
+    return gap
 
 
 def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -191,7 +272,9 @@ def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     interior-time rows plus the worst terminal mismatch |u^N_j - g(x_j)|;
     for a discounted problem, the worst residual of the stationary rows at
     t = 0.  Accepts a Solution or a bare surface array; a non-finite entry
-    anywhere in it makes the residual NaN.
+    anywhere in it, or a non-finite coefficient, reward, impulse shift,
+    impulse cost or jump target wherever the audit evaluates one, makes
+    the residual NaN.
     """
     surface = np.atleast_2d(getattr(sol, "surface", sol))
     if not np.isfinite(surface).all():
@@ -200,13 +283,18 @@ def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     n_nodes = len(nodes)
     bs = controls.controls.tolist()
     coefficients = [_coefficients(problem, x, bs) for x in nodes]
+    if None in coefficients:
+        return float("nan")
+    read_rewards = _reward_reader(problem, bs)
+    read_jumps = _jump_reader(problem, grid, controls)
 
     terminal_gap = 0.0
     if problem.finite_horizon:
         dt = float(grid.dt)
         rows = [(n * dt, surface[n], surface[n + 1]) for n in range(surface.shape[0] - 1)]
-        for x, v in zip(nodes, surface[-1].tolist()):
-            terminal_gap = max(terminal_gap, abs(v - float(problem.terminal_reward(x))))
+        terminal_gap = _terminal_gap(problem, nodes, surface[-1])
+        if terminal_gap is None:
+            return float("nan")
     else:
         dt, rows = None, [(0.0, surface[0], surface[0])]
 
@@ -214,11 +302,16 @@ def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     for t, u_row, next_row in rows:
         u = u_row.tolist()
         u_next = next_row.tolist()
-        candidates = controls.impulse_values(t, grid.nodes).tolist()
+        jumps = read_jumps(t)
+        if jumps is None:
+            return float("nan")
         reads = {}
         for i, x in enumerate(nodes):
-            row = _row_residual(problem, nodes, n_nodes, candidates[i], t, dt, i, x,
-                                u, u_next, coefficients[i], epsilon, reads)
+            rewards = read_rewards(t, x)
+            if rewards is None:
+                return float("nan")
+            row = _row_residual(problem, nodes, n_nodes, jumps[i], dt, i, u, u_next,
+                                coefficients[i], rewards, epsilon, reads)
             worst = max(worst, abs(row))
     return worst + terminal_gap
 
@@ -236,7 +329,8 @@ def brute_force_sl_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     Feet and jump targets are read by clamped linear interpolation.  Returns
     the worst |row - rhs| plus the worst terminal mismatch |u^N_j - g(x_j)|.
     Accepts a Solution or a bare surface array; a non-finite entry anywhere
-    in it makes the residual NaN.
+    in it, or a non-finite coefficient, reward, impulse shift, impulse cost
+    or jump target wherever the audit evaluates one, makes the residual NaN.
     """
     surface = np.atleast_2d(getattr(sol, "surface", sol))
     if not np.isfinite(surface).all():
@@ -250,31 +344,39 @@ def brute_force_sl_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     weights, feet = [], []
     for x in nodes:
         row = _coefficients(problem, x, bs)
+        if row is None:
+            return float("nan")
         sg = row[0][2]
         weights.append(0.5 * dt * sg * sg)
-        feet.append([(b, x + mu * dt) for b, mu, _ in row])
+        feet.append([x + mu * dt for _, mu, _ in row])
+    read_rewards = _reward_reader(problem, bs)
+    read_jumps = _jump_reader(problem, grid, controls)
 
-    terminal_gap = 0.0
-    for x, v in zip(nodes, surface[-1].tolist()):
-        terminal_gap = max(terminal_gap, abs(v - float(problem.terminal_reward(x))))
+    terminal_gap = _terminal_gap(problem, nodes, surface[-1])
+    if terminal_gap is None:
+        return float("nan")
 
     worst = 0.0
     for n in range(surface.shape[0] - 1):
         t = n * dt
         u = surface[n].tolist()
         u_next = surface[n + 1].tolist()
-        candidates = controls.impulse_values(t + dt, grid.nodes).tolist()
+        jumps = read_jumps(t + dt)
+        if jumps is None:
+            return float("nan")
         reads = {}
         for i, x in enumerate(nodes):
+            rewards = read_rewards(t, x)
+            if rewards is None:
+                return float("nan")
             row = u[i]
             if 0 < i < n_nodes - 1:
                 row -= weights[i] * _second_difference(nodes, u, i)
             best = -np.inf
-            for b, foot in feet[i]:
-                value = _interp_scalar(nodes, u_next, foot) \
-                    + float(problem.running_reward(t, x, b)) * dt
+            for foot, f in zip(feet[i], rewards):
+                value = _interp_scalar(nodes, u_next, foot) + f * dt
                 if value > best:
                     best = value
-            rhs = max(best, _best_jump(problem, nodes, candidates[i], t + dt, x, u_next, reads))
+            rhs = max(best, _best_jump(nodes, jumps[i], u_next, reads))
             worst = max(worst, abs(row - rhs))
     return worst + terminal_gap

@@ -174,8 +174,9 @@ class TestApplyGenerator:
             core = apply_band(band, u)
             u_list = [float(v) for v in u]
             oracle_rows = [
-                -_row_residual(p, nodes, len(nodes), [0.0], 0.0, 1.0, i, x,
-                               u_list, u_list, _coefficients(p, x, [0.1]), 1.0, {})
+                -_row_residual(p, nodes, len(nodes), [(x, p.impulse_cost(0.0, x, 0.0))], 1.0, i,
+                               u_list, u_list, _coefficients(p, x, [0.1]),
+                               [p.running_reward(0.0, x, 0.1)], 1.0, {})
                 for i, x in enumerate(nodes)
             ]
             assert np.allclose(core, oracle_rows, rtol=1e-12, atol=1e-9)

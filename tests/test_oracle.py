@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hjbqvi import cli, oracle, semilag
+from hjbqvi import problem as problem_module
 from hjbqvi.exceptions import NonConvergenceError
 from hjbqvi.grid import build_uniform_grid
 from hjbqvi.harness import RESIDUAL_ORACLE_TOL, run_checks
@@ -15,7 +16,7 @@ from hjbqvi.operators import discretize_controls
 from hjbqvi.oracle import (OUTER_TOL, brute_force_residual, brute_force_sl_residual,
                            solve_iterated_optimal_stopping)
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
-from hjbqvi.problem import builtin
+from hjbqvi.problem import ResetCost, SeparableReward, builtin
 from hjbqvi.solution import SolverConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -305,6 +306,202 @@ class TestAuditEvaluations:
         assert len(read) == sum(expected) < g.N * zs.size
 
 
+def cash_case(scheme, params=None, problem=None):
+    """(problem, grid, controls, solution, audit) for cash at M=8, N=6; the
+    audit is a function of (surface, problem)."""
+    p = problem or builtin("cash", params)
+    if p.finite_horizon:
+        g = build_uniform_grid(Q=4, M=8, N=6, T=p.horizon)
+    else:
+        g = build_uniform_grid(Q=4, M=8)
+    c = discretize_controls(p, g.rho)
+    if scheme == "semilagrangian":
+        sol = semilag.solve_semi_lagrangian(p, g, c)
+        return p, g, c, sol, lambda s, q: brute_force_sl_residual(s, q, g, c)
+    sol = (solve_finite_horizon if p.finite_horizon else solve_infinite_horizon)(p, g, c)
+    return p, g, c, sol, lambda s, q: brute_force_residual(s, q, g, c, sol.epsilon)
+
+
+def value_where(fn, hit, value=np.nan):
+    """fn, except that it returns ``value`` wherever ``hit`` holds."""
+    def poisoned(*args):
+        return value if hit(*args) else fn(*args)
+    return poisoned
+
+
+class NanResetCost(ResetCost):
+    """A declared reset cost that is NaN for z > 0.5."""
+
+    def __call__(self, t, x, z):
+        return np.nan if z > 0.5 else super().__call__(t, x, z)
+
+
+def poisoned_problem(p, coefficient, where=lambda t, x: t > 0.9 and x > 0.5):
+    """p with one coefficient non-finite at the points the audits read
+    where ``where(t, x)`` holds (and x > 0.5 for those that take no t)."""
+    at = lambda t, x, _: where(t, x)
+    if coefficient == "reward":
+        return replace(p, running_reward=value_where(
+            p.running_reward, lambda t, x, b: b > 0 and where(t, x)))
+    if coefficient == "declared reward":
+        return replace(p, running_reward=SeparableReward(value_where(p.running_reward.state,
+                                                                     where)))
+    if coefficient == "shift":
+        return replace(p, impulse_shift=value_where(p.impulse_shift, at))
+    if coefficient == "jump target":
+        return replace(p, impulse_shift=value_where(p.impulse_shift, at, np.inf))
+    if coefficient == "cost":
+        return replace(p, impulse_cost=value_where(p.impulse_cost, at))
+    if coefficient == "declared cost":
+        return replace(p, impulse_cost=NanResetCost(p.reset_cost.c0, p.reset_cost.lam))
+    if coefficient == "drift":
+        return replace(p, drift=value_where(p.drift, lambda x, b: x > 0.5 and b > 0))
+    if coefficient == "diffusion":
+        return replace(p, diffusion=value_where(p.diffusion, lambda x, b: x > 0.5))
+    assert coefficient == "terminal reward"
+    return replace(p, terminal_reward=value_where(p.terminal_reward, lambda x: x > 0.5))
+
+
+class TestNonFiniteCoefficients:
+    """A non-finite value the audit evaluates makes its residual NaN, which
+    fails ``residual_oracle``, where ``val > best`` and ``max`` would skip
+    it and a NaN shift would index past the nodes."""
+
+    COEFFICIENTS = ("reward", "declared reward", "shift", "jump target", "cost",
+                    "declared cost", "drift", "diffusion", "terminal reward")
+
+    @pytest.mark.parametrize("coefficient", COEFFICIENTS)
+    @pytest.mark.parametrize("scheme", ["penalty", "semilagrangian"])
+    def test_audit_is_nan(self, scheme, coefficient):
+        p, g, c, sol, audit = cash_case(scheme)
+        bad = poisoned_problem(p, coefficient)
+        if coefficient.startswith("declared"):
+            assert bad.separable_reward is not None and bad.reset_cost is not None
+        assert audit(sol, p) <= RESIDUAL_ORACLE_TOL
+        assert np.isnan(audit(sol, bad))
+
+    @pytest.mark.parametrize("coefficient", ["reward", "declared reward", "shift", "cost"])
+    def test_discounted_audit_is_nan(self, coefficient):
+        # The stationary rows read t = 0 only.
+        p, g, c, sol, audit = cash_case("penalty", {"beta": 0.2})
+        bad = poisoned_problem(p, coefficient, where=lambda t, x: x > 0.5)
+        assert audit(sol, p) <= RESIDUAL_ORACLE_TOL
+        assert np.isnan(audit(sol, bad))
+
+    @pytest.mark.parametrize("scheme", ["penalty", "semilagrangian"])
+    def test_run_checks_reports_the_failure(self, scheme):
+        p, g, c, sol, _ = cash_case(scheme)
+        [good] = run_checks(("residual_oracle",), sol, p, c)
+        [check] = run_checks(("residual_oracle",), sol, poisoned_problem(p, "reward"), c)
+        assert good.passed
+        assert check.name == "residual_oracle" and not check.passed and np.isnan(check.value)
+
+
+class TestDeclaredAuditEvaluations:
+    """Beside TestAuditEvaluations, which pins the undeclared path: counters
+    that keep the declarations pin what the audits read once.  A declared
+    reward is evaluated once per (t, x); a declared reset's shifts and costs
+    once per call, and once more per change of the impulse candidates."""
+
+    @staticmethod
+    def counted(problem, monkeypatch):
+        calls = dict.fromkeys(("running_reward", "impulse_shift", "impulse_cost"), 0)
+        state, shift = problem.running_reward.state, problem_module.reset_shift
+
+        def counted_state(t, x):
+            calls["running_reward"] += 1
+            return state(t, x)
+
+        def counted_shift(t, x, z):
+            calls["impulse_shift"] += 1
+            return shift(t, x, z)
+
+        class CountedResetCost(ResetCost):
+            def __call__(self, t, x, z):
+                calls["impulse_cost"] += 1
+                return super().__call__(t, x, z)
+
+        # ProblemSpec.reset_cost recognises the patched reset_shift.
+        cost = problem.reset_cost
+        monkeypatch.setattr(problem_module, "reset_shift", counted_shift)
+        counted = replace(problem, running_reward=SeparableReward(counted_state),
+                          impulse_shift=counted_shift,
+                          impulse_cost=CountedResetCost(cost.c0, cost.lam))
+        assert counted.separable_reward is not None and counted.reset_cost is not None
+        return counted, calls
+
+    @pytest.mark.parametrize("bounds", ["fixed", "step"])
+    @pytest.mark.parametrize("scheme", ["penalty", "semilagrangian"])
+    def test_declared_values_are_read_once(self, scheme, bounds, monkeypatch):
+        p = builtin("cash")
+        if bounds == "step":
+            # Both audits see one change of candidates, at t = 1.5.
+            p = replace(p, impulse_bounds=lambda t, x: (-1.0, 1.0) if t < 1.4 else (-0.9, 1.1))
+        p, g, c, sol, audit = cash_case(scheme, problem=p)
+        N, n = g.N, g.n_nodes
+        K = c.impulse_values(0.0, g.nodes).shape[1]
+        assert c.impulse_values(g.T, g.nodes).shape[1] == K >= 3
+        counted, calls = self.counted(p, monkeypatch)
+        assert audit(sol, counted) == audit(sol, p) <= RESIDUAL_ORACLE_TOL
+        builds = 1 if bounds == "fixed" else 2
+        assert calls == {"running_reward": N * n, "impulse_shift": builds * n * K,
+                         "impulse_cost": builds * n * K}
+
+
+def undeclared_twin(p):
+    """p with the same values through callables that declare nothing."""
+    twin = replace(p, running_reward=lambda t, x, b: p.running_reward(t, x, b),
+                   impulse_shift=lambda t, x, z: p.impulse_shift(t, x, z),
+                   impulse_cost=lambda t, x, z: p.impulse_cost(t, x, z))
+    assert twin.separable_reward is None and twin.reset_cost is None
+    return twin
+
+
+class TestDeclaredTwinsAgree:
+    """Reading a declaration once gives residuals repr-equal to evaluating
+    its undeclared twin everywhere, on passing and failing surfaces alike."""
+
+    PROBLEMS = {
+        "cash": lambda: builtin("cash"),
+        "heat": lambda: builtin("heat"),
+        "cash-moving-bounds": lambda: replace(
+            builtin("cash"), impulse_bounds=lambda t, x: (-1.0 + 0.1 * t, 1.0 - 0.05 * t)),
+        "cash-discounted": lambda: builtin("cash", {"beta": 0.2}),
+        "heat-discounted": lambda: builtin("heat", {"beta": 0.2}),
+    }
+    FINITE = ("cash", "heat", "cash-moving-bounds")
+    CASES = [("penalty", name) for name in PROBLEMS] + [("semilagrangian", name) for name in FINITE]
+
+    @pytest.mark.parametrize("scheme, name", CASES)
+    def test_true_and_perturbed_surfaces(self, scheme, name):
+        p, g, c, sol, audit = cash_case(scheme, problem=self.PROBLEMS[name]())
+        if name.startswith("cash"):
+            assert sol.policies[0].intervene.any()     # the jump binds
+        twin = undeclared_twin(p)
+        perturbed = sol.surface + 1e-3 * np.random.default_rng(0).standard_normal(
+            sol.surface.shape)
+        for tag, surface in (("true", sol.surface), ("perturbed", perturbed)):
+            declared = audit(surface, p)
+            assert repr(declared) == repr(audit(surface, twin)), tag
+            assert (declared <= RESIDUAL_ORACLE_TOL) == (tag == "true"), tag
+
+    @pytest.mark.parametrize("name", FINITE)
+    def test_tripled_feet(self, name, monkeypatch):
+        p = self.PROBLEMS[name]()
+        true_feet = semilag.foot_points
+
+        def tripled(grid, problem, controls):
+            return true_feet(grid, replace(problem, drift=lambda x, b: 3.0 * problem.drift(x, b)),
+                             controls)
+
+        monkeypatch.setattr(semilag, "foot_points", tripled)
+        p, g, c, sol, audit = cash_case("semilagrangian", problem=p)
+        declared = audit(sol, p)
+        assert repr(declared) == repr(audit(sol, undeclared_twin(p)))
+        if name != "heat":      # heat has no drift to triple
+            assert declared > RESIDUAL_ORACLE_TOL
+
+
 SOLVER_MODULES = ("operators", "penalty", "semilag")
 
 
@@ -343,3 +540,17 @@ class TestAuditIndependence:
         for fn in audit:
             shared = global_names(fn.__code__) & imported
             assert not shared, f"{fn.__name__} uses {sorted(shared)} from the solvers"
+
+
+def test_every_audit_helper_uses_nothing_from_the_solvers():
+    # TestAuditIndependence names the audit's functions one by one; this
+    # reads every function of the module but the iterated optimal stopping
+    # solve, which is a solver and uses them.
+    imported = names_imported_from_solvers(oracle)
+    helpers = [fn for name, fn in vars(oracle).items()
+               if isinstance(fn, types.FunctionType) and fn.__module__ == oracle.__name__
+               and name != "solve_iterated_optimal_stopping"]
+    assert {oracle._reward_reader, oracle._jump_reader, oracle._best_jump} <= set(helpers)
+    for fn in helpers:
+        shared = global_names(fn.__code__) & imported
+        assert not shared, f"{fn.__name__} uses {sorted(shared)} from the solvers"
