@@ -13,29 +13,26 @@ Two independent routes:
   time, in every pass that applies it: time traded for memory, since
   keeping all N+1 tables costs O(M^3).
 
-* :func:`brute_force_residual` re-evaluates the discrete penalty equations
-  with plain scalar loops that share no code with the solver's assembled
-  systems, only the problem data and the discrete control sets.  It shares
-  the sampled candidate sets: each time level's impulse candidates come
-  from one ``impulse_values`` block, in which a node with fewer candidates
-  repeats its last z, leaving the maximum over candidates unchanged.
-  :func:`brute_force_sl_residual` does the same for the semi-Lagrangian
-  equations, sharing no code with :mod:`semilag`.  Both maximise over every
-  sampled control, so they audit the solvers' reduced control maxima.
+* :func:`brute_force_residual` and :func:`brute_force_sl_residual`
+  re-evaluate the discrete penalty and semi-Lagrangian equations with
+  plain scalar loops that share no code with the solvers, only the problem
+  data and the discrete control sets.  Both run through one loop,
+  :func:`_audit`, over (time row, node); each scheme supplies only its row
+  equation.  They share the sampled candidate sets: each time level's
+  impulse candidates come from one ``impulse_values`` block, in which a
+  node with fewer candidates repeats its last z, leaving the maximum over
+  candidates unchanged.  Both maximise over every sampled control, so they
+  audit the solvers' reduced control maxima.
 
-  Both audits read once what they already hold exactly, and evaluate at
-  every point what may change.  Drift and diffusion take no t, so each
-  call evaluates them once per (node, control), before the time loop.
-  Within one time level, u at a jump target is a function of the target
-  alone, so each distinct target is interpolated once per level.  A
-  declared :class:`problem.SeparableReward` ignores b, so the running
-  reward is evaluated once per (t, x).  A declared reset
-  (``ProblemSpec.reset_cost``) takes no t, so each node's (target, cost)
-  pairs are evaluated once per call and rebuilt only at a level whose
-  impulse candidates differ, byte for byte, from those they were built
-  from.  An undeclared problem's reward is evaluated at every (t, x, b),
-  and its impulse shift and cost at every (t, x, z).  A non-finite value
-  wherever an audit evaluates one makes its residual NaN.
+  The loop reads once what it already holds exactly and evaluates at
+  every point what may change: drift and diffusion once per (node,
+  control), u at each distinct jump target once per level, a declared
+  :class:`problem.SeparableReward` once per (t, x), and a declared reset's
+  (target, cost) pairs once per call and again only at a level whose
+  impulse candidates differ.  An undeclared reward, impulse shift and cost
+  are evaluated at every point.  A non-finite value wherever an audit
+  evaluates one makes its residual NaN; a surface whose shape is not the
+  grid's raises ValueError.
 """
 
 from __future__ import annotations
@@ -140,13 +137,13 @@ def _second_difference(nodes, u, i):
 
 
 def _coefficients(problem, x, bs):
-    """(b, drift(x, b), diffusion(x, b)) for every control b in bs, or None
-    when a value is not finite.
+    """(drift(x, b), diffusion(x, b)) for every control b in bs, or None when
+    a value is not finite.
 
     Drift and diffusion take no t: an audit reads each node's list once and
     uses it in every time row."""
-    row = [(b, float(problem.drift(x, b)), float(problem.diffusion(x, b))) for b in bs]
-    return row if all(isfinite(mu) and isfinite(sg) for _, mu, sg in row) else None
+    row = [(float(problem.drift(x, b)), float(problem.diffusion(x, b))) for b in bs]
+    return row if all(isfinite(mu) and isfinite(sg) for mu, sg in row) else None
 
 
 def _reward_reader(problem, bs):
@@ -227,32 +224,6 @@ def _best_jump(nodes, pairs, u, reads):
     return best
 
 
-def _row_residual(problem, nodes, n_nodes, pairs, dt_term, i, u, u_next, coefficients,
-                  rewards, epsilon, reads):
-    # The terms free of b, once per row; the loop picks the one-sided
-    # difference on the sign of the drift.  ``coefficients`` is the node's
-    # _coefficients list, ``rewards`` its _reward_reader values in the same
-    # control order; ``pairs`` and ``reads`` are _best_jump's.
-    if 0 < i < n_nodes - 1:
-        forward = (u[i + 1] - u[i]) / (nodes[i + 1] - nodes[i])
-        backward = (u[i] - u[i - 1]) / (nodes[i] - nodes[i - 1])
-        second = _second_difference(nodes, u, i)
-    else:
-        forward = backward = second = 0.0
-    if dt_term is not None:
-        time_part = (u_next[i] - u[i]) / dt_term
-    else:
-        time_part = -problem.discount * u[i]
-    best = -np.inf
-    for (_, mu, sg), f in zip(coefficients, rewards):
-        first = forward if mu >= 0.0 else backward
-        val = time_part + mu * first + 0.5 * sg * sg * second + f
-        if val > best:
-            best = val
-    penalty_part = max(_best_jump(nodes, pairs, u, reads) - u[i], 0.0) / epsilon
-    return -best - penalty_part
-
-
 def _terminal_gap(problem, nodes, last_row):
     """The worst |u^N_j - g(x_j)|, or None when a g(x_j) is not finite."""
     gap = 0.0
@@ -262,6 +233,109 @@ def _terminal_gap(problem, nodes, last_row):
             return None
         gap = max(gap, abs(v - g))
     return gap
+
+
+def _audit(sol, problem, grid, controls, row, jump_lag=0.0):
+    """The worst |row| over every time row and node, plus, for a finite
+    horizon, the worst terminal mismatch |u^N_j - g(x_j)|.
+
+    The rows (t, u, u_next) are (n dt, u^n, u^{n+1}) for n < N, or the one
+    row (0, u, u) when discounted; the surface must be (N+1) x n, or 1 x n
+    when discounted.  ``row(i, u, u_next, coefficients, rewards, pairs,
+    reads)`` is the scheme's equation at node i: the node's _coefficients,
+    its rewards at t, its jump pairs at level t + jump_lag and the row's
+    _best_jump cache.
+    """
+    surface = np.atleast_2d(getattr(sol, "surface", sol))
+    nodes = grid.nodes.tolist()
+    shape = (grid.N + 1 if problem.finite_horizon else 1, len(nodes))
+    if surface.shape != shape:
+        raise ValueError(f"the audit needs a surface of shape {shape}, got {surface.shape}")
+    if not np.isfinite(surface).all():
+        return float("nan")
+    bs = controls.controls.tolist()
+    coefficients = [_coefficients(problem, x, bs) for x in nodes]
+    if None in coefficients:
+        return float("nan")
+    read_rewards = _reward_reader(problem, bs)
+    read_jumps = _jump_reader(problem, grid, controls)
+
+    terminal_gap = 0.0
+    if problem.finite_horizon:
+        dt = float(grid.dt)
+        rows = [(n * dt, surface[n], surface[n + 1]) for n in range(grid.N)]
+        terminal_gap = _terminal_gap(problem, nodes, surface[-1])
+        if terminal_gap is None:
+            return float("nan")
+    else:
+        rows = [(0.0, surface[0], surface[0])]
+
+    worst = 0.0
+    for t, u_row, next_row in rows:
+        u = u_row.tolist()
+        u_next = next_row.tolist()
+        jumps = read_jumps(t + jump_lag)
+        if jumps is None:
+            return float("nan")
+        reads = {}
+        for i, x in enumerate(nodes):
+            rewards = read_rewards(t, x)
+            if rewards is None:
+                return float("nan")
+            worst = max(worst, abs(row(i, u, u_next, coefficients[i], rewards, jumps[i], reads)))
+    return worst + terminal_gap
+
+
+def _penalty_row(problem, nodes, dt, epsilon):
+    """The penalty scheme's row equation for :func:`_audit`: minus the best
+    over controls of the time, drift, diffusion and reward terms, minus the
+    penalised gain of the best jump.  The time term is (u^{n+1}_i - u^n_i)/dt
+    for a finite horizon and -discount u_i when discounted."""
+    last = len(nodes) - 1
+    finite = problem.finite_horizon
+
+    def row(i, u, u_next, coefficients, rewards, pairs, reads):
+        # The terms free of b, once per row; the loop picks the one-sided
+        # difference on the sign of the drift.
+        if 0 < i < last:
+            forward = (u[i + 1] - u[i]) / (nodes[i + 1] - nodes[i])
+            backward = (u[i] - u[i - 1]) / (nodes[i] - nodes[i - 1])
+            second = _second_difference(nodes, u, i)
+        else:
+            forward = backward = second = 0.0
+        if finite:
+            time_part = (u_next[i] - u[i]) / dt
+        else:
+            time_part = -problem.discount * u[i]
+        best = -np.inf
+        for (mu, sg), f in zip(coefficients, rewards):
+            first = forward if mu >= 0.0 else backward
+            val = time_part + mu * first + 0.5 * sg * sg * second + f
+            if val > best:
+                best = val
+        penalty_part = max(_best_jump(nodes, pairs, u, reads) - u[i], 0.0) / epsilon
+        return -best - penalty_part
+    return row
+
+
+def _sl_row(nodes, dt):
+    """The row equation of :func:`brute_force_sl_residual` for :func:`_audit`:
+    row - rhs, the row and the rhs as that docstring states them."""
+    last = len(nodes) - 1
+
+    def row(i, u, u_next, coefficients, rewards, pairs, reads):
+        value = u[i]
+        if 0 < i < last:
+            sg = coefficients[0][1]
+            value -= 0.5 * dt * sg * sg * _second_difference(nodes, u, i)
+        x = nodes[i]
+        best = -np.inf
+        for (mu, _), f in zip(coefficients, rewards):
+            continuation = _interp_scalar(nodes, u_next, x + mu * dt) + f * dt
+            if continuation > best:
+                best = continuation
+        return value - max(best, _best_jump(nodes, pairs, u_next, reads))
+    return row
 
 
 def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -276,44 +350,8 @@ def brute_force_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     impulse cost or jump target wherever the audit evaluates one, makes
     the residual NaN.
     """
-    surface = np.atleast_2d(getattr(sol, "surface", sol))
-    if not np.isfinite(surface).all():
-        return float("nan")
-    nodes = grid.nodes.tolist()
-    n_nodes = len(nodes)
-    bs = controls.controls.tolist()
-    coefficients = [_coefficients(problem, x, bs) for x in nodes]
-    if None in coefficients:
-        return float("nan")
-    read_rewards = _reward_reader(problem, bs)
-    read_jumps = _jump_reader(problem, grid, controls)
-
-    terminal_gap = 0.0
-    if problem.finite_horizon:
-        dt = float(grid.dt)
-        rows = [(n * dt, surface[n], surface[n + 1]) for n in range(surface.shape[0] - 1)]
-        terminal_gap = _terminal_gap(problem, nodes, surface[-1])
-        if terminal_gap is None:
-            return float("nan")
-    else:
-        dt, rows = None, [(0.0, surface[0], surface[0])]
-
-    worst = 0.0
-    for t, u_row, next_row in rows:
-        u = u_row.tolist()
-        u_next = next_row.tolist()
-        jumps = read_jumps(t)
-        if jumps is None:
-            return float("nan")
-        reads = {}
-        for i, x in enumerate(nodes):
-            rewards = read_rewards(t, x)
-            if rewards is None:
-                return float("nan")
-            row = _row_residual(problem, nodes, n_nodes, jumps[i], dt, i, u, u_next,
-                                coefficients[i], rewards, epsilon, reads)
-            worst = max(worst, abs(row))
-    return worst + terminal_gap
+    row = _penalty_row(problem, grid.nodes.tolist(), float(grid.dt), epsilon)
+    return _audit(sol, problem, grid, controls, row)
 
 
 def brute_force_sl_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -332,51 +370,7 @@ def brute_force_sl_residual(sol, problem: ProblemSpec, grid: SpaceTimeGrid,
     in it, or a non-finite coefficient, reward, impulse shift, impulse cost
     or jump target wherever the audit evaluates one, makes the residual NaN.
     """
-    surface = np.atleast_2d(getattr(sol, "surface", sol))
-    if not np.isfinite(surface).all():
-        return float("nan")
-    nodes = grid.nodes.tolist()
-    n_nodes = len(nodes)
+    if not problem.finite_horizon:
+        raise ValueError("the semi-Lagrangian audit needs a finite horizon, not a discount")
     dt = float(grid.dt)
-    # Per node, the diffusion row's weight and each control's foot: neither
-    # depends on t.
-    bs = controls.controls.tolist()
-    weights, feet = [], []
-    for x in nodes:
-        row = _coefficients(problem, x, bs)
-        if row is None:
-            return float("nan")
-        sg = row[0][2]
-        weights.append(0.5 * dt * sg * sg)
-        feet.append([x + mu * dt for _, mu, _ in row])
-    read_rewards = _reward_reader(problem, bs)
-    read_jumps = _jump_reader(problem, grid, controls)
-
-    terminal_gap = _terminal_gap(problem, nodes, surface[-1])
-    if terminal_gap is None:
-        return float("nan")
-
-    worst = 0.0
-    for n in range(surface.shape[0] - 1):
-        t = n * dt
-        u = surface[n].tolist()
-        u_next = surface[n + 1].tolist()
-        jumps = read_jumps(t + dt)
-        if jumps is None:
-            return float("nan")
-        reads = {}
-        for i, x in enumerate(nodes):
-            rewards = read_rewards(t, x)
-            if rewards is None:
-                return float("nan")
-            row = u[i]
-            if 0 < i < n_nodes - 1:
-                row -= weights[i] * _second_difference(nodes, u, i)
-            best = -np.inf
-            for foot, f in zip(feet[i], rewards):
-                value = _interp_scalar(nodes, u_next, foot) + f * dt
-                if value > best:
-                    best = value
-            rhs = max(best, _best_jump(nodes, jumps[i], u_next, reads))
-            worst = max(worst, abs(row - rhs))
-    return worst + terminal_gap
+    return _audit(sol, problem, grid, controls, _sl_row(grid.nodes.tolist(), dt), jump_lag=dt)

@@ -19,7 +19,7 @@ from hjbqvi.operators import (
     interp_weights,
     row_at,
 )
-from hjbqvi.oracle import _coefficients, _row_residual
+from hjbqvi.oracle import _coefficients, _penalty_row
 from hjbqvi.penalty import solve_finite_horizon
 from hjbqvi.problem import (
     ProblemSpec,
@@ -173,10 +173,10 @@ class TestApplyGenerator:
             band = generator_band(g.nodes, p.drift(g.nodes, 0.1), p.diffusion(g.nodes, 0.1) ** 2)
             core = apply_band(band, u)
             u_list = [float(v) for v in u]
+            row = _penalty_row(p, nodes, 1.0, 1.0)
             oracle_rows = [
-                -_row_residual(p, nodes, len(nodes), [(x, p.impulse_cost(0.0, x, 0.0))], 1.0, i,
-                               u_list, u_list, _coefficients(p, x, [0.1]),
-                               [p.running_reward(0.0, x, 0.1)], 1.0, {})
+                -row(i, u_list, u_list, _coefficients(p, x, [0.1]),
+                     [p.running_reward(0.0, x, 0.1)], [(x, p.impulse_cost(0.0, x, 0.0))], {})
                 for i, x in enumerate(nodes)
             ]
             assert np.allclose(core, oracle_rows, rtol=1e-12, atol=1e-9)

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -241,6 +242,33 @@ class TestBruteForceSlResidual:
         assert brute_force_sl_residual(surface, p, g, c) >= 1.0
         surface[0, 3] = np.nan
         assert np.isnan(brute_force_sl_residual(surface, p, g, c))
+
+
+class TestAuditRejects:
+    """An audit raises on what it cannot audit, where it would otherwise
+    return a small residual with little or nothing audited."""
+
+    @pytest.mark.parametrize("scheme", ["penalty", "semilagrangian"])
+    def test_surface_of_the_wrong_shape(self, scheme):
+        p, g, c, sol, audit = cash_case(scheme)
+        expected = re.escape(f"{(g.N + 1, g.n_nodes)}")
+        for surface in (sol.surface[-3:], sol.surface[-1:], sol.surface[-1],
+                        sol.surface[:, :-1]):
+            shape = re.escape(f"{np.atleast_2d(surface).shape}")
+            with pytest.raises(ValueError, match=f"{expected}.*{shape}"):
+                audit(surface, p)
+
+    def test_discounted_surface_of_the_wrong_shape(self):
+        p, g, c, sol, audit = cash_case("penalty", {"beta": 0.2})
+        assert audit(sol.surface, p) <= RESIDUAL_ORACLE_TOL
+        for surface in (np.vstack([sol.surface, sol.surface]), sol.surface[..., 1:]):
+            with pytest.raises(ValueError, match=re.escape(f"{(1, g.n_nodes)}")):
+                audit(surface, p)
+
+    def test_semilagrangian_audit_needs_a_finite_horizon(self):
+        p, g, c, sol, _ = cash_case("penalty", {"beta": 0.2})
+        with pytest.raises(ValueError, match="finite horizon"):
+            brute_force_sl_residual(sol, p, g, c)
 
 
 class TestAuditEvaluations:
@@ -534,9 +562,9 @@ class TestAuditIndependence:
         # into it would let a shared bug pass the audit.
         imported = names_imported_from_solvers(oracle)
         assert {"InterventionTable", "penalty_timestep"} <= imported
-        audit = (oracle.brute_force_residual, oracle._row_residual, oracle._interp_scalar,
-                 oracle.brute_force_sl_residual, oracle._second_difference, oracle._best_jump,
-                 oracle._coefficients)
+        audit = (oracle.brute_force_residual, oracle.brute_force_sl_residual, oracle._audit,
+                 oracle._penalty_row, oracle._sl_row, oracle._interp_scalar,
+                 oracle._second_difference, oracle._best_jump, oracle._coefficients)
         for fn in audit:
             shared = global_names(fn.__code__) & imported
             assert not shared, f"{fn.__name__} uses {sorted(shared)} from the solvers"
