@@ -25,7 +25,6 @@ from .operators import (
     generator_band,
 )
 from .penalty import (
-    SparseSystem,
     penalty_timestep,
     residual,
     solve_finite_horizon,
@@ -59,8 +58,7 @@ __all__ = [
     "ProblemSpec", "ValidationReport", "builtin", "validate",
     "DiscreteControls", "FrozenObstacle", "InterventionTable", "discretize_controls",
     "generator_band",
-    "SparseSystem", "penalty_timestep", "residual", "solve_finite_horizon",
-    "solve_infinite_horizon",
+    "penalty_timestep", "residual", "solve_finite_horizon", "solve_infinite_horizon",
     "assemble_A", "overstep_threshold", "sl_rhs",
     "solve_semi_lagrangian", "thomas_solve",
     "brute_force_residual", "solve_iterated_optimal_stopping",

@@ -190,6 +190,13 @@ def parse_config(path) -> RunSpec:
     checks = raw.get("checks", list(default_checks(scheme)))
     if not isinstance(checks, list):
         raise ConfigError("checks must be a list of check names")
+    # The monotonicity check seeds numpy's generator, which takes no negative seed.
+    seed = _number(int, raw.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output must be a directory path, got {output!r}")
 
     return RunSpec(
         problem_name=str(problem_raw["name"]),
@@ -207,8 +214,8 @@ def parse_config(path) -> RunSpec:
         levels=levels,
         window=window,
         checks=tuple(checks),
-        seed=_number(int, raw.get("seed", 0), "seed"),
-        output=raw.get("output"),
+        seed=seed,
+        output=output,
     )
 
 

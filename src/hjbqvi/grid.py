@@ -111,12 +111,19 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _require_whole(**values) -> None:
+    """ValueError naming the first count that is a bool or not a whole number."""
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)) or value != int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _time_step(N, T) -> float:
-    """dt = T/N, or 0 on a stationary grid (N = T = 0); else N, T > 0."""
-    if N == T == 0:
-        return 0.0
-    _require_positive(N=N, T=T)
-    return T / N
+    """dt = T/N, or 0 on a stationary grid (N = T = 0); else N > 0 whole and T > 0."""
+    if not N == T == 0:
+        _require_positive(N=N, T=T)
+    _require_whole(N=N)
+    return T / N if N else 0.0
 
 
 def build_uniform_grid(Q: float, M: int, N: int = 0, T: float = 0.0) -> SpaceTimeGrid:
@@ -127,6 +134,7 @@ def build_uniform_grid(Q: float, M: int, N: int = 0, T: float = 0.0) -> SpaceTim
     (N = T = 0) it is dx.
     """
     _require_positive(Q=Q, M=M)
+    _require_whole(M=M)
     dt = _time_step(N, T)
     M, N = int(M), int(N)
     dx = Q / M

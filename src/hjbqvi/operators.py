@@ -331,21 +331,23 @@ class InterventionTable(Interpolant):
     that reaches the maximum wins, and the forward sweep wins an exact tie,
     so ties go to the smallest z.  The value returned is the chosen
     candidate's v_k + (-c0 - lam |z_k - x_j|), the sum the block layout and
-    :meth:`jump_rows` form.  ``costs`` and ``offsets`` are None.
+    :meth:`jump_rows` form.  ``costs`` is None.
 
     **Block layout**, for every other table.  A node with fewer candidates
     repeats its last z: the copy has the same value as the candidate it
     repeats, and argmax keeps the first of equal values, so padding never
     changes a result.  The table is the :class:`Interpolant` of the
     nodes x K targets x_j + shift; :meth:`apply` adds it to the costs,
-    O(n K) per call.  ``costs`` is the cost block flattened row by row,
-    node i owning entries ``offsets[i]:offsets[i + 1]``.  The table also keeps the
-    block's shifts (``_shifts``), so that :meth:`same_data_at` evaluates the
-    shift once, at the new time.  That block (208 KB at M=160) pays for
-    itself: a semi-Lagrangian solve of cash with an undeclared reset shift
-    z - x took 0.06-0.10 and 0.40-0.42 s at M=160 and 320 reusing its table,
-    0.15 and 0.96-1.05 s rebuilding it every step, with identical surfaces
-    (best of 3, two runs on a 2-core Xeon, Python 3.11).
+    O(n K) per call.  ``costs`` is the nodes x K cost block as ``eval_on``
+    returns it.  Every node has K candidates, so ``offsets`` is None in both
+    layouts; it stays an attribute because ``perfbench/tracing.py`` reads it.
+    The table also keeps the block's shifts (``_shifts``), so that
+    :meth:`same_data_at` evaluates the shift once, at the new time.  That
+    block (208 KB at M=160) pays for itself: a semi-Lagrangian solve of
+    cash with an undeclared reset shift z - x took 0.06-0.10 and 0.40-0.42 s
+    at M=160 and 320 reusing its table, 0.15 and 0.96-1.05 s rebuilding it
+    every step, with identical surfaces (best of 3, two runs on a 2-core
+    Xeon, Python 3.11).
     """
 
     def __init__(self, problem: ProblemSpec, grid: SpaceTimeGrid,
@@ -353,6 +355,7 @@ class InterventionTable(Interpolant):
         self.t = float(t)
         self._problem = problem
         self._nodes = nodes = grid.nodes
+        self.costs = self.offsets = None
         impulse_grid = controls.impulse_values(t, nodes)   # (n, K), shared
         self._impulse_grid = impulse_grid
         lo, hi = impulse_grid[:, 0], impulse_grid[:, -1]
@@ -361,7 +364,6 @@ class InterventionTable(Interpolant):
             self._reset = problem.reset_cost
             lam = self._reset.lam
             self._z = z = impulse_grid[0]
-            self.costs = self.offsets = None
             # Node j's forward sweep reads z[:_below[j]] (z <= x_j), its
             # backward sweep z[_above[j]:] (z >= x_j).
             self._below = np.searchsorted(z, nodes, side="right")
@@ -370,11 +372,9 @@ class InterventionTable(Interpolant):
             self._lam_x = lam * nodes
             super().__init__(*interp_weights(nodes, z[np.newaxis]))
             return
-        per_node = impulse_grid.shape[1]
         x_col = nodes[:, np.newaxis]
         self._shifts = eval_on(problem.impulse_shift, t, x_col, impulse_grid)
-        self.offsets = np.arange(nodes.size + 1) * per_node
-        self.costs = eval_on(problem.impulse_cost, t, x_col, impulse_grid).ravel()
+        self.costs = eval_on(problem.impulse_cost, t, x_col, impulse_grid)
         super().__init__(*interp_weights(nodes, x_col + self._shifts))
 
     def same_data_at(self, t: float) -> bool:
@@ -397,7 +397,7 @@ class InterventionTable(Interpolant):
         if self._reset is not None:
             return True
         x_col = nodes[:, np.newaxis]
-        return (np.array_equal(eval_on(problem.impulse_cost, t, x_col, zs).ravel(), self.costs)
+        return (np.array_equal(eval_on(problem.impulse_cost, t, x_col, zs), self.costs)
                 and np.array_equal(eval_on(problem.impulse_shift, t, x_col, zs), self._shifts))
 
     def jump_rows(self, rows, impulses) -> tuple[tuple, np.ndarray]:
@@ -423,7 +423,7 @@ class InterventionTable(Interpolant):
             found = match.any(axis=1)
             col = match.argmax(axis=1)
             at = (rows, col)
-            cost = self.costs[self.offsets[rows] + col]
+            cost = self.costs[rows, col]
         if not found.all():
             bad = int(np.argmin(found))
             raise ValueError(f"impulse {float(impulses[bad])!r} at node index {int(rows[bad])} "
@@ -435,7 +435,8 @@ class InterventionTable(Interpolant):
         """Best-impulse value max_z { interp(u, x_j + shift) + cost } at every node."""
         if self._reset is not None:
             return self._sweep(u)
-        block = self.costs.reshape(self._impulse_grid.shape) + self.interp(u)
+        block = self.interp(u)
+        block += self.costs
         best = block.argmax(axis=1)
         rows = np.arange(block.shape[0])
         return InterventionResult(values=block[rows, best],

@@ -9,8 +9,9 @@ Two independent routes:
   pointwise nondecreasing.  A pass is the solvers' backward induction of
   the penalty timestep against its own frozen obstacles, read off jump
   tables the oracle builds itself.  Every iterate keeps its full surface,
-  O(M^2) memory, while each level's jump table is built again, one at a
-  time, in every pass that applies it: time traded for memory, since
+  O(M^2) memory, and the last pass its policies, the solution's; the
+  diagnostics keep no policy.  Each level's jump table is built again, one
+  at a time, in every pass that applies it: time traded for memory, since
   keeping all N+1 tables costs O(M^3).
 
 * :func:`brute_force_residual` and :func:`brute_force_sl_residual`
@@ -86,10 +87,11 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     def step(u_next, n):
         # Reads the current pass's ``obstacles``.
-        u, step_diag = penalty_timestep(u_next, n * dt, grid, problem, controls, band, epsilon,
-                                        intervention=FrozenObstacle(obstacles[n]), memo=memo)
+        u, policy, step_diag = penalty_timestep(
+            u_next, n * dt, grid, problem, controls, band, epsilon,
+            intervention=FrozenObstacle(obstacles[n]), memo=memo)
         diagnostics.record_step(step_diag)
-        return u, step_diag.policy
+        return u, policy
 
     obstacles = [np.full(grid.n_nodes, -np.inf)] * grid.N
     surface, policies = backward_induction(grid, g_vals, step)

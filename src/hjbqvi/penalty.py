@@ -36,14 +36,18 @@ Most policy systems of a finite-horizon solve repeat the one solved just
 before: on cash at M=160, N=120, all but about 20 of some 140.  A solve,
 and an iterated-optimal-stopping call, therefore passes one
 :class:`SystemMemo` to every step, which keeps the last distinct matrix
-with its WCDD report.  A system whose operands equal the kept ones, byte
-for byte, reuses them, so ``implicit_matrix`` and ``analyze_matrix`` run
-once per distinct system and every matrix solved has passed its check.
-The rhs is built anew for every system.  A kept matrix is solved by
-``spsolve`` the first time; when it recurs it is factorised once, and the
-factors, whose solves match ``spsolve`` bit for bit, serve it until
+with its WCDD report, the one holder of both.  A system whose operands
+equal the kept ones, byte for byte, reuses them, so ``implicit_matrix`` and
+``analyze_matrix`` run once per distinct system and every matrix solved has
+passed its check.  :func:`_assemble` returns the rhs, built anew for every
+system, and policy iteration solves it through the memo.  A kept matrix is
+solved by ``spsolve`` the first time; when it recurs it is factorised once,
+and the factors, whose solves match ``spsolve`` bit for bit, serve it until
 another system replaces it.  Surfaces, policies and diagnostics are
 therefore those of a solve that assembles every system afresh.
+
+A step returns its policy beside u and its diagnostics; ``Solution.policies``
+is the only place a solve keeps it.
 
 The stationary (discounted) analogue replaces the time difference by
 -beta u_j and solves a single such system, on a grid with no time axis
@@ -68,12 +72,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .exceptions import MatrixStructureError, NonConvergenceError, SolverError
 from .grid import SpaceTimeGrid
-from .matrices import MatrixReport, analyze_matrix, factorise
+from .matrices import analyze_matrix, factorise
 from .operators import (
     DiscreteControls,
     InterventionTable,
@@ -108,16 +111,6 @@ MAX_ITERS = 100
 # ties (+-b at x = 0) differ by up to about 1 such unit, real changes by 1e5
 # or more.
 _TIE_ULPS = 64
-
-
-@dataclass
-class SparseSystem:
-    """One linearized timestep: tridiagonal band plus the interpolation
-    couplings of active penalty rows, with its structural report."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    report: MatrixReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +265,11 @@ def residual(u, rhs_base, time_weight, best, jump, epsilon) -> np.ndarray:
 
 
 def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
-              control_band, reward, idx, memo) -> SparseSystem:
-    """Linear system of the penalty equations at a frozen policy, its matrix
-    the ``memo``'s when the memo holds the one these operands build, and
-    otherwise built, checked and kept there.
+              control_band, reward, idx, memo) -> np.ndarray:
+    """The rhs of the penalty equations at a frozen policy, leaving their
+    matrix in the :class:`SystemMemo` ``memo``: the kept one when the memo
+    holds the one these operands build, and otherwise built, checked and
+    kept there.
 
     Row j:  time_weight*u_j - (L_{b_j} u)_j + (d_j/eps)(u_j - sum_c w_c u_c)
             = rhs_base_j + f_j(b_j) + (d_j/eps) * cost_j,
@@ -314,7 +308,7 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
     rows, cols, data = np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
     key = (float(time_weight), idx.tobytes(), rows.tobytes(), cols.tobytes(), data.tobytes())
     if memo.holds(control_band, key):
-        return SparseSystem(matrix=memo.matrix, rhs=rhs, report=memo.report)
+        return rhs
 
     band = tuple(part[idx, nodes] for part in control_band.parts)
     matrix = implicit_matrix(float(time_weight), band, rows, cols, data)
@@ -325,14 +319,14 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
             report=report,
         )
     memo.keep(control_band, key, matrix, report)
-    return SparseSystem(matrix=matrix, rhs=rhs, report=report)
+    return rhs
 
 
-def _policy_iteration(u_start, rhs_base, time_weight, epsilon, controls,
-                      intervention, band, reward, time_index,
-                      memo) -> tuple[np.ndarray, TimestepDiagnostics, np.ndarray]:
-    """Policy iteration from ``u_start``; returns the solution, the step's
-    diagnostics and the control argmax values of the last policy
+def _policy_iteration(u_start, rhs_base, time_weight, epsilon, controls, intervention, band,
+                      reward, time_index, memo) -> tuple[np.ndarray, PenaltyPolicy,
+                                                         TimestepDiagnostics, np.ndarray]:
+    """Policy iteration from ``u_start``; returns the solution, its policy,
+    the step's diagnostics and the control argmax values of the last policy
     improvement, which evaluated the returned u.  It stops on an unchanged
     policy or an update below ``PI_TOL``; each improvement keeps the
     controls that still tie with the best up to rounding, so the stop does
@@ -342,11 +336,11 @@ def _policy_iteration(u_start, rhs_base, time_weight, epsilon, controls,
     policy, _, best_idx = _improve(u_start, controls, intervention, band, reward)
     u = np.asarray(u_start, dtype=float)
     for _ in range(MAX_ITERS):
-        system = _assemble(policy, rhs_base, time_weight, epsilon, intervention,
-                           band, reward, best_idx, memo)
+        rhs = _assemble(policy, rhs_base, time_weight, epsilon, intervention,
+                        band, reward, best_idx, memo)
         diag.iterations += 1
-        diag.min_dominance_margin = min(diag.min_dominance_margin, system.report.min_margin)
-        u_new = memo.solve(system.rhs)
+        diag.min_dominance_margin = min(diag.min_dominance_margin, memo.report.min_margin)
+        u_new = memo.solve(rhs)
         if not np.all(np.isfinite(u_new)):
             raise SolverError("policy system solve returned non-finite values")
         new_policy, best_vals, best_idx = _improve(u_new, controls, intervention, band, reward,
@@ -362,23 +356,23 @@ def _policy_iteration(u_start, rhs_base, time_weight, epsilon, controls,
             f"policy iteration hit MAX_ITERS={MAX_ITERS} at t index {time_index}",
             history=diag.updates,
         )
-    diag.policy = policy
-    return u, diag, best_vals
+    return u, policy, diag, best_vals
 
 
 def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band,
                 epsilon, intervention, time_index, where,
-                memo) -> tuple[np.ndarray, TimestepDiagnostics]:
-    """Solve one system of penalty equations (a timestep or the stationary
-    equations) by policy iteration from ``u_start``, then gate the result on
-    the pointwise :func:`residual`; ``band`` is the :func:`_control_band`, and
-    the step evaluates the running reward once, as its :func:`_reward_block`.
-    Policy systems go through the :class:`SystemMemo` ``memo``."""
+                memo) -> tuple[np.ndarray, PenaltyPolicy, TimestepDiagnostics]:
+    """(u, policy, diagnostics) of one system of penalty equations (a
+    timestep or the stationary equations), solved by policy iteration from
+    ``u_start`` and gated on the pointwise :func:`residual`; ``band`` is the
+    :func:`_control_band`, and the step evaluates the running reward once,
+    as its :func:`_reward_block`.  Policy systems go through the
+    :class:`SystemMemo` ``memo``."""
     _require_epsilon(epsilon)
     reward = _reward_block(t, grid, problem, controls, band)
     # Given None, policy iteration and the gate each build the table at t,
     # the first freed before the second: one alive at a time.
-    u, diag, best = _policy_iteration(
+    u, policy, diag, best = _policy_iteration(
         u_start, rhs_base, time_weight, epsilon, controls,
         InterventionTable(problem, grid, controls, t) if intervention is None else intervention,
         band, reward, time_index, memo)
@@ -392,15 +386,16 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band
             f"RESIDUAL_TOL {RESIDUAL_TOL:.3g}",
             history=diag.updates,
         )
-    return u, diag
+    return u, policy, diag
 
 
-def penalty_timestep(u_next, t, grid, problem, controls, band, epsilon,
-                     intervention=None, memo=None) -> tuple[np.ndarray, TimestepDiagnostics]:
-    """One implicit timestep by policy iteration, its residual at most
-    ``RESIDUAL_TOL``; ``band`` is the :func:`_control_band`.  A solve passes
-    every step the same :class:`SystemMemo`, so that a step whose system
-    repeats the one before reuses it; None gives the step its own."""
+def penalty_timestep(u_next, t, grid, problem, controls, band, epsilon, intervention=None,
+                     memo=None) -> tuple[np.ndarray, PenaltyPolicy, TimestepDiagnostics]:
+    """(u^n, policy, diagnostics) of one implicit timestep by policy
+    iteration, its residual at most ``RESIDUAL_TOL``; ``band`` is the
+    :func:`_control_band`.  A solve passes every step the same
+    :class:`SystemMemo`, so that a step whose system repeats the one before
+    reuses it; None gives the step its own."""
     u_next = np.asarray(u_next, dtype=float)
     return _solve_step(u_next, u_next / grid.dt, 1.0 / grid.dt, t, grid, problem, controls,
                        band, epsilon, intervention, time_index=int(round(t / grid.dt)),
@@ -422,10 +417,10 @@ def solve_finite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
     memo = SystemMemo()
 
     def step(u_next, n):
-        u, step_diag = penalty_timestep(u_next, n * grid.dt, grid, problem, controls, band,
-                                        epsilon, memo=memo)
+        u, policy, step_diag = penalty_timestep(u_next, n * grid.dt, grid, problem, controls,
+                                                band, epsilon, memo=memo)
         diagnostics.record_step(step_diag)
-        return u, step_diag.policy
+        return u, policy
 
     surface, policies = backward_induction(
         grid, eval_on(problem.terminal_reward, grid.nodes), step)
@@ -444,13 +439,13 @@ def solve_infinite_horizon(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     zeros = np.zeros(grid.n_nodes)
     band = _control_band(grid, problem, controls)
-    u, step_diag = _solve_step(zeros, zeros, problem.discount, 0.0, grid, problem, controls,
-                               band, epsilon, None, time_index=0, where="stationary solve",
-                               memo=SystemMemo())
+    u, policy, step_diag = _solve_step(zeros, zeros, problem.discount, 0.0, grid, problem,
+                                       controls, band, epsilon, None, time_index=0,
+                                       where="stationary solve", memo=SystemMemo())
     diagnostics = SolveDiagnostics(control_rows=band.index.shape[0])
     diagnostics.record_step(step_diag)
     return Solution(grid=grid, scheme="penalty", surface=u[np.newaxis, :],
-                    policies=[step_diag.policy], diagnostics=diagnostics, epsilon=epsilon)
+                    policies=[policy], diagnostics=diagnostics, epsilon=epsilon)
 
 
 def monotonicity_row(problem, grid, controls, epsilon, t):

@@ -60,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import SolverError
-from .grid import BOUNDARY_REFINED, UNIFORM, SpaceTimeGrid
+from .grid import BOUNDARY_REFINED, GROWING_Q, UNIFORM, SpaceTimeGrid
 from .matrices import analyze_matrix, factorise
 from .operators import (
     DiscreteControls,
@@ -220,15 +220,16 @@ def overstep_threshold(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     Boundary-refined grids: the outer cell width c_b rho**(3/4) must beat the
     maximal step |drift| c_t rho, giving rho <= (c_b / (|drift| c_t))**4.
-    Uniform grids: the margin is the rho-proportional cell itself, so the
-    answer is all rho or none depending on whether |drift| c_t <= c_x.
+    Uniform and growing_q grids, whose spacing is c_x rho: the margin is the
+    rho-proportional cell itself, so the answer is all rho or none
+    depending on whether |drift| c_t <= c_x.
     """
     mu_max = norm_drift(problem, grid, controls)
     if mu_max == 0.0:
         return np.inf
     if grid.mode == BOUNDARY_REFINED:
         return (grid.c_b / (mu_max * grid.c_t)) ** 4
-    if grid.mode == UNIFORM:
+    if grid.mode in (UNIFORM, GROWING_Q):
         return np.inf if mu_max * grid.c_t <= grid.c_x else 0.0
     raise ValueError(f"no overstep threshold for grid mode {grid.mode!r}")
 

@@ -62,7 +62,6 @@ class TimestepDiagnostics:
     updates: list[float] = field(default_factory=list)
     final_residual: float = 0.0
     min_dominance_margin: float = np.inf
-    policy: "PenaltyPolicy | None" = None
 
 
 @dataclass

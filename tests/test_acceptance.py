@@ -318,12 +318,12 @@ def test_criterion_7_monotonicity(corpus, monkeypatch):
             penalty_mod.monotonicity_row(advection, adv_grid, adv_controls, epsilon=0.25, t=0.0),
             adv_grid, seed=SEED)
 
-    ok = (pen_report.violations == 0 and sl_report.violations == 0
-          and clean_adv.violations == 0 and mutant.violations >= 1)
+    ok = (pen_report.value == 0 and sl_report.value == 0
+          and clean_adv.value == 0 and mutant.value >= 1)
     conclude("criterion 7 (monotonicity)", ok,
-             f"clean violations penalty {pen_report.violations}/100, "
-             f"sl {sl_report.violations}/100, advection {clean_adv.violations}/100; "
-             f"flipped-upwind mutant detected {mutant.violations} violations")
+             f"clean violations penalty {pen_report.value:.0f}/100, "
+             f"sl {sl_report.value:.0f}/100, advection {clean_adv.value:.0f}/100; "
+             f"flipped-upwind mutant detected {mutant.value:.0f} violations")
 
 
 def test_criterion_8_residual_oracle(corpus):

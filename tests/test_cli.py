@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
@@ -243,13 +244,16 @@ class TestConfigErrors:
         (MINIMAL + "solver: {epsilon: 0.1}\n", ["solve"]),
         (HEAT_STUDY.replace("t: [0.0, 1.0]", "t: [5.0, 6.0]"), ["study"]),
         (DISCOUNTED_CASH + "study:\n  window: {t: [0.5, 1.0], x: [-2.0, 2.0]}\n", ["study"]),
+        (MINIMAL + "checks: [monotonicity]\nseed: -1\n", ["solve", "--check"]),
+        (MINIMAL + "checks: [monotonicity]\nseed: -1\n", ["study"]),
     ], ids=["study-levels", "levels-flag", "grid-N", "grid-N-fraction", "seed",
             "solver-tol", "solver-max-iters", "solver-residual-tol-nan", "solver-tol-inf",
             "solver-c-eps-inf", "solver-c-eps-nan", "solver-epsilon-inf", "solver-epsilon-nan",
             "solver-epsilon-zero", "grid-Q-inf", "problem-param-nan", "study-epsilon",
             "study-window-nan", "study-window-reversed", "problem-param-list",
             "problem-param-bool", "semilagrangian-epsilon", "penalty-epsilon",
-            "study-window-empty", "study-window-discounted-t"])
+            "study-window-empty", "study-window-discounted-t", "seed-negative-solve",
+            "seed-negative-study"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, text, args):
         config = write_config(tmp_path, text)
         command, *flags = args
@@ -258,6 +262,14 @@ class TestConfigErrors:
         assert status == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_output_that_is_no_path_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # Without --out the run writes to the config's output: nothing is written.
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, MINIMAL + "output: 5\n")
+        assert cli.main(["solve", "--config", str(config)]) == 2
+        assert "output must be a directory path, got 5" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [config.name]
 
     @pytest.mark.parametrize("key", ["tol", "max_iters", "residual_tol"])
     def test_policy_iteration_limits_are_unknown_keys(self, tmp_path, capsys, key):
@@ -467,12 +479,34 @@ class TestRunStudy:
         assert [[c["name"] for c in lv["checks"]] for lv in report["study"]["levels"]] == [
             ["stability_bound", "monotonicity"]] * 2
         # A violation at each level fails the study under the level's name.
-        monkeypatch.setattr(harness, "check_monotonicity",
-                            lambda *args: harness.MonotonicityReport(violations=1))
+        monkeypatch.setattr(harness, "check_monotonicity", lambda *args: harness.PropertyCheck(
+            "monotonicity", False, value=1.0, witness="trial 0, node 2"))
         assert cli.run(spec, mode="study", out_dir=tmp_path / "failed", levels=2) == 1
         report = json.loads((tmp_path / "failed" / "report.json").read_text())
-        assert [f["name"] for f in report["failures"]] == [
-            "level0:monotonicity", "level1:monotonicity"]
+        assert [(f["name"], f["witness"]) for f in report["failures"]] == [
+            ("level0:monotonicity", "trial 0, node 2"), ("level1:monotonicity", "trial 0, node 2")]
+
+    def test_failing_monotonicity_keeps_its_witness(self, tmp_path, monkeypatch):
+        # A penalty row that rises with u_{j+1} at node 3 only: the failure in
+        # report.json names the node of the first violating trial.
+        row = harness.penalty_mod.monotonicity_row
+
+        def mutated_row(problem, grid, *args):
+            clean = row(problem, grid, *args)
+
+            def mutated(j, u_n, u_next, obstacle_value):
+                value = clean(j, u_n, u_next, obstacle_value)
+                return value + 1e3 * u_n[grid.offset(j) + 1] if j == 3 else value
+            return mutated
+
+        monkeypatch.setattr(harness.penalty_mod, "monotonicity_row", mutated_row)
+        spec = cli.parse_config(write_config(tmp_path, DISCOUNTED_CASH))
+        assert cli.run(spec, mode="solve", out_dir=tmp_path / "out", check=True) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        [failure] = report["failures"]
+        assert failure["name"] == "monotonicity" and failure["value"] >= 1
+        assert re.fullmatch(r"trial \d+, node 3: row \S+ at u above \S+ at w <= u "
+                            r"\(gap \S+\)", failure["witness"])
 
     def test_ios_study_reports_zero_oversteps(self, tmp_path):
         spec = cli.parse_config(CONFIGS / "cash_ios_study.yaml")

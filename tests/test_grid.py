@@ -136,6 +136,27 @@ class TestStationaryGrid:
             build_boundary_refined_grid(Q=2, rho=0.1, c_b=1.0, N=N, T=T)
 
 
+@pytest.mark.parametrize("build, name, value", [
+    (lambda v: build_uniform_grid(Q=4, M=10, N=v, T=1.0), "N", 2.5),
+    (lambda v: build_uniform_grid(Q=4, M=v, N=10, T=1.0), "M", 2.5),
+    (lambda v: build_uniform_grid(Q=4, M=10, N=v, T=1.0), "N", True),
+    (lambda v: build_uniform_grid(Q=4, M=v, N=10, T=1.0), "M", True),
+    (lambda v: build_uniform_grid(Q=4, M=10, N=v), "N", False),
+    (lambda v: build_boundary_refined_grid(Q=4, rho=0.1, c_b=1.0, N=v, T=1.0), "N", 2.5),
+    (lambda v: build_boundary_refined_grid(Q=4, rho=0.1, c_b=1.0, N=v, T=1.0), "N", True),
+])
+def test_fractional_or_bool_counts_rejected(build, name, value):
+    # N = 2.5 would build N = 2 steps of dt = 0.5 while c_t * rho read 0.4,
+    # and grid_for_level would scale that wrong c_t.
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        build(value)
+
+
+def test_whole_float_counts_build_the_integer_grid():
+    assert grids_equal(build_uniform_grid(Q=4, M=10.0, N=4.0, T=1.0),
+                       build_uniform_grid(Q=4, M=10, N=4, T=1.0))
+
+
 class TestNodeInvariants:
     @pytest.mark.parametrize("make_grid", [
         lambda: build_uniform_grid(Q=3, M=7, N=5, T=2),

@@ -232,19 +232,19 @@ class TestMonotonicity:
     def test_penalty_row_clean(self):
         row = penalty_mod.monotonicity_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
         report = check_monotonicity(row, self.grid, seed=7)
-        assert report.violations == 0
+        assert report.value == 0
 
     def test_penalty_row_clean_on_heat(self):
         problem = builtin("heat")
         grid = build_uniform_grid(Q=4, M=16, N=8, T=1)
         controls = discretize_controls(problem, grid.rho)
         row = penalty_mod.monotonicity_row(problem, grid, controls, 0.25, t=0.0)
-        assert check_monotonicity(row, grid, seed=7).violations == 0
+        assert check_monotonicity(row, grid, seed=7).value == 0
 
     def test_semilagrangian_row_clean(self):
         row = semilag_mod.monotonicity_row(self.problem, self.grid, self.controls, t=0.0)
         report = check_monotonicity(row, self.grid, seed=7)
-        assert report.violations == 0
+        assert report.value == 0
 
     def test_flipped_matrix_detected_on_semilagrangian_row(self, monkeypatch):
         # The row reads the solve's A: with A's lower off-diagonals negated,
@@ -252,12 +252,12 @@ class TestMonotonicity:
         p, g, c = self.problem, self.grid, self.controls
         A = assemble_A(g, p, c)
         clean = semilag_mod.monotonicity_row(p, g, c, t=0.0)
-        assert check_monotonicity(clean, g, seed=7).violations == 0
+        assert check_monotonicity(clean, g, seed=7).value == 0
         monkeypatch.setattr(semilag_mod, "assemble_A",
                             lambda *args: (A - 2.0 * sp.tril(A, k=-1)).tocsr())
         mutant = semilag_mod.monotonicity_row(p, g, c, t=0.0)
         report = check_monotonicity(mutant, g, seed=7)
-        assert report.violations >= 1 and report.witness is not None
+        assert report.value >= 1 and report.witness is not None
 
     def test_hand_pair_single_bump(self):
         row = penalty_mod.monotonicity_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
@@ -274,7 +274,7 @@ class TestMonotonicity:
         row = penalty_mod.monotonicity_row(self.problem, self.grid, self.controls, 0.25, t=0.0)
         a = check_monotonicity(row, self.grid, seed=3)
         b = check_monotonicity(row, self.grid, seed=3)
-        assert (a.violations, a.witness) == (b.violations, b.witness)
+        assert a == b
 
     def test_flipped_upwind_detected_on_advection(self, monkeypatch):
         # Pure advection keeps the diffusion term from masking the broken
@@ -296,12 +296,12 @@ class TestMonotonicity:
         controls = discretize_controls(problem, rho=1.0)
 
         clean = penalty_mod.monotonicity_row(problem, grid, controls, 0.25, t=0.0)
-        assert check_monotonicity(clean, grid, seed=11).violations == 0
+        assert check_monotonicity(clean, grid, seed=11).value == 0
 
         monkeypatch.setattr(penalty_mod, "generator_band", flipped_upwind_band)
         mutant = penalty_mod.monotonicity_row(problem, grid, controls, 0.25, t=0.0)
         report = check_monotonicity(mutant, grid, seed=11)
-        assert report.violations >= 1
+        assert report.value >= 1
         assert report.witness is not None
         # The system assembled from the same mutant loses the M-matrix structure.
         n = grid.n_nodes

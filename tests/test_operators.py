@@ -740,7 +740,7 @@ class TestResetLayout:
             a, b = reset.apply(u), block.apply(u)
             bound = layout_bound(u, g.nodes, reset._z, c0, lam)
             assert np.abs(a.values - b.values).max() <= bound
-            values = block.costs.reshape(block._impulse_grid.shape) + block.interp(u)
+            values = block.costs + block.interp(u)
             clear = top_two_gap(values) > bound
             assert np.array_equal(a.impulses[clear], b.impulses[clear])
             # Every impulse is a candidate, and its value is that candidate's.
@@ -772,13 +772,15 @@ class TestResetLayout:
         g = self.GRIDS[0]
         assert p.reset_cost is None
         table = InterventionTable(p, g, discretize_controls(p, g.rho), 0.0)
-        assert table._reset is None and table.costs.size == table._impulse_grid.size
+        assert table._reset is None and table.offsets is None
+        assert table.costs.shape == table._impulse_grid.shape
 
     def test_bounds_that_vary_with_x_take_the_block_layout(self):
         p = reset_problem(2.0, 0.5, impulse_bounds=lambda t, x: (-1.0 - 0.1 * np.abs(x), 1.0))
         g = self.GRIDS[0]
         table = InterventionTable(p, g, discretize_controls(p, g.rho), 0.0)
-        assert table._reset is None and table.costs.size == table._impulse_grid.size
+        assert table._reset is None and table.offsets is None
+        assert table.costs.shape == table._impulse_grid.shape
 
     def test_ties_go_to_the_smallest_impulse(self):
         g = build_uniform_grid(Q=2, M=8, N=1, T=1)

@@ -45,10 +45,12 @@ def operands(problem, grid, controls, t):
 
 
 def timestep_system(policy, idx, u_next, grid, epsilon, operator, band, reward):
-    """The finite-horizon policy system: time weight 1/dt, source u^{n+1}/dt;
-    ``idx`` holds each node's control index."""
-    return _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt, epsilon, operator,
-                     band, reward, idx, SystemMemo())
+    """(matrix, rhs) of the finite-horizon policy system: time weight 1/dt,
+    source u^{n+1}/dt; ``idx`` holds each node's control index."""
+    memo = SystemMemo()
+    rhs = _assemble(policy, np.asarray(u_next) / grid.dt, 1.0 / grid.dt, epsilon, operator,
+                    band, reward, idx, memo)
+    return memo.matrix, rhs
 
 
 def gate_residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon):
@@ -153,9 +155,9 @@ class TestAssemblePolicySystem:
                                intervene=np.zeros(n, dtype=bool),
                                impulses=np.full(n, np.nan))
         band, reward, table = operands(p, g, c, 0.0)
-        system = timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, 0.25, table,
-                                 band, reward)
-        dense = system.matrix.toarray()
+        matrix, _ = timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, 0.25, table,
+                                    band, reward)
+        dense = matrix.toarray()
         dx, dt = 0.5, 0.25
         for i in range(1, n - 1):
             assert dense[i, i] == pytest.approx(1 / dt + 1.0 / dx ** 2)
@@ -179,9 +181,9 @@ class TestAssemblePolicySystem:
                                impulses=impulses)
         eps = 0.2
         band, reward, table = operands(p, g, c, 0.0)
-        system = timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, eps, table,
-                                 band, reward)
-        dense = system.matrix.toarray()
+        matrix, _ = timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, eps, table,
+                                    band, reward)
+        dense = matrix.toarray()
         row = g.offset(-2)
         assert dense[row, g.offset(2)] == pytest.approx(-1 / eps)
         assert dense[row, row] == pytest.approx(1 / g.dt + 1 / eps + 1 / 0.5 ** 2)
@@ -196,8 +198,8 @@ class TestAssemblePolicySystem:
         band, reward, table = operands(p, g, c, (g.N - 1) * g.dt)
         policy, _, idx = _improve(u, c, table, band, reward)
         assert policy.intervene.any()
-        system = timestep_system(policy, idx, u, g, 0.25, table, band, reward)
-        report = analyze_matrix(system.matrix)
+        matrix, _ = timestep_system(policy, idx, u, g, 0.25, table, band, reward)
+        report = analyze_matrix(matrix)
         assert report.passed
         assert report.sign_pattern_ok and report.wcdd_ok
 
@@ -239,11 +241,11 @@ class TestAssemblePolicySystem:
         policy, _, idx = _improve(u, c, table, band, reward)
         assert policy.intervene.any()
         calls.update(shift=0, cost=0)
-        system = timestep_system(policy, idx, u, g, 0.25, table, band, reward)
+        matrix, _ = timestep_system(policy, idx, u, g, 0.25, table, band, reward)
         assert calls == {"shift": 0, "cost": 0}
         fresh = InterventionTable(p, g, c, t)
-        assert np.array_equal(system.matrix.toarray(), timestep_system(
-            policy, idx, u, g, 0.25, fresh, band, reward).matrix.toarray())
+        assert np.array_equal(matrix.toarray(), timestep_system(
+            policy, idx, u, g, 0.25, fresh, band, reward)[0].toarray())
 
 
 class TestAssembledSystemMatchesResidual:
@@ -277,10 +279,10 @@ class TestAssembledSystemMatchesResidual:
             u_next = rng.normal(size=grid.n_nodes)
             operator = FrozenObstacle(rng.normal(size=grid.n_nodes)) if frozen else table
             policy, best, idx = _improve(u, c, operator, band, reward)
-            system = timestep_system(policy, idx, u_next, grid, eps, operator, band, reward)
+            matrix, rhs = timestep_system(policy, idx, u_next, grid, eps, operator, band, reward)
             res = residual(u, u_next / grid.dt, 1 / grid.dt, best, operator.apply(u).values,
                            eps)
-            gap = np.abs(system.matrix @ u - system.rhs - res).max()
+            gap = np.abs(matrix @ u - rhs - res).max()
             assert gap <= 1e-12 * np.abs(res).max()
 
             rows = np.flatnonzero(policy.intervene)
@@ -289,8 +291,8 @@ class TestAssembledSystemMatchesResidual:
                 free = PenaltyPolicy(controls=policy.controls,
                                      intervene=np.zeros(grid.n_nodes, dtype=bool),
                                      impulses=policy.impulses)
-                extra = (system.matrix - timestep_system(
-                    free, idx, u_next, grid, eps, operator, band, reward).matrix).toarray()
+                extra = (matrix - timestep_system(
+                    free, idx, u_next, grid, eps, operator, band, reward)[0]).toarray()
                 np.fill_diagonal(extra, 0.0)
                 assert rows.size > 0 and not extra.any()
             else:
@@ -369,7 +371,8 @@ class TestPenaltyTimestep:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u_next = np.full(g.n_nodes, 5.0)
-        u, diag = penalty_timestep(u_next, 0.5, g, p, c, _control_band(g, p, c), epsilon=0.125)
+        u, _, diag = penalty_timestep(u_next, 0.5, g, p, c, _control_band(g, p, c),
+                                      epsilon=0.125)
         assert np.allclose(u, u_next, atol=1e-12)
         assert diag.iterations == 1
 
@@ -382,7 +385,7 @@ class TestPenaltyTimestep:
         c = discretize_controls(p, g.rho)
         u_next = terminal_values(p, g)
         t = (g.N - 1) * g.dt
-        u, _ = penalty_timestep(u_next, t, g, p, c, _control_band(g, p, c), epsilon=0.05)
+        u, _, _ = penalty_timestep(u_next, t, g, p, c, _control_band(g, p, c), epsilon=0.05)
         window = np.abs(g.nodes) <= 2.0
         oracle = np.exp(-0.5 * g.dt) * np.sin(g.nodes[window])
         assert np.abs(u[window] - oracle).max() <= g.rho
@@ -393,7 +396,8 @@ class TestPenaltyTimestep:
         c = discretize_controls(p, g.rho)
         u_next = terminal_values(p, g)
         eps = 0.25
-        u, diag = penalty_timestep(u_next, (g.N - 1) * g.dt, g, p, c, _control_band(g, p, c), eps)
+        u, _, diag = penalty_timestep(u_next, (g.N - 1) * g.dt, g, p, c, _control_band(g, p, c),
+                                      eps)
         assert diag.final_residual <= 1e-8
         r = gate_residual(u, u_next / g.dt, 1 / g.dt, (g.N - 1) * g.dt, g, p, c, eps)
         assert np.abs(r).max() <= 1e-8
@@ -496,7 +500,7 @@ class TestSolveFiniteHorizon:
         assert check_solution_matrices(sol).passed
         assert sol.diagnostics.matrix_systems_checked == sum(
             s.iterations for s in sol.diagnostics.timesteps)
-        assert any(s.policy.intervene.any() for s in sol.diagnostics.timesteps)
+        assert any(policy.intervene.any() for policy in sol.policies[:-1])
 
 
 class TestSolveInfiniteHorizon:
@@ -673,9 +677,8 @@ def solve_record(sol):
     """Everything a finite-horizon penalty (or IOS) solve returns, as
     comparable values."""
     d = sol.diagnostics
-    steps = [(s.time_index, s.iterations, s.updates, s.final_residual, s.min_dominance_margin,
-              s.policy.controls.tobytes(), s.policy.intervene.tobytes(),
-              s.policy.impulses.tobytes()) for s in d.timesteps]
+    steps = [(s.time_index, s.iterations, s.updates, s.final_residual, s.min_dominance_margin)
+             for s in d.timesteps]
     policies = [None if p is None else (p.controls.tobytes(), p.intervene.tobytes(),
                                         p.impulses.tobytes()) for p in sol.policies]
     return (sol.surface.tobytes(), policies, steps, d.matrix_systems_checked,
@@ -795,14 +798,15 @@ class TestSystemMemo:
         policy, rhs_base, weight, eps, table, band, reward, idx = step_operands(
             p, build_uniform_grid(Q=4, M=40, N=30, T=p.horizon))
         memo = SystemMemo()
-        kept = _assemble(policy, rhs_base, weight, eps, table, band, reward, idx, memo)
+        kept_rhs = _assemble(policy, rhs_base, weight, eps, table, band, reward, idx, memo)
+        kept_matrix, kept_report = memo.matrix, memo.report
         analyze = penalty_mod.analyze_matrix
         monkeypatch.setattr(penalty_mod, "analyze_matrix",
                             lambda m: replace(analyze(m), sign_pattern_ok=False, witness="patched"))
         # The same operands: the kept matrix and report, not checked again.
-        again = _assemble(policy, rhs_base, weight, eps, table, band, reward, idx, memo)
-        assert again.matrix is kept.matrix and again.report is kept.report
-        assert np.array_equal(again.rhs, kept.rhs)
+        again_rhs = _assemble(policy, rhs_base, weight, eps, table, band, reward, idx, memo)
+        assert memo.matrix is kept_matrix and memo.report is kept_report
+        assert np.array_equal(again_rhs, kept_rhs)
 
         # Each change is the smallest one: one ulp, or one index.
         if change == "time weight":

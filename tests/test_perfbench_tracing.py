@@ -9,6 +9,7 @@ module is compiled from its source, and no bytecode is written beside it.
 
 import importlib
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,20 @@ def test_traced_table_sizes_its_arrays(tracing):
         operators.InterventionTable(problem, grid,
                                     operators.discretize_controls(problem, grid.rho), 0.0)
     assert tracer.counters["unit"]["operators.intervention_table.bytes"] > 0
+
+
+def test_traced_block_layout_table_sizes_its_arrays(tracing):
+    # Cash through an undeclared reset shift builds the block layout, whose
+    # nodes x K cost block the tracer sizes with the rest.
+    modules = tracing.load_modules()
+    tracer = tracing.Tracer()
+    cash = builtin("cash")
+    problem = replace(cash, impulse_shift=lambda t, x, z: cash.impulse_shift(t, x, z))
+    grid = build_uniform_grid(Q=4, M=4, N=3, T=3)
+    with tracer.installed("unit", modules):
+        operators = modules["operators"]
+        table = operators.InterventionTable(problem, grid,
+                                            operators.discretize_controls(problem, grid.rho), 0.0)
+    assert table._reset is None and table.costs.shape == table._impulse_grid.shape
+    assert tracer.counters["unit"]["operators.intervention_table.bytes"] >= (
+        table.costs.nbytes + table._impulse_grid.nbytes)

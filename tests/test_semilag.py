@@ -9,7 +9,7 @@ from scipy.sparse.linalg import spsolve
 
 from hjbqvi import cli, semilag
 from hjbqvi.exceptions import SolverError
-from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
+from hjbqvi.grid import as_growing_q, build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import Window, check_solution_matrices, check_stability_bound, sup_error
 from hjbqvi.matrices import analyze_matrix, factorise
 from hjbqvi.operators import InterventionTable, Interpolant, discretize_controls, interp_weights
@@ -264,10 +264,11 @@ class TestThomasSolve:
         band = _control_band(grid, problem, c)
         reward = _reward_block(t, grid, problem, c, band)
         rows = c.controls[np.broadcast_to(band.index, reward.shape)]
-        system = _assemble(policy, sol.surface[n + 1] / grid.dt, 1.0 / grid.dt, sol.epsilon,
-                           InterventionTable(problem, grid, c, t), band, reward,
-                           (rows == policy.controls).argmax(axis=0), SystemMemo())
-        return system.matrix, system.rhs
+        memo = SystemMemo()
+        rhs = _assemble(policy, sol.surface[n + 1] / grid.dt, 1.0 / grid.dt, sol.epsilon,
+                        InterventionTable(problem, grid, c, t), band, reward,
+                        (rows == policy.controls).argmax(axis=0), memo)
+        return memo.matrix, rhs
 
     def test_reused_factor_matches_spsolve_bit_for_bit(self):
         # factorise(A) factors A^T as spsolve does for a CSR matrix, so a
@@ -623,6 +624,18 @@ class TestOverstepping:
         g = build_boundary_refined_grid(Q=4, rho=0.1, c_b=1.0, N=30, T=3)
         c = discretize_controls(p, g.rho)
         assert overstep_threshold(p, g, c) == pytest.approx((1.0 / (0.5 * g.c_t)) ** 4)
+
+    @pytest.mark.parametrize("N, threshold", [(30, np.inf), (1, 0.0)])
+    def test_growing_q_grid_takes_the_uniform_rule(self, N, threshold):
+        # growing_q spacing is c_x rho, as on a uniform grid: every rho when
+        # |drift| c_t <= c_x (0.125 <= 1 at N = 30), none otherwise (0.5 > 0.13
+        # at N = 1, where interior feet do leave [-Q, Q]).
+        p = builtin("cash")
+        g = as_growing_q(build_uniform_grid(Q=4, M=10, N=N, T=3))
+        c = discretize_controls(p, g.rho)
+        assert overstep_threshold(p, g, c) == threshold
+        sol = solve_semi_lagrangian(p, g, c)
+        assert (sol.diagnostics.interior_oversteps == 0) == (threshold == np.inf)
 
     def test_inward_drift_detected(self):
         pulled_in = drift_problem(lambda x, b: -x, diffusion=1.0)
