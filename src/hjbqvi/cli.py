@@ -405,6 +405,7 @@ def _cmd_validate(spec: RunSpec) -> int:
     for result in report.checks:
         print(result)
     print(f"lipschitz_estimate: {report.lipschitz_estimate:.6g}")
+    print(f"declarations: {', '.join(problem.declarations) or 'none'}")
     return 0 if report.passed else 1
 
 

@@ -35,7 +35,9 @@ v_k = interp(u, z_k), a maximum over a cone, which is two running maxima
 over z: the L1 case of the distance transform of sampled functions
 (Felzenszwalb & Huttenlocher, Theory of Computing 8, 2012).  A build costs
 O(n + K), one ``apply`` O(n + K), and the reuse check ``same_data_at``
-O(n): it compares the bounds and evaluates no callable.  The values are
+O(n): it compares the bounds and evaluates no callable, and with bounds
+declared to ignore t (``ProblemSpec.time_free_bounds``) it reads nothing
+and holds at every t.  The values are
 those of the block layout up to rounding, so an exact tie there may go to
 another candidate.
 
@@ -385,15 +387,18 @@ class InterventionTable(Interpolant):
         its upper bound, so they are the block's first and last columns)
         and, in the block layout, the shifts and costs of these candidates
         do too.  The bounds read is the one a build's ``impulse_values``
-        sample also makes (see :func:`problem.impulse_bounds_on`).  In the reset
-        layout that is the whole check, O(n): the declared shift and cost
-        do not depend on t.  In the block layout it adds one array call
+        sample also makes (see :func:`problem.impulse_bounds_on`); bounds
+        declared to ignore t (``ProblemSpec.time_free_bounds``) are equal
+        at every t and are not read.  In the reset layout that is the whole
+        check, O(n), or no work with such bounds: the declared shift and
+        cost do not depend on t.  In the block layout it adds one array call
         each for the costs and shifts at t, compared with the kept blocks.
         """
         problem, nodes, zs = self._problem, self._nodes, self._impulse_grid
-        lo, hi = _nonempty_bounds_on(problem, t, nodes)
-        if not (np.array_equal(lo, zs[:, 0]) and np.array_equal(hi, zs[:, -1])):
-            return False
+        if problem.time_free_bounds is None:
+            lo, hi = _nonempty_bounds_on(problem, t, nodes)
+            if not (np.array_equal(lo, zs[:, 0]) and np.array_equal(hi, zs[:, -1])):
+                return False
         if self._reset is not None:
             return True
         x_col = nodes[:, np.newaxis]

@@ -19,7 +19,10 @@ control argmax reads, one row per control it maximises over at each node,
 is the same at every step and every policy iteration: a caller builds it
 once (:func:`_control_band`) and passes it down as ``band``.  The running
 reward f(t, x, b) is fixed within a step, so a step evaluates it once on
-the same rows (``reward``).  Each assembled system reads, at node j, the
+the same rows (``reward``, the step's :func:`_reward_block`); a reward
+declared to ignore t (``ProblemSpec.time_free_reward``, as in every
+builtin) is evaluated once per solve, with the band, and every step reads
+those rows.  Each assembled system reads, at node j, the
 row of the band and of the reward block that the argmax chose, so the
 systems and the argmax read the same numbers.  The band keeps every
 sampled control, or, when the reward ignores b
@@ -121,11 +124,15 @@ class ControlBand:
     in :class:`semilag.FootPoints` (a column of every row for the full
     sample); ``parts`` is the band (lower, diag, upper) of
     :func:`generator_band` on those rows, read-only, so that a
-    :class:`SystemMemo` may compare a band by identity.
+    :class:`SystemMemo` may compare a band by identity.  ``reward`` is the
+    running reward on those rows (rows x nodes, read-only) when it is
+    declared to ignore t (``ProblemSpec.time_free_reward``), else None:
+    :func:`_reward_block` returns it at every t.
     """
 
     index: np.ndarray
     parts: tuple
+    reward: np.ndarray | None
 
 
 class SystemMemo:
@@ -180,7 +187,8 @@ def _control_band(grid, problem, controls) -> ControlBand:
     (``ProblemSpec.separable_reward``) and the diffusion rows are equal,
     compared exactly: then each node's :func:`operators.candidate_rows` of
     the drift's sign and value, where those exist.  Each kept row equals
-    that control's row of the full band bit for bit.
+    that control's row of the full band bit for bit.  A reward declared to
+    ignore t is evaluated here, once, on the kept rows.
     """
     nodes, column = grid.nodes, controls.controls[:, np.newaxis]
     drift = eval_on(problem.drift, nodes, column)
@@ -194,12 +202,19 @@ def _control_band(grid, problem, controls) -> ControlBand:
                            np.take_along_axis(sigma, index, 0) ** 2)
     for part in parts:
         part.flags.writeable = False
-    return ControlBand(index=index, parts=parts)
+    reward = None
+    if problem.time_free_reward is not None:
+        # Any t gives these values; eval_on's result is a read-only view.
+        reward = eval_on(problem.running_reward, 0.0, nodes, controls.controls[index])
+    return ControlBand(index=index, parts=parts, reward=reward)
 
 
 def _reward_block(t, grid, problem, controls, band):
     """f(t, x_j, b) with one row per control of the :class:`ControlBand`
-    ``band`` (its rows x nodes)."""
+    ``band`` (its rows x nodes): the band's ``reward`` when it keeps the
+    time-free rows, else evaluated at t."""
+    if band.reward is not None:
+        return band.reward
     return eval_on(problem.running_reward, t, grid.nodes, controls.controls[band.index])
 
 
@@ -365,8 +380,8 @@ def _solve_step(u_start, rhs_base, time_weight, t, grid, problem, controls, band
     """(u, policy, diagnostics) of one system of penalty equations (a
     timestep or the stationary equations), solved by policy iteration from
     ``u_start`` and gated on the pointwise :func:`residual`; ``band`` is the
-    :func:`_control_band`, and the step evaluates the running reward once,
-    as its :func:`_reward_block`.  Policy systems go through the
+    :func:`_control_band`, and the step reads the running reward once, as
+    its :func:`_reward_block`.  Policy systems go through the
     :class:`SystemMemo` ``memo``."""
     _require_epsilon(epsilon)
     reward = _reward_block(t, grid, problem, controls, band)

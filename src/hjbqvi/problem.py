@@ -41,9 +41,18 @@ disagree with the values the solvers would otherwise evaluate:
   scheme, the diffusion) allows it, checked on the values, both control
   maxima then read only each node's :func:`operators.candidate_rows`: 4 of
   the B controls for cash at every grid size.
+* a **coefficient that ignores t**: ``running_reward`` (or a
+  :class:`SeparableReward`'s ``state``) or ``impulse_bounds`` is a
+  :class:`TimeFree`, read back as ``ProblemSpec.time_free_reward`` and
+  ``ProblemSpec.time_free_bounds``.  A solve then evaluates the reward
+  once, not once per step (:class:`penalty.ControlBand`,
+  :class:`semilag.FootPoints`), and a declared reset's jump table is
+  reused without reading the bounds again
+  (:meth:`operators.InterventionTable.same_data_at`).
 
-Undeclared problems keep the general paths: every impulse candidate and
-all B sampled controls.
+Undeclared problems keep the general paths: every impulse candidate, all
+B sampled controls, and the reward and impulse bounds read at every step.
+``ProblemSpec.declarations`` names the declarations a problem makes.
 """
 
 from __future__ import annotations
@@ -110,6 +119,10 @@ class ProblemSpec:
     ignore the control (see :class:`SeparableReward`): the penalty and the
     semi-Lagrangian control maxima may then read a few rows of the control
     sample only, each node's :func:`operators.candidate_rows`.
+    ``time_free_reward`` and ``time_free_bounds`` are the running reward and
+    the impulse bounds when they are declared to ignore t (see
+    :class:`TimeFree`): a solve then evaluates the reward once, not at
+    every step, and a reused jump table reads no bounds.
     """
 
     drift: Callable[[float, float], float]            # drift(x, b)
@@ -154,6 +167,47 @@ class ProblemSpec:
         """``running_reward`` when it is a :class:`SeparableReward`, else None."""
         reward = self.running_reward
         return reward if isinstance(reward, SeparableReward) else None
+
+    @property
+    def time_free_reward(self) -> Callable | None:
+        """``running_reward`` when it is a :class:`TimeFree`, or a
+        :class:`SeparableReward` whose ``state`` is one, else None."""
+        reward = self.running_reward
+        state = reward.state if isinstance(reward, SeparableReward) else reward
+        return reward if isinstance(state, TimeFree) else None
+
+    @property
+    def time_free_bounds(self) -> TimeFree | None:
+        """``impulse_bounds`` when it is a :class:`TimeFree`, else None."""
+        bounds = self.impulse_bounds
+        return bounds if isinstance(bounds, TimeFree) else None
+
+    @property
+    def declarations(self) -> tuple[str, ...]:
+        """The names of the declarations this problem makes, in a fixed order."""
+        read = {"reset": self.reset_cost, "separable reward": self.separable_reward,
+                "time-free reward": self.time_free_reward,
+                "time-free impulse bounds": self.time_free_bounds}
+        return tuple(name for name, value in read.items() if value is not None)
+
+
+@dataclass(frozen=True)
+class TimeFree:
+    """A coefficient of (t, ...) declared to ignore t: ``fn`` of the other
+    arguments.
+
+    Its values are those of ``fn``, so the declaration cannot be false.  A
+    solve evaluates a time-free running reward (or separable reward state)
+    once instead of at every step, and
+    :meth:`operators.InterventionTable.same_data_at` reads no time-free
+    impulse bounds.  The brute-force audits (:mod:`oracle`) evaluate both
+    wherever they read them, and so check the values a solve keeps.
+    """
+
+    fn: Callable
+
+    def __call__(self, t, *args):
+        return self.fn(*args)
 
 
 @dataclass(frozen=True)
@@ -406,7 +460,8 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
 
     ``heat`` and ``cash`` take their impulse callables from
     :func:`reset_impulse`, so they declare their resets.  ``cash``'s
-    reward is a :class:`SeparableReward`: it ignores b.
+    reward is a :class:`SeparableReward`: it ignores b.  Every builtin's
+    reward and impulse bounds are :class:`TimeFree`: they ignore t.
 
     Passing ``beta`` switches any of them to the stationary (discounted)
     problem; rewards of the builtins are time-independent, so this is valid.
@@ -419,11 +474,11 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
         return ProblemSpec(
             drift=lambda x, b: 0.0,
             diffusion=lambda x, b: 1.0,
-            running_reward=lambda t, x, b: 0.0,
+            running_reward=TimeFree(lambda x, b: 0.0),
             terminal_reward=lambda x: c + 0.0 * x,
             impulse_shift=lambda t, x, z: 0.0 * z,
             impulse_cost=lambda t, x, z: -1.0 + 0.0 * z,
-            impulse_bounds=lambda t, x: (0.0, 1.0),
+            impulse_bounds=TimeFree(lambda x: (0.0, 1.0)),
             control_bounds=(0.0, 0.0),
             exact=(lambda t, x: c + 0.0 * x) if finite else (lambda t, x: 0.0 * x),
             name="constant",
@@ -439,9 +494,9 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
         return ProblemSpec(
             drift=lambda x, b: 0.0,
             diffusion=lambda x, b: s + 0.0 * x,
-            running_reward=lambda t, x, b: 0.0,
+            running_reward=TimeFree(lambda x, b: 0.0),
             terminal_reward=np.sin,
-            impulse_bounds=lambda t, x: (-1.0, 1.0),
+            impulse_bounds=TimeFree(lambda x: (-1.0, 1.0)),
             control_bounds=(0.0, 0.0),
             exact=exact,
             name="heat",
@@ -458,10 +513,10 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
         if c0 < G:
             raise ValueError(f"cash problem needs c0 >= G for a terminal no-gain margin, got c0={c0} < G={G}")
 
-        def holding(t, x):
+        def holding(x):
             # -min(x^2, G), the running and the terminal reward.  On a float
             # the builtin min gives np.minimum's value at a fraction of its
-            # cost, which the audit's scalar loops pay per (t, x, b).
+            # cost, which the audit's scalar loops pay per (t, x).
             if isinstance(x, float):
                 return -min(x * x, G)
             return -np.minimum(x * x, G)
@@ -469,9 +524,9 @@ def builtin(name: str, params: dict | None = None) -> ProblemSpec:
         return ProblemSpec(
             drift=lambda x, b: b + 0.0 * x,
             diffusion=lambda x, b: s + 0.0 * x,
-            running_reward=SeparableReward(holding),
-            terminal_reward=lambda x: holding(0.0, x),
-            impulse_bounds=lambda t, x: (-1.0, 1.0),
+            running_reward=SeparableReward(TimeFree(holding)),
+            terminal_reward=holding,
+            impulse_bounds=TimeFree(lambda x: (-1.0, 1.0)),
             control_bounds=(-b_max, b_max),
             name="cash",
             **reset_impulse(c0, lam),

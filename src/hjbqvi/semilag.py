@@ -34,18 +34,21 @@ factorises A once per solve.
 
 drift(x, b) takes no t, so a solve also computes once what every step reads
 of the foot points (:class:`FootPoints`): each kept foot's interpolation
-cell and weights, and the overstep counts of every foot (the solve's are N
-times the feet's).  A step then does only the work that depends on u^{n+1}
-or on t: the continuation values, within about 2 ulps of ``np.interp``
-(exact on nodes and beyond [-Q, Q]), the running reward at t, the jump
-maximum, and the solve.
+cell and weights, the overstep counts of every foot (the solve's are N
+times the feet's), and, for a reward declared to ignore t
+(``ProblemSpec.time_free_reward``, as in every builtin), the reward on the
+kept rows times dt.  A step then does only the work that depends on
+u^{n+1}, or on t where the data do: the continuation values, within about
+2 ulps of ``np.interp`` (exact on nodes and beyond [-Q, Q]), the running
+reward at t unless the feet keep it, the jump maximum, and the solve.
 The jump table of a step is reused from the step before when the impulse
 data at its level equal those the table was built from
 (:meth:`InterventionTable.same_data_at`), so data that ignore t build one
 table per solve.  For a declared reset (``ProblemSpec.reset_cost``, as in
 ``cash`` and ``heat``) that check is an O(n) comparison of the impulse
-bounds; otherwise it evaluates the nodes x K costs and shifts at the new
-level.
+bounds, and no check at all when the bounds are declared to ignore t
+(``ProblemSpec.time_free_bounds``, as in every builtin); otherwise it
+evaluates the nodes x K costs and shifts at the new level.
 
 Foot points x_j + drift dt can leave [-Q, Q] on fixed-Q uniform grids; the
 interpolant then clamps and each step counts it as an overstep.  Grids with
@@ -114,8 +117,12 @@ class FootPoints(Interpolant):
     ``index`` holds the rows of ``points`` the interpolant keeps: every row
     (a column of row numbers), or, with ``candidates``, the H x nodes rows of
     :func:`operators.candidate_rows` when those exist.  The counts are of
-    every point.
+    every point.  ``reward_dt`` is the running reward times dt on the kept
+    rows when :func:`foot_points` holds it for a reward that ignores t, and
+    None otherwise.
     """
+
+    reward_dt = None
 
     def __init__(self, nodes: np.ndarray, points: np.ndarray, Q: float,
                  candidates: bool = False):
@@ -142,12 +149,18 @@ def foot_points(grid: SpaceTimeGrid, problem: ProblemSpec,
     When the reward ignores b (``ProblemSpec.separable_reward``), the feet
     keep only each node's :func:`operators.candidate_rows` where those
     exist; the overstep counts and ``inward_drift`` are of every foot.
+    When it ignores t (``ProblemSpec.time_free_reward``), the feet keep its
+    values on their rows times dt as ``reward_dt``, evaluated once here.
     """
     nodes = grid.nodes
     drift = eval_on(problem.drift, nodes, controls.controls[:, np.newaxis])
     feet = FootPoints(nodes, nodes + drift * grid.dt, grid.Q,
                       candidates=problem.separable_reward is not None)
     feet.inward_drift = bool(np.all(drift[:, 0] >= 0.0) and np.all(drift[:, -1] <= 0.0))
+    if problem.time_free_reward is not None:
+        # Any t gives these values.
+        feet.reward_dt = eval_on(problem.running_reward, 0.0, nodes,
+                                 controls.controls[feet.index]) * grid.dt
     return feet
 
 
@@ -155,10 +168,14 @@ def _continuation(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
                   controls: DiscreteControls, feet: FootPoints) -> np.ndarray:
     """Continuation values interp(u^{n+1}, foot) + f(t, x_j, b) dt on the
     rows of ``feet``, the :func:`foot_points`: the controls x nodes block,
-    or each node's candidate rows."""
+    or each node's candidate rows.  f dt is the feet's ``reward_dt`` when
+    they keep it, else evaluated at t."""
     values = feet.interp(u_next)
-    values += eval_on(problem.running_reward, t, grid.nodes,
-                      controls.controls[feet.index]) * grid.dt
+    reward_dt = feet.reward_dt
+    if reward_dt is None:
+        reward_dt = eval_on(problem.running_reward, t, grid.nodes,
+                            controls.controls[feet.index]) * grid.dt
+    values += reward_dt
     return values
 
 
@@ -241,7 +258,8 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
     sparse solve per timestep.  A step's jump table, at t + dt, is the
     previous step's when the impulse data there are the same.  The scheme
     has no penalty term, so the solution's ``epsilon`` is None; a declared
-    reset's reuse check compares the impulse bounds alone."""
+    reset's reuse check compares the impulse bounds alone, and reads
+    nothing when they are declared to ignore t."""
     require_time_axis(problem, grid)
     controls = controls or discretize_controls(problem, grid.rho)
     A = assemble_A(grid, problem, controls)

@@ -179,6 +179,25 @@ class TestRunSolve:
         config = write_config(tmp_path, MINIMAL)
         assert cli.main(["validate", "--config", str(config)]) == 0
 
+    @pytest.mark.parametrize("config, line", [
+        (MINIMAL, "time-free reward, time-free impulse bounds"),
+        (DISCOUNTED_CASH, "reset, separable reward, time-free reward, time-free impulse bounds"),
+        (HEAT_STUDY, "reset, time-free reward, time-free impulse bounds"),
+        ("undeclared", "none"),
+    ], ids=["constant", "cash", "heat", "undeclared"])
+    def test_validate_names_the_declarations(self, tmp_path, capsys, monkeypatch, config, line):
+        if config == "undeclared":
+            cash = builtin("cash", {"beta": 0.5})       # DISCOUNTED_CASH's problem
+            undeclared = replace(cash, running_reward=lambda t, x, b: cash.running_reward(t, x, b),
+                                 impulse_shift=lambda t, x, z: z - x,
+                                 impulse_bounds=lambda t, x: cash.impulse_bounds(t, x))
+            monkeypatch.setattr(cli, "build_problem", lambda spec: undeclared)
+            config = DISCOUNTED_CASH
+        assert cli.main(["validate", "--config", str(write_config(tmp_path, config))]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == f"declarations: {line}"
+        assert [row for row in out if row.startswith("declarations:")] == out[-1:]
+
     def test_discounted_solve_runs_stationary_checks(self, tmp_path):
         spec = cli.parse_config(write_config(tmp_path, DISCOUNTED_CASH))
         status = cli.run(spec, mode="solve", out_dir=tmp_path / "out", check=True)

@@ -27,7 +27,7 @@ from hjbqvi.matrices import analyze_matrix
 from hjbqvi.operators import InterventionTable, discretize_controls, generator_band
 from hjbqvi.oracle import brute_force_residual
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
-from hjbqvi.problem import ProblemSpec, builtin, uniform_sample
+from hjbqvi.problem import ProblemSpec, SeparableReward, TimeFree, builtin, uniform_sample
 from hjbqvi.semilag import assemble_A, solve_semi_lagrangian
 from hjbqvi.solution import PenaltyPolicy, SolverConfig
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -369,9 +369,11 @@ class TestSchemeRowsAtSolutions:
 
     def test_penalty_check_builds_one_band_and_reward(self, monkeypatch):
         # The monotonicity check evaluates the control band and the reward
-        # block once, not per probe.
-        p, g, c = self.problem, self.grid, self.controls
-        calls = {"_control_band": 0, "_reward_block": 0}
+        # block once, not per probe, whether the band keeps a reward that
+        # ignores t or the reward is evaluated at the row's t.
+        g, c = self.grid, self.controls
+        holding = self.problem.running_reward.state.fn
+        calls = {"_control_band": 0, "_reward_block": 0, "running_reward": 0}
 
         def counted(name):
             fn = getattr(penalty_mod, name)
@@ -381,10 +383,17 @@ class TestSchemeRowsAtSolutions:
                 return fn(*args)
             return wrapped
 
-        for name in calls:
+        def counted_holding(x):
+            calls["running_reward"] += 1
+            return holding(x)
+
+        for name in ("_control_band", "_reward_block"):
             monkeypatch.setattr(penalty_mod, name, counted(name))
-        check_monotonicity(penalty_mod.monotonicity_row(p, g, c, 0.25, t=0.0), g, 0)
-        assert calls == {"_control_band": 1, "_reward_block": 1}
+        for state in (TimeFree(counted_holding), lambda t, x: counted_holding(x)):
+            p = replace(self.problem, running_reward=SeparableReward(state))
+            calls.update(dict.fromkeys(calls, 0))
+            check_monotonicity(penalty_mod.monotonicity_row(p, g, c, 0.25, t=0.0), g, 0)
+            assert calls == {"_control_band": 1, "_reward_block": 1, "running_reward": 1}
 
     def test_semilagrangian_check_builds_one_band(self, monkeypatch):
         # The monotonicity check builds A, and so reads the diffusion, once,

@@ -17,7 +17,7 @@ from hjbqvi.operators import discretize_controls
 from hjbqvi.oracle import (OUTER_TOL, brute_force_residual, brute_force_sl_residual,
                            solve_iterated_optimal_stopping)
 from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
-from hjbqvi.problem import ResetCost, SeparableReward, builtin
+from hjbqvi.problem import ResetCost, SeparableReward, TimeFree, builtin
 from hjbqvi.solution import SolverConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -429,16 +429,24 @@ class TestDeclaredAuditEvaluations:
     """Beside TestAuditEvaluations, which pins the undeclared path: counters
     that keep the declarations pin what the audits read once.  A declared
     reward is evaluated once per (t, x); a declared reset's shifts and costs
-    once per call, and once more per change of the impulse candidates."""
+    once per call, and once more per change of the impulse candidates.  A
+    reward and impulse bounds declared to ignore t are read as often as
+    undeclared ones: at every (t, x), and at every level."""
 
     @staticmethod
     def counted(problem, monkeypatch):
-        calls = dict.fromkeys(("running_reward", "impulse_shift", "impulse_cost"), 0)
-        state, shift = problem.running_reward.state, problem_module.reset_shift
+        calls = dict.fromkeys(("running_reward", "impulse_bounds", "impulse_shift",
+                               "impulse_cost"), 0)
+        holding, shift = problem.running_reward.state.fn, problem_module.reset_shift
+        bounds = problem.impulse_bounds
 
-        def counted_state(t, x):
+        def counted_holding(x):
             calls["running_reward"] += 1
-            return state(t, x)
+            return holding(x)
+
+        def counted_bounds(*args):
+            calls["impulse_bounds"] += 1
+            return (bounds.fn if isinstance(bounds, TimeFree) else bounds)(*args)
 
         def counted_shift(t, x, z):
             calls["impulse_shift"] += 1
@@ -452,10 +460,12 @@ class TestDeclaredAuditEvaluations:
         # ProblemSpec.reset_cost recognises the patched reset_shift.
         cost = problem.reset_cost
         monkeypatch.setattr(problem_module, "reset_shift", counted_shift)
-        counted = replace(problem, running_reward=SeparableReward(counted_state),
+        counted = replace(problem, running_reward=SeparableReward(TimeFree(counted_holding)),
                           impulse_shift=counted_shift,
-                          impulse_cost=CountedResetCost(cost.c0, cost.lam))
-        assert counted.separable_reward is not None and counted.reset_cost is not None
+                          impulse_cost=CountedResetCost(cost.c0, cost.lam),
+                          impulse_bounds=TimeFree(counted_bounds)
+                          if isinstance(bounds, TimeFree) else counted_bounds)
+        assert counted.declarations[:3] == ("reset", "separable reward", "time-free reward")
         return counted, calls
 
     @pytest.mark.parametrize("bounds", ["fixed", "step"])
@@ -470,10 +480,18 @@ class TestDeclaredAuditEvaluations:
         K = c.impulse_values(0.0, g.nodes).shape[1]
         assert c.impulse_values(g.T, g.nodes).shape[1] == K >= 3
         counted, calls = self.counted(p, monkeypatch)
-        assert audit(sol, counted) == audit(sol, p) <= RESIDUAL_ORACLE_TOL
+        assert (counted.time_free_bounds is not None) == (bounds == "fixed")
+        # The audit reads each level's candidates from controls of its own,
+        # which sample the counted bounds.
+        fresh = discretize_controls(counted, g.rho)
+        if scheme == "penalty":
+            value = brute_force_residual(sol, counted, g, fresh, sol.epsilon)
+        else:
+            value = brute_force_sl_residual(sol, counted, g, fresh)
+        assert value == audit(sol, p) <= RESIDUAL_ORACLE_TOL
         builds = 1 if bounds == "fixed" else 2
-        assert calls == {"running_reward": N * n, "impulse_shift": builds * n * K,
-                         "impulse_cost": builds * n * K}
+        assert calls == {"running_reward": N * n, "impulse_bounds": N,
+                         "impulse_shift": builds * n * K, "impulse_cost": builds * n * K}
 
 
 def undeclared_twin(p):
@@ -568,6 +586,15 @@ class TestAuditIndependence:
         for fn in audit:
             shared = global_names(fn.__code__) & imported
             assert not shared, f"{fn.__name__} uses {sorted(shared)} from the solvers"
+
+
+    def test_audit_reads_no_time_free_declaration(self):
+        # The audits evaluate the reward and the impulse bounds wherever
+        # they read them, declared time-free or not, and so check the values
+        # a solve keeps for every step.
+        names = global_names(compile(inspect.getsource(oracle), oracle.__file__, "exec"))
+        assert {"separable_reward", "reset_cost"} <= names
+        assert not {name for name in names if "time_free" in name or name == "TimeFree"}
 
 
 def test_every_audit_helper_uses_nothing_from_the_solvers():

@@ -3,15 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hjbqvi.grid import build_uniform_grid
+from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.harness import check_solution_matrices
-from hjbqvi.penalty import solve_finite_horizon
+from hjbqvi.oracle import solve_iterated_optimal_stopping
+from hjbqvi.penalty import solve_finite_horizon, solve_infinite_horizon
 from hjbqvi.problem import (
     ProblemSpec,
     ResetCost,
     SeparableReward,
+    TimeFree,
     builtin,
     eval_on,
+    impulse_bounds_on,
     reset_impulse,
     reset_shift,
     validate,
@@ -329,6 +332,181 @@ class TestSeparableReward:
             .separable_reward is None
         declared = SeparableReward(lambda t, x: 0.0 * x)
         assert replace(cash, running_reward=declared).separable_reward is declared
+
+
+class TestTimeFree:
+    def test_passes_every_argument_but_t(self):
+        seen = []
+
+        def fn(*args):
+            seen.append(args)
+            return sum(args)
+
+        assert TimeFree(fn)(7.0, 2.0, 3.0) == 5.0
+        assert TimeFree(fn)(7.0, 2.0) == 2.0
+        assert seen == [(2.0, 3.0), (2.0,)]
+
+    def test_through_eval_on_array_call_and_scalar_fallback(self):
+        x, b = np.array([-1.0, 0.5, 2.0]), np.array([[-0.5], [0.25]])
+        calls = []
+
+        def array_aware(x, b):
+            calls.append(np.shape(x))
+            return x * b
+
+        def scalar_only(x, b):
+            calls.append(np.shape(x))
+            return x * b if x > 0 else -x      # `if` on an array raises ValueError
+
+        out = eval_on(TimeFree(array_aware), 9.0, x, b)
+        assert out.tobytes() == (x * b).tobytes() and calls == [(3,)]
+        calls.clear()
+        out = eval_on(TimeFree(scalar_only), 9.0, x, b)
+        assert out.tobytes() == np.where(x > 0, x * b, -x + 0.0 * b).tobytes()
+        assert calls == [(3,)] + [()] * 6
+
+    def test_impulse_bounds_through_the_array_call_and_the_per_node_loop(self):
+        nodes = np.linspace(-2.0, 2.0, 9)
+        for bounds, expected in ((lambda x: (x - 1.0, x + 1.0), (nodes - 1.0, nodes + 1.0)),
+                                 (lambda x: (-1.0, max(x, 0.0)),
+                                  (np.full(9, -1.0), np.maximum(nodes, 0.0)))):
+            problem = replace(flat_problem(), impulse_bounds=TimeFree(bounds))
+            lo, hi = impulse_bounds_on(problem, 0.75, nodes)
+            assert np.array_equal(lo, expected[0]) and np.array_equal(hi, expected[1])
+
+    def test_the_declarations_are_the_callables(self):
+        # Replacing the reward or the bounds, even by a callable with the
+        # same values, drops that declaration and keeps the other.
+        cash = builtin("cash")
+        assert cash.time_free_reward is cash.running_reward
+        assert cash.time_free_bounds is cash.impulse_bounds
+        reward = replace(cash, running_reward=lambda t, x, b: cash.running_reward(t, x, b))
+        assert reward.time_free_reward is None and reward.time_free_bounds is cash.impulse_bounds
+        bounds = replace(cash, impulse_bounds=lambda t, x: cash.impulse_bounds(t, x))
+        assert bounds.time_free_bounds is None and bounds.time_free_reward is cash.running_reward
+        # A separable state that takes t declares no time-free reward.
+        dated = replace(cash, running_reward=SeparableReward(lambda t, x: t - x * x))
+        assert dated.separable_reward is not None and dated.time_free_reward is None
+        plain = TimeFree(lambda x, b: b - x * x)
+        assert replace(cash, running_reward=plain).time_free_reward is plain
+        assert replace(cash, running_reward=plain).separable_reward is None
+
+    def test_a_separable_time_free_reward_reads_back_as_both(self):
+        reward = SeparableReward(TimeFree(lambda x: -x * x))
+        problem = replace(flat_problem(), running_reward=reward)
+        assert problem.separable_reward is reward and problem.time_free_reward is reward
+        assert problem.declarations == ("separable reward", "time-free reward")
+        assert reward(5.0, 3.0, 0.25) == -9.0
+        assert flat_problem().declarations == ()
+
+    # What each builtin can declare: constant's impulses move nothing, so
+    # they are no reset, and heat and constant have one control, so a
+    # reward that ignores b would reduce nothing.
+    BUILTIN_DECLARATIONS = {
+        "cash": ("reset", "separable reward", "time-free reward", "time-free impulse bounds"),
+        "heat": ("reset", "time-free reward", "time-free impulse bounds"),
+        "constant": ("time-free reward", "time-free impulse bounds"),
+    }
+
+    @pytest.mark.parametrize("params", [{}, {"beta": 0.5}])
+    @pytest.mark.parametrize("name", BUILTIN_DECLARATIONS)
+    def test_builtins_carry_every_declaration_they_can(self, name, params):
+        # A builtin that loses one would still solve, to the same values,
+        # on a slower path; this fails instead.
+        problem = builtin(name, params)
+        assert problem.declarations == self.BUILTIN_DECLARATIONS[name]
+        lo, hi = problem.control_bounds
+        assert (lo == hi) == (name != "cash")
+
+
+def dated_twin(p):
+    """p with its time-free reward and impulse bounds called through plain
+    callables of (t, ...): the same functions and values, no time-free
+    declaration, so a solve reads them at every step."""
+    reward, bounds = p.running_reward, p.impulse_bounds
+    if p.separable_reward is not None:
+        state = reward.state
+        dated = SeparableReward(lambda t, x: state(t, x))
+    else:
+        dated = lambda t, x, b: reward(t, x, b)
+    twin = replace(p, running_reward=dated, impulse_bounds=lambda t, x: bounds(t, x))
+    assert twin.declarations == tuple(d for d in p.declarations if not d.startswith("time-free"))
+    return twin
+
+
+def solve_bits(sol):
+    """A solve's surface, policies and diagnostics, as comparable values."""
+    policies = [None if q is None else (q.controls.tobytes(), q.intervene.tobytes(),
+                                        q.impulses.tobytes()) for q in sol.policies]
+    return sol.surface.tobytes(), policies, repr(sol.diagnostics)
+
+
+def uniform(p):
+    return build_uniform_grid(Q=4, M=20, N=15, T=p.horizon)
+
+
+class TestTimeFreeSolves:
+    """A solve reads time-free data once, not at every step, and changes no
+    bit of what it returns."""
+
+    SOLVES = {
+        "penalty": ({}, lambda p: solve_finite_horizon(p, uniform(p))),
+        "stationary": ({"beta": 0.2}, lambda p: solve_infinite_horizon(
+            p, build_uniform_grid(Q=4, M=20))),
+        "semilagrangian": ({}, lambda p: solve_semi_lagrangian(p, uniform(p))),
+        "semilagrangian-refined": ({}, lambda p: solve_semi_lagrangian(
+            p, build_boundary_refined_grid(Q=4, rho=0.2, c_b=1.0, N=15, T=p.horizon))),
+        "ios": ({}, lambda p: solve_iterated_optimal_stopping(p, uniform(p))),
+    }
+
+    @pytest.mark.parametrize("solve", SOLVES)
+    @pytest.mark.parametrize("name", ["cash", "heat", "constant"])
+    def test_bit_identical_to_the_dated_twin(self, name, solve):
+        params, run = self.SOLVES[solve]
+        p = builtin(name, params)
+        assert solve_bits(run(p)) == solve_bits(run(dated_twin(p)))
+
+    @staticmethod
+    def counted(dated):
+        """cash whose reward and impulse bounds count their calls, declared
+        time-free, or with ``dated`` through :func:`dated_twin`."""
+        cash = builtin("cash")
+        holding, bounds = cash.running_reward.state.fn, cash.impulse_bounds.fn
+        calls = {"running_reward": 0, "impulse_bounds": 0}
+
+        def counted_holding(x):
+            calls["running_reward"] += 1
+            return holding(x)
+
+        def counted_bounds(x):
+            calls["impulse_bounds"] += 1
+            return bounds(x)
+
+        p = replace(cash, running_reward=SeparableReward(TimeFree(counted_holding)),
+                    impulse_bounds=TimeFree(counted_bounds))
+        return (dated_twin(p) if dated else p), calls
+
+    @pytest.mark.parametrize("solve", ["semilagrangian", "semilagrangian-refined"])
+    def test_semilagrangian_reads_reward_and_bounds_once(self, solve):
+        # The one table build reads the bounds; the dated twin reads both
+        # at every step, the bounds to check the table it reuses.
+        run = self.SOLVES[solve][1]
+        p, calls = self.counted(dated=False)
+        sol = run(p)
+        assert calls == {"running_reward": 1, "impulse_bounds": 1}
+        twin, calls = self.counted(dated=True)
+        run(twin)
+        assert calls == {"running_reward": sol.grid.N, "impulse_bounds": sol.grid.N}
+
+    @pytest.mark.parametrize("solve", ["penalty", "ios"])
+    def test_penalty_evaluates_the_reward_block_once(self, solve):
+        run = self.SOLVES[solve][1]
+        p, calls = self.counted(dated=False)
+        run(p)
+        assert calls["running_reward"] == 1
+        twin, calls = self.counted(dated=True)
+        sol = run(twin)
+        assert calls["running_reward"] == len(sol.diagnostics.timesteps) >= sol.grid.N
 
 
 def old_cash(params=None):

@@ -339,6 +339,24 @@ class TestTableReuse:
         assert times == [(g.N - 1) * g.dt + g.dt]
         self.assert_matches_per_step(sol, p, g, c)
 
+    @pytest.mark.parametrize("grid", [
+        lambda T: build_uniform_grid(Q=4, M=20, N=15, T=T),
+        lambda T: build_boundary_refined_grid(Q=4, rho=0.1, c_b=1.0, N=30, T=T),
+    ], ids=["uniform", "refined"])
+    @pytest.mark.parametrize("name", ["cash", "heat", "constant"])
+    def test_time_free_builtins_build_once(self, monkeypatch, name, grid):
+        # Every builtin's reward and impulse bounds ignore t: the feet keep
+        # the reward, one table serves the solve, and the solve equals one
+        # that rebuilds feet and table at every step.
+        p = builtin(name)
+        assert p.time_free_reward is not None and p.time_free_bounds is not None
+        g = grid(p.horizon)
+        c = discretize_controls(p, g.rho)
+        sol, times = self.build_times(monkeypatch, p, g, c)
+        assert times == [(g.N - 1) * g.dt + g.dt]
+        assert semilag.foot_points(g, p, c).reward_dt is not None
+        self.assert_matches_per_step(sol, p, g, c)
+
     def test_time_dependent_cost_rebuilds_every_step(self, monkeypatch):
         p = cash_with_dated_cost()
         g = build_uniform_grid(Q=4, M=10, N=6, T=3)
