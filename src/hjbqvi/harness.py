@@ -247,13 +247,16 @@ def observed_orders(errors) -> list[float | None]:
 def check_stability_bound(sol: Solution, problem: ProblemSpec,
                           controls: DiscreteControls | None = None) -> PropertyCheck:
     """Sup-norm bound |g| + |f| T (finite horizon) or |f| / beta (discounted),
-    with reward norms estimated on the grid and the discrete control set."""
+    with reward norms estimated on the grid and the discrete control set, at
+    every grid time, or once for a reward declared to ignore t
+    (``ProblemSpec.time_free_reward``), whose values are the same at each."""
     grid = sol.grid
     controls = controls or discretize_controls(problem, grid.rho)
     g_norm = float(np.abs(eval_on(problem.terminal_reward, grid.nodes)).max())
     controls_col = controls.controls[:, np.newaxis]
+    times = grid.times()[:1] if problem.time_free_reward is not None else grid.times()
     f_norm = max(float(np.abs(eval_on(problem.running_reward, t, grid.nodes, controls_col)).max())
-                 for t in grid.times())
+                 for t in times)
     if problem.finite_horizon:
         bound = g_norm + f_norm * problem.horizon
         name = "stability_bound"

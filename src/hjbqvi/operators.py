@@ -278,6 +278,12 @@ class DiscreteControls:
         and samples the same row from either zero), and its last column is
         hi, or lo on a zero width (the row is then lo throughout).  So bounds
         equal to those columns sample the same rows, and the same K.
+
+        A level not yet cached reads the bounds even when they are declared
+        to ignore t (``ProblemSpec.time_free_bounds``): the brute-force
+        audits sample every level's candidates through this method, and
+        reading there is what lets them check the values a solve keeps
+        (``test_declared_values_are_read_once`` pins N bound reads).
         """
         nodes = np.asarray(nodes, dtype=float)
         key = (float(t), nodes.tobytes())

@@ -10,9 +10,10 @@ Two independent routes:
   the penalty timestep against its own frozen obstacles, read off jump
   tables the oracle builds itself.  Every iterate keeps its full surface,
   O(M^2) memory, and the last pass its policies, the solution's; the
-  diagnostics keep no policy.  Each level's jump table is built again, one
-  at a time, in every pass that applies it: time traded for memory, since
-  keeping all N+1 tables costs O(M^3).
+  diagnostics keep no policy.  A call keeps one jump table and builds
+  another only at a level whose jump data differ from the kept table's,
+  so one table is alive at a time (keeping all N+1 would cost O(M^3)), and
+  bounds that ignore t cost one build per call.
 
 * :func:`brute_force_residual` and :func:`brute_force_sl_residual`
   re-evaluate the discrete penalty and semi-Lagrangian equations with
@@ -71,9 +72,10 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
     pass reads one controls x nodes generator band and passes its policy
     systems through one :class:`penalty.SystemMemo`, both kept for the call,
     so a step whose system repeats the one solved before reuses it.
-    A pass builds each level's jump table when it applies it and drops it
-    after, so one table is alive at a time; no table is reused across
-    levels or passes.
+    The call keeps one jump table, across levels and passes: a level whose
+    data it holds (:meth:`operators.InterventionTable.same_data_at`) applies
+    it, and any other level drops it and builds its own, so one table is
+    alive at a time.
     """
     require_time_axis(problem, grid)
     controls = controls or discretize_controls(problem, grid.rho)
@@ -87,19 +89,27 @@ def solve_iterated_optimal_stopping(problem: ProblemSpec, grid: SpaceTimeGrid,
 
     def step(u_next, n):
         # Reads the current pass's ``obstacles``.
-        u, policy, step_diag = penalty_timestep(
+        u, policy, step_diag, _ = penalty_timestep(
             u_next, n * dt, grid, problem, controls, band, epsilon,
             intervention=FrozenObstacle(obstacles[n]), memo=memo)
         diagnostics.record_step(step_diag)
         return u, policy
+
+    table = None
+
+    def jump_values(n):
+        nonlocal table
+        if table is None or not table.same_data_at(n * dt):
+            table = None    # dropped before the next is built
+            table = InterventionTable(problem, grid, controls, n * dt)
+        return table.apply(surface[n]).values
 
     obstacles = [np.full(grid.n_nodes, -np.inf)] * grid.N
     surface, policies = backward_induction(grid, g_vals, step)
 
     converged = False
     for _ in range(K_MAX):
-        obstacles = [InterventionTable(problem, grid, controls, n * dt).apply(surface[n]).values
-                     for n in range(grid.N + 1)]
+        obstacles = [jump_values(n) for n in range(grid.N + 1)]
         new_surface, policies = backward_induction(
             grid, np.maximum(g_vals, obstacles[grid.N]), step)
         diff = new_surface - surface

@@ -191,6 +191,28 @@ class TestStabilityCheck:
         assert check.value == pytest.approx(2.0)
         assert "bound 2" in check.witness
 
+    def test_time_free_reward_is_read_once(self):
+        # A reward declared to ignore t is evaluated at one grid time, its
+        # dated twin at all N+1, and both give the same bound.
+        cash = builtin("cash")
+        g = build_uniform_grid(Q=4, M=16, N=12, T=cash.horizon)
+        sol = solve_finite_horizon(cash, g)
+        holding = cash.running_reward.state.fn
+        calls = []
+
+        def counted_holding(x):
+            calls.append(None)
+            return holding(x)
+
+        checks = []
+        for state, reads in ((TimeFree(counted_holding), 1),
+                             (lambda t, x: counted_holding(x), g.N + 1)):
+            calls.clear()
+            p = replace(cash, running_reward=SeparableReward(state))
+            checks.append(check_stability_bound(sol, p))
+            assert len(calls) == reads
+        assert checks[0] == checks[1] and checks[0].passed
+
 
 class TestMatrixChecks:
     def test_semi_lagrangian_matrix_passes(self):

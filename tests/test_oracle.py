@@ -124,6 +124,58 @@ class TestControlBandPerSolve:
         assert per_step.diagnostics.outer_changes == hoisted.diagnostics.outer_changes
 
 
+class TestTableReuse:
+    """A call keeps one jump table and builds another only at a level whose
+    data differ from the kept table's; the solve is that of a build at every
+    level, bit for bit."""
+
+    PROBLEMS = {
+        "cash": builtin("cash"),
+        "heat": builtin("heat"),
+        "moving bounds": replace(builtin("cash"),
+                                 impulse_bounds=lambda t, x: (-1.0 + 0.1 * t, 1.0 - 0.05 * t)),
+    }
+
+    @staticmethod
+    def solve(problem, monkeypatch, same_data=True):
+        """(record, table build times, passes) of an IOS solve at M=20; with
+        ``same_data`` False no kept table is ever reused."""
+        builds = []
+        table = oracle.InterventionTable
+
+        class Counted(table):
+            def __init__(self, problem, grid, controls, t):
+                builds.append(t)
+                super().__init__(problem, grid, controls, t)
+
+            def same_data_at(self, t):
+                return same_data and super().same_data_at(t)
+
+        g = build_uniform_grid(Q=4, M=20, N=15, T=problem.horizon)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "InterventionTable", Counted)
+            sol = solve_iterated_optimal_stopping(problem, g)
+        policies = [None if p is None else (p.controls.tobytes(), p.intervene.tobytes(),
+                                            p.impulses.tobytes()) for p in sol.policies]
+        record = (sol.surface.tobytes(), policies, repr(sol.diagnostics))
+        return record, builds, sol.diagnostics.outer_iterations
+
+    def test_time_free_bounds_build_one_table(self, monkeypatch):
+        # One table serves every level of every pass.
+        _, builds, passes = self.solve(self.PROBLEMS["cash"], monkeypatch)
+        assert passes >= 2 and builds == [0.0]
+
+    def test_dated_bounds_build_every_level(self, monkeypatch):
+        _, builds, passes = self.solve(self.PROBLEMS["moving bounds"], monkeypatch)
+        assert passes >= 2 and len(builds) == 16 * passes
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_solve_equals_a_build_per_level(self, name, monkeypatch):
+        kept, _, passes = self.solve(self.PROBLEMS[name], monkeypatch)
+        rebuilt, builds, _ = self.solve(self.PROBLEMS[name], monkeypatch, same_data=False)
+        assert kept == rebuilt and len(builds) == 16 * passes
+
+
 class TestBruteForceResidual:
     def test_penalty_solution_within_tolerance(self):
         p = builtin("cash")

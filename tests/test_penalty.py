@@ -28,7 +28,7 @@ from hjbqvi.penalty import (
     solve_finite_horizon,
     solve_infinite_horizon,
 )
-from hjbqvi.problem import ProblemSpec, builtin, eval_on, uniform_sample
+from hjbqvi.problem import ProblemSpec, SeparableReward, builtin, eval_on, uniform_sample
 from hjbqvi.solution import PenaltyPolicy
 
 
@@ -57,7 +57,7 @@ def gate_residual(u, rhs_base, time_weight, t, grid, problem, controls, epsilon)
     """residual(u) as the step's gate reads it: the argmax values of the
     control band and reward block at t, and (Mu)_j of the jump table at t."""
     band, reward, table = operands(problem, grid, controls, t)
-    best, _ = _best_control(u, band.parts, reward)
+    best = _best_control(u, band.parts, reward)[0]
     return residual(u, rhs_base, time_weight, best, table.apply(u).values, epsilon)
 
 
@@ -196,7 +196,7 @@ class TestAssemblePolicySystem:
         # no-gain hypothesis); scale it so the wings are deep enough to jump.
         u = 4.0 * terminal_values(p, g)
         band, reward, table = operands(p, g, c, (g.N - 1) * g.dt)
-        policy, _, idx = _improve(u, c, table, band, reward)
+        policy, _, idx, _ = _improve(u, c, table, band, reward)
         assert policy.intervene.any()
         matrix, _ = timestep_system(policy, idx, u, g, 0.25, table, band, reward)
         report = analyze_matrix(matrix)
@@ -238,7 +238,7 @@ class TestAssemblePolicySystem:
         t = (g.N - 1) * g.dt
         band, reward, table = operands(p, g, c, t)
         u = 4.0 * terminal_values(p, g)
-        policy, _, idx = _improve(u, c, table, band, reward)
+        policy, _, idx, _ = _improve(u, c, table, band, reward)
         assert policy.intervene.any()
         calls.update(shift=0, cost=0)
         matrix, _ = timestep_system(policy, idx, u, g, 0.25, table, band, reward)
@@ -278,7 +278,7 @@ class TestAssembledSystemMatchesResidual:
             u[[0, -1]] = 3.0            # draws the outer nodes' jumps past +-Q
             u_next = rng.normal(size=grid.n_nodes)
             operator = FrozenObstacle(rng.normal(size=grid.n_nodes)) if frozen else table
-            policy, best, idx = _improve(u, c, operator, band, reward)
+            policy, best, idx, _ = _improve(u, c, operator, band, reward)
             matrix, rhs = timestep_system(policy, idx, u_next, grid, eps, operator, band, reward)
             res = residual(u, u_next / grid.dt, 1 / grid.dt, best, operator.apply(u).values,
                            eps)
@@ -357,10 +357,13 @@ class TestPolicyImprove:
                            [up, 1.0 + 1e-9, 1.0, 0.0],
                            [0.0, 0.0, 1.0, 1.0]])
         u = np.zeros(4)
-        best, idx = _best_control(u, band, reward)
+        best, idx, first = _best_control(u, band, reward)
         assert list(idx) == [1, 1, 0, 2]
-        kept, kept_idx = _best_control(u, band, reward, previous=np.array([0, 0, 2, 0]))
+        kept, kept_idx, kept_first = _best_control(u, band, reward,
+                                                   previous=np.array([0, 0, 2, 0]))
         assert list(kept_idx) == [0, 1, 2, 2]
+        # The argmax's own indices ignore the previous ones.
+        assert first is idx and np.array_equal(kept_first, idx)
         # The values stay the true maximum, which the residual gate reads.
         assert np.array_equal(kept, best) and kept[0] == up
 
@@ -371,8 +374,8 @@ class TestPenaltyTimestep:
         g = build_uniform_grid(Q=2, M=8, N=8, T=1)
         c = discretize_controls(p, g.rho)
         u_next = np.full(g.n_nodes, 5.0)
-        u, _, diag = penalty_timestep(u_next, 0.5, g, p, c, _control_band(g, p, c),
-                                      epsilon=0.125)
+        u, _, diag, _ = penalty_timestep(u_next, 0.5, g, p, c, _control_band(g, p, c),
+                                         epsilon=0.125)
         assert np.allclose(u, u_next, atol=1e-12)
         assert diag.iterations == 1
 
@@ -385,7 +388,7 @@ class TestPenaltyTimestep:
         c = discretize_controls(p, g.rho)
         u_next = terminal_values(p, g)
         t = (g.N - 1) * g.dt
-        u, _, _ = penalty_timestep(u_next, t, g, p, c, _control_band(g, p, c), epsilon=0.05)
+        u, _, _, _ = penalty_timestep(u_next, t, g, p, c, _control_band(g, p, c), epsilon=0.05)
         window = np.abs(g.nodes) <= 2.0
         oracle = np.exp(-0.5 * g.dt) * np.sin(g.nodes[window])
         assert np.abs(u[window] - oracle).max() <= g.rho
@@ -396,8 +399,8 @@ class TestPenaltyTimestep:
         c = discretize_controls(p, g.rho)
         u_next = terminal_values(p, g)
         eps = 0.25
-        u, _, diag = penalty_timestep(u_next, (g.N - 1) * g.dt, g, p, c, _control_band(g, p, c),
-                                      eps)
+        u, _, diag, _ = penalty_timestep(u_next, (g.N - 1) * g.dt, g, p, c,
+                                         _control_band(g, p, c), eps)
         assert diag.final_residual <= 1e-8
         r = gate_residual(u, u_next / g.dt, 1 / g.dt, (g.N - 1) * g.dt, g, p, c, eps)
         assert np.abs(r).max() <= 1e-8
@@ -644,28 +647,55 @@ class TestStepReuse:
         sol = TestControlBandPerSolve.solve(p, g, c)
         assert shapes == [(c.controls.size, g.n_nodes)] * len(sol.diagnostics.timesteps)
 
-    def test_gate_reuses_last_argmax(self, monkeypatch):
-        p = builtin("cash")
+    @staticmethod
+    def argmax_calls(problem, monkeypatch):
+        """(control argmaxes, step diagnostics) of a solve whose every step's
+        final residual is the one the gate reads at the solution."""
         g = build_uniform_grid(Q=4, M=20, N=15, T=3)
-        c = discretize_controls(p, g.rho)
-        calls = []
-        best_control = penalty_mod._best_control
-
-        def counted(*args):
-            calls.append(None)
-            return best_control(*args)
-
-        monkeypatch.setattr(penalty_mod, "_best_control", counted)
-        sol = solve_finite_horizon(p, g, c)
+        c = discretize_controls(problem, g.rho)
+        with monkeypatch.context() as m:
+            calls = count_best_control(m)
+            sol = solve_finite_horizon(problem, g, c)
         steps = sol.diagnostics.timesteps
-        # One argmax per policy improvement: the initial one and one per iteration.
-        assert len(calls) == sum(step.iterations + 1 for step in steps)
-        monkeypatch.undo()
         for step in steps:
             n = step.time_index
             res = gate_residual(sol.surface[n], sol.surface[n + 1] / g.dt, 1.0 / g.dt,
-                                n * g.dt, g, p, c, sol.epsilon)
+                                n * g.dt, g, problem, c, sol.epsilon)
             assert step.final_residual == float(np.abs(res).max())
+        return len(calls), steps
+
+    def test_gate_reuses_last_argmax(self, monkeypatch):
+        calls, steps = self.argmax_calls(builtin("cash"), monkeypatch)
+        # One argmax per policy improvement: one per iteration, and the
+        # initial one of the first step, whose successors start from the
+        # last improvement before them (StepStart).
+        assert calls == 1 + sum(step.iterations for step in steps)
+
+    def test_dated_reward_improves_every_step_afresh(self, monkeypatch):
+        # A reward evaluated at every t starts no step from the one before:
+        # each step has its initial argmax.
+        calls, steps = self.argmax_calls(dated_reward(builtin("cash")), monkeypatch)
+        assert calls == sum(step.iterations + 1 for step in steps)
+
+
+def count_best_control(monkeypatch) -> list:
+    """A list that gains an entry at every control argmax."""
+    calls = []
+    best_control = penalty_mod._best_control
+
+    def counted(*args):
+        calls.append(None)
+        return best_control(*args)
+
+    monkeypatch.setattr(penalty_mod, "_best_control", counted)
+    return calls
+
+
+def dated_reward(problem):
+    """``problem`` with the same separable reward, its state no longer
+    declared to ignore t: evaluated at every step."""
+    state = problem.running_reward.state
+    return replace(problem, running_reward=SeparableReward(lambda t, x: state(t, x)))
 
 
 def never_hit(monkeypatch):
@@ -829,6 +859,67 @@ def undeclared(problem):
     callable that calls the declared one."""
     reward = problem.running_reward
     return replace(problem, running_reward=lambda t, x, b: reward(t, x, b))
+
+
+def undeclared_shift(problem):
+    """``problem`` with the same impulse shift, no longer a declared reset:
+    its tables take the block layout."""
+    shift = problem.impulse_shift
+    return replace(problem, impulse_shift=lambda t, x, z: shift(t, x, z))
+
+
+def never_carry(monkeypatch):
+    """Give every step no StepStart, as a solve whose steps each improve
+    afresh would."""
+    timestep = penalty_mod.penalty_timestep
+    monkeypatch.setattr(penalty_mod, "penalty_timestep",
+                        lambda *args, start=None, **kwargs: timestep(*args, **kwargs))
+
+
+class TestStepStart:
+    """A step starts from the last policy improvement of the step before
+    when that is the improvement it would make: at the same u, on the same
+    reward rows, with a reset-layout table of the same data.  Every solve
+    equals one whose steps each improve afresh, bit for bit."""
+
+    TWINS = {
+        "undeclared reward": undeclared(builtin("cash")),
+        "dated reward": dated_reward(builtin("cash")),
+        "undeclared shift": undeclared_shift(builtin("cash")),
+    }
+
+    @staticmethod
+    def records(problem, M, monkeypatch):
+        """(argmax calls, policy improvements, steps, record) of a solve, and
+        the record of the same solve without StepStart."""
+        g = build_uniform_grid(Q=4, M=M, N=3 * M // 4, T=problem.horizon)
+        c = discretize_controls(problem, g.rho)
+        with monkeypatch.context() as m:
+            calls = count_best_control(m)
+            sol = solve_finite_horizon(problem, g, c)
+        steps = sol.diagnostics.timesteps
+        improvements = sum(step.iterations + 1 for step in steps)
+        with monkeypatch.context() as m:
+            never_carry(m)
+            fresh = solve_record(solve_finite_horizon(problem, g, c))
+        return len(calls), improvements, len(steps), solve_record(sol), fresh
+
+    @pytest.mark.parametrize("problem, M", TestSystemMemo.CASES)
+    def test_solve_equals_an_uncarried_solve(self, problem, M, monkeypatch):
+        # Time-free bounds carry every step after the first; cash whose
+        # bounds move with t carries none.
+        calls, improvements, steps, record, fresh = self.records(problem, M, monkeypatch)
+        carried = steps - 1 if problem.time_free_bounds is not None else 0
+        assert calls == improvements - carried
+        assert record == fresh
+
+    @pytest.mark.parametrize("name", TWINS)
+    def test_twin_never_carries(self, name, monkeypatch):
+        # A reward evaluated at every step is a new block at each; a block
+        # layout table is never checked.
+        calls, improvements, _, record, fresh = self.records(self.TWINS[name], 20, monkeypatch)
+        assert calls == improvements
+        assert record == fresh
 
 
 class TestSeparableControl:

@@ -93,3 +93,20 @@ def test_traced_block_layout_table_sizes_its_arrays(tracing):
     assert table._reset is None and table.costs.shape == table._impulse_grid.shape
     assert tracer.counters["unit"]["operators.intervention_table.bytes"] >= (
         table.costs.nbytes + table._impulse_grid.nbytes)
+
+
+def test_traced_steps_start_from_the_step_before(tracing):
+    # Under the tracer's wrappers a cash solve still starts each step after
+    # the first from the last improvement before it: one argmax per
+    # assembled system, plus the first step's initial one.
+    modules = tracing.load_modules()
+    tracer = tracing.Tracer()
+    problem, grid = builtin("cash"), build_uniform_grid(Q=4, M=8, N=6, T=3)
+    with tracer.installed("unit", modules):
+        controls = modules["operators"].discretize_controls(problem, grid.rho)
+        sol = modules["penalty"].solve_finite_horizon(problem, grid, controls)
+    metrics = tracing.unit_layer_metrics(tracer.table("unit"), tracer.counters["unit"],
+                                         [sol], [controls], 0)
+    assert metrics["penalty.assemble.calls"] == sum(
+        step.iterations for step in sol.diagnostics.timesteps)
+    assert metrics["penalty.best_control.calls"] == 1 + metrics["penalty.assemble.calls"]
