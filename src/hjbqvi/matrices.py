@@ -5,8 +5,12 @@ nonpositive off-diagonal entries, and weakly chained diagonal dominance
 (WCDD): every row weakly diagonally dominant and every row connected,
 through the directed sparsity graph, to a strictly dominant row.  WCDD
 implies nonsingularity, which is what makes the per-timestep policy systems
-uniquely solvable.  A system solved more than once is factorised once
-(:func:`factorise`), with solves that match ``spsolve`` bit for bit.
+uniquely solvable.  A system solved more than once is factorised once.
+The penalty systems, whose active rows couple off the band, use SuperLU
+(:func:`factorise`), with solves that match ``spsolve`` bit for bit.  The
+semi-Lagrangian matrix I - dt L_0 is tridiagonal and constant over a solve;
+it uses LAPACK's tridiagonal LU (:func:`factorise_tridiagonal`): one
+``dgttrf`` per solve and one ``dgttrs`` per step.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from .exceptions import SolverError
@@ -158,3 +163,36 @@ def factorise(A: sp.csr_matrix, name: str):
         raise SolverError(f"{name} is singular ({exc}); its solve "
                           "would return non-finite values") from exc
     return partial(lu.solve, trans="T")
+
+
+def factorise_tridiagonal(A, name: str):
+    """``solve(rhs)``, the solution of A u = rhs, from one LAPACK ``dgttrf``
+    factorisation of A's three diagonals.
+
+    ``dgttrf`` eliminates A in natural order with partial pivoting; each
+    solve is one ``dgttrs`` and leaves ``rhs`` unchanged.  A that is not
+    square, has fewer than 3 rows (below scipy's ``dgttrf`` wrapper sizes)
+    or stores an entry two or more places off the diagonal is a ValueError
+    naming the entry or n.  A zero pivot, which would make the solve
+    non-finite, is a SolverError naming the matrix by ``name``.
+    """
+    A = _as_csr(A)
+    n = A.shape[0]
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be square, got {A.shape}")
+    if n < 3:
+        raise ValueError(f"{name} has n = {n}; the tridiagonal factorisation needs n >= 3")
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    far = np.flatnonzero(np.abs(A.indices - rows) >= 2)
+    if far.size:
+        k = far[0]
+        raise ValueError(f"{name} is not tridiagonal: it stores {A.data[k]:.3g} "
+                         f"at ({rows[k]}, {A.indices[k]})")
+    dl, d, du, du2, ipiv, info = dgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
+    if info > 0:
+        raise SolverError(f"{name} is singular (zero pivot in row {info - 1}); "
+                          "its solve would return non-finite values")
+
+    def solve(rhs):
+        return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+    return solve

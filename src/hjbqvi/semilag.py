@@ -7,7 +7,7 @@ the generator is replaced by the difference quotient
 
 and the intervention maximum is taken from the already-known time level
 n+1.  What remains implicit is only the diffusion, so each timestep reduces
-to one sparse (tridiagonal) solve A u^n = rhs with
+to one tridiagonal solve A u^n = rhs with
 
     (A u^n)_j = u^n_j - 1/2 diffusion(x_j)^2 (D2 u^n)_j dt,
     rhs_j     = max( max_b { interp(u^{n+1}, x_j + drift dt) + f dt },
@@ -21,7 +21,7 @@ or, when the reward ignores b (``ProblemSpec.separable_reward``), each
 node's :func:`operators.candidate_rows` of its foot cells and weights, where
 those exist (4 of the B controls per node for cash).  A solve's
 step, run by :func:`solution.backward_induction`, is :func:`sl_rhs`, which
-returns (rhs, policy), and one sparse solve.  The row of
+returns (rhs, policy), and one tridiagonal solve.  The row of
 :func:`monotonicity_row` is that step's own equation, (A u - rhs)_j, with
 the solve's A and foot points and the obstacle pinned.
 
@@ -30,7 +30,9 @@ A = I - dt L_0 is built from the same stencil core as the penalty systems
 :func:`diffusion_variance`, which checks control independence on the data.
 It has identity boundary rows (zero boundary stencils) and is strictly
 diagonally dominant, hence nonsingular; the solver checks this and
-factorises A once per solve.
+factorises A once per solve with LAPACK's tridiagonal LU
+(:func:`matrices.factorise_tridiagonal`, one ``dgttrf``), so a step's
+solve is one ``dgttrs`` and a residual check on the same A.
 
 drift(x, b) takes no t, so a solve also computes once what every step reads
 of the foot points (:class:`FootPoints`): each kept foot's interpolation
@@ -64,7 +66,7 @@ import scipy.sparse as sp
 
 from .exceptions import SolverError
 from .grid import BOUNDARY_REFINED, GROWING_Q, UNIFORM, SpaceTimeGrid
-from .matrices import analyze_matrix, factorise
+from .matrices import analyze_matrix, factorise_tridiagonal
 from .operators import (
     DiscreteControls,
     FrozenObstacle,
@@ -205,11 +207,11 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
 
 
 def thomas_solve(A: sp.csr_matrix, rhs: np.ndarray, factor) -> np.ndarray:
-    """Sparse direct solve of A u = rhs with a residual guard.
+    """Tridiagonal solve of A u = rhs with a residual guard.
 
-    ``factor`` is A's :func:`matrices.factorise` solve.  A non-finite
-    solution is escalated as an internal error, as is a residual above
-    1e-10 * (1 + |rhs|).
+    ``factor`` is A's :func:`matrices.factorise_tridiagonal` solve, one
+    ``dgttrs``.  A non-finite solution is escalated as an internal error,
+    as is a residual of A u - rhs above 1e-10 * (1 + |rhs|).
     """
     n = A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
@@ -253,13 +255,14 @@ def overstep_threshold(problem: ProblemSpec, grid: SpaceTimeGrid,
 
 def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
                           controls: DiscreteControls | None = None) -> Solution:
-    """:func:`solution.backward_induction` from u^N = g: one factorisation of
-    A and one set of foot points per solve, then one :func:`sl_rhs` and one
-    sparse solve per timestep.  A step's jump table, at t + dt, is the
-    previous step's when the impulse data there are the same.  The scheme
-    has no penalty term, so the solution's ``epsilon`` is None; a declared
-    reset's reuse check compares the impulse bounds alone, and reads
-    nothing when they are declared to ignore t."""
+    """:func:`solution.backward_induction` from u^N = g: one tridiagonal
+    factorisation of A (``dgttrf``) and one set of foot points per solve,
+    then one :func:`sl_rhs` and one :func:`thomas_solve` (``dgttrs``) per
+    timestep.  A step's jump table, at t + dt, is the previous step's when
+    the impulse data there are the same.  The scheme has no penalty term,
+    so the solution's ``epsilon`` is None; a declared reset's reuse check
+    compares the impulse bounds alone, and reads nothing when they are
+    declared to ignore t."""
     require_time_axis(problem, grid)
     controls = controls or discretize_controls(problem, grid.rho)
     A = assemble_A(grid, problem, controls)
@@ -267,7 +270,7 @@ def solve_semi_lagrangian(problem: ProblemSpec, grid: SpaceTimeGrid,
     if not (report.passed and report.strictly_dominant_ok):
         raise SolverError(f"semi-Lagrangian matrix lost strict dominance: {report.witness}")
 
-    factor = factorise(A, "semi-Lagrangian matrix")
+    factor = factorise_tridiagonal(A, "semi-Lagrangian matrix")
     feet = foot_points(grid, problem, controls)
     diagnostics = SolveDiagnostics(control_rows=feet.index.shape[0])
     diagnostics.matrix_systems_checked = 1

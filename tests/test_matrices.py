@@ -1,3 +1,4 @@
+import re
 from collections import deque
 from dataclasses import fields
 
@@ -7,7 +8,8 @@ import scipy.sparse as sp
 
 from hjbqvi import penalty as penalty_mod
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
-from hjbqvi.matrices import _REL_TOL, MatrixReport, analyze_matrix
+from hjbqvi.exceptions import SolverError
+from hjbqvi.matrices import _REL_TOL, MatrixReport, analyze_matrix, factorise_tridiagonal
 from hjbqvi.operators import discretize_controls
 from hjbqvi.penalty import solve_finite_horizon
 from hjbqvi.problem import builtin
@@ -190,3 +192,62 @@ class TestAnalyzeMatrixMatchesReference:
         report = assert_same_report(matrix)
         assert not report.passed and not getattr(report, flag)
         assert phrase in report.witness
+
+
+def random_tridiagonal(n, rng):
+    """A random strictly dominant tridiagonal CSR matrix, not symmetric."""
+    lower, upper = rng.uniform(-1.0, 0.0, n - 1), rng.uniform(-1.0, 0.0, n - 1)
+    diag = rng.uniform(0.5, 2.0, n)
+    diag[1:] -= lower
+    diag[:-1] -= upper
+    return sp.diags([lower, diag, upper], [-1, 0, 1], format="csr")
+
+
+class TestFactoriseTridiagonal:
+    @pytest.mark.parametrize("n", [3, 9, 33, 641])
+    def test_matches_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        A = random_tridiagonal(n, rng)
+        solve = factorise_tridiagonal(A, "matrix")
+        for _ in range(3):
+            rhs = rng.normal(size=n)
+            assert np.abs(solve(rhs) - np.linalg.solve(A.toarray(), rhs)).max() <= 1e-12
+
+    def test_boundary_refined_semi_lagrangian_matrix(self):
+        p = builtin("cash")
+        g = build_boundary_refined_grid(Q=4, rho=0.0125, c_b=1.0, N=240, T=3)
+        A = assemble_A(g, p, discretize_controls(p, g.rho))
+        assert (A != A.T).nnz > 0                  # unequal cells: not symmetric
+        rhs = np.random.default_rng(3).normal(size=A.shape[0])
+        x = factorise_tridiagonal(A, "semi-Lagrangian matrix")(rhs)
+        assert np.abs(x - np.linalg.solve(A.toarray(), rhs)).max() <= 1e-12
+
+    def test_rhs_is_unchanged(self):
+        rng = np.random.default_rng(4)
+        A = random_tridiagonal(9, rng)
+        rhs = rng.normal(size=9)
+        kept = rhs.copy()
+        factorise_tridiagonal(A, "matrix")(rhs)
+        assert np.array_equal(rhs, kept)
+
+    def test_singular_matrix_is_solver_error(self):
+        # Weakly dominant rows with no strictly dominant one: dgttrf meets a
+        # zero pivot in the last row (info = 3).
+        A = sp.diags([[-1.0, -1.0], [1.0, 2.0, 1.0], [-1.0, -1.0]], [-1, 0, 1], format="csr")
+        with pytest.raises(SolverError, match=r"test matrix is singular.*non-finite"):
+            factorise_tridiagonal(A, "test matrix")
+
+    def test_entry_two_off_the_diagonal_is_named(self):
+        A = random_tridiagonal(6, np.random.default_rng(5)).tolil()
+        A[4, 2] = -0.25
+        with pytest.raises(ValueError, match=re.escape("-0.25 at (4, 2)")):
+            factorise_tridiagonal(A.tocsr(), "matrix")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_rows_names_n(self, n):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            factorise_tridiagonal(sp.identity(n, format="csr"), "matrix")
+
+    def test_not_square(self):
+        with pytest.raises(ValueError, match="square"):
+            factorise_tridiagonal(sp.csr_matrix((3, 4)), "matrix")

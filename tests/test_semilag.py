@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from hjbqvi import cli, semilag
+from hjbqvi import cli, matrices, semilag
 from hjbqvi.exceptions import SolverError
-from hjbqvi.grid import as_growing_q, build_boundary_refined_grid, build_uniform_grid
+from hjbqvi.grid import (as_growing_q, build_boundary_refined_grid, build_uniform_grid,
+                         grid_for_level)
 from hjbqvi.harness import Window, check_solution_matrices, check_stability_bound, sup_error
-from hjbqvi.matrices import analyze_matrix, factorise
+from hjbqvi.matrices import analyze_matrix, factorise, factorise_tridiagonal
 from hjbqvi.operators import InterventionTable, Interpolant, discretize_controls, interp_weights
 from hjbqvi.penalty import (SystemMemo, _assemble, _control_band, _reward_block,
                             solve_finite_horizon)
@@ -30,7 +32,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def sl_factor(A):
     """A's factorised solve, named as the semi-Lagrangian solve names it."""
-    return factorise(A, "semi-Lagrangian matrix")
+    return factorise_tridiagonal(A, "semi-Lagrangian matrix")
 
 
 def drift_problem(drift, diffusion=1.0, b_bounds=(0.0, 0.0)):
@@ -240,10 +242,10 @@ class TestThomasSolve:
             ref = np.linalg.solve(A.toarray(), rhs)
             assert np.abs(x - ref).max() <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_singular_matrix_is_internal_error(self):
         # Weakly dominant rows with no strictly dominant one: exactly
-        # singular, so spsolve returns NaN, which must not pass as a solution.
+        # singular, so the factorisation meets a zero pivot, which must not
+        # pass as a solution.
         A = tridiagonal(np.array([0.0, -1.0, -1.0]), np.array([1.0, 2.0, 1.0]),
                         np.array([-1.0, -1.0, 0.0]))
         with pytest.raises(SolverError, match="non-finite"):
@@ -271,10 +273,12 @@ class TestThomasSolve:
         return memo.matrix, rhs
 
     def test_reused_factor_matches_spsolve_bit_for_bit(self):
-        # factorise(A) factors A^T as spsolve does for a CSR matrix, so a
-        # factor reused across right-hand sides changes no bit of a solve:
-        # for the SL matrix, and for penalty systems whose active rows couple
-        # off the band, in the reset and in the block layout.
+        # factorise(A), the penalty memo's factor of a recurring system,
+        # factors A^T as spsolve does for a CSR matrix, so a factor reused
+        # across right-hand sides changes no bit of a solve: for penalty
+        # systems whose active rows couple off the band, in the reset and in
+        # the block layout, and for a plain tridiagonal matrix (the SL one,
+        # which the SL solve factorises with factorise_tridiagonal instead).
         p = builtin("cash")
         g = build_boundary_refined_grid(Q=4, rho=0.05, c_b=1.0, N=60, T=3)
         systems = [(assemble_A(g, p, discretize_controls(p, g.rho)), [])]
@@ -295,13 +299,14 @@ class TestThomasSolve:
 
 def per_step_solve(p, g, c):
     """Surfaces and policies of the backward induction with a fresh jump
-    table and fresh foot points at every step and a fresh solve of A."""
+    table and fresh foot points at every step and a fresh factorisation and
+    solve of A."""
     A = assemble_A(g, p, c)
     u = eval_on(p.terminal_reward, g.nodes)
     surface, policies = [u], []
     for n in range(g.N - 1, -1, -1):
         rhs, policy = level_rhs(u, n * g.dt, g, p, c)
-        u = spsolve(A, rhs)
+        u = factorise_tridiagonal(A, "semi-Lagrangian matrix")(rhs)
         surface.append(u)
         policies.append(policy)
     return np.array(surface[::-1]), policies[::-1]
@@ -384,6 +389,62 @@ class TestTableReuse:
         sol, times = self.build_times(monkeypatch, p, g, c)
         assert times == [g.N * g.dt, 2 * g.dt + g.dt]
         self.assert_matches_per_step(sol, p, g, c)
+
+
+class TestRoundingAgainstSpsolve:
+    """The solve's dgttrs rounds differently from spsolve, which factors A^T
+    under a COLAMD column order where dgttrf eliminates A in natural order
+    with partial pivoting.  Every surface stays within 1e-11 (1 + |u|) of the
+    same backward induction solved by spsolve at every step; the worst seen
+    is 7.1e-13, on constant with boundary refinement.  Policies are not
+    compared: the continuation argmax has no tie rule, so near-tied controls
+    can flip with the rounding."""
+
+    @pytest.mark.parametrize("grid", [
+        lambda T: build_uniform_grid(Q=4, M=160, N=120, T=T),
+        lambda T: build_boundary_refined_grid(Q=4, rho=0.0125, c_b=1.0, N=240, T=T),
+        lambda T: grid_for_level(as_growing_q(build_uniform_grid(Q=4, M=20, N=15, T=T)), 3),
+    ], ids=["uniform", "refined", "growing_q"])
+    @pytest.mark.parametrize("name", ["cash", "heat", "constant"])
+    def test_surface_within_bound(self, monkeypatch, name, grid):
+        p = builtin(name)
+        g = grid(p.horizon)
+        c = discretize_controls(p, g.rho)
+        sol = solve_semi_lagrangian(p, g, c)
+        monkeypatch.setattr(semilag, "factorise_tridiagonal", lambda A, label: partial(spsolve, A))
+        ref = solve_semi_lagrangian(p, g, c)
+        assert np.all(np.abs(sol.surface - ref.surface) <= 1e-11 * (1.0 + np.abs(ref.surface)))
+
+
+class TestWhereSuperLURuns:
+    """SuperLU factorises only the penalty memo's recurring systems."""
+
+    @staticmethod
+    def count_splu(monkeypatch):
+        calls = []
+        splu = matrices.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(matrices, "splu", counting)
+        return calls
+
+    def test_semi_lagrangian_solve_makes_no_call(self, monkeypatch):
+        calls = self.count_splu(monkeypatch)
+        p = builtin("cash")
+        g = build_boundary_refined_grid(Q=4, rho=0.1, c_b=1.0, N=30, T=p.horizon)
+        solve_semi_lagrangian(p, g, discretize_controls(p, g.rho))
+        assert calls == []
+
+    def test_penalty_solve_with_a_recurring_system_calls_it(self, monkeypatch):
+        # The wrapper does count: the memo factorises a system that recurs.
+        calls = self.count_splu(monkeypatch)
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=20, N=15, T=p.horizon)
+        solve_finite_horizon(p, g, discretize_controls(p, g.rho))
+        assert len(calls) >= 1
 
 
 def per_step_continuation(u_next, t, grid, problem, controls, feet):
