@@ -165,9 +165,37 @@ def factorise(A: sp.csr_matrix, name: str):
     return partial(lu.solve, trans="T")
 
 
-def factorise_tridiagonal(A, name: str):
-    """``solve(rhs)``, the solution of A u = rhs, from one LAPACK ``dgttrf``
-    factorisation of A's three diagonals.
+class TridiagonalFactor:
+    """A tridiagonal matrix A kept as its three diagonals, row i reading
+    ``lower[i-1] u[i-1] + diag[i] u[i] + upper[i] u[i+1]``, with their LAPACK
+    ``dgttrf`` factorisation.
+
+    Calling it solves A u = rhs with one ``dgttrs`` and leaves ``rhs``
+    unchanged; :meth:`residual` forms A u - rhs from the diagonals.
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, name: str):
+        self.lower, self.diag, self.upper = lower, diag, upper
+        *self._lu, info = dgttrf(lower, diag, upper)
+        if info > 0:
+            raise SolverError(f"{name} is singular (zero pivot in row {info - 1}); "
+                              "its solve would return non-finite values")
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        return dgttrs(*self._lu, rhs)[0]
+
+    def residual(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """A u - rhs, within a few ulps of the CSR product ``A @ u - rhs``."""
+        out = self.diag * u
+        out -= rhs
+        out[1:] += self.lower * u[:-1]
+        out[:-1] += self.upper * u[1:]
+        return out
+
+
+def factorise_tridiagonal(A, name: str) -> TridiagonalFactor:
+    """The :class:`TridiagonalFactor` of A: one LAPACK ``dgttrf``
+    factorisation of A's three diagonals, which it keeps.
 
     ``dgttrf`` eliminates A in natural order with partial pivoting; each
     solve is one ``dgttrs`` and leaves ``rhs`` unchanged.  A that is not
@@ -188,11 +216,4 @@ def factorise_tridiagonal(A, name: str):
         k = far[0]
         raise ValueError(f"{name} is not tridiagonal: it stores {A.data[k]:.3g} "
                          f"at ({rows[k]}, {A.indices[k]})")
-    dl, d, du, du2, ipiv, info = dgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
-    if info > 0:
-        raise SolverError(f"{name} is singular (zero pivot in row {info - 1}); "
-                          "its solve would return non-finite values")
-
-    def solve(rhs):
-        return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
-    return solve
+    return TridiagonalFactor(A.diagonal(-1), A.diagonal(), A.diagonal(1), name)

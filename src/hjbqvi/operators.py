@@ -18,7 +18,9 @@ The stencils follow the monotone implicit discretization:
 * the rows of the control sample that both schemes' control maxima read
   (:func:`candidate_rows`, one H x nodes index, gathered by :func:`row_at`),
 * two intervention operators M with one interface: ``apply(u)`` gives
-  (Mu)_j and the impulse attaining it, ``jump_rows(rows, impulses)`` gives
+  (Mu)_j and the impulse attaining it, with that impulse's column in the
+  candidate array the operator read (which a policy keeps in place of the
+  value), ``jump_rows(rows, impulses)`` gives
   ``(couplings, cost)``, active row j reading (Mu)_j = sum of w u_col over
   its (col, w) couplings + cost.  :class:`InterventionTable` is the impulse
   maximum max_z { interp(u, x_j + shift) + cost }, ties to the smallest z,
@@ -51,9 +53,10 @@ grows by one entry per distinct (t, node set) it is asked for: per time
 level on the penalty and iterated optimal stopping paths, and on the
 semi-Lagrangian path per table build, which is once per solve when the
 impulse data do not depend on t.  Each entry refers to a read-only nodes x K
-candidate block, shared by every table built at that level and by every
-later level whose impulse bounds equal it bit for bit, so bounds that ignore
-t keep one block per node set in memory, not one per level.  Share a
+candidate block, shared by every table built at that level, by every
+later level whose impulse bounds give it bit for bit, and by the policies
+that index it, so bounds that ignore t keep one block per node set in
+memory, not one per level; bounds equal at every node keep one row.  Share a
 ``DiscreteControls`` between threads only with that in mind.
 """
 
@@ -233,6 +236,13 @@ def row_at(index: np.ndarray, picks: np.ndarray) -> np.ndarray:
     return index[picks, np.arange(picks.size) if index.shape[1] > 1 else 0]
 
 
+def _bits_constant(values: np.ndarray) -> bool:
+    """Whether every entry of a float array has the first one's bytes
+    (unlike ``==``, this tells -0.0 from +0.0)."""
+    bits = values.view(np.int64)
+    return bool((bits == bits[0]).all())
+
+
 def _nonempty_bounds_on(problem: ProblemSpec, t: float,
                         nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`problem.impulse_bounds_on`; ValueError names the first node
@@ -254,10 +264,13 @@ class DiscreteControls:
     level's impulse intervals, K the largest candidate count.  The block is
     memoized per (t, node set), since both table builds of a penalty step
     and the brute-force audit read the same level, and is read-only because
-    they share it.  A level whose bounds equal, bit for bit, the first and
+    they share it.  A level whose bounds give, bit for bit, the first and
     last columns of the newest block for the same node count gets that block
     rather than a new sample: the sample is a function of (lo, hi, rho)
-    alone, so bounds that ignore t cost one block per solve.  Both samples
+    alone, so bounds that ignore t cost one block per solve.  A level whose
+    lo and hi are each the same bytes at every node, as in every builtin,
+    samples one row of K and returns it broadcast to nodes x K, so its block
+    holds K values, not nodes x K (32 MB at M=2000 for cash).  Both samples
     include their interval endpoints, and their spacing is at most rho, so
     the Hausdorff distance to the continuous sets is at most rho / 2.
     """
@@ -273,11 +286,15 @@ class DiscreteControls:
         each row ``np.linspace``'s bit for bit.  ValueError names the first
         node whose bounds are not finite or whose impulse set is empty.
 
-        Sharing a block keeps every bit: its first column is lo, or +0.0
-        where lo is -0.0 on a nonzero width (k * step + lo reads +0.0 there,
-        and samples the same row from either zero), and its last column is
-        hi, or lo on a zero width (the row is then lo throughout).  So bounds
-        equal to those columns sample the same rows, and the same K.
+        Sharing a block keeps every bit.  The bounds are compared with the
+        columns the sample would write: the first is lo, or +0.0 where lo is
+        -0.0 on a nonzero width (k * step + lo reads +0.0 there, and samples
+        the same row from either zero), and the last is hi, or lo on a zero
+        width (the row is then lo throughout).  So bounds that give the
+        newest block's columns sample its rows, and its K; bounds such as
+        (0.0 * x, max(x, 0)), whose -0.0 and +0.0 differ only in bytes the
+        sample never writes, share one block.  Equal bounds at every node
+        sample one row, which :func:`np.broadcast_to` returns read-only.
 
         A level not yet cached reads the bounds even when they are declared
         to ignore t (``ProblemSpec.time_free_bounds``): the brute-force
@@ -292,12 +309,19 @@ class DiscreteControls:
             lo, hi = _nonempty_bounds_on(self.problem, t, nodes)
             newest = next((b for b in reversed(self._impulse_cache.values())
                            if b.shape[0] == nodes.size), None)
-            if (newest is not None and lo.tobytes() == newest[:, 0].tobytes()
-                    and hi.tobytes() == newest[:, -1].tobytes()):
-                self._impulse_cache[key] = newest
-                return newest
-            block = uniform_sample(lo, hi, self.rho)
-            block.flags.writeable = False
+            # The columns uniform_sample writes first and last: 0 * step + lo
+            # is +0.0 at lo = -0.0 on a nonzero width, and a zero width is lo.
+            nonzero = hi > lo
+            first, last = np.where(nonzero, lo + 0.0, lo), np.where(nonzero, hi, lo)
+            if (newest is not None and first.tobytes() == newest[:, 0].tobytes()
+                    and last.tobytes() == newest[:, -1].tobytes()):
+                block = newest
+            elif _bits_constant(lo) and _bits_constant(hi):
+                row = uniform_sample(lo[0], hi[0], self.rho)
+                block = np.broadcast_to(row, (nodes.size, row.size))
+            else:
+                block = uniform_sample(lo, hi, self.rho)
+                block.flags.writeable = False
             self._impulse_cache[key] = block
         return block
 
@@ -311,8 +335,10 @@ def discretize_controls(problem: ProblemSpec, rho: float) -> DiscreteControls:
 
 
 class InterventionResult(NamedTuple):
-    values: np.ndarray    # best jump value per node
-    impulses: np.ndarray  # achieving z per node (smallest on ties)
+    values: np.ndarray      # best jump value per node
+    impulses: np.ndarray    # achieving z per node (smallest on ties)
+    columns: np.ndarray     # z's column in candidates per node, -1 for none
+    candidates: np.ndarray  # the nodes x K candidate array the operator read
 
 
 class InterventionTable(Interpolant):
@@ -324,7 +350,9 @@ class InterventionTable(Interpolant):
     candidate block (``_impulse_grid``, shared through
     :meth:`DiscreteControls.impulse_values`), K the largest impulse count at
     any node.  ``_reset`` is the problem's ``reset_cost`` in the reset
-    layout and None in the block layout.
+    layout and None in the block layout.  :meth:`apply` returns each node's
+    chosen column of ``_impulse_grid`` with the array itself, which the
+    policies built from it index.
 
     **Reset layout**, when the problem's impulses are declared resets at
     cost -c0 - lam |z - x| (``ProblemSpec.reset_cost``) and the impulse
@@ -372,6 +400,10 @@ class InterventionTable(Interpolant):
             self._reset = problem.reset_cost
             lam = self._reset.lam
             self._z = z = impulse_grid[0]
+            if impulse_grid.strides[0]:
+                # Rows equal in value but not in bytes (a zero width whose
+                # lo is -0.0 at some nodes): a result's columns index z.
+                self._impulse_grid = np.broadcast_to(z, impulse_grid.shape)
             # Node j's forward sweep reads z[:_below[j]] (z <= x_j), its
             # backward sweep z[_above[j]:] (z >= x_j).
             self._below = np.searchsorted(z, nodes, side="right")
@@ -451,7 +483,8 @@ class InterventionTable(Interpolant):
         best = block.argmax(axis=1)
         rows = np.arange(block.shape[0])
         return InterventionResult(values=block[rows, best],
-                                  impulses=self._impulse_grid[rows, best])
+                                  impulses=self._impulse_grid[rows, best],
+                                  columns=best, candidates=self._impulse_grid)
 
     def _sweep(self, u: np.ndarray) -> InterventionResult:
         """The reset layout's :meth:`apply`: two running maxima over z.
@@ -491,18 +524,21 @@ class InterventionTable(Interpolant):
         # layout sum it.
         values = -c0 - lam * np.abs(impulses - self._nodes)
         values += v.take(best)
-        return InterventionResult(values=values, impulses=impulses)
+        return InterventionResult(values=values, impulses=impulses, columns=best,
+                                  candidates=self._impulse_grid)
 
 
 class FrozenObstacle:
-    """A fixed obstacle, (Mu)_j = values_j: no couplings, NaN impulses."""
+    """A fixed obstacle, (Mu)_j = values_j: no couplings, no candidates (a
+    nodes x 0 array, column -1 at every node) and NaN impulses."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
     def apply(self, u: np.ndarray) -> InterventionResult:
-        return InterventionResult(values=self.values,
-                                  impulses=np.full(self.values.shape, np.nan))
+        n = self.values.size
+        return InterventionResult(values=self.values, impulses=np.full(n, np.nan),
+                                  columns=np.full(n, -1), candidates=np.empty((n, 0)))
 
     def jump_rows(self, rows, impulses) -> tuple[tuple, np.ndarray]:
         return (), self.values[rows]

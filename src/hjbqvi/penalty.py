@@ -282,14 +282,12 @@ def _best_control(u, band, reward, previous=None):
 
 def _policy(u, controls, band, idx, jump) -> PenaltyPolicy:
     """The policy at the iterate ``u`` of the :class:`ControlBand` ``band``'s
-    rows ``idx`` and the jump result ``jump``: the sampled controls those
-    rows index at each node, and the penalty indicator, strict, d_j = 1 iff
+    rows ``idx`` and the jump result ``jump``: the rows of the sampled
+    controls those rows index at each node, the impulses' columns in the
+    candidates ``jump`` read, and the penalty indicator, strict, d_j = 1 iff
     the best jump value exceeds u_j, so at equality the penalty stays off."""
-    return PenaltyPolicy(
-        controls=controls.controls[row_at(band.index, idx)],
-        intervene=jump.values - u > 0.0,
-        impulses=jump.impulses,
-    )
+    return PenaltyPolicy.chosen(controls.controls, row_at(band.index, idx),
+                                jump.values - u > 0.0, jump)
 
 
 def _improve(u, controls, intervention, band, reward, previous=None):
@@ -351,7 +349,7 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
     active = np.flatnonzero(policy.intervene)
     on_diag = np.full(active.size, inv_eps)
     rows, cols, data = [active], [active], [on_diag]
-    couplings, cost = intervention.jump_rows(active, policy.impulses[active])
+    couplings, cost = intervention.jump_rows(active, policy.impulses_at(active))
     for col, share in couplings:
         weight = inv_eps * share
         used = share > 0.0

@@ -32,7 +32,8 @@ It has identity boundary rows (zero boundary stencils) and is strictly
 diagonally dominant, hence nonsingular; the solver checks this and
 factorises A once per solve with LAPACK's tridiagonal LU
 (:func:`matrices.factorise_tridiagonal`, one ``dgttrf``), so a step's
-solve is one ``dgttrs`` and a residual check on the same A.
+solve is one ``dgttrs`` and a residual check on A's three diagonals, which
+the factorisation keeps.
 
 drift(x, b) takes no t, so a solve also computes once what every step reads
 of the foot points (:class:`FootPoints`): each kept foot's interpolation
@@ -201,27 +202,30 @@ def sl_rhs(u_next, t, grid: SpaceTimeGrid, problem: ProblemSpec,
     jump = intervention.apply(u_next)
     intervene = jump.values > best_cont
     rhs = np.where(intervene, jump.values, best_cont)
-    policy = PenaltyPolicy(controls=controls.controls[row_at(feet.index, best)],
-                           intervene=intervene, impulses=jump.impulses)
+    policy = PenaltyPolicy.chosen(controls.controls, row_at(feet.index, best), intervene, jump)
     return rhs, policy
 
 
 def thomas_solve(A: sp.csr_matrix, rhs: np.ndarray, factor) -> np.ndarray:
     """Tridiagonal solve of A u = rhs with a residual guard.
 
-    ``factor`` is A's :func:`matrices.factorise_tridiagonal` solve, one
-    ``dgttrs``.  A non-finite solution is escalated as an internal error,
-    as is a residual of A u - rhs above 1e-10 * (1 + |rhs|).
+    ``factor`` is A's :class:`matrices.TridiagonalFactor`: the solve is one
+    ``dgttrs``, and the guard's residual A u - rhs is formed from the three
+    diagonals it keeps, cheaper than the solve it guards.  A residual above
+    1e-10 * (1 + |rhs|), or not a number, is escalated as an internal error:
+    a non-finite solution as such, any other as a residual too large.
     """
     n = A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size != n:
         raise ValueError(f"rhs length {rhs.size} does not match matrix size {n}")
     out = factor(rhs)
-    if not np.all(np.isfinite(out)):
-        raise SolverError("semi-Lagrangian solve returned non-finite values (singular matrix)")
-    residual = float(np.abs(A @ out - rhs).max())
-    if residual > 1e-10 * (1.0 + float(np.abs(rhs).max())):
+    residual = factor.residual(out, rhs)
+    residual = float(np.abs(residual, out=residual).max())
+    if not residual <= 1e-10 * (1.0 + float(np.abs(rhs).max())):
+        if not np.isfinite(out).all():
+            raise SolverError("semi-Lagrangian solve returned non-finite values "
+                              "(singular matrix)")
         raise SolverError(f"semi-Lagrangian solve residual {residual:.3g} too large")
     return out
 

@@ -35,19 +35,68 @@ def default_epsilon(grid: SpaceTimeGrid, cfg: SolverConfig) -> float:
 
 @dataclass(eq=False)
 class PenaltyPolicy:
-    """Per-node controls frozen for one linear policy-evaluation solve.
+    """Per-node controls frozen for one linear policy-evaluation solve, kept
+    as indices into value tables that every policy of a solve shares.
 
-    ``controls`` is the chosen control b_j, ``intervene`` the penalty-active
-    indicator, and ``impulses`` the chosen impulse z_j (meaningful where
-    ``intervene`` is set).  The semi-Lagrangian right-hand side reuses the
-    same record, with ``intervene`` marking nodes where the jump branch won.
+    ``control_rows`` holds each node's row of ``control_values`` (a solve's
+    ``controls.controls``), in the smallest unsigned dtype that holds the
+    last row, ``intervene`` is the penalty-active indicator, and
+    ``impulse_columns`` (int32) each node's column in ``candidates``, the
+    nodes x K candidate array of the jump table that chose it, or -1 where
+    the operator has none (an optimal-stopping obstacle).  The tables are
+    references, never copies, so a stored policy owns at most 7 bytes per
+    node for B up to 65536 controls (6 for B up to 256), against 17 for
+    values.  ``controls`` and
+    ``impulses`` gather the values: the chosen b_j, and the chosen z_j
+    (meaningful where ``intervene`` is set, NaN at column -1).  The
+    semi-Lagrangian right-hand side reuses the same record, with
+    ``intervene`` marking nodes where the jump branch won.
     """
 
-    controls: np.ndarray
+    control_rows: np.ndarray
     intervene: np.ndarray
-    impulses: np.ndarray
+    impulse_columns: np.ndarray
+    control_values: np.ndarray
+    candidates: np.ndarray
+
+    def __post_init__(self):
+        row_type = np.min_scalar_type(max(self.control_values.size - 1, 0))
+        self.control_rows = np.asarray(self.control_rows).astype(row_type, copy=False)
+        self.impulse_columns = np.asarray(self.impulse_columns).astype(np.int32, copy=False)
+
+    @classmethod
+    def chosen(cls, control_values, rows, intervene, jump) -> "PenaltyPolicy":
+        """The policy of ``rows`` of ``control_values``, the indicator
+        ``intervene`` and the impulses the jump result ``jump``
+        (:class:`operators.InterventionResult`) chose, indexing the
+        candidate array it read."""
+        return cls(rows, intervene, jump.columns, control_values, jump.candidates)
+
+    @property
+    def controls(self) -> np.ndarray:
+        return self.control_values[self.control_rows]
+
+    @property
+    def impulses(self) -> np.ndarray:
+        return self.impulses_at(np.arange(self.impulse_columns.size))
+
+    def impulses_at(self, nodes: np.ndarray) -> np.ndarray:
+        """The chosen impulses at the node indices ``nodes``."""
+        columns = self.impulse_columns[nodes]
+        out = np.full(columns.shape, np.nan)
+        chosen = columns >= 0
+        out[chosen] = self.candidates[nodes[chosen], columns[chosen]]
+        return out
 
     def same_as(self, other: "PenaltyPolicy") -> bool:
+        """Whether both policies choose the same values at every node.  On
+        the same tables that is the same indices: ties go to the first
+        column, so one impulse is never chosen at two columns of one
+        array."""
+        if self.control_values is other.control_values and self.candidates is other.candidates:
+            return (np.array_equal(self.control_rows, other.control_rows)
+                    and np.array_equal(self.intervene, other.intervene)
+                    and np.array_equal(self.impulse_columns, other.impulse_columns))
         return (
             np.array_equal(self.controls, other.controls, equal_nan=True)
             and np.array_equal(self.intervene, other.intervene)

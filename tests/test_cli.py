@@ -595,9 +595,13 @@ class TestArtifactColumns:
         surface[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
         n = grid.n_nodes
         policies = list(sol.policies)
-        policies[0] = PenaltyPolicy(controls=np.array([-0.0, 0.5, np.nan] + [0.1] * (n - 3)),
-                                    intervene=np.arange(n) % 2 == 1,
-                                    impulses=np.array([np.inf, -1.0] + [np.nan] * (n - 2)))
+        # The -0.0, NaN and +-inf cells sit in the value tables the policy
+        # indexes; column -1 reads as a NaN impulse.
+        policies[0] = PenaltyPolicy(
+            control_rows=np.minimum(np.arange(n), 3), intervene=np.arange(n) % 2 == 1,
+            impulse_columns=np.array([0, 1] + [-1] * (n - 2)),
+            control_values=np.array([-0.0, 0.5, np.nan, 0.1]),
+            candidates=np.broadcast_to([np.inf, -1.0], (n, 2)))
         assert policies[-1] is None
         return replace(sol, surface=surface, policies=policies)
 

@@ -327,8 +327,10 @@ class TestMonotonicity:
         assert report.witness is not None
         # The system assembled from the same mutant loses the M-matrix structure.
         n = grid.n_nodes
-        policy = PenaltyPolicy(controls=np.ones(n), intervene=np.zeros(n, dtype=bool),
-                               impulses=np.full(n, np.nan))
+        policy = PenaltyPolicy(control_rows=np.zeros(n, dtype=int),
+                               intervene=np.zeros(n, dtype=bool),
+                               impulse_columns=np.full(n, -1), control_values=np.ones(1),
+                               candidates=np.empty((n, 0)))
         band = penalty_mod._control_band(grid, problem, controls)
         idx = np.full(n, int(np.flatnonzero(controls.controls[band.index] == 1.0)[0]))
         reward = penalty_mod._reward_block(0.0, grid, problem, controls, band)

@@ -222,6 +222,19 @@ class TestFactoriseTridiagonal:
         x = factorise_tridiagonal(A, "semi-Lagrangian matrix")(rhs)
         assert np.abs(x - np.linalg.solve(A.toarray(), rhs)).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [3, 9, 33, 641])
+    def test_residual_matches_the_csr_product(self, n):
+        # A u - rhs from the kept diagonals is the CSR product's up to the
+        # order of a row's three terms: a few ulps of the row's magnitudes.
+        rng = np.random.default_rng(100 + n)
+        A = random_tridiagonal(n, rng)
+        factor = factorise_tridiagonal(A, "matrix")
+        for _ in range(3):
+            u, rhs = rng.normal(size=n), rng.normal(size=n)
+            scale = abs(A) @ np.abs(u) + np.abs(rhs)
+            gap = np.abs(factor.residual(u, rhs) - (A @ u - rhs))
+            assert np.all(gap <= 4 * np.finfo(float).eps * scale)
+
     def test_rhs_is_unchanged(self):
         rng = np.random.default_rng(4)
         A = random_tridiagonal(9, rng)

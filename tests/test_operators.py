@@ -462,8 +462,9 @@ class TestImpulseSampler:
 
     @pytest.mark.parametrize("bounds, rho, distinct", [
         *((bounds, rho, 1) for bounds, rho in SAMPLER_CASES),
-        (lambda t, x: (-0.0, 1.0), 0.25, 3),                        # first column reads +0.0
+        (lambda t, x: (-0.0, 1.0), 0.25, 1),                        # first column reads +0.0
         (lambda t, x: (-0.0 if t < 0.5 else 0.0, 1.0), 0.25, 1),    # ... so +0.0 shares it
+        (lambda t, x: (0.0 * x, max(x, 0.0)), 0.25, 1),             # -0.0 lo, +0.0 hi at x < 0
         (lambda t, x: (-0.0 if x > 0 and t < 0.5 else 0.0, 1.0 + (x > 0)), 0.25, 1),
         (lambda t, x: (-0.0, 0.0 if t < 0.5 else -0.0), 0.3, 1),     # zero width, row is lo
         (lambda t, x: (0.0, -0.0 if t < 0.5 else 0.0), 0.3, 1),

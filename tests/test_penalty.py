@@ -32,6 +32,16 @@ from hjbqvi.problem import ProblemSpec, SeparableReward, builtin, eval_on, unifo
 from hjbqvi.solution import PenaltyPolicy
 
 
+def value_policy(controls, intervene, impulses):
+    """A policy whose value tables are its own per-node values: node j reads
+    row j of the controls and column 0 of row j of the impulses."""
+    n = len(intervene)
+    return PenaltyPolicy(control_rows=np.arange(n), intervene=intervene,
+                         impulse_columns=np.zeros(n, dtype=int),
+                         control_values=np.asarray(controls, dtype=float),
+                         candidates=np.asarray(impulses, dtype=float)[:, np.newaxis])
+
+
 def terminal_values(problem, grid):
     return eval_on(problem.terminal_reward, grid.nodes)
 
@@ -151,9 +161,7 @@ class TestAssemblePolicySystem:
         g = build_uniform_grid(Q=2, M=4, N=4, T=1)
         c = discretize_controls(p, g.rho)
         n = g.n_nodes
-        policy = PenaltyPolicy(controls=np.zeros(n),
-                               intervene=np.zeros(n, dtype=bool),
-                               impulses=np.full(n, np.nan))
+        policy = value_policy(np.zeros(n), np.zeros(n, dtype=bool), np.full(n, np.nan))
         band, reward, table = operands(p, g, c, 0.0)
         matrix, _ = timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, 0.25, table,
                                     band, reward)
@@ -177,8 +185,7 @@ class TestAssemblePolicySystem:
         intervene[g.offset(-2)] = True          # node x = -1
         impulses = np.full(n, np.nan)
         impulses[g.offset(-2)] = 1.0            # jump target z = 1, a grid node
-        policy = PenaltyPolicy(controls=np.zeros(n), intervene=intervene,
-                               impulses=impulses)
+        policy = value_policy(np.zeros(n), intervene, impulses)
         eps = 0.2
         band, reward, table = operands(p, g, c, 0.0)
         matrix, _ = timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, eps, table,
@@ -215,7 +222,7 @@ class TestAssemblePolicySystem:
         intervene[[1, 6]] = True
         impulses = np.full(n, np.nan)
         impulses[[1, 6]] = [0.5, 0.3]
-        policy = PenaltyPolicy(controls=np.zeros(n), intervene=intervene, impulses=impulses)
+        policy = value_policy(np.zeros(n), intervene, impulses)
         band, reward, table = operands(p, g, c, 0.0)
         with pytest.raises(ValueError, match=r"impulse 0\.3 at node index 6 .*not one of"):
             timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, 0.25, table,
@@ -288,9 +295,7 @@ class TestAssembledSystemMatchesResidual:
             rows = np.flatnonzero(policy.intervene)
             if frozen:
                 # Active rows differ from the penalty-free rows on the diagonal only.
-                free = PenaltyPolicy(controls=policy.controls,
-                                     intervene=np.zeros(grid.n_nodes, dtype=bool),
-                                     impulses=policy.impulses)
+                free = replace(policy, intervene=np.zeros(grid.n_nodes, dtype=bool))
                 extra = (matrix - timestep_system(
                     free, idx, u_next, grid, eps, operator, band, reward)[0]).toarray()
                 np.fill_diagonal(extra, 0.0)
