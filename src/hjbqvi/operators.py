@@ -20,7 +20,7 @@ The stencils follow the monotone implicit discretization:
 * two intervention operators M with one interface: ``apply(u)`` gives
   (Mu)_j and the impulse attaining it, with that impulse's column in the
   candidate array the operator read (which a policy keeps in place of the
-  value), ``jump_rows(rows, impulses)`` gives
+  value), ``jump_rows(rows, columns)`` gives, for those columns,
   ``(couplings, cost)``, active row j reading (Mu)_j = sum of w u_col over
   its (col, w) couplings + cost.  :class:`InterventionTable` is the impulse
   maximum max_z { interp(u, x_j + shift) + cost }, ties to the smallest z,
@@ -35,8 +35,10 @@ every builtin that intervenes) when the impulse bounds are equal at every
 node.  Then (Mu)_j = max_k { v_k - lam |z_k - x_j| } - c0 with
 v_k = interp(u, z_k), a maximum over a cone, which is two running maxima
 over z: the L1 case of the distance transform of sampled functions
-(Felzenszwalb & Huttenlocher, Theory of Computing 8, 2012).  A build costs
-O(n + K), one ``apply`` O(n + K), and the reuse check ``same_data_at``
+(Felzenszwalb & Huttenlocher, Theory of Computing 8, 2012).  A level's
+first build costs O(n + K) and every later one on the same candidate row
+and nodes O(n) (:meth:`DiscreteControls.reset_level`), one ``apply``
+O(n + K), and the reuse check ``same_data_at``
 O(n): it compares the bounds and evaluates no callable, and with bounds
 declared to ignore t (``ProblemSpec.time_free_bounds``) it reads nothing
 and holds at every t.  The values are
@@ -47,17 +49,21 @@ The block layout serves every other table: the nodes x K targets
 x_j + shift, one interpolant per node, and the nodes x K cost block,
 O(n K) per build and per ``apply``.
 
-The functions here are pure.  The one mutable piece is
-``DiscreteControls._impulse_cache``, which memoizes ``impulse_values`` and
-grows by one entry per distinct (t, node set) it is asked for: per time
+The functions here are pure.  The mutable pieces are two memos of
+:class:`DiscreteControls`.  ``_impulse_cache`` memoizes ``impulse_values``
+and grows by one entry per distinct (t, node set) it is asked for: per time
 level on the penalty and iterated optimal stopping paths, and on the
 semi-Lagrangian path per table build, which is once per solve when the
 impulse data do not depend on t.  Each entry refers to a read-only nodes x K
 candidate block, shared by every table built at that level, by every
 later level whose impulse bounds give it bit for bit, and by the policies
 that index it, so bounds that ignore t keep one block per node set in
-memory, not one per level; bounds equal at every node keep one row.  Share a
-``DiscreteControls`` between threads only with that in mind.
+memory, not one per level; bounds equal at every node keep one row.
+``_reset_level`` is one slot, the newest :class:`ResetLevel`, whose
+read-only arrays every reset table on that candidate row and node set
+shares; a build on another row or node set replaces it.  Neither memo is
+locked: share a ``DiscreteControls`` between threads only with that in
+mind.
 """
 
 from __future__ import annotations
@@ -255,6 +261,21 @@ def _nonempty_bounds_on(problem: ProblemSpec, t: float,
     return lo, hi
 
 
+class ResetLevel(NamedTuple):
+    """What a reset-layout :class:`InterventionTable` reads of its candidate
+    row z and its nodes, all read-only: the :class:`Interpolant` of z (each
+    1 x K) and each node's split points in z, one ``searchsorted`` each.
+    Node j's forward sweep reads z[:below[j]] (z <= x_j), its backward
+    sweep z[above[j]:] (z >= x_j)."""
+
+    k: np.ndarray
+    alpha: np.ndarray
+    stay: np.ndarray
+    k_next: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+
+
 @dataclass
 class DiscreteControls:
     """Finite control and impulse sets at refinement rho.
@@ -273,12 +294,20 @@ class DiscreteControls:
     holds K values, not nodes x K (32 MB at M=2000 for cash).  Both samples
     include their interval endpoints, and their spacing is at most rho, so
     the Hausdorff distance to the continuous sets is at most rho / 2.
+
+    Beside the blocks it keeps, in one slot, the :class:`ResetLevel` of the
+    newest candidate row a reset-layout table asked for
+    (:meth:`reset_level`), which the tables on that row and node set share.
+    Neither memo is a field of the record: ``dataclasses.replace`` gives
+    the new record empty ones, so a replaced ``rho`` or ``controls`` samples
+    afresh, and ``==`` ignores them.
     """
 
     problem: ProblemSpec
     rho: float
     controls: np.ndarray
-    _impulse_cache: dict = field(default_factory=dict, repr=False)
+    _impulse_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _reset_level: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def impulse_values(self, t: float, nodes: np.ndarray) -> np.ndarray:
         """The nodes x K impulse candidate block at time t:
@@ -325,6 +354,28 @@ class DiscreteControls:
             self._impulse_cache[key] = block
         return block
 
+    def reset_level(self, z: np.ndarray, nodes: np.ndarray) -> ResetLevel:
+        """The :class:`ResetLevel` of the candidate row ``z`` on ``nodes``.
+
+        One slot keeps the newest, keyed on the bytes of z and of the nodes:
+        a block is shared by node sets of the same size, so its identity
+        does not name the nodes, and bytes tell -0.0 from +0.0.  Both tables
+        of a penalty step read one level, and bounds that ignore t one level
+        per solve, so the slot serves every build after a level's first;
+        bounds that move in t replace it at each level and keep one record
+        alive, not one per level.
+        """
+        key = (z.tobytes(), nodes.tobytes())
+        if self._reset_level is None or self._reset_level[0] != key:
+            interpolant = Interpolant(*interp_weights(nodes, z[np.newaxis]))
+            level = ResetLevel(interpolant.k, interpolant.alpha, interpolant.stay,
+                               interpolant.k_next, np.searchsorted(z, nodes, side="right"),
+                               np.searchsorted(z, nodes, side="left"))
+            for part in level:
+                part.flags.writeable = False
+            self._reset_level = key, level
+        return self._reset_level[1]
+
 
 def discretize_controls(problem: ProblemSpec, rho: float) -> DiscreteControls:
     if not rho > 0:
@@ -360,8 +411,14 @@ class InterventionTable(Interpolant):
     candidate row z (``_z``).  The table is the
     :class:`Interpolant` of z itself (``k``, ``alpha``, ``stay`` and
     ``k_next`` 1 x K), plus each node's split points in z (one
-    ``searchsorted`` each).  :meth:`apply` takes v_k = interp(u, z_k) and
-    two running maxima, max over z_k <= x_j of (v_k + lam z_k), less
+    ``searchsorted`` each).  Those depend on z and the nodes alone, so a
+    build takes them, read-only, from the controls' :class:`ResetLevel`
+    (:meth:`DiscreteControls.reset_level`), computing them only when the
+    slot holds another row or node set: a penalty step's second build, and
+    every build after the first under bounds that ignore t, is a lookup
+    keyed on O(n + K) bytes plus the products lam z and lam x_j.
+    :meth:`apply` takes v_k = interp(u, z_k) and two running maxima, max
+    over z_k <= x_j of (v_k + lam z_k), less
     lam x_j, and max over z_k >= x_j of (v_k - lam z_k), plus lam x_j:
     O(n + K) per call, no nodes x K array.  Within a sweep the first index
     that reaches the maximum wins, and the forward sweep wins an exact tie,
@@ -404,13 +461,12 @@ class InterventionTable(Interpolant):
                 # Rows equal in value but not in bytes (a zero width whose
                 # lo is -0.0 at some nodes): a result's columns index z.
                 self._impulse_grid = np.broadcast_to(z, impulse_grid.shape)
-            # Node j's forward sweep reads z[:_below[j]] (z <= x_j), its
-            # backward sweep z[_above[j]:] (z >= x_j).
-            self._below = np.searchsorted(z, nodes, side="right")
-            self._above = np.searchsorted(z, nodes, side="left")
+            # The shared level stands in for Interpolant.__init__.
+            level = controls.reset_level(z, nodes)
+            self.k, self.alpha, self.stay, self.k_next = level[:4]
+            self._below, self._above = level.below, level.above
             self._lam_z = lam * z
             self._lam_x = lam * nodes
-            super().__init__(*interp_weights(nodes, z[np.newaxis]))
             return
         x_col = nodes[:, np.newaxis]
         self._shifts = eval_on(problem.impulse_shift, t, x_col, impulse_grid)
@@ -443,34 +499,36 @@ class InterventionTable(Interpolant):
         return (np.array_equal(eval_on(problem.impulse_cost, t, x_col, zs), self.costs)
                 and np.array_equal(eval_on(problem.impulse_shift, t, x_col, zs), self._shifts))
 
-    def jump_rows(self, rows, impulses) -> tuple[tuple, np.ndarray]:
-        """Couplings and cost of the candidate ``impulses[r]`` at node ``rows[r]``.
+    def jump_rows(self, rows, columns) -> tuple[tuple, np.ndarray]:
+        """Couplings and cost of the candidate in column ``columns[r]`` of
+        ``_impulse_grid`` at node ``rows[r]``: the columns :meth:`apply`
+        returns, which a policy keeps (``PenaltyPolicy.impulse_columns``).
+        A policy carried from the step before (``penalty.StepStart``) indexes
+        a candidate row equal to this table's, so its columns read the same
+        candidates.
 
         The couplings are the interpolation pairs (k, 1 - alpha) and
         (k + 1, alpha), both columns on the grid; a zero weight marks no
         coupling (at a clamped target one of the two).  In the reset layout
         the pairs are read from the 1 x K row and the cost
         -c0 - lam |z - x_j| is formed for these rows only.  ValueError names
-        the first node whose impulse is not a candidate there.
+        the first node whose column is outside [0, K).
         """
-        rows = np.asarray(rows, dtype=int)
-        impulses = np.asarray(impulses, dtype=float)
+        rows = np.asarray(rows, dtype=np.intp)
+        columns = np.asarray(columns, dtype=np.intp)
+        width = self._impulse_grid.shape[1]
+        outside = (columns < 0) | (columns >= width)
+        if outside.any():
+            bad = int(np.argmax(outside))
+            raise ValueError(f"column {int(columns[bad])} at node index {int(rows[bad])} "
+                             f"(t={self.t!r}) is outside the {width} candidates of the table")
         if self._reset is not None:
             c0, lam = self._reset.c0, self._reset.lam
-            col = np.minimum(np.searchsorted(self._z, impulses), self._z.size - 1)
-            found = self._z[col] == impulses
-            at = (0, col)
-            cost = -c0 - lam * np.abs(impulses - self._nodes[rows])
+            at = (0, columns)
+            cost = -c0 - lam * np.abs(self._z[columns] - self._nodes[rows])
         else:
-            match = self._impulse_grid[rows] == impulses[:, np.newaxis]
-            found = match.any(axis=1)
-            col = match.argmax(axis=1)
-            at = (rows, col)
-            cost = self.costs[rows, col]
-        if not found.all():
-            bad = int(np.argmin(found))
-            raise ValueError(f"impulse {float(impulses[bad])!r} at node index {int(rows[bad])} "
-                             f"(t={self.t!r}) is not one of that node's candidates")
+            at = (rows, columns)
+            cost = self.costs[rows, columns]
         k = self.k[at]
         return ((k, self.stay[at]), (k + 1, self.alpha[at])), cost
 
@@ -494,9 +552,17 @@ class InterventionTable(Interpolant):
         i.. K - 1, each -inf over none.  A node reads ``up`` at ``_below``
         and ``down`` at ``_above``; ``down_at[i]`` is the smallest index
         attaining ``down[i]``.
+
+        The shared level's index arrays are read-only, and ``take`` copies
+        such an index array on every call, so they are read by indexing:
+        v is :meth:`interp`'s sum, formed with its operations in its order.
         """
         c0, lam = self._reset.c0, self._reset.lam
-        v = self.interp(u)[0]
+        v = u[self.k[0]]
+        v *= self.stay[0]
+        right = u[self.k_next[0]]
+        right *= self.alpha[0]
+        v += right
         size = v.size
         up = np.empty(size + 1)
         up[0] = -np.inf
@@ -511,14 +577,14 @@ class InterventionTable(Interpolant):
         # running minimum from the right.
         down_at[:size] = np.minimum.accumulate(
             np.where(backward >= down[1:], np.arange(size), size - 1)[::-1])[::-1]
-        forward = up.take(self._below)
+        forward = up[self._below]
         # The running maximum first reaches a prefix's maximum at the
         # prefix's smallest maximizer (index 0 for an empty prefix).
         up_at = np.searchsorted(up[1:], forward)
         forward -= self._lam_x
-        back = down.take(self._above)
+        back = down[self._above]
         back += self._lam_x
-        best = np.where(forward >= back, up_at, down_at.take(self._above))
+        best = np.where(forward >= back, up_at, down_at[self._above])
         impulses = self._z.take(best)
         # The chosen candidate's value, summed as jump_rows and the block
         # layout sum it.
@@ -540,5 +606,5 @@ class FrozenObstacle:
         return InterventionResult(values=self.values, impulses=np.full(n, np.nan),
                                   columns=np.full(n, -1), candidates=np.empty((n, 0)))
 
-    def jump_rows(self, rows, impulses) -> tuple[tuple, np.ndarray]:
+    def jump_rows(self, rows, columns) -> tuple[tuple, np.ndarray]:
         return (), self.values[rows]

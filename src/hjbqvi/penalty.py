@@ -331,8 +331,10 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
     idx_j of the :class:`ControlBand` and of the step's :func:`_reward_block`,
     ``idx`` holding the row index of b_j at each node.  The couplings
     (c, w_c) and the cost of each active row are read from
-    ``intervention.jump_rows``, the operator that chose the policy:
-    interpolation pairs for a jump table, none for a frozen obstacle.
+    ``intervention.jump_rows`` at the policy's impulse columns, from the
+    operator that chose the policy or, for a policy carried from the step
+    before, one with an equal candidate row: interpolation pairs for a jump
+    table, none for a frozen obstacle.
     Couplings that land on the row itself merge into the diagonal; the
     structural check rejects any configuration that loses the M-matrix sign
     pattern or WCDD.
@@ -349,7 +351,7 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
     active = np.flatnonzero(policy.intervene)
     on_diag = np.full(active.size, inv_eps)
     rows, cols, data = [active], [active], [on_diag]
-    couplings, cost = intervention.jump_rows(active, policy.impulses_at(active))
+    couplings, cost = intervention.jump_rows(active, policy.impulse_columns[active])
     for col, share in couplings:
         weight = inv_eps * share
         used = share > 0.0

@@ -78,14 +78,10 @@ class PenaltyPolicy:
 
     @property
     def impulses(self) -> np.ndarray:
-        return self.impulses_at(np.arange(self.impulse_columns.size))
-
-    def impulses_at(self, nodes: np.ndarray) -> np.ndarray:
-        """The chosen impulses at the node indices ``nodes``."""
-        columns = self.impulse_columns[nodes]
+        columns = self.impulse_columns
         out = np.full(columns.shape, np.nan)
         chosen = columns >= 0
-        out[chosen] = self.candidates[nodes[chosen], columns[chosen]]
+        out[chosen] = self.candidates[np.flatnonzero(chosen), columns[chosen]]
         return out
 
     def same_as(self, other: "PenaltyPolicy") -> bool:

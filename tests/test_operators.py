@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjbqvi import operators as operators_mod
+from hjbqvi import penalty as penalty_mod
 from hjbqvi.grid import build_boundary_refined_grid, build_uniform_grid
 from hjbqvi.operators import (
     DiscreteControls,
@@ -382,6 +385,21 @@ class TestDiscretizeControls:
         with pytest.raises(ValueError):
             discretize_controls(p, rho=0.0)
 
+    def test_replace_samples_at_the_new_rho(self):
+        # The memos are not fields of the record: a replaced rho samples
+        # anew rather than reading the blocks sampled at the old one.
+        p = builtin("cash")
+        nodes = build_uniform_grid(Q=4, M=8, N=1, T=1).nodes
+        c = discretize_controls(p, rho=0.5)
+        assert c.impulse_values(0.0, nodes).shape[1] == 5
+        finer = replace(c, rho=0.1)
+        assert finer.controls is c.controls
+        block = finer.impulse_values(0.0, nodes)
+        fresh = discretize_controls(p, rho=0.1).impulse_values(0.0, nodes)
+        assert block.shape[1] == 21 and block.tobytes() == fresh.tobytes()
+        assert c.impulse_values(0.0, nodes).shape[1] == 5
+        assert finer != c and replace(c) == c
+
 
 TINY = 5e-324   # the smallest subnormal double
 
@@ -546,6 +564,110 @@ class TestImpulseSampler:
         assert len(c._impulse_cache) == 1
 
 
+LEVEL_PARTS = ("k", "alpha", "stay", "k_next", "_below", "_above")
+
+
+def assert_same_results(table, unshared):
+    """``apply`` and ``jump_rows`` of ``table`` equal, byte for byte, those
+    of ``unshared``, a table built from its own controls."""
+    for part in LEVEL_PARTS:
+        assert getattr(table, part).tobytes() == getattr(unshared, part).tobytes()
+    u = np.random.default_rng(0).normal(size=table._nodes.size)
+    a, b = table.apply(u), unshared.apply(u)
+    for field in ("values", "impulses", "columns"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    rows = np.arange(u.size)
+    ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, a.columns)
+    ((k2, w_k2), (k_next2, w_next2)), cost2 = unshared.jump_rows(rows, b.columns)
+    for x, y in ((k, k2), (w_k, w_k2), (k_next, k_next2), (w_next, w_next2), (cost, cost2)):
+        assert x.tobytes() == y.tobytes()
+
+
+class TestSharedResetLevel:
+    """Reset tables on one candidate row and node set share its interpolant
+    and split points (``DiscreteControls.reset_level``), read-only."""
+
+    def test_a_penalty_solve_builds_one_level(self, monkeypatch):
+        # Both tables of each step, and every step of cash, hold one set of
+        # arrays, the ones an unshared build computes.
+        tables = []
+
+        class Recorded(InterventionTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(penalty_mod, "InterventionTable", Recorded)
+        p = builtin("cash")
+        g = build_uniform_grid(Q=4, M=10, N=8, T=p.horizon)
+        solve_finite_horizon(p, g, discretize_controls(p, g.rho))
+        assert len(tables) == 2 * g.N
+        first = tables[0]
+        for table in tables:
+            for part in LEVEL_PARTS:
+                assert getattr(table, part) is getattr(first, part)
+        for part in LEVEL_PARTS:
+            array = getattr(first, part)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+        unshared = InterventionTable(p, g, discretize_controls(p, g.rho), tables[-1].t)
+        assert_same_results(tables[-1], unshared)
+
+    def test_grids_of_one_size_get_their_own_level(self):
+        # Node sets of one size share a candidate block, so a level keyed on
+        # the block would hand the second grid the first grid's interpolant.
+        p = builtin("cash")
+        grids = [build_uniform_grid(Q=4, M=10, N=1, T=1), build_uniform_grid(Q=3, M=10, N=1, T=1)]
+        c = discretize_controls(p, rho=0.25)
+        first, second = (InterventionTable(p, g, c, 0.0) for g in grids)
+        assert first._impulse_grid is second._impulse_grid
+        assert first.k is not second.k and first._below is not second._below
+        for table, g in zip((first, second), grids):
+            assert_same_results(table, InterventionTable(p, g, discretize_controls(p, 0.25), 0.0))
+        # The slot holds the newest level: the first grid builds its own again.
+        again = InterventionTable(p, grids[0], c, 0.0)
+        assert again.k is not first.k
+        assert_same_results(again, first)
+
+    def test_bounds_that_move_in_t_keep_one_level_alive(self, monkeypatch):
+        p = replace(builtin("cash"), impulse_bounds=lambda t, x: (-1.0, 1.0 - 0.1 * t))
+        g = build_uniform_grid(Q=4, M=10, N=8, T=p.horizon)
+        c = discretize_controls(p, g.rho)
+        levels = []
+        reset_level = DiscreteControls.reset_level
+
+        def recorded(controls, z, nodes):
+            kept = controls._reset_level
+            level = reset_level(controls, z, nodes)
+            if controls._reset_level is not kept:
+                levels.append(weakref.ref(level.k))
+            return level
+
+        monkeypatch.setattr(DiscreteControls, "reset_level", recorded)
+        solve_finite_horizon(p, g, c)
+        gc.collect()
+        # One level per time level, and only the slot's still alive.
+        assert len(levels) == g.N
+        assert [ref() is not None for ref in levels] == [False] * (g.N - 1) + [True]
+        assert levels[-1]() is c._reset_level[1].k
+
+    @pytest.mark.parametrize("bounds", [
+        lambda t, x: (0.0 * x, 0.0 * x) if t < 0.5 else (0.0, 0.0),   # row -0.0, then +0.0
+        lambda t, x: (-0.0, -0.0) if t < 0.5 else (0.0, 0.0),
+        lambda t, x: (0.0 * x, 1.0) if t < 0.5 else (-0.0, 1.0),      # first column reads +0.0
+        lambda t, x: (-1.0, 0.0 * x) if t < 0.5 else (-1.0, 0.0),     # last column -0.0 at x < 0
+    ], ids=["zero-width-mixed", "zero-width", "lo", "hi"])
+    def test_signed_zero_bounds_match_an_unshared_build(self, bounds):
+        p = replace(builtin("cash"), impulse_bounds=bounds)
+        g = build_uniform_grid(Q=4, M=10, N=1, T=1)
+        c = discretize_controls(p, rho=0.25)
+        for t in (0.0, 0.25, 0.5, 0.75, 0.0):
+            table = InterventionTable(p, g, c, t)
+            assert table._reset is not None
+            assert_same_results(table, InterventionTable(p, g, discretize_controls(p, 0.25), t))
+
+
 # Cash with its reset replaced by a relative jump of 3z, z in [-1, 1]: from
 # |x| > 1 some targets leave [-Q, Q], which no builtin does.
 WIDE_CASH = replace(builtin("cash"), impulse_shift=lambda t, x, z: 3.0 * z)
@@ -571,7 +693,8 @@ class TestClampedJumpTargets:
         targets = g.nodes[:, np.newaxis] + 3.0 * zs
         assert (targets > g.Q).any() and (targets < -g.Q).any()
         rows = np.repeat(np.arange(g.n_nodes), zs.shape[1])
-        ((k, w_k), (k_next, w_next)), _ = table.jump_rows(rows, zs.ravel())
+        columns = np.tile(np.arange(zs.shape[1]), g.n_nodes)
+        ((k, w_k), (k_next, w_next)), _ = table.jump_rows(rows, columns)
         assert k.min() >= 0 and k_next.max() < g.n_nodes
         assert np.all(w_k >= 0.0) and np.all(w_next >= 0.0)
         assert np.abs(w_k + w_next - 1.0).max() <= 1e-15
@@ -647,7 +770,7 @@ class TestSharedTargetRow:
             res = table.apply(u)
             bound = layout_bound(u, g.nodes, table._z, p.impulse_cost.c0, p.impulse_cost.lam)
             assert np.abs(res.values - (costs + ref.interp(u)).max(axis=1)).max() <= bound
-            ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.impulses)
+            ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.columns)
             assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, res.values)
 
     @pytest.mark.parametrize("p", [
@@ -746,7 +869,7 @@ class TestResetLayout:
             assert np.array_equal(a.impulses[clear], b.impulses[clear])
             # Every impulse is a candidate, and its value is that candidate's.
             rows = np.arange(g.n_nodes)
-            ((k, w_k), (k_next, w_next)), cost = reset.jump_rows(rows, a.impulses)
+            ((k, w_k), (k_next, w_next)), cost = reset.jump_rows(rows, a.columns)
             assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, a.values)
 
     @pytest.mark.parametrize("g", GRIDS, ids=["uniform", "refined"])
@@ -808,16 +931,17 @@ class TestResetLayout:
         res = table.apply(u)
         rows = np.flatnonzero(res.values > u)[::-1]      # any subset, any order
         assert rows.size
-        ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.impulses[rows])
+        ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.columns[rows])
         assert k.shape == cost.shape == rows.shape
         assert np.array_equal(k_next, k + 1) and k_next.max() < g.n_nodes
         assert np.all(w_k >= 0.0) and np.all(w_next >= 0.0)
         assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, res.values[rows])
         assert np.array_equal(cost, p.impulse_cost(0.0, g.nodes[rows], res.impulses[rows]))
-        with pytest.raises(ValueError, match=r"impulse 0\.123 at node index 3 "):
-            table.jump_rows([3], [0.123])
-        with pytest.raises(ValueError, match=r"impulse 1\.5 at node index 0 "):
-            table.jump_rows([0], [1.5])
+        width = table._impulse_grid.shape[1]
+        with pytest.raises(ValueError, match=rf"column {width} at node index 3 .* {width} cand"):
+            table.jump_rows([2, 3], [0, width])
+        with pytest.raises(ValueError, match=r"column -1 at node index 0 "):
+            table.jump_rows([0], [-1])
 
     def test_build_and_reuse_check_evaluate_no_impulse_callable(self, monkeypatch):
         def refuse(*args):
@@ -1028,12 +1152,16 @@ class TestApplyIntervention:
         u = np.random.default_rng(3).normal(size=g.n_nodes)
         res = table.apply(u)
         rows = np.arange(g.n_nodes)
-        ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.impulses)
+        ((k, w_k), (k_next, w_next)), cost = table.jump_rows(rows, res.columns)
         assert np.all(w_k > 0.0) and np.all(w_next >= 0.0)
         assert np.array_equal(k_next, k + 1) and k_next.max() < g.n_nodes
         assert np.array_equal(w_k * u[k] + w_next * u[k_next] + cost, res.values)
-        with pytest.raises(ValueError, match="node index 0"):
-            table.jump_rows(rows, np.full(g.n_nodes, 0.123))
+        # A padded column reads the candidate it repeats.
+        last = np.full(g.n_nodes, table._impulse_grid.shape[1] - 1)
+        _, last_cost = table.jump_rows(rows, last)
+        assert np.array_equal(last_cost, p.impulse_cost(0.0, g.nodes, table._impulse_grid[:, -1]))
+        with pytest.raises(ValueError, match="column -1 at node index 0"):
+            table.jump_rows(rows, np.full(g.n_nodes, -1))
 
     @pytest.mark.parametrize("field, late", [
         (None, None),

@@ -32,14 +32,13 @@ from hjbqvi.problem import ProblemSpec, SeparableReward, builtin, eval_on, unifo
 from hjbqvi.solution import PenaltyPolicy
 
 
-def value_policy(controls, intervene, impulses):
-    """A policy whose value tables are its own per-node values: node j reads
-    row j of the controls and column 0 of row j of the impulses."""
-    n = len(intervene)
-    return PenaltyPolicy(control_rows=np.arange(n), intervene=intervene,
-                         impulse_columns=np.zeros(n, dtype=int),
+def column_policy(controls, intervene, columns, table):
+    """A policy whose control table is its own per-node values (node j reads
+    row j) and whose impulses are the ``columns`` of ``table``'s candidates."""
+    return PenaltyPolicy(control_rows=np.arange(len(intervene)), intervene=intervene,
+                         impulse_columns=columns,
                          control_values=np.asarray(controls, dtype=float),
-                         candidates=np.asarray(impulses, dtype=float)[:, np.newaxis])
+                         candidates=table._impulse_grid)
 
 
 def terminal_values(problem, grid):
@@ -161,8 +160,8 @@ class TestAssemblePolicySystem:
         g = build_uniform_grid(Q=2, M=4, N=4, T=1)
         c = discretize_controls(p, g.rho)
         n = g.n_nodes
-        policy = value_policy(np.zeros(n), np.zeros(n, dtype=bool), np.full(n, np.nan))
         band, reward, table = operands(p, g, c, 0.0)
+        policy = column_policy(np.zeros(n), np.zeros(n, dtype=bool), np.full(n, -1), table)
         matrix, _ = timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, 0.25, table,
                                     band, reward)
         dense = matrix.toarray()
@@ -183,11 +182,12 @@ class TestAssemblePolicySystem:
         n = g.n_nodes
         intervene = np.zeros(n, dtype=bool)
         intervene[g.offset(-2)] = True          # node x = -1
-        impulses = np.full(n, np.nan)
-        impulses[g.offset(-2)] = 1.0            # jump target z = 1, a grid node
-        policy = value_policy(np.zeros(n), intervene, impulses)
-        eps = 0.2
+        columns = np.full(n, -1)
+        columns[g.offset(-2)] = 4               # jump target z = 1, a grid node
         band, reward, table = operands(p, g, c, 0.0)
+        policy = column_policy(np.zeros(n), intervene, columns, table)
+        assert policy.impulses[g.offset(-2)] == 1.0
+        eps = 0.2
         matrix, _ = timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, eps, table,
                                     band, reward)
         dense = matrix.toarray()
@@ -211,20 +211,21 @@ class TestAssemblePolicySystem:
         assert report.sign_pattern_ok and report.wcdd_ok
 
 
-    def test_impulse_outside_candidates_is_named(self):
-        # The heat impulse set at rho = 0.5 is {-1, -0.5, 0, 0.5, 1}; 0.3 is
-        # not a candidate, so no jump row can be built for it.
+    def test_column_outside_candidates_is_named(self):
+        # The heat impulse set at rho = 0.5 is {-1, -0.5, 0, 0.5, 1}, columns
+        # 0 to 4; column 5 is not a candidate, so no jump row can be built
+        # for it.
         p = builtin("heat")
         g = build_uniform_grid(Q=2, M=4, N=4, T=1)
         c = discretize_controls(p, g.rho)
         n = g.n_nodes
         intervene = np.zeros(n, dtype=bool)
         intervene[[1, 6]] = True
-        impulses = np.full(n, np.nan)
-        impulses[[1, 6]] = [0.5, 0.3]
-        policy = value_policy(np.zeros(n), intervene, impulses)
+        columns = np.full(n, -1)
+        columns[[1, 6]] = [3, 5]
         band, reward, table = operands(p, g, c, 0.0)
-        with pytest.raises(ValueError, match=r"impulse 0\.3 at node index 6 .*not one of"):
+        policy = column_policy(np.zeros(n), intervene, columns, table)
+        with pytest.raises(ValueError, match=r"column 5 at node index 6 .*outside the 5 cand"):
             timestep_system(policy, np.zeros(n, dtype=int), np.zeros(n), g, 0.25, table,
                             band, reward)
 
@@ -820,8 +821,8 @@ class TestSystemMemo:
         """``table`` with the first active row's first coupling weight one ulp
         nearer to ``share``."""
         class Nudged:
-            def jump_rows(self, rows, impulses):
-                ((k0, w0), pair), cost = table.jump_rows(rows, impulses)
+            def jump_rows(self, rows, columns):
+                ((k0, w0), pair), cost = table.jump_rows(rows, columns)
                 w0 = w0.copy()
                 w0[0] = np.nextafter(w0[0], share)
                 return ((k0, w0), pair), cost
@@ -852,7 +853,7 @@ class TestSystemMemo:
             idx[j] = (idx[j] + 1) % band.index.shape[0]
         else:
             active = np.flatnonzero(policy.intervene)
-            couplings, _ = table.jump_rows(active, policy.impulses[active])
+            couplings, _ = table.jump_rows(active, policy.impulse_columns[active])
             w0 = couplings[0][1][0]
             table = self.nudged(table, 0.0 if w0 > 0.5 else 1.0)
         with pytest.raises(MatrixStructureError, match="patched"):
