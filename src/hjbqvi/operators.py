@@ -132,19 +132,36 @@ def implicit_matrix(weight, band, rows=(), cols=(), data=()) -> sp.csr_matrix:
     off-diagonals, so the sparsity pattern does not depend on the
     coefficients.  Extra (rows, cols, data) entries are added in, duplicates
     summed.
+
+    The CSR arrays are built directly: one stable sort of row * n + col,
+    ``np.add.reduceat`` over each run of equal positions, and ``indptr`` by
+    ``searchsorted``, with int32 index arrays wherever n and the entry
+    count fit, as ``sp.coo_matrix(...).tocsr()`` gives them.  Where a
+    position holds at most two entries (every system the solvers build: a
+    penalty row's self-coupling is merged into its diagonal first, and its
+    two couplings are distinct columns), the result has that conversion's
+    bytes.  With three or more, the sum is taken in the order the entries
+    are listed, which may differ from the conversion's by rounding.
     """
     lower, diag, upper = band
     n = diag.size
     interior = np.arange(1, n - 1)
     every = np.arange(n)
-    matrix = sp.coo_matrix(
-        (np.concatenate([-upper[1:-1], -lower[1:-1], np.asarray(data, dtype=float),
-                         weight - diag]),
-         (np.concatenate([interior, interior, np.asarray(rows, dtype=int), every]),
-          np.concatenate([interior + 1, interior - 1, np.asarray(cols, dtype=int), every]))),
-        shape=(n, n),
-    )
-    return matrix.tocsr()
+    row = np.concatenate([interior, interior, np.asarray(rows, dtype=np.intp), every])
+    col = np.concatenate([interior + 1, interior - 1, np.asarray(cols, dtype=np.intp), every])
+    values = np.concatenate([-upper[1:-1], -lower[1:-1], np.asarray(data, dtype=float),
+                             weight - diag])
+    position = row * n + col
+    order = np.argsort(position, kind="stable")
+    position = position[order]
+    starts = np.flatnonzero(np.concatenate([[True], position[1:] != position[:-1]]))
+    index_type = np.int32 if max(n, position.size) < 2**31 else np.int64
+    matrix = sp.csr_matrix(
+        (np.add.reduceat(values[order], starts), col[order[starts]].astype(index_type),
+         np.searchsorted(position[starts], np.arange(n + 1) * n).astype(index_type)),
+        shape=(n, n))
+    matrix.has_canonical_format = True
+    return matrix
 
 
 def interp_weights(nodes: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +293,7 @@ class ResetLevel(NamedTuple):
     above: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteControls:
     """Finite control and impulse sets at refinement rho.
 
@@ -300,7 +317,9 @@ class DiscreteControls:
     (:meth:`reset_level`), which the tables on that row and node set share.
     Neither memo is a field of the record: ``dataclasses.replace`` gives
     the new record empty ones, so a replaced ``rho`` or ``controls`` samples
-    afresh, and ``==`` ignores them.
+    afresh.  ``==`` is identity, as for :class:`solution.PenaltyPolicy`: a
+    generated one would compare the ``controls`` arrays inside a tuple,
+    which raises for two distinct arrays.
     """
 
     problem: ProblemSpec
@@ -453,7 +472,10 @@ class InterventionTable(Interpolant):
         self._impulse_grid = impulse_grid
         lo, hi = impulse_grid[:, 0], impulse_grid[:, -1]
         self._reset = None
-        if problem.reset_cost is not None and (lo == lo[0]).all() and (hi == hi[0]).all():
+        # A broadcast block (one sampled row, strides[0] == 0) is equal at
+        # every node by construction.
+        if problem.reset_cost is not None and (
+                not impulse_grid.strides[0] or ((lo == lo[0]).all() and (hi == hi[0]).all())):
             self._reset = problem.reset_cost
             lam = self._reset.lam
             self._z = z = impulse_grid[0]

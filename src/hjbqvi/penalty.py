@@ -36,18 +36,21 @@ the same u, and (Mu)_j; the row of :func:`monotonicity_row` passes a pinned
 scalar (Mu)_j.
 
 Most policy systems of a finite-horizon solve repeat the one solved just
-before: on cash at M=160, N=120, all but about 20 of some 140.  A solve,
-and an iterated-optimal-stopping call, therefore passes one
-:class:`SystemMemo` to every step, which keeps the last distinct matrix
-with its WCDD report, the one holder of both.  A system whose operands
-equal the kept ones, byte for byte, reuses them, so ``implicit_matrix`` and
-``analyze_matrix`` run once per distinct system and every matrix solved has
-passed its check.  :func:`_assemble` returns the rhs, built anew for every
-system, and policy iteration solves it through the memo.  A kept matrix is
-solved by ``spsolve`` the first time; when it recurs it is factorised once,
-and the factors, whose solves match ``spsolve`` bit for bit, serve it until
-another system replaces it.  Surfaces, policies and diagnostics are
-therefore those of a solve that assembles every system afresh.
+before: on cash at M=160, N=120, 121 of 143.  A solve, and an
+iterated-optimal-stopping call, therefore passes one :class:`SystemMemo`
+to every step, which keeps the last distinct matrix with its WCDD report,
+the one holder of both.  A system whose operands (the time weight, 1/eps,
+the control rows, the active rows and the couplings ``jump_rows``
+returns) equal the kept ones, byte for byte, reuses them, and is
+recognised before any of its matrix is built: the penalty triplets,
+``implicit_matrix`` and ``analyze_matrix`` run once per distinct system,
+and every matrix solved has passed its check.  :func:`_assemble` returns
+the rhs, built anew for every system, and policy iteration solves it
+through the memo.  A kept matrix is solved by ``spsolve`` the first time;
+when it recurs it is factorised once, and the factors, whose solves match
+``spsolve`` bit for bit, serve it until another system replaces it.
+Surfaces, policies and diagnostics are therefore those of a solve that
+assembles every system afresh.
 
 Policy iteration at step n opens with an improvement at u^{n+1}, the
 iterate at which step n+1 ended with one.  A finite-horizon solve passes
@@ -173,15 +176,18 @@ class SystemMemo:
     """The last distinct policy matrix of a solve, with its report and, once
     it recurs, its factors.
 
-    A policy matrix is a pure function of what :func:`_assemble` passes to
-    ``implicit_matrix``: the time weight, the control band (the same object,
-    whose arrays are read-only), each node's control index and the penalty
-    rows' (rows, cols, data).  :func:`_assemble` reuses the kept matrix and
-    report when all of them equal the kept ones, byte for byte, and
-    otherwise builds, checks and keeps the new matrix.  :meth:`solve` solves
-    the kept matrix: by ``spsolve`` on its first use, and from then on by
-    one :func:`matrices.factorise`, whose solves match ``spsolve`` bit for
-    bit.
+    A policy matrix is a pure function of the operands :func:`_assemble`
+    builds it from: the control band (the same object, whose arrays are
+    read-only) and the key, which holds the time weight, 1/eps and the
+    bytes of each node's control index, of the active rows and of each
+    (column, weight) array ``jump_rows`` returns for them.  The key compares
+    values, never a table's identity, so systems on the block-layout tables
+    rebuilt at every step still match.  :func:`_assemble` reuses the kept
+    matrix and report when the band and key equal the kept ones, and only
+    otherwise forms the penalty triplets and builds, checks and keeps the
+    new matrix.  :meth:`solve` solves the kept matrix: by ``spsolve`` on its
+    first use, and from then on by one :func:`matrices.factorise`, whose
+    solves match ``spsolve`` bit for bit.
     """
 
     def __init__(self):
@@ -338,20 +344,30 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
     Couplings that land on the row itself merge into the diagonal; the
     structural check rejects any configuration that loses the M-matrix sign
     pattern or WCDD.
+
+    The memo is asked first, on the operands as ``jump_rows`` returns them
+    (the :class:`SystemMemo` key); the penalty rows' (rows, cols, data),
+    the band gather, ``implicit_matrix`` and ``analyze_matrix`` run only for
+    a system the memo does not hold.
     """
     nodes = np.arange(idx.size)
     rhs = np.asarray(rhs_base, dtype=float) + reward[idx, nodes]
+    inv_eps = 1.0 / epsilon
+    active = np.flatnonzero(policy.intervene)
+    couplings, cost = intervention.jump_rows(active, policy.impulse_columns[active])
+    rhs[active] += inv_eps * cost
+    key = (float(time_weight), inv_eps, idx.tobytes(), active.tobytes(),
+           *(part.tobytes() for pair in couplings for part in pair))
+    if memo.holds(control_band, key):
+        return rhs
 
     # Penalty rows: one diagonal entry of 1/eps (less any coupling that lands
     # on the row itself), summed into the band's diagonal by implicit_matrix.
     # A zero weight (alpha == 0, or alpha == 1 at a target clamped to +Q) is
     # dropped: an explicit zero would add a false edge to the WCDD
     # reachability search.
-    inv_eps = 1.0 / epsilon
-    active = np.flatnonzero(policy.intervene)
     on_diag = np.full(active.size, inv_eps)
     rows, cols, data = [active], [active], [on_diag]
-    couplings, cost = intervention.jump_rows(active, policy.impulse_columns[active])
     for col, share in couplings:
         weight = inv_eps * share
         used = share > 0.0
@@ -360,12 +376,7 @@ def _assemble(policy, rhs_base, time_weight, epsilon, intervention,
         rows.append(active[off])
         cols.append(col[off])
         data.append(-weight[off])
-    rhs[active] += inv_eps * cost
     rows, cols, data = np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
-    key = (float(time_weight), idx.tobytes(), rows.tobytes(), cols.tobytes(), data.tobytes())
-    if memo.holds(control_band, key):
-        return rhs
-
     band = tuple(part[idx, nodes] for part in control_band.parts)
     matrix = implicit_matrix(float(time_weight), band, rows, cols, data)
     report = analyze_matrix(matrix)

@@ -40,7 +40,7 @@ class PenaltyPolicy:
 
     ``control_rows`` holds each node's row of ``control_values`` (a solve's
     ``controls.controls``), in the smallest unsigned dtype that holds the
-    last row, ``intervene`` is the penalty-active indicator, and
+    last row, ``intervene`` is the penalty-active indicator (bool), and
     ``impulse_columns`` (int32) each node's column in ``candidates``, the
     nodes x K candidate array of the jump table that chose it, or -1 where
     the operator has none (an optimal-stopping obstacle).  The tables are
@@ -62,6 +62,7 @@ class PenaltyPolicy:
     def __post_init__(self):
         row_type = np.min_scalar_type(max(self.control_values.size - 1, 0))
         self.control_rows = np.asarray(self.control_rows).astype(row_type, copy=False)
+        self.intervene = np.asarray(self.intervene).astype(bool, copy=False)
         self.impulse_columns = np.asarray(self.impulse_columns).astype(np.int32, copy=False)
 
     @classmethod
@@ -88,11 +89,12 @@ class PenaltyPolicy:
         """Whether both policies choose the same values at every node.  On
         the same tables that is the same indices: ties go to the first
         column, so one impulse is never chosen at two columns of one
-        array."""
+        array.  Their bytes are compared, as :meth:`__post_init__` fixes
+        the three dtypes, the rows' by the shared control table."""
         if self.control_values is other.control_values and self.candidates is other.candidates:
-            return (np.array_equal(self.control_rows, other.control_rows)
-                    and np.array_equal(self.intervene, other.intervene)
-                    and np.array_equal(self.impulse_columns, other.impulse_columns))
+            return (self.control_rows.tobytes() == other.control_rows.tobytes()
+                    and self.intervene.tobytes() == other.intervene.tobytes()
+                    and self.impulse_columns.tobytes() == other.impulse_columns.tobytes())
         return (
             np.array_equal(self.controls, other.controls, equal_nan=True)
             and np.array_equal(self.intervene, other.intervene)

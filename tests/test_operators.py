@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from hjbqvi.operators import (
     candidate_rows,
     discretize_controls,
     generator_band,
+    implicit_matrix,
     impulse_bounds_on,
     interp_weights,
     row_at,
@@ -32,7 +34,7 @@ from hjbqvi.problem import (
     reset_impulse,
     uniform_sample,
 )
-from hjbqvi.semilag import solve_semi_lagrangian
+from hjbqvi.semilag import assemble_A, diffusion_variance, solve_semi_lagrangian
 
 
 def jump_problem(shift, cost, bounds=(-1.0, 1.0)):
@@ -183,6 +185,88 @@ class TestApplyGenerator:
                 for i, x in enumerate(nodes)
             ]
             assert np.allclose(core, oracle_rows, rtol=1e-12, atol=1e-9)
+
+
+def coo_matrix_of(weight, band, rows=(), cols=(), data=()):
+    """weight * I - L plus the extra entries, through scipy's COO to CSR
+    conversion: the reference for :func:`implicit_matrix`."""
+    lower, diag, upper = band
+    n = diag.size
+    interior, every = np.arange(1, n - 1), np.arange(n)
+    return sp.coo_matrix(
+        (np.concatenate([-upper[1:-1], -lower[1:-1], np.asarray(data, dtype=float),
+                         weight - diag]),
+         (np.concatenate([interior, interior, np.asarray(rows, dtype=int), every]),
+          np.concatenate([interior + 1, interior - 1, np.asarray(cols, dtype=int), every]))),
+        shape=(n, n)).tocsr()
+
+
+def extra_entries(rng, n, most):
+    """Random (rows, cols, data) in random order, with at most ``most``
+    entries at a position of weight * I - L: up to ``most - 1`` on the
+    diagonal and the interior off-diagonals, which hold one already, and
+    up to ``most`` elsewhere, some of them zero."""
+    rows, cols = [], []
+    for i in range(n):
+        for j in range(n):
+            held = i == j or (0 < i < n - 1 and abs(i - j) == 1)
+            count = rng.integers(0, most - held + 1) if rng.random() < 0.3 else 0
+            rows += [i] * count
+            cols += [j] * count
+    order = rng.permutation(len(rows))
+    data = rng.normal(size=len(rows)) * (rng.random(len(rows)) < 0.9)
+    return np.array(rows, dtype=int)[order], np.array(cols, dtype=int)[order], data
+
+
+def random_band(rng, n):
+    nodes = np.sort(rng.uniform(-2.0, 2.0, size=n))
+    return generator_band(nodes, rng.normal(size=n), rng.uniform(0.0, 2.0, size=n))
+
+
+class TestImplicitMatrix:
+    """implicit_matrix builds its CSR arrays directly; with at most two
+    entries at a position they are scipy's COO to CSR conversion's bytes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_at_most_two_entries_give_the_conversions_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(3, 65):
+            band = random_band(rng, n)
+            rows, cols, data = extra_entries(rng, n, most=2)
+            weight = rng.uniform(0.5, 5.0)
+            got = implicit_matrix(weight, band, rows, cols, data)
+            want = coo_matrix_of(weight, band, rows, cols, data)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
+            for i in range(n):
+                assert (np.diff(got.indices[got.indptr[i]:got.indptr[i + 1]]) > 0).all()
+            assert got.has_sorted_indices and got.has_canonical_format
+
+    def test_three_or_more_entries_sum_to_the_dense_matrix(self):
+        rng = np.random.default_rng(7)
+        for n in range(3, 65, 7):
+            band = random_band(rng, n)
+            rows, cols, data = extra_entries(rng, n, most=5)
+            got = implicit_matrix(1.5, band, rows, cols, data)
+            generator = sp.diags([band[0][1:], band[1], band[2][:-1]], [-1, 0, 1]).toarray()
+            dense = 1.5 * np.eye(n) - generator
+            magnitude = 1.5 * np.eye(n) + np.abs(generator)
+            np.add.at(dense, (rows, cols), data)
+            np.add.at(magnitude, (rows, cols), np.abs(data))
+            # Only the summation order differs: a few ulps of the magnitudes.
+            assert (np.abs(got.toarray() - dense) <= 8 * np.finfo(float).eps * magnitude).all()
+
+    def test_semi_lagrangian_matrix_keeps_its_bytes(self):
+        p = builtin("cash")
+        g = build_boundary_refined_grid(Q=4.0, rho=0.1, c_b=1.0, N=30, T=p.horizon)
+        controls = discretize_controls(p, g.rho)
+        got = assemble_A(g, p, controls)
+        variance = diffusion_variance(p, g, controls)
+        want = coo_matrix_of(1.0, generator_band(g.nodes, 0.0, variance * g.dt))
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def interp(u, grid, xs):
@@ -398,7 +482,21 @@ class TestDiscretizeControls:
         fresh = discretize_controls(p, rho=0.1).impulse_values(0.0, nodes)
         assert block.shape[1] == 21 and block.tobytes() == fresh.tobytes()
         assert c.impulse_values(0.0, nodes).shape[1] == 5
-        assert finer != c and replace(c) == c
+        assert finer != c and replace(c) != c and c == c
+
+    def test_equality_is_identity(self):
+        # A generated __eq__ compared the controls arrays inside a tuple,
+        # which raised for two equal records holding distinct arrays.
+        p = builtin("cash")
+        a, b = discretize_controls(p, 0.5), discretize_controls(p, 0.5)
+        assert a.controls is not b.controls and np.array_equal(a.controls, b.controls)
+        assert a != b and not a == b and a == a
+        assert len({a, b, a}) == 2
+        # replace still samples afresh.
+        nodes = build_uniform_grid(Q=4, M=8, N=1, T=1).nodes
+        assert a.impulse_values(0.0, nodes).shape[1] == 5
+        finer = replace(a, rho=0.1)
+        assert finer != a and finer.impulse_values(0.0, nodes).shape[1] == 21
 
 
 TINY = 5e-324   # the smallest subnormal double

@@ -828,7 +828,20 @@ class TestSystemMemo:
                 return ((k0, w0), pair), cost
         return Nudged()
 
-    @pytest.mark.parametrize("change", ["time weight", "control index", "coupling weight"])
+    @staticmethod
+    def moved(table):
+        """``table`` with the first active row's first coupling column one
+        node to the right, its weight kept."""
+        class Moved:
+            def jump_rows(self, rows, columns):
+                ((k0, w0), pair), cost = table.jump_rows(rows, columns)
+                k0 = k0.copy()
+                k0[0] += 1
+                return ((k0, w0), pair), cost
+        return Moved()
+
+    @pytest.mark.parametrize("change", ["time weight", "control index", "coupling weight",
+                                        "penalty parameter", "active row", "coupling column"])
     def test_a_changed_operand_is_checked_again(self, change, monkeypatch):
         p = builtin("cash")
         policy, rhs_base, weight, eps, table, band, reward, idx = step_operands(
@@ -851,11 +864,22 @@ class TestSystemMemo:
             idx = idx.copy()
             j = idx.size // 2
             idx[j] = (idx[j] + 1) % band.index.shape[0]
-        else:
+        elif change == "coupling weight":
             active = np.flatnonzero(policy.intervene)
             couplings, _ = table.jump_rows(active, policy.impulse_columns[active])
             w0 = couplings[0][1][0]
             table = self.nudged(table, 0.0 if w0 > 0.5 else 1.0)
+        elif change == "penalty parameter":
+            # Up: here one ulp down leaves 1/eps, hence the matrix, as it is.
+            moved = np.nextafter(eps, np.inf)
+            assert 1.0 / moved != 1.0 / eps
+            eps = moved
+        elif change == "active row":
+            intervene = policy.intervene.copy()
+            intervene[np.flatnonzero(~intervene)[0]] = True
+            policy = replace(policy, intervene=intervene)
+        elif change == "coupling column":
+            table = self.moved(table)
         with pytest.raises(MatrixStructureError, match="patched"):
             _assemble(policy, rhs_base, weight, eps, table, band, reward, idx, memo)
 
